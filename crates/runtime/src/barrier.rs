@@ -6,8 +6,8 @@
 //! it adds a whole extra scheduling slot (the coordinator's) per phase.
 //! This barrier removes the coordinator from the steady state: the workers
 //! release each other, and the last worker to arrive performs the serial
-//! phase turnaround (building the next phase's work source) before
-//! releasing the others, so a P-worker phase costs P scheduling slots and
+//! phase turnaround (re-arming the region's work source for the next
+//! phase) before releasing the others, so a P-worker phase costs P scheduling slots and
 //! zero kernel round-trips on a dedicated machine.
 //!
 //! The "sense" is a monotone generation counter rather than a flipping

@@ -57,37 +57,29 @@ enum Kind {
     },
     /// Distributed AFS whose subdivision k and grab-ahead b are re-tuned
     /// at every phase boundary by an [`AdaptController`] reading the
-    /// pool's counter deltas. The source is built once per (pool, region
-    /// stream) and *re-armed* between phases — queue words, bases and
-    /// stashes are reused, never reallocated.
-    Adaptive {
-        ctl: Arc<AdaptController>,
-        cached: Mutex<Option<AdaptiveCache>>,
-    },
+    /// pool's counter deltas.
+    Adaptive(Arc<AdaptController>),
     /// Lock-free static partition.
     Static,
 }
 
-/// The cached adaptive source plus the identity it was built against: a
-/// different pool size, sink, or registry forces a rebuild (normal reuse
-/// across the phases of one pool's regions only ever re-arms).
-struct AdaptiveCache {
-    src: Arc<AfsSource>,
-    p: usize,
-    traced: bool,
-    metrics: Arc<MetricsRegistry>,
+/// One phase's work source. AFS keeps its concrete type so the next phase
+/// can re-arm it in place; every other policy's is type-erased, and replaced.
+enum PhaseSource<'a> {
+    Afs(Box<AfsSource>),
+    Other(Box<dyn WorkSource + Send + 'a>),
 }
 
-/// A phase handle onto the region-lived adaptive source.
-struct SharedSource(Arc<AfsSource>);
-
-impl WorkSource for SharedSource {
-    fn next(&self, worker: usize) -> Option<Grab> {
-        self.0.next(worker)
+impl<'a> PhaseSource<'a> {
+    fn other(src: impl WorkSource + Send + 'a) -> Self {
+        PhaseSource::Other(Box::new(src))
     }
 
-    fn warm(&self, worker: usize) {
-        self.0.warm(worker);
+    fn get(&self) -> &dyn WorkSource {
+        match self {
+            PhaseSource::Afs(src) => &**src,
+            PhaseSource::Other(src) => &**src,
+        }
     }
 }
 
@@ -170,17 +162,14 @@ impl RuntimeScheduler {
     /// one controller across many requests.
     pub fn adaptive_with(ctl: Arc<AdaptController>) -> Self {
         Self {
-            kind: Kind::Adaptive {
-                ctl,
-                cached: Mutex::new(None),
-            },
+            kind: Kind::Adaptive(ctl),
         }
     }
 
     /// The adaptive controller, when this is an adaptive policy.
     pub fn controller(&self) -> Option<&Arc<AdaptController>> {
         match &self.kind {
-            Kind::Adaptive { ctl, .. } => Some(ctl),
+            Kind::Adaptive(ctl) => Some(ctl),
             _ => None,
         }
     }
@@ -272,95 +261,86 @@ impl RuntimeScheduler {
                 ahead,
             } => format!("AFS(k={k},ga={ahead})"),
             Kind::AfsLe { .. } => "AFS-LE".into(),
-            Kind::Adaptive { .. } => "ADAPTIVE".into(),
+            Kind::Adaptive(_) => "ADAPTIVE".into(),
             Kind::Static => "STATIC".into(),
         }
     }
 
-    /// Builds (or, for the adaptive policy, re-tunes and re-arms) the
-    /// phase's work source. `lane` is the trace lane of the thread running
-    /// this call — the turn-taking worker in the fused driver, lane 0 for
-    /// the serial call sites (coordinator between rendezvous, region
-    /// setup) where worker 0 is provably idle.
-    fn make_source(
-        &self,
+    /// Arms `slot` with the work source for a phase of `n` iterations. An
+    /// AFS source left there by the previous phase is re-armed in place —
+    /// same queue words, bases and stashes, no allocation — so the caller
+    /// must hold the exclusive phase-boundary window [`AfsSource::rearm`]
+    /// requires; any other leftover is dropped *before* its successor is
+    /// built, so a region retains one source however many phases it runs.
+    /// `lane` is the calling thread's trace lane: the turn-taking worker in
+    /// the fused driver, lane 0 at the serial call sites (coordinator
+    /// between rendezvous, region setup) where worker 0 is provably idle.
+    #[allow(clippy::too_many_arguments)] // one serial call per phase; a struct would just rename the list
+    fn arm_source<'a>(
+        &'a self,
+        slot: &mut Option<PhaseSource<'a>>,
         n: u64,
         p: usize,
         trace: Option<&Arc<TraceSink>>,
         metrics: &Arc<MetricsRegistry>,
         lane: usize,
-    ) -> Box<dyn WorkSource + '_> {
+    ) {
+        // Only an AFS source outlives its phase.
+        if let Some(PhaseSource::Other(_)) = slot {
+            *slot = None;
+        }
+        let afs = |slot: &mut Option<PhaseSource<'a>>, k: u64, ahead: usize| {
+            if let Some(PhaseSource::Afs(src)) = slot {
+                return src.rearm(n, k, ahead);
+            }
+            // The only source with grab-path-private events (CAS retries,
+            // stash hits); grab counts themselves are recorded uniformly
+            // by `drain_phase`.
+            let src = AfsSource::new(n, p, k)
+                .with_grab_ahead(ahead)
+                .with_metrics(Arc::clone(metrics));
+            *slot = Some(PhaseSource::Afs(Box::new(match trace {
+                Some(sink) => src.with_trace(Arc::clone(sink)),
+                None => src,
+            })));
+        };
         match &self.kind {
             Kind::Locked(s) => {
                 let src = LockedSource::new(s.begin_loop(n, p));
-                Box::new(match trace {
+                *slot = Some(PhaseSource::other(match trace {
                     Some(sink) => src.with_trace(Arc::clone(sink)),
                     None => src,
-                })
+                }));
             }
-            Kind::FetchAdd { chunk } => Box::new(FetchAddSource::new(n, *chunk)),
-            Kind::Afs { k, ahead } => {
-                // The only source with grab-path-private events (CAS
-                // retries, stash hits); grab counts themselves are
-                // recorded uniformly by `drain_phase`.
-                let src = AfsSource::new(n, p, k.resolve(p))
-                    .with_grab_ahead(*ahead)
-                    .with_metrics(Arc::clone(metrics));
-                Box::new(match trace {
-                    Some(sink) => src.with_trace(Arc::clone(sink)),
-                    None => src,
-                })
+            Kind::FetchAdd { chunk } => {
+                *slot = Some(PhaseSource::other(FetchAddSource::new(n, *chunk)))
             }
+            Kind::Afs { k, ahead } => afs(slot, k.resolve(p), *ahead),
             Kind::AfsLe { k, history } => {
                 let src = AfsLeSource::new(n, p, k.resolve(p), Arc::clone(history));
-                Box::new(match trace {
+                *slot = Some(PhaseSource::other(match trace {
                     Some(sink) => src.with_trace(Arc::clone(sink)),
                     None => src,
-                })
+                }));
             }
-            Kind::Adaptive { ctl, cached } => {
+            Kind::Adaptive(ctl) => {
                 // Phase boundary: read the finished phase's counter deltas,
                 // decide the next phase's (k, b), and surface the controller
                 // state to the metrics layer.
                 let tune = ctl.observe_registry(metrics);
                 metrics.record_sched_tune(tune.k, tune.b as u64, ctl.decisions(), ctl.settled());
-                if tune.changed {
-                    if let Some(sink) = trace {
-                        sink.record(
-                            lane,
-                            EventKind::SchedTune {
-                                k: tune.k as u32,
-                                b: tune.b as u32,
-                            },
-                        );
-                    }
+                if let (true, Some(sink)) = (tune.changed, trace) {
+                    sink.record(
+                        lane,
+                        EventKind::SchedTune {
+                            k: tune.k as u32,
+                            b: tune.b as u32,
+                        },
+                    );
                 }
-                let mut slot = cached.lock();
-                let reuse = slot.as_ref().is_some_and(|c| {
-                    c.p == p && c.traced == trace.is_some() && Arc::ptr_eq(&c.metrics, metrics)
-                });
-                if reuse {
-                    let cache = slot.as_ref().unwrap();
-                    cache.src.rearm(n, tune.k, tune.b);
-                    Box::new(SharedSource(Arc::clone(&cache.src)))
-                } else {
-                    let src = AfsSource::new(n, p, tune.k)
-                        .with_grab_ahead(tune.b)
-                        .with_metrics(Arc::clone(metrics));
-                    let src = Arc::new(match trace {
-                        Some(sink) => src.with_trace(Arc::clone(sink)),
-                        None => src,
-                    });
-                    *slot = Some(AdaptiveCache {
-                        src: Arc::clone(&src),
-                        p,
-                        traced: trace.is_some(),
-                        metrics: Arc::clone(metrics),
-                    });
-                    Box::new(SharedSource(src))
-                }
+                afs(slot, tune.k, tune.b)
             }
-            Kind::Static => Box::new(StaticSource::new(n, p)),
+            Kind::Static => *slot = Some(PhaseSource::other(StaticSource::new(n, p))),
         }
     }
 
@@ -371,7 +351,7 @@ impl RuntimeScheduler {
                 QueueTopology::PerProcessor => p,
             },
             Kind::FetchAdd { .. } => 1,
-            Kind::Afs { .. } | Kind::AfsLe { .. } | Kind::Adaptive { .. } | Kind::Static => p,
+            Kind::Afs { .. } | Kind::AfsLe { .. } | Kind::Adaptive(_) | Kind::Static => p,
         }
     }
 }
@@ -416,17 +396,20 @@ where
 /// phases (the paper's parallel-loop-inside-sequential-loop structure).
 ///
 /// Phase `ph` has `len_of(ph)` iterations; `body(ph, i)` is invoked exactly
-/// once per (phase, iteration). A fresh scheduler loop-state is created per
-/// phase, so deterministic policies re-create the same assignment each
-/// phase — which is what preserves affinity.
+/// once per (phase, iteration). Every phase starts from a fresh scheduler
+/// loop-state, so deterministic policies re-create the same assignment
+/// each phase — which is what preserves affinity.
 ///
 /// On a pool with the (default) spin barrier the whole nest is dispatched
-/// to the workers **once**: between phases the workers pass a
-/// [`crate::barrier::SenseBarrier`], and the last worker to arrive builds
-/// the next phase's work source before releasing the others, so the
-/// coordinator thread is out of the per-phase loop entirely. On a condvar
-/// pool every phase is a full coordinator rendezvous — the pre-rework
-/// protocol, kept as the differential/benchmark baseline.
+/// to the workers **once**, around one work source that lives as long as
+/// the region: between phases the workers pass a
+/// [`crate::barrier::SenseBarrier`], and the last to arrive re-arms that
+/// source for the next phase before releasing the others — in place and
+/// allocation-free under AFS; other policies drop it and build anew — so
+/// the coordinator thread is out of the per-phase loop entirely. On a
+/// condvar pool every phase is a full coordinator rendezvous around a
+/// freshly built source — the pre-rework protocol, kept as the
+/// differential/benchmark baseline.
 pub fn parallel_phases<F, L>(
     pool: &Pool,
     phases: usize,
@@ -502,24 +485,29 @@ impl RegionFailure {
         }
     }
 
-    /// Records a driver-internal failure (the next phase's source cannot be
-    /// built); always halts — there is nothing left to schedule.
-    fn record_fatal(&self, worker: usize, phase: usize, payload: Box<dyn std::any::Any + Send>) {
-        {
-            let mut slot = self.slot.lock();
-            if slot.is_none() {
-                *slot = Some(PhaseError::new(worker, phase, payload));
-            }
+    /// Runs a driver-internal step — arming `phase`'s work source: the
+    /// scheduler's `begin_loop`, the caller's `len_of`, an AFS re-arm —
+    /// so that a panic in it becomes the region's error instead of
+    /// unwinding through the driver or a barrier turn. Always halts: there
+    /// is nothing left to schedule.
+    fn guard(&self, worker: usize, phase: usize, step: impl FnOnce()) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(step)) {
+            self.record(worker, phase, payload);
+            self.halt.store(true, Ordering::SeqCst);
         }
-        self.halt.store(true, Ordering::SeqCst);
     }
 
     fn halted(&self) -> bool {
         self.halt.load(Ordering::Relaxed)
     }
 
-    fn take(self) -> Option<PhaseError> {
-        self.slot.into_inner()
+    /// The region's result: its first error (arming the pool's flight
+    /// recorder on the way out), else the merged metrics.
+    fn finish(self, pool: &Pool, total: LoopMetrics) -> Result<LoopMetrics, PhaseError> {
+        match self.slot.into_inner() {
+            Some(e) => Err(flag_phase_error(pool, e)),
+            None => Ok(total),
+        }
     }
 }
 
@@ -676,7 +664,12 @@ where
         if region.halted() {
             break;
         }
-        let source = policy.make_source(len_of(phase), p, trace, &registry, 0);
+        // A fresh slot every phase: nothing to re-arm, always a new source.
+        let mut source = None;
+        region.guard(0, phase, || {
+            policy.arm_source(&mut source, len_of(phase), p, trace, &registry, 0)
+        });
+        let Some(source) = source else { break };
         let phase_metrics = Mutex::new(LoopMetrics::new(p, policy.queues(p)));
         let phase_start = Instant::now();
         let ran = pool.try_run(|worker| {
@@ -690,7 +683,7 @@ where
             drain_phase(
                 worker,
                 phase,
-                &*source,
+                source.get(),
                 &mut local,
                 counters,
                 trace,
@@ -713,10 +706,7 @@ where
         ran.map_err(|e| flag_phase_error(pool, e))?;
     }
     registry.loop_hist().record_duration(region_start.elapsed());
-    match region.take() {
-        Some(e) => Err(flag_phase_error(pool, e)),
-        None => Ok(total),
-    }
+    region.finish(pool, total)
 }
 
 /// Arms the pool's flight recorder with a contained-panic trigger before
@@ -730,22 +720,35 @@ fn flag_phase_error(pool: &Pool, e: PhaseError) -> PhaseError {
     e
 }
 
-/// A per-phase work-source slot for the fused driver. Plain memory,
-/// synchronized by the [`crate::barrier::SenseBarrier`]: slot `ph + 1` is
-/// written only inside the barrier's turn closure (all workers arrived,
-/// none released — exclusive by construction) and read only after the
-/// release, which happens-after the write.
-struct SourceSlot<'a>(UnsafeCell<Option<Box<dyn WorkSource + 'a>>>);
+/// The fused driver's one work source, alive for the whole region. Plain
+/// memory, synchronized by the [`crate::barrier::SenseBarrier`]: after
+/// region setup it is rewritten only inside the barrier's turn closure (all
+/// workers arrived, none released — exclusive by construction) and read
+/// only between a release and the reader's next arrival. Every worker's
+/// last grab of phase k happens-before its arrival, hence before the turn
+/// that re-arms or replaces the source, and that turn happens-before the
+/// release every phase-k+1 grab follows — the window
+/// [`AfsSource::rearm`] requires. `None` once the region halted: later
+/// phases are skipped, but every worker still takes every barrier.
+struct RegionSource<'a>(UnsafeCell<Option<PhaseSource<'a>>>);
 
-// SAFETY: see the access protocol above — the barrier orders every write
-// exclusively before all reads of the same slot.
-unsafe impl Sync for SourceSlot<'_> {}
+// SAFETY: see the access protocol above — the barrier orders every rewrite
+// exclusively against all reads; the sources themselves are `Sync` for the
+// workers sharing them and `Send` for whichever thread's turn replaces them.
+unsafe impl Sync for RegionSource<'_> {}
+
+impl<'a> RegionSource<'a> {
+    /// The slot; dereferencing it is sound only under the protocol above.
+    fn slot(&self) -> *mut Option<PhaseSource<'a>> {
+        self.0.get()
+    }
+}
 
 /// The fused driver: one `Pool::run` for the whole nest; workers chain
 /// from phase to phase through a decentralized sense-reversing barrier,
-/// the last arriver building the next source (so cross-phase scheduler
-/// state such as AFS-LE's history sees every update of the finished
-/// phase).
+/// the last arriver re-arming the region's source for the next phase (so
+/// cross-phase scheduler state such as AFS-LE's history sees every update
+/// of the finished phase).
 fn fused_phases<F, L>(
     pool: &Pool,
     phases: usize,
@@ -769,11 +772,14 @@ where
     if phases == 0 {
         return Ok(total.into_inner());
     }
-    let slots: Vec<SourceSlot> = (0..phases)
-        .map(|_| SourceSlot(UnsafeCell::new(None)))
-        .collect();
-    // SAFETY: no worker exists yet; the coordinator owns slot 0.
-    unsafe { *slots[0].0.get() = Some(policy.make_source(len_of(0), p, trace, &registry, 0)) };
+    let mut first = None;
+    region.guard(0, 0, || {
+        policy.arm_source(&mut first, len_of(0), p, trace, &registry, 0)
+    });
+    if first.is_none() {
+        return region.finish(pool, total.into_inner());
+    }
+    let source = RegionSource(UnsafeCell::new(first));
     let barrier = pool.phase_barrier();
     // Phase boundaries happen inside barrier turn closures (exclusive, all
     // workers arrived), so the turn-taker timestamps them: `prev_ns` holds
@@ -789,22 +795,20 @@ where
         let mut local = LoopMetrics::new(p, queues);
         let counters = registry.worker(worker);
         for phase in 0..phases {
-            // SAFETY: slot `phase` was written before this worker got here
-            // (slot 0 before the pool ran; later slots inside the barrier
-            // turn that released this worker) and no one writes it again.
-            // `None` only when the region halted before the slot was built
-            // — the phase is skipped, but the worker still takes every
-            // barrier below, so the party never loses a member.
-            let source = unsafe { (*slots[phase].0.get()).as_deref() };
-            if let Some(source) = source {
+            // SAFETY: the source was armed for `phase` before this worker
+            // got here (phase 0 before the pool ran; later phases inside
+            // the barrier turn that released this worker) and no one
+            // rewrites it until this worker has arrived again.
+            let current = unsafe { (*source.slot()).as_ref() }.map(PhaseSource::get);
+            if let Some(current) = current {
                 // First-touch worker-owned scheduler state (stash heap
                 // blocks, queue words) from this worker's core before the
                 // first grab — see `WorkSource::warm`.
-                source.warm(worker);
+                current.warm(worker);
                 drain_phase(
                     worker,
                     phase,
-                    source,
+                    current,
                     &mut local,
                     counters,
                     trace,
@@ -824,20 +828,19 @@ where
                     if deadline_ns.is_some_and(|d| now - prev > d) {
                         registry.record_deadline_miss();
                     }
+                    // SAFETY: the turn closure runs on exactly one worker,
+                    // after every worker arrived and before any is
+                    // released — exclusive access to the region source.
+                    let slot = unsafe { &mut *source.slot() };
                     if !region.halted() {
-                        // SAFETY: the turn closure runs on exactly one
-                        // worker, after every worker arrived and before any
-                        // is released — exclusive access to the next slot.
-                        // Guarded so a panicking scheduler cannot unwind
-                        // into the barrier: the error is recorded, the slot
-                        // stays `None`, and the release proceeds.
-                        let built = catch_unwind(AssertUnwindSafe(|| {
-                            policy.make_source(len_of(phase + 1), p, trace, &registry, worker)
-                        }));
-                        match built {
-                            Ok(src) => unsafe { *slots[phase + 1].0.get() = Some(src) },
-                            Err(payload) => region.record_fatal(worker, phase + 1, payload),
-                        }
+                        region.guard(worker, phase + 1, || {
+                            let n = len_of(phase + 1);
+                            policy.arm_source(slot, n, p, trace, &registry, worker)
+                        });
+                    }
+                    // Halted, before this boundary or at it: skip the rest.
+                    if region.halted() {
+                        *slot = None;
                     }
                 });
                 if let Some(sink) = trace {
@@ -858,10 +861,7 @@ where
     // Body panics are contained inside drain_phase; an Err here means a
     // panic in the driver itself.
     ran.map_err(|e| flag_phase_error(pool, e))?;
-    match region.take() {
-        Some(e) => Err(flag_phase_error(pool, e)),
-        None => Ok(total.into_inner()),
-    }
+    region.finish(pool, total.into_inner())
 }
 
 /// Executes a coalesced loop nest: `body` receives the multi-index of each
@@ -1073,7 +1073,8 @@ mod tests {
             "adaptive dropped or duplicated iterations"
         );
         assert_eq!(m.total_iters(), n * phases as u64);
-        // One controller observation per phase boundary (source build).
+        // One controller observation per phase (region setup, then every
+        // boundary's re-arm).
         assert_eq!(ctl.phases(), phases as u64);
         // The decision is surfaced through the pool's metrics snapshot.
         let sched = pool
@@ -1090,9 +1091,9 @@ mod tests {
 
     #[test]
     fn adaptive_survives_pool_size_changes_and_varying_lengths() {
-        // One policy value reused across pools of different widths: the
-        // cached source must rebuild (not rearm) when `p` changes, and
-        // rearm across phases of different lengths without losing work.
+        // One policy value reused across pools of different widths: each
+        // region builds its source for its own pool, and re-arms it across
+        // phases of different lengths without losing work.
         let policy = RuntimeScheduler::adaptive(4);
         for p in [4usize, 2, 1] {
             let pool = Pool::new(p);
@@ -1108,6 +1109,118 @@ mod tests {
             );
             assert_eq!(total.load(Ordering::Relaxed), 1124, "p={p}");
             assert_eq!(m.total_iters(), 1124, "p={p}");
+        }
+    }
+
+    type EventCounts = std::collections::HashMap<std::mem::Discriminant<EventKind>, usize>;
+
+    /// One P = 1 nest under `kind`'s driver: the returned metrics and the
+    /// trace's per-kind event counts (parks excluded — whether a condvar
+    /// wait escalates to one is timing, not scheduling).
+    fn single_worker_nest(
+        kind: BarrierKind,
+        policy: &RuntimeScheduler,
+        lens: &[u64],
+        traced: bool,
+    ) -> (LoopMetrics, EventCounts) {
+        let sink = traced.then(|| Arc::new(TraceSink::new(1)));
+        let mut builder = Pool::builder(1).barrier(kind);
+        if let Some(sink) = &sink {
+            builder = builder.trace(Arc::clone(sink));
+        }
+        let pool = builder.build();
+        let m = parallel_phases(&pool, lens.len(), |ph| lens[ph], policy, |_, _| {});
+        drop(pool);
+        let mut kinds = EventCounts::new();
+        for e in sink.iter().flat_map(|s| s.events(0)) {
+            if !matches!(e.kind, EventKind::BarrierPark { .. }) {
+                *kinds.entry(std::mem::discriminant(&e.kind)).or_default() += 1;
+            }
+        }
+        assert_eq!(sink.map_or(0, |s| s.dropped(0)), 0, "trace ring overflowed");
+        (m, kinds)
+    }
+
+    #[test]
+    fn rearmed_region_source_matches_a_source_built_fresh_each_phase() {
+        // The fused driver keeps one source per region (re-armed in place
+        // for AFS, replaced for the rest); the condvar driver builds a
+        // fresh one every phase. On one worker both are deterministic, so
+        // they must agree grab for grab — over growing, shrinking, empty
+        // and one-iteration phases — and event for event when traced.
+        let lens = [97u64, 0, 1024, 3, 1, 4096];
+        for traced in [false, true] {
+            // Fresh policy values per driver: AFS-LE's history and the
+            // adaptive controller are cross-region state.
+            for (fused_policy, fresh_policy) in all_policies().into_iter().zip(all_policies()) {
+                let name = fused_policy.name();
+                // A live controller reads barrier-wait outcomes, which the
+                // two drivers legitimately differ in; pinned, the adaptive
+                // policy is its tick plus the same re-arm.
+                for policy in [&fused_policy, &fresh_policy] {
+                    if let Some(ctl) = policy.controller() {
+                        ctl.freeze();
+                    }
+                }
+                let (fused, fused_events) =
+                    single_worker_nest(BarrierKind::Spin, &fused_policy, &lens, traced);
+                let (fresh, fresh_events) =
+                    single_worker_nest(BarrierKind::Condvar, &fresh_policy, &lens, traced);
+                assert_eq!(fused.total_iters(), lens.iter().sum::<u64>(), "{name}");
+                assert_eq!(fused.sync, fresh.sync, "{name}");
+                assert_eq!(fused.per_queue, fresh.per_queue, "{name}");
+                assert_eq!(fused.per_worker, fresh.per_worker, "{name}");
+                assert_eq!(fused.iters_per_worker, fresh.iters_per_worker, "{name}");
+                assert_eq!(traced, !fused_events.is_empty(), "{name}");
+                assert_eq!(fused_events, fresh_events, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn afs_le_history_sees_the_whole_finished_phase_in_both_drivers() {
+        // A deterministic two-worker schedule: in each phase worker 0 waits
+        // (in iteration 0) until worker 1 has claimed its first chunk, and
+        // worker 1 then sits in that chunk's first iteration (128) until
+        // everything else has run — so worker 0 drains its own queue and
+        // steals the rest of worker 1's. Phase 0 starts from the static
+        // halves: worker 1 keeps [128, 192), 64 iterations. If the boundary
+        // saw *every* grab of phase 0, phase 1 is seeded from where the
+        // iterations ran — worker 1's queue is just [128, 192), its first
+        // chunk 32 — otherwise the history does not cover the loop and the
+        // static halves (first chunk 64) come back.
+        let n = 256u64;
+        let own = [64u64, 32];
+        for kind in [BarrierKind::Spin, BarrierKind::Futex, BarrierKind::Condvar] {
+            let pool = Pool::builder(2).barrier(kind).build();
+            let started = [AtomicBool::new(false), AtomicBool::new(false)];
+            let done = [AtomicU64::new(0), AtomicU64::new(0)];
+            let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
+                let deadline = Instant::now() + std::time::Duration::from_secs(20);
+                while !cond() {
+                    assert!(Instant::now() < deadline, "{kind:?}: never saw {what}");
+                    std::thread::yield_now();
+                }
+            };
+            let m = parallel_phases(
+                &pool,
+                2,
+                |_| n,
+                &RuntimeScheduler::afs_last_exec(),
+                |ph, i| {
+                    if i == 0 {
+                        wait_for("worker 1 start", &|| started[ph].load(Ordering::SeqCst));
+                    }
+                    if i == 128 {
+                        started[ph].store(true, Ordering::SeqCst);
+                        wait_for("the rest of the phase", &|| {
+                            done[ph].load(Ordering::SeqCst) == n - own[ph]
+                        });
+                    }
+                    done[ph].fetch_add(1, Ordering::SeqCst);
+                },
+            );
+            assert_eq!(m.iters_per_worker, vec![2 * n - 96, 96], "{kind:?}");
         }
     }
 

@@ -143,10 +143,11 @@ unsafe impl Sync for Stash {}
 /// Per-queue partition bases, rewritten only by [`AfsSource::rearm`].
 struct Bases(UnsafeCell<Vec<u64>>);
 
-// SAFETY: the bases vector is written only by `rearm`, which the drivers
-// call exclusively at phase boundaries — after every worker's final grab of
-// the old phase and before any worker's first grab of the new one, with the
-// phase barrier's release edge ordering the write against both sides. All
+// SAFETY: the bases vector is written only by `rearm`, which the fused
+// driver calls from the phase barrier's turn closure — after every worker's
+// final grab of the old phase (each happens-before that worker's arrival,
+// and the turn runs after the last arrival) and before any worker's first
+// grab of the new one (each follows the release the turn precedes). All
 // other accesses are reads from inside a phase.
 unsafe impl Sync for Bases {}
 
@@ -283,15 +284,17 @@ impl AfsSource {
         self.ahead.load(Ordering::Relaxed)
     }
 
-    /// Re-arms the source for a fresh loop of `n` iterations with a new
+    /// Re-arms the source for a fresh loop of `n` iterations with
     /// subdivision `k` and grab-ahead `batch`, reusing every allocation
-    /// (queue words, bases, stashes): the adaptive policy re-tunes between
-    /// phases without rebuilding the source.
+    /// (queue words, bases, stashes): one source serves every phase of a
+    /// fused region, and the adaptive policy re-tunes between phases
+    /// without rebuilding it. Afterwards the source hands out exactly what
+    /// `AfsSource::new(n, p, k).with_grab_ahead(batch)` would.
     ///
     /// Must be called from the drivers' exclusive phase-boundary window —
     /// after all workers' final grabs of the previous phase and before any
-    /// first grab of the next (the same window that builds fresh sources
-    /// for static policies).
+    /// first grab of the next (the same window in which other policies'
+    /// sources are replaced).
     pub fn rearm(&self, n: u64, k: u64, batch: usize) {
         assert!(k >= 1);
         // SAFETY: see `Bases` — `rearm` runs exclusively at a phase

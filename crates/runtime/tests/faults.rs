@@ -308,3 +308,121 @@ fn containment_composes_across_region_kinds() {
     assert_eq!(m.total_iters(), n);
     assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
 }
+
+/// A core scheduler that refuses to start its `at`-th loop.
+struct RefusesLoop {
+    calls: AtomicU32,
+    at: u32,
+}
+
+impl afs_core::policy::Scheduler for RefusesLoop {
+    fn name(&self) -> String {
+        "REFUSES".into()
+    }
+
+    fn topology(&self) -> afs_core::policy::QueueTopology {
+        afs_core::policy::QueueTopology::Central
+    }
+
+    fn begin_loop(&self, n: u64, p: usize) -> Box<dyn afs_core::policy::LoopState> {
+        assert!(
+            self.calls.fetch_add(1, Ordering::SeqCst) != self.at,
+            "begin_loop refused"
+        );
+        afs_core::schedulers::Gss::new().begin_loop(n, p)
+    }
+}
+
+/// The driver-internal failure path: the *next phase's source* cannot be
+/// produced — the scheduler's `begin_loop` panics, `len_of` panics, or an
+/// AFS re-arm is asked for a partition beyond the packed 32-bit cursor
+/// range. Whatever the panic policy and barrier, that is fatal for the
+/// region and for nothing else: the error names the phase that could not
+/// start, every earlier phase ran exactly once, no later phase ran at all,
+/// every worker was released from every barrier (the call returns), and
+/// the same pool runs the next loop cleanly. Phase 0 fails on the calling
+/// thread before any worker is involved; later phases fail inside a
+/// barrier turn with the rest of the party parked on it.
+#[test]
+fn unbuildable_phase_is_fatal_to_the_region_only() {
+    let (n, p, phases) = (512u64, 4usize, 6usize);
+    // (what breaks, message fragment, policy and phase lengths for a break at `k`)
+    type Case = (
+        &'static str,
+        &'static str,
+        fn(usize) -> RuntimeScheduler,
+        fn(usize, usize) -> u64,
+    );
+    let cases: [Case; 3] = [
+        (
+            "begin_loop",
+            "begin_loop refused",
+            |k| {
+                RuntimeScheduler::from_core(RefusesLoop {
+                    calls: AtomicU32::new(0),
+                    at: k as u32,
+                })
+            },
+            |_, _| 512,
+        ),
+        (
+            "len_of",
+            "len_of refused",
+            |_| RuntimeScheduler::afs_k_equals_p(),
+            |k, ph| {
+                assert!(ph != k, "len_of refused");
+                512
+            },
+        ),
+        (
+            "rearm range",
+            "packed 32-bit cursor range",
+            |_| RuntimeScheduler::afs_k_equals_p(),
+            // 2^32 iterations per queue: one more than a packed cursor holds.
+            |k, ph| if ph == k { 4u64 << 32 } else { 512 },
+        ),
+    ];
+    for kind in [BarrierKind::Spin, BarrierKind::Futex, BarrierKind::Condvar] {
+        for panic_policy in [PanicPolicy::Drain, PanicPolicy::SkipRemaining] {
+            let pool = Pool::builder(p)
+                .barrier(kind)
+                .panic_policy(panic_policy)
+                .build();
+            for (what, fragment, policy_for, len_for) in &cases {
+                for k in [0usize, 1, 3, phases - 1] {
+                    let ctx = format!("{what} at phase {k}, {kind:?}, {panic_policy:?}");
+                    let counts = count_array(n * phases as u64);
+                    let err = try_parallel_phases(
+                        &pool,
+                        phases,
+                        |ph| len_for(k, ph),
+                        &policy_for(k),
+                        |ph, i| {
+                            counts[ph * n as usize + i as usize].fetch_add(1, Ordering::SeqCst);
+                        },
+                    )
+                    .expect_err(&ctx);
+                    assert_eq!(err.phase(), k, "{ctx}");
+                    assert!(
+                        err.message().is_some_and(|m| m.contains(fragment)),
+                        "{ctx}: {:?}",
+                        err.message()
+                    );
+                    let (ran, skipped) = counts.split_at(k * n as usize);
+                    assert_eq!(ones(ran), k as u64 * n, "{ctx}: phases before the failure");
+                    assert!(
+                        skipped.iter().all(|c| c.load(Ordering::SeqCst) == 0),
+                        "{ctx}: a phase at or after the failure ran"
+                    );
+                    // The pool is whole: the next loop covers everything.
+                    let again = count_array(n);
+                    let m = parallel_for(&pool, n, &RuntimeScheduler::afs_k_equals_p(), |i| {
+                        again[i as usize].fetch_add(1, Ordering::SeqCst);
+                    });
+                    assert_eq!(m.total_iters(), n, "{ctx}");
+                    assert_eq!(ones(&again), n, "{ctx}");
+                }
+            }
+        }
+    }
+}

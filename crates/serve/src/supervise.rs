@@ -97,6 +97,12 @@ impl Supervisor {
         config: SupervisorConfig,
         factory: PoolFactory,
     ) -> JoinHandle<()> {
+        // Failures already on the books when this pool took over; the
+        // threshold is judged against the delta, not the lifetime total.
+        // Read here, on the building thread: the watcher thread may first
+        // be scheduled only after requests have already failed, and a
+        // baseline taken then would swallow them.
+        let failed_base = shared.failed.load(Ordering::SeqCst);
         let sup = Supervisor {
             shared,
             config,
@@ -104,16 +110,13 @@ impl Supervisor {
         };
         thread::Builder::new()
             .name("afs-serve-supervise".into())
-            .spawn(move || sup.run())
+            .spawn(move || sup.run(failed_base))
             .expect("spawn supervisor")
     }
 
-    fn run(self) {
+    fn run(self, mut failed_base: u64) {
         let mut restarts = 0u32;
         let mut backoff = self.config.initial_backoff;
-        // Failures already on the books when this pool took over; the
-        // threshold is judged against the delta, not the lifetime total.
-        let mut failed_base = self.shared.failed.load(Ordering::SeqCst);
         loop {
             if sleep_watching_shutdown(&self.shared, self.config.interval) {
                 return;

@@ -309,6 +309,49 @@ fn supervisor_restarts_after_repeated_contained_failures() {
     assert!(ledger.supervisor_restarts >= 1);
 }
 
+/// The failure baseline belongs to `build()`, not to the watcher thread's
+/// first instruction: with a poll interval far longer than the requests
+/// take, the whole threshold's worth of failures is on the books before
+/// the supervisor's first poll — and however late its thread was first
+/// scheduled, that poll must still see them as *new* and restart. (The
+/// one-shot panics sit in different phases so each poisons its own
+/// request: worker 1 in phase 0 of the first, worker 2 in phase 1 of the
+/// second.)
+#[test]
+fn supervisor_counts_failures_that_precede_its_first_poll() {
+    let faulted = Arc::new(
+        Pool::builder(4)
+            .faults(
+                FaultPlan::new(7)
+                    .with_panic_at(1, 0, 1500)
+                    .with_panic_at(2, 1, 2500),
+            )
+            .build(),
+    );
+    let server = LoopServer::builder(faulted)
+        .tenant("t")
+        .supervise(
+            SupervisorConfig::default()
+                .interval(Duration::from_millis(250))
+                .initial_backoff(Duration::from_millis(1))
+                .failure_threshold(2),
+            |_restart| Arc::new(Pool::new(4)),
+        )
+        .build();
+    assert!(server.admit(static_req(4096, 1)).is_accepted());
+    assert!(server.admit(static_req(4096, 2)).is_accepted());
+    server.drain();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.supervisor_restarts() == 0 {
+        assert!(Instant::now() < deadline, "supervisor never restarted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let ledger = server.shutdown();
+    assert_eq!(ledger.admitted, 2);
+    assert_eq!(ledger.failed, 2);
+    assert_eq!(ledger.supervisor_restarts, 1);
+}
+
 /// A healthy pool under supervision is left alone: no restarts, ever.
 #[test]
 fn supervisor_leaves_a_healthy_pool_alone() {
