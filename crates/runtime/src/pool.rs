@@ -22,7 +22,13 @@
 //!   so an oversubscribed pool (more workers than cores, e.g. a CI
 //!   container) degrades to the blocking protocol instead of burning
 //!   timeslices. On a dedicated machine a phase turnaround is pure
-//!   user-space stores and loads: zero kernel round-trips.
+//!   user-space stores and loads: zero kernel round-trips. That holds for
+//!   the waits *between peers inside a region*. The wait for the next job
+//!   is different: its event comes from a coordinator that is not one of
+//!   the `P` workers and needs a core of its own, so when the workers
+//!   already cover every core (`P ≥ cores`: a pool fed by a server's
+//!   dispatcher, a bench's main thread) they spin only briefly there and
+//!   then yield — see [`start_spin_cap`].
 //! * **Condvar** — the classic mutex + condition-variable rendezvous the
 //!   runtime shipped with before the barrier rework, kept selectable for
 //!   differential testing and as the benchmark baseline, mirroring the
@@ -102,15 +108,46 @@ pub enum BarrierKind {
     Futex,
 }
 
-/// Default spin iterations before yielding (dedicated machines). ~1–2 µs
-/// of `spin_loop` hints: longer than a phase turnaround, shorter than a
-/// timeslice.
+/// Default spin iterations before yielding (dedicated machines). One
+/// iteration is two `SeqCst` loads plus a `spin_loop` hint, and `pause`
+/// alone is ~140 cycles on Skylake and later (~10 on older cores): measured
+/// ≈ 11.5 ns per iteration on the 2-core reference host, so the full
+/// budget is ≈ 47 µs — several phase turnarounds, far below a timeslice.
 pub const DEFAULT_SPINS: u32 = 4_096;
 
-/// Spin iterations used when the pool is oversubscribed (more workers than
-/// cores): just enough to catch a same-core flip without burning the
-/// timeslice the publisher needs.
+/// Spin iterations (≈ 0.7 µs) for a waiter that is holding a core the
+/// thread it waits for may need: every wait of an oversubscribed pool
+/// (more workers than cores), and the start wait whenever no core is left
+/// over for the coordinator ([`start_spin_cap`]). Just enough to catch a
+/// flip that is already on its way.
 const OVERSUBSCRIBED_SPINS: u32 = 64;
+
+/// The most pure-spin iterations a worker spends waiting for its *next
+/// job* before it starts yielding, given `p` workers on `cores` cores.
+///
+/// The pool has three waits, and who produces the awaited event decides
+/// how to wait for it:
+///
+/// * **start wait** (`wait_start`): the next job comes from a coordinator
+///   that is not one of the `p` workers — a server's dispatcher fed by a
+///   client, a bench's main thread. When `p >= cores` that thread has no
+///   core of its own, and every iteration a worker spins here is one the
+///   producer of its event sits runnable behind it: cap the spin leg at
+///   [`OVERSUBSCRIBED_SPINS`] and fall through to the unchanged
+///   yield → park legs. With a core to spare (`p < cores`) the full
+///   budget applies.
+/// * **in-region barrier** ([`Pool::phase_barrier`]): the event comes from
+///   peers that each own a core; spinning is right, the budget is
+///   untouched.
+/// * **ack wait** (`wait_all_acked`): the coordinator waits for workers
+///   that are running; untouched.
+fn start_spin_cap(p: usize, cores: usize) -> u32 {
+    if p >= cores {
+        OVERSUBSCRIBED_SPINS
+    } else {
+        u32::MAX
+    }
+}
 
 /// Default `yield_now` rounds between spinning and parking. On an
 /// oversubscribed host each yield lets the publisher (or the remaining
@@ -184,6 +221,8 @@ struct Shared {
     /// the adaptive controller can retune it between regions while workers
     /// read it lock-free.
     spins: AtomicU32,
+    /// Ceiling on the start wait's pure-spin leg ([`start_spin_cap`]).
+    start_spin_cap: u32,
     /// Self-sizing spin-budget controller; `None` keeps `spins` static.
     controller: Option<SpinController>,
     /// `yield_now` rounds before parking (spin protocol only).
@@ -253,9 +292,16 @@ impl Shared {
 
     /// Records how worker `idx`'s start-rendezvous wait resolved — but only
     /// for real generations: the shutdown wakeup is not a barrier arrival.
+    ///
+    /// On an adaptive pool a start wait that [`start_spin_cap`] cut short
+    /// is not recorded either. The controller reads these counters, and a
+    /// yield after 64 spins says nothing about whether the *budget* is too
+    /// small — doubling it cannot cure one — so one-shot dispatch traffic
+    /// would ratchet the budget to `ADAPTIVE_MAX_SPINS`.
     #[inline]
     fn note_start_wait(&self, idx: usize, r: &Option<u64>, outcome: WaitOutcome) {
-        if r.is_some() {
+        let capped = self.controller.is_some() && self.start_spin_cap < self.spin_budget();
+        if r.is_some() && !capped {
             self.metrics.worker(idx).record_barrier_wait(outcome);
         }
     }
@@ -319,7 +365,7 @@ impl Shared {
                 guard = self.start_cv.wait(guard).unwrap_or_else(|p| p.into_inner());
             }
         }
-        for _ in 0..self.spin_budget() {
+        for _ in 0..self.spin_budget().min(self.start_spin_cap) {
             if let Some(r) = check(self) {
                 self.note_start_wait(idx, &r, WaitOutcome::Spin);
                 return r;
@@ -650,6 +696,7 @@ impl PoolBuilder {
             classic,
             futex: use_futex,
             spins: AtomicU32::new(spins),
+            start_spin_cap: start_spin_cap(p, cores),
             controller,
             coord_yields,
             yields,
@@ -1334,6 +1381,16 @@ mod tests {
     }
 
     #[test]
+    fn start_wait_spins_briefly_unless_a_core_is_spare() {
+        assert_eq!(start_spin_cap(2, 2), OVERSUBSCRIBED_SPINS);
+        assert_eq!(start_spin_cap(4, 2), OVERSUBSCRIBED_SPINS);
+        assert_eq!(start_spin_cap(1, 1), OVERSUBSCRIBED_SPINS);
+        // A core left over for the coordinator: the budget is not capped.
+        assert_eq!(start_spin_cap(2, 4), u32::MAX);
+        assert_eq!(OVERSUBSCRIBED_SPINS, 64);
+    }
+
+    #[test]
     fn builder_reports_kind_and_defaults() {
         assert_eq!(Pool::new(2).barrier_kind(), BarrierKind::Spin);
         let cv = Pool::builder(2).barrier(BarrierKind::Condvar).build();
@@ -1433,6 +1490,30 @@ mod tests {
             .spin
             .expect("spin block present");
         assert_eq!(spin_state.budget, u64::from(pool.current_spin_budget()));
+        // One-shot dispatch traffic on a pool with no core to spare: the
+        // start-wait cap binds, so every start wait outlasts its 64 spins
+        // and resolves in the yield leg. Those outcomes are not the
+        // budget's to cure; a controller that read them would double it
+        // at every refresh, up to ADAPTIVE_MAX_SPINS.
+        let pool = Pool::builder(affinity::core_count())
+            .adaptive_spin(true)
+            .build();
+        for i in 0..2_000 {
+            let gap = std::time::Instant::now();
+            while gap.elapsed() < Duration::from_micros(5) {
+                std::hint::spin_loop();
+            }
+            pool.run(|_| {});
+            if i % 50 == 0 {
+                // What every region start does: refresh the budget.
+                let _ = pool.phase_barrier();
+            }
+        }
+        assert!(
+            pool.current_spin_budget() <= DEFAULT_SPINS,
+            "capped start waits ratcheted the budget to {}",
+            pool.current_spin_budget()
+        );
         // Classic pools never spin; the controller must not attach.
         let cv = Pool::builder(2)
             .barrier(BarrierKind::Condvar)

@@ -116,8 +116,12 @@ impl<T> MpmcQueue<T> {
         self.slots.len()
     }
 
-    /// Whether the queue currently looks empty. Racy by nature — valid
-    /// only as a quiescence check when producers have stopped.
+    /// Whether the queue currently looks empty. Racy by nature — exact
+    /// only as a quiescence check when producers have stopped. It compares
+    /// the *claim* cursors, so it turns false as soon as a producer's tail
+    /// CAS lands, possibly before that item can be popped: a consumer
+    /// about to go to sleep may rely on `false` meaning "an item is on
+    /// its way", never on `true` meaning more than "none was claimed yet".
     pub fn is_empty(&self) -> bool {
         self.head.load(Ordering::SeqCst) == self.tail.load(Ordering::SeqCst)
     }
@@ -140,11 +144,16 @@ impl<T> MpmcQueue<T> {
             self.inject_point();
             if seq == pos {
                 // Slot is free for this position; claim it by advancing
-                // the producer cursor.
+                // the producer cursor. SeqCst on success: the server's
+                // parked dispatcher re-checks `is_empty` (SeqCst loads)
+                // after raising its parked flag, and `admit` loads that
+                // flag after this CAS — the claim must sit in the same
+                // total order for that hand-off to hold. Same `lock
+                // cmpxchg` as Relaxed on x86.
                 match self.tail.compare_exchange_weak(
                     pos,
                     pos.wrapping_add(1),
-                    Ordering::Relaxed,
+                    Ordering::SeqCst,
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {

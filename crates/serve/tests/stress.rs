@@ -4,11 +4,18 @@
 //! pushed successfully is popped exactly once (a counter ledger over the
 //! value space), every push refusal really happened against a full ring,
 //! and nothing is lost or duplicated across wrap-around.
+//!
+//! Second half: the admit → parked-dispatcher hand-off. An idle dispatcher
+//! parks; `admit`, `shutdown` and `Drop` must wake it. Every test here
+//! fails (by timeout) on a build where one of them forgets to.
 
+use afs_runtime::Pool;
+use afs_serve::prelude::*;
 use afs_serve::MpmcQueue;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// Exactly-once delivery under concurrency: P producers push tagged
 /// values through a small ring (forcing wrap-around and full-ring
@@ -170,4 +177,203 @@ fn seeded_mpmc_full_ring_sheds_without_losing_slots() {
         );
         assert!(q.is_empty(), "seed {seed}: ring not drained");
     }
+}
+
+/// Generous bound on anything that should take microseconds: a lost
+/// wakeup shows up as this expiring, not as a hung test binary.
+const LOST_WAKEUP_TIMEOUT: Duration = Duration::from_secs(10);
+
+fn small(n: u64) -> LoopRequest {
+    LoopRequest {
+        tenant: 0,
+        kernel: ServeKernel::Touch,
+        n,
+        phases: 1,
+        policy: ServePolicy::Afs,
+        deadline: None,
+    }
+}
+
+/// Yield-polls `cond` until it holds; panics with `what` on timeout.
+fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + LOST_WAKEUP_TIMEOUT;
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        thread::yield_now();
+    }
+}
+
+/// Waits until the (idle) dispatcher has committed to a park.
+fn wait_parked(server: &LoopServer) {
+    wait_for("the idle dispatcher to park", || {
+        server.dispatcher_park_tally().0 >= 1
+    });
+}
+
+/// Runs `f` on a helper thread and fails if it has not returned in time.
+fn must_return(what: &str, f: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(LOST_WAKEUP_TIMEOUT)
+        .unwrap_or_else(|_| panic!("{what} did not return: the parked dispatcher was never woken"));
+}
+
+/// One request at a time, with inter-arrival gaps that straddle the
+/// dispatcher's 64-yield grace: a quarter of the admits follow the
+/// previous completion immediately (dispatcher still busy or yielding),
+/// the rest wait U[0, 256) µs (it may be yielding, committing to park,
+/// or parked). Under 20 ring-injection seeds every request completes and
+/// the ledger is exact — and both sides of the race were actually taken.
+#[test]
+fn seeded_admits_straddling_the_park_commit_all_complete() {
+    const REQUESTS: u64 = 200;
+    let (mut total_wakes, mut total_parks) = (0u64, 0u64);
+    for seed in 0..20u64 {
+        let server = LoopServer::builder(Arc::new(Pool::new(2)))
+            .tenant("t")
+            .queue_yield_injection(seed)
+            .build();
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut offered_iters = 0u64;
+        for i in 0..REQUESTS {
+            // xorshift64: the gaps only need to differ from seed to seed.
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let gap = if rng & 3 == 0 {
+                Duration::ZERO
+            } else {
+                Duration::from_micros((rng >> 8) % 256)
+            };
+            let t = Instant::now();
+            while t.elapsed() < gap {
+                std::hint::spin_loop();
+            }
+            let n = 16 + (rng >> 20) % 113;
+            offered_iters += n;
+            assert!(server.admit(small(n)).is_accepted(), "seed {seed} req {i}");
+            wait_for("an admitted request to complete", || server.pending() == 0);
+        }
+        let (parks, wakes) = server.dispatcher_park_tally();
+        total_parks += parks;
+        total_wakes += wakes;
+        let ledger = server.shutdown();
+        assert_eq!(ledger.admitted, REQUESTS, "seed {seed}");
+        assert_eq!(ledger.completed, REQUESTS, "seed {seed}");
+        assert_eq!(
+            ledger.failed + ledger.expired + ledger.timed_out,
+            0,
+            "seed {seed}"
+        );
+        assert_eq!(ledger.tenants[0].shed, 0, "seed {seed}");
+        assert_eq!(ledger.tenants[0].iters, offered_iters, "seed {seed}");
+    }
+    assert!(total_parks > 0, "no gap outlasted the yield grace");
+    assert!(total_wakes > 0, "no admit ever found the dispatcher parked");
+    assert!(
+        total_wakes < 20 * REQUESTS,
+        "every admit found the dispatcher parked: no gap fell inside the grace"
+    );
+}
+
+/// An idle server is quiet: the dispatcher parks once and nothing wakes
+/// it — counted, not timed. The first admit afterwards finds it parked,
+/// wakes it exactly once, and completes.
+#[test]
+fn idle_server_parks_once_and_the_next_admit_wakes_it() {
+    let server = LoopServer::builder(Arc::new(Pool::new(2)))
+        .tenant("t")
+        .build();
+    wait_parked(&server);
+    thread::sleep(Duration::from_millis(100));
+    assert_eq!(
+        server.dispatcher_park_tally(),
+        (1, 0),
+        "an idle dispatcher must stay parked, unwoken"
+    );
+    assert!(server.admit(small(64)).is_accepted());
+    wait_for("the request admitted to a parked server", || {
+        server.pending() == 0
+    });
+    assert_eq!(server.dispatcher_park_tally().1, 1);
+    let ledger = server.shutdown();
+    assert_eq!((ledger.admitted, ledger.completed), (1, 1));
+}
+
+/// `shutdown()` and a plain `Drop` both have to wake a parked dispatcher:
+/// nobody else is left to.
+#[test]
+fn shutdown_and_drop_of_a_parked_server_return() {
+    for by_drop in [false, true] {
+        let server = LoopServer::builder(Arc::new(Pool::new(2)))
+            .tenant("t")
+            .build();
+        assert!(server.admit(small(64)).is_accepted());
+        wait_for("the warm-up request", || server.pending() == 0);
+        wait_parked(&server);
+        if by_drop {
+            must_return("Drop of a parked server", move || drop(server));
+        } else {
+            must_return("shutdown() of a parked server", move || {
+                let ledger = server.shutdown();
+                assert_eq!((ledger.admitted, ledger.completed), (1, 1));
+            });
+        }
+    }
+}
+
+/// The supervisor swaps the pool while the dispatcher sleeps; the swap
+/// needs no wake of its own, because the next admit wakes the dispatcher
+/// and its dispatch reads the pool slot afresh.
+#[test]
+fn request_after_a_pool_swap_under_a_parked_dispatcher_completes() {
+    let wounded = Arc::new(Pool::builder(2).fail_spawn_after(1).build());
+    let server = LoopServer::builder(wounded)
+        .tenant("t")
+        .supervise(
+            SupervisorConfig::default()
+                .interval(Duration::from_millis(1))
+                .initial_backoff(Duration::from_millis(1))
+                .max_restarts(1),
+            |_restart| Arc::new(Pool::new(2)),
+        )
+        .build();
+    wait_for("the supervisor to replace the degraded pool", || {
+        server.supervisor_restarts() == 1
+    });
+    wait_parked(&server);
+    let replacement = server.pool();
+    assert_eq!(replacement.metrics().snapshot().effective_workers, 2);
+    let before = replacement.metrics().snapshot().totals().iters;
+    assert!(server.admit(small(128)).is_accepted());
+    wait_for("the request admitted after the swap", || {
+        server.pending() == 0
+    });
+    assert_eq!(
+        replacement.metrics().snapshot().totals().iters - before,
+        128,
+        "the request must have run on the replacement pool"
+    );
+    let ledger = server.shutdown();
+    assert_eq!((ledger.admitted, ledger.completed), (1, 1));
+}
+
+/// A manual-mode server has no dispatcher to park, so `admit` never
+/// takes the wake path: one load of a flag nobody ever sets.
+#[test]
+fn manual_server_admit_never_touches_the_wake_path() {
+    let server = LoopServer::builder(Arc::new(Pool::new(2)))
+        .tenant("t")
+        .manual()
+        .build();
+    for _ in 0..32 {
+        assert!(server.admit(small(64)).is_accepted());
+    }
+    assert_eq!(server.pump(), 32);
+    while !server.dispatch_next().is_empty() {}
+    assert_eq!(server.serve_snapshot().completed, 32);
+    assert_eq!(server.dispatcher_park_tally(), (0, 0));
 }
