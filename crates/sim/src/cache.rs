@@ -7,19 +7,38 @@
 //! processor's copy stale without enumerating sharers.
 //!
 //! Capacity is in bytes. Eviction is strict LRU, implemented as an intrusive
-//! doubly-linked list over a slab so every operation is O(1).
+//! doubly-linked list over a slab so every operation is O(1). Blocks are
+//! found through a dense `block → slot` table that grows on demand, the same
+//! indexing [`VersionTable`] uses: workloads number their blocks densely
+//! (below [`BLOCK_ID_LIMIT`]), so one array load replaces a hash probe on
+//! the simulator's per-access path.
 
-use std::collections::HashMap;
+use crate::workload::BLOCK_ID_LIMIT;
 
-const NIL: usize = usize::MAX;
+/// "No slot": an LRU list end, or a block that is not resident.
+const NIL: u32 = u32::MAX;
 
 #[derive(Clone, Debug)]
 struct Slot {
     block: u64,
     version: u32,
     bytes: u32,
-    prev: usize,
-    next: usize,
+    prev: u32,
+    next: u32,
+}
+
+/// `block`'s entry in a dense per-block table, which grows (filled with
+/// `vacant`) to cover it.
+#[inline]
+fn entry(table: &mut Vec<u32>, block: u64, vacant: u32) -> &mut u32 {
+    if block >= table.len() as u64 {
+        assert!(
+            block < BLOCK_ID_LIMIT,
+            "block id {block} is not below BLOCK_ID_LIMIT ({BLOCK_ID_LIMIT}): ids must be dense"
+        );
+        table.resize(block as usize + 1, vacant);
+    }
+    &mut table[block as usize]
 }
 
 /// One processor's cache (or, for NUMA machines, its local memory).
@@ -27,13 +46,16 @@ struct Slot {
 pub struct BlockCache {
     capacity: u64,
     used: u64,
-    map: HashMap<u64, usize>,
+    /// Slot of each resident block, [`NIL`] for the others (and implicitly
+    /// for every id past the end).
+    index: Vec<u32>,
+    resident: usize,
     slots: Vec<Slot>,
-    free: Vec<usize>,
+    free: Vec<u32>,
     /// Most recently used slot.
-    head: usize,
+    head: u32,
     /// Least recently used slot.
-    tail: usize,
+    tail: u32,
     /// Hit count.
     pub hits: u64,
     /// Miss count (including coherence misses on stale copies).
@@ -51,7 +73,8 @@ impl BlockCache {
         Self {
             capacity,
             used: 0,
-            map: HashMap::new(),
+            index: Vec::new(),
+            resident: 0,
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -70,7 +93,12 @@ impl BlockCache {
 
     /// Number of blocks currently cached.
     pub fn blocks(&self) -> usize {
-        self.map.len()
+        self.resident
+    }
+
+    #[inline]
+    fn slot_of(&self, block: u64) -> u32 {
+        self.index.get(block as usize).copied().unwrap_or(NIL)
     }
 
     /// Accesses `block` (of `bytes` size) expecting `current_version`.
@@ -78,46 +106,47 @@ impl BlockCache {
     /// Returns `true` on a hit. On a miss the fresh copy is installed
     /// (write-allocate / fetch-on-read), evicting LRU blocks as needed.
     pub fn access(&mut self, block: u64, bytes: u32, current_version: u32) -> bool {
+        self.write(block, bytes, current_version, current_version)
+    }
+
+    /// Accesses `block` as [`BlockCache::access`] does, then stamps the
+    /// copy (if it stayed resident) with version `new`: this processor
+    /// writes the block, so its copy stays fresh while everyone else's goes
+    /// stale via the global version bump.
+    pub fn write(&mut self, block: u64, bytes: u32, current: u32, new: u32) -> bool {
         if self.capacity == 0 {
             self.misses += 1;
             return false;
         }
-        if let Some(&idx) = self.map.get(&block) {
-            if self.slots[idx].version == current_version {
-                self.hits += 1;
-                self.touch(idx);
-                return true;
-            }
+        let idx = self.slot_of(block);
+        if idx == NIL {
+            self.misses += 1;
+            self.insert(block, bytes, new);
+            return false;
+        }
+        let slot = &mut self.slots[idx as usize];
+        let hit = slot.version == current;
+        slot.version = new;
+        if hit {
+            self.hits += 1;
+            self.touch(idx);
+        } else {
             // Stale copy: coherence miss; refresh in place.
             self.misses += 1;
             self.coherence_misses += 1;
-            self.used = self.used - self.slots[idx].bytes as u64 + bytes as u64;
-            self.slots[idx].version = current_version;
-            self.slots[idx].bytes = bytes;
+            self.used = self.used - slot.bytes as u64 + bytes as u64;
+            slot.bytes = bytes;
             self.touch(idx);
-            self.evict_to_fit();
-            return false;
+            self.evict_while_over(self.capacity);
         }
-        self.misses += 1;
-        self.insert(block, bytes, current_version);
-        false
+        hit
     }
 
     /// Whether a fresh copy of `block` at `version` is cached (no counters
     /// touched; used by tests and diagnostics).
     pub fn contains_fresh(&self, block: u64, version: u32) -> bool {
-        self.map
-            .get(&block)
-            .is_some_and(|&idx| self.slots[idx].version == version)
-    }
-
-    /// Updates the cached copy's version after this processor writes the
-    /// block (the writer's copy stays fresh; everyone else's goes stale via
-    /// the global version bump).
-    pub fn set_version(&mut self, block: u64, version: u32) {
-        if let Some(&idx) = self.map.get(&block) {
-            self.slots[idx].version = version;
-        }
+        let idx = self.slot_of(block);
+        idx != NIL && self.slots[idx as usize].version == version
     }
 
     /// Evicts least-recently-used blocks until at most `keep_fraction` of
@@ -125,73 +154,59 @@ impl BlockCache {
     /// competing application under time sharing (§2.1/§6 of the paper).
     pub fn evict_fraction(&mut self, keep_fraction: f64) {
         assert!((0.0..=1.0).contains(&keep_fraction));
-        let keep = (self.used as f64 * keep_fraction) as u64;
-        while self.used > keep && self.tail != NIL {
-            let victim = self.tail;
-            self.unlink(victim);
-            let slot = &self.slots[victim];
-            self.used -= slot.bytes as u64;
-            self.map.remove(&slot.block);
-            self.free.push(victim);
-            self.evictions += 1;
-        }
+        self.evict_while_over((self.used as f64 * keep_fraction) as u64);
     }
 
     fn insert(&mut self, block: u64, bytes: u32, version: u32) {
+        let slot = Slot {
+            block,
+            version,
+            bytes,
+            prev: NIL,
+            next: NIL,
+        };
         let idx = if let Some(idx) = self.free.pop() {
-            self.slots[idx] = Slot {
-                block,
-                version,
-                bytes,
-                prev: NIL,
-                next: NIL,
-            };
+            self.slots[idx as usize] = slot;
             idx
         } else {
-            self.slots.push(Slot {
-                block,
-                version,
-                bytes,
-                prev: NIL,
-                next: NIL,
-            });
-            self.slots.len() - 1
+            self.slots.push(slot);
+            (self.slots.len() - 1) as u32
         };
-        self.map.insert(block, idx);
+        *entry(&mut self.index, block, NIL) = idx;
+        self.resident += 1;
         self.used += bytes as u64;
         self.link_front(idx);
-        self.evict_to_fit();
+        self.evict_while_over(self.capacity);
     }
 
-    fn evict_to_fit(&mut self) {
-        while self.used > self.capacity && self.tail != NIL {
+    /// Evicts from the LRU end until at most `limit` bytes are used. A block
+    /// larger than the whole cache is evicted even when it is the one just
+    /// touched: it simply never stays resident.
+    fn evict_while_over(&mut self, limit: u64) {
+        while self.used > limit && self.tail != NIL {
             let victim = self.tail;
-            // Never evict the block we just touched if it alone exceeds
-            // capacity and is the only resident (head == tail): evict anyway
-            // to respect capacity — a block larger than the cache simply
-            // never stays resident.
             self.unlink(victim);
-            let slot = &self.slots[victim];
+            let slot = &self.slots[victim as usize];
             self.used -= slot.bytes as u64;
-            self.map.remove(&slot.block);
+            self.index[slot.block as usize] = NIL;
+            self.resident -= 1;
             self.free.push(victim);
             self.evictions += 1;
         }
     }
 
-    fn touch(&mut self, idx: usize) {
-        if self.head == idx {
-            return;
+    fn touch(&mut self, idx: u32) {
+        if self.head != idx {
+            self.unlink(idx);
+            self.link_front(idx);
         }
-        self.unlink(idx);
-        self.link_front(idx);
     }
 
-    fn link_front(&mut self, idx: usize) {
-        self.slots[idx].prev = NIL;
-        self.slots[idx].next = self.head;
+    fn link_front(&mut self, idx: u32) {
+        self.slots[idx as usize].prev = NIL;
+        self.slots[idx as usize].next = self.head;
         if self.head != NIL {
-            self.slots[self.head].prev = idx;
+            self.slots[self.head as usize].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -199,24 +214,23 @@ impl BlockCache {
         }
     }
 
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.slots[idx].prev, self.slots[idx].next);
+    fn unlink(&mut self, idx: u32) {
+        let Slot { prev, next, .. } = self.slots[idx as usize];
         if prev != NIL {
-            self.slots[prev].next = next;
+            self.slots[prev as usize].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.slots[next].prev = prev;
+            self.slots[next as usize].prev = prev;
         } else {
             self.tail = prev;
         }
-        self.slots[idx].prev = NIL;
-        self.slots[idx].next = NIL;
     }
 }
 
-/// Global block version table (grows on demand; block ids should be dense).
+/// Global block version table (grows on demand; block ids are dense and
+/// below [`BLOCK_ID_LIMIT`]).
 #[derive(Clone, Debug, Default)]
 pub struct VersionTable {
     versions: Vec<u32>,
@@ -237,12 +251,9 @@ impl VersionTable {
     /// Bumps the version of `block`; returns the new version.
     #[inline]
     pub fn bump(&mut self, block: u64) -> u32 {
-        let i = block as usize;
-        if i >= self.versions.len() {
-            self.versions.resize(i + 1, 0);
-        }
-        self.versions[i] += 1;
-        self.versions[i]
+        let v = entry(&mut self.versions, block, 0);
+        *v += 1;
+        *v
     }
 }
 
@@ -301,11 +312,13 @@ mod tests {
     }
 
     #[test]
-    fn set_version_keeps_writer_fresh() {
+    fn write_keeps_writer_fresh() {
         let mut c = BlockCache::new(1000);
         c.access(7, 64, 0);
-        c.set_version(7, 1);
+        assert!(c.write(7, 64, 0, 1), "the write itself hits");
         assert!(c.access(7, 64, 1), "writer's own copy stays fresh");
+        assert!(!c.write(8, 64, 0, 1), "write-allocate is a miss");
+        assert!(c.contains_fresh(8, 1), "installed at the written version");
     }
 
     #[test]

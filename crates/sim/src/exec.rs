@@ -7,6 +7,14 @@
 //! *execute* the chunk iteration by iteration, paying compute and memory
 //! costs. Caches persist across phases; a barrier separates phases.
 //!
+//! A processor has exactly one pending event until it is done with the
+//! phase: each handler returns its successor, or `None`. The event heap
+//! therefore holds at most P entries, and the loop overwrites the top with
+//! the successor (one sift-down) where it would otherwise pop and push. The
+//! order is untouched: either way the heap holds the same *set* of events,
+//! and `(time, seq)` — `seq` counts every scheduled event — is a total
+//! order, so the next minimum is the same whatever the heap's layout.
+//!
 //! Modelling notes (documented deviations, see DESIGN.md):
 //! * An iteration's memory traffic is charged at the iteration's start
 //!   event, so a multi-miss iteration reserves the bus for all its misses
@@ -24,7 +32,7 @@ use afs_core::metrics::LoopMetrics;
 use afs_core::policy::{AccessKind, Grab, LoopState, QueueTopology, Scheduler};
 use afs_core::range::IterRange;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Simulation configuration: machine, processor count, start delays.
 #[derive(Clone, Debug)]
@@ -181,6 +189,10 @@ impl Ord for Event {
     }
 }
 
+/// A handler's result: the processor's one successor event (time, kind), or
+/// `None` when the processor is done with the phase.
+type Successor = Option<(f64, EventKind)>;
+
 /// Per-processor execution cursor over a grabbed chunk.
 #[derive(Clone, Copy, Debug)]
 struct Cursor {
@@ -191,21 +203,19 @@ struct Cursor {
 struct Engine<'a> {
     wl: &'a dyn Workload,
     cfg: &'a SimConfig,
-    heap: BinaryHeap<Reverse<Event>>,
-    seq: u64,
     caches: Vec<BlockCache>,
     versions: VersionTable,
     bus: FcfsResource,
     queues: Vec<FcfsResource>,
+    /// Grabs of every phase so far.
+    metrics: LoopMetrics,
     // Per-phase state:
     state: Option<Box<dyn LoopState>>,
     phase: usize,
     phase_memory: bool,
     cursors: Vec<Option<Cursor>>,
-    done: Vec<bool>,
     finish_time: Vec<f64>,
     busy_time: Vec<f64>,
-    metrics: LoopMetrics,
     timeline: Option<Timeline>,
     req_time: Vec<f64>,
     next_disrupt: Vec<f64>,
@@ -215,15 +225,6 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn push(&mut self, time: f64, kind: EventKind) {
-        self.seq += 1;
-        self.heap.push(Reverse(Event {
-            time,
-            seq: self.seq,
-            kind,
-        }));
-    }
-
     /// Deterministic per-(phase, iteration) jitter factor in
     /// `[1 − j, 1 + j]`.
     fn jitter_factor(&self, i: u64) -> f64 {
@@ -246,47 +247,45 @@ impl<'a> Engine<'a> {
         self.cfg.machine.compute_time(w.flops, w.divs) * self.jitter_factor(i)
     }
 
-    fn handle_request(&mut self, t: f64, proc: usize) {
+    fn handle(&mut self, t: f64, kind: EventKind) -> Successor {
+        match kind {
+            EventKind::Request { proc } => self.handle_request(t, proc),
+            EventKind::Granted {
+                proc,
+                queue,
+                access,
+                release,
+            } => Some(self.handle_granted(t, proc, queue, access, release)),
+            EventKind::Step { proc } => Some(self.handle_step(t, proc)),
+        }
+    }
+
+    fn handle_request(&mut self, t: f64, proc: usize) -> Successor {
         let departed = self.cfg.departures.get(proc).is_some_and(|&when| t >= when);
-        if departed {
-            self.done[proc] = true;
+        let target = if departed {
+            None
+        } else {
+            self.req_time[proc] = t;
+            self.state.as_mut().expect("phase state").target(proc)
+        };
+        let Some(target) = target else {
             self.finish_time[proc] = t;
-            return;
-        }
-        self.req_time[proc] = t;
-        let state = self.state.as_mut().expect("phase state");
-        match state.target(proc) {
-            None => {
-                self.done[proc] = true;
-                self.finish_time[proc] = t;
-            }
-            Some(target) => {
-                let hold = self.cfg.machine.sync_time(target.access);
-                if target.access == AccessKind::Free {
-                    // No lock: take immediately.
-                    self.push(
-                        t,
-                        EventKind::Granted {
-                            proc,
-                            queue: target.queue,
-                            access: target.access,
-                            release: t,
-                        },
-                    );
-                } else {
-                    let grant = self.queues[target.queue].acquire(t, hold);
-                    self.push(
-                        grant,
-                        EventKind::Granted {
-                            proc,
-                            queue: target.queue,
-                            access: target.access,
-                            release: grant + hold,
-                        },
-                    );
-                }
-            }
-        }
+            return None;
+        };
+        let hold = self.cfg.machine.sync_time(target.access);
+        // A free grab has no lock to wait for (and holds it for 0).
+        let grant = if target.access == AccessKind::Free {
+            t
+        } else {
+            self.queues[target.queue].acquire(t, hold)
+        };
+        let granted = EventKind::Granted {
+            proc,
+            queue: target.queue,
+            access: target.access,
+            release: grant + hold,
+        };
+        Some((grant, granted))
     }
 
     fn handle_granted(
@@ -296,52 +295,46 @@ impl<'a> Engine<'a> {
         queue: usize,
         access: AccessKind,
         release: f64,
-    ) {
+    ) -> (f64, EventKind) {
         if let Some(tl) = self.timeline.as_mut() {
             tl.push(proc, SegmentKind::Wait, self.req_time[proc], t);
             tl.push(proc, SegmentKind::Sync, t, release);
         }
         let state = self.state.as_mut().expect("phase state");
-        match state.take(proc, queue) {
-            Some(range) => {
-                let grab = Grab {
-                    range,
-                    queue,
-                    access,
-                };
-                self.metrics.record(proc, &grab);
-                if self.phase_memory {
-                    self.cursors[proc] = Some(Cursor {
-                        range,
-                        next: range.start,
-                    });
-                    self.push(release, EventKind::Step { proc });
-                } else {
-                    // Pure-compute chunk: execute it in one shot.
-                    let mut dur = 0.0;
-                    for i in range.iter() {
-                        dur += self.iter_compute_time(i);
-                    }
-                    self.busy_time[proc] += dur;
-                    if let Some(tl) = self.timeline.as_mut() {
-                        tl.push(proc, SegmentKind::Busy, release, release + dur);
-                    }
-                    self.push(release + dur, EventKind::Request { proc });
-                }
-            }
-            None => {
-                // Queue drained between targeting and locking: retry.
-                self.push(release, EventKind::Request { proc });
-            }
+        let Some(range) = state.take(proc, queue) else {
+            // Queue drained between targeting and locking: retry.
+            return (release, EventKind::Request { proc });
+        };
+        let grab = Grab {
+            range,
+            queue,
+            access,
+        };
+        self.metrics.record(proc, &grab);
+        if self.phase_memory {
+            self.cursors[proc] = Some(Cursor {
+                range,
+                next: range.start,
+            });
+            return (release, EventKind::Step { proc });
         }
+        // Pure-compute chunk: execute it in one shot.
+        let mut dur = 0.0;
+        for i in range.iter() {
+            dur += self.iter_compute_time(i);
+        }
+        self.busy_time[proc] += dur;
+        if let Some(tl) = self.timeline.as_mut() {
+            tl.push(proc, SegmentKind::Busy, release, release + dur);
+        }
+        (release + dur, EventKind::Request { proc })
     }
 
-    fn handle_step(&mut self, t: f64, proc: usize) {
+    fn handle_step(&mut self, t: f64, proc: usize) -> (f64, EventKind) {
         let cursor = self.cursors[proc].as_mut().expect("active cursor");
         if cursor.next >= cursor.range.end {
             self.cursors[proc] = None;
-            self.push(t, EventKind::Request { proc });
-            return;
+            return (t, EventKind::Request { proc });
         }
         let i = cursor.next;
         cursor.next += 1;
@@ -365,14 +358,17 @@ impl<'a> Engine<'a> {
         self.wl.reads(self.phase, i, &mut self.reads);
         self.wl.writes(self.phase, i, &mut self.writes);
         let m = &self.cfg.machine;
-        for k in 0..self.reads.len() + self.writes.len() {
-            let (acc, is_write) = if k < self.reads.len() {
-                (self.reads[k], false)
+        let cache = &mut self.caches[proc];
+        let n_reads = self.reads.len();
+        for (k, acc) in self.reads.iter().chain(&self.writes).enumerate() {
+            // One cache resolution per access: a write looks up and
+            // re-stamps its copy in the same step.
+            let hit = if k < n_reads {
+                cache.access(acc.block, acc.bytes, self.versions.get(acc.block))
             } else {
-                (self.writes[k - self.reads.len()], true)
+                let newv = self.versions.bump(acc.block);
+                cache.write(acc.block, acc.bytes, newv - 1, newv)
             };
-            let version = self.versions.get(acc.block);
-            let hit = self.caches[proc].access(acc.block, acc.bytes, version);
             if hit {
                 now += m.hit_time;
             } else {
@@ -385,17 +381,13 @@ impl<'a> Engine<'a> {
                     Interconnect::Switch => now += cost,
                 }
             }
-            if is_write {
-                let newv = self.versions.bump(acc.block);
-                self.caches[proc].set_version(acc.block, newv);
-            }
         }
         now += self.iter_compute_time(i);
         self.busy_time[proc] += now - t;
         if let Some(tl) = self.timeline.as_mut() {
             tl.push(proc, SegmentKind::Busy, t, now);
         }
-        self.push(now, EventKind::Step { proc });
+        (now, EventKind::Step { proc })
     }
 }
 
@@ -413,8 +405,6 @@ pub fn simulate(workload: &dyn Workload, scheduler: &dyn Scheduler, cfg: &SimCon
     let mut eng = Engine {
         wl: workload,
         cfg,
-        heap: BinaryHeap::new(),
-        seq: 0,
         caches: (0..p)
             .map(|_| BlockCache::new(cfg.machine.cache_bytes))
             .collect(),
@@ -423,14 +413,13 @@ pub fn simulate(workload: &dyn Workload, scheduler: &dyn Scheduler, cfg: &SimCon
         queues: (0..num_queues.max(1))
             .map(|_| FcfsResource::new())
             .collect(),
+        metrics,
         state: None,
         phase: 0,
         phase_memory: true,
         cursors: vec![None; p],
-        done: vec![false; p],
         finish_time: vec![0.0; p],
         busy_time: vec![0.0; p],
-        metrics,
         timeline: cfg.timeline.then(|| Timeline::new(p)),
         req_time: vec![0.0; p],
         next_disrupt: vec![cfg.disruption.map_or(f64::INFINITY, |(q, _)| q); p],
@@ -438,25 +427,21 @@ pub fn simulate(workload: &dyn Workload, scheduler: &dyn Scheduler, cfg: &SimCon
         writes: Vec::with_capacity(8),
     };
 
+    // One pending event per live processor; `seq` numbers events in
+    // scheduling order and breaks time ties (module docs).
+    let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::with_capacity(p);
+    let mut seq = 0u64;
+    let mut order: Vec<usize> = Vec::with_capacity(p);
     let mut phase_start = 0.0f64;
     let mut phase_times = Vec::with_capacity(workload.phases());
     let mut imbalance_time = 0.0;
-    let mut final_metrics = LoopMetrics::new(p, num_queues.max(p));
-    if cfg.trace {
-        final_metrics = final_metrics.with_tracing();
-    }
 
     for phase in 0..workload.phases() {
         let n = workload.phase_len(phase);
         eng.phase = phase;
         eng.phase_memory = workload.has_memory(phase);
         eng.state = Some(scheduler.begin_loop(n, p));
-        eng.done = vec![false; p];
-        eng.finish_time = vec![phase_start; p];
-        eng.metrics = LoopMetrics::new(p, num_queues.max(p));
-        if cfg.trace {
-            eng.metrics = eng.metrics.with_tracing();
-        }
+        eng.finish_time.fill(phase_start);
 
         // Barrier-exit skew: on a real machine processors leave the phase
         // barrier in an unpredictable order, so central-queue schedulers
@@ -467,7 +452,8 @@ pub fn simulate(workload: &dyn Workload, scheduler: &dyn Scheduler, cfg: &SimCon
         // the same arrival order every phase, letting arrival-keyed
         // schedulers (GSS, factoring, ...) keep affinity they do not have
         // in reality. Disabled when jitter is 0 (exact-math tests).
-        let mut order: Vec<usize> = (0..p).collect();
+        order.clear();
+        order.extend(0..p);
         if cfg.jitter > 0.0 {
             let mut rng = afs_core::rng::SplitMix64::new(
                 cfg.seed ^ (phase as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93),
@@ -483,25 +469,32 @@ pub fn simulate(workload: &dyn Workload, scheduler: &dyn Scheduler, cfg: &SimCon
             } else {
                 0.0
             };
-            eng.push(phase_start + delay, EventKind::Request { proc });
+            seq += 1;
+            heap.push(Reverse(Event {
+                time: phase_start + delay,
+                seq,
+                kind: EventKind::Request { proc },
+            }));
         }
 
-        while let Some(Reverse(ev)) = eng.heap.pop() {
-            match ev.kind {
-                EventKind::Request { proc } => eng.handle_request(ev.time, proc),
-                EventKind::Granted {
-                    proc,
-                    queue,
-                    access,
-                    release,
-                } => eng.handle_granted(ev.time, proc, queue, access, release),
-                EventKind::Step { proc } => eng.handle_step(ev.time, proc),
+        // The earliest event's successor replaces it at the top and sifts
+        // down when `top` drops; only a finished processor pops.
+        loop {
+            debug_assert!(heap.len() <= p, "a processor has two pending events");
+            let Some(mut top) = heap.peek_mut() else {
+                break;
+            };
+            let Event { time, kind, .. } = top.0;
+            match eng.handle(time, kind) {
+                Some((time, kind)) => {
+                    seq += 1;
+                    top.0 = Event { time, seq, kind };
+                }
+                None => {
+                    PeekMut::pop(top);
+                }
             }
         }
-        debug_assert!(
-            eng.done.iter().all(|&d| d),
-            "phase ended with live processors"
-        );
 
         let phase_end = eng.finish_time.iter().cloned().fold(phase_start, f64::max);
         let first_done = eng
@@ -512,7 +505,6 @@ pub fn simulate(workload: &dyn Workload, scheduler: &dyn Scheduler, cfg: &SimCon
         imbalance_time += phase_end - first_done;
         phase_times.push(phase_end - phase_start);
         phase_start = phase_end; // barrier
-        final_metrics.merge(&eng.metrics);
     }
 
     SimResult {
@@ -522,7 +514,7 @@ pub fn simulate(workload: &dyn Workload, scheduler: &dyn Scheduler, cfg: &SimCon
         p,
         completion_time: phase_start,
         phase_times,
-        metrics: final_metrics,
+        metrics: eng.metrics,
         cache_hits: eng.caches.iter().map(|c| c.hits).sum(),
         cache_misses: eng.caches.iter().map(|c| c.misses).sum(),
         coherence_misses: eng.caches.iter().map(|c| c.coherence_misses).sum(),

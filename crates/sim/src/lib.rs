@@ -57,7 +57,7 @@ pub use machine::{Interconnect, MachineSpec};
 pub use result::SimResult;
 pub use timeline::{Segment, SegmentKind, Timeline};
 pub use trace::{TraceError, TraceWorkload};
-pub use workload::{BlockAccess, SyntheticLoop, Work, Workload};
+pub use workload::{BlockAccess, SyntheticLoop, Work, Workload, BLOCK_ID_LIMIT};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
@@ -68,5 +68,5 @@ pub mod prelude {
     pub use crate::result::SimResult;
     pub use crate::timeline::{Segment, SegmentKind, Timeline};
     pub use crate::trace::{TraceError, TraceWorkload};
-    pub use crate::workload::{BlockAccess, SyntheticLoop, Work, Workload};
+    pub use crate::workload::{BlockAccess, SyntheticLoop, Work, Workload, BLOCK_ID_LIMIT};
 }

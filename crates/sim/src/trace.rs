@@ -11,7 +11,7 @@
 //! * archive the exact workload an experiment ran (the binary form is
 //!   versioned and validated on load).
 
-use crate::workload::{BlockAccess, Work, Workload};
+use crate::workload::{BlockAccess, Work, Workload, BLOCK_ID_LIMIT};
 
 const MAGIC: &[u8; 8] = b"AFSTRACE";
 const VERSION: u32 = 1;
@@ -88,7 +88,8 @@ pub enum TraceError {
     BadMagic,
     /// Unsupported format version.
     BadVersion(u32),
-    /// Declared sizes are inconsistent or implausible.
+    /// Declared sizes are inconsistent or implausible, or a block id is not
+    /// below [`BLOCK_ID_LIMIT`].
     Corrupt,
 }
 
@@ -225,6 +226,10 @@ impl TraceWorkload {
                 for k in 0..n_reads + n_writes {
                     let block = data.get_u64_le()?;
                     let bytes = data.get_u32_le()?;
+                    // The simulator sizes its tables by the largest id.
+                    if block >= BLOCK_ID_LIMIT {
+                        return Err(TraceError::Corrupt);
+                    }
                     let acc = BlockAccess { block, bytes };
                     if k < n_reads {
                         read_accesses.push(acc);
@@ -373,6 +378,58 @@ mod tests {
             let err = TraceWorkload::from_bytes(&bytes[..cut]);
             assert!(err.is_err(), "cut at {cut} should fail");
         }
+    }
+
+    /// A workload whose single iteration writes one block.
+    struct OneWrite(u64);
+    impl Workload for OneWrite {
+        fn name(&self) -> String {
+            "one-write".into()
+        }
+        fn phases(&self) -> usize {
+            1
+        }
+        fn phase_len(&self, _p: usize) -> u64 {
+            1
+        }
+        fn cost(&self, _p: usize, _i: u64) -> Work {
+            Work::flops(1.0)
+        }
+        fn writes(&self, _p: usize, _i: u64, out: &mut Vec<BlockAccess>) {
+            out.push(BlockAccess {
+                block: self.0,
+                bytes: 64,
+            });
+        }
+    }
+
+    #[test]
+    fn rejects_block_ids_at_or_above_the_limit() {
+        // Undecoded, a written id of 2^40 would ask the version table for a
+        // terabyte of entries.
+        for block in [BLOCK_ID_LIMIT, 1 << 40, u64::MAX] {
+            let bytes = TraceWorkload::record(&OneWrite(block)).to_bytes();
+            assert_eq!(
+                TraceWorkload::from_bytes(&bytes),
+                Err(TraceError::Corrupt),
+                "block id {block}"
+            );
+        }
+        let largest = TraceWorkload::record(&OneWrite(BLOCK_ID_LIMIT - 1));
+        let back = TraceWorkload::from_bytes(&largest.to_bytes()).unwrap();
+        let res = simulate(
+            &back,
+            &StaticSched::new(),
+            &SimConfig::new(MachineSpec::iris(), 2),
+        );
+        assert_eq!(res.cache_misses, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "BLOCK_ID_LIMIT")]
+    fn simulating_an_undecoded_oversized_id_panics_with_the_bound() {
+        let cfg = SimConfig::new(MachineSpec::iris(), 1);
+        simulate(&OneWrite(1 << 40), &StaticSched::new(), &cfg);
     }
 
     #[test]

@@ -28,10 +28,20 @@ impl Work {
     }
 }
 
+/// Exclusive upper bound on [`BlockAccess::block`].
+///
+/// The simulator indexes plain arrays by block id — the global version table
+/// and every processor's cache index, 4 bytes per id each — so ids must be
+/// dense. The largest id any in-tree model emits is 2·1024 (SOR's two
+/// 1024-row buffers); 2²⁰ leaves 512× that for traced applications while
+/// capping the tables at 4 MiB apiece. The simulator panics on an id at or
+/// above the bound, and [`crate::TraceWorkload::from_bytes`] rejects it.
+pub const BLOCK_ID_LIMIT: u64 = 1 << 20;
+
 /// One block touched by an iteration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockAccess {
-    /// Workload-global block id (dense ids keep the version table compact).
+    /// Workload-global block id: dense, and below [`BLOCK_ID_LIMIT`].
     pub block: u64,
     /// Block size in bytes (transferred in full on a miss).
     pub bytes: u32,
