@@ -95,29 +95,53 @@ pub fn update_row(src: &[f64], dst: &mut [f64], n: usize, row: usize) {
 
 /// Row-sliced variant: writes the updated row into `dst_row` (length `n`).
 /// Used by parallel executors that hand out disjoint destination rows.
+///
+/// The first and last grid rows have no `up` / `down` neighbour row; each
+/// of the four cases gets its own inlined copy of [`relax_row`], so the
+/// row's interior is one branch-free loop the compiler can vectorize.
 pub fn update_row_into(src: &[f64], dst_row: &mut [f64], n: usize, row: usize) {
     debug_assert_eq!(src.len(), n * n);
     debug_assert_eq!(dst_row.len(), n);
     let base = row * n;
-    for col in 0..n {
-        let up = if row > 0 { src[base - n + col] } else { 0.0 };
-        let down = if row + 1 < n {
-            src[base + n + col]
-        } else {
-            0.0
-        };
-        let left = if col > 0 { src[base + col - 1] } else { 0.0 };
-        let right = if col + 1 < n {
-            src[base + col + 1]
-        } else {
-            0.0
-        };
-        let old = src[base + col];
+    let mid = &src[base..base + n];
+    let up = (row > 0).then(|| &src[base - n..base]);
+    let down = (row + 1 < n).then(|| &src[base + n..base + 2 * n]);
+    match (up, down) {
+        (Some(up), Some(down)) => relax_row(Some(up), mid, Some(down), dst_row),
+        (Some(up), None) => relax_row(Some(up), mid, None, dst_row),
+        (None, Some(down)) => relax_row(None, mid, Some(down), dst_row),
+        (None, None) => relax_row(None, mid, None, dst_row),
+    }
+}
+
+/// Relaxes one row from its three source rows, edge columns peeled. A
+/// missing neighbour (row or column) contributes a literal `0.0` to the
+/// sum, in the same position of the same expression as before the loop was
+/// restructured, so every result bit is unchanged.
+#[inline(always)]
+fn relax_row(up: Option<&[f64]>, mid: &[f64], down: Option<&[f64]>, dst: &mut [f64]) {
+    let n = dst.len();
+    // Re-slice to the one length the loop runs over: no per-point bounds
+    // checks survive.
+    let (up, mid, down) = (up.map(|r| &r[..n]), &mid[..n], down.map(|r| &r[..n]));
+    let point = |col: usize, left: f64, right: f64| {
+        let up = up.map_or(0.0, |r| r[col]);
+        let down = down.map_or(0.0, |r| r[col]);
+        let old = mid[col];
         // One division per element: the operation mix the paper calls out
         // for the KSR-1's software divide (§5.2).
         let avg = (up + down + left + right) / 4.0;
-        dst_row[col] = old + OMEGA * (avg - old);
+        old + OMEGA * (avg - old)
+    };
+    if n == 1 {
+        dst[0] = point(0, 0.0, 0.0);
+        return;
     }
+    dst[0] = point(0, 0.0, mid[1]);
+    for col in 1..n - 1 {
+        dst[col] = point(col, mid[col - 1], mid[col + 1]);
+    }
+    dst[n - 1] = point(n - 1, mid[n - 2], 0.0);
 }
 
 /// Simulator workload model of SOR: `steps` phases of `n` row-iterations.
@@ -229,6 +253,95 @@ mod tests {
             }
         }
         sum
+    }
+
+    /// The per-element stencil `update_row_into` was before its interior
+    /// became a straight-line loop: four edge tests and five indexed loads
+    /// per point. Kept as the reference the fast kernel must equal bit for
+    /// bit.
+    fn reference_update_row_into(src: &[f64], dst_row: &mut [f64], n: usize, row: usize) {
+        let base = row * n;
+        for col in 0..n {
+            let up = if row > 0 { src[base - n + col] } else { 0.0 };
+            let down = if row + 1 < n {
+                src[base + n + col]
+            } else {
+                0.0
+            };
+            let left = if col > 0 { src[base + col - 1] } else { 0.0 };
+            let right = if col + 1 < n {
+                src[base + col + 1]
+            } else {
+                0.0
+            };
+            let old = src[base + col];
+            let avg = (up + down + left + right) / 4.0;
+            dst_row[col] = old + OMEGA * (avg - old);
+        }
+    }
+
+    /// A seeded `n × n` buffer of the values where a reordered or fused
+    /// floating-point expression would show: signed zeros, subnormals,
+    /// and magnitudes from 1e-300 up to 1e150 (no NaN; four 1e150s sum
+    /// without overflowing).
+    fn awkward_buffer(n: usize, seed: u64) -> Vec<f64> {
+        let mut rng = afs_core::rng::Xoshiro256::seed_from_u64(seed);
+        (0..n * n)
+            .map(|_| {
+                let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
+                match rng.next_below(5) {
+                    0 => sign * 0.0,
+                    1 => sign * f64::from_bits(1 + rng.next_below((1 << 52) - 1)),
+                    2 => sign * 1e-300 * rng.next_f64(),
+                    3 => sign * 1e150 * rng.next_f64(),
+                    _ => sign * rng.next_f64(),
+                }
+            })
+            .collect()
+    }
+
+    const EDGE_SIZES: [usize; 6] = [1, 2, 3, 5, 64, 65];
+
+    #[test]
+    fn update_row_into_is_bit_identical_to_the_reference_stencil() {
+        for n in EDGE_SIZES {
+            let awkward = awkward_buffer(n, 0x50b + n as u64);
+            if n >= 64 {
+                // The generator really produces the values it is for.
+                assert!(awkward.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()));
+                assert!(awkward.iter().any(|v| v.is_subnormal()));
+                assert!(awkward.iter().any(|v| v.abs() > 1e149));
+            }
+            for src in [SorGrid::new(n).a, awkward] {
+                for row in 0..n {
+                    let mut want = vec![f64::NAN; n];
+                    let mut got = vec![f64::NAN; n];
+                    reference_update_row_into(&src, &mut want, n, row);
+                    update_row_into(&src, &mut got, n, row);
+                    let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "n={n} row={row}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_sequential_keeps_the_reference_checksum_bits() {
+        // An odd step count, so the result is read from buffer `b`.
+        let steps = 101;
+        for n in EDGE_SIZES {
+            let mut grid = SorGrid::new(n);
+            let (mut src, mut dst) = (grid.a.clone(), grid.b.clone());
+            for _ in 0..steps {
+                for row in 0..n {
+                    reference_update_row_into(&src, &mut dst[row * n..(row + 1) * n], n, row);
+                }
+                std::mem::swap(&mut src, &mut dst);
+            }
+            grid.run_sequential(steps);
+            let want: f64 = src.iter().sum();
+            assert_eq!(grid.checksum(steps).to_bits(), want.to_bits(), "n={n}");
+        }
     }
 
     #[test]
