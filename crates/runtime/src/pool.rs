@@ -444,6 +444,14 @@ impl Shared {
             self.inject_point();
             std::thread::yield_now();
         }
+        self.park_until_acked(generation);
+    }
+
+    /// The park leg of [`Shared::wait_all_acked`], also entered directly by
+    /// [`DispatchTicket::wait_parked`]: sleeps until every worker acked
+    /// `generation`, re-checking after registering as a waiter so an ack
+    /// that landed first is seen rather than slept through.
+    fn park_until_acked(&self, generation: u64) {
         self.done_waiters.fetch_add(1, Ordering::SeqCst);
         self.inject_point();
         if self.futex {
@@ -1113,7 +1121,20 @@ impl DispatchTicket<'_> {
     /// A panic in the job surfaces as `Err(PhaseError)`, exactly like
     /// [`Pool::try_run`].
     pub fn wait(mut self) -> Result<(), PhaseError> {
-        match self.finish() {
+        match self.finish(false) {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    }
+
+    /// [`DispatchTicket::wait`] for an owner that has already polled
+    /// [`DispatchTicket::is_complete`] for as long as polling was worth
+    /// it: skips the spin and yield legs and sleeps until the last ack.
+    /// A caller that keeps polling a long job stays runnable throughout,
+    /// and on a host with no spare core that takes a core from the
+    /// workers it is waiting for.
+    pub fn wait_parked(mut self) -> Result<(), PhaseError> {
+        match self.finish(true) {
             Some(e) => Err(e),
             None => Ok(()),
         }
@@ -1121,8 +1142,9 @@ impl DispatchTicket<'_> {
 
     /// Completes the rendezvous and runs the epilogue once: clears the
     /// job cell, advances the generation, releases the lock, and takes
-    /// any recorded failure.
-    fn finish(&mut self) -> Option<PhaseError> {
+    /// any recorded failure. `park_now` skips the spin and yield legs of
+    /// the wait (the classic protocol has none to skip).
+    fn finish(&mut self, park_now: bool) -> Option<PhaseError> {
         let mut generation = self.guard.take()?;
         let shared = &self.pool.shared;
         if shared.classic {
@@ -1130,6 +1152,8 @@ impl DispatchTicket<'_> {
             while !shared.all_acked(self.gen) {
                 park = shared.done_cv.wait(park).unwrap_or_else(|p| p.into_inner());
             }
+        } else if park_now {
+            shared.park_until_acked(self.gen);
         } else {
             shared.wait_all_acked(self.gen);
         }
@@ -1155,7 +1179,7 @@ impl Drop for DispatchTicket<'_> {
     fn drop(&mut self) {
         // A dropped ticket still completes the protocol so the pool stays
         // usable; the job's panic (if any) is discarded here.
-        let _ = self.finish();
+        let _ = self.finish(false);
     }
 }
 
@@ -1679,6 +1703,46 @@ mod tests {
             ticket.wait().unwrap();
             // Slot released: the next dispatch is accepted.
             pool.try_dispatch(Arc::new(|_| {})).unwrap().wait().unwrap();
+        }
+    }
+
+    #[test]
+    fn wait_parked_sleeps_through_a_gated_job_and_returns_its_panic() {
+        for kind in both_kinds() {
+            let pool = Pool::builder(2).barrier(kind).build();
+            let gate = Arc::new(AtomicBool::new(false));
+            let g = Arc::clone(&gate);
+            let ticket = pool
+                .try_dispatch(Arc::new(move |w| {
+                    while !g.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    if w == 1 {
+                        panic!("after the gate");
+                    }
+                }))
+                .unwrap();
+            let classic = pool.shared.classic;
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    // Open the gate only once the waiter below has
+                    // registered for its park (the classic protocol keeps
+                    // no waiter count; its wait is under the mutex anyway).
+                    while !classic && pool.shared.done_waiters.load(Ordering::SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                    gate.store(true, Ordering::SeqCst);
+                });
+                let err = ticket.wait_parked().expect_err("worker 1 panicked");
+                assert_eq!(err.worker(), 1, "{kind:?}");
+            });
+            // Already complete: returns without blocking, slot released.
+            let ticket = pool.try_dispatch(Arc::new(|_| {})).unwrap();
+            while !ticket.is_complete() {
+                std::thread::yield_now();
+            }
+            ticket.wait_parked().unwrap();
+            pool.run(|_| {});
         }
     }
 

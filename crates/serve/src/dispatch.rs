@@ -26,7 +26,7 @@
 //! complete exactly-once, and the dispatcher thread never unwinds.
 
 use crate::request::OwnedSource;
-use crate::server::{Admitted, ServerShared};
+use crate::server::{Admitted, ServerShared, IDLE_YIELDS};
 use afs_runtime::{Pool, SenseBarrier, TryDispatchError};
 use afs_scope::ServeEventKind;
 use afs_trace::event::EventKind;
@@ -467,10 +467,17 @@ impl Batch {
 }
 
 /// Executes `reqs` as one pool dispatch, recording dispatch stamps and
-/// queueing delays on the way in. `while_waiting` runs repeatedly while
-/// the pool is busy or the batch is in flight — the dispatcher uses it to
-/// keep pumping the admission ring so admission never stalls behind a
-/// long batch. Returns the number of requests executed.
+/// queueing delays on the way in. Returns the number of requests executed.
+///
+/// The caller waits for the batch the way the dispatcher waits for work:
+/// it polls for [`IDLE_YIELDS`] rounds — running `while_waiting` (the
+/// dispatcher's ring pump) and yielding each round — and then parks on the
+/// dispatch until the last worker acks. A short dispatch finishes inside
+/// the grace and never parks. A long one must not keep its waiter
+/// runnable: with no spare core that thread takes a CPU from the workers,
+/// which then spin out every in-batch barrier against a peer that cannot
+/// run. `admit` needs no help meanwhile — it touches only the ring and
+/// atomics — so the ring's capacity bounds what one batch can buffer.
 pub(crate) fn execute(
     shared: &Arc<ServerShared>,
     reqs: Vec<Admitted>,
@@ -506,11 +513,19 @@ pub(crate) fn execute(
     loop {
         match pool.try_dispatch(Arc::clone(&job)) {
             Ok(ticket) => {
-                while !ticket.is_complete() {
+                let mut polls = 0;
+                while polls < IDLE_YIELDS && !ticket.is_complete() {
                     while_waiting();
                     std::thread::yield_now();
+                    polls += 1;
                 }
-                if let Err(e) = ticket.wait() {
+                let outcome = if ticket.is_complete() {
+                    ticket.wait()
+                } else {
+                    shared.batch_parks.fetch_add(1, Ordering::Relaxed);
+                    ticket.wait_parked()
+                };
+                if let Err(e) = outcome {
                     // A panic escaped per-request containment (the pool's
                     // own catch_unwind caught it instead). Whatever the
                     // barrier turns never retired is failed here so the

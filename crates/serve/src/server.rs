@@ -9,8 +9,10 @@
 //! [`LoopServer::pump`]/[`LoopServer::dispatch_next`] in manual mode —
 //! stages admitted requests into per-tenant FIFOs, selects what runs
 //! next under the configured [`Discipline`], and executes each pick as
-//! one non-blocking pool dispatch, pumping the ring *while* the pool
-//! crunches so admission never stalls behind a running batch.
+//! one non-blocking pool dispatch. It pumps the ring for a short polling
+//! grace while the pool crunches and then parks until the batch is done;
+//! admission never waits for it — `admit` touches only the ring and
+//! atomics — so the ring's capacity bounds what a long batch can buffer.
 //!
 //! Every request is stamped at admit, dispatch and complete; the three
 //! deltas (queueing delay, service time, sojourn) land in per-tenant
@@ -188,6 +190,9 @@ pub(crate) struct ServerShared {
     dispatcher_parks: AtomicU64,
     /// Times a producer found the flag set and unparked the dispatcher.
     dispatcher_wakes: AtomicU64,
+    /// Times a dispatch outlasted its waiter's [`IDLE_YIELDS`] grace and
+    /// the waiter parked on it (test-visible).
+    pub(crate) batch_parks: AtomicU64,
     pub(crate) admitted: AtomicU64,
     pub(crate) completed: AtomicU64,
     /// Completed after deadline (a subset of `completed`).
@@ -527,6 +532,7 @@ impl ServerBuilder {
             dispatcher_parked: AtomicBool::new(false),
             dispatcher_parks: AtomicU64::new(0),
             dispatcher_wakes: AtomicU64::new(0),
+            batch_parks: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             timed_out: AtomicU64::new(0),
@@ -579,11 +585,13 @@ impl ServerBuilder {
     }
 }
 
-/// `yield_now` rounds an idle dispatcher spends before it parks: long
-/// enough (tens of µs) that a closed-loop client's next request usually
-/// finds it still runnable, short enough that an idle server stops
-/// competing with the pool workers for a core almost at once.
-const IDLE_YIELDS: u32 = 64;
+/// `yield_now` rounds a waiting dispatcher spends before it parks — for
+/// work on an empty ring, or for the batch it just dispatched
+/// ([`execute`]): long enough (tens of µs) that a closed-loop client's
+/// next request, or a short dispatch's last ack, usually finds it still
+/// runnable; short enough that it stops competing with the pool workers
+/// for a core almost at once.
+pub(crate) const IDLE_YIELDS: u32 = 64;
 
 /// The dispatcher thread body: pump, select, execute, until shutdown
 /// *and* drained. With the ring and the FIFOs empty it yields
@@ -797,6 +805,15 @@ impl LoopServer {
             self.shared.dispatcher_parks.load(Ordering::SeqCst),
             self.shared.dispatcher_wakes.load(Ordering::SeqCst),
         )
+    }
+
+    /// How many dispatches outlasted the [`IDLE_YIELDS`] polling grace, so
+    /// that their waiter (the dispatcher thread, or a manual
+    /// [`LoopServer::dispatch_next`] caller) parked until the batch was
+    /// done. Like [`LoopServer::dispatcher_park_tally`], a count for tests.
+    #[doc(hidden)]
+    pub fn batch_park_tally(&self) -> u64 {
+        self.shared.batch_parks.load(Ordering::SeqCst)
     }
 
     fn shed(&self, tenant: usize, reason: ShedReason) -> Admit {

@@ -8,8 +8,12 @@
 //! Second half: the admit → parked-dispatcher hand-off. An idle dispatcher
 //! parks; `admit`, `shutdown` and `Drop` must wake it. Every test here
 //! fails (by timeout) on a build where one of them forgets to.
+//!
+//! Third part: the same waiting rule applied to a batch in flight. A
+//! dispatch that outlasts the 64-poll grace parks its waiter; the ring
+//! buffers meanwhile, and shutdown still drains.
 
-use afs_runtime::Pool;
+use afs_runtime::{FaultPlan, Pool};
 use afs_serve::prelude::*;
 use afs_serve::MpmcQueue;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -376,4 +380,96 @@ fn manual_server_admit_never_touches_the_wake_path() {
     while !server.dispatch_next().is_empty() {}
     assert_eq!(server.serve_snapshot().completed, 32);
     assert_eq!(server.dispatcher_park_tally(), (0, 0));
+}
+
+/// A pool whose worker 1 sleeps 20 ms on entering every dispatch, so each
+/// dispatch outlasts the waiter's polling grace (64 yields, tens of µs)
+/// by three orders of magnitude — while the sleeper is off the CPU, so
+/// the yields stay cheap even on a busy host.
+fn slow_start_pool() -> Arc<Pool> {
+    let plan = FaultPlan::new(1).with_delayed_start(1, Duration::from_millis(20));
+    Arc::new(Pool::builder(2).faults(plan).build())
+}
+
+/// Admits one request at a time until a dispatch has parked its waiter.
+/// The first one does unless the host stretched 64 yields past 20 ms;
+/// this bounds how often that may happen. Returns the requests admitted.
+fn admit_until_a_batch_parks(server: &LoopServer) -> u64 {
+    for admitted in 1..=50 {
+        assert!(server.admit(small(64)).is_accepted());
+        wait_for("a batch to park its waiter, or finish", || {
+            server.batch_park_tally() >= 1 || server.pending() == 0
+        });
+        if server.batch_park_tally() >= 1 {
+            return admitted;
+        }
+    }
+    panic!("50 dispatches of 20 ms each finished inside the 64-yield grace");
+}
+
+/// A dispatch that outlasts the grace parks the dispatcher (counted, not
+/// timed). Requests admitted while it sleeps wait in the ring and are
+/// served after it; the ledger is exact.
+#[test]
+fn batch_outlasting_the_grace_parks_the_dispatcher_and_the_ring_buffers() {
+    let server = LoopServer::builder(slow_start_pool())
+        .tenant("t")
+        .discipline(Discipline::Batch {
+            max_requests: 8,
+            max_iters: 1 << 20,
+        })
+        .build();
+    let mut admitted = admit_until_a_batch_parks(&server);
+    // The dispatcher is asleep on a batch with ~20 ms to run: nothing
+    // pumps, so these sit in the ring until it wakes.
+    for _ in 0..24 {
+        assert!(server.admit(small(64)).is_accepted());
+        admitted += 1;
+    }
+    wait_for("everything admitted behind a parked batch", || {
+        server.pending() == 0
+    });
+    let ledger = server.shutdown();
+    assert_eq!(ledger.admitted, admitted);
+    assert_eq!(ledger.completed, admitted);
+    assert_eq!(ledger.tenants[0].iters, admitted * 64);
+    assert_eq!(ledger.tenants[0].shed, 0);
+    assert_eq!(ledger.failed + ledger.expired + ledger.timed_out, 0);
+}
+
+/// Shutdown while the dispatcher sleeps on a batch: nobody wakes it but
+/// the batch's last ack, and it then drains what the ring buffered.
+#[test]
+fn shutdown_during_a_parked_batch_wait_still_drains() {
+    let server = LoopServer::builder(slow_start_pool()).tenant("t").build();
+    let mut admitted = admit_until_a_batch_parks(&server);
+    for _ in 0..3 {
+        assert!(server.admit(small(64)).is_accepted());
+        admitted += 1;
+    }
+    must_return("shutdown() during a parked batch wait", move || {
+        let ledger = server.shutdown();
+        assert_eq!(ledger.admitted, admitted);
+        assert_eq!(ledger.completed, admitted);
+        assert_eq!(ledger.tenants[0].shed, 0);
+    });
+}
+
+/// Manual `dispatch_next` waits by the same rule: the caller is the
+/// waiter, and it parks on a long dispatch just as the dispatcher does.
+#[test]
+fn manual_dispatch_parks_on_a_long_batch() {
+    let server = LoopServer::builder(slow_start_pool())
+        .tenant("t")
+        .manual()
+        .build();
+    let mut served = 0;
+    while server.batch_park_tally() == 0 {
+        assert!(served < 50, "50 dispatches of 20 ms each never parked");
+        assert!(server.admit(small(64)).is_accepted());
+        assert_eq!(server.pump(), 1);
+        assert_eq!(server.dispatch_next().len(), 1);
+        served += 1;
+    }
+    assert_eq!(server.serve_snapshot().completed, served);
 }
