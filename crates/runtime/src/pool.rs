@@ -28,7 +28,7 @@
 //!   the `P` workers and needs a core of its own, so when the workers
 //!   already cover every core (`P ≥ cores`: a pool fed by a server's
 //!   dispatcher, a bench's main thread) they spin only briefly there and
-//!   then yield — see [`start_spin_cap`].
+//!   then yield — see `start_spin_cap`.
 //! * **Condvar** — the classic mutex + condition-variable rendezvous the
 //!   runtime shipped with before the barrier rework, kept selectable for
 //!   differential testing and as the benchmark baseline, mirroring the
@@ -1121,10 +1121,7 @@ impl DispatchTicket<'_> {
     /// A panic in the job surfaces as `Err(PhaseError)`, exactly like
     /// [`Pool::try_run`].
     pub fn wait(mut self) -> Result<(), PhaseError> {
-        match self.finish(false) {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.finish(false)
     }
 
     /// [`DispatchTicket::wait`] for an owner that has already polled
@@ -1134,18 +1131,17 @@ impl DispatchTicket<'_> {
     /// and on a host with no spare core that takes a core from the
     /// workers it is waiting for.
     pub fn wait_parked(mut self) -> Result<(), PhaseError> {
-        match self.finish(true) {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.finish(true)
     }
 
     /// Completes the rendezvous and runs the epilogue once: clears the
     /// job cell, advances the generation, releases the lock, and takes
     /// any recorded failure. `park_now` skips the spin and yield legs of
     /// the wait (the classic protocol has none to skip).
-    fn finish(&mut self, park_now: bool) -> Option<PhaseError> {
-        let mut generation = self.guard.take()?;
+    fn finish(&mut self, park_now: bool) -> Result<(), PhaseError> {
+        let Some(mut generation) = self.guard.take() else {
+            return Ok(());
+        };
         let shared = &self.pool.shared;
         if shared.classic {
             let mut park = shared.lock_park();
@@ -1172,6 +1168,7 @@ impl DispatchTicket<'_> {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .take()
+            .map_or(Ok(()), Err)
     }
 }
 

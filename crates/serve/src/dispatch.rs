@@ -513,11 +513,12 @@ pub(crate) fn execute(
     loop {
         match pool.try_dispatch(Arc::clone(&job)) {
             Ok(ticket) => {
-                let mut polls = 0;
-                while polls < IDLE_YIELDS && !ticket.is_complete() {
+                for _ in 0..IDLE_YIELDS {
+                    if ticket.is_complete() {
+                        break;
+                    }
                     while_waiting();
                     std::thread::yield_now();
-                    polls += 1;
                 }
                 let outcome = if ticket.is_complete() {
                     ticket.wait()

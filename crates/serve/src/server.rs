@@ -807,7 +807,7 @@ impl LoopServer {
         )
     }
 
-    /// How many dispatches outlasted the [`IDLE_YIELDS`] polling grace, so
+    /// How many dispatches outlasted the 64-poll (`IDLE_YIELDS`) grace, so
     /// that their waiter (the dispatcher thread, or a manual
     /// [`LoopServer::dispatch_next`] caller) parked until the batch was
     /// done. Like [`LoopServer::dispatcher_park_tally`], a count for tests.
