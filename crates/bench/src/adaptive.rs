@@ -9,9 +9,11 @@
 //! closure) plus one deliberately irregular loop whose per-iteration work
 //! decays as a power law (`w(i) ∝ (i+1)^{-1}`), front-loading roughly
 //! three quarters of each phase's work into the first worker's static
-//! queue. Against that grid it runs [`RuntimeScheduler::adaptive`] — the
-//! controller starts at the paper's default (k = P, b = 1) and re-tunes
-//! itself between phases from the pool's always-on counters.
+//! queue. Against that grid it runs the adaptive policy from the grid's
+//! worst rung — the controller starts at (k = 1, b = 1), not at the
+//! paper's default k = P (which is the oracle on these workloads and would
+//! leave it nothing to decide) — and re-tunes itself between phases from
+//! the pool's always-on counters.
 //!
 //! Two measurements per cell:
 //!
@@ -56,10 +58,11 @@ use afs_kernels::sor::SorGrid;
 use afs_kernels::transitive::{random_graph, TransitiveClosure};
 use afs_metrics::HostInfo;
 use afs_runtime::source::{AfsSource, WorkSource};
-use afs_runtime::{parallel_phases, BarrierKind, Pool, RuntimeScheduler};
+use afs_runtime::{parallel_phases, AdaptController, Pool, RuntimeScheduler};
 use std::cell::Cell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Schema version of `BENCH_adaptive.json`: the workspace-wide constant
@@ -542,19 +545,16 @@ fn run_sized(quick: bool, sizes: &Sizes) -> AdaptiveBenchResult {
     let mut gates = Vec::new();
     for workload in WORKLOADS {
         // One pool per workload, shared by every cell (static grid and
-        // adaptive alike) so no row benefits from warmer threads, under
-        // the paper's spin rendezvous.
-        let pool = Pool::builder(P)
-            .barrier(BarrierKind::Spin)
-            .spin_budget(4_096, 64)
-            .build();
+        // adaptive alike) so no row benefits from warmer threads.
+        let pool = Pool::builder(P).spin_budget(4_096, 64).build();
         let irregular = workload == "irregular";
         let grid: Vec<(u64, usize, RuntimeScheduler)> = K_GRID
             .iter()
             .flat_map(|&k| B_GRID.iter().map(move |&b| (k, b)))
             .map(|(k, b)| (k, b, RuntimeScheduler::afs_tuned(k, b)))
             .collect();
-        let adaptive_policy = RuntimeScheduler::adaptive(P);
+        let adaptive_policy =
+            RuntimeScheduler::adaptive_with(Arc::new(AdaptController::with_initial(P, 1, 1)));
         // Warmups: one untimed pass over the static grid, then enough
         // adaptive passes for the controller to converge before its
         // clock starts.

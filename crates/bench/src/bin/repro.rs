@@ -11,14 +11,9 @@
 //!                      # writes BENCH_grabs.json in the current directory
 //! repro --bench-kernels
 //!                      # end-to-end kernels on real threads across
-//!                      # policies x barrier protocol x pinning, writes
-//!                      # BENCH_kernels.json (add --trace DIR for per-config
-//!                      # Chrome traces of the SOR runs)
-//! repro --bench-barrier
-//!                      # barrier round-trip microbench only: arrive→release
-//!                      # ns per phase for each barrier protocol x worker
-//!                      # count, printed without touching any BENCH file
-//!                      # (the same grid rides inside --bench-kernels)
+//!                      # policies x pinning, writes BENCH_kernels.json
+//!                      # (add --trace DIR for per-config Chrome traces of
+//!                      # the SOR runs)
 //! repro --bench-faults # fault-injection bench: delayed-start imbalance vs
 //!                      # the Theorem 3.2 bound plus a panic-containment
 //!                      # smoke, writes BENCH_faults.json
@@ -167,7 +162,6 @@ fn main() {
     let mut quick = false;
     let mut bench_grabs = false;
     let mut bench_kernels = false;
-    let mut bench_barrier = false;
     let mut bench_faults = false;
     let mut bench_serve = false;
     let mut bench_adaptive = false;
@@ -240,7 +234,6 @@ fn main() {
             "--quick" | "-q" => quick = true,
             "--bench-grabs" => bench_grabs = true,
             "--bench-kernels" => bench_kernels = true,
-            "--bench-barrier" => bench_barrier = true,
             "--bench-faults" => bench_faults = true,
             "--bench-serve" => bench_serve = true,
             "--bench-adaptive" => bench_adaptive = true,
@@ -277,8 +270,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: repro [--quick] [--plot|--json|--csv] [--list] \
-                     [--trace DIR] [--bench-grabs] [--bench-kernels] [--bench-barrier] \
-                     [--bench-faults] \
+                     [--trace DIR] [--bench-grabs] [--bench-kernels] [--bench-faults] \
                      [--bench-serve] [--bench-adaptive] [--bench-chaos] \
                      [--metrics [FILE.json|FILE.prom]] \
                      [--telemetry ADDR] [--flight DIR] \
@@ -406,16 +398,6 @@ fn main() {
                 Err(err) => eprintln!("trace: kernel captures failed: {err}"),
             }
         }
-        if !result.ok() {
-            eprintln!(
-                "bench-kernels: checked envelope violated \
-                 (futex round-trip or adaptive spin budget)"
-            );
-            std::process::exit(1);
-        }
-    }
-    if bench_barrier {
-        print!("{}", afs_bench::barrier::run(quick).render());
     }
     if bench_faults {
         let result = afs_bench::faults::run(quick);
@@ -497,7 +479,6 @@ fn main() {
     }
     if (bench_grabs
         || bench_kernels
-        || bench_barrier
         || bench_faults
         || bench_serve
         || bench_adaptive

@@ -7,12 +7,9 @@
 //! * [`validate`] — structural schema check of one bench document: the
 //!   right `bench` tag, every sample row carrying every required field
 //!   with the right type, sane values (non-zero grab counts, `best_ns ≤
-//!   total_ns`, …). Accepts schema version 0 (no `schema_version` / `host`
-//!   keys — the files this repo committed first), version 1, and version 2
-//!   (kernels files carrying the barrier microbench and its checked
-//!   envelope).
+//!   total_ns`, …). Accepts exactly the current schema version.
 //! * [`compare`] — matches a fresh run against a baseline document cell by
-//!   cell (kernels keyed on `kernel`+`policy`+`barrier`+`pinned`, grabs on
+//!   cell (kernels keyed on `kernel`+`policy`+`pinned`, grabs on
 //!   `protocol`+`policy`+`impl`+`p`) and flags cells slower than
 //!   `baseline × (1 + tolerance)`. Quick-vs-full mismatches compare
 //!   nothing and produce a warning instead: the sizes differ, so the
@@ -87,38 +84,34 @@ fn bool_of(v: &Value, key: &str) -> Option<bool> {
     v.get(key).and_then(Value::as_bool)
 }
 
-/// Known schema versions: the historical per-bench numbers (1, 2) plus the
-/// current workspace-wide constant. Claiming anything else is an error.
-fn known_schema_version(n: f64) -> bool {
-    n == 1.0 || n == 2.0 || n == afs_metrics::METRICS_SCHEMA_VERSION as f64
-}
-
-/// Checks the version-1+ additions when present. Version 0 files (no
-/// `schema_version`) are fine; claiming a version we don't know is not.
+/// Checks what every bench document carries: the current schema version
+/// (older files are regenerated, not grandfathered), the host block, and
+/// the `quick` flag.
 fn validate_envelope(doc: &Value, errs: &mut Vec<String>) {
-    match doc.get("schema_version") {
-        None => {} // version 0: pre-host files, still decodable
-        Some(v) => match v.as_f64() {
-            Some(n) if !known_schema_version(n) => errs.push(format!("unknown schema_version {n}")),
-            None => errs.push("schema_version must be a number".into()),
-            Some(_) => {
-                let Some(host) = doc.get("host") else {
-                    errs.push("schema_version >= 1 requires a host block".into());
-                    return;
-                };
-                if num_of(host, "cpus").is_none_or(|c| c < 1.0) {
-                    errs.push("host.cpus must be a number >= 1".into());
-                }
-                for key in ["kernel", "os", "arch"] {
-                    if str_of(host, key).is_none() {
-                        errs.push(format!("host.{key} must be a string"));
-                    }
-                }
-                if bool_of(host, "pin_capable").is_none() {
-                    errs.push("host.pin_capable must be a boolean".into());
+    let current = afs_metrics::METRICS_SCHEMA_VERSION as f64;
+    match doc.get("schema_version").map(Value::as_f64) {
+        Some(Some(n)) if n == current => {}
+        Some(Some(n)) => errs.push(format!(
+            "unknown schema_version {n} (this build reads {current})"
+        )),
+        Some(None) => errs.push("schema_version must be a number".into()),
+        None => errs.push("missing schema_version".into()),
+    }
+    match doc.get("host") {
+        None => errs.push("missing host block".into()),
+        Some(host) => {
+            if num_of(host, "cpus").is_none_or(|c| c < 1.0) {
+                errs.push("host.cpus must be a number >= 1".into());
+            }
+            for key in ["kernel", "os", "arch"] {
+                if str_of(host, key).is_none() {
+                    errs.push(format!("host.{key} must be a string"));
                 }
             }
-        },
+            if bool_of(host, "pin_capable").is_none() {
+                errs.push("host.pin_capable must be a boolean".into());
+            }
+        }
     }
     if doc.get("quick").is_none_or(|q| q.as_bool().is_none()) {
         errs.push("quick must be a boolean".into());
@@ -164,10 +157,6 @@ fn validate_kernel_sample(i: usize, s: &Value, errs: &mut Vec<String>) {
     }
     if str_of(s, "policy").is_none() {
         errs.push(format!("{}: must be a string", at("policy")));
-    }
-    match str_of(s, "barrier") {
-        Some("condvar") | Some("spin") | Some("futex") => {}
-        _ => errs.push(format!("{}: must be condvar|spin|futex", at("barrier"))),
     }
     if bool_of(s, "pinned").is_none() {
         errs.push(format!("{}: must be a boolean", at("pinned")));
@@ -364,8 +353,11 @@ fn validate_adaptive_sample(i: usize, s: &Value, errs: &mut Vec<String>) {
 /// (full) runs every workload verdict must hold — self-tuning within 10%
 /// of the best static (k, b) cell on mean wall time, and on the
 /// irregular loop the worst static cell's modeled makespan at least
-/// `irregular_min_speedup` times adaptive's. Full runs are never allowed
-/// to opt out of the check.
+/// `irregular_min_speedup` times adaptive's — and the irregular row must
+/// show the controller actually decided something (it starts from the
+/// grid's worst rung; zero decisions means the within-10% verdict compared
+/// a static cell with itself). Full runs are never allowed to opt out of
+/// the check.
 fn validate_adaptive_envelope(doc: &Value, errs: &mut Vec<String>) {
     let checked = bool_of(doc, "checked");
     if checked.is_none() {
@@ -389,6 +381,20 @@ fn validate_adaptive_envelope(doc: &Value, errs: &mut Vec<String>) {
                 }
                 if bool_of(a, "settled").is_none() {
                     errs.push(format!("{}: must be a boolean", at("settled")));
+                }
+                let decisions = num_of(a, "decisions");
+                if decisions.is_none_or(|d| d < 0.0) {
+                    errs.push(format!("{}: must be a number >= 0", at("decisions")));
+                }
+                if checked == Some(true)
+                    && str_of(a, "workload") == Some("irregular")
+                    && decisions == Some(0.0)
+                {
+                    errs.push(
+                        "checked adaptive run: the controller made no decision on the \
+                         irregular workload, so its envelope cannot fail"
+                            .into(),
+                    );
                 }
             }
         }
@@ -596,89 +602,6 @@ fn validate_serve_envelope(doc: &Value, errs: &mut Vec<String>) {
     }
 }
 
-/// The kernels bench grew its own envelope at schema version 2: the
-/// barrier round-trip rows and two raw-speed gates (futex must not lose to
-/// condvar, the adaptive spin budget must land within 10% of the best
-/// static budget). Earlier versions predate all of it and stay valid;
-/// every version from 2 on (including the current workspace-wide number)
-/// must carry it.
-fn validate_kernels_envelope(doc: &Value, errs: &mut Vec<String>) {
-    match doc.get("schema_version").and_then(Value::as_f64) {
-        Some(n) if n >= 2.0 => {}
-        _ => return,
-    }
-    let checked = bool_of(doc, "checked");
-    if checked.is_none() {
-        errs.push("kernels v2 requires a checked boolean".into());
-    }
-    if bool_of(doc, "quick") == Some(false) && checked == Some(false) {
-        errs.push("full kernel runs must gate the envelope (checked=false)".into());
-    }
-    match doc.get("barrier_samples").and_then(Value::as_array) {
-        None | Some([]) => errs.push("kernels v2 requires non-empty barrier_samples".into()),
-        Some(rows) => {
-            for (i, s) in rows.iter().enumerate() {
-                let at = |field: &str| format!("barrier_samples[{i}].{field}");
-                match str_of(s, "barrier") {
-                    Some("condvar") | Some("spin") | Some("futex") => {}
-                    _ => errs.push(format!("{}: must be condvar|spin|futex", at("barrier"))),
-                }
-                for field in ["p", "rounds", "phases"] {
-                    if num_of(s, field).is_none_or(|v| v < 1.0) {
-                        errs.push(format!("{}: must be a number >= 1", at(field)));
-                    }
-                }
-                match (num_of(s, "best_ns"), num_of(s, "total_ns")) {
-                    (Some(best), Some(total)) if best >= 1.0 && best <= total => {}
-                    (Some(_), Some(_)) => errs.push(format!(
-                        "{}: best_ns must satisfy 1 <= best_ns <= total_ns",
-                        at("best_ns")
-                    )),
-                    _ => errs.push(format!("{}/total_ns: must be numbers", at("best_ns"))),
-                }
-                if s.get("hist").and_then(Value::as_array).is_none() {
-                    errs.push(format!("{}: must be an array", at("hist")));
-                }
-            }
-        }
-    }
-    match doc.get("futex_vs_condvar").and_then(Value::as_array) {
-        None | Some([]) => errs.push("kernels v2 requires non-empty futex_vs_condvar".into()),
-        Some(rows) => {
-            for (i, r) in rows.iter().enumerate() {
-                let ok = bool_of(r, "ok");
-                if ok.is_none() {
-                    errs.push(format!("futex_vs_condvar[{i}].ok: must be a boolean"));
-                }
-                // The gate itself: a checked run where the futex protocol
-                // lost is a validation failure, not just a regression.
-                if checked == Some(true) && ok == Some(false) {
-                    errs.push(format!(
-                        "checked kernels run: futex round-trip lost to condvar at P={}",
-                        num_of(r, "p").unwrap_or(0.0)
-                    ));
-                }
-            }
-        }
-    }
-    match doc.get("adaptive_sor") {
-        None => errs.push("kernels v2 requires an adaptive_sor block".into()),
-        Some(a) => {
-            let within = bool_of(a, "within_10pct");
-            if within.is_none() {
-                errs.push("adaptive_sor.within_10pct must be a boolean".into());
-            }
-            if checked == Some(true) && within == Some(false) {
-                errs.push(
-                    "checked kernels run: adaptive spin budget landed outside \
-                     10% of the best static budget"
-                        .into(),
-                );
-            }
-        }
-    }
-}
-
 /// Validates one bench document structurally. Returns which bench it is,
 /// or every problem found (never just the first — a corrupted file should
 /// be diagnosable in one run).
@@ -712,9 +635,6 @@ pub fn validate(doc: &Value) -> Result<BenchKind, Vec<String>> {
     }
     if kind == Some(BenchKind::Serve) {
         validate_serve_envelope(doc, &mut errs);
-    }
-    if kind == Some(BenchKind::Kernels) {
-        validate_kernels_envelope(doc, &mut errs);
     }
     if kind == Some(BenchKind::Adaptive) {
         validate_adaptive_envelope(doc, &mut errs);
@@ -761,10 +681,9 @@ fn cell(kind: BenchKind, s: &Value) -> Option<(String, f64)> {
         }
         BenchKind::Kernels => {
             let key = format!(
-                "{}/{}/{}/{}",
+                "{}/{}/{}",
                 str_of(s, "kernel")?,
                 str_of(s, "policy")?,
-                str_of(s, "barrier")?,
                 if bool_of(s, "pinned")? {
                     "pinned"
                 } else {
@@ -870,21 +789,6 @@ pub fn compare(
             .iter()
             .filter_map(|s| cell(cur_kind, s))
             .collect();
-        if cur_kind == BenchKind::Kernels {
-            // Schema-v2 kernels files also carry the barrier microbench
-            // grid; each cell regression-gates on its best round-trip.
-            for s in d
-                .get("barrier_samples")
-                .and_then(Value::as_array)
-                .unwrap_or(&[])
-            {
-                if let (Some(b), Some(p), Some(best)) =
-                    (str_of(s, "barrier"), num_of(s, "p"), num_of(s, "best_ns"))
-                {
-                    cells.push((format!("barrier-rt/{b}/P={p}"), best));
-                }
-            }
-        }
         if cur_kind == BenchKind::Adaptive {
             // The self-tuned rows live beside the static grid; each one
             // regression-gates on its median makespan too.
@@ -932,6 +836,19 @@ mod tests {
     use super::*;
     use afs_trace::json::parse;
 
+    /// The version every synthetic document below claims.
+    const V: u64 = afs_metrics::METRICS_SCHEMA_VERSION;
+    const HOST: &str = r#""host": {"cpus": 8, "kernel": "6.1", "os": "linux", "arch": "x86_64", "pin_capable": true}"#;
+
+    fn kernels_doc(version: u64) -> String {
+        format!(
+            r#"{{"bench": "kernels", "schema_version": {version}, {HOST}, "quick": false,
+                 "samples": [{{"kernel": "sor", "policy": "AFS",
+                              "pinned": false, "p": 8, "phases": 10, "iters": 100,
+                              "reps": 3, "total_ns": 300, "best_ns": 90}}]}}"#
+        )
+    }
+
     /// Satellite of the observability PR: the schema version has exactly
     /// one source of truth. Every bench writer aliases
     /// `afs_metrics::METRICS_SCHEMA_VERSION`, so bumping the constant
@@ -945,17 +862,19 @@ mod tests {
         assert_eq!(crate::serve::SCHEMA_VERSION, v);
         assert_eq!(crate::adaptive::SCHEMA_VERSION, v);
         assert_eq!(crate::chaos::SCHEMA_VERSION, v);
-        assert!(known_schema_version(v as f64));
+        assert_eq!(
+            validate(&parse(&kernels_doc(v)).unwrap()),
+            Ok(BenchKind::Kernels)
+        );
         assert!(
-            !known_schema_version((v + 1) as f64),
+            validate(&parse(&kernels_doc(v + 1)).unwrap()).is_err(),
             "future versions still reject until the constant moves"
         );
     }
 
     fn grabs_doc(quick: bool, mean: f64) -> String {
         format!(
-            r#"{{"bench": "grab_latency", "schema_version": 1,
-                 "host": {{"cpus": 8, "kernel": "6.1", "os": "linux", "arch": "x86_64", "pin_capable": true}},
+            r#"{{"bench": "grab_latency", "schema_version": {V}, {HOST},
                  "quick": {quick}, "max_iters_per_drain": 100,
                  "samples": [
                    {{"protocol": "interleaved", "policy": "AFS", "impl": "lockfree",
@@ -966,25 +885,29 @@ mod tests {
     }
 
     #[test]
-    fn validates_both_schema_versions() {
-        let v1 = parse(&grabs_doc(false, 25.0)).unwrap();
-        assert_eq!(validate(&v1), Ok(BenchKind::Grabs));
-        // Version 0: no schema_version, no host — the pre-metrics files.
-        let v0 = parse(
-            r#"{"bench": "kernels", "quick": false,
-                "samples": [{"kernel": "sor", "policy": "AFS", "barrier": "spin",
-                             "pinned": false, "p": 8, "phases": 10, "iters": 100,
-                             "reps": 3, "total_ns": 300, "best_ns": 90}]}"#,
-        )
-        .unwrap();
-        assert_eq!(validate(&v0), Ok(BenchKind::Kernels));
+    fn accepts_only_the_current_schema_version() {
+        let current = parse(&grabs_doc(false, 25.0)).unwrap();
+        assert_eq!(validate(&current), Ok(BenchKind::Grabs));
+        // The previous release's files are regenerated, not grandfathered.
+        let errs = validate(&parse(&kernels_doc(7)).unwrap()).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.contains("schema_version 7")),
+            "{errs:?}"
+        );
+        // A file that never claimed a version is not a bench document.
+        let unversioned = kernels_doc(V).replace(&format!("\"schema_version\": {V}, "), "");
+        let errs = validate(&parse(&unversioned).unwrap()).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.contains("missing schema_version")),
+            "{errs:?}"
+        );
     }
 
     #[test]
     fn rejects_corrupted_documents_with_every_error() {
         let bad = parse(
             r#"{"bench": "kernels", "schema_version": 7, "quick": false,
-                "samples": [{"kernel": "sort", "policy": "AFS", "barrier": "spin",
+                "samples": [{"kernel": "sort", "policy": "AFS",
                              "pinned": "yes", "p": 8, "phases": 10, "iters": 100,
                              "reps": 3, "total_ns": 90, "best_ns": 300}]}"#,
         )
@@ -1035,8 +958,7 @@ mod tests {
 
     fn faults_doc(containment: bool, within: bool, base_ns: u64) -> String {
         format!(
-            r#"{{"bench": "faults", "schema_version": 1,
-                 "host": {{"cpus": 8, "kernel": "6.1", "os": "linux", "arch": "x86_64", "pin_capable": true}},
+            r#"{{"bench": "faults", "schema_version": {V}, {HOST},
                  "quick": false, "p": 8, "n": 8192, "panic_containment": {containment},
                  "samples": [
                    {{"policy": "AFS(k=1)", "k": 1, "n": 8192, "p": 8, "delay_ns": 200000000,
@@ -1084,8 +1006,7 @@ mod tests {
 
     fn serve_doc(quick: bool, checked: bool, speedup: f64, wall_ns: u64) -> String {
         format!(
-            r#"{{"bench": "serve", "schema_version": 1,
-                 "host": {{"cpus": 8, "kernel": "6.1", "os": "linux", "arch": "x86_64", "pin_capable": true}},
+            r#"{{"bench": "serve", "schema_version": {V}, {HOST},
                  "quick": {quick}, "p": 4, "calibrated_rps": 100000.0,
                  "total_completed": 19000, "batch_over_fcfs": {speedup}, "checked": {checked},
                  "samples": [
@@ -1154,86 +1075,9 @@ mod tests {
         assert_eq!(c.compared, 2);
     }
 
-    fn kernels_v2_doc(
-        quick: bool,
-        checked: bool,
-        futex_ok: bool,
-        within: bool,
-        futex_best: u64,
-    ) -> String {
-        format!(
-            r#"{{"bench": "kernels", "schema_version": 2,
-                 "host": {{"cpus": 8, "kernel": "6.1", "os": "linux", "arch": "x86_64", "pin_capable": true}},
-                 "quick": {quick}, "checked": {checked},
-                 "samples": [
-                   {{"kernel": "sor", "policy": "AFS", "barrier": "futex",
-                     "pinned": false, "p": 8, "phases": 10, "iters": 100,
-                     "reps": 3, "total_ns": 300, "best_ns": 90}}
-                 ],
-                 "barrier_samples": [
-                   {{"barrier": "condvar", "p": 2, "rounds": 24, "phases": 64,
-                     "total_ns": 20000000, "best_ns": 9000, "mean_ns": 9500.0,
-                     "hist": [{{"log2_ns": 13, "count": 24}}]}},
-                   {{"barrier": "futex", "p": 2, "rounds": 24, "phases": 64,
-                     "total_ns": 4000000, "best_ns": {futex_best}, "mean_ns": 1500.0,
-                     "hist": [{{"log2_ns": 10, "count": 24}}]}}
-                 ],
-                 "futex_vs_condvar": [
-                   {{"p": 2, "futex_best_ns": {futex_best}, "condvar_best_ns": 9000, "ok": {futex_ok}}}
-                 ],
-                 "adaptive_sor": {{"static_budgets": [64, 4096, 65536],
-                                   "static_best_ns": [12000000, 10000000, 11000000],
-                                   "adaptive_best_ns": 10500000, "final_budget": 2048,
-                                   "within_10pct": {within}}}}}"#
-        )
-    }
-
-    #[test]
-    fn kernels_v2_documents_validate_and_gate_the_envelope() {
-        let good = parse(&kernels_v2_doc(false, true, true, true, 1_200)).unwrap();
-        assert_eq!(validate(&good), Ok(BenchKind::Kernels));
-
-        // A checked run where the futex protocol lost is a hard failure.
-        let lost = parse(&kernels_v2_doc(false, true, false, true, 50_000)).unwrap();
-        let errs = validate(&lost).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("futex")), "{errs:?}");
-
-        // So is an adaptive budget outside 10% of the best static one.
-        let drifted = parse(&kernels_v2_doc(false, true, true, false, 1_200)).unwrap();
-        let errs = validate(&drifted).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("adaptive")), "{errs:?}");
-
-        // A full run cannot dodge the gate by flipping checked off.
-        let dodge = parse(&kernels_v2_doc(false, false, false, false, 50_000)).unwrap();
-        let errs = validate(&dodge).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("must gate")), "{errs:?}");
-
-        // Quick smoke runs report without gating.
-        let quick = parse(&kernels_v2_doc(true, false, false, false, 50_000)).unwrap();
-        assert_eq!(validate(&quick), Ok(BenchKind::Kernels));
-    }
-
-    #[test]
-    fn kernels_v2_barrier_cells_are_regression_gated() {
-        let base = parse(&kernels_v2_doc(false, true, true, true, 1_200)).unwrap();
-        let slow = parse(&kernels_v2_doc(false, true, true, true, 8_000)).unwrap();
-        let c = compare(&slow, &base, 0.30).unwrap();
-        assert!(!c.ok());
-        assert!(
-            c.regressions
-                .iter()
-                .any(|r| r.contains("barrier-rt/futex/P=2")),
-            "{:?}",
-            c.regressions
-        );
-        // 1 kernel cell + 2 barrier cells on each side.
-        assert_eq!(c.compared, 3);
-    }
-
     fn adaptive_doc(quick: bool, checked: bool, gate_ok: bool, adaptive_median: u64) -> String {
         format!(
-            r#"{{"bench": "adaptive", "schema_version": 1,
-                 "host": {{"cpus": 8, "kernel": "6.1", "os": "linux", "arch": "x86_64", "pin_capable": true}},
+            r#"{{"bench": "adaptive", "schema_version": {V}, {HOST},
                  "quick": {quick}, "checked": {checked}, "p": 8,
                  "irregular_min_speedup": 1.3,
                  "samples": [
@@ -1288,6 +1132,15 @@ mod tests {
         let quick = parse(&adaptive_doc(true, false, false, 1_500_000)).unwrap();
         assert_eq!(validate(&quick), Ok(BenchKind::Adaptive));
 
+        // A checked run whose controller never moved on the irregular
+        // loop compared a static cell with itself: not a verdict.
+        let idle = adaptive_doc(false, true, true, 1_050_000).replace(
+            "\"final_b\": 1, \"decisions\": 2",
+            "\"final_b\": 1, \"decisions\": 0",
+        );
+        let errs = validate(&parse(&idle).unwrap()).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("no decision")), "{errs:?}");
+
         // Corrupted rows surface every error in one pass.
         let mut bad = adaptive_doc(false, true, true, 1_050_000);
         bad = bad.replace(
@@ -1318,8 +1171,7 @@ mod tests {
 
     fn chaos_doc(quick: bool, checked: bool, tail_ok: bool, wall_ns: u64) -> String {
         format!(
-            r#"{{"bench": "chaos", "schema_version": 1,
-                 "host": {{"cpus": 8, "kernel": "6.1", "os": "linux", "arch": "x86_64", "pin_capable": true}},
+            r#"{{"bench": "chaos", "schema_version": {V}, {HOST},
                  "quick": {quick}, "p": 4, "checked": {checked}, "total_requests": 24018,
                  "ledger_exact": true, "isolation": true, "dispatcher_alive": true,
                  "samples": [
@@ -1411,13 +1263,7 @@ mod tests {
     #[test]
     fn different_benches_do_not_compare() {
         let grabs = parse(&grabs_doc(false, 20.0)).unwrap();
-        let kernels = parse(
-            r#"{"bench": "kernels", "quick": false,
-                "samples": [{"kernel": "sor", "policy": "AFS", "barrier": "spin",
-                             "pinned": false, "p": 8, "phases": 10, "iters": 100,
-                             "reps": 3, "total_ns": 300, "best_ns": 90}]}"#,
-        )
-        .unwrap();
+        let kernels = parse(&kernels_doc(V)).unwrap();
         let errs = compare(&grabs, &kernels, 0.30).unwrap_err();
         assert!(errs[0].contains("mismatch"));
     }

@@ -3,9 +3,9 @@
 //! Measures the cost of one scheduler grab (`WorkSource::next`) for each
 //! policy that gained a lock-free path:
 //!
-//! * AFS — [`LockedAfsSource`] (mutex per queue) vs [`AfsSource`] (packed
-//!   head/tail CAS word per queue);
-//! * SS — the core state machine under [`LockedSource`]'s mutex vs
+//! * AFS — the core state machine under [`LockedSource`]'s one mutex vs
+//!   [`AfsSource`] (packed head/tail CAS word per queue);
+//! * SS — the core state machine under the same mutex vs
 //!   [`FetchAddSource`] with chunk 1;
 //! * CSS(16) — same pair at fixed chunk 16;
 //! * GSS — mutex only (its chunk size depends on the remaining count, so it
@@ -33,14 +33,12 @@
 
 use afs_core::prelude::*;
 use afs_metrics::{HostInfo, MetricsRegistry};
-use afs_runtime::source::{AfsSource, FetchAddSource, LockedAfsSource, LockedSource, WorkSource};
+use afs_runtime::source::{AfsSource, FetchAddSource, LockedSource, WorkSource};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Schema version of `BENCH_grabs.json`: the workspace-wide constant (see
-/// [`afs_metrics::METRICS_SCHEMA_VERSION`]). Historically: version 1 added
-/// the `host` block; files without a `schema_version` key are version 0
-/// and stay decodable.
+/// [`afs_metrics::METRICS_SCHEMA_VERSION`]).
 pub const SCHEMA_VERSION: u64 = afs_metrics::METRICS_SCHEMA_VERSION;
 
 /// Worker counts measured. The interesting point is the largest (most
@@ -374,7 +372,11 @@ pub fn run_with_metrics(quick: bool, metrics: Option<&MetricsRegistry>) -> GrabB
         (
             "AFS",
             "mutex",
-            Box::new(|n, p| Box::new(LockedAfsSource::new(n, p, p as u64))),
+            Box::new(|n, p| {
+                Box::new(LockedSource::new(
+                    Affinity::with_k_equals_p().begin_loop(n, p),
+                ))
+            }),
             afs_n,
             afs_drains,
         ),

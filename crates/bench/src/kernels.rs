@@ -5,56 +5,42 @@
 //! and transitive closure driven through `parallel_phases` on a live
 //! worker pool — across the grid
 //!
-//! > policies × {condvar, spin, futex} barrier × {pinned, unpinned}
+//! > kernels × policies × {pinned, unpinned}
 //!
 //! at `P = 8` workers. The kernels are deliberately sized so the loop
 //! bodies are short: SOR runs hundreds of steps × 2 phases over a small
-//! grid, which makes the per-phase rendezvous the first-order cost and
-//! shows exactly what the sense-reversing barrier buys (the
-//! `spin_speedup` rows). Runs on an oversubscribed host (fewer cores than
-//! `P`, e.g. a CI container) still show the gap: the condvar protocol pays
-//! two futex round-trips per worker per phase while the spin barrier's
-//! yield ladder keeps the rendezvous in user space.
+//! grid, which makes the per-phase rendezvous the first-order cost — the
+//! regime the paper's kernels actually live in at their inner-loop sizes.
 //!
 //! Every cell reports best-of-reps makespan (robust against scheduler
-//! noise) plus the totals; deltas are reported per policy so the barrier
-//! win can be separated from scheduling effects.
+//! noise) plus the totals; the pinning delta is reported per policy.
 
 use affinity_sched::apps;
 use afs_kernels::gauss::GaussSystem;
 use afs_kernels::sor::SorGrid;
 use afs_kernels::transitive::{random_graph, TransitiveClosure};
 use afs_metrics::{HostInfo, MetricsSnapshot};
-use afs_runtime::{BarrierKind, Pool, RuntimeScheduler};
+use afs_runtime::{Pool, RuntimeScheduler};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Schema version of `BENCH_kernels.json`: the workspace-wide constant
-/// (see [`afs_metrics::METRICS_SCHEMA_VERSION`]). Historically: version 1
-/// added the `host` block; version 2 added the `futex` barrier column, the
-/// `barrier_samples` round-trip microbench rows, the adaptive-spin
-/// ablation and the `checked` envelope. Files without a `schema_version`
-/// key are version 0 and stay decodable.
+/// (see [`afs_metrics::METRICS_SCHEMA_VERSION`]).
 pub const SCHEMA_VERSION: u64 = afs_metrics::METRICS_SCHEMA_VERSION;
 
 /// Workers for every cell: the paper's P=8 configuration.
 pub const P: usize = 8;
 
-/// Barrier protocols measured.
-pub const BARRIERS: [&str; 3] = ["condvar", "spin", "futex"];
-
 /// Kernels measured.
 pub const KERNELS: [&str; 3] = ["sor", "gauss", "tc"];
 
-/// One measured (kernel, policy, barrier, pinned) cell.
+/// One measured (kernel, policy, pinned) cell.
 #[derive(Clone, Debug)]
 pub struct KernelSample {
     /// `"sor"`, `"gauss"` or `"tc"`.
     pub kernel: &'static str,
     /// Policy name (matches `RuntimeScheduler::name`).
     pub policy: String,
-    /// `"condvar"`, `"spin"` or `"futex"`.
-    pub barrier: &'static str,
     /// Workers pinned to cores?
     pub pinned: bool,
     /// Worker count.
@@ -78,35 +64,6 @@ impl KernelSample {
     }
 }
 
-/// The adaptive-spin ablation on the headline workload: SOR under AFS,
-/// unpinned, spin barrier, measured at several static spin budgets and
-/// once with the feedback controller. The checked envelope demands the
-/// controller land within 10% of the best static configuration — the
-/// self-sizing budget must not cost what it saves.
-#[derive(Clone, Debug)]
-pub struct AdaptiveSor {
-    /// Static spin budgets measured (iterations).
-    pub static_budgets: Vec<u32>,
-    /// Best-of-reps makespan per static budget, ns (same order).
-    pub static_best_ns: Vec<u64>,
-    /// Best-of-reps makespan with the adaptive controller, ns.
-    pub adaptive_best_ns: u64,
-    /// The budget the controller settled on by the end of the run.
-    pub final_budget: u32,
-}
-
-impl AdaptiveSor {
-    /// Fastest static configuration's makespan, ns.
-    pub fn best_static_ns(&self) -> u64 {
-        self.static_best_ns.iter().copied().min().unwrap_or(1)
-    }
-
-    /// The gate: adaptive within 10% of the best static budget.
-    pub fn within_10pct(&self) -> bool {
-        self.adaptive_best_ns as f64 <= self.best_static_ns() as f64 * 1.10
-    }
-}
-
 /// Everything one bench run measured.
 #[derive(Clone, Debug)]
 pub struct KernelBenchResult {
@@ -120,13 +77,6 @@ pub struct KernelBenchResult {
     pub host: HostInfo,
     /// All measured cells.
     pub samples: Vec<KernelSample>,
-    /// The arrive→release round-trip microbench (`barrier_samples` rows).
-    pub barrier: crate::barrier::BarrierBenchResult,
-    /// The adaptive-spin ablation on the SOR headline.
-    pub adaptive: AdaptiveSor,
-    /// Full runs gate the futex and adaptive envelopes; quick smoke runs
-    /// report without gating.
-    pub checked: bool,
     /// Always-on runtime metrics merged over every pool the grid used
     /// (perf events requested; counters-only where the kernel refuses).
     /// Exported separately via `repro --metrics`, not serialized into
@@ -136,46 +86,19 @@ pub struct KernelBenchResult {
 
 impl KernelBenchResult {
     /// Best-rep makespan (ns) of one cell.
-    pub fn best_of(&self, kernel: &str, policy: &str, barrier: &str, pinned: bool) -> Option<f64> {
+    pub fn best_of(&self, kernel: &str, policy: &str, pinned: bool) -> Option<f64> {
         self.samples
             .iter()
-            .find(|s| {
-                s.kernel == kernel
-                    && s.policy == policy
-                    && s.barrier == barrier
-                    && s.pinned == pinned
-            })
+            .find(|s| s.kernel == kernel && s.policy == policy && s.pinned == pinned)
             .map(|s| s.best_ns as f64)
     }
 
-    /// Condvar-over-spin makespan ratio for one (kernel, policy, pinned)
-    /// row (>1 means the spin barrier wins).
-    pub fn spin_speedup(&self, kernel: &str, policy: &str, pinned: bool) -> Option<f64> {
-        let condvar = self.best_of(kernel, policy, "condvar", pinned)?;
-        let spin = self.best_of(kernel, policy, "spin", pinned)?;
-        Some(condvar / spin.max(1.0))
-    }
-
-    /// Unpinned-over-pinned makespan ratio for one (kernel, policy,
-    /// barrier) row (>1 means pinning wins).
-    pub fn pin_speedup(&self, kernel: &str, policy: &str, barrier: &str) -> Option<f64> {
-        let unpinned = self.best_of(kernel, policy, barrier, false)?;
-        let pinned = self.best_of(kernel, policy, barrier, true)?;
+    /// Unpinned-over-pinned makespan ratio for one (kernel, policy) row
+    /// (>1 means pinning wins).
+    pub fn pin_speedup(&self, kernel: &str, policy: &str) -> Option<f64> {
+        let unpinned = self.best_of(kernel, policy, false)?;
+        let pinned = self.best_of(kernel, policy, true)?;
         Some(unpinned / pinned.max(1.0))
-    }
-
-    /// The acceptance headline: spin-over-condvar on the phase-heavy SOR
-    /// under AFS, unpinned (the cleanest barrier-only comparison).
-    pub fn headline(&self) -> Option<f64> {
-        self.spin_speedup("sor", "AFS", false)
-    }
-
-    /// The checked envelope's verdict: on a full run, the futex round-trip
-    /// must not lose to condvar at any worker count, and the adaptive spin
-    /// budget must land within 10% of the best static configuration.
-    /// Quick runs always pass (sizes too small to gate on).
-    pub fn ok(&self) -> bool {
-        !self.checked || (self.barrier.futex_ok() && self.adaptive.within_10pct())
     }
 
     /// Distinct policy names, in first-seen order.
@@ -189,7 +112,7 @@ impl KernelBenchResult {
         out
     }
 
-    /// Plain-text tables, one per kernel, plus per-policy deltas.
+    /// Plain-text tables, one per kernel, with the per-policy pinning delta.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -209,74 +132,23 @@ impl KernelBenchResult {
             );
             let _ = writeln!(
                 out,
-                "{:<12}{:<8}{:>13}{:>13}{:>13}{:>8}",
-                "policy", "pinned", "condvar ms", "spin ms", "futex ms", "spin×"
+                "{:<12}{:>14}{:>14}{:>8}",
+                "policy", "unpinned ms", "pinned ms", "pin×"
             );
+            let cell = |v: Option<f64>, scale: f64| match v {
+                Some(v) => format!("{:.2}", v / scale),
+                None => "-".into(),
+            };
             for policy in self.policies() {
-                for pinned in [false, true] {
-                    let cv = self.best_of(kernel, policy, "condvar", pinned);
-                    let sp = self.best_of(kernel, policy, "spin", pinned);
-                    let fx = self.best_of(kernel, policy, "futex", pinned);
-                    if cv.is_none() && sp.is_none() && fx.is_none() {
-                        continue;
-                    }
-                    let cell = |v: Option<f64>| match v {
-                        Some(ns) => format!("{:.2}", ns / 1e6),
-                        None => "-".into(),
-                    };
-                    let ratio = match self.spin_speedup(kernel, policy, pinned) {
-                        Some(r) => format!("{r:.2}"),
-                        None => "-".into(),
-                    };
-                    let _ = writeln!(
-                        out,
-                        "{:<12}{:<8}{:>13}{:>13}{:>13}{:>8}",
-                        policy,
-                        if pinned { "yes" } else { "no" },
-                        cell(cv),
-                        cell(sp),
-                        cell(fx),
-                        ratio,
-                    );
-                }
+                let _ = writeln!(
+                    out,
+                    "{:<12}{:>14}{:>14}{:>8}",
+                    policy,
+                    cell(self.best_of(kernel, policy, false), 1e6),
+                    cell(self.best_of(kernel, policy, true), 1e6),
+                    cell(self.pin_speedup(kernel, policy), 1.0),
+                );
             }
-            let pins: Vec<String> = self
-                .policies()
-                .iter()
-                .filter_map(|policy| {
-                    self.pin_speedup(kernel, policy, "spin")
-                        .map(|r| format!("{policy} {r:.2}x"))
-                })
-                .collect();
-            if !pins.is_empty() {
-                let _ = writeln!(out, "  pinned-vs-unpinned (spin): {}", pins.join(", "));
-            }
-        }
-        if let Some(h) = self.headline() {
-            let _ = writeln!(
-                out,
-                "headline: SOR/AFS spin-over-condvar at P={}: {h:.2}x",
-                self.p
-            );
-        }
-        out.push_str(&self.barrier.render());
-        let a = &self.adaptive;
-        let _ = writeln!(
-            out,
-            "adaptive spin (SOR/AFS): {:.2} ms vs best static {:.2} ms \
-             (budgets {:?}, settled at {}) — {}",
-            a.adaptive_best_ns as f64 / 1e6,
-            a.best_static_ns() as f64 / 1e6,
-            a.static_budgets,
-            a.final_budget,
-            if a.within_10pct() {
-                "within 10%"
-            } else {
-                "OUTSIDE 10%"
-            }
-        );
-        if self.checked && !self.ok() {
-            let _ = writeln!(out, "CHECKED ENVELOPE VIOLATED (see above)");
         }
         out
     }
@@ -293,98 +165,45 @@ impl KernelBenchResult {
         let _ = writeln!(
             out,
             "  \"metric\": \"whole-kernel makespan ns on real threads; best_ns = fastest rep; \
-             grid = kernels x policies x barrier protocol x core pinning at P workers\","
+             grid = kernels x policies x core pinning at P workers\","
         );
         out.push_str("  \"samples\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"kernel\": \"{}\", \"policy\": \"{}\", \"barrier\": \"{}\", \
-                 \"pinned\": {}, \"p\": {}, \"phases\": {}, \"iters\": {}, \"reps\": {}, \
-                 \"total_ns\": {}, \"best_ns\": {}, \"ns_per_phase\": {:.1}}}",
-                s.kernel,
-                s.policy,
-                s.barrier,
-                s.pinned,
-                s.p,
-                s.phases,
-                s.iters,
-                s.reps,
-                s.total_ns,
-                s.best_ns,
-                s.ns_per_phase()
-            );
-            out.push_str(if i + 1 == self.samples.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        out.push_str("  ],\n  \"spin_speedup_condvar_over_spin\": [\n");
-        let mut rows: Vec<String> = Vec::new();
-        for kernel in KERNELS {
-            for policy in self.policies() {
-                for pinned in [false, true] {
-                    if let Some(r) = self.spin_speedup(kernel, policy, pinned) {
-                        rows.push(format!(
-                            "    {{\"kernel\": \"{kernel}\", \"policy\": \"{policy}\", \
-                             \"pinned\": {pinned}, \"speedup\": {r:.2}}}"
-                        ));
-                    }
-                }
-            }
-        }
+        let rows: Vec<String> = self
+            .samples
+            .iter()
+            .map(|s| {
+                format!(
+                    "    {{\"kernel\": \"{}\", \"policy\": \"{}\", \
+                     \"pinned\": {}, \"p\": {}, \"phases\": {}, \"iters\": {}, \"reps\": {}, \
+                     \"total_ns\": {}, \"best_ns\": {}, \"ns_per_phase\": {:.1}}}",
+                    s.kernel,
+                    s.policy,
+                    s.pinned,
+                    s.p,
+                    s.phases,
+                    s.iters,
+                    s.reps,
+                    s.total_ns,
+                    s.best_ns,
+                    s.ns_per_phase()
+                )
+            })
+            .collect();
         out.push_str(&rows.join(",\n"));
         out.push_str("\n  ],\n  \"pin_speedup_unpinned_over_pinned\": [\n");
         let mut rows: Vec<String> = Vec::new();
         for kernel in KERNELS {
             for policy in self.policies() {
-                for barrier in BARRIERS {
-                    if let Some(r) = self.pin_speedup(kernel, policy, barrier) {
-                        rows.push(format!(
-                            "    {{\"kernel\": \"{kernel}\", \"policy\": \"{policy}\", \
-                             \"barrier\": \"{barrier}\", \"speedup\": {r:.2}}}"
-                        ));
-                    }
+                if let Some(r) = self.pin_speedup(kernel, policy) {
+                    rows.push(format!(
+                        "    {{\"kernel\": \"{kernel}\", \"policy\": \"{policy}\", \
+                         \"speedup\": {r:.2}}}"
+                    ));
                 }
             }
         }
         out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ],\n  \"barrier_samples\": [\n");
-        out.push_str(&self.barrier.to_json_rows());
-        out.push_str("\n  ],\n  \"futex_vs_condvar\": [\n");
-        let rows: Vec<String> = self
-            .barrier
-            .futex_vs_condvar()
-            .iter()
-            .map(|&(p, futex, condvar)| {
-                format!(
-                    "    {{\"p\": {p}, \"futex_best_ns\": {futex}, \
-                     \"condvar_best_ns\": {condvar}, \"ok\": {}}}",
-                    futex <= condvar
-                )
-            })
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        let a = &self.adaptive;
-        let budgets: Vec<String> = a.static_budgets.iter().map(u32::to_string).collect();
-        let statics: Vec<String> = a.static_best_ns.iter().map(u64::to_string).collect();
-        let _ = write!(
-            out,
-            "\n  ],\n  \"adaptive_sor\": {{\"static_budgets\": [{}], \
-             \"static_best_ns\": [{}], \"adaptive_best_ns\": {}, \
-             \"final_budget\": {}, \"within_10pct\": {}}},\n  \"checked\": {}",
-            budgets.join(", "),
-            statics.join(", "),
-            a.adaptive_best_ns,
-            a.final_budget,
-            a.within_10pct(),
-            self.checked
-        );
-        if let Some(h) = self.headline() {
-            let _ = write!(out, ",\n  \"headline_sor_afs_spin_over_condvar\": {h:.2}");
-        }
-        out.push_str("\n}\n");
+        out.push_str("\n  ]\n}\n");
         out
     }
 }
@@ -402,9 +221,8 @@ fn policies() -> Vec<RuntimeScheduler> {
 }
 
 /// Kernel problem sizes. Small grids + many phases on purpose: the bodies
-/// must be short enough that the rendezvous dominates, which is the
-/// regime the barrier rework targets (and the regime the paper's kernels
-/// actually live in at their inner-loop sizes).
+/// must be short enough that the rendezvous dominates (the regime the
+/// paper's kernels actually live in at their inner-loop sizes).
 struct Sizes {
     sor_n: usize,
     sor_steps: usize,
@@ -427,7 +245,7 @@ impl Sizes {
             Sizes {
                 // A small grid over many steps keeps each phase's body in
                 // the microsecond range, so the per-phase rendezvous is the
-                // first-order cost — the regime the barrier rework targets.
+                // first-order cost.
                 sor_n: 24,
                 // ≥100 steps: the phase-heavy headline configuration.
                 sor_steps: 400,
@@ -484,149 +302,85 @@ fn run_kernel(
     }
 }
 
-/// The adaptive-spin ablation: SOR under AFS, unpinned, spin barrier, at
-/// several static budgets and once with the controller. Best-of-reps per
-/// configuration, same as the main grid.
-fn run_adaptive_sor(sizes: &Sizes) -> AdaptiveSor {
-    let policy = RuntimeScheduler::afs_k_equals_p();
-    let best_of = |pool: &Pool| {
-        let mut best = u64::MAX;
-        for _ in 0..sizes.reps {
-            let (_, _, ns) = run_kernel("sor", pool, &policy, sizes);
-            best = best.min(ns);
-        }
-        best
-    };
-    let static_budgets: Vec<u32> = vec![64, 4_096, 65_536];
-    let static_best_ns: Vec<u64> = static_budgets
-        .iter()
-        .map(|&spins| {
-            let pool = Pool::builder(P)
-                .barrier(BarrierKind::Spin)
-                .spin_budget(spins, 64)
-                .build();
-            best_of(&pool)
-        })
-        .collect();
-    let pool = Pool::builder(P)
-        .barrier(BarrierKind::Spin)
-        .adaptive_spin(true)
-        .build();
-    let adaptive_best_ns = best_of(&pool);
-    AdaptiveSor {
-        static_budgets,
-        static_best_ns,
-        adaptive_best_ns,
-        final_budget: pool.current_spin_budget(),
-    }
-}
-
 /// Runs the full grid. `quick` shrinks sizes for smoke tests/CI.
 pub fn run(quick: bool) -> KernelBenchResult {
     let sizes = Sizes::of(quick);
     let mut samples = Vec::new();
     let mut metrics = MetricsSnapshot::empty(P);
     let mut pin_ok = false;
-    for (barrier, kind) in [
-        ("condvar", BarrierKind::Condvar),
-        ("spin", BarrierKind::Spin),
-        ("futex", BarrierKind::Futex),
-    ] {
-        for pinned in [false, true] {
-            // One pool per (barrier, pinned) config, reused across every
-            // policy and kernel — exactly how an application would hold it.
-            // Perf events are requested on every pool; where the kernel
-            // refuses them the run degrades to counters-only.
-            let pool = Pool::builder(P)
-                .barrier(kind)
-                .pin_cores(pinned)
-                .perf_events(true)
-                .build();
-            if pinned {
-                pin_ok |= pool.pinned_workers() == P;
-            }
-            for policy in policies() {
-                for kernel in KERNELS {
-                    let mut total_ns = 0u64;
-                    let mut best_ns = u64::MAX;
-                    let mut phases = 0u64;
-                    let mut iters = 0u64;
-                    for _ in 0..sizes.reps {
-                        let (ph, it, ns) = run_kernel(kernel, &pool, &policy, &sizes);
-                        phases = ph;
-                        iters = it;
-                        total_ns += ns;
-                        best_ns = best_ns.min(ns);
-                    }
-                    samples.push(KernelSample {
-                        kernel,
-                        policy: policy.name(),
-                        barrier,
-                        pinned,
-                        p: P,
-                        phases,
-                        iters,
-                        reps: sizes.reps,
-                        total_ns,
-                        best_ns,
-                    });
-                }
-            }
-            metrics.merge(&pool.metrics().snapshot());
+    for pinned in [false, true] {
+        // One pool per pinning config, reused across every policy and
+        // kernel — exactly how an application would hold it. Perf events
+        // are requested on every pool; where the kernel refuses them the
+        // run degrades to counters-only.
+        let pool = Pool::builder(P).pin_cores(pinned).perf_events(true).build();
+        if pinned {
+            pin_ok |= pool.pinned_workers() == P;
         }
+        for policy in policies() {
+            for kernel in KERNELS {
+                let mut total_ns = 0u64;
+                let mut best_ns = u64::MAX;
+                let mut phases = 0u64;
+                let mut iters = 0u64;
+                for _ in 0..sizes.reps {
+                    let (ph, it, ns) = run_kernel(kernel, &pool, &policy, &sizes);
+                    phases = ph;
+                    iters = it;
+                    total_ns += ns;
+                    best_ns = best_ns.min(ns);
+                }
+                samples.push(KernelSample {
+                    kernel,
+                    policy: policy.name(),
+                    pinned,
+                    p: P,
+                    phases,
+                    iters,
+                    reps: sizes.reps,
+                    total_ns,
+                    best_ns,
+                });
+            }
+        }
+        metrics.merge(&pool.metrics().snapshot());
     }
-    let barrier = crate::barrier::run(quick);
-    let adaptive = run_adaptive_sor(&sizes);
     KernelBenchResult {
         quick,
         p: P,
         sor_steps: sizes.sor_steps as u64,
         host: HostInfo::capture(pin_ok),
         samples,
-        barrier,
-        adaptive,
-        // Full runs gate the futex round-trip and the adaptive budget;
-        // quick smoke sizes are too small to make the comparison fair.
-        checked: !quick,
         metrics,
     }
 }
 
-/// Writes one Chrome trace per (barrier, pinned) config of a quick-scale
-/// AFS SOR run into `dir` (`kernels_sor_<barrier>_<pinned|unpinned>.json`).
-/// The condvar traces show the old barrier tails; the spin traces show
-/// them collapse — load two side by side in Perfetto. Returns the paths
+/// Writes one Chrome trace per pinning config of a quick-scale AFS SOR run
+/// into `dir` (`kernels_sor_<pinned|unpinned>.json`). Returns the paths
 /// written.
 pub fn capture_traces(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
     use afs_trace::{chrome_trace, TraceSink};
     use std::sync::Arc;
     let sizes = Sizes::of(true);
     let mut written = Vec::new();
-    for (barrier, kind) in [
-        ("condvar", BarrierKind::Condvar),
-        ("spin", BarrierKind::Spin),
-    ] {
-        for pinned in [false, true] {
-            let sink = Arc::new(TraceSink::new(P));
-            let pool = Pool::builder(P)
-                .barrier(kind)
-                .pin_cores(pinned)
-                .trace(Arc::clone(&sink))
-                .build();
-            let mut grid = SorGrid::new(sizes.sor_n);
-            apps::par_sor(
-                &pool,
-                &mut grid,
-                sizes.sor_steps,
-                &RuntimeScheduler::afs_k_equals_p(),
-            );
-            drop(pool);
-            let pin_tag = if pinned { "pinned" } else { "unpinned" };
-            let name = format!("kernels_sor_{barrier}_{pin_tag}");
-            let path = dir.join(format!("{name}.json"));
-            std::fs::write(&path, chrome_trace(&sink, &name))?;
-            written.push(path);
-        }
+    for pinned in [false, true] {
+        let sink = Arc::new(TraceSink::new(P));
+        let pool = Pool::builder(P)
+            .pin_cores(pinned)
+            .trace(Arc::clone(&sink))
+            .build();
+        let mut grid = SorGrid::new(sizes.sor_n);
+        apps::par_sor(
+            &pool,
+            &mut grid,
+            sizes.sor_steps,
+            &RuntimeScheduler::afs_k_equals_p(),
+        );
+        drop(pool);
+        let name = format!("kernels_sor_{}", if pinned { "pinned" } else { "unpinned" });
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, chrome_trace(&sink, &name))?;
+        written.push(path);
     }
     Ok(written)
 }
@@ -636,10 +390,9 @@ mod tests {
     use super::*;
 
     fn synthetic() -> KernelBenchResult {
-        let cell = |barrier: &'static str, pinned: bool, best_ns: u64| KernelSample {
+        let cell = |pinned: bool, best_ns: u64| KernelSample {
             kernel: "sor",
             policy: "AFS".into(),
-            barrier,
             pinned,
             p: 8,
             phases: 200,
@@ -647,22 +400,6 @@ mod tests {
             reps: 3,
             total_ns: best_ns * 3,
             best_ns,
-        };
-        let rt = |barrier: &'static str, p: usize, best_ns: u64| {
-            let mut hist = afs_metrics::HistogramSnapshot::default();
-            hist.counts[12] = 2;
-            hist.samples = 2;
-            hist.total_ns = best_ns * 2 + 100;
-            hist.max_ns = best_ns + 100;
-            crate::barrier::RoundtripSample {
-                barrier,
-                p,
-                rounds: 2,
-                phases: 64,
-                total_ns: (best_ns + 50) * 2 * 64,
-                best_ns,
-                hist,
-            }
         };
         KernelBenchResult {
             quick: true,
@@ -676,30 +413,7 @@ mod tests {
                 arch: "x86_64".into(),
                 pin_capable: true,
             },
-            samples: vec![
-                cell("condvar", false, 30_000_000),
-                cell("spin", false, 10_000_000),
-                cell("futex", false, 9_500_000),
-                cell("condvar", true, 27_000_000),
-                cell("spin", true, 9_000_000),
-                cell("futex", true, 8_800_000),
-            ],
-            barrier: crate::barrier::BarrierBenchResult {
-                quick: true,
-                p_values: vec![2],
-                samples: vec![
-                    rt("condvar", 2, 9_000),
-                    rt("spin", 2, 1_100),
-                    rt("futex", 2, 1_200),
-                ],
-            },
-            adaptive: AdaptiveSor {
-                static_budgets: vec![64, 4_096, 65_536],
-                static_best_ns: vec![12_000_000, 10_000_000, 11_000_000],
-                adaptive_best_ns: 10_500_000,
-                final_budget: 2_048,
-            },
-            checked: false,
+            samples: vec![cell(false, 10_000_000), cell(true, 9_000_000)],
             metrics: MetricsSnapshot::empty(8),
         }
     }
@@ -707,10 +421,8 @@ mod tests {
     #[test]
     fn speedups_are_ratios_of_best_reps() {
         let r = synthetic();
-        assert!((r.spin_speedup("sor", "AFS", false).unwrap() - 3.0).abs() < 1e-9);
-        assert!((r.pin_speedup("sor", "AFS", "spin").unwrap() - 10.0 / 9.0).abs() < 1e-9);
-        assert!((r.headline().unwrap() - 3.0).abs() < 1e-9);
-        assert_eq!(r.spin_speedup("gauss", "AFS", false), None);
+        assert!((r.pin_speedup("sor", "AFS").unwrap() - 10.0 / 9.0).abs() < 1e-9);
+        assert_eq!(r.pin_speedup("gauss", "AFS"), None);
     }
 
     #[test]
@@ -730,64 +442,27 @@ mod tests {
         );
         assert_eq!(v.get("p").and_then(|p| p.as_f64()), Some(8.0));
         let samples = v.get("samples").and_then(|s| s.as_array()).unwrap();
-        assert_eq!(samples.len(), 6);
+        assert_eq!(samples.len(), 2);
         assert_eq!(
-            samples[0].get("barrier").and_then(|b| b.as_str()),
-            Some("condvar")
+            samples[1].get("pinned").and_then(|b| b.as_bool()),
+            Some(true)
         );
-        let sp = v
-            .get("spin_speedup_condvar_over_spin")
+        let pin = v
+            .get("pin_speedup_unpinned_over_pinned")
             .and_then(|s| s.as_array())
             .unwrap();
-        assert_eq!(sp[0].get("speedup").and_then(|s| s.as_f64()), Some(3.0));
-        assert!(v.get("headline_sor_afs_spin_over_condvar").is_some());
-        assert!(v.get("pin_speedup_unpinned_over_pinned").is_some());
-        // Version-2 additions: round-trip rows, the comparison, the
-        // ablation and the checked flag.
-        let rt = v.get("barrier_samples").and_then(|s| s.as_array()).unwrap();
-        assert_eq!(rt.len(), 3);
-        let fvc = v
-            .get("futex_vs_condvar")
-            .and_then(|s| s.as_array())
-            .unwrap();
-        assert_eq!(fvc[0].get("ok").and_then(|o| o.as_bool()), Some(true));
-        let a = v.get("adaptive_sor").expect("adaptive block");
-        assert_eq!(a.get("within_10pct").and_then(|w| w.as_bool()), Some(true));
+        assert_eq!(pin[0].get("speedup").and_then(|s| s.as_f64()), Some(1.11));
         assert_eq!(
-            a.get("final_budget").and_then(|b| b.as_f64()),
-            Some(2_048.0)
+            crate::check::validate(&v),
+            Ok(crate::check::BenchKind::Kernels)
         );
-        assert_eq!(v.get("checked").and_then(|c| c.as_bool()), Some(false));
     }
 
     #[test]
-    fn envelope_gates_futex_and_adaptive_on_checked_runs() {
-        let mut r = synthetic();
-        assert!(r.ok(), "unchecked runs never fail the envelope");
-        r.checked = true;
-        assert!(r.ok(), "synthetic numbers satisfy both gates");
-        // Futex losing the round-trip fails a checked run.
-        r.barrier
-            .samples
-            .iter_mut()
-            .find(|s| s.barrier == "futex")
-            .unwrap()
-            .best_ns = 50_000;
-        assert!(!r.ok());
-        // So does an adaptive budget outside the 10% envelope.
-        let mut r = synthetic();
-        r.checked = true;
-        r.adaptive.adaptive_best_ns = 12_000_000;
-        assert!(!r.adaptive.within_10pct());
-        assert!(!r.ok());
-    }
-
-    #[test]
-    fn render_shows_grid_and_headline() {
+    fn render_shows_grid_and_pin_delta() {
         let text = synthetic().render();
         assert!(text.contains("sor"));
-        assert!(text.contains("condvar ms"));
-        assert!(text.contains("spin×"));
-        assert!(text.contains("headline"));
+        assert!(text.contains("pinned ms"));
+        assert!(text.contains("1.11"));
     }
 }

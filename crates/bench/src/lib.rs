@@ -8,7 +8,6 @@
 
 pub mod ablations;
 pub mod adaptive;
-pub mod barrier;
 pub mod chaos;
 pub mod check;
 pub mod experiments;

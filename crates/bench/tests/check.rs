@@ -1,5 +1,5 @@
 //! The bench regression gate against the *committed* trajectory files:
-//! `repro --check-bench` must accept both BENCH documents as they exist in
+//! `repro --check-bench` must accept every BENCH document as it exists in
 //! the repository, reject synthetic corruption, and catch planted
 //! regressions against a baseline.
 
@@ -18,14 +18,21 @@ fn committed(name: &str) -> Value {
 
 #[test]
 fn committed_bench_files_validate() {
-    assert_eq!(
-        validate(&committed("BENCH_grabs.json")),
-        Ok(BenchKind::Grabs)
-    );
-    assert_eq!(
-        validate(&committed("BENCH_kernels.json")),
-        Ok(BenchKind::Kernels)
-    );
+    for (name, kind) in [
+        ("BENCH_grabs.json", BenchKind::Grabs),
+        ("BENCH_kernels.json", BenchKind::Kernels),
+        ("BENCH_faults.json", BenchKind::Faults),
+        ("BENCH_serve.json", BenchKind::Serve),
+        ("BENCH_adaptive.json", BenchKind::Adaptive),
+        ("BENCH_chaos.json", BenchKind::Chaos),
+    ] {
+        let doc = committed(name);
+        assert_eq!(validate(&doc), Ok(kind), "{name}");
+        assert!(
+            matches!(doc.get("quick"), Some(Value::Bool(false))),
+            "{name} must be a full-size run"
+        );
+    }
 }
 
 #[test]

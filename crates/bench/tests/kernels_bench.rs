@@ -1,53 +1,38 @@
 //! Smoke test for the end-to-end kernel benchmark: a quick run measures
-//! every (kernel, policy, barrier, pinned) cell and emits parseable JSON
-//! with the per-policy deltas the acceptance criteria call for.
+//! every (kernel, policy, pinned) cell and emits parseable JSON with the
+//! per-policy pinning deltas.
 
 use afs_bench::kernels;
 
 #[test]
 fn quick_bench_measures_every_cell_and_emits_valid_json() {
     let result = kernels::run(true);
-    // 5 policies × 3 kernels × 2 barriers × 2 pinning states.
-    assert_eq!(
-        result.samples.len(),
-        5 * kernels::KERNELS.len() * kernels::BARRIERS.len() * 2
-    );
+    // 5 policies × 3 kernels × 2 pinning states.
+    assert_eq!(result.samples.len(), 5 * kernels::KERNELS.len() * 2);
     for s in &result.samples {
         assert!(s.p == kernels::P);
         assert!(
             s.iters > 0 && s.phases > 0,
-            "{}/{}/{} measured nothing",
+            "{}/{} measured nothing",
             s.kernel,
-            s.policy,
-            s.barrier
+            s.policy
         );
         assert!(
             s.best_ns > 0 && s.total_ns >= s.best_ns,
-            "{}/{}/{} took zero time",
+            "{}/{} took zero time",
             s.kernel,
-            s.policy,
-            s.barrier
+            s.policy
         );
     }
-    // Every (kernel, policy) row has both barrier deltas and both pinning
-    // deltas — the per-policy reporting the acceptance criteria require.
+    // Every (kernel, policy) row has its pinning delta.
     for kernel in kernels::KERNELS {
         for policy in ["AFS", "AFS(ga=8)", "GSS", "SS", "STATIC"] {
-            for pinned in [false, true] {
-                assert!(
-                    result.spin_speedup(kernel, policy, pinned).is_some(),
-                    "{kernel}/{policy} pinned={pinned} missing spin delta"
-                );
-            }
-            for barrier in kernels::BARRIERS {
-                assert!(
-                    result.pin_speedup(kernel, policy, barrier).is_some(),
-                    "{kernel}/{policy}/{barrier} missing pin delta"
-                );
-            }
+            assert!(
+                result.pin_speedup(kernel, policy).is_some(),
+                "{kernel}/{policy} missing pin delta"
+            );
         }
     }
-    assert!(result.headline().is_some(), "headline cell missing");
 
     let json = result.to_json();
     let v = afs_trace::json::parse(&json).expect("BENCH_kernels.json must be valid JSON");
@@ -61,16 +46,10 @@ fn quick_bench_measures_every_cell_and_emits_valid_json() {
         .and_then(|s| s.as_array())
         .expect("samples array");
     assert_eq!(samples.len(), result.samples.len());
-    for key in [
-        "spin_speedup_condvar_over_spin",
-        "pin_speedup_unpinned_over_pinned",
-    ] {
-        assert!(
-            v.get(key)
-                .and_then(|s| s.as_array())
-                .is_some_and(|a| !a.is_empty()),
-            "{key} missing"
-        );
-    }
-    assert!(v.get("headline_sor_afs_spin_over_condvar").is_some());
+    assert!(
+        v.get("pin_speedup_unpinned_over_pinned")
+            .and_then(|s| s.as_array())
+            .is_some_and(|a| !a.is_empty()),
+        "pin_speedup_unpinned_over_pinned missing"
+    );
 }

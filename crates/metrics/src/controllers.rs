@@ -1,12 +1,11 @@
 //! Controller-state snapshots: what the runtime's self-tuning loops decided.
 //!
-//! Two controllers close feedback loops over this crate's counters: the
-//! adaptive *scheduling* controller (re-tunes the AFS subdivision `k` and
-//! grab-ahead `b` at phase boundaries) and the adaptive *spin* controller
-//! (re-tunes the barrier spin budget). Both already act on the counters;
-//! this module makes their decisions observable through the same snapshot
-//! path, so a run can be audited after the fact: which parameters were in
-//! force, and how many times the controller moved them.
+//! The adaptive *scheduling* controller closes a feedback loop over this
+//! crate's counters: it re-tunes the AFS subdivision `k` and grab-ahead
+//! `b` at phase boundaries. This module makes its decisions observable
+//! through the same snapshot path, so a run can be audited after the fact:
+//! which parameters were in force, and how many times the controller moved
+//! them.
 //!
 //! State is instantaneous (the registry holds the latest write), so merging
 //! two snapshots keeps the most recent opinion rather than summing.
@@ -26,46 +25,24 @@ pub struct SchedControllerSnapshot {
     pub settled: bool,
 }
 
-/// Latest state of the adaptive spin controller
-/// (`afs_runtime::spin::SpinController`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpinControllerSnapshot {
-    /// Barrier spin budget (iterations before yielding) currently in force.
-    pub budget: u64,
-    /// Times the controller halved the budget (parking dominated).
-    pub halves: u64,
-    /// Times the controller doubled the budget (yielding dominated).
-    pub doubles: u64,
-}
-
 /// Controller state attached to a [`crate::MetricsSnapshot`]. Each block is
 /// present only when the corresponding controller is active for the pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ControllersSnapshot {
     /// Adaptive scheduling controller state, when `Policy::adaptive` runs.
     pub sched: Option<SchedControllerSnapshot>,
-    /// Adaptive spin controller state, when adaptive spin is enabled.
-    pub spin: Option<SpinControllerSnapshot>,
 }
 
 impl ControllersSnapshot {
-    /// Whether neither controller has reported state.
-    pub fn is_empty(&self) -> bool {
-        self.sched.is_none() && self.spin.is_none()
-    }
-
     /// Merges `other` into `self`: controller state is instantaneous, so
     /// the other snapshot's opinion wins wherever it has one.
     pub fn merge(&mut self, other: &ControllersSnapshot) {
         if other.sched.is_some() {
             self.sched = other.sched;
         }
-        if other.spin.is_some() {
-            self.spin = other.spin;
-        }
     }
 
-    /// JSON object body (`{"sched": {...}|null, "spin": {...}|null}`).
+    /// JSON object body (`{"sched": {...}|null}`).
     pub fn to_json(&self) -> String {
         let sched = match &self.sched {
             Some(s) => format!(
@@ -74,14 +51,7 @@ impl ControllersSnapshot {
             ),
             None => "null".to_string(),
         };
-        let spin = match &self.spin {
-            Some(s) => format!(
-                "{{\"budget\": {}, \"halves\": {}, \"doubles\": {}}}",
-                s.budget, s.halves, s.doubles
-            ),
-            None => "null".to_string(),
-        };
-        format!("{{\"sched\": {sched}, \"spin\": {spin}}}")
+        format!("{{\"sched\": {sched}}}")
     }
 
     /// Prometheus exposition lines for whichever controllers are present.
@@ -109,23 +79,6 @@ impl ControllersSnapshot {
             );
             out.push_str(&format!("afs_sched_tune_settled {}\n", u8::from(s.settled)));
         }
-        if let Some(s) = &self.spin {
-            out.push_str(
-                "# HELP afs_spin_budget Barrier spin budget currently in force.\n\
-                 # TYPE afs_spin_budget gauge\n",
-            );
-            out.push_str(&format!("afs_spin_budget {}\n", s.budget));
-            out.push_str(
-                "# HELP afs_spin_halve_decisions_total Times the spin controller halved the budget.\n\
-                 # TYPE afs_spin_halve_decisions_total counter\n",
-            );
-            out.push_str(&format!("afs_spin_halve_decisions_total {}\n", s.halves));
-            out.push_str(
-                "# HELP afs_spin_double_decisions_total Times the spin controller doubled the budget.\n\
-                 # TYPE afs_spin_double_decisions_total counter\n",
-            );
-            out.push_str(&format!("afs_spin_double_decisions_total {}\n", s.doubles));
-        }
         out
     }
 }
@@ -137,8 +90,7 @@ mod tests {
     #[test]
     fn empty_block_serializes_to_nulls() {
         let c = ControllersSnapshot::default();
-        assert!(c.is_empty());
-        assert_eq!(c.to_json(), "{\"sched\": null, \"spin\": null}");
+        assert_eq!(c.to_json(), "{\"sched\": null}");
         assert_eq!(c.to_prometheus(), "");
     }
 
@@ -151,26 +103,17 @@ mod tests {
                 decisions: 3,
                 settled: true,
             }),
-            spin: Some(SpinControllerSnapshot {
-                budget: 2048,
-                halves: 1,
-                doubles: 4,
-            }),
         };
         let j = c.to_json();
         assert!(j.contains("\"k\": 8"));
         assert!(j.contains("\"b\": 2"));
         assert!(j.contains("\"decisions\": 3"));
         assert!(j.contains("\"settled\": true"));
-        assert!(j.contains("\"budget\": 2048"));
         let p = c.to_prometheus();
         assert!(p.contains("afs_sched_tune_k 8"));
         assert!(p.contains("afs_sched_tune_b 2"));
         assert!(p.contains("afs_sched_tune_decisions_total 3"));
         assert!(p.contains("afs_sched_tune_settled 1"));
-        assert!(p.contains("afs_spin_budget 2048"));
-        assert!(p.contains("afs_spin_halve_decisions_total 1"));
-        assert!(p.contains("afs_spin_double_decisions_total 4"));
     }
 
     #[test]
@@ -182,7 +125,6 @@ mod tests {
                 decisions: 1,
                 settled: false,
             }),
-            spin: None,
         };
         let b = ControllersSnapshot {
             sched: Some(SchedControllerSnapshot {
@@ -191,15 +133,9 @@ mod tests {
                 decisions: 2,
                 settled: true,
             }),
-            spin: Some(SpinControllerSnapshot {
-                budget: 512,
-                halves: 2,
-                doubles: 0,
-            }),
         };
         a.merge(&b);
         assert_eq!(a.sched.unwrap().k, 8);
-        assert_eq!(a.spin.unwrap().budget, 512);
         // Merging an empty block changes nothing.
         a.merge(&ControllersSnapshot::default());
         assert_eq!(a.sched.unwrap().k, 8);

@@ -58,12 +58,6 @@ pub struct WorkerCounters {
     barrier_park: AtomicU64,
     /// Arrivals as the last worker: ran the barrier's turn closure.
     barrier_turns: AtomicU64,
-    /// `FUTEX_WAIT` syscalls issued while parked at a barrier (futex
-    /// parking only; each spurious wakeup re-waits and counts again).
-    barrier_futex_wait: AtomicU64,
-    /// `FUTEX_WAKE` syscalls this worker issued (releasing a barrier
-    /// generation, or waking a parked coordinator from the ack side).
-    futex_wake: AtomicU64,
     /// Liveness heartbeats: bumped on every grab attempt. The stall
     /// watchdog compares successive readings — a worker whose heartbeat is
     /// frozen while it is not waiting at a rendezvous is stalled.
@@ -173,18 +167,6 @@ impl WorkerCounters {
         bump(&self.barrier_turns, 1);
     }
 
-    /// Records one `FUTEX_WAIT` syscall issued while parked at a barrier.
-    #[inline]
-    pub fn record_futex_wait(&self) {
-        bump(&self.barrier_futex_wait, 1);
-    }
-
-    /// Records one `FUTEX_WAKE` syscall issued by this worker.
-    #[inline]
-    pub fn record_futex_wake(&self) {
-        bump(&self.futex_wake, 1);
-    }
-
     /// Reads the current values (exact at quiescent points; may be
     /// mid-bump stale during a run).
     pub fn get(&self) -> CounterSnapshot {
@@ -202,8 +184,6 @@ impl WorkerCounters {
             barrier_yield: r(&self.barrier_yield),
             barrier_park: r(&self.barrier_park),
             barrier_turns: r(&self.barrier_turns),
-            barrier_futex_wait: r(&self.barrier_futex_wait),
-            futex_wake: r(&self.futex_wake),
             heartbeats: r(&self.heartbeats),
         }
     }
@@ -236,10 +216,6 @@ pub struct CounterSnapshot {
     pub barrier_park: u64,
     /// Arrivals that ran the turn closure.
     pub barrier_turns: u64,
-    /// `FUTEX_WAIT` syscalls issued while parked at a barrier.
-    pub barrier_futex_wait: u64,
-    /// `FUTEX_WAKE` syscalls issued by this worker.
-    pub futex_wake: u64,
     /// Liveness heartbeats (grab attempts).
     pub heartbeats: u64,
 }
@@ -264,8 +240,6 @@ impl CounterSnapshot {
         self.barrier_yield += other.barrier_yield;
         self.barrier_park += other.barrier_park;
         self.barrier_turns += other.barrier_turns;
-        self.barrier_futex_wait += other.barrier_futex_wait;
-        self.futex_wake += other.futex_wake;
         self.heartbeats += other.heartbeats;
     }
 
@@ -285,10 +259,6 @@ impl CounterSnapshot {
             barrier_yield: self.barrier_yield.saturating_sub(other.barrier_yield),
             barrier_park: self.barrier_park.saturating_sub(other.barrier_park),
             barrier_turns: self.barrier_turns.saturating_sub(other.barrier_turns),
-            barrier_futex_wait: self
-                .barrier_futex_wait
-                .saturating_sub(other.barrier_futex_wait),
-            futex_wake: self.futex_wake.saturating_sub(other.futex_wake),
             heartbeats: self.heartbeats.saturating_sub(other.heartbeats),
         }
     }
@@ -302,30 +272,7 @@ mod tests {
     fn counters_fit_one_padding_unit() {
         // The whole per-worker block must fit in one 128-byte CachePadded
         // slot, or two workers' counters would share a line after all.
-        // With the futex counters the 16 u64 fields fill it exactly: the
-        // block is FULL — a new counter needs an existing one retired.
         assert!(std::mem::size_of::<WorkerCounters>() <= 128);
-    }
-
-    #[test]
-    fn futex_counters_record_and_delta() {
-        let c = WorkerCounters::new();
-        c.record_futex_wait();
-        c.record_futex_wait();
-        c.record_futex_wake();
-        let s = c.get();
-        assert_eq!(s.barrier_futex_wait, 2);
-        assert_eq!(s.futex_wake, 1);
-        // Futex waits are syscall counts, not arrivals.
-        assert_eq!(s.barrier_arrives, 0);
-        let before = s;
-        c.record_futex_wake();
-        let d = c.get().minus(&before);
-        assert_eq!(d.futex_wake, 1);
-        assert_eq!(d.barrier_futex_wait, 0);
-        let mut sum = before;
-        sum.add(&d);
-        assert_eq!(sum, c.get());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod registry;
 pub mod serve;
 pub mod snapshot;
 
-pub use controllers::{ControllersSnapshot, SchedControllerSnapshot, SpinControllerSnapshot};
+pub use controllers::{ControllersSnapshot, SchedControllerSnapshot};
 pub use counters::{CounterSnapshot, WaitOutcome, WorkerCounters};
 pub use histogram::{AtomicHistogram, HistogramSnapshot, BUCKETS};
 pub use host::HostInfo;

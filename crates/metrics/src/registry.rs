@@ -5,7 +5,7 @@
 //! everything shared (histograms) is recorded at phase granularity, not per
 //! grab, so the whole layer stays within the "always-on" overhead budget.
 
-use crate::controllers::{ControllersSnapshot, SchedControllerSnapshot, SpinControllerSnapshot};
+use crate::controllers::{ControllersSnapshot, SchedControllerSnapshot};
 use crate::counters::WorkerCounters;
 use crate::histogram::AtomicHistogram;
 use crate::pad::CachePadded;
@@ -81,11 +81,6 @@ pub struct MetricsRegistry {
     sched_b: AtomicU64,
     sched_decisions: AtomicU64,
     sched_settled: AtomicBool,
-    /// Latest adaptive spin-budget controller state, same discipline.
-    spin_present: AtomicBool,
-    spin_budget: AtomicU64,
-    spin_halves: AtomicU64,
-    spin_doubles: AtomicU64,
 }
 
 impl MetricsRegistry {
@@ -109,10 +104,6 @@ impl MetricsRegistry {
             sched_b: AtomicU64::new(0),
             sched_decisions: AtomicU64::new(0),
             sched_settled: AtomicBool::new(false),
-            spin_present: AtomicBool::new(false),
-            spin_budget: AtomicU64::new(0),
-            spin_halves: AtomicU64::new(0),
-            spin_doubles: AtomicU64::new(0),
         }
     }
 
@@ -281,27 +272,6 @@ impl MetricsRegistry {
             })
     }
 
-    /// Records the adaptive spin controller's latest state: the barrier
-    /// spin budget in force and its cumulative halve/double decisions.
-    pub fn record_spin_controller(&self, budget: u64, halves: u64, doubles: u64) {
-        self.spin_budget.store(budget, Ordering::Relaxed);
-        self.spin_halves.store(halves, Ordering::Relaxed);
-        self.spin_doubles.store(doubles, Ordering::Relaxed);
-        self.spin_present.store(true, Ordering::Release);
-    }
-
-    /// The adaptive spin controller's latest state, if it has ever
-    /// reported one.
-    pub fn spin_controller(&self) -> Option<SpinControllerSnapshot> {
-        self.spin_present
-            .load(Ordering::Acquire)
-            .then(|| SpinControllerSnapshot {
-                budget: self.spin_budget.load(Ordering::Relaxed),
-                halves: self.spin_halves.load(Ordering::Relaxed),
-                doubles: self.spin_doubles.load(Ordering::Relaxed),
-            })
-    }
-
     /// Aggregates everything into a plain-value [`MetricsSnapshot`]. Exact
     /// at quiescent points (between loops); mid-run it may be slightly
     /// stale, never torn per counter.
@@ -329,13 +299,9 @@ impl MetricsRegistry {
             deadline_misses: self.deadline_misses(),
             effective_workers: self.effective_workers(),
             serve: None,
-            controllers: {
-                let c = ControllersSnapshot {
-                    sched: self.sched_controller(),
-                    spin: self.spin_controller(),
-                };
-                (!c.is_empty()).then_some(c)
-            },
+            controllers: self
+                .sched_controller()
+                .map(|sched| ControllersSnapshot { sched: Some(sched) }),
         }
     }
 }
@@ -412,7 +378,6 @@ mod tests {
     fn controller_state_is_absent_until_recorded() {
         let reg = MetricsRegistry::new(2);
         assert_eq!(reg.sched_controller(), None);
-        assert_eq!(reg.spin_controller(), None);
         assert_eq!(reg.snapshot().controllers, None);
         reg.record_sched_tune(8, 2, 3, true);
         let sched = reg.sched_controller().unwrap();
@@ -420,12 +385,8 @@ mod tests {
             (sched.k, sched.b, sched.decisions, sched.settled),
             (8, 2, 3, true)
         );
-        reg.record_spin_controller(1024, 1, 2);
-        let spin = reg.spin_controller().unwrap();
-        assert_eq!((spin.budget, spin.halves, spin.doubles), (1024, 1, 2));
         let c = reg.snapshot().controllers.unwrap();
         assert_eq!(c.sched, Some(sched));
-        assert_eq!(c.spin, Some(spin));
         // Latest write wins.
         reg.record_sched_tune(4, 1, 4, false);
         assert_eq!(reg.sched_controller().unwrap().k, 4);

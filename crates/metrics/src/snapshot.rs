@@ -33,16 +33,18 @@ use crate::serve::ServeSnapshot;
 /// `deadline_misses` and `effective_workers`. Version 3 added per-worker
 /// `stalls` attribution and the optional `serve` block (per-tenant request
 /// accounting and latency quantiles from the serving frontend). Version 4
-/// added the futex syscall counters (`barrier_futex_wait`, `futex_wake`)
-/// and per-worker placement (`pinned_core`, `numa_node`). Version 5 added
-/// the optional `controllers` block (adaptive scheduling and spin
-/// controller state). Version 6 is the live-observability release: one
+/// added per-worker placement (`pinned_core`, `numa_node`). Version 5 added
+/// the optional `controllers` block (adaptive scheduling controller
+/// state). Version 6 is the live-observability release: one
 /// shared constant across all writers, flight-recorder dump documents, and
 /// the `/snapshot.json` / `/healthz` / `/tune` telemetry routes. Version 7
 /// is the robustness release: serve outcome accounting (`timed_out`,
 /// `failed`, `expired`), the deadline/SLO shed reasons
 /// (`deadline_hopeless`, `slo_budget`), and `supervisor_restarts`.
-pub const METRICS_SCHEMA_VERSION: u64 = 7;
+/// Version 8 removed what only the deleted rendezvous twins wrote: the
+/// futex syscall counters, the `controllers.spin` block, the flight
+/// recorder's `spin_budget`, and the kernels bench's `barrier` axis.
+pub const METRICS_SCHEMA_VERSION: u64 = 8;
 
 /// One worker's slice of a snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -374,17 +376,6 @@ impl MetricsSnapshot {
             }
         }
 
-        out.push_str("# HELP afs_futex_syscalls_total futex(2) syscalls issued by workers.\n");
-        out.push_str("# TYPE afs_futex_syscalls_total counter\n");
-        for (w, ws) in self.workers.iter().enumerate() {
-            let c = &ws.counters;
-            for (op, v) in [("wait", c.barrier_futex_wait), ("wake", c.futex_wake)] {
-                out.push_str(&format!(
-                    "afs_futex_syscalls_total{{worker=\"{w}\",op=\"{op}\"}} {v}\n"
-                ));
-            }
-        }
-
         for (name, help, get) in [
             (
                 "afs_perf_llc_misses_total",
@@ -535,8 +526,7 @@ fn counters_json(c: &CounterSnapshot) -> String {
         "{{\"local_grabs\": {}, \"remote_grabs\": {}, \"central_grabs\": {}, \
          \"free_grabs\": {}, \"iters\": {}, \"cas_retries\": {}, \"stash_hits\": {}, \
          \"barrier_arrives\": {}, \"barrier_spin\": {}, \"barrier_yield\": {}, \
-         \"barrier_park\": {}, \"barrier_turns\": {}, \"barrier_futex_wait\": {}, \
-         \"futex_wake\": {}, \"heartbeats\": {}}}",
+         \"barrier_park\": {}, \"barrier_turns\": {}, \"heartbeats\": {}}}",
         c.local_grabs,
         c.remote_grabs,
         c.central_grabs,
@@ -549,8 +539,6 @@ fn counters_json(c: &CounterSnapshot) -> String {
         c.barrier_yield,
         c.barrier_park,
         c.barrier_turns,
-        c.barrier_futex_wait,
-        c.futex_wake,
         c.heartbeats
     )
 }
@@ -640,8 +628,6 @@ mod tests {
         assert!(j.contains("\"serve\": null"));
         assert!(j.contains("\"controllers\": null"));
         assert!(j.contains("\"stalls\": 0"));
-        assert!(j.contains("\"barrier_futex_wait\": 0"));
-        assert!(j.contains("\"futex_wake\": 0"));
         assert!(j.contains("\"pinned_core\": null"));
         assert!(j.contains("\"numa_node\": null"));
         assert!(j.contains("\"affinity_hit_ratio\": 0.888889"));
@@ -665,8 +651,6 @@ mod tests {
         assert!(p.contains("afs_grabs_total{worker=\"0\",kind=\"local\"} 30"));
         assert!(p.contains("afs_grabs_total{worker=\"1\",kind=\"local\"} 50"));
         assert!(p.contains("afs_barrier_waits_total{worker=\"1\",outcome=\"spin\"} 3"));
-        assert!(p.contains("afs_futex_syscalls_total{worker=\"0\",op=\"wait\"} 0"));
-        assert!(p.contains("afs_futex_syscalls_total{worker=\"0\",op=\"wake\"} 0"));
         assert!(p.contains("afs_perf_llc_misses_total{worker=\"0\"} 1234"));
         assert!(
             !p.contains("afs_perf_dtlb_misses_total"),
@@ -729,9 +713,7 @@ mod tests {
 
     #[test]
     fn controllers_block_round_trips_through_exports() {
-        use crate::controllers::{
-            ControllersSnapshot, SchedControllerSnapshot, SpinControllerSnapshot,
-        };
+        use crate::controllers::{ControllersSnapshot, SchedControllerSnapshot};
         let mut s = sample_snapshot();
         s.controllers = Some(ControllersSnapshot {
             sched: Some(SchedControllerSnapshot {
@@ -740,20 +722,13 @@ mod tests {
                 decisions: 5,
                 settled: true,
             }),
-            spin: Some(SpinControllerSnapshot {
-                budget: 4096,
-                halves: 0,
-                doubles: 2,
-            }),
         });
         let j = s.to_json();
         assert!(j.contains("\"controllers\": {\"sched\": {\"k\": 8, \"b\": 2"));
-        assert!(j.contains("\"spin\": {\"budget\": 4096"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         let p = s.to_prometheus();
         assert!(p.contains("afs_sched_tune_k 8"));
         assert!(p.contains("afs_sched_tune_settled 1"));
-        assert!(p.contains("afs_spin_budget 4096"));
         // Merging keeps the newest controller opinion.
         let mut m = MetricsSnapshot::empty(2);
         m.merge(&s);
@@ -761,7 +736,6 @@ mod tests {
         // The plain snapshot omits the families entirely.
         let plain = MetricsSnapshot::empty(1).to_prometheus();
         assert!(!plain.contains("afs_sched_tune_k"));
-        assert!(!plain.contains("afs_spin_budget"));
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! CAS-retry rate, steal volume, barrier park fraction, per-worker
 //! iteration imbalance — and re-tunes the *next* phase's k and b.
 //!
-//! The controller follows the same discipline as [`crate::spin::SpinController`]:
-//! its state is a set of integer EWMAs over per-mille rates plus the last
-//! observed counter totals, and [`AdaptController::observe`] is a pure
+//! The controller's state is a set of integer EWMAs over per-mille rates
+//! plus the last observed counter totals, and [`AdaptController::observe`] is a pure
 //! integer function of those — no floats, no wall-clock, no randomness —
 //! so identical observation sequences always produce identical decision
 //! sequences (asserted by tests).
@@ -318,9 +317,8 @@ impl AdaptController {
             return self.unchanged();
         }
 
-        // Per-mille rates for this phase, then integer EWMA with α = 1/4
-        // (the SpinController discipline). The first informative phase
-        // seeds the EWMAs directly.
+        // Per-mille rates for this phase, then integer EWMA with α = 1/4.
+        // The first informative phase seeds the EWMAs directly.
         let steal_pm = (d_remote * 1000)
             .checked_div(d_grabs)
             .unwrap_or(g.steal_ewma_pm);

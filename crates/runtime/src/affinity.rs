@@ -37,6 +37,9 @@ pub fn pin_current_to(cpu: usize) -> bool {
     let mut mask = [0u64; MASK_WORDS];
     let bit = (cpu % core_count()) % (MASK_WORDS * 64);
     mask[bit / 64] |= 1 << (bit % 64);
+    // SAFETY: `mask` is a live, initialized buffer of exactly the byte
+    // length passed; the kernel only reads it, and `pid == 0` cannot name
+    // another process.
     unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) == 0 }
 }
 

@@ -18,50 +18,18 @@
 //! reuse hazard even if a released waiter races far ahead.
 //!
 //! Waiting is the same ladder the pool uses: spin a configurable budget,
-//! `yield_now` a second budget, then park. Two parking protocols exist:
-//!
-//! * **Eventcount** (default, portable) — a waiter registers in `sleepers`
-//!   *before* its final sense re-check, the releaser stores the sense
-//!   *before* loading `sleepers` (all `SeqCst`) — so in the single total
-//!   order either the releaser sees the sleeper and notifies under the
-//!   lock, or the sleeper's re-check sees the new sense; a wakeup cannot
-//!   be lost.
-//! * **Futex** ([`SenseBarrier::futex_park`], Linux) — waiters sleep in
-//!   `futex(2)` directly on the generation word itself: no mutex, no
-//!   sleeper registry, one fewer cache line per arrive/release. The
-//!   kernel atomically compares the word against the waiter's expected
-//!   value before sleeping, so the lost-wakeup window the eventcount
-//!   closes in user space is closed in the kernel instead; the releaser
-//!   pays one unconditional `FUTEX_WAKE` per generation (a no-waiter wake
-//!   is a fast kernel path). Unsupported targets silently keep the
-//!   eventcount — callers never branch.
+//! `yield_now` a second budget, then park on an eventcount: a waiter
+//! registers in `sleepers` *before* its final sense re-check, the releaser
+//! stores the sense *before* loading `sleepers` (all `SeqCst`) — so in the
+//! single total order either the releaser sees the sleeper and notifies
+//! under the lock, or the sleeper's re-check sees the new sense; a wakeup
+//! cannot be lost.
 
-use crate::futex;
 use crate::inject::YieldInject;
 use afs_metrics::{MetricsRegistry, WaitOutcome};
 use afs_trace::{EventKind, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// `BarrierPark` kind tag: the pool coordinator's condvar rendezvous.
-pub(crate) const PARK_KIND_CONDVAR: u32 = 0;
-/// `BarrierPark` kind tag: the portable eventcount protocol.
-pub(crate) const PARK_KIND_EVENTCOUNT: u32 = 1;
-/// `BarrierPark` kind tag: a `futex(2)` wait on the generation word.
-pub(crate) const PARK_KIND_FUTEX: u32 = 2;
-
-/// How waiters that exhausted their spin/yield budgets go to sleep.
-enum Park {
-    /// Portable: sleeper count + mutex + condvar (see the module docs).
-    Eventcount {
-        /// Waiters parked (or committing to park) on `cv`.
-        sleepers: AtomicU64,
-        park: Mutex<()>,
-        cv: Condvar,
-    },
-    /// Linux: sleep in `futex(2)` on the generation word itself.
-    Futex,
-}
 
 /// A reusable phase barrier for a fixed party of `p` workers.
 ///
@@ -76,8 +44,10 @@ pub struct SenseBarrier {
     arrivals: AtomicU64,
     /// The last fully-arrived generation (the monotone "sense").
     sense: AtomicU64,
-    /// The parking protocol behind the spin/yield ladder.
-    park: Park,
+    /// Waiters parked (or committing to park) on `cv`.
+    sleepers: AtomicU64,
+    park: Mutex<()>,
+    cv: Condvar,
     spins: u32,
     yields: u32,
     inject: Option<YieldInject>,
@@ -85,7 +55,7 @@ pub struct SenseBarrier {
     /// when the caller identifies which worker is arriving.
     metrics: Option<Arc<MetricsRegistry>>,
     /// Trace lanes: identified arrivers that park record a
-    /// [`EventKind::BarrierPark`] tagged with the protocol in effect.
+    /// [`EventKind::BarrierPark`].
     trace: Option<Arc<TraceSink>>,
 }
 
@@ -98,34 +68,15 @@ impl SenseBarrier {
             p: p as u64,
             arrivals: AtomicU64::new(0),
             sense: AtomicU64::new(0),
-            park: Park::Eventcount {
-                sleepers: AtomicU64::new(0),
-                park: Mutex::new(()),
-                cv: Condvar::new(),
-            },
+            sleepers: AtomicU64::new(0),
+            park: Mutex::new(()),
+            cv: Condvar::new(),
             spins,
             yields,
             inject: None,
             metrics: None,
             trace: None,
         }
-    }
-
-    /// Switches parking to raw `futex(2)` waits on the generation word
-    /// itself (no mutex, no sleeper registry). On targets without a usable
-    /// futex this is a no-op and the eventcount is kept — the fallback the
-    /// rest of the runtime relies on.
-    pub fn futex_park(mut self) -> Self {
-        if futex::supported() {
-            self.park = Park::Futex;
-        }
-        self
-    }
-
-    /// Whether this barrier parks through `futex(2)` (false on unsupported
-    /// targets even after [`SenseBarrier::futex_park`]).
-    pub fn parks_with_futex(&self) -> bool {
-        matches!(self.park, Park::Futex)
     }
 
     /// Like [`SenseBarrier::new`], with deterministic yield injection at
@@ -144,8 +95,7 @@ impl SenseBarrier {
     }
 
     /// Attaches a trace sink; identified arrivals that escalate to a park
-    /// then record an [`EventKind::BarrierPark`] on the worker's lane,
-    /// tagged with the parking protocol in effect.
+    /// then record an [`EventKind::BarrierPark`] on the worker's lane.
     pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
         self.trace = Some(sink);
         self
@@ -154,9 +104,9 @@ impl SenseBarrier {
     /// Records the park commit on worker `worker`'s lane, when both a sink
     /// and a worker identity are present.
     #[inline]
-    fn note_park(&self, worker: Option<usize>, kind: u32) {
+    fn note_park(&self, worker: Option<usize>) {
         if let (Some(sink), Some(w)) = (&self.trace, worker) {
-            sink.record(w, EventKind::BarrierPark { kind });
+            sink.record(w, EventKind::BarrierPark);
         }
     }
 
@@ -209,19 +159,6 @@ impl SenseBarrier {
         }
     }
 
-    /// Records one worker-side futex syscall (wait or wake), when both a
-    /// registry and a worker identity are present.
-    #[inline]
-    fn note_futex(&self, worker: Option<usize>, wake: bool) {
-        if let (Some(m), Some(w)) = (&self.metrics, worker) {
-            if wake {
-                m.worker(w).record_futex_wake();
-            } else {
-                m.worker(w).record_futex_wait();
-            }
-        }
-    }
-
     fn arrive_inner(&self, gen: u64, turn: impl FnOnce(), worker: Option<usize>) {
         let arrived = self.arrivals.fetch_add(1, Ordering::SeqCst) + 1;
         self.inject_point();
@@ -233,25 +170,12 @@ impl SenseBarrier {
             turn();
             self.note_arrival(worker, None);
             self.sense.store(gen, Ordering::SeqCst);
-            match &self.park {
-                Park::Eventcount { sleepers, park, cv } => {
-                    // Eventcount publish side: the SeqCst sense store above
-                    // is ordered before this load, pairing with the
-                    // waiter's register-then-recheck.
-                    if sleepers.load(Ordering::SeqCst) > 0 {
-                        let _guard = lock(park);
-                        cv.notify_all();
-                    }
-                }
-                Park::Futex => {
-                    // No sleeper registry to consult: one unconditional
-                    // wake per generation. A wake with no waiters is a
-                    // fast kernel path (hash-bucket probe, no sleepers to
-                    // move); a wake racing a committing waiter is covered
-                    // by FUTEX_WAIT's in-kernel value check.
-                    futex::wake_all(&self.sense);
-                    self.note_futex(worker, true);
-                }
+            // Eventcount publish side: the SeqCst sense store above is
+            // ordered before this load, pairing with the waiter's
+            // register-then-recheck.
+            if self.sleepers.load(Ordering::SeqCst) > 0 {
+                let _guard = lock(&self.park);
+                self.cv.notify_all();
             }
             return;
         }
@@ -274,36 +198,15 @@ impl SenseBarrier {
             self.inject_point();
             std::thread::yield_now();
         }
-        match &self.park {
-            Park::Eventcount { sleepers, park, cv } => {
-                self.note_park(worker, PARK_KIND_EVENTCOUNT);
-                sleepers.fetch_add(1, Ordering::SeqCst);
-                self.inject_point();
-                let mut guard = lock(park);
-                while !released(self) {
-                    guard = cv.wait(guard).unwrap_or_else(|p| p.into_inner());
-                }
-                drop(guard);
-                sleepers.fetch_sub(1, Ordering::SeqCst);
-            }
-            Park::Futex => {
-                self.note_park(worker, PARK_KIND_FUTEX);
-                loop {
-                    let seen = self.sense.load(Ordering::SeqCst);
-                    if seen >= gen {
-                        break;
-                    }
-                    // While this worker has not arrived at `gen`, the sense
-                    // can advance at most once (to `gen` itself) — so the
-                    // 32-bit value the kernel compares cannot alias across a
-                    // wrap and a stale `seen` only makes FUTEX_WAIT return
-                    // immediately.
-                    self.inject_point();
-                    self.note_futex(worker, false);
-                    futex::wait(&self.sense, seen);
-                }
-            }
+        self.note_park(worker);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        self.inject_point();
+        let mut guard = lock(&self.park);
+        while !released(self) {
+            guard = self.cv.wait(guard).unwrap_or_else(|p| p.into_inner());
         }
+        drop(guard);
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
         self.set_waiting(worker, false);
         self.note_arrival(worker, Some(WaitOutcome::Park));
     }
@@ -391,63 +294,6 @@ mod tests {
         for seed in 0..8 {
             let b = SenseBarrier::with_injection(4, 0, 4, seed);
             drive(&b, 4, 100);
-        }
-    }
-
-    #[test]
-    fn futex_park_completes_with_zero_budget() {
-        // Zero spin/yield budget forces every wait into the futex (or, on
-        // unsupported targets, the eventcount fallback — same test).
-        drive(&SenseBarrier::new(4, 0, 0).futex_park(), 4, 200);
-    }
-
-    #[test]
-    fn futex_park_oversubscribed_party_completes() {
-        drive(&SenseBarrier::new(16, 64, 4).futex_park(), 16, 100);
-    }
-
-    #[test]
-    fn futex_park_reports_support() {
-        let b = SenseBarrier::new(2, 0, 0).futex_park();
-        assert_eq!(b.parks_with_futex(), crate::futex::supported());
-        assert!(!SenseBarrier::new(2, 0, 0).parks_with_futex());
-    }
-
-    #[test]
-    fn injected_yields_do_not_break_futex_parking() {
-        for seed in 0..8 {
-            let b = SenseBarrier::with_injection(4, 0, 4, seed).futex_park();
-            drive(&b, 4, 100);
-        }
-    }
-
-    #[test]
-    fn futex_park_counts_syscalls_in_metrics() {
-        let p = 4;
-        let gens = 100u64;
-        let reg = Arc::new(MetricsRegistry::new(p));
-        let b = SenseBarrier::new(p, 0, 0)
-            .futex_park()
-            .with_metrics(Arc::clone(&reg));
-        std::thread::scope(|s| {
-            for w in 0..p {
-                let b = &b;
-                s.spawn(move || {
-                    for gen in 1..=gens {
-                        b.arrive_then_as(w, gen, || {});
-                    }
-                });
-            }
-        });
-        let t = reg.snapshot().totals();
-        assert_eq!(t.barrier_arrives, gens * p as u64);
-        if crate::futex::supported() {
-            // Every release issues exactly one wake; waits depend on timing
-            // but zero-budget parking makes some overwhelmingly likely.
-            assert_eq!(t.futex_wake, gens);
-        } else {
-            assert_eq!(t.futex_wake, 0);
-            assert_eq!(t.barrier_futex_wait, 0);
         }
     }
 

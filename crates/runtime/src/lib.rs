@@ -41,16 +41,13 @@ pub mod adapt;
 pub mod affinity;
 pub mod barrier;
 pub mod fault;
-pub mod futex;
 mod inject;
 pub mod numa;
-pub mod pad;
 pub mod parallel;
 pub mod pool;
 pub mod shared;
 pub mod source;
 pub mod source_le;
-pub mod spin;
 pub mod sync;
 mod watchdog;
 
@@ -61,7 +58,7 @@ pub use parallel::{
     parallel_for, parallel_nest, parallel_phases, try_parallel_for, try_parallel_phases,
     RuntimeScheduler,
 };
-pub use pool::{BarrierKind, DispatchTicket, Pool, PoolBuilder, TryDispatchError};
+pub use pool::{DispatchTicket, Pool, PoolBuilder, TryDispatchError};
 pub use shared::RowMatrix;
 
 /// Commonly used items, for glob import.
@@ -71,6 +68,6 @@ pub mod prelude {
         parallel_for, parallel_nest, parallel_phases, try_parallel_for, try_parallel_phases,
         RuntimeScheduler,
     };
-    pub use crate::pool::{BarrierKind, Pool, PoolBuilder};
+    pub use crate::pool::{Pool, PoolBuilder};
     pub use crate::shared::RowMatrix;
 }

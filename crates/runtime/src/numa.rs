@@ -138,6 +138,8 @@ impl<T: ZeroInit> NumaAlloc<T> {
         let me = std::mem::ManuallyDrop::new(self);
         if me.len == 0 || std::mem::size_of::<T>() == 0 {
             let mut v = Vec::new();
+            // SAFETY: `T: ZeroInit` guarantees the all-zero bit pattern is
+            // a valid `T` (and a zero-sized `T` has no bits at all).
             v.resize(me.len, unsafe { std::mem::zeroed() });
             return v;
         }

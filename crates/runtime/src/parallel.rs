@@ -16,7 +16,7 @@
 
 use crate::adapt::AdaptController;
 use crate::fault::{FaultPlan, PanicPolicy, PhaseError};
-use crate::pool::{BarrierKind, Pool};
+use crate::pool::Pool;
 use crate::source::{AfsSource, FetchAddSource, LockedSource, StaticSource, WorkSource};
 use crate::source_le::{AfsLeSource, LeHistory};
 use crate::sync::Mutex;
@@ -272,9 +272,9 @@ impl RuntimeScheduler {
     /// must hold the exclusive phase-boundary window [`AfsSource::rearm`]
     /// requires; any other leftover is dropped *before* its successor is
     /// built, so a region retains one source however many phases it runs.
-    /// `lane` is the calling thread's trace lane: the turn-taking worker in
-    /// the fused driver, lane 0 at the serial call sites (coordinator
-    /// between rendezvous, region setup) where worker 0 is provably idle.
+    /// `lane` is the calling thread's trace lane: the turn-taking worker at
+    /// a phase boundary, lane 0 at region setup (on the coordinator, before
+    /// the dispatch) where worker 0 is provably idle.
     #[allow(clippy::too_many_arguments)] // one serial call per phase; a struct would just rename the list
     fn arm_source<'a>(
         &'a self,
@@ -400,16 +400,12 @@ where
 /// loop-state, so deterministic policies re-create the same assignment
 /// each phase — which is what preserves affinity.
 ///
-/// On a pool with the (default) spin barrier the whole nest is dispatched
-/// to the workers **once**, around one work source that lives as long as
-/// the region: between phases the workers pass a
-/// [`crate::barrier::SenseBarrier`], and the last to arrive re-arms that
-/// source for the next phase before releasing the others — in place and
-/// allocation-free under AFS; other policies drop it and build anew — so
-/// the coordinator thread is out of the per-phase loop entirely. On a
-/// condvar pool every phase is a full coordinator rendezvous around a
-/// freshly built source — the pre-rework protocol, kept as the
-/// differential/benchmark baseline.
+/// The whole nest is dispatched to the workers **once**, around one work
+/// source that lives as long as the region: between phases the workers
+/// pass a [`crate::barrier::SenseBarrier`], and the last to arrive re-arms
+/// that source for the next phase before releasing the others — in place
+/// and allocation-free under AFS; other policies drop it and build anew —
+/// so the coordinator thread is out of the per-phase loop entirely.
 pub fn parallel_phases<F, L>(
     pool: &Pool,
     phases: usize,
@@ -442,15 +438,7 @@ where
     F: Fn(usize, u64) + Sync,
     L: Fn(usize) -> u64 + Sync,
 {
-    match pool.barrier_kind() {
-        // Futex pools take the fused driver too: the SenseBarrier the pool
-        // hands out parks on its generation word (`futex_park`), so the
-        // whole nest stays one dispatch with kernel-free fast paths.
-        BarrierKind::Spin | BarrierKind::Futex => {
-            fused_phases(pool, phases, &len_of, policy, &body)
-        }
-        BarrierKind::Condvar => per_phase_rendezvous(pool, phases, &len_of, policy, &body),
-    }
+    fused_phases(pool, phases, &len_of, policy, &body)
 }
 
 /// Shared failure state of one parallel region: the first [`PhaseError`]
@@ -563,7 +551,7 @@ fn run_chunk_guarded<F: Fn(usize, u64) + Sync>(
 
 /// Drains `source` on `worker`, recording grabs into `local`, the worker's
 /// always-on `counters` (and `sink`, when tracing). One phase of one
-/// worker — shared by both drivers. Each grab attempt bumps the worker's
+/// worker. Each grab attempt bumps the worker's
 /// heartbeat (the watchdog's liveness signal) and runs the fault hooks when
 /// a plan is attached; each chunk executes under [`run_chunk_guarded`], so
 /// a body panic is contained here and the worker keeps draining (or stops,
@@ -637,76 +625,6 @@ fn drain_phase<F: Fn(usize, u64) + Sync>(
             sink.record(worker, EventKind::ChunkEnd);
         },
     }
-}
-
-/// The pre-rework driver: one coordinator rendezvous (`Pool::run`) per
-/// phase, with the next phase's source built serially in between.
-fn per_phase_rendezvous<F, L>(
-    pool: &Pool,
-    phases: usize,
-    len_of: &L,
-    policy: &RuntimeScheduler,
-    body: &F,
-) -> Result<LoopMetrics, PhaseError>
-where
-    F: Fn(usize, u64) + Sync,
-    L: Fn(usize) -> u64 + Sync,
-{
-    let p = pool.workers();
-    let trace = pool.trace();
-    let registry = Arc::clone(pool.metrics());
-    let faults = pool.fault_plan().cloned();
-    let region = RegionFailure::new(pool.panic_policy());
-    let deadline = pool.phase_deadline();
-    let mut total = LoopMetrics::new(p, policy.queues(p));
-    let region_start = Instant::now();
-    for phase in 0..phases {
-        if region.halted() {
-            break;
-        }
-        // A fresh slot every phase: nothing to re-arm, always a new source.
-        let mut source = None;
-        region.guard(0, phase, || {
-            policy.arm_source(&mut source, len_of(phase), p, trace, &registry, 0)
-        });
-        let Some(source) = source else { break };
-        let phase_metrics = Mutex::new(LoopMetrics::new(p, policy.queues(p)));
-        let phase_start = Instant::now();
-        let ran = pool.try_run(|worker| {
-            if phase == 0 {
-                if let Some(f) = &faults {
-                    f.on_region_start(worker);
-                }
-            }
-            let mut local = LoopMetrics::new(p, policy.queues(p));
-            let counters = registry.worker(worker);
-            drain_phase(
-                worker,
-                phase,
-                source.get(),
-                &mut local,
-                counters,
-                trace,
-                faults.as_deref(),
-                &region,
-                body,
-            );
-            phase_metrics.lock().merge(&local);
-        });
-        let took = phase_start.elapsed();
-        registry.phase_hist().record_duration(took);
-        pool.recorder()
-            .record_phase(phase as u64, took.as_nanos() as u64, &registry);
-        if deadline.is_some_and(|d| took > d) {
-            registry.record_deadline_miss();
-        }
-        total.merge(&phase_metrics.into_inner());
-        // Body panics are contained inside drain_phase; an Err here means a
-        // panic in the driver itself and leaves nothing sound to continue.
-        ran.map_err(|e| flag_phase_error(pool, e))?;
-    }
-    registry.loop_hist().record_duration(region_start.elapsed());
-    region.finish(pool, total)
 }
 
 /// Arms the pool's flight recorder with a contained-panic trigger before
@@ -1114,26 +1032,35 @@ mod tests {
 
     type EventCounts = std::collections::HashMap<std::mem::Discriminant<EventKind>, usize>;
 
-    /// One P = 1 nest under `kind`'s driver: the returned metrics and the
-    /// trace's per-kind event counts (parks excluded — whether a condvar
-    /// wait escalates to one is timing, not scheduling).
+    /// One P = 1 nest, `fused` into a single [`parallel_phases`] region or
+    /// run as one [`parallel_for`] — a coordinator rendezvous around a
+    /// freshly built source — per phase: the merged metrics and the trace's
+    /// per-kind event counts (parks excluded — whether a wait escalates to
+    /// one is timing, not scheduling).
     fn single_worker_nest(
-        kind: BarrierKind,
+        fused: bool,
         policy: &RuntimeScheduler,
         lens: &[u64],
         traced: bool,
     ) -> (LoopMetrics, EventCounts) {
         let sink = traced.then(|| Arc::new(TraceSink::new(1)));
-        let mut builder = Pool::builder(1).barrier(kind);
-        if let Some(sink) = &sink {
-            builder = builder.trace(Arc::clone(sink));
-        }
-        let pool = builder.build();
-        let m = parallel_phases(&pool, lens.len(), |ph| lens[ph], policy, |_, _| {});
+        let pool = match &sink {
+            Some(sink) => Pool::with_trace(1, Arc::clone(sink)),
+            None => Pool::new(1),
+        };
+        let m = if fused {
+            parallel_phases(&pool, lens.len(), |ph| lens[ph], policy, |_, _| {})
+        } else {
+            let mut total = LoopMetrics::new(1, policy.queues(1));
+            for &n in lens {
+                total.merge(&parallel_for(&pool, n, policy, |_| {}));
+            }
+            total
+        };
         drop(pool);
         let mut kinds = EventCounts::new();
         for e in sink.iter().flat_map(|s| s.events(0)) {
-            if !matches!(e.kind, EventKind::BarrierPark { .. }) {
+            if e.kind != EventKind::BarrierPark {
                 *kinds.entry(std::mem::discriminant(&e.kind)).or_default() += 1;
             }
         }
@@ -1143,11 +1070,12 @@ mod tests {
 
     #[test]
     fn rearmed_region_source_matches_a_source_built_fresh_each_phase() {
-        // The fused driver keeps one source per region (re-armed in place
-        // for AFS, replaced for the rest); the condvar driver builds a
-        // fresh one every phase. On one worker both are deterministic, so
-        // they must agree grab for grab — over growing, shrinking, empty
-        // and one-iteration phases — and event for event when traced.
+        // A region keeps one source for all its phases (re-armed in place
+        // for AFS, replaced for the rest); a loop of one-phase regions
+        // builds a fresh one every phase. On one worker both are
+        // deterministic, so they must agree grab for grab — over growing,
+        // shrinking, empty and one-iteration phases — and event for event
+        // when traced.
         let lens = [97u64, 0, 1024, 3, 1, 4096];
         for traced in [false, true] {
             // Fresh policy values per driver: AFS-LE's history and the
@@ -1155,17 +1083,15 @@ mod tests {
             for (fused_policy, fresh_policy) in all_policies().into_iter().zip(all_policies()) {
                 let name = fused_policy.name();
                 // A live controller reads barrier-wait outcomes, which the
-                // two drivers legitimately differ in; pinned, the adaptive
+                // two drives legitimately differ in; pinned, the adaptive
                 // policy is its tick plus the same re-arm.
                 for policy in [&fused_policy, &fresh_policy] {
                     if let Some(ctl) = policy.controller() {
                         ctl.freeze();
                     }
                 }
-                let (fused, fused_events) =
-                    single_worker_nest(BarrierKind::Spin, &fused_policy, &lens, traced);
-                let (fresh, fresh_events) =
-                    single_worker_nest(BarrierKind::Condvar, &fresh_policy, &lens, traced);
+                let (fused, fused_events) = single_worker_nest(true, &fused_policy, &lens, traced);
+                let (fresh, fresh_events) = single_worker_nest(false, &fresh_policy, &lens, traced);
                 assert_eq!(fused.total_iters(), lens.iter().sum::<u64>(), "{name}");
                 assert_eq!(fused.sync, fresh.sync, "{name}");
                 assert_eq!(fused.per_queue, fresh.per_queue, "{name}");
@@ -1188,39 +1114,43 @@ mod tests {
         // saw *every* grab of phase 0, phase 1 is seeded from where the
         // iterations ran — worker 1's queue is just [128, 192), its first
         // chunk 32 — otherwise the history does not cover the loop and the
-        // static halves (first chunk 64) come back.
+        // static halves (first chunk 64) come back. The boundary is a
+        // barrier turn inside one fused region, or the gap between two
+        // one-phase regions sharing the policy value.
         let n = 256u64;
         let own = [64u64, 32];
-        for kind in [BarrierKind::Spin, BarrierKind::Futex, BarrierKind::Condvar] {
-            let pool = Pool::builder(2).barrier(kind).build();
+        for fused in [true, false] {
+            let pool = Pool::new(2);
             let started = [AtomicBool::new(false), AtomicBool::new(false)];
             let done = [AtomicU64::new(0), AtomicU64::new(0)];
             let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
                 let deadline = Instant::now() + std::time::Duration::from_secs(20);
                 while !cond() {
-                    assert!(Instant::now() < deadline, "{kind:?}: never saw {what}");
+                    assert!(Instant::now() < deadline, "fused={fused}: never saw {what}");
                     std::thread::yield_now();
                 }
             };
-            let m = parallel_phases(
-                &pool,
-                2,
-                |_| n,
-                &RuntimeScheduler::afs_last_exec(),
-                |ph, i| {
-                    if i == 0 {
-                        wait_for("worker 1 start", &|| started[ph].load(Ordering::SeqCst));
-                    }
-                    if i == 128 {
-                        started[ph].store(true, Ordering::SeqCst);
-                        wait_for("the rest of the phase", &|| {
-                            done[ph].load(Ordering::SeqCst) == n - own[ph]
-                        });
-                    }
-                    done[ph].fetch_add(1, Ordering::SeqCst);
-                },
-            );
-            assert_eq!(m.iters_per_worker, vec![2 * n - 96, 96], "{kind:?}");
+            let body = |ph: usize, i: u64| {
+                if i == 0 {
+                    wait_for("worker 1 start", &|| started[ph].load(Ordering::SeqCst));
+                }
+                if i == 128 {
+                    started[ph].store(true, Ordering::SeqCst);
+                    wait_for("the rest of the phase", &|| {
+                        done[ph].load(Ordering::SeqCst) == n - own[ph]
+                    });
+                }
+                done[ph].fetch_add(1, Ordering::SeqCst);
+            };
+            let policy = RuntimeScheduler::afs_last_exec();
+            let m = if fused {
+                parallel_phases(&pool, 2, |_| n, &policy, body)
+            } else {
+                let mut total = parallel_for(&pool, n, &policy, |i| body(0, i));
+                total.merge(&parallel_for(&pool, n, &policy, |i| body(1, i)));
+                total
+            };
+            assert_eq!(m.iters_per_worker, vec![2 * n - 96, 96], "fused={fused}");
         }
     }
 

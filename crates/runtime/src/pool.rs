@@ -10,36 +10,23 @@
 //! The paper's kernels are nests of short parallel phases inside a
 //! sequential loop (SOR runs 100+ steps × 2 phases), so once individual
 //! grabs are lock-free the dominant runtime cost is the per-phase
-//! rendezvous itself. The pool offers two protocols ([`BarrierKind`]):
-//!
-//! * **Spin** (default) — a sense-reversing barrier. The "sense" is a
-//!   monotone 64-bit generation, published into one `CachePadded` flag per
-//!   worker (local spinning: each worker's flag line is invalidated exactly
-//!   once per phase, there is no broadcast storm on a shared word), with
-//!   per-worker padded ack slots on the completion side. Waiters spin a
-//!   configurable budget with [`std::hint::spin_loop`], then
-//!   [`std::thread::yield_now`], and finally fall back to condvar parking —
-//!   so an oversubscribed pool (more workers than cores, e.g. a CI
-//!   container) degrades to the blocking protocol instead of burning
-//!   timeslices. On a dedicated machine a phase turnaround is pure
-//!   user-space stores and loads: zero kernel round-trips. That holds for
-//!   the waits *between peers inside a region*. The wait for the next job
-//!   is different: its event comes from a coordinator that is not one of
-//!   the `P` workers and needs a core of its own, so when the workers
-//!   already cover every core (`P ≥ cores`: a pool fed by a server's
-//!   dispatcher, a bench's main thread) they spin only briefly there and
-//!   then yield — see `start_spin_cap`.
-//! * **Condvar** — the classic mutex + condition-variable rendezvous the
-//!   runtime shipped with before the barrier rework, kept selectable for
-//!   differential testing and as the benchmark baseline, mirroring the
-//!   `LockedAfsSource` pattern. Every worker reacquires the single shared
-//!   mutex to receive each job (a convoy: P serial lock hand-offs per
-//!   phase) and parks between phases, paying two kernel round-trips per
-//!   worker per phase.
-//!
-//! Both protocols share the publication scheme (per-worker `SeqCst`
-//! generation flags + padded ack slots guarding a plain job cell), so the
-//! differential tests compare exactly the two *waiting* strategies.
+//! rendezvous itself. The pool has one protocol: a sense-reversing
+//! barrier. The "sense" is a monotone 64-bit generation, published into one
+//! `CachePadded` flag per worker (local spinning: each worker's flag line
+//! is invalidated exactly once per phase, there is no broadcast storm on a
+//! shared word), with per-worker padded ack slots on the completion side.
+//! Waiters spin a budget with [`std::hint::spin_loop`], then
+//! [`std::thread::yield_now`], and finally park on an eventcount (sleeper
+//! count + mutex + condvar) — so an oversubscribed pool (more workers than
+//! cores, e.g. a CI container) degrades to blocking instead of burning
+//! timeslices. On a dedicated machine a phase turnaround is pure
+//! user-space stores and loads: zero kernel round-trips. That holds for
+//! the waits *between peers inside a region*. The wait for the next job
+//! is different: its event comes from a coordinator that is not one of
+//! the `P` workers and needs a core of its own, so when the workers
+//! already cover every core (`P ≥ cores`: a pool fed by a server's
+//! dispatcher, a bench's main thread) they spin only briefly there and
+//! then yield — see `start_spin_cap`.
 //!
 //! A pool can pin worker `i` to core `i mod cores`
 //! ([`PoolBuilder::pin_cores`]), making AFS's deterministic
@@ -55,16 +42,14 @@
 
 use crate::affinity;
 use crate::fault::{FaultPlan, PanicPolicy, PhaseError};
-use crate::futex;
 use crate::inject::YieldInject;
-use crate::pad::CachePadded;
-use crate::spin::{SpinController, SpinObservation};
 use crate::watchdog::Watchdog;
+use afs_metrics::pad::CachePadded;
 use afs_metrics::{MetricsRegistry, WaitOutcome};
 use afs_scope::{FlightRecorder, Trigger};
 use afs_trace::{EventKind, TraceSink};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -88,25 +73,6 @@ impl std::fmt::Display for TryDispatchError {
 }
 
 impl std::error::Error for TryDispatchError {}
-
-/// Which rendezvous protocol the pool's phase barrier uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BarrierKind {
-    /// The classic rendezvous: every worker parks on (and reacquires) one
-    /// shared mutex + condvar per phase — two kernel round-trips per
-    /// worker per phase. Baseline and differential-testing twin.
-    Condvar,
-    /// Sense-reversing barrier: spin, then yield, then park. The phase
-    /// hot path on a dedicated machine never enters the kernel.
-    Spin,
-    /// The spin barrier's publication scheme with `futex(2)` parking:
-    /// waiters that exhaust the spin/yield budget sleep directly on their
-    /// generation word with a raw `FUTEX_WAIT` — no mutex, no condvar, no
-    /// sleeper registry cache line on the release side. Falls back to the
-    /// eventcount (mutex + condvar) protocol on targets without the
-    /// syscall (see [`crate::futex::supported`]).
-    Futex,
-}
 
 /// Default spin iterations before yielding (dedicated machines). One
 /// iteration is two `SeqCst` loads plus a `spin_loop` hint, and `pause`
@@ -151,25 +117,17 @@ fn start_spin_cap(p: usize, cores: usize) -> u32 {
 
 /// Default `yield_now` rounds between spinning and parking. On an
 /// oversubscribed host each yield lets the publisher (or the remaining
-/// workers) run, so the rendezvous usually completes here without any
-/// futex traffic.
+/// workers) run, so the rendezvous usually completes here without a
+/// kernel sleep.
 pub const DEFAULT_YIELDS: u32 = 256;
-
-/// Floor for the adaptive spin controller: the oversubscribed clamp —
-/// below this, waits that a same-core flip would resolve start parking.
-pub const ADAPTIVE_MIN_SPINS: u32 = OVERSUBSCRIBED_SPINS;
-
-/// Ceiling for the adaptive spin controller: ~a quarter timeslice of
-/// `spin_loop` hints. Spinning longer than this never beats parking.
-pub const ADAPTIVE_MAX_SPINS: u32 = 65_536;
 
 /// Coordinator-side `yield_now` rounds when the pool is oversubscribed.
 /// While acks trickle in, every futile coordinator wakeup steals a
 /// timeslice from the workers still computing; parking after a couple of
-/// yields costs one futex wake (by the last acker) and returns the core.
-/// Workers keep the full yield budget: their next event (the new phase)
-/// arrives quickly, and parking all of them would re-create the condvar
-/// protocol's wake-all storm.
+/// yields costs one condvar notify (by the last acker) and returns the
+/// core. Workers keep the full yield budget: their next event (the new
+/// phase) arrives quickly, and parking all of them would turn every
+/// publish into a wake-all storm.
 const OVERSUBSCRIBED_COORD_YIELDS: u32 = 2;
 
 /// The published job slot. Plain memory, synchronized by the generation
@@ -210,22 +168,11 @@ struct Shared {
     park: Mutex<()>,
     start_cv: Condvar,
     done_cv: Condvar,
-    /// Classic protocol ([`BarrierKind::Condvar`]): wait under the mutex,
-    /// never spin. When set, `spins`/`yields` are unused.
-    classic: bool,
-    /// Futex protocol ([`BarrierKind::Futex`] on a supported target):
-    /// park directly on the generation/ack words with `futex(2)` instead
-    /// of the mutex + condvar eventcount.
-    futex: bool,
-    /// Spin iterations before yielding (spin/futex protocols). Atomic so
-    /// the adaptive controller can retune it between regions while workers
-    /// read it lock-free.
-    spins: AtomicU32,
+    /// Spin iterations before yielding.
+    spins: u32,
     /// Ceiling on the start wait's pure-spin leg ([`start_spin_cap`]).
     start_spin_cap: u32,
-    /// Self-sizing spin-budget controller; `None` keeps `spins` static.
-    controller: Option<SpinController>,
-    /// `yield_now` rounds before parking (spin protocol only).
+    /// `yield_now` rounds before parking.
     yields: u32,
     /// Coordinator-side `yield_now` rounds before parking; clamped to
     /// [`OVERSUBSCRIBED_COORD_YIELDS`] when workers outnumber cores.
@@ -259,13 +206,6 @@ impl Shared {
         self.park.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// The current spin budget (retuned between regions by the adaptive
-    /// controller when one is attached).
-    #[inline]
-    fn spin_budget(&self) -> u32 {
-        self.spins.load(Ordering::Relaxed)
-    }
-
     #[inline]
     fn inject_point(&self) {
         if let Some(inj) = &self.inject {
@@ -292,24 +232,16 @@ impl Shared {
 
     /// Records how worker `idx`'s start-rendezvous wait resolved — but only
     /// for real generations: the shutdown wakeup is not a barrier arrival.
-    ///
-    /// On an adaptive pool a start wait that [`start_spin_cap`] cut short
-    /// is not recorded either. The controller reads these counters, and a
-    /// yield after 64 spins says nothing about whether the *budget* is too
-    /// small — doubling it cannot cure one — so one-shot dispatch traffic
-    /// would ratchet the budget to `ADAPTIVE_MAX_SPINS`.
     #[inline]
     fn note_start_wait(&self, idx: usize, r: &Option<u64>, outcome: WaitOutcome) {
-        let capped = self.controller.is_some() && self.start_spin_cap < self.spin_budget();
-        if r.is_some() && !capped {
+        if r.is_some() {
             self.metrics.worker(idx).record_barrier_wait(outcome);
         }
     }
 
     /// Waits until the coordinator publishes a generation newer than
     /// `seen` into this worker's flag. Returns the new generation, or
-    /// `None` on shutdown. Classic protocol: wait under the mutex.
-    /// Spin protocol: spin → yield → park.
+    /// `None` on shutdown. Spin → yield → park.
     fn wait_start(&self, idx: usize, seen: u64, sink: Option<&TraceSink>) -> Option<u64> {
         // Waiting for the next publish is legitimate idleness: flag it so
         // the stall watchdog does not mistake this worker's frozen
@@ -321,15 +253,6 @@ impl Shared {
         r
     }
 
-    /// Records the park commit on worker `idx`'s trace lane, tagged with
-    /// the protocol about to put it to sleep.
-    #[inline]
-    fn note_park(sink: Option<&TraceSink>, idx: usize, kind: u32) {
-        if let Some(sink) = sink {
-            sink.record(idx, EventKind::BarrierPark { kind });
-        }
-    }
-
     fn wait_start_inner(&self, idx: usize, seen: u64, sink: Option<&TraceSink>) -> Option<u64> {
         let check = |shared: &Shared| -> Option<Option<u64>> {
             if shared.shutdown.load(Ordering::SeqCst) {
@@ -338,34 +261,7 @@ impl Shared {
             let g = shared.starts[idx].load(Ordering::SeqCst);
             (g != seen).then_some(Some(g))
         };
-        if self.classic {
-            // The pre-rework protocol, preserved as the baseline: sleep on
-            // the condvar and reacquire the shared mutex to receive every
-            // job. The coordinator publishes while holding the mutex, so
-            // checking under it cannot miss a wakeup.
-            let mut guard = self.lock_park();
-            let mut waited = false;
-            loop {
-                if let Some(r) = check(self) {
-                    // Under the classic protocol "already published" is the
-                    // closest analogue of a spin resolution; an actual
-                    // condvar sleep is a park.
-                    let outcome = if waited {
-                        WaitOutcome::Park
-                    } else {
-                        WaitOutcome::Spin
-                    };
-                    self.note_start_wait(idx, &r, outcome);
-                    return r;
-                }
-                if !waited {
-                    Self::note_park(sink, idx, crate::barrier::PARK_KIND_CONDVAR);
-                }
-                waited = true;
-                guard = self.start_cv.wait(guard).unwrap_or_else(|p| p.into_inner());
-            }
-        }
-        for _ in 0..self.spin_budget().min(self.start_spin_cap) {
+        for _ in 0..self.spins.min(self.start_spin_cap) {
             if let Some(r) = check(self) {
                 self.note_start_wait(idx, &r, WaitOutcome::Spin);
                 return r;
@@ -384,54 +280,28 @@ impl Shared {
         // (both SeqCst): if the coordinator's load saw zero sleepers and
         // skipped the notify, its flag store is SC-ordered before our
         // re-check, which therefore observes it — a wakeup cannot be lost.
-        Self::note_park(
-            sink,
-            idx,
-            if self.futex {
-                crate::barrier::PARK_KIND_FUTEX
-            } else {
-                crate::barrier::PARK_KIND_EVENTCOUNT
-            },
-        );
+        if let Some(sink) = sink {
+            sink.record(idx, EventKind::BarrierPark);
+        }
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         self.inject_point();
-        let r = if self.futex {
-            // Sleep directly on the generation word. The kernel re-checks
-            // `*word == seen` atomically against wakes, so a publish that
-            // lands between our check and the syscall makes the wait
-            // return immediately — no mutex, no lost wakeup. Shutdown
-            // stores a sentinel into the word and wakes it, so the
-            // `check` above covers that exit too.
-            loop {
-                if let Some(r) = check(self) {
-                    break r;
-                }
-                self.metrics.worker(idx).record_futex_wait();
-                self.inject_point();
-                futex::wait(&self.starts[idx], seen);
+        let mut guard = self.lock_park();
+        let r = loop {
+            if let Some(r) = check(self) {
+                break r;
             }
-        } else {
-            let mut guard = self.lock_park();
-            let r = loop {
-                if let Some(r) = check(self) {
-                    break r;
-                }
-                guard = self.start_cv.wait(guard).unwrap_or_else(|p| p.into_inner());
-            };
-            drop(guard);
-            r
+            guard = self.start_cv.wait(guard).unwrap_or_else(|p| p.into_inner());
         };
+        drop(guard);
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
         self.note_start_wait(idx, &r, WaitOutcome::Park);
         r
     }
 
-    /// Coordinator side (spin protocol): waits until every worker acked
-    /// `generation`. Spin → yield → park, symmetric with
-    /// [`Shared::wait_start`]. The classic protocol instead waits under
-    /// the mutex inside [`Pool::run_arc`].
+    /// Coordinator side: waits until every worker acked `generation`.
+    /// Spin → yield → park, symmetric with [`Shared::wait_start`].
     fn wait_all_acked(&self, generation: u64) {
-        for _ in 0..self.spin_budget() {
+        for _ in 0..self.spins {
             if self.all_acked(generation) {
                 return;
             }
@@ -454,30 +324,11 @@ impl Shared {
     fn park_until_acked(&self, generation: u64) {
         self.done_waiters.fetch_add(1, Ordering::SeqCst);
         self.inject_point();
-        if self.futex {
-            // Sleep on each lagging worker's ack word in turn. The
-            // waiter-count/SeqCst pairing mirrors the start side: a worker
-            // that saw zero `done_waiters` and skipped its wake stored its
-            // ack SC-before our registration above, so the re-load below
-            // observes it and we never sleep on a completed slot.
-            let live = self.live.load(Ordering::Relaxed);
-            for slot in &self.acks[..live] {
-                loop {
-                    let acked = slot.load(Ordering::SeqCst);
-                    if acked >= generation {
-                        break;
-                    }
-                    self.inject_point();
-                    futex::wait(slot, acked);
-                }
-            }
-        } else {
-            let mut guard = self.lock_park();
-            while !self.all_acked(generation) {
-                guard = self.done_cv.wait(guard).unwrap_or_else(|p| p.into_inner());
-            }
-            drop(guard);
+        let mut guard = self.lock_park();
+        while !self.all_acked(generation) {
+            guard = self.done_cv.wait(guard).unwrap_or_else(|p| p.into_inner());
         }
+        drop(guard);
         self.done_waiters.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -489,7 +340,6 @@ pub struct Pool {
     /// Serializes concurrent `run` callers and carries the generation.
     generation: Mutex<u64>,
     p: usize,
-    barrier: BarrierKind,
     trace: Option<Arc<TraceSink>>,
     faults: Option<Arc<FaultPlan>>,
     policy: PanicPolicy,
@@ -504,22 +354,16 @@ pub struct Pool {
 /// Configures and builds a [`Pool`].
 ///
 /// ```
-/// use afs_runtime::pool::{BarrierKind, Pool};
-/// let pool = Pool::builder(4)
-///     .barrier(BarrierKind::Spin)
-///     .pin_cores(true)
-///     .build();
+/// use afs_runtime::pool::Pool;
+/// let pool = Pool::builder(4).pin_cores(true).build();
 /// assert_eq!(pool.workers(), 4);
 /// ```
 pub struct PoolBuilder {
     p: usize,
-    barrier: BarrierKind,
     pin: bool,
     perf: bool,
     spins: u32,
     yields: u32,
-    adaptive: bool,
-    force_park_fallback: bool,
     trace: Option<Arc<TraceSink>>,
     inject_seed: Option<u64>,
     faults: Option<Arc<FaultPlan>>,
@@ -531,12 +375,6 @@ pub struct PoolBuilder {
 }
 
 impl PoolBuilder {
-    /// Selects the rendezvous protocol (default: [`BarrierKind::Spin`]).
-    pub fn barrier(mut self, kind: BarrierKind) -> Self {
-        self.barrier = kind;
-        self
-    }
-
     /// Pins worker `i` to core `i mod cores` at spawn (best-effort; no-op
     /// off Linux). Default: off.
     pub fn pin_cores(mut self, on: bool) -> Self {
@@ -555,33 +393,11 @@ impl PoolBuilder {
     }
 
     /// Overrides the spin budget: `spins` busy iterations, then `yields`
-    /// rounds of `yield_now`, then parking. Only meaningful for
-    /// [`BarrierKind::Spin`]. Oversubscribed pools (more workers than
-    /// cores) clamp `spins` down automatically.
+    /// rounds of `yield_now`, then parking. Oversubscribed pools (more
+    /// workers than cores) clamp `spins` down automatically.
     pub fn spin_budget(mut self, spins: u32, yields: u32) -> Self {
         self.spins = spins;
         self.yields = yields;
-        self
-    }
-
-    /// Attaches a [`crate::spin::SpinController`]: the spin budget is
-    /// re-sized at the start of every parallel region from the recent
-    /// barrier wait outcomes (spin/yield/park counts) and the observed
-    /// phase lengths, instead of staying at the static `spin_budget`
-    /// value. The controller is deterministic given the counter stream.
-    /// Default: off. Ignored by [`BarrierKind::Condvar`] pools (they never
-    /// spin).
-    pub fn adaptive_spin(mut self, on: bool) -> Self {
-        self.adaptive = on;
-        self
-    }
-
-    /// Forces [`BarrierKind::Futex`] pools onto the eventcount
-    /// (mutex + condvar) fallback even when the target supports `futex(2)`
-    /// — exercises the non-Linux path on Linux CI.
-    #[doc(hidden)]
-    pub fn force_park_fallback(mut self, on: bool) -> Self {
-        self.force_park_fallback = on;
         self
     }
 
@@ -627,9 +443,9 @@ impl PoolBuilder {
         self
     }
 
-    /// Flags phases that take longer than `dur` (fused driver: measured
-    /// barrier-to-barrier; rendezvous driver: per `Pool::run`) by bumping
-    /// the registry's deadline-miss counter. Detection only.
+    /// Flags phases that take longer than `dur`, measured
+    /// barrier-to-barrier, by bumping the registry's deadline-miss
+    /// counter. Detection only.
     pub fn phase_deadline(mut self, dur: Duration) -> Self {
         self.deadline = Some(dur);
         self
@@ -667,30 +483,17 @@ impl PoolBuilder {
             );
         }
         let cores = affinity::core_count();
-        let (spins, yields) = match self.barrier {
-            BarrierKind::Condvar => (0, 0),
-            BarrierKind::Spin | BarrierKind::Futex => {
-                // An oversubscribed pool cannot make progress while a
-                // waiter burns its timeslice: cap the busy phase and rely
-                // on the yield rounds (and ultimately parking).
-                let spins = if p <= cores {
-                    self.spins
-                } else {
-                    self.spins.min(OVERSUBSCRIBED_SPINS)
-                };
-                (spins, self.yields)
-            }
-        };
-        let classic = self.barrier == BarrierKind::Condvar;
-        let use_futex =
-            self.barrier == BarrierKind::Futex && futex::supported() && !self.force_park_fallback;
-        let coord_yields = if p <= cores {
-            yields
+        // An oversubscribed pool cannot make progress while a waiter burns
+        // its timeslice: cap the busy phase and rely on the yield rounds
+        // (and ultimately parking).
+        let (spins, coord_yields) = if p <= cores {
+            (self.spins, self.yields)
         } else {
-            yields.min(OVERSUBSCRIBED_COORD_YIELDS)
+            (
+                self.spins.min(OVERSUBSCRIBED_SPINS),
+                self.yields.min(OVERSUBSCRIBED_COORD_YIELDS),
+            )
         };
-        let controller = (self.adaptive && !classic)
-            .then(|| SpinController::new(spins, ADAPTIVE_MIN_SPINS, ADAPTIVE_MAX_SPINS));
         let shared = Arc::new(Shared {
             job: JobCell(UnsafeCell::new(None)),
             starts: (0..p).map(|_| CachePadded::default()).collect(),
@@ -701,13 +504,10 @@ impl PoolBuilder {
             park: Mutex::new(()),
             start_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            classic,
-            futex: use_futex,
-            spins: AtomicU32::new(spins),
+            spins,
             start_spin_cap: start_spin_cap(p, cores),
-            controller,
             coord_yields,
-            yields,
+            yields: self.yields,
             inject: self.inject_seed.map(YieldInject::new),
             inject_seed: self.inject_seed,
             pinned: AtomicUsize::new(0),
@@ -775,7 +575,6 @@ impl PoolBuilder {
             handles,
             generation: Mutex::new(0),
             p: live,
-            barrier: self.barrier,
             trace: self.trace,
             faults: self.faults,
             policy: self.policy,
@@ -819,13 +618,10 @@ impl Pool {
     pub fn builder(p: usize) -> PoolBuilder {
         PoolBuilder {
             p,
-            barrier: BarrierKind::Spin,
             pin: false,
             perf: false,
             spins: DEFAULT_SPINS,
             yields: DEFAULT_YIELDS,
-            adaptive: false,
-            force_park_fallback: false,
             trace: None,
             inject_seed: None,
             faults: None,
@@ -837,7 +633,7 @@ impl Pool {
         }
     }
 
-    /// Spawns `p` workers with the default (spin) barrier. Panics if
+    /// Spawns `p` workers with the default spin/yield budgets. Panics if
     /// `p == 0`.
     pub fn new(p: usize) -> Self {
         Self::builder(p).build()
@@ -855,11 +651,6 @@ impl Pool {
     /// Number of workers.
     pub fn workers(&self) -> usize {
         self.p
-    }
-
-    /// The rendezvous protocol this pool was built with.
-    pub fn barrier_kind(&self) -> BarrierKind {
-        self.barrier
     }
 
     /// How many workers successfully pinned themselves to a core. Exact
@@ -912,79 +703,22 @@ impl Pool {
     /// the same.
     pub fn phase_barrier(&self) -> crate::barrier::SenseBarrier {
         let s = &self.shared;
-        // A region is starting: let the adaptive controller re-size the
-        // spin budget from what the counters said about the last one.
-        let spins = self.refresh_spin_budget();
         let barrier = match s.inject_seed {
             // Derive a distinct stream so pool and barrier injection
             // decisions don't mirror each other.
             Some(seed) => crate::barrier::SenseBarrier::with_injection(
                 self.p,
-                spins,
+                s.spins,
                 s.yields,
                 seed ^ 0x5EB0_5EB0_5EB0_5EB0,
             ),
-            None => crate::barrier::SenseBarrier::new(self.p, spins, s.yields),
-        };
-        let barrier = if s.futex {
-            barrier.futex_park()
-        } else {
-            barrier
+            None => crate::barrier::SenseBarrier::new(self.p, s.spins, s.yields),
         };
         let barrier = barrier.with_metrics(Arc::clone(&s.metrics));
         match &self.trace {
             Some(sink) => barrier.with_trace(Arc::clone(sink)),
             None => barrier,
         }
-    }
-
-    /// Whether this pool parks on `futex(2)` words ([`BarrierKind::Futex`]
-    /// on a supported target; `false` when the eventcount fallback is in
-    /// effect).
-    pub fn uses_futex(&self) -> bool {
-        self.shared.futex
-    }
-
-    /// The spin budget currently in effect (static unless the pool was
-    /// built with [`PoolBuilder::adaptive_spin`]).
-    pub fn current_spin_budget(&self) -> u32 {
-        self.shared.spin_budget()
-    }
-
-    /// Runs the adaptive controller (when attached) against the current
-    /// counter totals and publishes the new budget into the shared word
-    /// read by every rendezvous wait. Returns the budget in effect.
-    fn refresh_spin_budget(&self) -> u32 {
-        let s = &self.shared;
-        let Some(ctl) = &s.controller else {
-            return s.spin_budget();
-        };
-        let mut spin = 0u64;
-        let mut yields = 0u64;
-        let mut park = 0u64;
-        for w in 0..self.p {
-            let c = s.metrics.worker(w).get();
-            spin += c.barrier_spin;
-            yields += c.barrier_yield;
-            park += c.barrier_park;
-        }
-        let hist = s.metrics.phase_hist().get();
-        let budget = ctl.observe(SpinObservation {
-            spin,
-            yields,
-            park,
-            phase_samples: hist.samples,
-            phase_total_ns: hist.total_ns,
-        });
-        s.spins.store(budget, Ordering::Relaxed);
-        // Surface the controller's state next to the counters it read, so
-        // snapshots show which budget was in force and how it got there.
-        s.metrics.record_spin_controller(
-            budget as u64,
-            ctl.halve_decisions(),
-            ctl.double_decisions(),
-        );
-        budget
     }
 
     /// Runs `job(worker_index)` on every worker and waits for all to finish.
@@ -1049,37 +783,17 @@ impl Pool {
         // start flag (stored below), and all acks of `gen - 1` were
         // collected before the previous coordinator released the lock.
         unsafe { *self.shared.job.0.get() = Some(job) };
-        if self.shared.classic {
-            // The pre-rework protocol publishes while holding the shared
-            // mutex, so a worker checking under it cannot miss the wakeup.
-            // The last acker always locks + notifies `done_cv` under the
-            // classic protocol, so the ticket's later check-then-wait
-            // (also under the mutex) cannot lose the completion either.
-            let _park = self.shared.lock_park();
-            for flag in &self.shared.starts[..self.p] {
-                flag.store(gen, Ordering::SeqCst);
-            }
+        for flag in &self.shared.starts[..self.p] {
+            flag.store(gen, Ordering::SeqCst);
+            self.shared.inject_point();
+        }
+        // Wake parked workers. Reading the sleeper count SeqCst after the
+        // SeqCst flag stores pairs with wait_start's inc-then-recheck: we
+        // either see the sleeper (and notify under the lock) or the
+        // sleeper's recheck sees our flags.
+        if self.shared.sleepers.load(Ordering::SeqCst) > 0 {
+            let _guard = self.shared.lock_park();
             self.shared.start_cv.notify_all();
-        } else {
-            for flag in &self.shared.starts[..self.p] {
-                flag.store(gen, Ordering::SeqCst);
-                self.shared.inject_point();
-            }
-            // Wake parked workers. Reading the sleeper count SeqCst after
-            // the SeqCst flag stores pairs with wait_start's
-            // inc-then-recheck: we either see the sleeper (and notify
-            // under the lock / wake the words) or the sleeper's recheck
-            // sees our flags.
-            if self.shared.sleepers.load(Ordering::SeqCst) > 0 {
-                if self.shared.futex {
-                    for flag in &self.shared.starts[..self.p] {
-                        futex::wake_all(flag);
-                    }
-                } else {
-                    let _guard = self.shared.lock_park();
-                    self.shared.start_cv.notify_all();
-                }
-            }
         }
         DispatchTicket {
             pool: self,
@@ -1137,18 +851,13 @@ impl DispatchTicket<'_> {
     /// Completes the rendezvous and runs the epilogue once: clears the
     /// job cell, advances the generation, releases the lock, and takes
     /// any recorded failure. `park_now` skips the spin and yield legs of
-    /// the wait (the classic protocol has none to skip).
+    /// the wait.
     fn finish(&mut self, park_now: bool) -> Result<(), PhaseError> {
         let Some(mut generation) = self.guard.take() else {
             return Ok(());
         };
         let shared = &self.pool.shared;
-        if shared.classic {
-            let mut park = shared.lock_park();
-            while !shared.all_acked(self.gen) {
-                park = shared.done_cv.wait(park).unwrap_or_else(|p| p.into_inner());
-            }
-        } else if park_now {
+        if park_now {
             shared.park_until_acked(self.gen);
         } else {
             shared.wait_all_acked(self.gen);
@@ -1181,13 +890,12 @@ impl Drop for DispatchTicket<'_> {
 }
 
 /// Wraps a short-lived `Fn(usize)` into a `'static` job.
-///
-/// SAFETY: `Pool::run` does not return until every worker has finished the
-/// job, so the borrowed environment outlives all uses. The transmute only
-/// erases the lifetime; `Send + Sync` are enforced on the original closure.
 fn make_scoped_job<F: Fn(usize) + Send + Sync>(job: F) -> Job {
     let boxed: Box<dyn Fn(usize) + Send + Sync> = Box::new(job);
-    // Erase the lifetime: the job is joined before `run` returns.
+    // SAFETY: `Pool::run` does not return until every worker has finished
+    // the job, so the borrowed environment outlives all uses. The transmute
+    // only erases the lifetime; `Send + Sync` are enforced on the original
+    // closure.
     let boxed: Box<dyn Fn(usize) + Send + Sync + 'static> = unsafe { std::mem::transmute(boxed) };
     Arc::from(boxed)
 }
@@ -1245,25 +953,12 @@ fn worker_loop(
         // own re-check before parking.
         shared.acks[idx].store(seen, Ordering::SeqCst);
         shared.inject_point();
-        // Classic protocol: the coordinator always parks on `done_cv`, so
-        // the worker completing the generation must always lock + notify
-        // (the seed's rule: only the last worker touches the mutex). Spin
-        // protocol: notify only when a coordinator actually gave up
-        // spinning and registered as a waiter. Futex protocol: the
-        // coordinator sleeps on individual ack words, so each worker wakes
-        // its *own* word — no all-acked scan, no shared lock.
-        if shared.futex {
-            if shared.done_waiters.load(Ordering::SeqCst) > 0 {
-                futex::wake_all(&shared.acks[idx]);
-                shared.metrics.worker(idx).record_futex_wake();
-            }
-        } else {
-            let coordinator_parked =
-                shared.classic || shared.done_waiters.load(Ordering::SeqCst) > 0;
-            if coordinator_parked && shared.all_acked(seen) {
-                let _guard = shared.lock_park();
-                shared.done_cv.notify_all();
-            }
+        // Notify only when a coordinator actually gave up spinning and
+        // registered as a waiter, and only from the worker whose ack
+        // completes the generation.
+        if shared.done_waiters.load(Ordering::SeqCst) > 0 && shared.all_acked(seen) {
+            let _guard = shared.lock_park();
+            shared.done_cv.notify_all();
         }
     }
 }
@@ -1276,18 +971,6 @@ impl Drop for Pool {
             w.stop();
         }
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if self.shared.futex {
-            // Futex sleepers wait on their generation words, not the
-            // condvar: change each word to a sentinel and wake it. A
-            // worker that consumes the sentinel as a "generation" finds
-            // the job cell empty, loops, and — because its sentinel load
-            // is SC-ordered after the shutdown store above — its next
-            // shutdown check must see true.
-            for flag in &self.shared.starts {
-                flag.store(u64::MAX, Ordering::SeqCst);
-                futex::wake_all(flag);
-            }
-        }
         {
             let _guard = self.shared.lock_park();
             self.shared.start_cv.notify_all();
@@ -1309,35 +992,27 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-    fn both_kinds() -> [BarrierKind; 3] {
-        [BarrierKind::Spin, BarrierKind::Futex, BarrierKind::Condvar]
-    }
-
     #[test]
     fn every_worker_runs_once() {
-        for kind in both_kinds() {
-            let pool = Pool::builder(4).barrier(kind).build();
-            let hits = [const { AtomicUsize::new(0) }; 4];
-            pool.run(|w| {
-                hits[w].fetch_add(1, Ordering::SeqCst);
-            });
-            for h in &hits {
-                assert_eq!(h.load(Ordering::SeqCst), 1, "{kind:?}");
-            }
+        let pool = Pool::new(4);
+        let hits = [const { AtomicUsize::new(0) }; 4];
+        pool.run(|w| {
+            hits[w].fetch_add(1, Ordering::SeqCst);
+        });
+        for h in &hits {
+            assert_eq!(h.load(Ordering::SeqCst), 1);
         }
     }
 
     #[test]
     fn jobs_are_sequential_barriers() {
-        for kind in both_kinds() {
-            let pool = Pool::builder(3).barrier(kind).build();
-            let counter = AtomicU64::new(0);
-            for round in 0..10u64 {
-                pool.run(|_| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-                assert_eq!(counter.load(Ordering::SeqCst), (round + 1) * 3, "{kind:?}");
-            }
+        let pool = Pool::new(3);
+        let counter = AtomicU64::new(0);
+        for round in 0..10u64 {
+            pool.run(|_| {
+                counter.fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(counter.load(Ordering::SeqCst), (round + 1) * 3);
         }
     }
 
@@ -1355,24 +1030,20 @@ mod tests {
 
     #[test]
     fn single_worker_pool() {
-        for kind in both_kinds() {
-            let pool = Pool::builder(1).barrier(kind).build();
-            let flag = std::sync::atomic::AtomicBool::new(false);
-            pool.run(|w| {
-                assert_eq!(w, 0);
-                flag.store(true, Ordering::SeqCst);
-            });
-            assert!(flag.load(Ordering::SeqCst), "{kind:?}");
-        }
+        let pool = Pool::new(1);
+        let flag = std::sync::atomic::AtomicBool::new(false);
+        pool.run(|w| {
+            assert_eq!(w, 0);
+            flag.store(true, Ordering::SeqCst);
+        });
+        assert!(flag.load(Ordering::SeqCst));
     }
 
     #[test]
     fn pool_drop_joins_workers() {
-        for kind in both_kinds() {
-            let pool = Pool::builder(4).barrier(kind).build();
-            pool.run(|_| {});
-            drop(pool); // must not hang
-        }
+        let pool = Pool::new(4);
+        pool.run(|_| {});
+        drop(pool); // must not hang
     }
 
     #[test]
@@ -1409,139 +1080,6 @@ mod tests {
         // A core left over for the coordinator: the budget is not capped.
         assert_eq!(start_spin_cap(2, 4), u32::MAX);
         assert_eq!(OVERSUBSCRIBED_SPINS, 64);
-    }
-
-    #[test]
-    fn builder_reports_kind_and_defaults() {
-        assert_eq!(Pool::new(2).barrier_kind(), BarrierKind::Spin);
-        let cv = Pool::builder(2).barrier(BarrierKind::Condvar).build();
-        assert_eq!(cv.barrier_kind(), BarrierKind::Condvar);
-        let fx = Pool::builder(2).barrier(BarrierKind::Futex).build();
-        assert_eq!(fx.barrier_kind(), BarrierKind::Futex);
-        assert_eq!(fx.uses_futex(), crate::futex::supported());
-        assert!(!Pool::new(2).uses_futex());
-    }
-
-    #[test]
-    fn futex_pool_parks_and_completes_with_zero_budget() {
-        // Zero spin/yield budget forces every wait through the futex park
-        // branch on supported targets (eventcount fallback elsewhere).
-        let pool = Pool::builder(4)
-            .barrier(BarrierKind::Futex)
-            .spin_budget(0, 0)
-            .build();
-        let counter = AtomicU64::new(0);
-        for _ in 0..20 {
-            pool.run(|_| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 80);
-        if pool.uses_futex() {
-            let t = pool.metrics().snapshot().totals();
-            assert!(
-                t.barrier_futex_wait > 0,
-                "zero-budget futex pool must issue FUTEX_WAIT syscalls"
-            );
-        }
-    }
-
-    #[test]
-    fn forced_fallback_futex_pool_takes_eventcount_path() {
-        // The non-Linux compile-and-run path, exercised everywhere: a
-        // Futex pool forced onto the mutex+condvar fallback must behave
-        // exactly like a Spin pool and never issue futex syscalls.
-        let pool = Pool::builder(3)
-            .barrier(BarrierKind::Futex)
-            .force_park_fallback(true)
-            .spin_budget(0, 0)
-            .build();
-        assert!(!pool.uses_futex());
-        let counter = AtomicU64::new(0);
-        for _ in 0..10 {
-            pool.run(|_| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 30);
-        let t = pool.metrics().snapshot().totals();
-        assert_eq!(t.barrier_futex_wait, 0);
-        assert_eq!(t.futex_wake, 0);
-    }
-
-    #[test]
-    fn futex_pool_oversubscribed_completes() {
-        let pool = Pool::builder(16)
-            .barrier(BarrierKind::Futex)
-            .spin_budget(u32::MAX, 2)
-            .build();
-        let counter = AtomicU64::new(0);
-        for _ in 0..50 {
-            pool.run(|_| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 50 * 16);
-    }
-
-    #[test]
-    fn adaptive_budget_stays_clamped_and_pool_stays_correct() {
-        use crate::parallel::{parallel_phases, RuntimeScheduler};
-        let pool = Pool::builder(4).adaptive_spin(true).build();
-        for _ in 0..5 {
-            parallel_phases(
-                &pool,
-                4,
-                |_| 512,
-                &RuntimeScheduler::afs_k_equals_p(),
-                |_, _| {},
-            );
-            let b = pool.current_spin_budget();
-            assert!(
-                (ADAPTIVE_MIN_SPINS..=ADAPTIVE_MAX_SPINS).contains(&b),
-                "budget {b} escaped the clamp"
-            );
-        }
-        // The controller surfaces its state through the metrics snapshot.
-        let spin_state = pool
-            .metrics()
-            .snapshot()
-            .controllers
-            .expect("adaptive spin must publish controller state")
-            .spin
-            .expect("spin block present");
-        assert_eq!(spin_state.budget, u64::from(pool.current_spin_budget()));
-        // One-shot dispatch traffic on a pool with no core to spare: the
-        // start-wait cap binds, so every start wait outlasts its 64 spins
-        // and resolves in the yield leg. Those outcomes are not the
-        // budget's to cure; a controller that read them would double it
-        // at every refresh, up to ADAPTIVE_MAX_SPINS.
-        let pool = Pool::builder(affinity::core_count())
-            .adaptive_spin(true)
-            .build();
-        for i in 0..2_000 {
-            let gap = std::time::Instant::now();
-            while gap.elapsed() < Duration::from_micros(5) {
-                std::hint::spin_loop();
-            }
-            pool.run(|_| {});
-            if i % 50 == 0 {
-                // What every region start does: refresh the budget.
-                let _ = pool.phase_barrier();
-            }
-        }
-        assert!(
-            pool.current_spin_budget() <= DEFAULT_SPINS,
-            "capped start waits ratcheted the budget to {}",
-            pool.current_spin_budget()
-        );
-        // Classic pools never spin; the controller must not attach.
-        let cv = Pool::builder(2)
-            .barrier(BarrierKind::Condvar)
-            .adaptive_spin(true)
-            .build();
-        assert_eq!(cv.current_spin_budget(), 0);
-        cv.run(|_| {});
     }
 
     #[test]
@@ -1597,25 +1135,23 @@ mod tests {
 
     #[test]
     fn job_panic_is_contained_and_pool_survives() {
-        for kind in both_kinds() {
-            let pool = Pool::builder(3).barrier(kind).build();
-            let err = pool
-                .try_run(|w| {
-                    if w == 1 {
-                        panic!("job blew up");
-                    }
-                })
-                .unwrap_err();
-            assert_eq!(err.worker(), 1, "{kind:?}");
-            assert_eq!(err.message(), Some("job blew up"), "{kind:?}");
-            // The rendezvous completed and the pool is still usable.
-            let counter = AtomicU64::new(0);
-            pool.try_run(|_| {
-                counter.fetch_add(1, Ordering::SeqCst);
+        let pool = Pool::new(3);
+        let err = pool
+            .try_run(|w| {
+                if w == 1 {
+                    panic!("job blew up");
+                }
             })
-            .unwrap();
-            assert_eq!(counter.load(Ordering::SeqCst), 3, "{kind:?}");
-        }
+            .unwrap_err();
+        assert_eq!(err.worker(), 1);
+        assert_eq!(err.message(), Some("job blew up"));
+        // The rendezvous completed and the pool is still usable.
+        let counter = AtomicU64::new(0);
+        pool.try_run(|_| {
+            counter.fetch_add(1, Ordering::SeqCst);
+        })
+        .unwrap();
+        assert_eq!(counter.load(Ordering::SeqCst), 3);
     }
 
     #[test]
@@ -1640,107 +1176,96 @@ mod tests {
 
     #[test]
     fn spawn_failure_degrades_to_started_workers() {
-        for kind in both_kinds() {
-            let pool = Pool::builder(4).barrier(kind).fail_spawn_after(2).build();
-            assert_eq!(pool.workers(), 2, "{kind:?}");
-            assert_eq!(pool.metrics().effective_workers(), 2, "{kind:?}");
-            assert_eq!(pool.metrics().workers(), 4, "registry keeps requested P");
-            let counter = AtomicU64::new(0);
-            for _ in 0..5 {
-                pool.run(|w| {
-                    assert!(w < 2);
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            assert_eq!(counter.load(Ordering::SeqCst), 10, "{kind:?}");
-            assert_eq!(pool.metrics().snapshot().effective_workers, 2);
+        let pool = Pool::builder(4).fail_spawn_after(2).build();
+        assert_eq!(pool.workers(), 2);
+        assert_eq!(pool.metrics().effective_workers(), 2);
+        assert_eq!(pool.metrics().workers(), 4, "registry keeps requested P");
+        let counter = AtomicU64::new(0);
+        for _ in 0..5 {
+            pool.run(|w| {
+                assert!(w < 2);
+                counter.fetch_add(1, Ordering::SeqCst);
+            });
         }
+        assert_eq!(counter.load(Ordering::SeqCst), 10);
+        assert_eq!(pool.metrics().snapshot().effective_workers, 2);
     }
 
     #[test]
     fn try_dispatch_runs_and_completes() {
-        for kind in both_kinds() {
-            let pool = Pool::builder(3).barrier(kind).build();
-            let counter = Arc::new(AtomicU64::new(0));
-            let c = Arc::clone(&counter);
-            let ticket = pool
-                .try_dispatch(Arc::new(move |_| {
-                    c.fetch_add(1, Ordering::SeqCst);
-                }))
-                .unwrap();
-            // Poll to completion, then collect.
-            while !ticket.is_complete() {
-                std::thread::yield_now();
-            }
-            ticket.wait().unwrap();
-            assert_eq!(counter.load(Ordering::SeqCst), 3, "{kind:?}");
+        let pool = Pool::new(3);
+        let counter = Arc::new(AtomicU64::new(0));
+        let c = Arc::clone(&counter);
+        let ticket = pool
+            .try_dispatch(Arc::new(move |_| {
+                c.fetch_add(1, Ordering::SeqCst);
+            }))
+            .unwrap();
+        // Poll to completion, then collect.
+        while !ticket.is_complete() {
+            std::thread::yield_now();
         }
+        ticket.wait().unwrap();
+        assert_eq!(counter.load(Ordering::SeqCst), 3);
     }
 
     #[test]
     fn try_dispatch_reports_busy_while_in_flight() {
-        for kind in both_kinds() {
-            let pool = Pool::builder(2).barrier(kind).build();
-            let gate = Arc::new(AtomicBool::new(false));
-            let g = Arc::clone(&gate);
-            let ticket = pool
-                .try_dispatch(Arc::new(move |_| {
-                    while !g.load(Ordering::SeqCst) {
-                        std::thread::yield_now();
-                    }
-                }))
-                .unwrap();
-            assert!(!ticket.is_complete(), "{kind:?}");
-            assert_eq!(
-                pool.try_dispatch(Arc::new(|_| {})).err(),
-                Some(TryDispatchError::Busy),
-                "{kind:?}"
-            );
-            gate.store(true, Ordering::SeqCst);
-            ticket.wait().unwrap();
-            // Slot released: the next dispatch is accepted.
-            pool.try_dispatch(Arc::new(|_| {})).unwrap().wait().unwrap();
-        }
+        let pool = Pool::new(2);
+        let gate = Arc::new(AtomicBool::new(false));
+        let g = Arc::clone(&gate);
+        let ticket = pool
+            .try_dispatch(Arc::new(move |_| {
+                while !g.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            }))
+            .unwrap();
+        assert!(!ticket.is_complete());
+        assert_eq!(
+            pool.try_dispatch(Arc::new(|_| {})).err(),
+            Some(TryDispatchError::Busy)
+        );
+        gate.store(true, Ordering::SeqCst);
+        ticket.wait().unwrap();
+        // Slot released: the next dispatch is accepted.
+        pool.try_dispatch(Arc::new(|_| {})).unwrap().wait().unwrap();
     }
 
     #[test]
     fn wait_parked_sleeps_through_a_gated_job_and_returns_its_panic() {
-        for kind in both_kinds() {
-            let pool = Pool::builder(2).barrier(kind).build();
-            let gate = Arc::new(AtomicBool::new(false));
-            let g = Arc::clone(&gate);
-            let ticket = pool
-                .try_dispatch(Arc::new(move |w| {
-                    while !g.load(Ordering::SeqCst) {
-                        std::thread::yield_now();
-                    }
-                    if w == 1 {
-                        panic!("after the gate");
-                    }
-                }))
-                .unwrap();
-            let classic = pool.shared.classic;
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    // Open the gate only once the waiter below has
-                    // registered for its park (the classic protocol keeps
-                    // no waiter count; its wait is under the mutex anyway).
-                    while !classic && pool.shared.done_waiters.load(Ordering::SeqCst) == 0 {
-                        std::thread::yield_now();
-                    }
-                    gate.store(true, Ordering::SeqCst);
-                });
-                let err = ticket.wait_parked().expect_err("worker 1 panicked");
-                assert_eq!(err.worker(), 1, "{kind:?}");
+        let pool = Pool::new(2);
+        let gate = Arc::new(AtomicBool::new(false));
+        let g = Arc::clone(&gate);
+        let ticket = pool
+            .try_dispatch(Arc::new(move |w| {
+                while !g.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                if w == 1 {
+                    panic!("after the gate");
+                }
+            }))
+            .unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Open the gate only once the waiter below has
+                // registered for its park.
+                while pool.shared.done_waiters.load(Ordering::SeqCst) == 0 {
+                    std::thread::yield_now();
+                }
+                gate.store(true, Ordering::SeqCst);
             });
-            // Already complete: returns without blocking, slot released.
-            let ticket = pool.try_dispatch(Arc::new(|_| {})).unwrap();
-            while !ticket.is_complete() {
-                std::thread::yield_now();
-            }
-            ticket.wait_parked().unwrap();
-            pool.run(|_| {});
+            let err = ticket.wait_parked().expect_err("worker 1 panicked");
+            assert_eq!(err.worker(), 1);
+        });
+        // Already complete: returns without blocking, slot released.
+        let ticket = pool.try_dispatch(Arc::new(|_| {})).unwrap();
+        while !ticket.is_complete() {
+            std::thread::yield_now();
         }
+        ticket.wait_parked().unwrap();
+        pool.run(|_| {});
     }
 
     #[test]

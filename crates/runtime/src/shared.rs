@@ -125,6 +125,8 @@ mod tests {
     #[test]
     fn rows_are_disjoint_slices() {
         let m = RowMatrix::from_vec(vec![0u32; 12], 3, 4);
+        // SAFETY: rows 0 and 2 are distinct, and this thread is the only
+        // one touching the matrix.
         unsafe {
             let r0 = m.row_mut(0);
             let r2 = m.row_mut(2);
@@ -184,6 +186,8 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn row_bounds_checked() {
         let m = RowMatrix::from_vec(vec![0u8; 4], 2, 2);
+        // SAFETY: single-threaded, no writer; the bounds check panics
+        // before any reference is formed.
         unsafe {
             let _ = m.row(2);
         }

@@ -15,11 +15,8 @@
 //! * [`LockedSource`] — GSS, factoring, trapezoid and friends hand out
 //!   chunks whose size depends on the remaining work, so they keep the
 //!   faithful implementation: the core state machine under one mutex.
-//! * [`LockedAfsSource`] — the original mutex-per-queue AFS, kept as the
-//!   differential-testing and benchmark baseline for the lock-free path.
 
 use crate::inject::YieldInject;
-use crate::pad::CachePadded;
 use crate::sync::{lock_traced, Mutex};
 use afs_core::chunking::{
     afs_local_chunk, afs_steal_chunk, pack_queue, packed_queue_len, packed_take_back,
@@ -27,6 +24,7 @@ use afs_core::chunking::{
 };
 use afs_core::policy::{AccessKind, Grab, LoopState};
 use afs_core::range::IterRange;
+use afs_metrics::pad::CachePadded;
 use afs_metrics::MetricsRegistry;
 use afs_trace::{EventKind, TraceSink};
 use std::cell::UnsafeCell;
@@ -504,9 +502,11 @@ impl WorkSource for AfsSource {
         let _ = self.words[worker].load(Ordering::Relaxed);
         // Allocate the grab-ahead stash from the owning thread: its heap
         // block is then first-touched on this worker's node, not the
-        // coordinator's. SAFETY: same exclusivity as `next` — only the
-        // thread driving `worker` calls `warm(worker)`.
+        // coordinator's.
         let ahead = self.ahead.load(Ordering::Relaxed);
+        // SAFETY: same exclusivity as `next` — only the thread driving
+        // `worker` calls `warm(worker)`, so no other reference to this
+        // worker's stash exists.
         let stash = unsafe { &mut *self.stash[worker].0.get() };
         if ahead > 1 && stash.capacity() < ahead {
             stash.reserve_exact(ahead - stash.capacity());
@@ -542,108 +542,6 @@ impl WorkSource for AfsSource {
             if let Some(g) = self.try_steal(worker, victim) {
                 return Some(g);
             }
-        }
-    }
-}
-
-/// The original mutex-per-queue AFS: one lock + one atomic length per
-/// worker queue.
-///
-/// Kept as the differential-testing twin and the benchmark baseline of the
-/// lock-free [`AfsSource`] — `repro --bench-grabs` measures both.
-pub struct LockedAfsSource {
-    queues: Vec<Mutex<IterRange>>,
-    lens: Vec<AtomicU64>,
-    k: u64,
-    p: usize,
-    trace: Option<Arc<TraceSink>>,
-}
-
-impl LockedAfsSource {
-    /// Deterministic initial assignment of `n` iterations to `p` queues,
-    /// with local grab divisor `k`.
-    pub fn new(n: u64, p: usize, k: u64) -> Self {
-        assert!(p >= 1 && k >= 1);
-        let parts: Vec<IterRange> = (0..p).map(|i| static_partition(n, p, i)).collect();
-        Self {
-            lens: parts.iter().map(|r| AtomicU64::new(r.len())).collect(),
-            queues: parts.into_iter().map(Mutex::new).collect(),
-            k,
-            p,
-            trace: None,
-        }
-    }
-
-    /// Records contended queue-lock acquisitions into `sink`.
-    pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
-    }
-
-    fn most_loaded(&self) -> Option<usize> {
-        let mut best = 0usize;
-        let mut best_len = 0u64;
-        for (i, len) in self.lens.iter().enumerate() {
-            let l = len.load(Ordering::Relaxed);
-            if l > best_len {
-                best_len = l;
-                best = i;
-            }
-        }
-        (best_len > 0).then_some(best)
-    }
-}
-
-impl WorkSource for LockedAfsSource {
-    fn next(&self, worker: usize) -> Option<Grab> {
-        debug_assert!(worker < self.p);
-        loop {
-            // Local queue first.
-            if self.lens[worker].load(Ordering::Relaxed) > 0 {
-                let mut q = lock_traced(
-                    &self.queues[worker],
-                    self.trace.as_deref(),
-                    worker,
-                    worker as u32,
-                );
-                let len = q.len();
-                if len > 0 {
-                    let take = afs_local_chunk(len, self.k);
-                    let range = q.split_front(take);
-                    self.lens[worker].store(q.len(), Ordering::Relaxed);
-                    return Some(Grab {
-                        range,
-                        queue: worker,
-                        access: AccessKind::Local,
-                    });
-                }
-            }
-            // Steal 1/P from the most loaded queue.
-            let victim = self.most_loaded()?;
-            let mut q = lock_traced(
-                &self.queues[victim],
-                self.trace.as_deref(),
-                worker,
-                victim as u32,
-            );
-            let len = q.len();
-            if len == 0 {
-                // Raced with the owner or another thief; re-scan.
-                continue;
-            }
-            let take = afs_steal_chunk(len, self.p);
-            let range = q.split_back(take);
-            self.lens[victim].store(q.len(), Ordering::Relaxed);
-            let access = if victim == worker {
-                AccessKind::Local
-            } else {
-                AccessKind::Remote
-            };
-            return Some(Grab {
-                range,
-                queue: victim,
-                access,
-            });
         }
     }
 }
@@ -701,43 +599,28 @@ mod tests {
     fn afs_source_matches_core_afs_single_threaded() {
         // Driven by the same request sequence, the concurrent AFS source and
         // the core AFS state machine must hand out identical chunks.
-        let n = 512;
-        let p = 8;
-        let concurrent = AfsSource::new(n, p, p as u64);
-        let core_sched = Affinity::with_k_equals_p();
-        let mut core_state = core_sched.begin_loop(n, p);
-        let order = [3usize, 0, 7, 3, 1, 2, 3, 3, 3, 3, 0, 5, 6, 4, 3, 0];
-        for &w in order.iter().cycle().take(400) {
-            let a = concurrent.next(w);
-            let b = core_state.next(w);
-            match (a, b) {
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.range, y.range, "worker {w}");
-                    assert_eq!(x.queue, y.queue);
-                    assert_eq!(x.access, y.access);
-                }
-                (None, None) => break,
-                (x, y) => panic!("divergence at worker {w}: {x:?} vs {y:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn locked_afs_matches_lockfree_afs() {
-        // Differential twin: the kept mutex implementation and the lock-free
-        // one must agree grab for grab on any single-threaded drive.
-        for (n, p, k) in [(512u64, 8usize, 8u64), (100, 4, 2), (7, 3, 3), (1, 1, 1)] {
-            let a = AfsSource::new(n, p, k);
-            let b = LockedAfsSource::new(n, p, k);
-            let order: Vec<usize> = (0..600).map(|i| (i * 7 + i / 5) % p).collect();
+        let fixed: Vec<usize> = [3usize, 0, 7, 3, 1, 2, 3, 3, 3, 3, 0, 5, 6, 4, 3, 0]
+            .into_iter()
+            .cycle()
+            .take(400)
+            .collect();
+        let strided = |p: usize| (0..600).map(|i| (i * 7 + i / 5) % p).collect::<Vec<_>>();
+        for (n, p, k, order) in [
+            (512u64, 8usize, 8u64, fixed),
+            (512, 8, 8, strided(8)),
+            (100, 4, 2, strided(4)),
+            (7, 3, 3, strided(3)),
+            (1, 1, 1, strided(1)),
+        ] {
+            let concurrent = AfsSource::new(n, p, k);
+            let mut core_state = Affinity::with_k(k).begin_loop(n, p);
             for &w in &order {
-                let (x, y) = (a.next(w), b.next(w));
-                match (x, y) {
+                match (concurrent.next(w), core_state.next(w)) {
                     (Some(x), Some(y)) => {
                         assert_eq!((x.range, x.queue, x.access), (y.range, y.queue, y.access));
                     }
                     (None, None) => break,
-                    (x, y) => panic!("divergence (n={n} p={p} k={k}): {x:?} vs {y:?}"),
+                    (x, y) => panic!("divergence (n={n} p={p} k={k}) at {w}: {x:?} vs {y:?}"),
                 }
             }
         }

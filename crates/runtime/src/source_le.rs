@@ -6,13 +6,13 @@
 //! ranges; each queue is an `afs_core` [`RangeQueue`] under its own lock,
 //! with an atomic length for lock-free load checks.
 
-use crate::pad::CachePadded;
 use crate::source::WorkSource;
 use crate::sync::{lock_traced, Mutex};
 use afs_core::chunking::{afs_local_chunk, afs_steal_chunk, static_partition};
 use afs_core::policy::{AccessKind, Grab};
 use afs_core::range::IterRange;
 use afs_core::schedulers::affinity::RangeQueue;
+use afs_metrics::pad::CachePadded;
 use afs_trace::TraceSink;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -5,7 +5,7 @@
 //! * **Frozen differential**: a frozen [`AdaptController`] must make
 //!   `Policy::Adaptive` indistinguishable from the static AFS cell it is
 //!   frozen at — same computed bytes, same exactly-once coverage, and the
-//!   controller must not move — under every [`BarrierKind`].
+//!   controller must not move.
 //! * **Theorem 3.2 under faults**: across many fault-injection seeds, a
 //!   delayed worker's residual imbalance under the *self-tuning* policy
 //!   must respect the paper's bound at whatever `k` the controller ended
@@ -19,10 +19,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const P: usize = 8;
-
-fn all_kinds() -> [BarrierKind; 3] {
-    [BarrierKind::Condvar, BarrierKind::Spin, BarrierKind::Futex]
-}
 
 /// A deterministic multi-phase stencil whose output depends on every
 /// (phase, iteration) body running exactly once: phase `t` reads buffer
@@ -57,34 +53,28 @@ fn jacobi_bytes(pool: &Pool, policy: &RuntimeScheduler, n: u64, phases: usize) -
     (out, m.total_iters())
 }
 
-/// Frozen controller ≡ static cell, under every barrier kind: the bytes a
-/// multi-phase computation produces, and the iteration totals, must be
-/// identical — and the frozen controller must report zero decisions and an
-/// unmoved operating point afterwards.
+/// Frozen controller ≡ static cell: the bytes a multi-phase computation
+/// produces, and the iteration totals, must be identical — and the frozen
+/// controller must report zero decisions and an unmoved operating point
+/// afterwards.
 #[test]
-fn frozen_controller_matches_static_policy_under_every_barrier() {
+fn frozen_controller_matches_static_policy() {
     let (n, phases) = (4_096u64, 9usize);
     let (k, b) = (4u64, 2usize);
-    for kind in all_kinds() {
-        let make_pool = || Pool::builder(P).barrier(kind).build();
-        let (want, static_iters) =
-            jacobi_bytes(&make_pool(), &RuntimeScheduler::afs_tuned(k, b), n, phases);
+    let (want, static_iters) =
+        jacobi_bytes(&Pool::new(P), &RuntimeScheduler::afs_tuned(k, b), n, phases);
 
-        let ctl = Arc::new(AdaptController::with_initial(P, k, b));
-        ctl.freeze();
-        let frozen = RuntimeScheduler::adaptive_with(Arc::clone(&ctl));
-        let (got, frozen_iters) = jacobi_bytes(&make_pool(), &frozen, n, phases);
+    let ctl = Arc::new(AdaptController::with_initial(P, k, b));
+    ctl.freeze();
+    let frozen = RuntimeScheduler::adaptive_with(Arc::clone(&ctl));
+    let (got, frozen_iters) = jacobi_bytes(&Pool::new(P), &frozen, n, phases);
 
-        assert_eq!(static_iters, n * phases as u64, "{kind:?}: static coverage");
-        assert_eq!(frozen_iters, n * phases as u64, "{kind:?}: frozen coverage");
-        assert_eq!(
-            got, want,
-            "{kind:?}: frozen Adaptive diverged from afs_tuned"
-        );
-        assert!(ctl.is_frozen(), "{kind:?}");
-        assert_eq!(ctl.current(), (k, b), "{kind:?}: operating point moved");
-        assert_eq!(ctl.decisions(), 0, "{kind:?}: frozen controller decided");
-    }
+    assert_eq!(static_iters, n * phases as u64, "static coverage");
+    assert_eq!(frozen_iters, n * phases as u64, "frozen coverage");
+    assert_eq!(got, want, "frozen Adaptive diverged from afs_tuned");
+    assert!(ctl.is_frozen());
+    assert_eq!(ctl.current(), (k, b), "operating point moved");
+    assert_eq!(ctl.decisions(), 0, "frozen controller decided");
 }
 
 /// A frozen controller at the paper default (k = P, b = 1) must also match
@@ -92,7 +82,7 @@ fn frozen_controller_matches_static_policy_under_every_barrier() {
 #[test]
 fn frozen_default_matches_afs_k_equals_p() {
     let (n, phases) = (2_048u64, 5usize);
-    let pool = || Pool::builder(P).barrier(BarrierKind::Spin).build();
+    let pool = || Pool::new(P);
     let (want, _) = jacobi_bytes(&pool(), &RuntimeScheduler::afs_k_equals_p(), n, phases);
     let ctl = Arc::new(AdaptController::with_initial(P, P as u64, 1));
     ctl.freeze();

@@ -73,11 +73,6 @@ fn measure(pool: &Pool, policy: &RuntimeScheduler, phases: usize) -> Usage {
 #[test]
 fn phase_boundaries_retain_nothing_and_afs_allocates_nothing() {
     let pool = Pool::new(2);
-    assert_ne!(
-        pool.barrier_kind(),
-        BarrierKind::Condvar,
-        "the default pool must take the fused driver"
-    );
     // (policy, whether its regions must be allocation-free per phase).
     let policies = [
         (RuntimeScheduler::afs_k_equals_p(), true),

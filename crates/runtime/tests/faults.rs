@@ -23,10 +23,6 @@ fn ones(counts: &[AtomicU32]) -> u64 {
         .count() as u64
 }
 
-fn both_kinds() -> [BarrierKind; 2] {
-    [BarrierKind::Spin, BarrierKind::Condvar]
-}
-
 /// Drain policy: a panicking iteration costs exactly itself. Every other
 /// iteration executes exactly once, the error names the worker and phase,
 /// and the same pool runs the next loop cleanly.
@@ -36,41 +32,38 @@ fn drain_executes_every_other_iteration_exactly_once() {
     // Worker 1 owns [1024, 2048) under STATIC, so iteration 1500 is
     // deterministically executed (and poisoned) by worker 1.
     let poison = 1500u64;
-    for kind in both_kinds() {
-        let pool = Pool::builder(p)
-            .barrier(kind)
-            .faults(FaultPlan::new(7).with_panic_at(1, 0, poison))
-            .build();
-        let counts = count_array(n);
-        let before = pool.metrics().snapshot();
-        let err = try_parallel_for(&pool, n, &RuntimeScheduler::static_partition(), |i| {
-            counts[i as usize].fetch_add(1, Ordering::SeqCst);
-        })
-        .unwrap_err();
-        assert_eq!(err.worker(), 1, "{kind:?}");
-        assert_eq!(err.phase(), 0, "{kind:?}");
-        assert!(
-            err.message().unwrap_or_default().contains("injected fault"),
-            "{kind:?}: {err:?}"
-        );
-        // Ground truth: only the poisoned iteration is missing, nothing ran
-        // twice.
-        for (i, c) in counts.iter().enumerate() {
-            let want = u32::from(i as u64 != poison);
-            assert_eq!(c.load(Ordering::SeqCst), want, "{kind:?}: iteration {i}");
-        }
-        // Differential: the runtime's own accounting agrees with the bodies.
-        let delta = pool.metrics().snapshot().delta_since(&before);
-        assert_eq!(delta.totals().iters, n - 1, "{kind:?}");
-        // The trigger is one-shot and the pool is fully usable: the same
-        // loop now completes.
-        let again = count_array(n);
-        let m = parallel_for(&pool, n, &RuntimeScheduler::static_partition(), |i| {
-            again[i as usize].fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(m.total_iters(), n, "{kind:?}");
-        assert!(again.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+    let pool = Pool::builder(p)
+        .faults(FaultPlan::new(7).with_panic_at(1, 0, poison))
+        .build();
+    let counts = count_array(n);
+    let before = pool.metrics().snapshot();
+    let err = try_parallel_for(&pool, n, &RuntimeScheduler::static_partition(), |i| {
+        counts[i as usize].fetch_add(1, Ordering::SeqCst);
+    })
+    .unwrap_err();
+    assert_eq!(err.worker(), 1);
+    assert_eq!(err.phase(), 0);
+    assert!(
+        err.message().unwrap_or_default().contains("injected fault"),
+        "{err:?}"
+    );
+    // Ground truth: only the poisoned iteration is missing, nothing ran
+    // twice.
+    for (i, c) in counts.iter().enumerate() {
+        let want = u32::from(i as u64 != poison);
+        assert_eq!(c.load(Ordering::SeqCst), want, "iteration {i}");
     }
+    // Differential: the runtime's own accounting agrees with the bodies.
+    let delta = pool.metrics().snapshot().delta_since(&before);
+    assert_eq!(delta.totals().iters, n - 1);
+    // The trigger is one-shot and the pool is fully usable: the same
+    // loop now completes.
+    let again = count_array(n);
+    let m = parallel_for(&pool, n, &RuntimeScheduler::static_partition(), |i| {
+        again[i as usize].fetch_add(1, Ordering::SeqCst);
+    });
+    assert_eq!(m.total_iters(), n);
+    assert!(again.iter().all(|c| c.load(Ordering::SeqCst) == 1));
 }
 
 /// SkipRemaining: nothing runs twice, the poisoned iteration never runs,
@@ -79,30 +72,27 @@ fn drain_executes_every_other_iteration_exactly_once() {
 fn skip_remaining_never_double_runs_and_metrics_agree() {
     let (n, p) = (4096u64, 4usize);
     let poison = 1500u64;
-    for kind in both_kinds() {
-        let pool = Pool::builder(p)
-            .barrier(kind)
-            .faults(FaultPlan::new(7).with_panic_at(1, 0, poison))
-            .panic_policy(PanicPolicy::SkipRemaining)
-            .build();
-        let counts = count_array(n);
-        let before = pool.metrics().snapshot();
-        let err = try_parallel_for(&pool, n, &RuntimeScheduler::static_partition(), |i| {
-            counts[i as usize].fetch_add(1, Ordering::SeqCst);
-        })
-        .unwrap_err();
-        assert_eq!(err.worker(), 1, "{kind:?}");
-        assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) <= 1));
-        assert_eq!(counts[poison as usize].load(Ordering::SeqCst), 0);
-        let executed = ones(&counts);
-        // Worker 1 abandons at least its own chunk tail.
-        assert!(executed < n, "{kind:?}");
-        let delta = pool.metrics().snapshot().delta_since(&before);
-        assert_eq!(delta.totals().iters, executed, "{kind:?}");
-        // The pool recovers for the next region.
-        let m = parallel_for(&pool, n, &RuntimeScheduler::static_partition(), |_| {});
-        assert_eq!(m.total_iters(), n, "{kind:?}");
-    }
+    let pool = Pool::builder(p)
+        .faults(FaultPlan::new(7).with_panic_at(1, 0, poison))
+        .panic_policy(PanicPolicy::SkipRemaining)
+        .build();
+    let counts = count_array(n);
+    let before = pool.metrics().snapshot();
+    let err = try_parallel_for(&pool, n, &RuntimeScheduler::static_partition(), |i| {
+        counts[i as usize].fetch_add(1, Ordering::SeqCst);
+    })
+    .unwrap_err();
+    assert_eq!(err.worker(), 1);
+    assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) <= 1));
+    assert_eq!(counts[poison as usize].load(Ordering::SeqCst), 0);
+    let executed = ones(&counts);
+    // Worker 1 abandons at least its own chunk tail.
+    assert!(executed < n);
+    let delta = pool.metrics().snapshot().delta_since(&before);
+    assert_eq!(delta.totals().iters, executed);
+    // The pool recovers for the next region.
+    let m = parallel_for(&pool, n, &RuntimeScheduler::static_partition(), |_| {});
+    assert_eq!(m.total_iters(), n);
 }
 
 /// A panic in the middle phase of a nest: Drain finishes the nest (minus
@@ -111,32 +101,29 @@ fn skip_remaining_never_double_runs_and_metrics_agree() {
 fn drain_nest_loses_only_the_poisoned_iteration() {
     let (n, p, phases) = (2048u64, 4usize, 3usize);
     let poison = 700u64; // worker 1 owns [512, 1024) under STATIC
-    for kind in both_kinds() {
-        let pool = Pool::builder(p)
-            .barrier(kind)
-            .faults(FaultPlan::new(3).with_panic_at(1, 1, poison))
-            .build();
-        let counts = count_array(n * phases as u64);
-        let before = pool.metrics().snapshot();
-        let err = try_parallel_phases(
-            &pool,
-            phases,
-            |_| n,
-            &RuntimeScheduler::static_partition(),
-            |ph, i| {
-                counts[ph * n as usize + i as usize].fetch_add(1, Ordering::SeqCst);
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err.worker(), 1, "{kind:?}");
-        assert_eq!(err.phase(), 1, "{kind:?}");
-        for (slot, c) in counts.iter().enumerate() {
-            let want = u32::from(slot != n as usize + poison as usize);
-            assert_eq!(c.load(Ordering::SeqCst), want, "{kind:?}: slot {slot}");
-        }
-        let delta = pool.metrics().snapshot().delta_since(&before);
-        assert_eq!(delta.totals().iters, n * phases as u64 - 1, "{kind:?}");
+    let pool = Pool::builder(p)
+        .faults(FaultPlan::new(3).with_panic_at(1, 1, poison))
+        .build();
+    let counts = count_array(n * phases as u64);
+    let before = pool.metrics().snapshot();
+    let err = try_parallel_phases(
+        &pool,
+        phases,
+        |_| n,
+        &RuntimeScheduler::static_partition(),
+        |ph, i| {
+            counts[ph * n as usize + i as usize].fetch_add(1, Ordering::SeqCst);
+        },
+    )
+    .unwrap_err();
+    assert_eq!(err.worker(), 1);
+    assert_eq!(err.phase(), 1);
+    for (slot, c) in counts.iter().enumerate() {
+        let want = u32::from(slot != n as usize + poison as usize);
+        assert_eq!(c.load(Ordering::SeqCst), want, "slot {slot}");
     }
+    let delta = pool.metrics().snapshot().delta_since(&before);
+    assert_eq!(delta.totals().iters, n * phases as u64 - 1);
 }
 
 /// SkipRemaining in a nest: phases after the failed one never start.
@@ -144,35 +131,32 @@ fn drain_nest_loses_only_the_poisoned_iteration() {
 fn skip_remaining_skips_later_phases() {
     let (n, p, phases) = (2048u64, 4usize, 3usize);
     let poison = 700u64;
-    for kind in both_kinds() {
-        let pool = Pool::builder(p)
-            .barrier(kind)
-            .faults(FaultPlan::new(3).with_panic_at(1, 1, poison))
-            .panic_policy(PanicPolicy::SkipRemaining)
-            .build();
-        let counts = count_array(n * phases as u64);
-        let err = try_parallel_phases(
-            &pool,
-            phases,
-            |_| n,
-            &RuntimeScheduler::static_partition(),
-            |ph, i| {
-                counts[ph * n as usize + i as usize].fetch_add(1, Ordering::SeqCst);
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err.phase(), 1, "{kind:?}");
-        // Phase 0 completed before the failure, phase 2 never ran.
-        let phase_total = |ph: usize| {
-            counts[ph * n as usize..(ph + 1) * n as usize]
-                .iter()
-                .map(|c| c.load(Ordering::SeqCst) as u64)
-                .sum::<u64>()
-        };
-        assert_eq!(phase_total(0), n, "{kind:?}");
-        assert!(phase_total(1) < n, "{kind:?}");
-        assert_eq!(phase_total(2), 0, "{kind:?}");
-    }
+    let pool = Pool::builder(p)
+        .faults(FaultPlan::new(3).with_panic_at(1, 1, poison))
+        .panic_policy(PanicPolicy::SkipRemaining)
+        .build();
+    let counts = count_array(n * phases as u64);
+    let err = try_parallel_phases(
+        &pool,
+        phases,
+        |_| n,
+        &RuntimeScheduler::static_partition(),
+        |ph, i| {
+            counts[ph * n as usize + i as usize].fetch_add(1, Ordering::SeqCst);
+        },
+    )
+    .unwrap_err();
+    assert_eq!(err.phase(), 1);
+    // Phase 0 completed before the failure, phase 2 never ran.
+    let phase_total = |ph: usize| {
+        counts[ph * n as usize..(ph + 1) * n as usize]
+            .iter()
+            .map(|c| c.load(Ordering::SeqCst) as u64)
+            .sum::<u64>()
+    };
+    assert_eq!(phase_total(0), n);
+    assert!(phase_total(1) < n);
+    assert_eq!(phase_total(2), 0);
 }
 
 /// Timing faults (delayed start, stall, preemption) disturb the schedule
@@ -181,32 +165,29 @@ fn skip_remaining_skips_later_phases() {
 #[test]
 fn timing_faults_preserve_exactly_once() {
     let n = 2000u64;
-    for kind in both_kinds() {
-        let plan = FaultPlan::new(11)
-            .with_delayed_start(0, Duration::from_millis(5))
-            .with_stall(2, 0, 0, Duration::from_millis(2))
-            .with_preemption(64, Duration::from_micros(100));
-        let pool = Pool::builder(4).barrier(kind).faults(plan).build();
-        let counts = count_array(n);
-        let before = pool.metrics().snapshot();
-        let m = parallel_for(&pool, n, &RuntimeScheduler::afs_k_equals_p(), |i| {
-            counts[i as usize].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-        assert_eq!(m.total_iters(), n, "{kind:?}");
-        let delta = pool.metrics().snapshot().delta_since(&before);
-        assert_eq!(delta.totals().iters, n, "{kind:?}");
-        // Every worker that grabbed left a heartbeat trail.
-        assert!(
-            delta
-                .workers
-                .iter()
-                .map(|w| w.counters.heartbeats)
-                .sum::<u64>()
-                > 0,
-            "{kind:?}"
-        );
-    }
+    let plan = FaultPlan::new(11)
+        .with_delayed_start(0, Duration::from_millis(5))
+        .with_stall(2, 0, 0, Duration::from_millis(2))
+        .with_preemption(64, Duration::from_micros(100));
+    let pool = Pool::builder(4).faults(plan).build();
+    let counts = count_array(n);
+    let before = pool.metrics().snapshot();
+    let m = parallel_for(&pool, n, &RuntimeScheduler::afs_k_equals_p(), |i| {
+        counts[i as usize].fetch_add(1, Ordering::SeqCst);
+    });
+    assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+    assert_eq!(m.total_iters(), n);
+    let delta = pool.metrics().snapshot().delta_since(&before);
+    assert_eq!(delta.totals().iters, n);
+    // Every worker that grabbed left a heartbeat trail.
+    assert!(
+        delta
+            .workers
+            .iter()
+            .map(|w| w.counters.heartbeats)
+            .sum::<u64>()
+            > 0
+    );
 }
 
 /// The watchdog flags a worker frozen mid-phase (and only then): an
@@ -269,25 +250,21 @@ fn watchdog_stays_quiet_on_healthy_and_idle_pools() {
 /// Phase deadlines: an absurdly tight one is missed, a generous one never.
 #[test]
 fn phase_deadline_misses_are_counted() {
-    for kind in both_kinds() {
-        let strict = Pool::builder(2)
-            .barrier(kind)
-            .phase_deadline(Duration::from_nanos(1))
-            .build();
-        parallel_for(&strict, 1000, &RuntimeScheduler::afs_k_equals_p(), |_| {});
-        assert!(strict.metrics().deadline_misses() >= 1, "{kind:?}");
-        assert_eq!(
-            strict.metrics().snapshot().deadline_misses,
-            strict.metrics().deadline_misses()
-        );
+    let strict = Pool::builder(2)
+        .phase_deadline(Duration::from_nanos(1))
+        .build();
+    parallel_for(&strict, 1000, &RuntimeScheduler::afs_k_equals_p(), |_| {});
+    assert!(strict.metrics().deadline_misses() >= 1);
+    assert_eq!(
+        strict.metrics().snapshot().deadline_misses,
+        strict.metrics().deadline_misses()
+    );
 
-        let lax = Pool::builder(2)
-            .barrier(kind)
-            .phase_deadline(Duration::from_secs(3600))
-            .build();
-        parallel_for(&lax, 1000, &RuntimeScheduler::afs_k_equals_p(), |_| {});
-        assert_eq!(lax.metrics().deadline_misses(), 0, "{kind:?}");
-    }
+    let lax = Pool::builder(2)
+        .phase_deadline(Duration::from_secs(3600))
+        .build();
+    parallel_for(&lax, 1000, &RuntimeScheduler::afs_k_equals_p(), |_| {});
+    assert_eq!(lax.metrics().deadline_misses(), 0);
 }
 
 /// Raw `Pool::try_run` panics and loop-body panics compose: a body panic in
@@ -336,7 +313,7 @@ impl afs_core::policy::Scheduler for RefusesLoop {
 /// The driver-internal failure path: the *next phase's source* cannot be
 /// produced — the scheduler's `begin_loop` panics, `len_of` panics, or an
 /// AFS re-arm is asked for a partition beyond the packed 32-bit cursor
-/// range. Whatever the panic policy and barrier, that is fatal for the
+/// range. Whatever the panic policy, that is fatal for the
 /// region and for nothing else: the error names the phase that could not
 /// start, every earlier phase ran exactly once, no later phase ran at all,
 /// every worker was released from every barrier (the call returns), and
@@ -382,46 +359,41 @@ fn unbuildable_phase_is_fatal_to_the_region_only() {
             |k, ph| if ph == k { 4u64 << 32 } else { 512 },
         ),
     ];
-    for kind in [BarrierKind::Spin, BarrierKind::Futex, BarrierKind::Condvar] {
-        for panic_policy in [PanicPolicy::Drain, PanicPolicy::SkipRemaining] {
-            let pool = Pool::builder(p)
-                .barrier(kind)
-                .panic_policy(panic_policy)
-                .build();
-            for (what, fragment, policy_for, len_for) in &cases {
-                for k in [0usize, 1, 3, phases - 1] {
-                    let ctx = format!("{what} at phase {k}, {kind:?}, {panic_policy:?}");
-                    let counts = count_array(n * phases as u64);
-                    let err = try_parallel_phases(
-                        &pool,
-                        phases,
-                        |ph| len_for(k, ph),
-                        &policy_for(k),
-                        |ph, i| {
-                            counts[ph * n as usize + i as usize].fetch_add(1, Ordering::SeqCst);
-                        },
-                    )
-                    .expect_err(&ctx);
-                    assert_eq!(err.phase(), k, "{ctx}");
-                    assert!(
-                        err.message().is_some_and(|m| m.contains(fragment)),
-                        "{ctx}: {:?}",
-                        err.message()
-                    );
-                    let (ran, skipped) = counts.split_at(k * n as usize);
-                    assert_eq!(ones(ran), k as u64 * n, "{ctx}: phases before the failure");
-                    assert!(
-                        skipped.iter().all(|c| c.load(Ordering::SeqCst) == 0),
-                        "{ctx}: a phase at or after the failure ran"
-                    );
-                    // The pool is whole: the next loop covers everything.
-                    let again = count_array(n);
-                    let m = parallel_for(&pool, n, &RuntimeScheduler::afs_k_equals_p(), |i| {
-                        again[i as usize].fetch_add(1, Ordering::SeqCst);
-                    });
-                    assert_eq!(m.total_iters(), n, "{ctx}");
-                    assert_eq!(ones(&again), n, "{ctx}");
-                }
+    for panic_policy in [PanicPolicy::Drain, PanicPolicy::SkipRemaining] {
+        let pool = Pool::builder(p).panic_policy(panic_policy).build();
+        for (what, fragment, policy_for, len_for) in &cases {
+            for k in [0usize, 1, 3, phases - 1] {
+                let ctx = format!("{what} at phase {k}, {panic_policy:?}");
+                let counts = count_array(n * phases as u64);
+                let err = try_parallel_phases(
+                    &pool,
+                    phases,
+                    |ph| len_for(k, ph),
+                    &policy_for(k),
+                    |ph, i| {
+                        counts[ph * n as usize + i as usize].fetch_add(1, Ordering::SeqCst);
+                    },
+                )
+                .expect_err(&ctx);
+                assert_eq!(err.phase(), k, "{ctx}");
+                assert!(
+                    err.message().is_some_and(|m| m.contains(fragment)),
+                    "{ctx}: {:?}",
+                    err.message()
+                );
+                let (ran, skipped) = counts.split_at(k * n as usize);
+                assert_eq!(ones(ran), k as u64 * n, "{ctx}: phases before the failure");
+                assert!(
+                    skipped.iter().all(|c| c.load(Ordering::SeqCst) == 0),
+                    "{ctx}: a phase at or after the failure ran"
+                );
+                // The pool is whole: the next loop covers everything.
+                let again = count_array(n);
+                let m = parallel_for(&pool, n, &RuntimeScheduler::afs_k_equals_p(), |i| {
+                    again[i as usize].fetch_add(1, Ordering::SeqCst);
+                });
+                assert_eq!(m.total_iters(), n, "{ctx}");
+                assert_eq!(ones(&again), n, "{ctx}");
             }
         }
     }

@@ -119,53 +119,43 @@ fn seeded_stress_counters_exactly_once() {
 }
 
 /// Barrier accounting: on a fresh pool, one `parallel_phases` region
-/// yields exactly `P × phases` arrivals under both protocols — the fused
-/// driver's in-region barriers plus its single pool rendezvous, or the
-/// condvar driver's per-phase rendezvous — and the outcome split always
-/// sums back to the arrivals.
+/// yields exactly `P × phases` arrivals — the in-region barriers plus the
+/// single pool rendezvous — and the outcome split always sums back to the
+/// arrivals.
 #[test]
 fn barrier_arrivals_account_for_every_phase() {
     let p = 4;
     let phases = 6usize;
-    for kind in [BarrierKind::Spin, BarrierKind::Futex, BarrierKind::Condvar] {
-        let pool = Pool::builder(p).barrier(kind).build();
-        parallel_phases(
-            &pool,
-            phases,
-            |_| 256,
-            &RuntimeScheduler::afs_k_equals_p(),
-            |_, _| {},
-        );
-        let t = pool.metrics().snapshot().totals();
-        assert_eq!(t.barrier_arrives, (p * phases) as u64, "{kind:?}: arrivals");
-        let expected_turns = match kind {
-            // One turn-taker per in-region phase boundary.
-            BarrierKind::Spin | BarrierKind::Futex => (phases - 1) as u64,
-            // Every phase is a coordinator rendezvous; no worker turns.
-            BarrierKind::Condvar => 0,
-        };
-        assert_eq!(t.barrier_turns, expected_turns, "{kind:?}: turns");
-        assert_eq!(
-            t.barrier_spin + t.barrier_yield + t.barrier_park + t.barrier_turns,
-            t.barrier_arrives,
-            "{kind:?}: outcome split"
-        );
-    }
+    let pool = Pool::new(p);
+    parallel_phases(
+        &pool,
+        phases,
+        |_| 256,
+        &RuntimeScheduler::afs_k_equals_p(),
+        |_, _| {},
+    );
+    let t = pool.metrics().snapshot().totals();
+    assert_eq!(t.barrier_arrives, (p * phases) as u64, "arrivals");
+    // One turn-taker per in-region phase boundary.
+    assert_eq!(t.barrier_turns, (phases - 1) as u64, "turns");
+    assert_eq!(
+        t.barrier_spin + t.barrier_yield + t.barrier_park + t.barrier_turns,
+        t.barrier_arrives,
+        "outcome split"
+    );
 }
 
 /// Phase and region histograms: one phase sample per phase, one loop
-/// sample per region, under both drivers.
+/// sample per region.
 #[test]
 fn duration_histograms_sample_per_phase_and_region() {
-    for kind in [BarrierKind::Spin, BarrierKind::Condvar] {
-        let pool = Pool::builder(2).barrier(kind).build();
-        for region in 1..=3u64 {
-            parallel_phases(&pool, 4, |_| 128, &RuntimeScheduler::gss(), |_, _| {});
-            let s = pool.metrics().snapshot();
-            assert_eq!(s.phase_ns.samples, 4 * region, "{kind:?}");
-            assert_eq!(s.loop_ns.samples, region, "{kind:?}");
-            assert!(s.loop_ns.total_ns >= s.phase_ns.max_ns, "{kind:?}");
-        }
+    let pool = Pool::new(2);
+    for region in 1..=3u64 {
+        parallel_phases(&pool, 4, |_| 128, &RuntimeScheduler::gss(), |_, _| {});
+        let s = pool.metrics().snapshot();
+        assert_eq!(s.phase_ns.samples, 4 * region);
+        assert_eq!(s.loop_ns.samples, region);
+        assert!(s.loop_ns.total_ns >= s.phase_ns.max_ns);
     }
 }
 

@@ -241,241 +241,173 @@ fn spin_barrier_seeded_interleavings() {
     }
 }
 
-/// Property test: 10k tiny phases through both barrier protocols produce
-/// identical `LoopMetrics`. STATIC's metrics are fully deterministic
+/// 10k tiny phases through the fused driver produce exactly the metrics
+/// the static partition predicts. STATIC's metrics are fully deterministic
 /// (fixed partition, zero synchronized grabs), so equality is exact —
-/// worker by worker, queue by queue.
+/// worker by worker.
 #[test]
-fn ten_thousand_tiny_phases_identical_metrics_across_barriers() {
+fn ten_thousand_tiny_phases_match_the_static_partition() {
+    use afs_core::chunking::static_partition;
     let phases = 10_000usize;
     let p = 4;
-    let run = |kind: BarrierKind| {
-        let pool = Pool::builder(p).barrier(kind).build();
-        let total = AtomicU64::new(0);
-        let m = parallel_phases(
-            &pool,
-            phases,
-            |ph| (ph % 3) as u64 + 1,
-            &RuntimeScheduler::static_partition(),
-            |_, _| {
-                total.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        (m, total.load(Ordering::Relaxed))
-    };
-    let (m_spin, n_spin) = run(BarrierKind::Spin);
-    let (m_cv, n_cv) = run(BarrierKind::Condvar);
-    let (m_fx, n_fx) = run(BarrierKind::Futex);
-    assert_eq!(n_spin, n_cv);
-    assert_eq!(n_spin, n_fx);
-    assert_eq!(m_spin.total_iters(), m_cv.total_iters());
-    assert_eq!(m_spin.total_iters(), m_fx.total_iters());
-    assert_eq!(m_spin.iters_per_worker, m_cv.iters_per_worker);
-    assert_eq!(m_spin.iters_per_worker, m_fx.iters_per_worker);
-    assert_eq!(m_spin.sync.synchronized(), 0);
-    assert_eq!(m_cv.sync.synchronized(), 0);
-    assert_eq!(m_fx.sync.synchronized(), 0);
+    let len_of = |ph: usize| (ph % 3) as u64 + 1;
+    let pool = Pool::new(p);
+    let total = AtomicU64::new(0);
+    let m = parallel_phases(
+        &pool,
+        phases,
+        len_of,
+        &RuntimeScheduler::static_partition(),
+        |_, _| {
+            total.fetch_add(1, Ordering::Relaxed);
+        },
+    );
+    let expect: Vec<u64> = (0..p)
+        .map(|w| {
+            (0..phases)
+                .map(|ph| static_partition(len_of(ph), p, w).len())
+                .sum()
+        })
+        .collect();
+    assert_eq!(total.load(Ordering::Relaxed), expect.iter().sum::<u64>());
+    assert_eq!(m.total_iters(), expect.iter().sum::<u64>());
+    assert_eq!(m.iters_per_worker, expect);
+    assert_eq!(m.sync.synchronized(), 0);
 }
 
-/// Differential: both barrier protocols produce identical iteration
-/// coverage on every policy, and identical `LoopMetrics` to the extent the
-/// policy's metrics are schedule-independent — total iterations always;
-/// synchronized-grab counts for the central-queue policies (the chunk-size
-/// recurrence depends only on the remaining count, which the queue lock
-/// serializes); zero central grabs for the distributed AFS family (the
-/// local/remote split itself is timing-dependent by design).
+/// Every policy covers every (phase, iteration) exactly once on eight
+/// threads, and its `LoopMetrics` match the policy's `afs_core` state
+/// machine to the extent they are schedule-independent — total iterations
+/// always; synchronized-grab counts for the central-queue policies (the
+/// chunk-size recurrence depends only on the remaining count, which the
+/// queue lock serializes), checked against a single-threaded drain of the
+/// core state machine; zero central grabs for the distributed AFS family
+/// (the local/remote split itself is timing-dependent by design).
 #[test]
-fn barrier_kinds_are_differential_twins_on_all_policies() {
-    enum CountCheck {
-        /// Synchronized-grab count is schedule-independent.
-        Exact,
-        /// Distributed policy: assert no central grabs instead.
-        NoCentral,
-    }
-    let cases: Vec<(fn() -> RuntimeScheduler, CountCheck)> = vec![
-        (RuntimeScheduler::static_partition, CountCheck::Exact),
-        (RuntimeScheduler::self_sched, CountCheck::Exact),
-        (RuntimeScheduler::gss, CountCheck::Exact),
-        (RuntimeScheduler::factoring, CountCheck::Exact),
-        (RuntimeScheduler::trapezoid, CountCheck::Exact),
-        (RuntimeScheduler::afs_k_equals_p, CountCheck::NoCentral),
-        (|| RuntimeScheduler::afs_with_k(2), CountCheck::NoCentral),
+fn all_policies_cover_exactly_and_match_core_grab_counts() {
+    use afs_core::policy::Scheduler;
+    use afs_core::schedulers::{Factoring, Gss, SelfSched, StaticSched, Trapezoid};
+    // (policy, its `afs_core` reference where the synchronized-grab count
+    // is schedule-independent; `None` for the distributed AFS family).
+    let cases: Vec<(RuntimeScheduler, Option<Box<dyn Scheduler>>)> = vec![
         (
-            || RuntimeScheduler::afs_grab_ahead(8),
-            CountCheck::NoCentral,
+            RuntimeScheduler::static_partition(),
+            Some(Box::new(StaticSched::new())),
         ),
+        (
+            RuntimeScheduler::self_sched(),
+            Some(Box::new(SelfSched::new())),
+        ),
+        (RuntimeScheduler::gss(), Some(Box::new(Gss::new()))),
+        (
+            RuntimeScheduler::factoring(),
+            Some(Box::new(Factoring::new())),
+        ),
+        (
+            RuntimeScheduler::trapezoid(),
+            Some(Box::new(Trapezoid::new())),
+        ),
+        (RuntimeScheduler::afs_k_equals_p(), None),
+        (RuntimeScheduler::afs_with_k(2), None),
+        (RuntimeScheduler::afs_grab_ahead(8), None),
     ];
     let n = 3_000u64;
     let phases = 4usize;
     let p = 8;
-    for (make, check) in cases {
-        let run = |kind: BarrierKind| {
-            let policy = make();
-            let pool = Pool::builder(p).barrier(kind).build();
-            let counts: Vec<AtomicU32> =
-                (0..n * phases as u64).map(|_| AtomicU32::new(0)).collect();
-            let m = parallel_phases(
-                &pool,
-                phases,
-                |_| n,
-                &policy,
-                |ph, i| {
-                    let slot = ph as u64 * n + i;
-                    let prev = counts[slot as usize].fetch_add(1, Ordering::SeqCst);
-                    assert_eq!(
-                        prev,
-                        0,
-                        "{}/{kind:?}: ({ph}, {i}) duplicated",
-                        policy.name()
-                    );
-                },
-            );
-            assert!(
-                counts.iter().all(|c| c.load(Ordering::SeqCst) == 1),
-                "{}/{kind:?}: incomplete coverage",
-                policy.name()
-            );
-            (policy.name(), m)
-        };
-        let (name, m_spin) = run(BarrierKind::Spin);
-        let (_, m_cv) = run(BarrierKind::Condvar);
-        let (_, m_fx) = run(BarrierKind::Futex);
-        assert_eq!(m_spin.total_iters(), m_cv.total_iters(), "{name}");
-        assert_eq!(m_spin.total_iters(), m_fx.total_iters(), "{name}: futex");
-        assert_eq!(
-            m_spin.total_iters(),
-            n * phases as u64,
-            "{name}: wrong iteration total"
-        );
-        match check {
-            CountCheck::Exact => {
-                assert_eq!(
-                    m_spin.sync.synchronized(),
-                    m_cv.sync.synchronized(),
-                    "{name}: synchronized-grab counts diverge across barriers"
-                );
-                assert_eq!(
-                    m_spin.sync.synchronized(),
-                    m_fx.sync.synchronized(),
-                    "{name}: futex parking changed the synchronized-grab count"
-                );
-            }
-            CountCheck::NoCentral => {
-                assert_eq!(m_spin.sync.central, 0, "{name}");
-                assert_eq!(m_cv.sync.central, 0, "{name}");
-                assert_eq!(m_fx.sync.central, 0, "{name}");
-            }
-        }
-    }
-}
-
-/// Lost-wakeup regression under injected stalls: zero spin/yield budgets
-/// force every rendezvous wait through the eventcount/park branch, seeded
-/// yield injection widens the register-vs-publish race window, and a
-/// stalled worker stretches each phase so its siblings genuinely park
-/// (rather than catching the flag mid-spin). A lost wakeup parks a worker
-/// forever and hangs the test; completion plus exact coverage is the
-/// assertion. Runs all three protocols — the spin barrier's eventcount,
-/// the classic condvar rendezvous, and the futex path, whose lost-wakeup
-/// window lives in the kernel's value check rather than user space (and so
-/// gets the widest seed sweep).
-#[test]
-fn park_branch_survives_injected_stalls_on_all_barrier_kinds() {
-    use std::time::Duration;
-    let p = 4usize;
-    let phases = 6usize;
-    let n = 256u64;
-    for kind in [BarrierKind::Spin, BarrierKind::Condvar, BarrierKind::Futex] {
-        let seeds = if kind == BarrierKind::Futex { 20 } else { 6 };
-        for seed in 0..seeds as u64 {
-            let pool = Pool::builder(p)
-                .barrier(kind)
-                .spin_budget(0, 0)
-                .yield_injection(seed)
-                .faults(
-                    FaultPlan::new(seed)
-                        .with_delayed_start(1, Duration::from_millis(2))
-                        .with_stall(
-                            0,
-                            (seed % phases as u64) as usize,
-                            0,
-                            Duration::from_millis(3),
-                        ),
-                )
-                .build();
-            let counts: Vec<AtomicU32> =
-                (0..n * phases as u64).map(|_| AtomicU32::new(0)).collect();
-            let m = parallel_phases(
-                &pool,
-                phases,
-                |_| n,
-                &RuntimeScheduler::afs_k_equals_p(),
-                |ph, i| {
-                    let prev = counts[ph * n as usize + i as usize].fetch_add(1, Ordering::SeqCst);
-                    assert_eq!(prev, 0, "{kind:?} seed {seed}: ({ph}, {i}) duplicated");
-                },
-            );
-            assert_eq!(m.total_iters(), n * phases as u64, "{kind:?} seed {seed}");
-            assert!(
-                counts.iter().all(|c| c.load(Ordering::SeqCst) == 1),
-                "{kind:?} seed {seed}: incomplete coverage"
-            );
-            let t = pool.metrics().snapshot().totals();
-            assert!(
-                t.barrier_park > 0,
-                "{kind:?} seed {seed}: the park branch was never exercised"
-            );
-        }
-    }
-}
-
-/// The non-Linux fallback path, exercised everywhere: a `Futex` pool
-/// forced onto the eventcount (exactly what an unsupported target gets)
-/// must produce the same coverage and the same schedule-independent
-/// metrics as the real futex path — and must never issue a futex syscall.
-#[test]
-fn forced_futex_fallback_is_a_differential_twin() {
-    let p = 4;
-    let phases = 8usize;
-    let n = 1_024u64;
-    let run = |fallback: bool| {
-        let pool = Pool::builder(p)
-            .barrier(BarrierKind::Futex)
-            .force_park_fallback(fallback)
-            .spin_budget(0, 2)
-            .build();
-        assert_eq!(
-            pool.uses_futex(),
-            !fallback && afs_runtime::futex::supported()
-        );
+    let pool = Pool::new(p);
+    for (policy, reference) in cases {
+        let name = policy.name();
         let counts: Vec<AtomicU32> = (0..n * phases as u64).map(|_| AtomicU32::new(0)).collect();
         let m = parallel_phases(
             &pool,
             phases,
             |_| n,
-            &RuntimeScheduler::static_partition(),
+            &policy,
             |ph, i| {
-                let prev = counts[ph * n as usize + i as usize].fetch_add(1, Ordering::SeqCst);
-                assert_eq!(prev, 0, "fallback={fallback}: ({ph}, {i}) duplicated");
+                let slot = ph as u64 * n + i;
+                let prev = counts[slot as usize].fetch_add(1, Ordering::SeqCst);
+                assert_eq!(prev, 0, "{name}: ({ph}, {i}) duplicated");
             },
         );
         assert!(
             counts.iter().all(|c| c.load(Ordering::SeqCst) == 1),
-            "fallback={fallback}: incomplete coverage"
+            "{name}: incomplete coverage"
+        );
+        assert_eq!(
+            m.total_iters(),
+            n * phases as u64,
+            "{name}: wrong iteration total"
+        );
+        match reference {
+            Some(core) => {
+                let mut state = core.begin_loop(n, p);
+                let mut per_phase = afs_core::SyncOps::default();
+                let mut w = 0;
+                while let Some(g) = state.next(w % p) {
+                    per_phase.record(g.access);
+                    w += 1;
+                }
+                assert_eq!(
+                    m.sync.synchronized(),
+                    per_phase.synchronized() * phases as u64,
+                    "{name}: synchronized-grab count diverges from the core state machine"
+                );
+            }
+            None => assert_eq!(m.sync.central, 0, "{name}"),
+        }
+    }
+}
+
+/// Lost-wakeup regression under injected stalls: zero spin/yield budgets
+/// force every rendezvous wait through the eventcount park branch, seeded
+/// yield injection widens the register-vs-publish race window, and a
+/// stalled worker stretches each phase so its siblings genuinely park
+/// (rather than catching the flag mid-spin). A lost wakeup parks a worker
+/// forever and hangs the test; completion plus exact coverage is the
+/// assertion.
+#[test]
+fn park_branch_survives_injected_stalls() {
+    use std::time::Duration;
+    let p = 4usize;
+    let phases = 6usize;
+    let n = 256u64;
+    for seed in 0..20u64 {
+        let pool = Pool::builder(p)
+            .spin_budget(0, 0)
+            .yield_injection(seed)
+            .faults(
+                FaultPlan::new(seed)
+                    .with_delayed_start(1, Duration::from_millis(2))
+                    .with_stall(
+                        0,
+                        (seed % phases as u64) as usize,
+                        0,
+                        Duration::from_millis(3),
+                    ),
+            )
+            .build();
+        let counts: Vec<AtomicU32> = (0..n * phases as u64).map(|_| AtomicU32::new(0)).collect();
+        let m = parallel_phases(
+            &pool,
+            phases,
+            |_| n,
+            &RuntimeScheduler::afs_k_equals_p(),
+            |ph, i| {
+                let prev = counts[ph * n as usize + i as usize].fetch_add(1, Ordering::SeqCst);
+                assert_eq!(prev, 0, "seed {seed}: ({ph}, {i}) duplicated");
+            },
+        );
+        assert_eq!(m.total_iters(), n * phases as u64, "seed {seed}");
+        assert!(
+            counts.iter().all(|c| c.load(Ordering::SeqCst) == 1),
+            "seed {seed}: incomplete coverage"
         );
         let t = pool.metrics().snapshot().totals();
-        if fallback {
-            assert_eq!(t.barrier_futex_wait, 0, "fallback must not futex-wait");
-            assert_eq!(t.futex_wake, 0, "fallback must not futex-wake");
-        }
-        m
-    };
-    let m_futex = run(false);
-    let m_fallback = run(true);
-    assert_eq!(m_futex.total_iters(), m_fallback.total_iters());
-    assert_eq!(m_futex.iters_per_worker, m_fallback.iters_per_worker);
-    assert_eq!(m_futex.sync.synchronized(), 0);
-    assert_eq!(m_fallback.sync.synchronized(), 0);
+        assert!(
+            t.barrier_park > 0,
+            "seed {seed}: the park branch was never exercised"
+        );
+    }
 }
 
 /// `parallel_phases` covers every (phase, iteration) exactly once for

@@ -143,53 +143,35 @@ fn disabled_sink_records_no_events() {
     assert!((0..3).all(|w| sink.dropped(w) == 0));
 }
 
-/// Park events carry the protocol tag: a zero-budget futex pool parks on
-/// kind 2 (futex) — or kind 1 (eventcount) on unsupported targets — and a
-/// condvar pool parks on kind 0. The tag never mixes protocols in one run.
+/// Every wait that escalates to a park is both traced and counted: on a
+/// zero-budget pool the lanes' `BarrierPark` events match the registry's
+/// `barrier_park` total, except that a worker parked when the pool shuts
+/// down records its commit but never an arrival (at most one per worker).
 #[test]
-fn park_events_are_tagged_with_the_protocol() {
-    let park_kinds = |kind: BarrierKind| -> std::collections::BTreeSet<u32> {
-        let p = 4;
-        let sink = Arc::new(TraceSink::new(p));
-        let pool = Pool::builder(p)
-            .barrier(kind)
-            .spin_budget(0, 0)
-            .trace(Arc::clone(&sink))
-            .build();
-        parallel_phases(
-            &pool,
-            8,
-            |_| 512,
-            &RuntimeScheduler::afs_k_equals_p(),
-            |_, _| std::thread::yield_now(),
-        );
-        drop(pool);
-        let mut kinds = std::collections::BTreeSet::new();
-        for w in 0..p {
-            for ev in sink.events(w) {
-                if let EventKind::BarrierPark { kind } = ev.kind {
-                    kinds.insert(kind);
-                }
-            }
-        }
-        kinds
-    };
-    let futex = park_kinds(BarrierKind::Futex);
-    let expect = if afs_runtime::futex::supported() {
-        2
-    } else {
-        1
-    };
-    assert!(
-        futex.iter().all(|&k| k == expect),
-        "futex pool parks must all be kind {expect}: {futex:?}"
+fn park_events_mirror_the_park_counter() {
+    let p = 4;
+    let sink = Arc::new(TraceSink::new(p));
+    let pool = Pool::builder(p)
+        .spin_budget(0, 0)
+        .trace(Arc::clone(&sink))
+        .build();
+    parallel_phases(
+        &pool,
+        8,
+        |_| 512,
+        &RuntimeScheduler::afs_k_equals_p(),
+        |_, _| std::thread::yield_now(),
     );
-    let condvar = park_kinds(BarrierKind::Condvar);
-    // The condvar driver's rendezvous parks are kind 0 (classic protocol);
-    // zero-budget waits make at least one park overwhelmingly likely.
+    let registry = Arc::clone(pool.metrics());
+    drop(pool);
+    let counted = registry.snapshot().totals().barrier_park;
+    let traced = (0..p)
+        .flat_map(|w| sink.events(w))
+        .filter(|ev| ev.kind == EventKind::BarrierPark)
+        .count() as u64;
     assert!(
-        condvar.iter().all(|&k| k == 0),
-        "condvar pool parks must all be kind 0: {condvar:?}"
+        (counted..=counted + p as u64).contains(&traced),
+        "{traced} park events against {counted} counted parks"
     );
 }
 

@@ -14,7 +14,7 @@
 //! | `/metrics`       | Prometheus text exposition (same bytes as the file export) |
 //! | `/snapshot.json` | the JSON export, schema-stamped                         |
 //! | `/healthz`       | watchdog stall state + pool liveness (200 ok / 503 degraded) |
-//! | `/tune`          | current `(k, b)` + spin budget and their phase trajectory |
+//! | `/tune`          | current `(k, b)` and its phase trajectory               |
 
 use crate::recorder::FlightRecorder;
 use afs_metrics::{MetricsSnapshot, METRICS_SCHEMA_VERSION};
@@ -238,7 +238,7 @@ fn healthz(source: &TelemetrySource) -> (u16, String) {
     (if degraded { 503 } else { 200 }, body)
 }
 
-/// Current controller state plus the per-phase `(k, b, spin_budget)`
+/// Current controller state plus the per-phase `(k, b)`
 /// trajectory out of the flight recorders' phase rings — the live view of
 /// the adaptive controller converging.
 fn tune(source: &TelemetrySource) -> String {
@@ -262,8 +262,8 @@ fn tune(source: &TelemetrySource) -> String {
             }
             first = false;
             out.push_str(&format!(
-                "    {{\"seq\": {}, \"phase\": {}, \"k\": {}, \"b\": {}, \"spin_budget\": {}}}",
-                p.seq, p.phase, p.k, p.b, p.spin_budget
+                "    {{\"seq\": {}, \"phase\": {}, \"k\": {}, \"b\": {}}}",
+                p.seq, p.phase, p.k, p.b
             ));
         }
     }
@@ -416,7 +416,7 @@ mod tests {
         assert_eq!(status, 200);
         assert!(body.contains("\"k\": 4"));
         assert!(body.contains("\"trajectory\""));
-        assert!(body.contains("\"spin_budget\": 0"));
+        assert!(body.contains("{\"seq\": 0, \"phase\": 0, \"k\": 4, \"b\": 2}"));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   `GET /metrics` (Prometheus text, rendered from a fresh
 //!   [`afs_metrics::MetricsSnapshot`] per scrape), `/snapshot.json`,
 //!   `/healthz` (watchdog stall state + pool liveness), and `/tune` (the
-//!   adaptive controller's `(k, b)` + spin-budget trajectory). Started via
+//!   adaptive controller's `(k, b)` trajectory). Started via
 //!   `LoopServer::builder().telemetry(addr)` or `repro --telemetry ADDR`.
 //! * [`FlightRecorder`] — an always-on black box: bounded rings of
 //!   per-phase summary records and recent serve events, dumped to a

@@ -84,9 +84,6 @@ pub struct PhaseRecord {
     pub k: u64,
     /// Grab-ahead batch `b` in force (0 when no adaptive controller ran).
     pub b: u64,
-    /// Barrier spin budget in force (0 when the spin controller never
-    /// reported).
-    pub spin_budget: u64,
 }
 
 impl PhaseRecord {
@@ -109,7 +106,7 @@ impl PhaseRecord {
              \"iters\": {}, \"cas_retries\": {}, \"stash_hits\": {}, \
              \"barrier\": {{\"spin\": {}, \"yield\": {}, \"park\": {}}}, \
              \"affinity_hit_ratio\": {hit}, \
-             \"tune\": {{\"k\": {}, \"b\": {}, \"spin_budget\": {}}}}}",
+             \"tune\": {{\"k\": {}, \"b\": {}}}}}",
             self.seq,
             self.phase,
             self.wall_ns,
@@ -125,7 +122,6 @@ impl PhaseRecord {
             self.barrier_park,
             self.k,
             self.b,
-            self.spin_budget,
         )
     }
 }
@@ -429,7 +425,6 @@ impl FlightRecorder {
     pub fn record_phase(&self, phase: u64, wall_ns: u64, registry: &MetricsRegistry) {
         let totals = registry.totals();
         let (k, b) = registry.sched_controller().map_or((0, 0), |s| (s.k, s.b));
-        let spin_budget = registry.spin_controller().map_or(0, |s| s.budget);
         {
             let mut st = self.phases.lock().unwrap();
             let d = totals.minus(&st.last);
@@ -450,7 +445,6 @@ impl FlightRecorder {
                 barrier_park: d.barrier_park,
                 k,
                 b,
-                spin_budget,
             });
             st.last = totals;
             st.seq += 1;

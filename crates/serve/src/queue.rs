@@ -81,6 +81,8 @@ pub struct MpmcQueue<T> {
 // handshake (Release publish / Acquire observe), which transfers
 // ownership of the `UnsafeCell` contents between threads exactly once.
 unsafe impl<T: Send> Send for MpmcQueue<T> {}
+// SAFETY: same handshake — a shared `&MpmcQueue` only ever moves whole `T`s
+// across threads (never hands out `&T`), so `T: Send` is the full bound.
 unsafe impl<T: Send> Sync for MpmcQueue<T> {}
 
 impl<T> MpmcQueue<T> {

@@ -462,7 +462,7 @@ impl ServerBuilder {
     /// `/metrics` (Prometheus text), `/snapshot.json` (the combined
     /// pool + serve document), `/healthz` (watchdog stall state and pool
     /// liveness), and `/tune` (the adaptive controller's current `(k, b)`
-    /// and spin-budget trajectory). Each scrape takes a fresh snapshot —
+    /// and its trajectory). Each scrape takes a fresh snapshot —
     /// no cached state. If the bind fails the server still builds; the
     /// failure is reported on stderr and the endpoint is absent.
     pub fn telemetry(mut self, addr: impl Into<String>) -> ServerBuilder {

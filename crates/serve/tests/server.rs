@@ -2,7 +2,7 @@
 //! completing real work on a real pool, latency stamping invariants,
 //! snapshot/Prometheus integration, and trace events.
 
-use afs_runtime::{BarrierKind, Pool};
+use afs_runtime::Pool;
 use afs_serve::prelude::*;
 use afs_trace::prelude::*;
 use std::sync::atomic::Ordering;
@@ -30,56 +30,54 @@ fn disciplines() -> Vec<Discipline> {
     ]
 }
 
-/// Every discipline, both barrier kinds: admit a mixed bag of requests
+/// Every discipline: admit a mixed bag of requests
 /// from two tenants, drain, and check the ledger balances — everything
 /// admitted completed, iteration counts are exact, and the three latency
 /// histograms sampled once per completed request.
 #[test]
 fn every_discipline_completes_the_ledger() {
-    for kind in [BarrierKind::Spin, BarrierKind::Condvar] {
-        for discipline in disciplines() {
-            let pool = Arc::new(Pool::builder(4).barrier(kind).build());
-            let server = LoopServer::builder(Arc::clone(&pool))
-                .tenant("small")
-                .tenant("bulk")
-                .discipline(discipline)
-                .build();
-            let mut offered_iters = [0u64; 2];
-            for i in 0..40u64 {
-                let (tenant, n, phases) = if i % 2 == 0 {
-                    (0, 32 + i, 1)
-                } else {
-                    (1, 256 + i, 2)
-                };
-                assert!(server.admit(req(tenant, n, phases)).is_accepted());
-                offered_iters[tenant] += n * phases as u64;
-            }
-            server.drain();
-            let snap = server.shutdown();
-            let label = discipline.label();
-            assert_eq!(snap.discipline, label);
-            assert_eq!(snap.admitted, 40, "{label}");
-            assert_eq!(snap.completed, 40, "{label}");
-            assert_eq!(snap.shed_total(), 0, "{label}");
-            assert!(snap.dispatches >= 1, "{label}");
-            for (t, tenant) in snap.tenants.iter().enumerate() {
-                assert_eq!(tenant.admitted, 20, "{label}/{t}");
-                assert_eq!(tenant.completed, 20, "{label}/{t}");
-                assert_eq!(tenant.iters, offered_iters[t], "{label}/{t}: iterations");
-                assert_eq!(tenant.queue_ns.samples, 20, "{label}/{t}: queue stamps");
-                assert_eq!(tenant.service_ns.samples, 20, "{label}/{t}: service stamps");
-                assert_eq!(tenant.sojourn_ns.samples, 20, "{label}/{t}: sojourn stamps");
-                // Sojourn dominates both components for every request, so
-                // the histogram maxima must be ordered.
-                assert!(
-                    tenant.sojourn_ns.max_ns >= tenant.service_ns.max_ns,
-                    "{label}/{t}: sojourn < service"
-                );
-            }
-            // The pool's own counters saw exactly the offered iterations.
-            let pool_iters = pool.metrics().snapshot().totals().iters;
-            assert_eq!(pool_iters, offered_iters[0] + offered_iters[1], "{label}");
+    for discipline in disciplines() {
+        let pool = Arc::new(Pool::new(4));
+        let server = LoopServer::builder(Arc::clone(&pool))
+            .tenant("small")
+            .tenant("bulk")
+            .discipline(discipline)
+            .build();
+        let mut offered_iters = [0u64; 2];
+        for i in 0..40u64 {
+            let (tenant, n, phases) = if i % 2 == 0 {
+                (0, 32 + i, 1)
+            } else {
+                (1, 256 + i, 2)
+            };
+            assert!(server.admit(req(tenant, n, phases)).is_accepted());
+            offered_iters[tenant] += n * phases as u64;
         }
+        server.drain();
+        let snap = server.shutdown();
+        let label = discipline.label();
+        assert_eq!(snap.discipline, label);
+        assert_eq!(snap.admitted, 40, "{label}");
+        assert_eq!(snap.completed, 40, "{label}");
+        assert_eq!(snap.shed_total(), 0, "{label}");
+        assert!(snap.dispatches >= 1, "{label}");
+        for (t, tenant) in snap.tenants.iter().enumerate() {
+            assert_eq!(tenant.admitted, 20, "{label}/{t}");
+            assert_eq!(tenant.completed, 20, "{label}/{t}");
+            assert_eq!(tenant.iters, offered_iters[t], "{label}/{t}: iterations");
+            assert_eq!(tenant.queue_ns.samples, 20, "{label}/{t}: queue stamps");
+            assert_eq!(tenant.service_ns.samples, 20, "{label}/{t}: service stamps");
+            assert_eq!(tenant.sojourn_ns.samples, 20, "{label}/{t}: sojourn stamps");
+            // Sojourn dominates both components for every request, so
+            // the histogram maxima must be ordered.
+            assert!(
+                tenant.sojourn_ns.max_ns >= tenant.service_ns.max_ns,
+                "{label}/{t}: sojourn < service"
+            );
+        }
+        // The pool's own counters saw exactly the offered iterations.
+        let pool_iters = pool.metrics().snapshot().totals().iters;
+        assert_eq!(pool_iters, offered_iters[0] + offered_iters[1], "{label}");
     }
 }
 

@@ -215,15 +215,14 @@ pub fn chrome_trace(sink: &TraceSink, process_name: &str) -> String {
                     );
                     barrier_start = Some(ev.t);
                 }
-                EventKind::BarrierPark { kind } => {
+                EventKind::BarrierPark => {
                     push(
                         w,
                         ev.t,
                         &mut seq,
                         format!(
                             "{{\"name\":\"barrier park\",\"cat\":\"barrier\",\"ph\":\"i\",\
-                             \"s\":\"t\",\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                             \"args\":{{\"kind\":{kind}}}}}",
+                             \"s\":\"t\",\"pid\":0,\"tid\":{w},\"ts\":{:.3}}}",
                             us(ev.t),
                         ),
                     );

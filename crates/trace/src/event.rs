@@ -86,15 +86,9 @@ pub enum EventKind {
     /// consumers ignore unmatched releases.
     BarrierRelease,
     /// The worker's barrier wait escalated past spinning and yielding and
-    /// the worker went to sleep. `kind` tags the park protocol: 0 = the
-    /// coordinator's condvar rendezvous, 1 = the eventcount fallback,
-    /// 2 = a `futex(2)` wait directly on the generation word. Recorded
-    /// between the lane's [`EventKind::BarrierArrive`] /
-    /// [`EventKind::BarrierRelease`] pair.
-    BarrierPark {
-        /// Park-protocol tag (0 = condvar, 1 = eventcount, 2 = futex).
-        kind: u32,
-    },
+    /// the worker went to sleep. Recorded between the lane's
+    /// [`EventKind::BarrierArrive`] / [`EventKind::BarrierRelease`] pair.
+    BarrierPark,
     /// The stall watchdog observed worker `worker`'s heartbeat frozen while
     /// the worker was not waiting at a barrier — it is stalled (preempted,
     /// stuck, or in a very long iteration). Recorded on the watchdog's own
@@ -269,7 +263,7 @@ mod tests {
         assert_eq!(EventKind::BarrierWait.grab_access(), None);
         assert_eq!(EventKind::BarrierArrive.grab_access(), None);
         assert_eq!(EventKind::BarrierRelease.grab_access(), None);
-        assert_eq!(EventKind::BarrierPark { kind: 2 }.grab_access(), None);
+        assert_eq!(EventKind::BarrierPark.grab_access(), None);
         assert_eq!(EventKind::StallDetected { worker: 3 }.grab_access(), None);
         assert_eq!(
             EventKind::RequestAdmit { tenant: 0, id: 7 }.grab_access(),

@@ -45,6 +45,8 @@ pub struct TraceSink {
 // of their contents happens only through external synchronization (the
 // pool barrier), per the documented writer discipline.
 unsafe impl Sync for TraceSink {}
+// SAFETY: a lane owns its ring buffer outright (no thread-local or borrowed
+// state), so moving the sink between threads moves plain owned memory.
 unsafe impl Send for TraceSink {}
 
 impl TraceSink {

@@ -81,7 +81,7 @@ pub fn to_timeline(sink: &TraceSink) -> Timeline {
                 // Leaving the rendezvous opens no segment: the gap between
                 // arrive and release is idle on the timeline, and a park
                 // inside it changes how the worker waits, not whether.
-                EventKind::BarrierRelease | EventKind::BarrierPark { .. } => {}
+                EventKind::BarrierRelease | EventKind::BarrierPark => {}
                 // Watchdog observations mark faults, not lane activity;
                 // request lifecycle marks belong to the serving layer, and
                 // a scheduling re-tune is a phase-boundary annotation.

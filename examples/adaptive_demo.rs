@@ -24,7 +24,7 @@
 
 use afs_runtime::adapt::AdaptController;
 use afs_runtime::source::{AfsSource, WorkSource};
-use afs_runtime::{parallel_phases, BarrierKind, Pool, RuntimeScheduler};
+use afs_runtime::{parallel_phases, Pool, RuntimeScheduler};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -74,7 +74,7 @@ fn main() {
     println!("adaptive_demo: power-law loop, N={N}, {PHASES} phases, P={P} workers");
     println!("starting the controller at the WORST point in its range: (k=1, b=1)\n");
 
-    let pool = Pool::builder(P).barrier(BarrierKind::Spin).build();
+    let pool = Pool::new(P);
     let ctl = Arc::new(AdaptController::with_initial(P, 1, 1));
     let (k0, b0) = ctl.current();
     let policy = RuntimeScheduler::adaptive_with(Arc::clone(&ctl));

@@ -54,12 +54,10 @@ fn main() {
         let res = simulate(&wl, &sim_sched, &cfg);
         let sim_tl = res.timeline.as_ref().expect("timeline enabled");
 
-        // Real execution of the same grid on a traced worker pool: spin
-        // barrier for fast phase turnaround, workers pinned to cores
-        // (best-effort; a no-op where unsupported).
+        // Real execution of the same grid on a traced worker pool, workers
+        // pinned to cores (best-effort; a no-op where unsupported).
         let sink = Arc::new(TraceSink::new(P));
         let pool = Pool::builder(P)
-            .barrier(BarrierKind::Spin)
             .pin_cores(true)
             .trace(Arc::clone(&sink))
             .build();

@@ -23,13 +23,9 @@ fn main() {
     let expect = reference.checksum(steps);
     println!("sequential: checksum {expect:.6}, {seq_time:.2?}");
 
-    // Spin barrier + core pinning: the fast-rendezvous configuration the
-    // kernel benchmark (`repro --bench-kernels`) measures against the
-    // classic condvar protocol.
-    let pool = Pool::builder(4)
-        .barrier(BarrierKind::Spin)
-        .pin_cores(true)
-        .build();
+    // Core pinning: the configuration the kernel benchmark
+    // (`repro --bench-kernels`) measures against the unpinned pool.
+    let pool = Pool::builder(4).pin_cores(true).build();
     let policies = [
         RuntimeScheduler::static_partition(),
         RuntimeScheduler::self_sched(),
