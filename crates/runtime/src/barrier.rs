@@ -17,19 +17,16 @@
 //! classic two-sense alternation collapses to one word and there is no
 //! reuse hazard even if a released waiter races far ahead.
 //!
-//! Waiting is the same ladder the pool uses: spin a configurable budget,
-//! `yield_now` a second budget, then park on an eventcount: a waiter
-//! registers in `sleepers` *before* its final sense re-check, the releaser
-//! stores the sense *before* loading `sleepers` (all `SeqCst`) — so in the
-//! single total order either the releaser sees the sleeper and notifies
-//! under the lock, or the sleeper's re-check sees the new sense; a wakeup
-//! cannot be lost.
+//! Waiting is [`crate::wait`]'s ladder on the barrier's own
+//! [`EventCount`]: the event is the `SeqCst` sense store, published before
+//! the releaser's `notify`, and a waiter's look is a `SeqCst` load of it.
 
-use crate::inject::YieldInject;
-use afs_metrics::{MetricsRegistry, WaitOutcome};
-use afs_trace::{EventKind, TraceSink};
+use crate::wait::{Budget, EventCount, Worker};
+use afs_metrics::pad::CachePadded;
+use afs_metrics::MetricsRegistry;
+use afs_trace::TraceSink;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 /// A reusable phase barrier for a fixed party of `p` workers.
 ///
@@ -40,81 +37,66 @@ use std::sync::{Arc, Condvar, Mutex};
 /// happens-before everything any worker does after being released.
 pub struct SenseBarrier {
     p: u64,
-    /// Arrivals in the in-progress generation; reset by the last arriver.
-    arrivals: AtomicU64,
-    /// The last fully-arrived generation (the monotone "sense").
-    sense: AtomicU64,
-    /// Waiters parked (or committing to park) on `cv`.
-    sleepers: AtomicU64,
-    park: Mutex<()>,
-    cv: Condvar,
-    spins: u32,
-    yields: u32,
-    inject: Option<YieldInject>,
+    hot: CachePadded<Hot>,
+    /// Where waiters for the next sense sleep.
+    released: EventCount,
+    budget: Budget,
     /// Barrier-arrival accounting, fed via [`SenseBarrier::arrive_then_as`]
     /// when the caller identifies which worker is arriving.
     metrics: Option<Arc<MetricsRegistry>>,
     /// Trace lanes: identified arrivers that park record a
-    /// [`EventKind::BarrierPark`].
+    /// [`afs_trace::EventKind::BarrierPark`].
     trace: Option<Arc<TraceSink>>,
+}
+
+/// The two words every arrival writes or spins on, on a line of their own:
+/// sharing one with the read-only fields every arriver also reads (`p`, the
+/// budget) costs the P = 2 round trip 150 ns instead of 110, and without
+/// the padding which of the two a barrier gets is decided by where its
+/// stack slot happens to fall (`bench/runs/PR-20.md`).
+#[derive(Default)]
+struct Hot {
+    /// Arrivals in the in-progress generation; reset by the last arriver.
+    arrivals: AtomicU64,
+    /// The last fully-arrived generation (the monotone "sense").
+    sense: AtomicU64,
 }
 
 impl SenseBarrier {
     /// A barrier for `p` workers with the given spin/yield budgets before
     /// parking. Panics if `p == 0`.
     pub fn new(p: usize, spins: u32, yields: u32) -> Self {
+        Self::with_injection(p, Budget { spins, yields }, None)
+    }
+
+    /// Like [`SenseBarrier::new`], with deterministic yield injection at
+    /// the protocol's race windows (seeded stress tests only).
+    pub(crate) fn with_injection(p: usize, budget: Budget, seed: Option<u64>) -> Self {
         assert!(p >= 1, "a barrier needs at least one participant");
         Self {
             p: p as u64,
-            arrivals: AtomicU64::new(0),
-            sense: AtomicU64::new(0),
-            sleepers: AtomicU64::new(0),
-            park: Mutex::new(()),
-            cv: Condvar::new(),
-            spins,
-            yields,
-            inject: None,
+            hot: CachePadded::default(),
+            released: EventCount::with_injection(seed),
+            budget,
             metrics: None,
             trace: None,
         }
     }
 
-    /// Like [`SenseBarrier::new`], with deterministic yield injection at
-    /// the protocol's race windows (seeded stress tests only).
-    pub(crate) fn with_injection(p: usize, spins: u32, yields: u32, seed: u64) -> Self {
-        let mut b = Self::new(p, spins, yields);
-        b.inject = Some(YieldInject::new(seed));
-        b
-    }
-
     /// Attaches a metrics registry; [`SenseBarrier::arrive_then_as`] then
-    /// records each arrival's wait outcome (or turn) against its worker.
+    /// records each arrival's wait outcome (or turn) against its worker,
+    /// and flags the worker as waiting while it does.
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self
     }
 
-    /// Attaches a trace sink; identified arrivals that escalate to a park
-    /// then record an [`EventKind::BarrierPark`] on the worker's lane.
+    /// Attaches a trace sink; arrivals identified to an attached registry
+    /// that escalate to a park then record a
+    /// [`afs_trace::EventKind::BarrierPark`] on the worker's lane.
     pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
         self.trace = Some(sink);
         self
-    }
-
-    /// Records the park commit on worker `worker`'s lane, when both a sink
-    /// and a worker identity are present.
-    #[inline]
-    fn note_park(&self, worker: Option<usize>) {
-        if let (Some(sink), Some(w)) = (&self.trace, worker) {
-            sink.record(w, EventKind::BarrierPark);
-        }
-    }
-
-    #[inline]
-    fn inject_point(&self) {
-        if let Some(inj) = &self.inject {
-            inj.maybe_yield();
-        }
     }
 
     /// Arrives at generation `gen`; returns once all `p` workers have.
@@ -137,83 +119,38 @@ impl SenseBarrier {
         self.arrive_inner(gen, turn, Some(worker));
     }
 
-    /// Records worker `worker`'s arrival, when both a registry and a
-    /// worker identity are present.
-    #[inline]
-    fn note_arrival(&self, worker: Option<usize>, outcome: Option<WaitOutcome>) {
-        if let (Some(m), Some(w)) = (&self.metrics, worker) {
-            match outcome {
-                Some(o) => m.worker(w).record_barrier_wait(o),
-                None => m.worker(w).record_barrier_turn(),
-            }
-        }
-    }
-
-    /// Marks worker `worker` as waiting (or not) at the barrier, so the
-    /// stall watchdog does not mistake a legitimately blocked worker —
-    /// whose heartbeat is frozen by design — for a stalled one.
-    #[inline]
-    fn set_waiting(&self, worker: Option<usize>, waiting: bool) {
-        if let (Some(m), Some(w)) = (&self.metrics, worker) {
-            m.worker(w).set_waiting(waiting);
-        }
-    }
-
     fn arrive_inner(&self, gen: u64, turn: impl FnOnce(), worker: Option<usize>) {
-        let arrived = self.arrivals.fetch_add(1, Ordering::SeqCst) + 1;
-        self.inject_point();
+        let arrived = self.hot.arrivals.fetch_add(1, Ordering::SeqCst) + 1;
+        self.released.inject_point();
+        // An arriver is somebody only when both a registry and a worker
+        // identity are present; anonymous arrivals are charged to no one.
+        let who = self.metrics.as_ref().zip(worker).map(|(m, w)| Worker {
+            counters: m.worker(w),
+            lane: self.trace.as_deref().map(|sink| (sink, w)),
+        });
         if arrived == self.p {
             // Reset strictly before publishing the sense: a released
             // waiter's arrival for `gen + 1` can only happen after this
             // store, so the counter never counts across generations.
-            self.arrivals.store(0, Ordering::SeqCst);
+            self.hot.arrivals.store(0, Ordering::SeqCst);
             turn();
-            self.note_arrival(worker, None);
-            self.sense.store(gen, Ordering::SeqCst);
-            // Eventcount publish side: the SeqCst sense store above is
-            // ordered before this load, pairing with the waiter's
-            // register-then-recheck.
-            if self.sleepers.load(Ordering::SeqCst) > 0 {
-                let _guard = lock(&self.park);
-                self.cv.notify_all();
+            if let Some(w) = who {
+                w.counters.record_barrier_turn();
             }
+            self.hot.sense.store(gen, Ordering::SeqCst);
+            self.released.notify();
             return;
         }
-        self.set_waiting(worker, true);
-        let released = |b: &Self| b.sense.load(Ordering::SeqCst) >= gen;
-        for _ in 0..self.spins {
-            if released(self) {
-                self.set_waiting(worker, false);
-                self.note_arrival(worker, Some(WaitOutcome::Spin));
-                return;
-            }
-            std::hint::spin_loop();
+        let ((), how) = self.released.wait(
+            self.budget,
+            who,
+            || (self.hot.sense.load(Ordering::SeqCst) >= gen).then_some(()),
+            |_| {},
+        );
+        if let Some(w) = who {
+            w.counters.record_barrier_wait(how);
         }
-        for _ in 0..self.yields {
-            if released(self) {
-                self.set_waiting(worker, false);
-                self.note_arrival(worker, Some(WaitOutcome::Yield));
-                return;
-            }
-            self.inject_point();
-            std::thread::yield_now();
-        }
-        self.note_park(worker);
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        self.inject_point();
-        let mut guard = lock(&self.park);
-        while !released(self) {
-            guard = self.cv.wait(guard).unwrap_or_else(|p| p.into_inner());
-        }
-        drop(guard);
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        self.set_waiting(worker, false);
-        self.note_arrival(worker, Some(WaitOutcome::Park));
     }
-}
-
-fn lock(park: &Mutex<()>) -> std::sync::MutexGuard<'_, ()> {
-    park.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 #[cfg(test)]
@@ -292,7 +229,7 @@ mod tests {
     #[test]
     fn injected_yields_do_not_break_the_protocol() {
         for seed in 0..8 {
-            let b = SenseBarrier::with_injection(4, 0, 4, seed);
+            let b = SenseBarrier::with_injection(4, Budget::yielding(4), Some(seed));
             drive(&b, 4, 100);
         }
     }

@@ -12,14 +12,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A seeded source of deterministic `yield_now` decisions shared by all
 /// threads of one stressed structure.
-pub(crate) struct YieldInject {
+pub struct YieldInject {
     seed: u64,
     ticket: AtomicU64,
 }
 
 impl YieldInject {
     /// A new injector; the same seed reproduces the same decision stream.
-    pub(crate) fn new(seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         Self {
             seed,
             ticket: AtomicU64::new(0),
@@ -27,7 +27,7 @@ impl YieldInject {
     }
 
     /// Flips the next coin in the stream and yields on heads.
-    pub(crate) fn maybe_yield(&self) {
+    pub fn maybe_yield(&self) {
         let t = self.ticket.fetch_add(1, Ordering::Relaxed);
         // splitmix64 finalizer over (seed, ticket): a fair deterministic coin.
         let mut z = self

@@ -15,7 +15,9 @@
 //!   execution entry points, returning the same [`afs_core::LoopMetrics`]
 //!   the simulator produces;
 //! * [`shared::RowMatrix`] — a row-sharded shared array giving kernels
-//!   race-free mutable access to disjoint rows from multiple workers.
+//!   race-free mutable access to disjoint rows from multiple workers;
+//! * [`wait::EventCount`] — the one spin → yield → park ladder every wait
+//!   above (and `afs-serve`'s dispatcher) goes through.
 //!
 //! Execution can be traced: build the pool with [`pool::Pool::with_trace`]
 //! and every grab, chunk, contended lock acquisition and barrier entry is
@@ -41,7 +43,8 @@ pub mod adapt;
 pub mod affinity;
 pub mod barrier;
 pub mod fault;
-mod inject;
+#[doc(hidden)]
+pub mod inject;
 pub mod numa;
 pub mod parallel;
 pub mod pool;
@@ -49,6 +52,7 @@ pub mod shared;
 pub mod source;
 pub mod source_le;
 pub mod sync;
+pub mod wait;
 mod watchdog;
 
 pub use adapt::{AdaptController, AdaptObservation, Tune};

@@ -15,18 +15,17 @@
 //! `CachePadded` flag per worker (local spinning: each worker's flag line
 //! is invalidated exactly once per phase, there is no broadcast storm on a
 //! shared word), with per-worker padded ack slots on the completion side.
-//! Waiters spin a budget with [`std::hint::spin_loop`], then
-//! [`std::thread::yield_now`], and finally park on an eventcount (sleeper
-//! count + mutex + condvar) — so an oversubscribed pool (more workers than
-//! cores, e.g. a CI container) degrades to blocking instead of burning
-//! timeslices. On a dedicated machine a phase turnaround is pure
-//! user-space stores and loads: zero kernel round-trips. That holds for
-//! the waits *between peers inside a region*. The wait for the next job
-//! is different: its event comes from a coordinator that is not one of
-//! the `P` workers and needs a core of its own, so when the workers
-//! already cover every core (`P ≥ cores`: a pool fed by a server's
-//! dispatcher, a bench's main thread) they spin only briefly there and
-//! then yield — see `start_spin_cap`.
+//! Both sides wait on [`crate::wait`]'s spin → yield → park ladder — so an
+//! oversubscribed pool (more workers than cores, e.g. a CI container)
+//! degrades to blocking instead of burning timeslices, and on a dedicated
+//! machine a phase turnaround is pure user-space stores and loads: zero
+//! kernel round-trips. The pool has three waits and derives each one's
+//! budget at build time from the one rule, [`crate::wait::spin_leg`]: a
+//! worker's *start wait* and the coordinator's *ack wait* each need the
+//! `P` workers *and* the coordinator running (`P + 1` threads), the
+//! *in-region barrier* ([`Pool::phase_barrier`]) only the `P` peers. The
+//! events are the `SeqCst` stores into the per-worker start flags and ack
+//! slots, which is all the ladder's lost-wakeup argument asks of them.
 //!
 //! A pool can pin worker `i` to core `i mod cores`
 //! ([`PoolBuilder::pin_cores`]), making AFS's deterministic
@@ -42,7 +41,7 @@
 
 use crate::affinity;
 use crate::fault::{FaultPlan, PanicPolicy, PhaseError};
-use crate::inject::YieldInject;
+use crate::wait::{self, Budget, EventCount, Worker, DEFAULT_SPINS, DEFAULT_YIELDS};
 use crate::watchdog::Watchdog;
 use afs_metrics::pad::CachePadded;
 use afs_metrics::{MetricsRegistry, WaitOutcome};
@@ -50,7 +49,7 @@ use afs_scope::{FlightRecorder, Trigger};
 use afs_trace::{EventKind, TraceSink};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -73,62 +72,6 @@ impl std::fmt::Display for TryDispatchError {
 }
 
 impl std::error::Error for TryDispatchError {}
-
-/// Default spin iterations before yielding (dedicated machines). One
-/// iteration is two `SeqCst` loads plus a `spin_loop` hint, and `pause`
-/// alone is ~140 cycles on Skylake and later (~10 on older cores): measured
-/// ≈ 11.5 ns per iteration on the 2-core reference host, so the full
-/// budget is ≈ 47 µs — several phase turnarounds, far below a timeslice.
-pub const DEFAULT_SPINS: u32 = 4_096;
-
-/// Spin iterations (≈ 0.7 µs) for a waiter that is holding a core the
-/// thread it waits for may need: every wait of an oversubscribed pool
-/// (more workers than cores), and the start wait whenever no core is left
-/// over for the coordinator ([`start_spin_cap`]). Just enough to catch a
-/// flip that is already on its way.
-const OVERSUBSCRIBED_SPINS: u32 = 64;
-
-/// The most pure-spin iterations a worker spends waiting for its *next
-/// job* before it starts yielding, given `p` workers on `cores` cores.
-///
-/// The pool has three waits, and who produces the awaited event decides
-/// how to wait for it:
-///
-/// * **start wait** (`wait_start`): the next job comes from a coordinator
-///   that is not one of the `p` workers — a server's dispatcher fed by a
-///   client, a bench's main thread. When `p >= cores` that thread has no
-///   core of its own, and every iteration a worker spins here is one the
-///   producer of its event sits runnable behind it: cap the spin leg at
-///   [`OVERSUBSCRIBED_SPINS`] and fall through to the unchanged
-///   yield → park legs. With a core to spare (`p < cores`) the full
-///   budget applies.
-/// * **in-region barrier** ([`Pool::phase_barrier`]): the event comes from
-///   peers that each own a core; spinning is right, the budget is
-///   untouched.
-/// * **ack wait** (`wait_all_acked`): the coordinator waits for workers
-///   that are running; untouched.
-fn start_spin_cap(p: usize, cores: usize) -> u32 {
-    if p >= cores {
-        OVERSUBSCRIBED_SPINS
-    } else {
-        u32::MAX
-    }
-}
-
-/// Default `yield_now` rounds between spinning and parking. On an
-/// oversubscribed host each yield lets the publisher (or the remaining
-/// workers) run, so the rendezvous usually completes here without a
-/// kernel sleep.
-pub const DEFAULT_YIELDS: u32 = 256;
-
-/// Coordinator-side `yield_now` rounds when the pool is oversubscribed.
-/// While acks trickle in, every futile coordinator wakeup steals a
-/// timeslice from the workers still computing; parking after a couple of
-/// yields costs one condvar notify (by the last acker) and returns the
-/// core. Workers keep the full yield budget: their next event (the new
-/// phase) arrives quickly, and parking all of them would turn every
-/// publish into a wake-all storm.
-const OVERSUBSCRIBED_COORD_YIELDS: u32 = 2;
 
 /// The published job slot. Plain memory, synchronized by the generation
 /// flags: the coordinator writes it strictly before storing the new
@@ -157,30 +100,18 @@ struct Shared {
     acks: Vec<CachePadded<AtomicU64>>,
     /// Set (once) when the pool is dropping; checked at every wait point.
     shutdown: AtomicBool,
-    /// Workers currently parked (or committing to park) on `start_cv`.
-    /// The coordinator takes the parking lock to notify only when this is
-    /// non-zero, so the fast path never touches the mutex.
-    sleepers: AtomicU64,
-    /// Coordinators currently parked (or committing to park) on `done_cv`.
-    done_waiters: AtomicU64,
-    /// Parking lot shared by both condvars. Uncontended except when a
-    /// waiter has actually given up spinning.
-    park: Mutex<()>,
-    start_cv: Condvar,
-    done_cv: Condvar,
-    /// Spin iterations before yielding.
-    spins: u32,
-    /// Ceiling on the start wait's pure-spin leg ([`start_spin_cap`]).
-    start_spin_cap: u32,
-    /// `yield_now` rounds before parking.
-    yields: u32,
-    /// Coordinator-side `yield_now` rounds before parking; clamped to
-    /// [`OVERSUBSCRIBED_COORD_YIELDS`] when workers outnumber cores.
-    coord_yields: u32,
-    /// Deterministic yield injection at the protocol's race windows
-    /// (seeded stress tests only).
-    inject: Option<YieldInject>,
-    /// The seed behind `inject`, so derived barriers can inject too.
+    /// Where workers sleep for the next generation (or shutdown).
+    start: EventCount,
+    /// Where a coordinator sleeps for the generation's last ack.
+    done: EventCount,
+    /// The start wait's budget.
+    start_budget: Budget,
+    /// The ack wait's budget ([`DispatchTicket::wait`]).
+    ack_budget: Budget,
+    /// The budget [`Pool::phase_barrier`] hands its barrier.
+    barrier_budget: Budget,
+    /// The yield-injection seed (seeded stress tests only), so derived
+    /// barriers can inject too.
     inject_seed: Option<u64>,
     /// Workers that successfully pinned themselves to a core.
     pinned: AtomicUsize,
@@ -202,17 +133,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn lock_park(&self) -> MutexGuard<'_, ()> {
-        self.park.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    #[inline]
-    fn inject_point(&self) {
-        if let Some(inj) = &self.inject {
-            inj.maybe_yield();
-        }
-    }
-
     /// Whether every live worker has finished generation `generation`.
     fn all_acked(&self, generation: u64) -> bool {
         let live = self.live.load(Ordering::Relaxed);
@@ -230,106 +150,31 @@ impl Shared {
         }
     }
 
-    /// Records how worker `idx`'s start-rendezvous wait resolved — but only
-    /// for real generations: the shutdown wakeup is not a barrier arrival.
-    #[inline]
-    fn note_start_wait(&self, idx: usize, r: &Option<u64>, outcome: WaitOutcome) {
-        if r.is_some() {
-            self.metrics.worker(idx).record_barrier_wait(outcome);
-        }
-    }
-
     /// Waits until the coordinator publishes a generation newer than
     /// `seen` into this worker's flag. Returns the new generation, or
-    /// `None` on shutdown. Spin → yield → park.
+    /// `None` on shutdown.
     fn wait_start(&self, idx: usize, seen: u64, sink: Option<&TraceSink>) -> Option<u64> {
-        // Waiting for the next publish is legitimate idleness: flag it so
-        // the stall watchdog does not mistake this worker's frozen
-        // heartbeat for a stall (e.g. while a slow sibling holds the
-        // current generation open).
-        self.metrics.worker(idx).set_waiting(true);
-        let r = self.wait_start_inner(idx, seen, sink);
-        self.metrics.worker(idx).set_waiting(false);
-        r
-    }
-
-    fn wait_start_inner(&self, idx: usize, seen: u64, sink: Option<&TraceSink>) -> Option<u64> {
-        let check = |shared: &Shared| -> Option<Option<u64>> {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return Some(None);
-            }
-            let g = shared.starts[idx].load(Ordering::SeqCst);
-            (g != seen).then_some(Some(g))
+        let who = Worker {
+            counters: self.metrics.worker(idx),
+            lane: sink.map(|s| (s, idx)),
         };
-        for _ in 0..self.spins.min(self.start_spin_cap) {
-            if let Some(r) = check(self) {
-                self.note_start_wait(idx, &r, WaitOutcome::Spin);
-                return r;
-            }
-            std::hint::spin_loop();
+        let (gen, how) = self.start.wait(
+            self.start_budget,
+            Some(who),
+            || {
+                if self.shutdown.load(Ordering::SeqCst) {
+                    return Some(None);
+                }
+                let g = self.starts[idx].load(Ordering::SeqCst);
+                (g != seen).then_some(Some(g))
+            },
+            |_| {},
+        );
+        // The shutdown wakeup is not a barrier arrival.
+        if gen.is_some() {
+            who.counters.record_barrier_wait(how);
         }
-        for _ in 0..self.yields {
-            if let Some(r) = check(self) {
-                self.note_start_wait(idx, &r, WaitOutcome::Yield);
-                return r;
-            }
-            self.inject_point();
-            std::thread::yield_now();
-        }
-        // Park. The sleeper count is raised *before* the final flag check
-        // (both SeqCst): if the coordinator's load saw zero sleepers and
-        // skipped the notify, its flag store is SC-ordered before our
-        // re-check, which therefore observes it — a wakeup cannot be lost.
-        if let Some(sink) = sink {
-            sink.record(idx, EventKind::BarrierPark);
-        }
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        self.inject_point();
-        let mut guard = self.lock_park();
-        let r = loop {
-            if let Some(r) = check(self) {
-                break r;
-            }
-            guard = self.start_cv.wait(guard).unwrap_or_else(|p| p.into_inner());
-        };
-        drop(guard);
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        self.note_start_wait(idx, &r, WaitOutcome::Park);
-        r
-    }
-
-    /// Coordinator side: waits until every worker acked `generation`.
-    /// Spin → yield → park, symmetric with [`Shared::wait_start`].
-    fn wait_all_acked(&self, generation: u64) {
-        for _ in 0..self.spins {
-            if self.all_acked(generation) {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-        for _ in 0..self.coord_yields {
-            if self.all_acked(generation) {
-                return;
-            }
-            self.inject_point();
-            std::thread::yield_now();
-        }
-        self.park_until_acked(generation);
-    }
-
-    /// The park leg of [`Shared::wait_all_acked`], also entered directly by
-    /// [`DispatchTicket::wait_parked`]: sleeps until every worker acked
-    /// `generation`, re-checking after registering as a waiter so an ack
-    /// that landed first is seen rather than slept through.
-    fn park_until_acked(&self, generation: u64) {
-        self.done_waiters.fetch_add(1, Ordering::SeqCst);
-        self.inject_point();
-        let mut guard = self.lock_park();
-        while !self.all_acked(generation) {
-            guard = self.done_cv.wait(guard).unwrap_or_else(|p| p.into_inner());
-        }
-        drop(guard);
-        self.done_waiters.fetch_sub(1, Ordering::SeqCst);
+        gen
     }
 }
 
@@ -393,8 +238,9 @@ impl PoolBuilder {
     }
 
     /// Overrides the spin budget: `spins` busy iterations, then `yields`
-    /// rounds of `yield_now`, then parking. Oversubscribed pools (more
-    /// workers than cores) clamp `spins` down automatically.
+    /// rounds of `yield_now`, then parking. Each of the pool's waits cuts
+    /// `spins` down by [`crate::wait::spin_leg`] when its waiter would
+    /// hold a core from a thread it is waiting for.
     pub fn spin_budget(mut self, spins: u32, yields: u32) -> Self {
         self.spins = spins;
         self.yields = yields;
@@ -483,32 +329,28 @@ impl PoolBuilder {
             );
         }
         let cores = affinity::core_count();
-        // An oversubscribed pool cannot make progress while a waiter burns
-        // its timeslice: cap the busy phase and rely on the yield rounds
-        // (and ultimately parking).
-        let (spins, coord_yields) = if p <= cores {
-            (self.spins, self.yields)
-        } else {
-            (
-                self.spins.min(OVERSUBSCRIBED_SPINS),
-                self.yields.min(OVERSUBSCRIBED_COORD_YIELDS),
-            )
-        };
+        let (spins, yields) = (self.spins, self.yields);
         let shared = Arc::new(Shared {
             job: JobCell(UnsafeCell::new(None)),
             starts: (0..p).map(|_| CachePadded::default()).collect(),
             acks: (0..p).map(|_| CachePadded::default()).collect(),
             shutdown: AtomicBool::new(false),
-            sleepers: AtomicU64::new(0),
-            done_waiters: AtomicU64::new(0),
-            park: Mutex::new(()),
-            start_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            spins,
-            start_spin_cap: start_spin_cap(p, cores),
-            coord_yields,
-            yields: self.yields,
-            inject: self.inject_seed.map(YieldInject::new),
+            start: EventCount::with_injection(self.inject_seed),
+            // A distinct stream, so the two sides' injection decisions
+            // don't mirror each other.
+            done: EventCount::with_injection(self.inject_seed.map(|s| s ^ 0xD07E_D07E_D07E_D07E)),
+            start_budget: Budget {
+                spins: wait::spin_leg(spins, p + 1, cores),
+                yields,
+            },
+            ack_budget: Budget {
+                spins: wait::spin_leg(spins, p + 1, cores),
+                yields: wait::coordinator_yields(yields, p, cores),
+            },
+            barrier_budget: Budget {
+                spins: wait::spin_leg(spins, p, cores),
+                yields,
+            },
             inject_seed: self.inject_seed,
             pinned: AtomicUsize::new(0),
             metrics: Arc::new(MetricsRegistry::new(p)),
@@ -703,17 +545,13 @@ impl Pool {
     /// the same.
     pub fn phase_barrier(&self) -> crate::barrier::SenseBarrier {
         let s = &self.shared;
-        let barrier = match s.inject_seed {
-            // Derive a distinct stream so pool and barrier injection
-            // decisions don't mirror each other.
-            Some(seed) => crate::barrier::SenseBarrier::with_injection(
-                self.p,
-                s.spins,
-                s.yields,
-                seed ^ 0x5EB0_5EB0_5EB0_5EB0,
-            ),
-            None => crate::barrier::SenseBarrier::new(self.p, s.spins, s.yields),
-        };
+        let barrier = crate::barrier::SenseBarrier::with_injection(
+            self.p,
+            s.barrier_budget,
+            // A distinct stream so pool and barrier injection decisions
+            // don't mirror each other.
+            s.inject_seed.map(|seed| seed ^ 0x5EB0_5EB0_5EB0_5EB0),
+        );
         let barrier = barrier.with_metrics(Arc::clone(&s.metrics));
         match &self.trace {
             Some(sink) => barrier.with_trace(Arc::clone(sink)),
@@ -764,12 +602,39 @@ impl Pool {
         &self,
         job: Arc<dyn Fn(usize) + Send + Sync>,
     ) -> Result<DispatchTicket<'_>, TryDispatchError> {
-        let generation = match self.generation.try_lock() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::WouldBlock) => return Err(TryDispatchError::Busy),
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-        };
-        Ok(self.dispatch_locked(generation, job))
+        match self.try_lock_generation() {
+            Some(generation) => Ok(self.dispatch_locked(generation, job)),
+            None => Err(TryDispatchError::Busy),
+        }
+    }
+
+    /// [`Pool::try_dispatch`] for a caller that will wait for a busy pool:
+    /// retries for `grace` yield rounds, then blocks on the dispatch slot
+    /// until the job in flight releases it. `on_leg` hears `Yield` before
+    /// every yield and `Park` before blocking, as in
+    /// [`crate::wait::EventCount::wait`].
+    pub fn dispatch(
+        &self,
+        job: Arc<dyn Fn(usize) + Send + Sync>,
+        grace: u32,
+        mut on_leg: impl FnMut(WaitOutcome),
+    ) -> DispatchTicket<'_> {
+        let try_lock = || self.try_lock_generation();
+        let generation = wait::poll(Budget::yielding(grace), None, try_lock, &mut on_leg)
+            .map(|(generation, _)| generation)
+            .unwrap_or_else(|| {
+                on_leg(WaitOutcome::Park);
+                self.generation.lock().unwrap_or_else(|p| p.into_inner())
+            });
+        self.dispatch_locked(generation, job)
+    }
+
+    fn try_lock_generation(&self) -> Option<MutexGuard<'_, u64>> {
+        match self.generation.try_lock() {
+            Ok(g) => Some(g),
+            Err(TryLockError::WouldBlock) => None,
+            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        }
     }
 
     /// Publishes `job` as the next generation, with the generation lock
@@ -785,16 +650,9 @@ impl Pool {
         unsafe { *self.shared.job.0.get() = Some(job) };
         for flag in &self.shared.starts[..self.p] {
             flag.store(gen, Ordering::SeqCst);
-            self.shared.inject_point();
+            self.shared.start.inject_point();
         }
-        // Wake parked workers. Reading the sleeper count SeqCst after the
-        // SeqCst flag stores pairs with wait_start's inc-then-recheck: we
-        // either see the sleeper (and notify under the lock) or the
-        // sleeper's recheck sees our flags.
-        if self.shared.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.shared.lock_park();
-            self.shared.start_cv.notify_all();
-        }
+        self.shared.start.notify();
         DispatchTicket {
             pool: self,
             guard: Some(guard),
@@ -835,33 +693,38 @@ impl DispatchTicket<'_> {
     /// A panic in the job surfaces as `Err(PhaseError)`, exactly like
     /// [`Pool::try_run`].
     pub fn wait(mut self) -> Result<(), PhaseError> {
-        self.finish(false)
+        let budget = self.pool.shared.ack_budget;
+        self.finish(budget, |_| {})
     }
 
-    /// [`DispatchTicket::wait`] for an owner that has already polled
-    /// [`DispatchTicket::is_complete`] for as long as polling was worth
-    /// it: skips the spin and yield legs and sleeps until the last ack.
-    /// A caller that keeps polling a long job stays runnable throughout,
-    /// and on a host with no spare core that takes a core from the
-    /// workers it is waiting for.
-    pub fn wait_parked(mut self) -> Result<(), PhaseError> {
-        self.finish(true)
+    /// [`DispatchTicket::wait`] for an owner that would rather sleep than
+    /// spin, and has work of its own meanwhile: no spin leg, `grace` yield
+    /// rounds with `on_leg(Yield)` before each, then `on_leg(Park)` and
+    /// sleep until the last ack. A caller that keeps polling a long job
+    /// stays runnable throughout, and on a host with no spare core that
+    /// takes a core from the workers it is waiting for.
+    pub fn wait_parked(
+        mut self,
+        grace: u32,
+        on_leg: impl FnMut(WaitOutcome),
+    ) -> Result<(), PhaseError> {
+        self.finish(Budget::yielding(grace), on_leg)
     }
 
     /// Completes the rendezvous and runs the epilogue once: clears the
     /// job cell, advances the generation, releases the lock, and takes
-    /// any recorded failure. `park_now` skips the spin and yield legs of
-    /// the wait.
-    fn finish(&mut self, park_now: bool) -> Result<(), PhaseError> {
+    /// any recorded failure.
+    fn finish(
+        &mut self,
+        budget: Budget,
+        on_leg: impl FnMut(WaitOutcome),
+    ) -> Result<(), PhaseError> {
         let Some(mut generation) = self.guard.take() else {
             return Ok(());
         };
         let shared = &self.pool.shared;
-        if park_now {
-            shared.park_until_acked(self.gen);
-        } else {
-            shared.wait_all_acked(self.gen);
-        }
+        let all_acked = || shared.all_acked(self.gen).then_some(());
+        shared.done.wait(budget, None, all_acked, on_leg);
         // SAFETY: every worker acked `gen`, and each ack store follows the
         // worker's clone of the job; dropping the cell contents is ordered
         // after all uses.
@@ -885,7 +748,8 @@ impl Drop for DispatchTicket<'_> {
     fn drop(&mut self) {
         // A dropped ticket still completes the protocol so the pool stays
         // usable; the job's panic (if any) is discarded here.
-        let _ = self.finish(false);
+        let budget = self.pool.shared.ack_budget;
+        let _ = self.finish(budget, |_| {});
     }
 }
 
@@ -945,21 +809,11 @@ fn worker_loop(
             shared.record_failure(idx, payload);
         }
 
-        // Publish completion in this worker's own padded slot. SeqCst makes
-        // the ack stores, the waiter-count loads and the coordinator's scan
-        // totally ordered: whichever worker's store lands last is
-        // guaranteed to either see the parked coordinator (and wake it
-        // under the lock) or have its ack observed by the coordinator's
-        // own re-check before parking.
+        // Publish completion in this worker's own padded slot, then wake a
+        // parked coordinator — only from the worker whose ack completes
+        // the generation.
         shared.acks[idx].store(seen, Ordering::SeqCst);
-        shared.inject_point();
-        // Notify only when a coordinator actually gave up spinning and
-        // registered as a waiter, and only from the worker whose ack
-        // completes the generation.
-        if shared.done_waiters.load(Ordering::SeqCst) > 0 && shared.all_acked(seen) {
-            let _guard = shared.lock_park();
-            shared.done_cv.notify_all();
-        }
+        shared.done.notify_if(|| shared.all_acked(seen));
     }
 }
 
@@ -971,10 +825,7 @@ impl Drop for Pool {
             w.stop();
         }
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _guard = self.shared.lock_park();
-            self.shared.start_cv.notify_all();
-        }
+        self.shared.start.notify();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -1070,16 +921,6 @@ mod tests {
             });
         }
         assert_eq!(counter.load(Ordering::Relaxed), 80);
-    }
-
-    #[test]
-    fn start_wait_spins_briefly_unless_a_core_is_spare() {
-        assert_eq!(start_spin_cap(2, 2), OVERSUBSCRIBED_SPINS);
-        assert_eq!(start_spin_cap(4, 2), OVERSUBSCRIBED_SPINS);
-        assert_eq!(start_spin_cap(1, 1), OVERSUBSCRIBED_SPINS);
-        // A core left over for the coordinator: the budget is not capped.
-        assert_eq!(start_spin_cap(2, 4), u32::MAX);
-        assert_eq!(OVERSUBSCRIBED_SPINS, 64);
     }
 
     #[test]
@@ -1233,6 +1074,50 @@ mod tests {
     }
 
     #[test]
+    fn dispatch_yields_its_grace_then_blocks_on_a_held_pool() {
+        let pool = Pool::new(2);
+        let (entered, blocked, ran) = (
+            AtomicBool::new(false),
+            AtomicBool::new(false),
+            Arc::new(AtomicU64::new(0)),
+        );
+        let mut legs = Vec::new();
+        std::thread::scope(|s| {
+            // A blocking run holds the dispatch slot until `dispatch`
+            // below has given up yielding.
+            s.spawn(|| {
+                pool.run(|_| {
+                    entered.store(true, Ordering::SeqCst);
+                    while !blocked.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                })
+            });
+            while !entered.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let r = Arc::clone(&ran);
+            let job = Arc::new(move |_| {
+                r.fetch_add(1, Ordering::SeqCst);
+            });
+            let ticket = pool.dispatch(job, 3, |leg| {
+                legs.push(leg);
+                if leg == WaitOutcome::Park {
+                    blocked.store(true, Ordering::SeqCst);
+                }
+            });
+            ticket.wait().unwrap();
+        });
+        use WaitOutcome::{Park, Yield};
+        assert_eq!(legs, [Yield, Yield, Yield, Park]);
+        assert_eq!(ran.load(Ordering::SeqCst), 2);
+        // A free pool is taken on the first look: no leg is heard.
+        let ticket = pool.dispatch(Arc::new(|_| {}), 3, |leg| legs.push(leg));
+        ticket.wait().unwrap();
+        assert_eq!(legs.len(), 4);
+    }
+
+    #[test]
     fn wait_parked_sleeps_through_a_gated_job_and_returns_its_panic() {
         let pool = Pool::new(2);
         let gate = Arc::new(AtomicBool::new(false));
@@ -1251,12 +1136,14 @@ mod tests {
             s.spawn(|| {
                 // Open the gate only once the waiter below has
                 // registered for its park.
-                while pool.shared.done_waiters.load(Ordering::SeqCst) == 0 {
+                while pool.shared.done.sleepers() == 0 {
                     std::thread::yield_now();
                 }
                 gate.store(true, Ordering::SeqCst);
             });
-            let err = ticket.wait_parked().expect_err("worker 1 panicked");
+            let err = ticket
+                .wait_parked(0, |_| {})
+                .expect_err("worker 1 panicked");
             assert_eq!(err.worker(), 1);
         });
         // Already complete: returns without blocking, slot released.
@@ -1264,7 +1151,7 @@ mod tests {
         while !ticket.is_complete() {
             std::thread::yield_now();
         }
-        ticket.wait_parked().unwrap();
+        ticket.wait_parked(0, |_| {}).unwrap();
         pool.run(|_| {});
     }
 

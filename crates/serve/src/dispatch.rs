@@ -27,7 +27,8 @@
 
 use crate::request::OwnedSource;
 use crate::server::{Admitted, ServerShared, IDLE_YIELDS};
-use afs_runtime::{Pool, SenseBarrier, TryDispatchError};
+use afs_metrics::WaitOutcome;
+use afs_runtime::{Pool, SenseBarrier};
 use afs_scope::ServeEventKind;
 use afs_trace::event::EventKind;
 use std::collections::VecDeque;
@@ -469,15 +470,16 @@ impl Batch {
 /// Executes `reqs` as one pool dispatch, recording dispatch stamps and
 /// queueing delays on the way in. Returns the number of requests executed.
 ///
-/// The caller waits for the batch the way the dispatcher waits for work:
-/// it polls for [`IDLE_YIELDS`] rounds — running `while_waiting` (the
-/// dispatcher's ring pump) and yielding each round — and then parks on the
-/// dispatch until the last worker acks. A short dispatch finishes inside
-/// the grace and never parks. A long one must not keep its waiter
-/// runnable: with no spare core that thread takes a CPU from the workers,
-/// which then spin out every in-batch barrier against a peer that cannot
-/// run. `admit` needs no help meanwhile — it touches only the ring and
-/// atomics — so the ring's capacity bounds what one batch can buffer.
+/// The caller waits the way the dispatcher waits for work — for the pool,
+/// if a blocking `Pool::run` caller holds it, and then for the batch:
+/// [`IDLE_YIELDS`] rounds that each run `while_waiting` (the dispatcher's
+/// ring pump) and yield, then asleep until the pool is released or the
+/// last worker acks. A short dispatch finishes inside the grace and never
+/// sleeps. A long one must not keep its waiter runnable: with no spare
+/// core that thread takes a CPU from the workers, which then spin out
+/// every in-batch barrier against a peer that cannot run. `admit` needs no
+/// help meanwhile — it touches only the ring and atomics — so the ring's
+/// capacity bounds what one batch can buffer.
 pub(crate) fn execute(
     shared: &Arc<ServerShared>,
     reqs: Vec<Admitted>,
@@ -506,43 +508,26 @@ pub(crate) fn execute(
         reqs,
         dispatch_ns,
     ));
-    let job: Arc<dyn Fn(usize) + Send + Sync> = {
+    let job = {
         let b = Arc::clone(&batch);
         Arc::new(move |w| b.run_worker(w))
     };
-    loop {
-        match pool.try_dispatch(Arc::clone(&job)) {
-            Ok(ticket) => {
-                for _ in 0..IDLE_YIELDS {
-                    if ticket.is_complete() {
-                        break;
-                    }
-                    while_waiting();
-                    std::thread::yield_now();
-                }
-                let outcome = if ticket.is_complete() {
-                    ticket.wait()
-                } else {
-                    shared.batch_parks.fetch_add(1, Ordering::Relaxed);
-                    ticket.wait_parked()
-                };
-                if let Err(e) = outcome {
-                    // A panic escaped per-request containment (the pool's
-                    // own catch_unwind caught it instead). Whatever the
-                    // barrier turns never retired is failed here so the
-                    // ledger balances; the dispatcher itself survives.
-                    batch.fail_unretired(e.worker() as u32, e.phase() as u32);
-                }
-                return count;
-            }
-            Err(TryDispatchError::Busy) => {
-                // Someone else (a blocking `Pool::run` caller) holds the
-                // pool; keep the admission ring flowing and retry.
-                while_waiting();
-                std::thread::yield_now();
-            }
+    let mut on_leg = |leg| match leg {
+        WaitOutcome::Spin => {}
+        WaitOutcome::Yield => while_waiting(),
+        WaitOutcome::Park => {
+            shared.batch_parks.fetch_add(1, Ordering::Relaxed);
         }
+    };
+    let ticket = pool.dispatch(job, IDLE_YIELDS, &mut on_leg);
+    if let Err(e) = ticket.wait_parked(IDLE_YIELDS, &mut on_leg) {
+        // A panic escaped per-request containment (the pool's own
+        // catch_unwind caught it instead). Whatever the barrier turns
+        // never retired is failed here so the ledger balances; the
+        // dispatcher itself survives.
+        batch.fail_unretired(e.worker() as u32, e.phase() as u32);
     }
+    count
 }
 
 #[cfg(test)]

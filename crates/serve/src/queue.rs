@@ -18,49 +18,16 @@
 //! has wrapped onto an unconsumed slot ⇒ full).
 
 use afs_metrics::CachePadded;
+use afs_runtime::inject::YieldInject;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One ring slot: the handshake word and the (possibly uninitialized)
 /// value it guards.
 struct Slot<T> {
     seq: AtomicUsize,
     val: UnsafeCell<MaybeUninit<T>>,
-}
-
-/// Deterministic yield injection for seeded interleaving stress: a
-/// splitmix64 stream shared by all threads decides, at each protocol race
-/// window, whether the caller yields its timeslice. Same seed ⇒ same
-/// decision sequence (modulo which thread draws which decision — that is
-/// the point: the draws perturb the schedule differently every seed).
-struct YieldInject {
-    state: AtomicU64,
-}
-
-impl YieldInject {
-    fn new(seed: u64) -> Self {
-        Self {
-            state: AtomicU64::new(seed),
-        }
-    }
-
-    #[inline]
-    fn maybe_yield(&self) {
-        let x = self
-            .state
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = x;
-        z ^= z >> 30;
-        z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z ^= z >> 27;
-        z = z.wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        if z.is_multiple_of(4) {
-            std::thread::yield_now();
-        }
-    }
 }
 
 /// A bounded lock-free multi-producer multi-consumer queue.
@@ -146,12 +113,12 @@ impl<T> MpmcQueue<T> {
             self.inject_point();
             if seq == pos {
                 // Slot is free for this position; claim it by advancing
-                // the producer cursor. SeqCst on success: the server's
-                // parked dispatcher re-checks `is_empty` (SeqCst loads)
-                // after raising its parked flag, and `admit` loads that
-                // flag after this CAS — the claim must sit in the same
-                // total order for that hand-off to hold. Same `lock
-                // cmpxchg` as Relaxed on x86.
+                // the producer cursor. SeqCst on success: this CAS is the
+                // event the server's idle dispatcher waits for — its last
+                // look before sleeping is `is_empty` (SeqCst loads), and
+                // `admit` notifies after this CAS — so the claim must sit
+                // in the eventcount's total order (`afs_runtime::wait`).
+                // Same `lock cmpxchg` as Relaxed on x86.
                 match self.tail.compare_exchange_weak(
                     pos,
                     pos.wrapping_add(1),

@@ -25,7 +25,10 @@ use crate::dispatch::{execute, Discipline, DispatchState};
 use crate::queue::MpmcQueue;
 use crate::request::{Admit, LoopRequest, ShedReason};
 use crate::supervise::{PoolFactory, Supervisor, SupervisorConfig};
-use afs_metrics::{AtomicHistogram, MetricsSnapshot, ServeSnapshot, TenantServeSnapshot};
+use afs_metrics::{
+    AtomicHistogram, MetricsSnapshot, ServeSnapshot, TenantServeSnapshot, WaitOutcome,
+};
+use afs_runtime::wait::{Budget, EventCount};
 use afs_runtime::Pool;
 use afs_scope::{ServeEventKind, ServeRecord, TelemetryServer, TelemetrySource};
 use afs_trace::event::EventKind;
@@ -180,18 +183,17 @@ pub(crate) struct ServerShared {
     epoch: Instant,
     next_id: AtomicU64,
     pub(crate) shutdown: AtomicBool,
-    /// Set by the dispatcher thread just before it parks on an empty
-    /// ring, cleared when it resumes. `admit`, `stop` and `Drop` publish
-    /// their event first (ring push / shutdown flag), then load this and
-    /// unpark only when it is set — see [`dispatcher_loop`] for why no
-    /// wakeup can be lost.
-    dispatcher_parked: AtomicBool,
-    /// Times the dispatcher committed to `thread::park` (test-visible).
+    /// Where the dispatcher thread sleeps on an empty ring. `admit`, `stop`
+    /// and `Drop` publish their event first (the ring's tail CAS, the
+    /// shutdown flag — both `SeqCst`), then notify.
+    idle: EventCount,
+    /// Times the dispatcher committed to sleeping there (test-visible).
     dispatcher_parks: AtomicU64,
-    /// Times a producer found the flag set and unparked the dispatcher.
+    /// Times a producer found it asleep and woke it.
     dispatcher_wakes: AtomicU64,
-    /// Times a dispatch outlasted its waiter's [`IDLE_YIELDS`] grace and
-    /// the waiter parked on it (test-visible).
+    /// Times a dispatch's waiter outlasted its [`IDLE_YIELDS`] grace and
+    /// went to sleep — on the batch, or on a pool somebody else held
+    /// (test-visible).
     pub(crate) batch_parks: AtomicU64,
     pub(crate) admitted: AtomicU64,
     pub(crate) completed: AtomicU64,
@@ -529,7 +531,7 @@ impl ServerBuilder {
             epoch: Instant::now(),
             next_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            dispatcher_parked: AtomicBool::new(false),
+            idle: EventCount::default(),
             dispatcher_parks: AtomicU64::new(0),
             dispatcher_wakes: AtomicU64::new(0),
             batch_parks: AtomicU64::new(0),
@@ -586,41 +588,36 @@ impl ServerBuilder {
 }
 
 /// `yield_now` rounds a waiting dispatcher spends before it parks — for
-/// work on an empty ring, or for the batch it just dispatched
-/// ([`execute`]): long enough (tens of µs) that a closed-loop client's
-/// next request, or a short dispatch's last ack, usually finds it still
-/// runnable; short enough that it stops competing with the pool workers
-/// for a core almost at once.
+/// work on an empty ring, for a pool somebody else holds, or for the batch
+/// it just dispatched ([`execute`]): long enough (tens of µs) that a
+/// closed-loop client's next request, or a short dispatch's last ack,
+/// usually finds it still runnable; short enough that it stops competing
+/// with the pool workers for a core almost at once.
 pub(crate) const IDLE_YIELDS: u32 = 64;
+const IDLE: Budget = Budget::yielding(IDLE_YIELDS);
 
 /// The dispatcher thread body: pump, select, execute, until shutdown
-/// *and* drained. With the ring and the FIFOs empty it yields
-/// [`IDLE_YIELDS`] times and then parks until a producer wakes it — an
-/// idle server makes no wakeups at all. Polling with short naps is not an
-/// alternative: a `sleep(100 µs)` measures 216 µs on the reference host,
-/// and an arriving request waits half a nap on average.
+/// *and* drained. With the ring and the FIFOs empty it waits on
+/// [`ServerShared::idle`] — [`IDLE_YIELDS`] yields, then asleep until a
+/// producer wakes it, so an idle server makes no wakeups at all. Polling
+/// with short naps is not an alternative: a `sleep(100 µs)` measures
+/// 216 µs on the reference host, and an arriving request waits half a nap
+/// on average.
 ///
-/// The park hand-off is Dekker-style, all `SeqCst`. The dispatcher stores
-/// `dispatcher_parked = true`, *then* re-checks the ring cursors and the
-/// shutdown flag; a producer publishes its event (the ring's tail CAS in
-/// `admit`, the shutdown store in `stop`/`Drop`), *then* loads
-/// `dispatcher_parked`. In the single total order of those four accesses
-/// either the dispatcher's re-check comes after the event and sees it (no
-/// park), or the producer's load comes after the flag store and sees
-/// `true` (it unparks). `unpark` leaves a token, so a wake that lands
-/// between the re-check and `park()` makes `park()` return at once. A
-/// token nobody was waiting for costs one extra trip round this loop,
-/// which re-checks everything: a spurious wake is harmless.
+/// What it waits for is the ring's *claim* cursors moving
+/// ([`MpmcQueue::is_empty`]), not an item it can pop: the tail CAS is the
+/// `SeqCst` event `admit` publishes before it notifies, which is what the
+/// eventcount's lost-wakeup argument needs. A wait that ends on a slot
+/// claimed but not yet published costs trips round this loop until the
+/// producer's next store lands.
 fn dispatcher_loop(shared: &Arc<ServerShared>, discipline: Discipline) {
     let mut st = DispatchState::new(shared.tenants.len());
-    let mut idle = 0u32;
     loop {
         st.pump(shared, discipline);
         // A selected request whose deadline ran out in the queue retires
         // as Expired right here, without costing a pool dispatch.
         let picked = retire_expired(shared, st.select(discipline));
         if !picked.is_empty() {
-            idle = 0;
             execute(shared, picked, || {
                 st.pump(shared, discipline);
             });
@@ -633,21 +630,13 @@ fn dispatcher_loop(shared: &Arc<ServerShared>, discipline: Discipline) {
         if shared.shutdown.load(Ordering::SeqCst) && shared.queue.is_empty() {
             return;
         }
-        idle += 1;
-        if idle < IDLE_YIELDS {
-            thread::yield_now();
-            continue;
-        }
-        shared.dispatcher_parked.store(true, Ordering::SeqCst);
-        if shared.queue.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
-            shared.dispatcher_parks.fetch_add(1, Ordering::Relaxed);
-            thread::park();
-        } else {
-            // A producer holds a claimed slot it has not published yet (or
-            // shutdown raced the commit): give it the core, then look again.
-            thread::yield_now();
-        }
-        shared.dispatcher_parked.store(false, Ordering::SeqCst);
+        let something_to_do =
+            || (!shared.queue.is_empty() || shared.shutdown.load(Ordering::SeqCst)).then_some(());
+        shared.idle.wait(IDLE, None, something_to_do, |leg| {
+            if leg == WaitOutcome::Park {
+                shared.dispatcher_parks.fetch_add(1, Ordering::Relaxed);
+            }
+        });
     }
 }
 
@@ -782,22 +771,18 @@ impl LoopServer {
         }
     }
 
-    /// Unparks the dispatcher if it is parked or committing to park; one
+    /// Wakes the dispatcher if it is asleep or committing to sleep; one
     /// `SeqCst` load otherwise (always, on a busy or manual-mode server).
     /// Callers publish their event — the ring push, the shutdown flag —
-    /// *before* calling this; [`dispatcher_loop`] has the other half of
-    /// the argument.
+    /// *before* calling this.
     fn wake_dispatcher(&self) {
-        if self.shared.dispatcher_parked.load(Ordering::SeqCst) {
-            if let Some(h) = &self.dispatcher {
-                self.shared.dispatcher_wakes.fetch_add(1, Ordering::Relaxed);
-                h.thread().unpark();
-            }
+        if self.shared.idle.notify() {
+            self.shared.dispatcher_wakes.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// `(parks, wakes)`: how often the dispatcher committed to
-    /// `thread::park`, and how often a producer unparked it. Lets tests
+    /// `(parks, wakes)`: how often the dispatcher went to sleep on an
+    /// empty ring, and how often a producer woke it. Lets tests
     /// assert "an idle server is quiet" on counts instead of wall time.
     #[doc(hidden)]
     pub fn dispatcher_park_tally(&self) -> (u64, u64) {
@@ -807,10 +792,11 @@ impl LoopServer {
         )
     }
 
-    /// How many dispatches outlasted the 64-poll (`IDLE_YIELDS`) grace, so
-    /// that their waiter (the dispatcher thread, or a manual
-    /// [`LoopServer::dispatch_next`] caller) parked until the batch was
-    /// done. Like [`LoopServer::dispatcher_park_tally`], a count for tests.
+    /// How many times a dispatch's waiter (the dispatcher thread, or a
+    /// manual [`LoopServer::dispatch_next`] caller) outlasted the 64-yield
+    /// (`IDLE_YIELDS`) grace and slept — until the batch was done, or
+    /// until somebody else's job released the pool. Like
+    /// [`LoopServer::dispatcher_park_tally`], a count for tests.
     #[doc(hidden)]
     pub fn batch_park_tally(&self) -> u64 {
         self.shared.batch_parks.load(Ordering::SeqCst)

@@ -11,12 +11,13 @@
 //!
 //! Third part: the same waiting rule applied to a batch in flight. A
 //! dispatch that outlasts the 64-poll grace parks its waiter; the ring
-//! buffers meanwhile, and shutdown still drains.
+//! buffers meanwhile, and shutdown still drains. A pool somebody else
+//! holds is waited for the same way.
 
 use afs_runtime::{FaultPlan, Pool};
 use afs_serve::prelude::*;
 use afs_serve::MpmcQueue;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -472,4 +473,47 @@ fn manual_dispatch_parks_on_a_long_batch() {
         served += 1;
     }
     assert_eq!(server.serve_snapshot().completed, served);
+}
+
+/// A blocking `Pool::run` caller holds the pool for as long as its job
+/// runs (a whole nest: tens of ms). The dispatcher must not poll for the
+/// pool all that while on a core the job's workers need: after its grace
+/// it blocks on the dispatch slot (counted, not timed), and the request it
+/// was carrying is dispatched when the job lets go.
+#[test]
+fn dispatcher_sleeps_on_a_pool_held_by_a_blocking_run() {
+    let pool = Arc::new(Pool::new(2));
+    let server = LoopServer::builder(Arc::clone(&pool)).tenant("t").build();
+    let (entered, gate) = (AtomicBool::new(false), AtomicBool::new(false));
+    thread::scope(|s| {
+        s.spawn(|| {
+            pool.run(|_| {
+                entered.store(true, Ordering::SeqCst);
+                while !gate.load(Ordering::SeqCst) {
+                    thread::yield_now();
+                }
+            })
+        });
+        wait_for("the blocking run to take the pool", || {
+            entered.load(Ordering::SeqCst)
+        });
+        assert!(server.admit(small(64)).is_accepted());
+        wait_for("the dispatcher to block on the held pool", || {
+            server.batch_park_tally() >= 1
+        });
+        assert_eq!(
+            server.pending(),
+            1,
+            "nothing can run while the gate is shut"
+        );
+        gate.store(true, Ordering::SeqCst);
+        wait_for("the request behind the blocking run", || {
+            server.pending() == 0
+        });
+    });
+    let ledger = server.shutdown();
+    assert_eq!((ledger.admitted, ledger.completed), (1, 1));
+    assert_eq!(ledger.tenants[0].shed, 0, "offered = accepted");
+    assert_eq!(ledger.tenants[0].iters, 64);
+    assert_eq!(ledger.failed + ledger.expired + ledger.timed_out, 0);
 }
