@@ -10,6 +10,14 @@
 //! of the inner loop — one divide per row update (this is why Gaussian
 //! elimination does *not* hit the KSR-1 software-divide anomaly that SOR
 //! does; see DESIGN.md).
+//!
+//! The paper fixes that nest, not how a row's inner update is staged.
+//! [`eliminate_step`] defers each row's trailing-column update over a panel
+//! of [`PANEL`] pivots and applies the pending ones in a single pass, so a
+//! row is loaded and stored once per panel instead of once per pivot. Every
+//! element still receives the same subtractions in the same order: the
+//! result is bit-identical to the textbook one-pivot-per-pass update (the
+//! test-only reference this module is pinned to). DESIGN.md §3.4.
 
 use afs_sim::{BlockAccess, Work, Workload};
 
@@ -64,22 +72,22 @@ impl GaussSystem {
         (self.n - 1 - phase) as u64
     }
 
-    /// Runs the full elimination sequentially.
+    /// Runs the full elimination sequentially: [`eliminate_step`] over the
+    /// same `(phase, row)` nest the parallel driver schedules.
     pub fn run_sequential(&mut self) {
+        let cols = self.cols();
+        // One slot per row that is ever eliminated: row `i >= 1` at `i − 1`.
+        let mut mults = vec![0.0; self.phases() * PANEL];
         for phase in 0..self.phases() {
-            let pivot = self.pivot_row(phase).to_vec();
-            for j in 0..self.phase_len(phase) {
-                let row = self.iter_row(phase, j);
-                let cols = self.cols();
-                eliminate_row(&pivot, &mut self.a[row * cols..(row + 1) * cols], phase);
+            // Rows `..= phase` are final; only the rows below are written.
+            let (done, below) = self.a.split_at_mut((phase + 1) * cols);
+            let pivot = |r: usize| &done[r * cols..][..cols];
+            let rows = below.chunks_exact_mut(cols);
+            let mults = mults[phase * PANEL..].chunks_exact_mut(PANEL);
+            for (j, (row, mult)) in rows.zip(mults).enumerate() {
+                eliminate_step(phase, phase + 1 + j, pivot, row, mult);
             }
         }
-    }
-
-    /// The pivot row of `phase` (row index `phase`).
-    pub fn pivot_row(&self, phase: usize) -> &[f64] {
-        let cols = self.cols();
-        &self.a[phase * cols..(phase + 1) * cols]
     }
 
     /// Maps parallel-iteration `j` of `phase` to its matrix row.
@@ -107,18 +115,87 @@ impl GaussSystem {
     }
 }
 
-/// Eliminates one row against the pivot row: the parallel-loop body.
+/// Pivots over which a row's trailing-column update is deferred: the width
+/// of the multiplier slot [`eliminate_step`] keeps per row. A constant of
+/// the kernel, not a parameter: the smallest panel on the plateau of the
+/// 2 / 4 / 8 readings in DESIGN.md §3.4.
+pub const PANEL: usize = 4;
+// `eliminate_step` monomorphises the flush on the pending counts 1..=4.
+const _: () = assert!(PANEL == 4);
+
+/// Iteration `(k, i)` of the elimination nest — the parallel-loop body:
+/// eliminates column `k` of `row` (matrix row `i > k`).
 ///
-/// `phase` is the 0-based elimination step; columns `< phase` are already
-/// zero and skipped.
-pub fn eliminate_row(pivot: &[f64], row: &mut [f64], phase: usize) {
-    let mult = row[phase] / pivot[phase]; // hoisted divide
-    for c in phase..row.len() {
-        row[c] -= pivot[c] * mult;
+/// Phases are grouped into panels of [`PANEL`] consecutive pivots. The step
+/// computes row `i`'s multiplier for pivot `k`, stores it in `mult` (row
+/// `i`'s `PANEL`-wide slot, which must survive from phase to phase), and
+/// updates only the row's panel columns `k .. panel end` — enough for the
+/// panel's later multipliers. The trailing columns are updated when the row
+/// is *flushed*: when it is the next pivot (`i == k + 1`), or when phase
+/// `k` closes its panel (`k % PANEL == PANEL − 1`, or the last phase). The
+/// flush applies every pending pivot of the panel in one pass that keeps
+/// the element in a register between subtractions.
+///
+/// `pivot(r)` is matrix row `r`, asked only for `r` in `panel start ..= k`.
+/// Those rows were flushed before phase `k` began (each as the next pivot
+/// of the phase before its own, or at the previous panel's close) and are
+/// not in the phase's written set `k+1 .. n`, so the rows of one phase may
+/// be stepped in any order, concurrently.
+///
+/// Every element receives exactly the subtractions `x −= pivot[c] · m` of
+/// the one-pivot-per-pass update, in the same pivot order, each product and
+/// difference rounded separately — bit-identical results.
+pub fn eliminate_step<'a>(
+    k: usize,
+    i: usize,
+    pivot: impl Fn(usize) -> &'a [f64],
+    row: &mut [f64],
+    mult: &mut [f64],
+) {
+    let n = row.len() - 1;
+    let start = k - k % PANEL;
+    let end = (start + PANEL).min(n + 1);
+    let pk = pivot(k);
+    let m = row[k] / pk[k]; // hoisted divide
+    mult[k - start] = m;
+    for c in k..end {
+        row[c] -= pk[c] * m;
+    }
+    let closes = k % PANEL == PANEL - 1 || k == n - 2;
+    if i == k + 1 || closes {
+        let tail = &mut row[end..];
+        let pivot = |j: usize| &pivot(start + j)[end..];
+        match k - start {
+            0 => flush::<1>(tail, pivot, mult),
+            1 => flush::<2>(tail, pivot, mult),
+            2 => flush::<3>(tail, pivot, mult),
+            _ => flush::<PANEL>(tail, pivot, mult),
+        }
+    }
+}
+
+/// Applies a row's `K` pending pivots to its trailing columns: one load and
+/// one store per element, the `K` multiply-subtracts in pivot order between.
+fn flush<'a, const K: usize>(tail: &mut [f64], pivot: impl Fn(usize) -> &'a [f64], mult: &[f64]) {
+    // Every slice gets the one length the loop runs over.
+    let pivots: [&[f64]; K] = std::array::from_fn(|j| &pivot(j)[..tail.len()]);
+    let m: [f64; K] = std::array::from_fn(|j| mult[j]);
+    for (c, x) in tail.iter_mut().enumerate() {
+        let mut v = *x;
+        for j in 0..K {
+            v -= pivots[j][c] * m[j];
+        }
+        *x = v;
     }
 }
 
 /// Simulator workload model of Gaussian elimination.
+///
+/// Deliberately the paper's traffic, not [`eliminate_step`]'s: every phase
+/// reads one pivot row and reads and writes the whole active part of each
+/// remaining row — one pivot per pass, the memory behaviour the paper's
+/// machines were measured on (as `TcModel` keeps the paper's Fortran
+/// logicals while the executable kernel packs bits).
 #[derive(Clone, Debug)]
 pub struct GaussModel {
     n: u64,
@@ -233,23 +310,104 @@ mod tests {
         }
     }
 
+    /// The textbook update this module replaced, kept as the reference:
+    /// one pivot per pass over the whole active row.
+    fn eliminate_row(pivot: &[f64], row: &mut [f64], phase: usize) {
+        let mult = row[phase] / pivot[phase];
+        for c in phase..row.len() {
+            row[c] -= pivot[c] * mult;
+        }
+    }
+
+    /// `sys` after `phases` one-pivot phases of the reference.
+    fn reference(mut sys: GaussSystem, phases: usize) -> GaussSystem {
+        let cols = sys.cols();
+        for phase in 0..phases {
+            let (done, below) = sys.a.split_at_mut((phase + 1) * cols);
+            for row in below.chunks_exact_mut(cols) {
+                eliminate_row(&done[phase * cols..], row, phase);
+            }
+        }
+        sys
+    }
+
+    fn bits(sys: &GaussSystem) -> Vec<u64> {
+        sys.a.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// n < PANEL, n ≡ 0 / ±1 mod PANEL, and last panels that reach the
+    /// augmented column (n = 2, 3) or stop one short of it (n = 4).
+    const SIZES: [usize; 10] = [1, 2, 3, 4, 5, 7, 8, 9, 64, 257];
+
     #[test]
-    fn row_elimination_is_order_independent_within_phase() {
-        let mut a = GaussSystem::new(12, 5);
-        let mut b = a.clone();
-        // Phase 0, rows updated in opposite orders.
-        let pa = a.pivot_row(0).to_vec();
-        let cols = a.cols();
-        for j in 0..a.phase_len(0) {
-            let r = a.iter_row(0, j);
-            eliminate_row(&pa, &mut a.a[r * cols..(r + 1) * cols], 0);
+    fn run_sequential_is_bit_identical_to_the_one_pivot_reference() {
+        for n in SIZES {
+            for seed in [3, 11] {
+                let mut sys = GaussSystem::new(n, seed);
+                let expected = reference(sys.clone(), sys.phases());
+                sys.run_sequential();
+                assert_eq!(bits(&sys), bits(&expected), "n = {n}, seed = {seed}");
+            }
         }
-        let pb = b.pivot_row(0).to_vec();
-        for j in (0..b.phase_len(0)).rev() {
-            let r = b.iter_row(0, j);
-            eliminate_row(&pb, &mut b.a[r * cols..(r + 1) * cols], 0);
+    }
+
+    /// Steps every phase of a 12-system up to and including `last`, that
+    /// one over its rows in `order`, and compares with the reference where
+    /// the deferred update has caught up: every row after a panel-closing
+    /// phase, the flushed next-pivot row (all columns) and the panel
+    /// columns of the others after a light one.
+    fn phase_in_order(last: usize, reversed: bool) {
+        let mut sys = GaussSystem::new(12, 5);
+        let expected = reference(sys.clone(), last + 1);
+        let (n, cols) = (sys.n(), sys.cols());
+        let mut mults = vec![0.0; (n - 1) * PANEL];
+        for phase in 0..=last {
+            let (done, below) = sys.a.split_at_mut((phase + 1) * cols);
+            let mut rows: Vec<usize> = (phase + 1..n).collect();
+            if phase == last && reversed {
+                rows.reverse();
+            }
+            for i in rows {
+                eliminate_step(
+                    phase,
+                    i,
+                    |r| &done[r * cols..][..cols],
+                    &mut below[(i - phase - 1) * cols..][..cols],
+                    &mut mults[(i - 1) * PANEL..][..PANEL],
+                );
+            }
         }
-        assert_eq!(a.a, b.a);
+        let closes = last % PANEL == PANEL - 1;
+        let panel_end = last - last % PANEL + PANEL;
+        for r in 0..n {
+            let upto = if closes || r <= last + 1 {
+                cols
+            } else {
+                panel_end
+            };
+            let (got, want) = (&sys.a[r * cols..][..upto], &expected.a[r * cols..][..upto]);
+            assert!(
+                got.iter()
+                    .zip(want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits()),
+                "phase {last}, reversed = {reversed}: row {r} diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn light_phase_is_order_independent() {
+        // Phase 5 is the second of panel 4..8: row 6 (the next pivot) is
+        // flushed, rows 7.. only get their panel columns.
+        phase_in_order(5, false);
+        phase_in_order(5, true);
+    }
+
+    #[test]
+    fn panel_closing_phase_is_order_independent() {
+        // Phase 7 closes panel 4..8: every remaining row is flushed.
+        phase_in_order(7, false);
+        phase_in_order(7, true);
     }
 
     #[test]

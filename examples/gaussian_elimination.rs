@@ -50,6 +50,7 @@ fn main() {
         s.a
     };
     for policy in [
+        RuntimeScheduler::afs_k_equals_p(),
         RuntimeScheduler::self_sched(),
         RuntimeScheduler::gss(),
         RuntimeScheduler::trapezoid(),

@@ -13,13 +13,13 @@
 //! index to exactly one worker (property-tested in `afs-core`), and the
 //! kernel's phase structure guarantees rows read are never concurrently
 //! written (Jacobi reads only the previous buffer; Gaussian elimination
-//! reads only the pivot row, which is not in the written set; transitive
+//! reads only its panel's pivot rows, none of which is in the written set; transitive
 //! closure skips the `j == k` no-op so the pivot row is read-only).
 
 use afs_core::metrics::LoopMetrics;
 use afs_kernels::adjoint::AdjointConvolution;
 use afs_kernels::bitmat::{row_get, row_or, BitMatrix};
-use afs_kernels::gauss::{eliminate_row, GaussSystem};
+use afs_kernels::gauss::{eliminate_step, GaussSystem, PANEL};
 use afs_kernels::l4::L4Model;
 use afs_kernels::sor::{update_row_into, SorGrid};
 use afs_kernels::transitive::TransitiveClosure;
@@ -56,12 +56,15 @@ pub fn par_sor(
 }
 
 /// Runs the full Gaussian elimination in parallel. Equivalent to
-/// [`GaussSystem::run_sequential`].
+/// [`GaussSystem::run_sequential`]: the same [`eliminate_step`] per
+/// `(phase, row)`, row `i` being iteration `i − phase − 1` of every phase.
 pub fn par_gauss(pool: &Pool, sys: &mut GaussSystem, policy: &RuntimeScheduler) -> LoopMetrics {
     let n = sys.n();
-    let cols = sys.cols();
     let phases = sys.phases();
-    let m = RowMatrix::from_vec(std::mem::take(&mut sys.a), n, cols);
+    let m = RowMatrix::from_vec(std::mem::take(&mut sys.a), n, sys.cols());
+    // One multiplier slot per row that is ever eliminated: row `i >= 1` at
+    // `i − 1`. A 1 × 1 system has none, and its 0 phases dispatch nothing.
+    let mults = RowMatrix::from_vec(vec![0.0; phases * PANEL], phases, PANEL);
     let metrics = parallel_phases(
         pool,
         phases,
@@ -69,12 +72,18 @@ pub fn par_gauss(pool: &Pool, sys: &mut GaussSystem, policy: &RuntimeScheduler) 
         policy,
         |phase, j| {
             let row = phase + 1 + j as usize;
-            // SAFETY: the pivot row (index `phase`) is never in the written
-            // set `phase+1..n`; row `row` is written only by iteration `j`.
-            unsafe {
-                let pivot = m.row(phase);
-                eliminate_row(pivot, m.row_mut(row), phase);
-            }
+            // SAFETY: the step asks for pivot rows `r <= phase` only, and the
+            // rows written in this phase are `phase+1..n`, so no writer of the
+            // phase aliases `r`; `r`'s last write (its flush, in a phase
+            // `< phase`) is ordered before this read by the phase barrier.
+            let pivot = |r: usize| unsafe { m.row(r) };
+            // SAFETY: matrix row `row` and multiplier slot `row − 1` are
+            // touched only by iteration `j` of this phase — the scheduler
+            // hands `j` to exactly one worker — and `row > phase` is no
+            // phase's pivot until phase `row`, which the barrier orders after
+            // this write.
+            let (row_mut, mult) = unsafe { (m.row_mut(row), mults.row_mut(row - 1)) };
+            eliminate_step(phase, row, pivot, row_mut, mult);
         },
     );
     sys.a = m.into_vec();

@@ -41,16 +41,46 @@ fn sor_matches_sequential_under_every_policy() {
     }
 }
 
+/// The textbook elimination — one pivot per pass over the whole active row —
+/// that `afs_kernels::gauss`'s panel-deferred step must equal bit for bit.
+fn gauss_one_pivot_reference(mut sys: GaussSystem) -> Vec<u64> {
+    let cols = sys.cols();
+    for phase in 0..sys.phases() {
+        let (done, below) = sys.a.split_at_mut((phase + 1) * cols);
+        let pivot = &done[phase * cols..];
+        for row in below.chunks_exact_mut(cols) {
+            let mult = row[phase] / pivot[phase];
+            for c in phase..cols {
+                row[c] -= pivot[c] * mult;
+            }
+        }
+    }
+    sys.a.iter().map(|v| v.to_bits()).collect()
+}
+
 #[test]
 fn gauss_matches_sequential_under_every_policy() {
-    let n = 80;
-    let mut reference = GaussSystem::new(n, 3);
-    reference.run_sequential();
-    let pool = Pool::new(4);
-    for policy in policies() {
-        let mut sys = GaussSystem::new(n, 3);
-        apps::par_gauss(&pool, &mut sys, &policy);
-        assert_eq!(sys.a, reference.a, "{} diverged", policy.name());
+    let bits = |sys: &GaussSystem| sys.a.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    // P from one worker to more workers than a light phase has heavy
+    // iterations.
+    let pools: Vec<Pool> = (1..=4).map(Pool::new).collect();
+    // n < PANEL, n ≡ 0 / ±1 mod PANEL, last panels that reach the augmented
+    // column.
+    for n in [1, 2, 3, 4, 5, 7, 8, 9, 64, 257] {
+        let original = GaussSystem::new(n, 3);
+        let expected = gauss_one_pivot_reference(original.clone());
+        let mut sequential = original.clone();
+        sequential.run_sequential();
+        assert_eq!(bits(&sequential), expected, "run_sequential, n = {n}");
+        for pool in &pools {
+            for policy in policies() {
+                let mut sys = original.clone();
+                let m = apps::par_gauss(pool, &mut sys, &policy);
+                let at = format!("{}, n = {n}, P = {}", policy.name(), pool.workers());
+                assert_eq!(bits(&sys), expected, "{at}: diverged");
+                assert_eq!(m.total_iters(), (n * (n - 1) / 2) as u64, "{at}");
+            }
+        }
     }
 }
 
