@@ -623,7 +623,7 @@ fn run_sized(quick: bool, sizes: &Sizes) -> AdaptiveBenchResult {
     AdaptiveBenchResult {
         quick,
         checked: !quick,
-        host: HostInfo::capture(pin_ok),
+        host: HostInfo::capture(pin_ok, afs_runtime::affinity::topology().node_count()),
         samples,
         adaptive,
         gates,

@@ -35,8 +35,8 @@
 //!                      # bounded tails), writes BENCH_chaos.json
 //! repro --bench-kernels --metrics [FILE]
 //!                      # also export the always-on runtime metrics of the
-//!                      # bench run (counters, histograms, perf events where
-//!                      # the kernel allows). FILE defaults to metrics.json;
+//!                      # bench run (per-worker counters, placement and
+//!                      # histograms). FILE defaults to metrics.json;
 //!                      # a .prom suffix selects Prometheus text exposition
 //! repro --telemetry ADDR
 //!                      # start a live telemetry endpoint (e.g.

@@ -581,7 +581,7 @@ pub fn run(quick: bool) -> ChaosBenchResult {
     ChaosBenchResult {
         quick,
         p: P,
-        host: HostInfo::capture(pin_ok),
+        host: HostInfo::capture(pin_ok, afs_runtime::affinity::topology().node_count()),
         checked: !quick,
         total_requests: samples.iter().map(|s| s.offered).sum(),
         samples,

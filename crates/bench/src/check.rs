@@ -888,12 +888,16 @@ mod tests {
     fn accepts_only_the_current_schema_version() {
         let current = parse(&grabs_doc(false, 25.0)).unwrap();
         assert_eq!(validate(&current), Ok(BenchKind::Grabs));
-        // The previous release's files are regenerated, not grandfathered.
-        let errs = validate(&parse(&kernels_doc(7)).unwrap()).unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("schema_version 7")),
-            "{errs:?}"
-        );
+        // Earlier releases' files are regenerated or relabelled, not
+        // grandfathered.
+        for old in [7, 8] {
+            let errs = validate(&parse(&kernels_doc(old)).unwrap()).unwrap_err();
+            assert!(
+                errs.iter()
+                    .any(|e| e.contains(&format!("schema_version {old}"))),
+                "{errs:?}"
+            );
+        }
         // A file that never claimed a version is not a bench document.
         let unversioned = kernels_doc(V).replace(&format!("\"schema_version\": {V}, "), "");
         let errs = validate(&parse(&unversioned).unwrap()).unwrap_err();

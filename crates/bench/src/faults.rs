@@ -299,7 +299,7 @@ pub fn run(quick: bool) -> FaultBenchResult {
         quick,
         p: P,
         n,
-        host: HostInfo::capture(pin_ok),
+        host: HostInfo::capture(pin_ok, afs_runtime::affinity::topology().node_count()),
         panic_containment: panic_containment_smoke(),
         samples,
     }

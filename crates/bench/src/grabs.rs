@@ -453,7 +453,7 @@ pub fn run_with_metrics(quick: bool, metrics: Option<&MetricsRegistry>) -> GrabB
     GrabBenchResult {
         quick,
         n: n_report,
-        host: HostInfo::capture(pin_capable),
+        host: HostInfo::capture(pin_capable, afs_runtime::affinity::topology().node_count()),
         samples,
     }
 }

@@ -77,8 +77,7 @@ pub struct KernelBenchResult {
     pub host: HostInfo,
     /// All measured cells.
     pub samples: Vec<KernelSample>,
-    /// Always-on runtime metrics merged over every pool the grid used
-    /// (perf events requested; counters-only where the kernel refuses).
+    /// Always-on runtime metrics merged over every pool the grid used.
     /// Exported separately via `repro --metrics`, not serialized into
     /// `BENCH_kernels.json`.
     pub metrics: MetricsSnapshot,
@@ -310,10 +309,8 @@ pub fn run(quick: bool) -> KernelBenchResult {
     let mut pin_ok = false;
     for pinned in [false, true] {
         // One pool per pinning config, reused across every policy and
-        // kernel — exactly how an application would hold it. Perf events
-        // are requested on every pool; where the kernel refuses them the
-        // run degrades to counters-only.
-        let pool = Pool::builder(P).pin_cores(pinned).perf_events(true).build();
+        // kernel — exactly how an application would hold it.
+        let pool = Pool::builder(P).pin_cores(pinned).build();
         if pinned {
             pin_ok |= pool.pinned_workers() == P;
         }
@@ -349,7 +346,7 @@ pub fn run(quick: bool) -> KernelBenchResult {
         quick,
         p: P,
         sor_steps: sizes.sor_steps as u64,
-        host: HostInfo::capture(pin_ok),
+        host: HostInfo::capture(pin_ok, afs_runtime::affinity::topology().node_count()),
         samples,
         metrics,
     }

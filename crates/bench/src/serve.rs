@@ -470,7 +470,7 @@ pub fn run(quick: bool) -> ServeBenchResult {
     ServeBenchResult {
         quick,
         p: P,
-        host: HostInfo::capture(pin_ok),
+        host: HostInfo::capture(pin_ok, afs_runtime::affinity::topology().node_count()),
         calibrated_rps,
         total_completed: samples.iter().map(|s| s.completed).sum(),
         batch_over_fcfs,

@@ -25,9 +25,10 @@ pub struct HostInfo {
 }
 
 impl HostInfo {
-    /// Captures the current host. `pin_capable` is supplied by the caller
-    /// (the runtime knows; probing here would invert the dependency).
-    pub fn capture(pin_capable: bool) -> HostInfo {
+    /// Captures the current host. `pin_capable` and `numa_nodes` are
+    /// supplied by the caller (the runtime knows both; probing here would
+    /// invert the dependency and parse the node topology a second time).
+    pub fn capture(pin_capable: bool, numa_nodes: usize) -> HostInfo {
         let cpus = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -40,7 +41,7 @@ impl HostInfo {
             os: std::env::consts::OS.to_string(),
             arch: std::env::consts::ARCH.to_string(),
             pin_capable,
-            numa_nodes: count_numa_nodes(),
+            numa_nodes,
         }
     }
 
@@ -56,25 +57,6 @@ impl HostInfo {
             self.numa_nodes
         )
     }
-}
-
-/// Counts `nodeN` entries under `/sys/devices/system/node/`. Returns 1
-/// whenever the directory is unreadable or empty, so UMA and NUMA-blind
-/// hosts read naturally as "one node".
-fn count_numa_nodes() -> usize {
-    let Ok(entries) = std::fs::read_dir("/sys/devices/system/node") else {
-        return 1;
-    };
-    let n = entries
-        .filter_map(|e| e.ok())
-        .filter(|e| {
-            e.file_name()
-                .to_str()
-                .and_then(|name| name.strip_prefix("node"))
-                .is_some_and(|rest| !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()))
-        })
-        .count();
-    n.max(1)
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
@@ -100,13 +82,13 @@ mod tests {
 
     #[test]
     fn capture_is_plausible() {
-        let h = HostInfo::capture(true);
+        let h = HostInfo::capture(true, 2);
         assert!(h.cpus >= 1);
         assert!(!h.kernel.is_empty());
         assert!(!h.os.is_empty());
         assert!(!h.arch.is_empty());
         assert!(h.pin_capable);
-        assert!(h.numa_nodes >= 1);
+        assert_eq!(h.numa_nodes, 2);
     }
 
     #[test]

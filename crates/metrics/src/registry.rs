@@ -9,10 +9,8 @@ use crate::controllers::{ControllersSnapshot, SchedControllerSnapshot};
 use crate::counters::WorkerCounters;
 use crate::histogram::AtomicHistogram;
 use crate::pad::CachePadded;
-use crate::perf::PerfGroup;
 use crate::snapshot::{MetricsSnapshot, WorkerSnapshot};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Per-worker pin status encoding: unknown (never attempted).
 const PIN_UNKNOWN: u8 = 0;
@@ -21,42 +19,13 @@ const PIN_FAILED: u8 = 1;
 /// Worker is pinned to its core.
 const PIN_OK: u8 = 2;
 
-/// Whether hardware perf events are feeding the registry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PerfStatus {
-    /// Perf events were never requested (the default).
-    Disabled,
-    /// At least one worker has an open event group.
-    Active,
-    /// Perf events were requested but the kernel refused; the reason is
-    /// shown in exports so a silent all-zero column can't masquerade as a
-    /// perfect cache.
-    Unavailable(String),
-}
-
-impl PerfStatus {
-    /// Short form used in exports: `"disabled"`, `"active"`, or
-    /// `"unavailable: <reason>"`.
-    pub fn label(&self) -> String {
-        match self {
-            PerfStatus::Disabled => "disabled".to_string(),
-            PerfStatus::Active => "active".to_string(),
-            PerfStatus::Unavailable(reason) => format!("unavailable: {reason}"),
-        }
-    }
-}
-
 /// All metrics state for one pool: per-worker counters, shared duration
-/// histograms, and (optionally) per-worker hardware event groups.
+/// histograms, and robustness / placement / controller state.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     workers: Vec<CachePadded<WorkerCounters>>,
     phase_ns: AtomicHistogram,
     loop_ns: AtomicHistogram,
-    /// Per-worker perf groups. A `Mutex` (not an atomic) because install
-    /// and read are cold paths: once at spawn, once per snapshot.
-    perf: Vec<Mutex<Option<PerfGroup>>>,
-    perf_status: Mutex<PerfStatus>,
     /// Stalls flagged by the watchdog (heartbeat frozen while not waiting).
     stalls: AtomicU64,
     /// Per-worker stall attribution. The watchdog thread is the only
@@ -84,14 +53,12 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Registry for `p` workers, counters zeroed, perf disabled.
+    /// Registry for `p` workers, counters zeroed.
     pub fn new(p: usize) -> MetricsRegistry {
         MetricsRegistry {
             workers: (0..p).map(|_| CachePadded::default()).collect(),
             phase_ns: AtomicHistogram::new(),
             loop_ns: AtomicHistogram::new(),
-            perf: (0..p).map(|_| Mutex::new(None)).collect(),
-            perf_status: Mutex::new(PerfStatus::Disabled),
             stalls: AtomicU64::new(0),
             stalls_by_worker: (0..p).map(|_| AtomicU64::new(0)).collect(),
             deadline_misses: AtomicU64::new(0),
@@ -139,33 +106,6 @@ impl MetricsRegistry {
     /// The region-makespan histogram (one sample per parallel loop/nest).
     pub fn loop_hist(&self) -> &AtomicHistogram {
         &self.loop_ns
-    }
-
-    /// Opens hardware perf events for the **calling thread** and installs
-    /// them as worker `w`'s group. Call from the worker thread itself
-    /// (events attach to the opening thread). Returns whether the group
-    /// opened; on failure the registry records the reason and the layer
-    /// continues counters-only.
-    pub fn enable_perf_on_current_thread(&self, w: usize) -> bool {
-        match PerfGroup::open_for_current_thread() {
-            Ok(group) => {
-                *self.perf[w].lock().unwrap() = Some(group);
-                *self.perf_status.lock().unwrap() = PerfStatus::Active;
-                true
-            }
-            Err(reason) => {
-                let mut status = self.perf_status.lock().unwrap();
-                if *status != PerfStatus::Active {
-                    *status = PerfStatus::Unavailable(reason);
-                }
-                false
-            }
-        }
-    }
-
-    /// Current perf availability.
-    pub fn perf_status(&self) -> PerfStatus {
-        self.perf_status.lock().unwrap().clone()
     }
 
     /// Flags one stalled observation of worker `w` (watchdog side).
@@ -279,11 +219,9 @@ impl MetricsRegistry {
         let workers = self
             .workers
             .iter()
-            .zip(&self.perf)
             .enumerate()
-            .map(|(w, (counters, perf))| WorkerSnapshot {
+            .map(|(w, counters)| WorkerSnapshot {
                 counters: counters.get(),
-                perf: perf.lock().unwrap().as_ref().map(|g| g.read()),
                 pinned: self.pin_status(w),
                 pinned_core: self.worker_core(w),
                 numa_node: self.worker_node(w),
@@ -294,7 +232,6 @@ impl MetricsRegistry {
             workers,
             phase_ns: self.phase_ns.get(),
             loop_ns: self.loop_ns.get(),
-            perf_status: self.perf_status(),
             stalls_detected: self.stalls(),
             deadline_misses: self.deadline_misses(),
             effective_workers: self.effective_workers(),
@@ -322,24 +259,6 @@ mod tests {
         assert_eq!(snap.workers[1].counters.total_grabs(), 0);
         assert_eq!(snap.workers[2].counters.remote_grabs, 1);
         assert_eq!(snap.totals().iters, 15);
-    }
-
-    #[test]
-    fn perf_starts_disabled_and_degrades_gracefully() {
-        let reg = MetricsRegistry::new(2);
-        assert_eq!(reg.perf_status(), PerfStatus::Disabled);
-        let opened = reg.enable_perf_on_current_thread(0);
-        match reg.perf_status() {
-            PerfStatus::Active => assert!(opened),
-            PerfStatus::Unavailable(reason) => {
-                assert!(!opened);
-                assert!(!reason.is_empty());
-                // Counters still work in counters-only mode.
-                reg.worker(0).record_grab(AccessKind::Local, 1);
-                assert_eq!(reg.snapshot().totals().local_grabs, 1);
-            }
-            PerfStatus::Disabled => panic!("status must change after enable attempt"),
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Plain-value aggregates and exporters.
 //!
-//! A [`MetricsSnapshot`] is what leaves the runtime: per-worker counter and
-//! perf readings, the shared duration histograms, and derived quantities —
+//! A [`MetricsSnapshot`] is what leaves the runtime: per-worker counter
+//! readings and placement, the shared duration histograms, and derived quantities —
 //! chiefly the **affinity hit ratio**, the fraction of queue grabs a worker
 //! served from its own queue. Under AFS that ratio is the paper's locality
 //! claim in one number: 1.0 means every chunk ran where its data lives,
@@ -16,9 +16,6 @@
 use crate::controllers::ControllersSnapshot;
 use crate::counters::CounterSnapshot;
 use crate::histogram::{HistogramSnapshot, BUCKETS};
-use crate::host::escape;
-use crate::perf::PerfSample;
-use crate::registry::PerfStatus;
 use crate::serve::ServeSnapshot;
 
 /// Schema version stamped into every JSON document this workspace emits —
@@ -44,15 +41,16 @@ use crate::serve::ServeSnapshot;
 /// Version 8 removed what only the deleted rendezvous twins wrote: the
 /// futex syscall counters, the `controllers.spin` block, the flight
 /// recorder's `spin_budget`, and the kernels bench's `barrier` axis.
-pub const METRICS_SCHEMA_VERSION: u64 = 8;
+/// Version 9 removed the hardware perf-event fields (`perf_status`,
+/// `perf_totals`, per-worker `perf`) and the `afs_perf_*` Prometheus
+/// families.
+pub const METRICS_SCHEMA_VERSION: u64 = 9;
 
 /// One worker's slice of a snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerSnapshot {
     /// The software event counters.
     pub counters: CounterSnapshot,
-    /// Hardware readings, when a perf group is open for this worker.
-    pub perf: Option<PerfSample>,
     /// Core-pin outcome: `None` when pinning was never attempted,
     /// otherwise whether `sched_setaffinity` succeeded for this worker.
     pub pinned: Option<bool>,
@@ -73,8 +71,6 @@ pub struct MetricsSnapshot {
     pub phase_ns: HistogramSnapshot,
     /// Parallel-region makespan histogram.
     pub loop_ns: HistogramSnapshot,
-    /// Hardware event availability at snapshot time.
-    pub perf_status: PerfStatus,
     /// Stalls flagged by the watchdog (heartbeat frozen while not waiting).
     pub stalls_detected: u64,
     /// Phases that overran the configured per-phase deadline.
@@ -98,7 +94,6 @@ impl MetricsSnapshot {
             workers: vec![WorkerSnapshot::default(); p],
             phase_ns: HistogramSnapshot::default(),
             loop_ns: HistogramSnapshot::default(),
-            perf_status: PerfStatus::Disabled,
             stalls_detected: 0,
             deadline_misses: 0,
             effective_workers: p,
@@ -112,17 +107,6 @@ impl MetricsSnapshot {
         let mut total = CounterSnapshot::default();
         for w in &self.workers {
             total.add(&w.counters);
-        }
-        total
-    }
-
-    /// Sum of all workers' hardware readings.
-    pub fn perf_totals(&self) -> PerfSample {
-        let mut total = PerfSample::default();
-        for w in &self.workers {
-            if let Some(p) = &w.perf {
-                total.add(p);
-            }
         }
         total
     }
@@ -152,10 +136,6 @@ impl MetricsSnapshot {
                         Some(b) => w.counters.minus(&b.counters),
                         None => w.counters,
                     },
-                    perf: match (&w.perf, b.and_then(|b| b.perf.as_ref())) {
-                        (Some(cur), Some(old)) => Some(cur.minus(old)),
-                        (cur, _) => *cur,
-                    },
                     pinned: w.pinned,
                     pinned_core: w.pinned_core,
                     numa_node: w.numa_node,
@@ -167,7 +147,6 @@ impl MetricsSnapshot {
             workers,
             phase_ns: self.phase_ns.minus(&base.phase_ns),
             loop_ns: self.loop_ns.minus(&base.loop_ns),
-            perf_status: self.perf_status.clone(),
             stalls_detected: self.stalls_detected.saturating_sub(base.stalls_detected),
             deadline_misses: self.deadline_misses.saturating_sub(base.deadline_misses),
             effective_workers: self.effective_workers,
@@ -189,12 +168,6 @@ impl MetricsSnapshot {
         }
         for (mine, theirs) in self.workers.iter_mut().zip(&other.workers) {
             mine.counters.add(&theirs.counters);
-            if let Some(p) = &theirs.perf {
-                match &mut mine.perf {
-                    Some(acc) => acc.add(p),
-                    None => mine.perf = Some(*p),
-                }
-            }
             // A worker is pinned only if every merged snapshot that has an
             // opinion says so.
             mine.pinned = match (mine.pinned, theirs.pinned) {
@@ -225,11 +198,6 @@ impl MetricsSnapshot {
                 None => self.controllers = Some(*theirs),
             }
         }
-        if other.perf_status == PerfStatus::Active {
-            self.perf_status = PerfStatus::Active;
-        } else if self.perf_status == PerfStatus::Disabled {
-            self.perf_status = other.perf_status.clone();
-        }
     }
 
     /// Serializes to a versioned JSON document.
@@ -238,10 +206,6 @@ impl MetricsSnapshot {
         out.push_str("{\n");
         out.push_str(&format!(
             "  \"schema_version\": {METRICS_SCHEMA_VERSION},\n"
-        ));
-        out.push_str(&format!(
-            "  \"perf_status\": \"{}\",\n",
-            escape(&self.perf_status.label())
         ));
         out.push_str(&format!(
             "  \"stalls_detected\": {},\n",
@@ -263,17 +227,13 @@ impl MetricsSnapshot {
         out.push_str("  \"totals\": ");
         out.push_str(&counters_json(&t));
         out.push_str(",\n");
-        let pt = self.perf_totals();
-        out.push_str("  \"perf_totals\": ");
-        out.push_str(&perf_json(&pt));
-        out.push_str(",\n");
         out.push_str("  \"workers\": [\n");
         for (i, w) in self.workers.iter().enumerate() {
             let opt_usize = |v: Option<usize>| v.map_or("null".to_string(), |v| v.to_string());
             out.push_str(&format!(
                 "    {{\"worker\": {i}, \"pinned\": {}, \"pinned_core\": {}, \
                  \"numa_node\": {}, \"stalls\": {}, \
-                 \"counters\": {}, \"perf\": {}}}{}\n",
+                 \"counters\": {}}}{}\n",
                 match w.pinned {
                     Some(b) => b.to_string(),
                     None => "null".to_string(),
@@ -282,10 +242,6 @@ impl MetricsSnapshot {
                 opt_usize(w.numa_node),
                 w.stalls,
                 counters_json(&w.counters),
-                match &w.perf {
-                    Some(p) => perf_json(p),
-                    None => "null".to_string(),
-                },
                 if i + 1 < self.workers.len() { "," } else { "" }
             ));
         }
@@ -373,38 +329,6 @@ impl MetricsSnapshot {
                 out.push_str(&format!(
                     "afs_barrier_waits_total{{worker=\"{w}\",outcome=\"{outcome}\"}} {v}\n"
                 ));
-            }
-        }
-
-        for (name, help, get) in [
-            (
-                "afs_perf_llc_misses_total",
-                "Last-level-cache read misses (hardware).",
-                (|p: &PerfSample| p.llc_misses) as fn(&PerfSample) -> Option<u64>,
-            ),
-            (
-                "afs_perf_dtlb_misses_total",
-                "Data-TLB read misses (hardware).",
-                |p| p.dtlb_misses,
-            ),
-            (
-                "afs_perf_cpu_migrations_total",
-                "OS migrations of the worker thread.",
-                |p| p.cpu_migrations,
-            ),
-        ] {
-            let any = self
-                .workers
-                .iter()
-                .any(|w| w.perf.as_ref().and_then(&get).is_some());
-            if !any {
-                continue;
-            }
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for (w, ws) in self.workers.iter().enumerate() {
-                if let Some(v) = ws.perf.as_ref().and_then(&get) {
-                    out.push_str(&format!("{name}{{worker=\"{w}\"}} {v}\n"));
-                }
             }
         }
 
@@ -543,16 +467,6 @@ fn counters_json(c: &CounterSnapshot) -> String {
     )
 }
 
-fn perf_json(p: &PerfSample) -> String {
-    let opt = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
-    format!(
-        "{{\"llc_misses\": {}, \"dtlb_misses\": {}, \"cpu_migrations\": {}}}",
-        opt(p.llc_misses),
-        opt(p.dtlb_misses),
-        opt(p.cpu_migrations)
-    )
-}
-
 fn hist_json(h: &HistogramSnapshot) -> String {
     let counts: Vec<String> = h.counts.iter().map(|c| c.to_string()).collect();
     format!(
@@ -574,11 +488,6 @@ mod tests {
         s.workers[0].counters.local_grabs = 30;
         s.workers[0].counters.remote_grabs = 10;
         s.workers[0].counters.iters = 400;
-        s.workers[0].perf = Some(PerfSample {
-            llc_misses: Some(1234),
-            dtlb_misses: None,
-            cpu_migrations: Some(0),
-        });
         s.workers[1].counters.local_grabs = 50;
         s.workers[1].counters.barrier_arrives = 4;
         s.workers[1].counters.barrier_spin = 3;
@@ -587,7 +496,6 @@ mod tests {
         s.phase_ns.samples = 2;
         s.phase_ns.total_ns = 3000;
         s.phase_ns.max_ns = 2000;
-        s.perf_status = PerfStatus::Active;
         s
     }
 
@@ -631,9 +539,6 @@ mod tests {
         assert!(j.contains("\"pinned_core\": null"));
         assert!(j.contains("\"numa_node\": null"));
         assert!(j.contains("\"affinity_hit_ratio\": 0.888889"));
-        assert!(j.contains("\"perf_status\": \"active\""));
-        assert!(j.contains("\"llc_misses\": 1234"));
-        assert!(j.contains("\"dtlb_misses\": null"));
         assert!(j.contains("\"stalls_detected\": 0"));
         assert!(j.contains("\"deadline_misses\": 0"));
         assert!(j.contains("\"effective_workers\": 2"));
@@ -651,11 +556,6 @@ mod tests {
         assert!(p.contains("afs_grabs_total{worker=\"0\",kind=\"local\"} 30"));
         assert!(p.contains("afs_grabs_total{worker=\"1\",kind=\"local\"} 50"));
         assert!(p.contains("afs_barrier_waits_total{worker=\"1\",outcome=\"spin\"} 3"));
-        assert!(p.contains("afs_perf_llc_misses_total{worker=\"0\"} 1234"));
-        assert!(
-            !p.contains("afs_perf_dtlb_misses_total"),
-            "all-None family omitted"
-        );
         assert!(p.contains("afs_affinity_hit_ratio 0.888889"));
         assert!(p.contains("afs_phase_duration_ns_bucket{le=\"2048\"} 2"));
         assert!(p.contains("afs_phase_duration_ns_bucket{le=\"+Inf\"} 2"));

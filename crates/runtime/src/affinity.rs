@@ -63,8 +63,8 @@ pub struct NumaNode {
 /// Discovered from `/sys/devices/system/node/node*/cpulist` on Linux; any
 /// other target — or a sysfs that cannot be parsed — degrades to a single
 /// node owning every CPU, so callers never need a fallback branch: "node of
-/// CPU c" is always answerable and first-touch placement simply becomes a
-/// no-op on UMA machines.
+/// CPU c" is always answerable, and on UMA machines every worker is on the
+/// same node.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NumaTopology {
     nodes: Vec<NumaNode>,
@@ -145,8 +145,8 @@ impl NumaTopology {
 }
 
 /// The machine's NUMA topology, detected once and cached for the process
-/// lifetime. Topology is a boot-time property, so callers on hot-ish paths
-/// (victim-order seeding, first-touch placement) share one detection
+/// lifetime. Topology is a boot-time property, so its readers (pool
+/// placement, victim-order seeding, bench host records) share one detection
 /// instead of re-reading sysfs.
 pub fn topology() -> &'static NumaTopology {
     use std::sync::OnceLock;

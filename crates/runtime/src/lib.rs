@@ -45,7 +45,6 @@ pub mod barrier;
 pub mod fault;
 #[doc(hidden)]
 pub mod inject;
-pub mod numa;
 pub mod parallel;
 pub mod pool;
 pub mod shared;

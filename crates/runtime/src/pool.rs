@@ -206,7 +206,6 @@ pub struct Pool {
 pub struct PoolBuilder {
     p: usize,
     pin: bool,
-    perf: bool,
     spins: u32,
     yields: u32,
     trace: Option<Arc<TraceSink>>,
@@ -224,16 +223,6 @@ impl PoolBuilder {
     /// off Linux). Default: off.
     pub fn pin_cores(mut self, on: bool) -> Self {
         self.pin = on;
-        self
-    }
-
-    /// Opens hardware perf events (LLC misses, dTLB misses,
-    /// cpu-migrations) on each worker thread at spawn, feeding the pool's
-    /// [`Pool::metrics`] registry. Best-effort: when the kernel refuses
-    /// (perf_event_paranoid, containers, non-Linux) the registry records
-    /// the reason and the pool runs counters-only. Default: off.
-    pub fn perf_events(mut self, on: bool) -> Self {
-        self.perf = on;
         self
     }
 
@@ -361,23 +350,21 @@ impl PoolBuilder {
         // Worker ↔ node pairing: worker `i` pins to core `i mod cores`,
         // which the host topology maps to a node — recorded in the metrics
         // registry so snapshots (and the Prometheus export) show where
-        // each worker's first-touched pages live.
-        let topo = affinity::NumaTopology::detect();
+        // each worker runs.
         let mut handles = Vec::with_capacity(p);
         for idx in 0..p {
             let worker_shared = Arc::clone(&shared);
             let sink = self.trace.clone();
             let pin_to = self.pin.then(|| {
                 let cpu = idx % cores;
-                (cpu, topo.node_of_cpu(cpu))
+                (cpu, affinity::topology().node_of_cpu(cpu))
             });
-            let perf = self.perf;
             let spawned = if self.fail_spawn_after.is_some_and(|n| idx >= n) {
                 Err(std::io::Error::other("simulated spawn failure"))
             } else {
                 std::thread::Builder::new()
                     .name(format!("afs-worker-{idx}"))
-                    .spawn(move || worker_loop(idx, &worker_shared, pin_to, perf, sink))
+                    .spawn(move || worker_loop(idx, &worker_shared, pin_to, sink))
             };
             match spawned {
                 Ok(h) => handles.push(h),
@@ -461,7 +448,6 @@ impl Pool {
         PoolBuilder {
             p,
             pin: false,
-            perf: false,
             spins: DEFAULT_SPINS,
             yields: DEFAULT_YIELDS,
             trace: None,
@@ -768,7 +754,6 @@ fn worker_loop(
     idx: usize,
     shared: &Shared,
     pin_to: Option<(usize, usize)>,
-    perf: bool,
     sink: Option<Arc<TraceSink>>,
 ) {
     if let Some((cpu, node)) = pin_to {
@@ -778,11 +763,6 @@ fn worker_loop(
             shared.metrics.set_worker_placement(idx, cpu, node);
         }
         shared.metrics.set_pin_status(idx, ok);
-    }
-    if perf {
-        // After pinning, so the migration counter measures the pinned run,
-        // not the spawn-time placement. Events attach to this thread.
-        shared.metrics.enable_perf_on_current_thread(idx);
     }
     let mut seen = 0u64;
     loop {

@@ -33,24 +33,6 @@ impl<T> RowMatrix<T> {
         }
     }
 
-    /// A zeroed `rows × cols` matrix whose pages are first-touched by the
-    /// pool's workers: worker `w` faults in the contiguous row share
-    /// `w·rows/p .. (w+1)·rows/p` — the same static split AFS seeds its
-    /// per-worker queues with, so on a NUMA host (with the pool built via
-    /// `pin_cores(true)`) each row's pages live on the node of the worker
-    /// whose iterations update it. See [`crate::numa`].
-    pub fn first_touch(pool: &crate::pool::Pool, rows: usize, cols: usize) -> Self
-    where
-        T: crate::numa::ZeroInit,
-    {
-        let alloc = crate::numa::NumaAlloc::<T>::zeroed(rows * cols);
-        let p = pool.workers();
-        pool.run(|w| {
-            alloc.touch(rows * w / p * cols, rows * (w + 1) / p * cols);
-        });
-        Self::from_vec(alloc.into_vec(), rows, cols)
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -162,23 +144,6 @@ mod tests {
             for c in 0..cols {
                 assert_eq!(v[r * cols + c], (r * 1000 + c) as u64);
             }
-        }
-    }
-
-    #[test]
-    fn first_touch_matrix_is_zeroed_and_writable() {
-        let pool = Pool::new(3);
-        let mut m = RowMatrix::<f64>::first_touch(&pool, 16, 8);
-        assert_eq!(m.rows(), 16);
-        assert_eq!(m.cols(), 8);
-        assert!(m.as_slice().iter().all(|&x| x == 0.0));
-        parallel_for(&pool, 16, &RuntimeScheduler::afs_k_equals_p(), |i| {
-            // SAFETY: each row index is handed to exactly one worker.
-            unsafe { m.row_mut(i as usize)[0] = i as f64 };
-        });
-        let v = m.into_vec();
-        for r in 0..16 {
-            assert_eq!(v[r * 8], r as f64);
         }
     }
 

@@ -4,11 +4,13 @@
 //! `MetricsSnapshot` — agree *exactly* on every grab.
 
 use afs_core::metrics::LoopMetrics;
-use afs_metrics::{MetricsSnapshot, PerfStatus};
+use afs_metrics::MetricsSnapshot;
 use afs_runtime::prelude::*;
+use afs_trace::json::Value;
 use afs_trace::prelude::*;
 use afs_trace::report::TraceReport;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 fn policies() -> Vec<RuntimeScheduler> {
@@ -206,38 +208,57 @@ fn affinity_hit_ratio_reflects_policy_class() {
     );
 }
 
-/// Perf events: requesting them must never break the pool. Either the
-/// kernel lets at least one worker open its group (status Active, and
-/// readings are plain numbers) or the registry records the refusal and the
-/// run completes counters-only.
-#[test]
-fn perf_request_degrades_gracefully() {
-    let pool = Pool::builder(2).perf_events(true).build();
-    let total = AtomicU64::new(0);
-    parallel_for(&pool, 5_000, &RuntimeScheduler::afs_k_equals_p(), |_| {
-        total.fetch_add(1, Ordering::Relaxed);
-    });
-    assert_eq!(total.load(Ordering::Relaxed), 5_000);
-    let s = pool.metrics().snapshot();
-    match s.perf_status {
-        PerfStatus::Active => {
-            assert!(
-                s.workers.iter().any(|w| w.perf.is_some()),
-                "active status implies at least one open group"
-            );
-        }
-        PerfStatus::Unavailable(ref reason) => {
-            assert!(!reason.is_empty(), "refusal must carry a reason");
-            assert!(s.workers.iter().all(|w| w.perf.is_none()));
-        }
-        PerfStatus::Disabled => panic!("perf was requested; status must not stay Disabled"),
+/// The key set of a JSON object, sorted (empty for a non-object).
+fn keys(v: &Value) -> BTreeSet<&str> {
+    match v {
+        Value::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => BTreeSet::new(),
     }
-    // Counters are live either way.
-    assert_eq!(s.totals().iters, 5_000);
+}
 
-    // A pool that never asked reports Disabled.
-    let plain = Pool::new(2);
-    assert_eq!(plain.metrics().snapshot().perf_status, PerfStatus::Disabled);
+/// The metrics document's shape, pinned key by key: a field added to or
+/// dropped from the snapshot shows up here as a one-line diff, and must
+/// come with a `METRICS_SCHEMA_VERSION` bump.
+#[test]
+fn snapshot_json_has_exactly_the_schema_keys() {
+    let pool = Pool::new(2);
+    parallel_for(&pool, 1_000, &RuntimeScheduler::afs_k_equals_p(), |_| {});
+    let doc = afs_trace::json::parse(&pool.metrics().snapshot().to_json())
+        .expect("metrics JSON must parse");
+    assert_eq!(
+        keys(&doc),
+        BTreeSet::from([
+            "schema_version",
+            "stalls_detected",
+            "deadline_misses",
+            "effective_workers",
+            "affinity_hit_ratio",
+            "totals",
+            "workers",
+            "serve",
+            "controllers",
+            "phase_ns",
+            "loop_ns",
+        ])
+    );
+    let workers = doc
+        .get("workers")
+        .and_then(Value::as_array)
+        .expect("workers array");
+    assert_eq!(workers.len(), 2);
+    for w in workers {
+        assert_eq!(
+            keys(w),
+            BTreeSet::from([
+                "worker",
+                "pinned",
+                "pinned_core",
+                "numa_node",
+                "stalls",
+                "counters"
+            ])
+        );
+    }
 }
 
 /// Exports of a real run round-trip through the in-tree JSON parser and

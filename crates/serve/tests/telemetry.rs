@@ -8,8 +8,18 @@ use afs_runtime::Pool;
 use afs_scope::{check_exposition, ServeEventKind};
 use afs_serve::prelude::*;
 use afs_trace::chrome::chrome_trace;
+use afs_trace::json::Value;
 use afs_trace::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// The key set of a JSON object, sorted (empty for a non-object).
+fn keys(v: &Value) -> BTreeSet<&str> {
+    match v {
+        Value::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => BTreeSet::new(),
+    }
+}
 
 fn req(tenant: usize, n: u64, phases: u32) -> LoopRequest {
     LoopRequest {
@@ -53,12 +63,6 @@ fn live_scrape_is_conformant_and_matches_file_export() {
     );
     // The quoted tenant name must arrive escaped, not raw.
     assert!(live.contains("tenant=\"beta\\\"quoted\\\\slash\""));
-    // Perf was never requested: the perf families are omitted entirely,
-    // not emitted as zeros.
-    assert!(
-        !live.contains("afs_perf_"),
-        "unavailable perf readings must be omitted"
-    );
 
     // The file-export path renders the same snapshot the endpoint serves.
     let export = server.metrics_snapshot().to_prometheus();
@@ -73,6 +77,41 @@ fn live_scrape_is_conformant_and_matches_file_export() {
         doc.get("schema_version").and_then(|v| v.as_f64()),
         Some(METRICS_SCHEMA_VERSION as f64)
     );
+    // The served document has exactly the schema's keys, top level and
+    // per worker.
+    assert_eq!(
+        keys(&doc),
+        BTreeSet::from([
+            "schema_version",
+            "stalls_detected",
+            "deadline_misses",
+            "effective_workers",
+            "affinity_hit_ratio",
+            "totals",
+            "workers",
+            "serve",
+            "controllers",
+            "phase_ns",
+            "loop_ns",
+        ])
+    );
+    for w in doc
+        .get("workers")
+        .and_then(Value::as_array)
+        .expect("workers array")
+    {
+        assert_eq!(
+            keys(w),
+            BTreeSet::from([
+                "worker",
+                "pinned",
+                "pinned_core",
+                "numa_node",
+                "stalls",
+                "counters"
+            ])
+        );
+    }
     let serve = doc.get("serve").expect("serve block rides the snapshot");
     assert_eq!(serve.get("admitted").and_then(|v| v.as_f64()), Some(24.0));
     assert_eq!(serve.get("completed").and_then(|v| v.as_f64()), Some(24.0));

@@ -18,8 +18,7 @@
 //!   per-worker ring buffers feeding the simulator's `Timeline` (ASCII
 //!   Gantt), a Chrome trace-event exporter, and aggregate reports;
 //! * [`metrics`] — always-on per-worker counters, duration
-//!   histograms, optional hardware perf events (Linux), and Prometheus /
-//!   JSON exporters.
+//!   histograms, and Prometheus / JSON exporters.
 //!
 //! See the repository README for a tour and `DESIGN.md` for the
 //! paper-to-module map.
