@@ -52,7 +52,9 @@
 //! `repro` exits 1 when a checked gate fails, and `--check-bench
 //! BENCH_adaptive.json` re-validates the committed file offline.
 
+use crate::check::{write_envelope, BenchKind};
 use affinity_sched::apps;
+use afs_core::json;
 use afs_kernels::gauss::GaussSystem;
 use afs_kernels::sor::SorGrid;
 use afs_kernels::transitive::{random_graph, TransitiveClosure};
@@ -64,10 +66,6 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Schema version of `BENCH_adaptive.json`: the workspace-wide constant
-/// (see [`afs_metrics::METRICS_SCHEMA_VERSION`]), never a private number.
-pub const SCHEMA_VERSION: u64 = afs_metrics::METRICS_SCHEMA_VERSION;
 
 /// Workers for every cell: the paper's P=8 configuration.
 pub const P: usize = 8;
@@ -303,85 +301,25 @@ impl AdaptiveBenchResult {
 
     /// The `BENCH_adaptive.json` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"bench\": \"adaptive\",");
-        let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"host\": {},", self.host.to_json());
-        let _ = writeln!(out, "  \"quick\": {},", self.quick);
-        let _ = writeln!(out, "  \"checked\": {},", self.checked);
-        let _ = writeln!(out, "  \"p\": {P},");
-        let _ = writeln!(out, "  \"irregular_min_speedup\": {IRREGULAR_MIN_SPEEDUP},");
-        out.push_str("  \"samples\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"workload\": \"{}\", \"k\": {}, \"b\": {}, \"p\": {}, \
-                 \"reps\": {}, \"best_ns\": {}, \"median_ns\": {}, \"total_ns\": {}, \
-                 \"span\": {}}}",
-                s.workload, s.k, s.b, s.p, s.reps, s.best_ns, s.median_ns, s.total_ns, s.span
-            );
-            out.push_str(if i + 1 < self.samples.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"adaptive\": [\n");
-        for (i, a) in self.adaptive.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"workload\": \"{}\", \"p\": {}, \"reps\": {}, \
-                 \"best_ns\": {}, \"median_ns\": {}, \"total_ns\": {}, \"span\": {}, \
-                 \"final_k\": {}, \"final_b\": {}, \"decisions\": {}, \"phases\": {}, \
-                 \"settled\": {}}}",
-                a.workload,
-                a.p,
-                a.reps,
-                a.best_ns,
-                a.median_ns,
-                a.total_ns,
-                a.span,
-                a.final_k,
-                a.final_b,
-                a.decisions,
-                a.phases,
-                a.settled
-            );
-            out.push_str(if i + 1 < self.adaptive.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n  \"gates\": [\n");
-        for (i, g) in self.gates.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"workload\": \"{}\", \"best_static_median_ns\": {}, \
-                 \"worst_static_median_ns\": {}, \"adaptive_median_ns\": {}, \
-                 \"within_10pct\": {}, \"worst_span\": {}, \"adaptive_span\": {}, \
-                 \"span_ratio\": {:.4}, \"ok\": {}}}",
-                g.workload,
-                g.best_static_median_ns,
-                g.worst_static_median_ns,
-                g.adaptive_median_ns,
-                g.within_10pct,
-                g.worst_span,
-                g.adaptive_span,
-                g.span_ratio,
-                g.ok
-            );
-            out.push_str(if i + 1 < self.gates.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|o| {
+            write_envelope(o, BenchKind::Adaptive, &self.host, self.quick)
+                .field("checked", &self.checked)
+                .field("p", &P)
+                .field("irregular_min_speedup", &IRREGULAR_MIN_SPEEDUP)
+                .field("samples", &self.samples)
+                .field("adaptive", &self.adaptive)
+                .field("gates", &self.gates);
+        })
     }
 }
+
+json::fields!(StaticCell: workload, k, b, p, reps, best_ns, median_ns, total_ns, span);
+
+json::fields!(AdaptiveRow: workload, p, reps, best_ns, median_ns, total_ns, span, final_k,
+    final_b, decisions, phases, settled);
+
+json::fields!(WorkloadGate: workload, best_static_median_ns, worst_static_median_ns,
+    adaptive_median_ns, within_10pct, worst_span, adaptive_span, span_ratio, ok);
 
 thread_local! {
     /// This worker's index within the bench pool, seeded via [`Pool::run`]
@@ -636,11 +574,15 @@ pub fn run(quick: bool) -> AdaptiveBenchResult {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use afs_metrics::HostInfo;
 
-    fn synthetic(adaptive_ns: u64, adaptive_span: u64, checked: bool) -> AdaptiveBenchResult {
+    pub(crate) fn synthetic(
+        adaptive_ns: u64,
+        adaptive_span: u64,
+        checked: bool,
+    ) -> AdaptiveBenchResult {
         let cell = |workload, k, median_ns, span| StaticCell {
             workload,
             k,
@@ -727,12 +669,12 @@ mod tests {
 
     #[test]
     fn json_round_trips_through_the_in_tree_parser() {
-        let doc = afs_trace::json::parse(&synthetic(1_000_000, 2_000_000, true).to_json())
+        let doc = json::parse(&synthetic(1_000_000, 2_000_000, true).to_json())
             .expect("bench JSON must parse");
         assert_eq!(doc.get("bench").and_then(|v| v.as_str()), Some("adaptive"));
         assert_eq!(
             doc.get("schema_version").and_then(|v| v.as_f64()),
-            Some(SCHEMA_VERSION as f64)
+            Some(afs_metrics::METRICS_SCHEMA_VERSION as f64)
         );
         let samples = doc.get("samples").and_then(|v| v.as_array()).unwrap();
         assert_eq!(samples.len(), 2 * WORKLOADS.len());
@@ -749,6 +691,10 @@ mod tests {
         let rows = doc.get("adaptive").and_then(|v| v.as_array()).unwrap();
         assert_eq!(rows.len(), WORKLOADS.len());
         assert_eq!(rows[0].get("final_k").and_then(|v| v.as_f64()), Some(8.0));
+        assert_eq!(
+            crate::check::validate(&doc),
+            Ok(crate::check::BenchKind::Adaptive)
+        );
     }
 
     /// A micro-sized real sweep: every cell present, every gate row
@@ -787,6 +733,6 @@ mod tests {
             .filter(|s| s.workload == "irregular")
             .all(|s| s.span > 0));
         assert!(r.render().contains("ADAPTIVE"));
-        afs_trace::json::parse(&r.to_json()).expect("real-run JSON must parse");
+        json::parse(&r.to_json()).expect("real-run JSON must parse");
     }
 }

@@ -61,6 +61,7 @@ use afs_bench::ablations;
 use afs_bench::check;
 use afs_bench::experiments::Experiment;
 use afs_bench::report::{render, render_csv, render_json, render_plot};
+use afs_core::json;
 use afs_metrics::{MetricsRegistry, MetricsSnapshot};
 
 /// Writes a metrics snapshot to `path`; the extension picks the format
@@ -80,8 +81,31 @@ fn export_metrics(snapshot: &MetricsSnapshot, path: &std::path::Path) {
     }
 }
 
+/// Prints a bench run's table and writes its document to
+/// `BENCH_<name>.json` in the current directory, or exits with code 2.
+fn write_bench(name: &str, table: &str, json: &str) {
+    print!("{table}");
+    let path = format!("BENCH_{name}.json");
+    match std::fs::write(&path, json) {
+        Ok(()) => eprintln!("wrote {path}"),
+        Err(err) => {
+            eprintln!("cannot write {path}: {err}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The operand that follows a flag, or exit with code 2 and `missing`
+/// when the arguments ran out.
+fn operand(args: &mut impl Iterator<Item = String>, missing: &str) -> String {
+    args.next().unwrap_or_else(|| {
+        eprintln!("{missing}");
+        std::process::exit(2)
+    })
+}
+
 /// Loads and parses one bench JSON document or exits with code 1.
-fn load_bench(path: &str) -> afs_trace::json::Value {
+fn load_bench(path: &str) -> json::Value {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(err) => {
@@ -89,7 +113,7 @@ fn load_bench(path: &str) -> afs_trace::json::Value {
             std::process::exit(1);
         }
     };
-    match afs_trace::json::parse(&text) {
+    match json::parse(&text) {
         Ok(v) => v,
         Err(err) => {
             eprintln!("check-bench: {path} is not valid JSON: {err}");
@@ -158,7 +182,7 @@ fn run_check(file: &str, baseline: Option<&str>, tolerance: f64, strict: bool) -
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1).peekable();
     let mut quick = false;
     let mut bench_grabs = false;
     let mut bench_kernels = false;
@@ -168,68 +192,15 @@ fn main() {
     let mut bench_chaos = false;
     let mut format = "table";
     let mut trace_dir: Option<std::path::PathBuf> = None;
-    let mut want_trace_dir = false;
     let mut metrics_path: Option<std::path::PathBuf> = None;
-    let mut want_metrics_path = false;
     let mut check_bench: Option<String> = None;
-    let mut want_check_bench = false;
     let mut telemetry_addr: Option<String> = None;
-    let mut want_telemetry = false;
     let mut flight_dir: Option<std::path::PathBuf> = None;
-    let mut want_flight = false;
     let mut baseline: Option<String> = None;
-    let mut want_baseline = false;
     let mut tolerance = 0.30f64;
-    let mut want_tolerance = false;
     let mut strict = false;
     let mut ids: Vec<String> = Vec::new();
-    for a in &args {
-        if want_trace_dir {
-            trace_dir = Some(std::path::PathBuf::from(a));
-            want_trace_dir = false;
-            continue;
-        }
-        if want_check_bench {
-            check_bench = Some(a.clone());
-            want_check_bench = false;
-            continue;
-        }
-        if want_telemetry {
-            telemetry_addr = Some(a.clone());
-            want_telemetry = false;
-            continue;
-        }
-        if want_flight {
-            flight_dir = Some(std::path::PathBuf::from(a));
-            want_flight = false;
-            continue;
-        }
-        if want_baseline {
-            baseline = Some(a.clone());
-            want_baseline = false;
-            continue;
-        }
-        if want_tolerance {
-            tolerance = match a.parse::<f64>() {
-                Ok(t) if t >= 0.0 => t,
-                _ => {
-                    eprintln!("--tolerance needs a non-negative number, got {a:?}");
-                    std::process::exit(2);
-                }
-            };
-            want_tolerance = false;
-            continue;
-        }
-        if want_metrics_path {
-            want_metrics_path = false;
-            // The FILE operand is optional: claim the token only when it
-            // looks like an export path, else fall through and parse it
-            // as a normal argument.
-            if a.ends_with(".json") || a.ends_with(".prom") {
-                metrics_path = Some(std::path::PathBuf::from(a));
-                continue;
-            }
-        }
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" | "-q" => quick = true,
             "--bench-grabs" => bench_grabs = true,
@@ -238,16 +209,39 @@ fn main() {
             "--bench-serve" => bench_serve = true,
             "--bench-adaptive" => bench_adaptive = true,
             "--bench-chaos" => bench_chaos = true,
-            "--trace" => want_trace_dir = true,
-            "--metrics" => {
-                metrics_path = Some(std::path::PathBuf::from("metrics.json"));
-                want_metrics_path = true;
+            "--trace" => {
+                trace_dir = Some(operand(&mut args, "--trace needs a directory argument").into());
             }
-            "--check-bench" => want_check_bench = true,
-            "--telemetry" => want_telemetry = true,
-            "--flight" => want_flight = true,
-            "--baseline" => want_baseline = true,
-            "--tolerance" => want_tolerance = true,
+            "--metrics" => {
+                // The FILE operand is optional: claim the next token only
+                // when it looks like an export path, else leave it to be
+                // parsed as a normal argument.
+                let file = args.next_if(|f| f.ends_with(".json") || f.ends_with(".prom"));
+                metrics_path = Some(file.unwrap_or_else(|| "metrics.json".into()).into());
+            }
+            "--check-bench" => {
+                check_bench = Some(operand(&mut args, "--check-bench needs a file argument"));
+            }
+            "--telemetry" => {
+                telemetry_addr = Some(operand(
+                    &mut args,
+                    "--telemetry needs an ADDR argument (e.g. 127.0.0.1:9100)",
+                ));
+            }
+            "--flight" => {
+                flight_dir = Some(operand(&mut args, "--flight needs a directory argument").into());
+            }
+            "--baseline" => baseline = Some(operand(&mut args, "--baseline needs a file argument")),
+            "--tolerance" => {
+                let t = operand(&mut args, "--tolerance needs a number argument");
+                tolerance = match t.parse::<f64>() {
+                    Ok(t) if t >= 0.0 => t,
+                    _ => {
+                        eprintln!("--tolerance needs a non-negative number, got {t:?}");
+                        std::process::exit(2);
+                    }
+                };
+            }
             "--strict" => strict = true,
             "--plot" => format = "plot",
             "--json" => format = "json",
@@ -287,30 +281,6 @@ fn main() {
                 }
             }
         }
-    }
-    if want_trace_dir {
-        eprintln!("--trace needs a directory argument");
-        std::process::exit(2);
-    }
-    if want_check_bench {
-        eprintln!("--check-bench needs a file argument");
-        std::process::exit(2);
-    }
-    if want_telemetry {
-        eprintln!("--telemetry needs an ADDR argument (e.g. 127.0.0.1:9100)");
-        std::process::exit(2);
-    }
-    if want_flight {
-        eprintln!("--flight needs a directory argument");
-        std::process::exit(2);
-    }
-    if want_baseline {
-        eprintln!("--baseline needs a file argument");
-        std::process::exit(2);
-    }
-    if want_tolerance {
-        eprintln!("--tolerance needs a number argument");
-        std::process::exit(2);
     }
     if let Some(file) = &check_bench {
         run_check(file, baseline.as_deref(), tolerance, strict);
@@ -358,15 +328,7 @@ fn main() {
         if let Some(reg) = &registry {
             merge_metrics(&reg.snapshot());
         }
-        print!("{}", result.render());
-        let path = std::path::Path::new("BENCH_grabs.json");
-        match std::fs::write(path, result.to_json()) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(err) => {
-                eprintln!("cannot write {}: {err}", path.display());
-                std::process::exit(2);
-            }
-        }
+        write_bench("grabs", &result.render(), &result.to_json());
     }
     if let Some(dir) = &trace_dir {
         if let Err(err) = std::fs::create_dir_all(dir) {
@@ -379,15 +341,7 @@ fn main() {
         if metrics_path.is_some() {
             merge_metrics(&result.metrics);
         }
-        print!("{}", result.render());
-        let path = std::path::Path::new("BENCH_kernels.json");
-        match std::fs::write(path, result.to_json()) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(err) => {
-                eprintln!("cannot write {}: {err}", path.display());
-                std::process::exit(2);
-            }
-        }
+        write_bench("kernels", &result.render(), &result.to_json());
         if let Some(dir) = &trace_dir {
             match afs_bench::kernels::capture_traces(dir) {
                 Ok(paths) => {
@@ -401,15 +355,7 @@ fn main() {
     }
     if bench_faults {
         let result = afs_bench::faults::run(quick);
-        print!("{}", result.render());
-        let path = std::path::Path::new("BENCH_faults.json");
-        match std::fs::write(path, result.to_json()) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(err) => {
-                eprintln!("cannot write {}: {err}", path.display());
-                std::process::exit(2);
-            }
-        }
+        write_bench("faults", &result.render(), &result.to_json());
         if !result.ok() {
             eprintln!("bench-faults: a checked row violated its bound or a panic leaked");
             std::process::exit(1);
@@ -417,15 +363,7 @@ fn main() {
     }
     if bench_serve {
         let result = afs_bench::serve::run(quick);
-        print!("{}", result.render());
-        let path = std::path::Path::new("BENCH_serve.json");
-        match std::fs::write(path, result.to_json()) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(err) => {
-                eprintln!("cannot write {}: {err}", path.display());
-                std::process::exit(2);
-            }
-        }
+        write_bench("serve", &result.render(), &result.to_json());
         if !result.ok() {
             eprintln!("bench-serve: batching lost to per-request FCFS on a checked run");
             std::process::exit(1);
@@ -433,15 +371,7 @@ fn main() {
     }
     if bench_chaos {
         let result = afs_bench::chaos::run(quick);
-        print!("{}", result.render());
-        let path = std::path::Path::new("BENCH_chaos.json");
-        match std::fs::write(path, result.to_json()) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(err) => {
-                eprintln!("cannot write {}: {err}", path.display());
-                std::process::exit(2);
-            }
-        }
+        write_bench("chaos", &result.render(), &result.to_json());
         if !result.ok() {
             eprintln!(
                 "bench-chaos: a robustness invariant failed under fault \
@@ -452,15 +382,7 @@ fn main() {
     }
     if bench_adaptive {
         let result = afs_bench::adaptive::run(quick);
-        print!("{}", result.render());
-        let path = std::path::Path::new("BENCH_adaptive.json");
-        match std::fs::write(path, result.to_json()) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(err) => {
-                eprintln!("cannot write {}: {err}", path.display());
-                std::process::exit(2);
-            }
-        }
+        write_bench("adaptive", &result.render(), &result.to_json());
         if !result.ok() {
             eprintln!(
                 "bench-adaptive: the self-tuning policy fell outside its checked \
@@ -530,7 +452,7 @@ fn main() {
         }
         let mut out = match format {
             "plot" => render_plot(&result),
-            "json" => render_json(&result) + "\n",
+            "json" => render_json(&result),
             "csv" => render_csv(&result),
             _ => render(&result),
         };

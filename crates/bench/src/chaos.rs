@@ -39,16 +39,14 @@
 //! that request and no other — the background mix tops out at 512
 //! iterations, below the trigger, so only the poison can trip it.
 
+use crate::check::{write_envelope, BenchKind};
+use afs_core::json;
 use afs_metrics::{HistogramSnapshot, HostInfo};
 use afs_runtime::{FaultPlan, Pool};
 use afs_serve::prelude::*;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Schema version of `BENCH_chaos.json`: the workspace-wide constant
-/// (see [`afs_metrics::METRICS_SCHEMA_VERSION`]).
-pub const SCHEMA_VERSION: u64 = afs_metrics::METRICS_SCHEMA_VERSION;
 
 /// Pool workers per cell — must stay 4: the poison request's iteration
 /// math (worker 1 owns [1024, 2048) of n = 4096) depends on it.
@@ -333,69 +331,30 @@ impl ChaosBenchResult {
 
     /// Serializes the result as a JSON document (`BENCH_chaos.json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"bench\": \"chaos\",\n");
-        let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"host\": {},", self.host.to_json());
-        let _ = writeln!(out, "  \"quick\": {},", self.quick);
-        let _ = writeln!(out, "  \"p\": {},", self.p);
-        let _ = writeln!(out, "  \"checked\": {},", self.checked);
-        let _ = writeln!(out, "  \"total_requests\": {},", self.total_requests);
-        let _ = writeln!(out, "  \"ledger_exact\": {},", self.ledger_exact());
-        let _ = writeln!(out, "  \"isolation\": {},", self.isolation());
-        let _ = writeln!(out, "  \"dispatcher_alive\": {},", self.dispatcher_alive());
-        let _ = writeln!(
-            out,
-            "  \"metric\": \"per-cell robustness invariants under seeded fault injection: \
-             exact request ledger, contained failures equal to injected poisons, post-storm \
-             probe completion, and (checked runs) p999 sojourn within the backlog-derived \
-             allowance\","
-        );
-        out.push_str("  \"samples\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"scenario\": \"{}\", \"discipline\": \"{}\", \"offered\": {}, \
-                 \"admitted\": {}, \"completed\": {}, \"timed_out\": {}, \"failed\": {}, \
-                 \"expired\": {}, \"shed_final\": {}, \"shed_verdicts\": {}, \
-                 \"dispatches\": {}, \"batched_requests\": {}, \"supervisor_restarts\": {}, \
-                 \"wall_ns\": {}, \"p50_ns\": {:.1}, \"p99_ns\": {:.1}, \"p999_ns\": {:.1}, \
-                 \"p999_bound_ns\": {:.1}, \"expected_failures\": {}, \"ledger_exact\": {}, \
-                 \"isolated\": {}, \"probe_ok\": {}, \"tail_bounded\": {}}}",
-                s.scenario,
-                s.discipline,
-                s.offered,
-                s.admitted,
-                s.completed,
-                s.timed_out,
-                s.failed,
-                s.expired,
-                s.shed_final,
-                s.shed_verdicts,
-                s.dispatches,
-                s.batched_requests,
-                s.supervisor_restarts,
-                s.wall_ns,
-                s.p50_ns,
-                s.p99_ns,
-                s.p999_ns,
-                s.p999_bound_ns,
-                s.expected_failures,
-                s.ledger_exact,
-                s.isolated,
-                s.probe_ok,
-                s.tail_bounded,
-            );
-            out.push_str(if i + 1 == self.samples.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|o| {
+            write_envelope(o, BenchKind::Chaos, &self.host, self.quick)
+                .field("p", &self.p)
+                .field("checked", &self.checked)
+                .field("total_requests", &self.total_requests)
+                .field("ledger_exact", &self.ledger_exact())
+                .field("isolation", &self.isolation())
+                .field("dispatcher_alive", &self.dispatcher_alive())
+                .field(
+                    "metric",
+                    "per-cell robustness invariants under seeded fault injection: exact \
+                     request ledger, contained failures equal to injected poisons, post-storm \
+                     probe completion, and (checked runs) p999 sojourn within the \
+                     backlog-derived allowance",
+                )
+                .field("samples", &self.samples);
+        })
     }
 }
+
+json::fields!(ChaosSample: scenario, discipline, offered, admitted, completed, timed_out,
+    failed, expired, shed_final, shed_verdicts, dispatches, batched_requests, supervisor_restarts,
+    wall_ns, p50_ns, p99_ns, p999_ns, p999_bound_ns, expected_failures, ledger_exact, isolated,
+    probe_ok, tail_bounded);
 
 /// Builds the per-cell server: two tenants over a fault-injected pool,
 /// threaded dispatcher, supervisor armed with a clean-pool factory.
@@ -589,7 +548,7 @@ pub fn run(quick: bool) -> ChaosBenchResult {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     pub(crate) fn synthetic() -> ChaosBenchResult {
@@ -644,11 +603,11 @@ mod tests {
     #[test]
     fn json_is_parseable_and_complete() {
         let json = synthetic().to_json();
-        let v = afs_trace::json::parse(&json).expect("valid JSON");
+        let v = json::parse(&json).expect("valid JSON");
         assert_eq!(v.get("bench").and_then(|b| b.as_str()), Some("chaos"));
         assert_eq!(
             v.get("schema_version").and_then(|s| s.as_f64()),
-            Some(SCHEMA_VERSION as f64)
+            Some(afs_metrics::METRICS_SCHEMA_VERSION as f64)
         );
         assert_eq!(v.get("checked").and_then(|c| c.as_bool()), Some(true));
         assert_eq!(v.get("ledger_exact").and_then(|b| b.as_bool()), Some(true));
@@ -666,6 +625,10 @@ mod tests {
         assert_eq!(
             samples[0].get("probe_ok").and_then(|b| b.as_bool()),
             Some(true)
+        );
+        assert_eq!(
+            crate::check::validate(&v),
+            Ok(crate::check::BenchKind::Chaos)
         );
     }
 

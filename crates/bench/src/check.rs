@@ -15,10 +15,11 @@
 //!   nothing and produce a warning instead: the sizes differ, so the
 //!   numbers are incommensurable.
 //!
-//! Everything here works on [`afs_trace::json::Value`] so the gate exercises
-//! the same in-tree parser the exporters are tested against.
+//! Everything here works on [`afs_core::json::Value`], the parse of what
+//! the workspace's one JSON writer wrote.
 
-use afs_trace::json::Value;
+use afs_core::json::{Obj, Value};
+use afs_metrics::HostInfo;
 use std::fmt;
 
 /// Which benchmark a validated document holds.
@@ -82,6 +83,21 @@ fn num_of(v: &Value, key: &str) -> Option<f64> {
 
 fn bool_of(v: &Value, key: &str) -> Option<bool> {
     v.get(key).and_then(Value::as_bool)
+}
+
+/// Writes what every bench document opens with and [`validate_envelope`]
+/// checks: the `bench` tag, the current schema version, the host block
+/// and the `quick` flag.
+pub(crate) fn write_envelope<'o, 'a>(
+    o: &'o mut Obj<'a>,
+    kind: BenchKind,
+    host: &HostInfo,
+    quick: bool,
+) -> &'o mut Obj<'a> {
+    o.field("bench", &kind.to_string())
+        .field("schema_version", &afs_metrics::METRICS_SCHEMA_VERSION)
+        .field("host", host)
+        .field("quick", &quick)
 }
 
 /// Checks what every bench document carries: the current schema version
@@ -834,64 +850,109 @@ fn prefix(which: &str, errs: Vec<String>) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afs_trace::json::parse;
+    use crate::{adaptive, chaos, faults, grabs, kernels, serve};
+    use afs_core::json::parse;
 
-    /// The version every synthetic document below claims.
-    const V: u64 = afs_metrics::METRICS_SCHEMA_VERSION;
-    const HOST: &str = r#""host": {"cpus": 8, "kernel": "6.1", "os": "linux", "arch": "x86_64", "pin_capable": true}"#;
+    // Each fixture is a bench's synthetic result, edited, then written by
+    // its own `to_json` and parsed back: the checker is tested against
+    // what the writer writes.
 
-    fn kernels_doc(version: u64) -> String {
-        format!(
-            r#"{{"bench": "kernels", "schema_version": {version}, {HOST}, "quick": false,
-                 "samples": [{{"kernel": "sor", "policy": "AFS",
-                              "pinned": false, "p": 8, "phases": 10, "iters": 100,
-                              "reps": 3, "total_ns": 300, "best_ns": 90}}]}}"#
-        )
+    fn grabs_doc(edit: impl FnOnce(&mut grabs::GrabBenchResult)) -> Value {
+        let mut r = grabs::tests::synthetic();
+        edit(&mut r);
+        parse(&r.to_json()).unwrap()
     }
 
-    /// Satellite of the observability PR: the schema version has exactly
-    /// one source of truth. Every bench writer aliases
-    /// `afs_metrics::METRICS_SCHEMA_VERSION`, so bumping the constant
-    /// once moves every emitted document — and the validator accepts it.
+    fn kernels_doc(edit: impl FnOnce(&mut kernels::KernelBenchResult)) -> Value {
+        let mut r = kernels::tests::synthetic();
+        edit(&mut r);
+        parse(&r.to_json()).unwrap()
+    }
+
+    fn faults_doc(edit: impl FnOnce(&mut faults::FaultBenchResult)) -> Value {
+        let mut r = faults::tests::synthetic();
+        edit(&mut r);
+        parse(&r.to_json()).unwrap()
+    }
+
+    fn serve_doc(edit: impl FnOnce(&mut serve::ServeBenchResult)) -> Value {
+        let mut r = serve::tests::synthetic();
+        edit(&mut r);
+        parse(&r.to_json()).unwrap()
+    }
+
+    fn chaos_doc(edit: impl FnOnce(&mut chaos::ChaosBenchResult)) -> Value {
+        let mut r = chaos::tests::synthetic();
+        edit(&mut r);
+        parse(&r.to_json()).unwrap()
+    }
+
+    fn adaptive_doc(r: adaptive::AdaptiveBenchResult) -> Value {
+        parse(&r.to_json()).unwrap()
+    }
+
+    /// A one-cell grabs document whose interleaved mean is `mean` ns.
+    fn one_grab_cell(quick: bool, mean: u64) -> Value {
+        grabs_doc(|r| {
+            r.quick = quick;
+            r.samples.truncate(1);
+            r.samples[0].total_ns = mean * r.samples[0].grabs;
+        })
+    }
+
+    /// Member `key` of object `v`, for corruptions the result types
+    /// cannot express.
+    fn member<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        let Value::Obj(members) = v else {
+            panic!("{key}: not an object")
+        };
+        &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+
+    /// Element `i` of array `v`.
+    fn element(v: &mut Value, i: usize) -> &mut Value {
+        let Value::Arr(items) = v else {
+            panic!("not an array")
+        };
+        &mut items[i]
+    }
+
+    /// The schema version has exactly one source of truth:
+    /// `afs_metrics::METRICS_SCHEMA_VERSION`, written into every bench
+    /// document by `write_envelope`, so bumping the constant once moves
+    /// every emitted document — and the validator accepts it.
     #[test]
     fn schema_version_has_a_single_source_of_truth() {
-        let v = afs_metrics::METRICS_SCHEMA_VERSION;
-        assert_eq!(crate::grabs::SCHEMA_VERSION, v);
-        assert_eq!(crate::kernels::SCHEMA_VERSION, v);
-        assert_eq!(crate::faults::SCHEMA_VERSION, v);
-        assert_eq!(crate::serve::SCHEMA_VERSION, v);
-        assert_eq!(crate::adaptive::SCHEMA_VERSION, v);
-        assert_eq!(crate::chaos::SCHEMA_VERSION, v);
-        assert_eq!(
-            validate(&parse(&kernels_doc(v)).unwrap()),
-            Ok(BenchKind::Kernels)
-        );
+        let v = afs_metrics::METRICS_SCHEMA_VERSION as f64;
+        let docs = [
+            grabs_doc(|_| {}),
+            kernels_doc(|_| {}),
+            faults_doc(|_| {}),
+            serve_doc(|_| {}),
+            adaptive_doc(adaptive::tests::synthetic(1_020_000, 2_000_000, true)),
+            chaos_doc(|_| {}),
+        ];
+        for doc in &docs {
+            assert_eq!(doc.get("schema_version").and_then(Value::as_f64), Some(v));
+            assert!(validate(doc).is_ok(), "{:?}", validate(doc));
+        }
+        let mut future = kernels_doc(|_| {});
+        *member(&mut future, "schema_version") = Value::Num(v + 1.0);
         assert!(
-            validate(&parse(&kernels_doc(v + 1)).unwrap()).is_err(),
+            validate(&future).is_err(),
             "future versions still reject until the constant moves"
         );
     }
 
-    fn grabs_doc(quick: bool, mean: f64) -> String {
-        format!(
-            r#"{{"bench": "grab_latency", "schema_version": {V}, {HOST},
-                 "quick": {quick}, "max_iters_per_drain": 100,
-                 "samples": [
-                   {{"protocol": "interleaved", "policy": "AFS", "impl": "lockfree",
-                     "p": 8, "grabs": 100, "total_ns": {}, "mean_ns_per_grab": {mean}}}
-                 ]}}"#,
-            (mean * 100.0) as u64
-        )
-    }
-
     #[test]
     fn accepts_only_the_current_schema_version() {
-        let current = parse(&grabs_doc(false, 25.0)).unwrap();
-        assert_eq!(validate(&current), Ok(BenchKind::Grabs));
+        assert_eq!(validate(&one_grab_cell(false, 25)), Ok(BenchKind::Grabs));
         // Earlier releases' files are regenerated or relabelled, not
         // grandfathered.
         for old in [7, 8] {
-            let errs = validate(&parse(&kernels_doc(old)).unwrap()).unwrap_err();
+            let mut doc = kernels_doc(|_| {});
+            *member(&mut doc, "schema_version") = Value::Num(old as f64);
+            let errs = validate(&doc).unwrap_err();
             assert!(
                 errs.iter()
                     .any(|e| e.contains(&format!("schema_version {old}"))),
@@ -899,8 +960,11 @@ mod tests {
             );
         }
         // A file that never claimed a version is not a bench document.
-        let unversioned = kernels_doc(V).replace(&format!("\"schema_version\": {V}, "), "");
-        let errs = validate(&parse(&unversioned).unwrap()).unwrap_err();
+        let mut unversioned = kernels_doc(|_| {});
+        if let Value::Obj(members) = &mut unversioned {
+            members.retain(|(k, _)| k != "schema_version");
+        }
+        let errs = validate(&unversioned).unwrap_err();
         assert!(
             errs.iter().any(|e| e.contains("missing schema_version")),
             "{errs:?}"
@@ -909,13 +973,12 @@ mod tests {
 
     #[test]
     fn rejects_corrupted_documents_with_every_error() {
-        let bad = parse(
-            r#"{"bench": "kernels", "schema_version": 7, "quick": false,
-                "samples": [{"kernel": "sort", "policy": "AFS",
-                             "pinned": "yes", "p": 8, "phases": 10, "iters": 100,
-                             "reps": 3, "total_ns": 90, "best_ns": 300}]}"#,
-        )
-        .unwrap();
+        let mut bad = kernels_doc(|r| {
+            r.samples[0].kernel = "sort";
+            r.samples[0].best_ns = r.samples[0].total_ns + 1;
+        });
+        *member(&mut bad, "schema_version") = Value::Num(7.0);
+        *member(element(member(&mut bad, "samples"), 0), "pinned") = Value::Str("yes".into());
         let errs = validate(&bad).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("schema_version")));
         assert!(errs.iter().any(|e| e.contains("kernel")));
@@ -932,10 +995,10 @@ mod tests {
 
     #[test]
     fn flags_regressions_beyond_tolerance_only() {
-        let base = parse(&grabs_doc(false, 20.0)).unwrap();
-        let fine = parse(&grabs_doc(false, 24.0)).unwrap();
-        let slow = parse(&grabs_doc(false, 30.0)).unwrap();
-        let fast = parse(&grabs_doc(false, 10.0)).unwrap();
+        let base = one_grab_cell(false, 20);
+        let fine = one_grab_cell(false, 24);
+        let slow = one_grab_cell(false, 30);
+        let fast = one_grab_cell(false, 10);
 
         let c = compare(&fine, &base, 0.30).unwrap();
         assert!(c.ok(), "{:?}", c.regressions);
@@ -952,51 +1015,38 @@ mod tests {
 
     #[test]
     fn quick_vs_full_warns_instead_of_comparing() {
-        let base = parse(&grabs_doc(false, 20.0)).unwrap();
-        let quick = parse(&grabs_doc(true, 500.0)).unwrap();
+        let base = one_grab_cell(false, 20);
+        let quick = one_grab_cell(true, 500);
         let c = compare(&quick, &base, 0.30).unwrap();
         assert!(c.ok());
         assert_eq!(c.compared, 0);
         assert!(c.warnings[0].contains("quick-vs-full"));
     }
 
-    fn faults_doc(containment: bool, within: bool, base_ns: u64) -> String {
-        format!(
-            r#"{{"bench": "faults", "schema_version": {V}, {HOST},
-                 "quick": false, "p": 8, "n": 8192, "panic_containment": {containment},
-                 "samples": [
-                   {{"policy": "AFS(k=1)", "k": 1, "n": 8192, "p": 8, "delay_ns": 200000000,
-                     "residual_iters": 700, "bound_iters": 1025.1,
-                     "within": {within}, "checked": true,
-                     "makespan_ns": 220000000, "baseline_makespan_ns": {base_ns}}},
-                   {{"policy": "STATIC", "k": null, "n": 8192, "p": 8, "delay_ns": 200000000,
-                     "residual_iters": 1024, "bound_iters": null,
-                     "within": true, "checked": false,
-                     "makespan_ns": 230000000, "baseline_makespan_ns": {base_ns}}}
-                 ]}}"#
-        )
-    }
-
     #[test]
     fn faults_documents_validate_and_gate_on_the_bound() {
-        let good = parse(&faults_doc(true, true, 9_000_000)).unwrap();
+        let good = faults_doc(|_| {});
         assert_eq!(validate(&good), Ok(BenchKind::Faults));
 
         // A checked row with within=false is a hard validation failure.
-        let violated = parse(&faults_doc(true, false, 9_000_000)).unwrap();
+        let violated = faults_doc(|r| r.samples[0].within = false);
         let errs = validate(&violated).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("Theorem 3.2")), "{errs:?}");
 
         // So is a leaked (or missing) panic-containment verdict.
-        let leaked = parse(&faults_doc(false, true, 9_000_000)).unwrap();
+        let leaked = faults_doc(|r| r.panic_containment = false);
         let errs = validate(&leaked).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("panic leaked")), "{errs:?}");
     }
 
     #[test]
     fn faults_documents_compare_on_clean_makespan() {
-        let base = parse(&faults_doc(true, true, 9_000_000)).unwrap();
-        let slow = parse(&faults_doc(true, true, 20_000_000)).unwrap();
+        let base = faults_doc(|_| {});
+        let slow = faults_doc(|r| {
+            for s in &mut r.samples {
+                s.baseline_makespan_ns *= 3;
+            }
+        });
         let c = compare(&slow, &base, 0.30).unwrap();
         assert!(!c.ok());
         assert!(
@@ -1004,61 +1054,47 @@ mod tests {
             "{:?}",
             c.regressions
         );
-        // STATIC matched too: two comparable cells.
-        assert_eq!(c.compared, 2);
-    }
-
-    fn serve_doc(quick: bool, checked: bool, speedup: f64, wall_ns: u64) -> String {
-        format!(
-            r#"{{"bench": "serve", "schema_version": {V}, {HOST},
-                 "quick": {quick}, "p": 4, "calibrated_rps": 100000.0,
-                 "total_completed": 19000, "batch_over_fcfs": {speedup}, "checked": {checked},
-                 "samples": [
-                   {{"discipline": "fcfs", "mode": "open", "rate_factor": 1.25,
-                     "offered": 10000, "completed": 9000, "shed": 1000, "shed_rate": 0.1,
-                     "wall_ns": {wall_ns}, "throughput_rps": 9000.0, "queue_p50_ns": 4000.0,
-                     "p50_ns": 20000.0, "p99_ns": 300000.0, "p999_ns": 900000.0,
-                     "affinity_hit_ratio": 0.92, "dispatches": 9000, "batched_requests": 0,
-                     "tenants": [{{"name": "small", "admitted": 9000, "completed": 9000,
-                                   "shed": 1000, "p50_ns": 1.0, "p99_ns": 2.0, "p999_ns": 3.0}}]}},
-                   {{"discipline": "batch", "mode": "saturate", "rate_factor": 0,
-                     "offered": 10000, "completed": 10000, "shed": 40000, "shed_rate": 0.8,
-                     "wall_ns": {wall_ns}, "throughput_rps": 10000.0, "queue_p50_ns": 9000.0,
-                     "p50_ns": 50000.0, "p99_ns": 700000.0, "p999_ns": 1500000.0,
-                     "affinity_hit_ratio": null, "dispatches": 700, "batched_requests": 9900,
-                     "tenants": [{{"name": "small", "admitted": 10000, "completed": 10000,
-                                   "shed": 40000, "p50_ns": 1.0, "p99_ns": 2.0, "p999_ns": 3.0}}]}}
-                 ]}}"#
-        )
+        // STATIC (k: null) matched too: every row is a comparable cell.
+        assert!(c.regressions.iter().any(|r| r.contains("STATIC/k=-/P=8")));
+        assert_eq!(c.compared, 4);
     }
 
     #[test]
     fn serve_documents_validate_and_gate_the_speedup() {
-        let good = parse(&serve_doc(false, true, 1.4, 1_000_000_000)).unwrap();
+        let good = serve_doc(|_| {});
         assert_eq!(validate(&good), Ok(BenchKind::Serve));
 
         // A checked run where batching lost to FCFS is a hard failure.
-        let lost = parse(&serve_doc(false, true, 0.9, 1_000_000_000)).unwrap();
+        let lost = serve_doc(|r| r.batch_over_fcfs = 0.9);
         let errs = validate(&lost).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("batching lost")), "{errs:?}");
 
         // A full run cannot dodge the gate by flipping checked off.
-        let dodge = parse(&serve_doc(false, false, 0.9, 1_000_000_000)).unwrap();
+        let dodge = serve_doc(|r| {
+            r.batch_over_fcfs = 0.9;
+            r.checked = false;
+        });
         let errs = validate(&dodge).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("must gate")), "{errs:?}");
 
         // Quick smoke runs report without gating.
-        let quick = parse(&serve_doc(true, false, 0.9, 1_000_000_000)).unwrap();
+        let quick = serve_doc(|r| {
+            r.batch_over_fcfs = 0.9;
+            r.checked = false;
+            r.quick = true;
+        });
         assert_eq!(validate(&quick), Ok(BenchKind::Serve));
     }
 
     #[test]
     fn serve_rejects_corrupted_rows_with_every_error() {
-        let mut doc = serve_doc(false, true, 1.4, 1_000_000_000);
-        doc = doc.replace("\"fcfs\"", "\"lifo\"");
-        doc = doc.replace("\"completed\": 9000,", "\"completed\": 90000,");
-        doc = doc.replace("\"p999_ns\": 900000.0", "\"p999_ns\": 9.0");
-        let errs = validate(&parse(&doc).unwrap()).unwrap_err();
+        let doc = serve_doc(|r| {
+            let row = &mut r.samples[0];
+            row.discipline = "lifo".into();
+            row.completed = 10 * row.offered;
+            row.p999_ns = 9.0;
+        });
+        let errs = validate(&doc).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("discipline")), "{errs:?}");
         assert!(errs.iter().any(|e| e.contains("completed")), "{errs:?}");
         assert!(errs.iter().any(|e| e.contains("quantiles")), "{errs:?}");
@@ -1067,8 +1103,12 @@ mod tests {
 
     #[test]
     fn serve_documents_compare_on_ns_per_completed_request() {
-        let base = parse(&serve_doc(false, true, 1.4, 1_000_000_000)).unwrap();
-        let slow = parse(&serve_doc(false, true, 1.4, 2_000_000_000)).unwrap();
+        let base = serve_doc(|_| {});
+        let slow = serve_doc(|r| {
+            for s in &mut r.samples {
+                s.wall_ns *= 2;
+            }
+        });
         let c = compare(&slow, &base, 0.30).unwrap();
         assert!(!c.ok());
         assert!(
@@ -1076,51 +1116,17 @@ mod tests {
             "{:?}",
             c.regressions
         );
-        assert_eq!(c.compared, 2);
-    }
-
-    fn adaptive_doc(quick: bool, checked: bool, gate_ok: bool, adaptive_median: u64) -> String {
-        format!(
-            r#"{{"bench": "adaptive", "schema_version": {V}, {HOST},
-                 "quick": {quick}, "checked": {checked}, "p": 8,
-                 "irregular_min_speedup": 1.3,
-                 "samples": [
-                   {{"workload": "sor", "k": 1, "b": 1, "p": 8, "reps": 5,
-                     "best_ns": 1000000, "median_ns": 1040000, "total_ns": 5200000, "span": 0}},
-                   {{"workload": "irregular", "k": 8, "b": 8, "p": 8, "reps": 5,
-                     "best_ns": 2000000, "median_ns": 2060000, "total_ns": 10300000,
-                     "span": 7000000}}
-                 ],
-                 "adaptive": [
-                   {{"workload": "sor", "p": 8, "reps": 5, "best_ns": 1000000,
-                     "median_ns": {adaptive_median}, "total_ns": 5300000, "span": 0,
-                     "final_k": 2, "final_b": 2, "decisions": 4,
-                     "phases": 1000, "settled": true}},
-                   {{"workload": "irregular", "p": 8, "reps": 5, "best_ns": 2100000,
-                     "median_ns": 2200000, "total_ns": 11000000, "span": 2100000,
-                     "final_k": 8, "final_b": 1, "decisions": 2,
-                     "phases": 60, "settled": true}}
-                 ],
-                 "gates": [
-                   {{"workload": "sor", "best_static_median_ns": 1040000,
-                     "worst_static_median_ns": 1200000, "adaptive_median_ns": {adaptive_median},
-                     "within_10pct": {gate_ok}, "worst_span": 0, "adaptive_span": 0,
-                     "span_ratio": 0.0, "ok": {gate_ok}}},
-                   {{"workload": "irregular", "best_static_median_ns": 2060000,
-                     "worst_static_median_ns": 9000000, "adaptive_median_ns": 2200000,
-                     "within_10pct": true, "worst_span": 7000000, "adaptive_span": 2100000,
-                     "span_ratio": 3.33, "ok": true}}
-                 ]}}"#
-        )
+        assert_eq!(c.compared, 9);
     }
 
     #[test]
     fn adaptive_documents_validate_and_gate_the_envelope() {
-        let good = parse(&adaptive_doc(false, true, true, 1_050_000)).unwrap();
+        use adaptive::tests::synthetic;
+        let good = adaptive_doc(synthetic(1_020_000, 2_000_000, true));
         assert_eq!(validate(&good), Ok(BenchKind::Adaptive));
 
         // A checked run with a failed workload verdict is a hard failure.
-        let lost = parse(&adaptive_doc(false, true, false, 1_500_000)).unwrap();
+        let lost = adaptive_doc(synthetic(2_000_000, 2_000_000, true));
         let errs = validate(&lost).unwrap_err();
         assert!(
             errs.iter().any(|e| e.contains("envelope violated")),
@@ -1128,31 +1134,33 @@ mod tests {
         );
 
         // A full run cannot dodge the gate by flipping checked off.
-        let dodge = parse(&adaptive_doc(false, false, false, 1_500_000)).unwrap();
-        let errs = validate(&dodge).unwrap_err();
+        let mut dodge = synthetic(2_000_000, 2_000_000, false);
+        dodge.quick = false;
+        let errs = validate(&adaptive_doc(dodge)).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("must gate")), "{errs:?}");
 
         // Quick smoke runs report without gating.
-        let quick = parse(&adaptive_doc(true, false, false, 1_500_000)).unwrap();
+        let quick = adaptive_doc(synthetic(2_000_000, 6_000_000, false));
         assert_eq!(validate(&quick), Ok(BenchKind::Adaptive));
 
         // A checked run whose controller never moved on the irregular
         // loop compared a static cell with itself: not a verdict.
-        let idle = adaptive_doc(false, true, true, 1_050_000).replace(
-            "\"final_b\": 1, \"decisions\": 2",
-            "\"final_b\": 1, \"decisions\": 0",
-        );
-        let errs = validate(&parse(&idle).unwrap()).unwrap_err();
+        let mut idle = synthetic(1_020_000, 2_000_000, true);
+        for row in &mut idle.adaptive {
+            if row.workload == "irregular" {
+                row.decisions = 0;
+            }
+        }
+        let errs = validate(&adaptive_doc(idle)).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("no decision")), "{errs:?}");
 
         // Corrupted rows surface every error in one pass.
-        let mut bad = adaptive_doc(false, true, true, 1_050_000);
-        bad = bad.replace(
-            "\"workload\": \"sor\", \"k\": 1",
-            "\"workload\": \"sorting\", \"k\": 0",
-        );
-        bad = bad.replace("\"settled\": true}", "\"settled\": \"yes\"}");
-        let errs = validate(&parse(&bad).unwrap()).unwrap_err();
+        let mut bad = synthetic(1_020_000, 2_000_000, true);
+        bad.samples[0].workload = "sorting";
+        bad.samples[0].k = 0;
+        let mut bad = adaptive_doc(bad);
+        *member(element(member(&mut bad, "adaptive"), 0), "settled") = Value::Str("yes".into());
+        let errs = validate(&bad).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("workload")), "{errs:?}");
         assert!(errs.iter().any(|e| e.contains(".k")), "{errs:?}");
         assert!(errs.iter().any(|e| e.contains("settled")), "{errs:?}");
@@ -1160,8 +1168,9 @@ mod tests {
 
     #[test]
     fn adaptive_cells_and_rows_are_regression_gated() {
-        let base = parse(&adaptive_doc(false, true, true, 1_050_000)).unwrap();
-        let slow = parse(&adaptive_doc(false, true, true, 2_050_000)).unwrap();
+        use adaptive::tests::synthetic;
+        let base = adaptive_doc(synthetic(1_050_000, 2_000_000, false));
+        let slow = adaptive_doc(synthetic(2_050_000, 2_000_000, false));
         let c = compare(&slow, &base, 0.30).unwrap();
         assert!(!c.ok());
         assert!(
@@ -1169,91 +1178,78 @@ mod tests {
             "{:?}",
             c.regressions
         );
-        // 2 static cells + 2 adaptive rows on each side.
-        assert_eq!(c.compared, 4);
-    }
-
-    fn chaos_doc(quick: bool, checked: bool, tail_ok: bool, wall_ns: u64) -> String {
-        format!(
-            r#"{{"bench": "chaos", "schema_version": {V}, {HOST},
-                 "quick": {quick}, "p": 4, "checked": {checked}, "total_requests": 24018,
-                 "ledger_exact": true, "isolation": true, "dispatcher_alive": true,
-                 "samples": [
-                   {{"scenario": "clean", "discipline": "fcfs", "offered": 12009,
-                     "admitted": 12000, "completed": 11990, "timed_out": 3, "failed": 0,
-                     "expired": 10, "shed_final": 9, "shed_verdicts": 450,
-                     "dispatches": 9000, "batched_requests": 0, "supervisor_restarts": 0,
-                     "wall_ns": {wall_ns}, "p50_ns": 30000.0, "p99_ns": 900000.0,
-                     "p999_ns": 4000000.0, "p999_bound_ns": 100000000.0,
-                     "expected_failures": 0, "ledger_exact": true, "isolated": true,
-                     "probe_ok": true, "tail_bounded": true}},
-                   {{"scenario": "panic", "discipline": "batch", "offered": 12009,
-                     "admitted": 12000, "completed": 11989, "timed_out": 3, "failed": 1,
-                     "expired": 10, "shed_final": 9, "shed_verdicts": 450,
-                     "dispatches": 800, "batched_requests": 11000, "supervisor_restarts": 0,
-                     "wall_ns": {wall_ns}, "p50_ns": 30000.0, "p99_ns": 900000.0,
-                     "p999_ns": 4000000.0, "p999_bound_ns": 100000000.0,
-                     "expected_failures": 1, "ledger_exact": true, "isolated": true,
-                     "probe_ok": true, "tail_bounded": {tail_ok}}}
-                 ]}}"#
-        )
+        // 2 static cells + 1 adaptive row per workload on each side.
+        assert_eq!(c.compared, 3 * adaptive::WORKLOADS.len());
     }
 
     #[test]
     fn chaos_documents_validate_and_gate_the_invariants() {
-        let good = parse(&chaos_doc(false, true, true, 2_000_000_000)).unwrap();
+        let good = chaos_doc(|_| {});
         assert_eq!(validate(&good), Ok(BenchKind::Chaos));
 
         // An unbalanced ledger is a hard failure even when the row claims
         // ledger_exact (the validator recomputes the arithmetic).
-        let mut unbalanced = chaos_doc(false, true, true, 2_000_000_000);
-        unbalanced = unbalanced.replace("\"completed\": 11990,", "\"completed\": 11900,");
-        let errs = validate(&parse(&unbalanced).unwrap()).unwrap_err();
+        let unbalanced = chaos_doc(|r| r.samples[0].completed -= 90);
+        let errs = validate(&unbalanced).unwrap_err();
         assert!(
             errs.iter().any(|e| e.contains("does not balance")),
             "{errs:?}"
         );
 
-        // So is a failure count that disagrees with the injected poisons.
-        let mut bleeding = chaos_doc(false, true, true, 2_000_000_000);
-        bleeding = bleeding.replace(
-            "\"failed\": 1,\n                     \"expired\": 10",
-            "\"failed\": 2,\n                     \"expired\": 9",
-        );
-        let errs = validate(&parse(&bleeding).unwrap()).unwrap_err();
+        // So is a failure count that disagrees with the injected poisons
+        // (samples[12] is the first panic cell; its ledger still balances).
+        let bleeding = chaos_doc(|r| {
+            r.samples[12].failed += 1;
+            r.samples[12].expired -= 1;
+        });
+        let errs = validate(&bleeding).unwrap_err();
         assert!(
             errs.iter().any(|e| e.contains("cross-request damage")),
             "{errs:?}"
         );
 
         // A dead dispatcher never validates, at any run size.
-        let mut dead = chaos_doc(true, false, true, 2_000_000_000);
-        dead = dead.replace("\"dispatcher_alive\": true", "\"dispatcher_alive\": false");
-        let errs = validate(&parse(&dead).unwrap()).unwrap_err();
+        let dead = chaos_doc(|r| {
+            r.quick = true;
+            r.checked = false;
+            r.samples[0].probe_ok = false;
+        });
+        let errs = validate(&dead).unwrap_err();
         assert!(
             errs.iter().any(|e| e.contains("dispatcher died")),
             "{errs:?}"
         );
 
         // A checked run with a blown tail is a hard failure.
-        let fat = parse(&chaos_doc(false, true, false, 2_000_000_000)).unwrap();
+        let fat = chaos_doc(|r| r.samples[13].tail_bounded = false);
         let errs = validate(&fat).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("allowance")), "{errs:?}");
 
         // A full run cannot dodge the gate by flipping checked off.
-        let dodge = parse(&chaos_doc(false, false, false, 2_000_000_000)).unwrap();
+        let dodge = chaos_doc(|r| {
+            r.checked = false;
+            r.samples[13].tail_bounded = false;
+        });
         let errs = validate(&dodge).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("must gate")), "{errs:?}");
 
         // Quick smoke runs skip the tail gate but keep the hard ones.
-        let quick = parse(&chaos_doc(true, false, false, 2_000_000_000)).unwrap();
+        let quick = chaos_doc(|r| {
+            r.quick = true;
+            r.checked = false;
+            r.samples[13].tail_bounded = false;
+        });
         assert_eq!(validate(&quick), Ok(BenchKind::Chaos));
     }
 
     #[test]
     fn chaos_documents_compare_on_ns_per_completed_request() {
-        let base = parse(&chaos_doc(false, true, true, 2_000_000_000)).unwrap();
-        let slow = parse(&chaos_doc(false, true, true, 4_000_000_000)).unwrap();
+        let base = chaos_doc(|_| {});
+        let slow = chaos_doc(|r| {
+            for s in &mut r.samples {
+                s.wall_ns *= 2;
+            }
+        });
         let c = compare(&slow, &base, 0.30).unwrap();
         assert!(!c.ok());
         assert!(
@@ -1261,13 +1257,13 @@ mod tests {
             "{:?}",
             c.regressions
         );
-        assert_eq!(c.compared, 2);
+        assert_eq!(c.compared, 15);
     }
 
     #[test]
     fn different_benches_do_not_compare() {
-        let grabs = parse(&grabs_doc(false, 20.0)).unwrap();
-        let kernels = parse(&kernels_doc(V)).unwrap();
+        let grabs = one_grab_cell(false, 20);
+        let kernels = kernels_doc(|r| r.quick = false);
         let errs = compare(&grabs, &kernels, 0.30).unwrap_err();
         assert!(errs[0].contains("mismatch"));
     }

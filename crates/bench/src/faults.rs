@@ -24,18 +24,14 @@
 //! exactly once — and records the verdict in the JSON (`--check-bench`
 //! requires it to be `true`).
 
+use crate::check::{write_envelope, BenchKind};
+use afs_core::json;
 use afs_core::theory::thm32_imbalance_bound;
 use afs_metrics::HostInfo;
 use afs_runtime::{FaultPlan, Pool, RuntimeScheduler};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
-
-/// Schema version of `BENCH_faults.json`: the workspace-wide constant (see
-/// [`afs_metrics::METRICS_SCHEMA_VERSION`]). This bench was born at
-/// version 1 (`schema_version` + `host` block); there are no version-0
-/// files.
-pub const SCHEMA_VERSION: u64 = afs_metrics::METRICS_SCHEMA_VERSION;
 
 /// Workers for every row: the paper's P=8 configuration.
 pub const P: usize = 8;
@@ -145,56 +141,24 @@ impl FaultBenchResult {
 
     /// Serializes the result as a JSON document (`BENCH_faults.json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"bench\": \"faults\",\n");
-        let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"host\": {},", self.host.to_json());
-        let _ = writeln!(out, "  \"quick\": {},", self.quick);
-        let _ = writeln!(out, "  \"p\": {},", self.p);
-        let _ = writeln!(out, "  \"n\": {},", self.n);
-        let _ = writeln!(out, "  \"panic_containment\": {},", self.panic_containment);
-        let _ = writeln!(
-            out,
-            "  \"metric\": \"residual imbalance: iterations the delayed worker must execute \
-             itself after a start delay longer than the other workers' makespan; checked rows \
-             must satisfy residual_iters <= bound_iters (Theorem 3.2)\","
-        );
-        out.push_str("  \"samples\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            let k = match s.k {
-                Some(k) => k.to_string(),
-                None => "null".into(),
-            };
-            let bound = match s.bound_iters {
-                Some(b) => format!("{b:.1}"),
-                None => "null".into(),
-            };
-            let _ = write!(
-                out,
-                "    {{\"policy\": \"{}\", \"k\": {k}, \"n\": {}, \"p\": {}, \
-                 \"delay_ns\": {}, \"residual_iters\": {}, \"bound_iters\": {bound}, \
-                 \"within\": {}, \"checked\": {}, \"makespan_ns\": {}, \
-                 \"baseline_makespan_ns\": {}}}",
-                s.policy,
-                s.n,
-                s.p,
-                s.delay_ns,
-                s.residual_iters,
-                s.within,
-                s.checked,
-                s.makespan_ns,
-                s.baseline_makespan_ns,
-            );
-            out.push_str(if i + 1 == self.samples.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|o| {
+            write_envelope(o, BenchKind::Faults, &self.host, self.quick)
+                .field("p", &self.p)
+                .field("n", &self.n)
+                .field("panic_containment", &self.panic_containment)
+                .field(
+                    "metric",
+                    "residual imbalance: iterations the delayed worker must execute itself \
+                     after a start delay longer than the other workers' makespan; checked rows \
+                     must satisfy residual_iters <= bound_iters (Theorem 3.2)",
+                )
+                .field("samples", &self.samples);
+        })
     }
 }
+
+json::fields!(FaultSample: policy, k, n, p, delay_ns, residual_iters, bound_iters, within,
+    checked, makespan_ns, baseline_makespan_ns);
 
 /// Runs one loop and returns (worker 0's executed iterations, makespan ns).
 fn measure_residual(policy: &RuntimeScheduler, n: u64, delay: Option<Duration>) -> (u64, u64) {
@@ -306,10 +270,10 @@ pub fn run(quick: bool) -> FaultBenchResult {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn synthetic() -> FaultBenchResult {
+    pub(crate) fn synthetic() -> FaultBenchResult {
         let row = |policy: &str, k: Option<u64>, residual: u64, checked: bool| FaultSample {
             policy: policy.into(),
             k,
@@ -351,11 +315,11 @@ mod tests {
     #[test]
     fn json_is_parseable_and_complete() {
         let json = synthetic().to_json();
-        let v = afs_trace::json::parse(&json).expect("valid JSON");
+        let v = json::parse(&json).expect("valid JSON");
         assert_eq!(v.get("bench").and_then(|b| b.as_str()), Some("faults"));
         assert_eq!(
             v.get("schema_version").and_then(|s| s.as_f64()),
-            Some(SCHEMA_VERSION as f64)
+            Some(afs_metrics::METRICS_SCHEMA_VERSION as f64)
         );
         assert_eq!(
             v.get("panic_containment").and_then(|b| b.as_bool()),
@@ -373,6 +337,14 @@ mod tests {
         assert_eq!(
             samples[3].get("residual_iters").and_then(|r| r.as_f64()),
             Some(1_024.0)
+        );
+        assert_eq!(
+            samples[0].get("bound_iters").and_then(|b| b.as_f64()),
+            Some(thm32_imbalance_bound(8_192, 8, 1))
+        );
+        assert_eq!(
+            crate::check::validate(&v),
+            Ok(crate::check::BenchKind::Faults)
         );
     }
 

@@ -31,15 +31,13 @@
 //!   so the interleaved protocol is the comparison to trust there; on a
 //!   real multiprocessor it is the one that shows convoy effects.
 
+use crate::check::{write_envelope, BenchKind};
+use afs_core::json::{self, Fields, Obj};
 use afs_core::prelude::*;
 use afs_metrics::{HostInfo, MetricsRegistry};
 use afs_runtime::source::{AfsSource, FetchAddSource, LockedSource, WorkSource};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// Schema version of `BENCH_grabs.json`: the workspace-wide constant (see
-/// [`afs_metrics::METRICS_SCHEMA_VERSION`]).
-pub const SCHEMA_VERSION: u64 = afs_metrics::METRICS_SCHEMA_VERSION;
 
 /// Worker counts measured. The interesting point is the largest (most
 /// contended); the smaller ones show how the gap opens.
@@ -174,56 +172,42 @@ impl GrabBenchResult {
 
     /// Serializes the result as a JSON document (`BENCH_grabs.json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"bench\": \"grab_latency\",\n");
-        let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"host\": {},", self.host.to_json());
-        let _ = writeln!(out, "  \"quick\": {},", self.quick);
-        let _ = writeln!(out, "  \"max_iters_per_drain\": {},", self.n);
-        let _ = writeln!(
-            out,
-            "  \"metric\": \"timed span ns / total grabs; interleaved = one thread driving P \
-             logical workers round-robin (deterministic per-grab cost), threaded = P OS threads, \
-             drain makespan\","
-        );
-        out.push_str("  \"samples\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"protocol\": \"{}\", \"policy\": \"{}\", \"impl\": \"{}\", \"p\": {}, \
-                 \"grabs\": {}, \"total_ns\": {}, \"mean_ns_per_grab\": {:.2}}}",
-                s.protocol,
-                s.policy,
-                s.implementation,
-                s.p,
-                s.grabs,
-                s.total_ns,
-                s.mean_ns()
-            );
-            out.push_str(if i + 1 == self.samples.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        out.push_str("  ],\n  \"speedup_mutex_over_lockfree_interleaved\": [\n");
-        let pairs: Vec<(&str, usize, f64)> = ["AFS", "SS", "CSS(16)"]
-            .iter()
-            .flat_map(|&policy| {
-                WORKERS
-                    .iter()
-                    .filter_map(move |&p| self.speedup(policy, p).map(|r| (policy, p, r)))
-            })
-            .collect();
-        for (i, (policy, p, r)) in pairs.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"policy\": \"{policy}\", \"p\": {p}, \"speedup\": {r:.2}}}"
-            );
-            out.push_str(if i + 1 == pairs.len() { "\n" } else { ",\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|o| {
+            write_envelope(o, BenchKind::Grabs, &self.host, self.quick)
+                .field("max_iters_per_drain", &self.n)
+                .field(
+                    "metric",
+                    "timed span ns / total grabs; interleaved = one thread driving P logical \
+                     workers round-robin (deterministic per-grab cost), threaded = P OS \
+                     threads, drain makespan",
+                )
+                .field("samples", &self.samples)
+                .array("speedup_mutex_over_lockfree_interleaved", |a| {
+                    for policy in ["AFS", "SS", "CSS(16)"] {
+                        for p in WORKERS {
+                            if let Some(r) = self.speedup(policy, p) {
+                                a.object(|o| {
+                                    o.field("policy", policy)
+                                        .field("p", &p)
+                                        .field("speedup", &r);
+                                });
+                            }
+                        }
+                    }
+                });
+        })
+    }
+}
+
+impl Fields for GrabSample {
+    fn fields(&self, o: &mut Obj<'_>) {
+        o.field("protocol", self.protocol)
+            .field("policy", self.policy)
+            .field("impl", self.implementation)
+            .field("p", &self.p)
+            .field("grabs", &self.grabs)
+            .field("total_ns", &self.total_ns)
+            .field("mean_ns_per_grab", &self.mean_ns());
     }
 }
 
@@ -459,10 +443,10 @@ pub fn run_with_metrics(quick: bool, metrics: Option<&MetricsRegistry>) -> GrabB
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn synthetic() -> GrabBenchResult {
+    pub(crate) fn synthetic() -> GrabBenchResult {
         GrabBenchResult {
             quick: true,
             n: 100,
@@ -517,14 +501,14 @@ mod tests {
     #[test]
     fn json_is_parseable_and_complete() {
         let json = synthetic().to_json();
-        let v = afs_trace::json::parse(&json).expect("valid JSON");
+        let v = afs_core::json::parse(&json).expect("valid JSON");
         assert_eq!(
             v.get("bench").and_then(|b| b.as_str()),
             Some("grab_latency")
         );
         assert_eq!(
             v.get("schema_version").and_then(|s| s.as_f64()),
-            Some(SCHEMA_VERSION as f64)
+            Some(afs_metrics::METRICS_SCHEMA_VERSION as f64)
         );
         let host = v.get("host").expect("host block");
         assert_eq!(host.get("cpus").and_then(|c| c.as_f64()), Some(8.0));
@@ -547,6 +531,10 @@ mod tests {
             .and_then(|s| s.as_array())
             .unwrap();
         assert_eq!(sp[0].get("speedup").and_then(|s| s.as_f64()), Some(4.0));
+        assert_eq!(
+            crate::check::validate(&v),
+            Ok(crate::check::BenchKind::Grabs)
+        );
     }
 
     #[test]

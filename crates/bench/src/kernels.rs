@@ -15,7 +15,9 @@
 //! Every cell reports best-of-reps makespan (robust against scheduler
 //! noise) plus the totals; the pinning delta is reported per policy.
 
+use crate::check::{write_envelope, BenchKind};
 use affinity_sched::apps;
+use afs_core::json::{self, Fields, Obj};
 use afs_kernels::gauss::GaussSystem;
 use afs_kernels::sor::SorGrid;
 use afs_kernels::transitive::{random_graph, TransitiveClosure};
@@ -23,10 +25,6 @@ use afs_metrics::{HostInfo, MetricsSnapshot};
 use afs_runtime::{Pool, RuntimeScheduler};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// Schema version of `BENCH_kernels.json`: the workspace-wide constant
-/// (see [`afs_metrics::METRICS_SCHEMA_VERSION`]).
-pub const SCHEMA_VERSION: u64 = afs_metrics::METRICS_SCHEMA_VERSION;
 
 /// Workers for every cell: the paper's P=8 configuration.
 pub const P: usize = 8;
@@ -154,56 +152,45 @@ impl KernelBenchResult {
 
     /// Serializes the result as a JSON document (`BENCH_kernels.json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"bench\": \"kernels\",\n");
-        let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"host\": {},", self.host.to_json());
-        let _ = writeln!(out, "  \"quick\": {},", self.quick);
-        let _ = writeln!(out, "  \"p\": {},", self.p);
-        let _ = writeln!(out, "  \"sor_steps\": {},", self.sor_steps);
-        let _ = writeln!(
-            out,
-            "  \"metric\": \"whole-kernel makespan ns on real threads; best_ns = fastest rep; \
-             grid = kernels x policies x core pinning at P workers\","
-        );
-        out.push_str("  \"samples\": [\n");
-        let rows: Vec<String> = self
-            .samples
-            .iter()
-            .map(|s| {
-                format!(
-                    "    {{\"kernel\": \"{}\", \"policy\": \"{}\", \
-                     \"pinned\": {}, \"p\": {}, \"phases\": {}, \"iters\": {}, \"reps\": {}, \
-                     \"total_ns\": {}, \"best_ns\": {}, \"ns_per_phase\": {:.1}}}",
-                    s.kernel,
-                    s.policy,
-                    s.pinned,
-                    s.p,
-                    s.phases,
-                    s.iters,
-                    s.reps,
-                    s.total_ns,
-                    s.best_ns,
-                    s.ns_per_phase()
+        json::document(|o| {
+            write_envelope(o, BenchKind::Kernels, &self.host, self.quick)
+                .field("p", &self.p)
+                .field("sor_steps", &self.sor_steps)
+                .field(
+                    "metric",
+                    "whole-kernel makespan ns on real threads; best_ns = fastest rep; \
+                     grid = kernels x policies x core pinning at P workers",
                 )
-            })
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ],\n  \"pin_speedup_unpinned_over_pinned\": [\n");
-        let mut rows: Vec<String> = Vec::new();
-        for kernel in KERNELS {
-            for policy in self.policies() {
-                if let Some(r) = self.pin_speedup(kernel, policy) {
-                    rows.push(format!(
-                        "    {{\"kernel\": \"{kernel}\", \"policy\": \"{policy}\", \
-                         \"speedup\": {r:.2}}}"
-                    ));
-                }
-            }
-        }
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+                .field("samples", &self.samples)
+                .array("pin_speedup_unpinned_over_pinned", |a| {
+                    for kernel in KERNELS {
+                        for policy in self.policies() {
+                            if let Some(r) = self.pin_speedup(kernel, policy) {
+                                a.object(|o| {
+                                    o.field("kernel", kernel)
+                                        .field("policy", policy)
+                                        .field("speedup", &r);
+                                });
+                            }
+                        }
+                    }
+                });
+        })
+    }
+}
+
+impl Fields for KernelSample {
+    fn fields(&self, o: &mut Obj<'_>) {
+        o.field("kernel", self.kernel)
+            .field("policy", &self.policy)
+            .field("pinned", &self.pinned)
+            .field("p", &self.p)
+            .field("phases", &self.phases)
+            .field("iters", &self.iters)
+            .field("reps", &self.reps)
+            .field("total_ns", &self.total_ns)
+            .field("best_ns", &self.best_ns)
+            .field("ns_per_phase", &self.ns_per_phase());
     }
 }
 
@@ -383,10 +370,10 @@ pub fn capture_traces(dir: &std::path::Path) -> std::io::Result<Vec<std::path::P
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn synthetic() -> KernelBenchResult {
+    pub(crate) fn synthetic() -> KernelBenchResult {
         let cell = |pinned: bool, best_ns: u64| KernelSample {
             kernel: "sor",
             policy: "AFS".into(),
@@ -425,11 +412,11 @@ mod tests {
     #[test]
     fn json_is_parseable_and_complete() {
         let json = synthetic().to_json();
-        let v = afs_trace::json::parse(&json).expect("valid JSON");
+        let v = json::parse(&json).expect("valid JSON");
         assert_eq!(v.get("bench").and_then(|b| b.as_str()), Some("kernels"));
         assert_eq!(
             v.get("schema_version").and_then(|s| s.as_f64()),
-            Some(SCHEMA_VERSION as f64)
+            Some(afs_metrics::METRICS_SCHEMA_VERSION as f64)
         );
         let host = v.get("host").expect("host block");
         assert_eq!(host.get("cpus").and_then(|c| c.as_f64()), Some(8.0));
@@ -448,7 +435,10 @@ mod tests {
             .get("pin_speedup_unpinned_over_pinned")
             .and_then(|s| s.as_array())
             .unwrap();
-        assert_eq!(pin[0].get("speedup").and_then(|s| s.as_f64()), Some(1.11));
+        assert_eq!(
+            pin[0].get("speedup").and_then(|s| s.as_f64()),
+            Some(10_000_000.0 / 9_000_000.0)
+        );
         assert_eq!(
             crate::check::validate(&v),
             Ok(crate::check::BenchKind::Kernels)

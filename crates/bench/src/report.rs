@@ -1,6 +1,7 @@
 //! Plain-text rendering of experiment results.
 
 use crate::experiments::ExperimentResult;
+use afs_core::json;
 use std::fmt::Write;
 
 /// Renders an experiment as an aligned text table.
@@ -121,53 +122,22 @@ pub fn render_plot(result: &ExperimentResult) -> String {
     out
 }
 
-/// Renders an experiment as JSON (hand-rolled emitter: the repository's
-/// dependency policy has no serde_json; the structure is simple enough).
+/// Renders an experiment as a JSON document.
 pub fn render_json(result: &ExperimentResult) -> String {
-    let mut out = String::new();
-    out.push('{');
-    push_kv_str(&mut out, "id", &result.id);
-    out.push(',');
-    push_kv_str(&mut out, "title", &result.title);
-    out.push(',');
-    push_kv_str(&mut out, "col_header", &result.col_header);
-    out.push(',');
-    out.push_str("\"columns\":[");
-    for (i, c) in result.columns.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_string(&mut out, c);
-    }
-    out.push_str("],\"rows\":[");
-    for (i, row) in result.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        push_kv_str(&mut out, "label", &row.label);
-        out.push_str(",\"values\":[");
-        for (j, v) in row.values.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            if v.is_finite() {
-                let _ = write!(out, "{v}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\"notes\":[");
-    for (i, n) in result.notes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_string(&mut out, n);
-    }
-    out.push_str("]}");
-    out
+    json::document(|o| {
+        o.field("id", &result.id)
+            .field("title", &result.title)
+            .field("col_header", &result.col_header)
+            .field("columns", &result.columns)
+            .array("rows", |a| {
+                for row in &result.rows {
+                    a.object(|o| {
+                        o.field("label", &row.label).field("values", &row.values);
+                    });
+                }
+            })
+            .field("notes", &result.notes);
+    })
 }
 
 /// Renders an experiment as CSV (label column + one column per value).
@@ -196,30 +166,6 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-fn push_kv_str(out: &mut String, key: &str, value: &str) {
-    push_json_string(out, key);
-    out.push(':');
-    push_json_string(out, value);
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn format_value(v: f64) -> String {
     if v == 0.0 {
         "0".to_string()
@@ -238,6 +184,7 @@ fn format_value(v: f64) -> String {
 mod tests {
     use super::*;
     use crate::experiments::Row;
+    use afs_core::json::Value;
 
     #[test]
     fn renders_aligned_table() {
@@ -311,14 +258,21 @@ mod tests {
 
     #[test]
     fn json_is_wellformed_and_escaped() {
-        let json = render_json(&demo());
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"id\":\"demo\""));
-        assert!(json.contains("Demo \\\"quoted\\\""));
-        assert!(json.contains("\"values\":[100,40,35]"));
-        // Balanced braces/brackets (crude well-formedness check).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let v = json::parse(&render_json(&demo())).unwrap();
+        assert_eq!(v.get("id").and_then(Value::as_str), Some("demo"));
+        assert_eq!(
+            v.get("title").and_then(Value::as_str),
+            Some("Demo \"quoted\"")
+        );
+        let columns: Vec<_> = v.get("columns").and_then(Value::as_array).unwrap().to_vec();
+        assert_eq!(columns, ["1", "4", "8"].map(|c| Value::Str(c.into())));
+        let rows = v.get("rows").and_then(Value::as_array).unwrap();
+        assert_eq!(rows[1].get("label").and_then(Value::as_str), Some("AFS,x"));
+        assert_eq!(
+            rows[0].get("values"),
+            Some(&Value::Arr([100.0, 40.0, 35.0].map(Value::Num).to_vec()))
+        );
+        assert_eq!(v.get("notes"), Some(&Value::Arr(vec![])));
     }
 
     #[test]
@@ -326,8 +280,14 @@ mod tests {
         let mut r = demo();
         r.rows[0].values[0] = f64::NAN;
         let json = render_json(&r);
-        assert!(json.contains("null"));
         assert!(!json.contains("NaN"));
+        let v = json::parse(&json).unwrap();
+        let values = v.get("rows").and_then(Value::as_array).unwrap()[0]
+            .get("values")
+            .and_then(Value::as_array)
+            .unwrap();
+        assert_eq!(values[0], Value::Null);
+        assert_eq!(values[1], Value::Num(40.0));
     }
 
     #[test]

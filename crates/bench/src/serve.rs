@@ -28,17 +28,14 @@
 //! is calibrated per run with a short closed-loop FCFS burst, so the
 //! open-loop rates track the host instead of a hardcoded request/s.
 
+use crate::check::{write_envelope, BenchKind};
+use afs_core::json;
 use afs_metrics::{HistogramSnapshot, HostInfo};
 use afs_runtime::Pool;
 use afs_serve::prelude::*;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Schema version of `BENCH_serve.json`: the workspace-wide constant (see
-/// [`afs_metrics::METRICS_SCHEMA_VERSION`]). Born at 1 (`schema_version` +
-/// `host` envelope, like the faults bench).
-pub const SCHEMA_VERSION: u64 = afs_metrics::METRICS_SCHEMA_VERSION;
 
 /// Pool workers for every cell. Small enough to leave cores for the two
 /// client threads and the dispatcher on an 8-way host.
@@ -224,74 +221,29 @@ impl ServeBenchResult {
 
     /// Serializes the result as a JSON document (`BENCH_serve.json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"bench\": \"serve\",\n");
-        let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"host\": {},", self.host.to_json());
-        let _ = writeln!(out, "  \"quick\": {},", self.quick);
-        let _ = writeln!(out, "  \"p\": {},", self.p);
-        let _ = writeln!(out, "  \"calibrated_rps\": {:.1},", self.calibrated_rps);
-        let _ = writeln!(out, "  \"total_completed\": {},", self.total_completed);
-        let _ = writeln!(out, "  \"batch_over_fcfs\": {:.4},", self.batch_over_fcfs);
-        let _ = writeln!(out, "  \"checked\": {},", self.checked);
-        let _ = writeln!(
-            out,
-            "  \"metric\": \"per-discipline serving capacity and tails under open-loop and \
-             saturating load; checked runs must show the batching discipline at or above \
-             centralized FCFS saturation throughput (batch_over_fcfs >= 1)\","
-        );
-        out.push_str("  \"samples\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            let hit = match s.affinity_hit_ratio {
-                Some(r) => format!("{r:.4}"),
-                None => "null".into(),
-            };
-            let _ = write!(
-                out,
-                "    {{\"discipline\": \"{}\", \"mode\": \"{}\", \"rate_factor\": {}, \
-                 \"offered\": {}, \"completed\": {}, \"shed\": {}, \"shed_rate\": {:.4}, \
-                 \"wall_ns\": {}, \"throughput_rps\": {:.1}, \"queue_p50_ns\": {:.1}, \
-                 \"p50_ns\": {:.1}, \"p99_ns\": {:.1}, \"p999_ns\": {:.1}, \
-                 \"affinity_hit_ratio\": {hit}, \"dispatches\": {}, \
-                 \"batched_requests\": {}, \"tenants\": [",
-                s.discipline,
-                s.mode,
-                s.rate_factor,
-                s.offered,
-                s.completed,
-                s.shed,
-                s.shed_rate,
-                s.wall_ns,
-                s.throughput_rps,
-                s.queue_p50_ns,
-                s.p50_ns,
-                s.p99_ns,
-                s.p999_ns,
-                s.dispatches,
-                s.batched_requests,
-            );
-            for (j, t) in s.tenants.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "{{\"name\": \"{}\", \"admitted\": {}, \"completed\": {}, \"shed\": {}, \
-                     \"p50_ns\": {:.1}, \"p99_ns\": {:.1}, \"p999_ns\": {:.1}}}",
-                    t.name, t.admitted, t.completed, t.shed, t.p50_ns, t.p99_ns, t.p999_ns,
-                );
-            }
-            out.push_str("]}");
-            out.push_str(if i + 1 == self.samples.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json::document(|o| {
+            write_envelope(o, BenchKind::Serve, &self.host, self.quick)
+                .field("p", &self.p)
+                .field("calibrated_rps", &self.calibrated_rps)
+                .field("total_completed", &self.total_completed)
+                .field("batch_over_fcfs", &self.batch_over_fcfs)
+                .field("checked", &self.checked)
+                .field(
+                    "metric",
+                    "per-discipline serving capacity and tails under open-loop and saturating \
+                     load; checked runs must show the batching discipline at or above \
+                     centralized FCFS saturation throughput (batch_over_fcfs >= 1)",
+                )
+                .field("samples", &self.samples);
+        })
     }
 }
+
+json::fields!(ServeSample: discipline, mode, rate_factor, offered, completed, shed, shed_rate,
+    wall_ns, throughput_rps, queue_p50_ns, p50_ns, p99_ns, p999_ns, affinity_hit_ratio,
+    dispatches, batched_requests, tenants);
+
+json::fields!(TenantRow: name, admitted, completed, shed, p50_ns, p99_ns, p999_ns);
 
 /// Builds the per-cell server: two tenants on a fresh `P`-worker pool.
 fn build_server(discipline: Discipline) -> LoopServer {
@@ -480,7 +432,7 @@ pub fn run(quick: bool) -> ServeBenchResult {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     pub(crate) fn synthetic() -> ServeBenchResult {
@@ -550,11 +502,11 @@ mod tests {
     #[test]
     fn json_is_parseable_and_complete() {
         let json = synthetic().to_json();
-        let v = afs_trace::json::parse(&json).expect("valid JSON");
+        let v = json::parse(&json).expect("valid JSON");
         assert_eq!(v.get("bench").and_then(|b| b.as_str()), Some("serve"));
         assert_eq!(
             v.get("schema_version").and_then(|s| s.as_f64()),
-            Some(SCHEMA_VERSION as f64)
+            Some(afs_metrics::METRICS_SCHEMA_VERSION as f64)
         );
         assert_eq!(v.get("checked").and_then(|c| c.as_bool()), Some(true));
         assert_eq!(v.get("batch_over_fcfs").and_then(|b| b.as_f64()), Some(1.5));
@@ -568,6 +520,16 @@ mod tests {
         assert_eq!(
             tenants[0].get("name").and_then(|n| n.as_str()),
             Some("small")
+        );
+        assert_eq!(
+            samples[0]
+                .get("affinity_hit_ratio")
+                .and_then(|r| r.as_f64()),
+            Some(0.92)
+        );
+        assert_eq!(
+            crate::check::validate(&v),
+            Ok(crate::check::BenchKind::Serve)
         );
     }
 

@@ -123,7 +123,7 @@ pub fn capture(e: &Experiment) -> Option<Capture> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afs_trace::json;
+    use afs_core::json;
 
     #[test]
     fn every_experiment_capture_is_valid_json_or_none() {

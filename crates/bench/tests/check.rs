@@ -4,7 +4,7 @@
 //! regressions against a baseline.
 
 use afs_bench::check::{compare, validate, BenchKind};
-use afs_trace::json::{parse, Value};
+use afs_core::json::{parse, Value};
 use std::path::PathBuf;
 
 fn committed(name: &str) -> Value {

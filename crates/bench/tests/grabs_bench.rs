@@ -42,7 +42,7 @@ fn quick_bench_measures_every_cell_and_emits_valid_json() {
     );
 
     let json = result.to_json();
-    let v = afs_trace::json::parse(&json).expect("BENCH_grabs.json must be valid JSON");
+    let v = afs_core::json::parse(&json).expect("BENCH_grabs.json must be valid JSON");
     assert_eq!(
         v.get("bench").and_then(|b| b.as_str()),
         Some("grab_latency")

@@ -4,7 +4,7 @@
 
 use afs_bench::check::{self, BenchKind};
 use afs_bench::serve;
-use afs_trace::json::parse;
+use afs_core::json::{parse, Value};
 
 #[test]
 fn quick_serve_bench_runs_and_validates() {
@@ -68,21 +68,26 @@ fn quick_serve_bench_runs_and_validates() {
 
     // Corrupted copies are rejected: a flipped bench tag, a checked run
     // that lost the speedup race, and a mangled sample row.
-    let json = result.to_json();
-    let wrong_tag = json.replace("\"bench\": \"serve\"", "\"bench\": \"swerve\"");
-    assert!(check::validate(&parse(&wrong_tag).unwrap()).is_err());
+    let mut wrong_tag = doc.clone();
+    let Value::Obj(members) = &mut wrong_tag else {
+        panic!("bench document must be an object")
+    };
+    for (k, v) in members.iter_mut() {
+        if k == "bench" {
+            *v = Value::Str("swerve".into());
+        }
+    }
+    assert!(check::validate(&wrong_tag).is_err());
 
-    let lost = json
-        .replace("\"quick\": true", "\"quick\": false")
-        .replace("\"checked\": false", "\"checked\": true")
-        .replace(
-            &format!("\"batch_over_fcfs\": {:.4},", result.batch_over_fcfs),
-            "\"batch_over_fcfs\": 0.5000,",
-        );
-    let errs = check::validate(&parse(&lost).unwrap()).unwrap_err();
+    let mut lost = result.clone();
+    lost.quick = false;
+    lost.checked = true;
+    lost.batch_over_fcfs = 0.5;
+    let errs = check::validate(&parse(&lost.to_json()).unwrap()).unwrap_err();
     assert!(errs.iter().any(|e| e.contains("batching lost")), "{errs:?}");
 
-    let mangled = json.replace("\"mode\": \"saturate\"", "\"mode\": \"psychic\"");
-    let errs = check::validate(&parse(&mangled).unwrap()).unwrap_err();
+    let mut mangled = result.clone();
+    mangled.samples[2].mode = "psychic".into();
+    let errs = check::validate(&parse(&mangled.to_json()).unwrap()).unwrap_err();
     assert!(errs.iter().any(|e| e.contains("mode")), "{errs:?}");
 }

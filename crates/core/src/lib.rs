@@ -52,6 +52,7 @@
 //! ```
 
 pub mod chunking;
+pub mod json;
 pub mod metrics;
 pub mod nest;
 pub mod omp;

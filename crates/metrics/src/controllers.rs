@@ -10,6 +10,8 @@
 //! State is instantaneous (the registry holds the latest write), so merging
 //! two snapshots keeps the most recent opinion rather than summing.
 
+use afs_core::json;
+
 /// Latest state of the adaptive scheduling controller
 /// (`afs_runtime::adapt::AdaptController`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -42,18 +44,6 @@ impl ControllersSnapshot {
         }
     }
 
-    /// JSON object body (`{"sched": {...}|null}`).
-    pub fn to_json(&self) -> String {
-        let sched = match &self.sched {
-            Some(s) => format!(
-                "{{\"k\": {}, \"b\": {}, \"decisions\": {}, \"settled\": {}}}",
-                s.k, s.b, s.decisions, s.settled
-            ),
-            None => "null".to_string(),
-        };
-        format!("{{\"sched\": {sched}}}")
-    }
-
     /// Prometheus exposition lines for whichever controllers are present.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
@@ -83,14 +73,22 @@ impl ControllersSnapshot {
     }
 }
 
+json::fields!(ControllersSnapshot: sched);
+
+json::fields!(SchedControllerSnapshot: k, b, decisions, settled);
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afs_core::json::{self, Fields, Value};
 
     #[test]
     fn empty_block_serializes_to_nulls() {
         let c = ControllersSnapshot::default();
-        assert_eq!(c.to_json(), "{\"sched\": null}");
+        assert_eq!(
+            json::parse(&json::document(|o| c.fields(o))),
+            Ok(Value::Obj(vec![("sched".into(), Value::Null)]))
+        );
         assert_eq!(c.to_prometheus(), "");
     }
 
@@ -104,11 +102,12 @@ mod tests {
                 settled: true,
             }),
         };
-        let j = c.to_json();
-        assert!(j.contains("\"k\": 8"));
-        assert!(j.contains("\"b\": 2"));
-        assert!(j.contains("\"decisions\": 3"));
-        assert!(j.contains("\"settled\": true"));
+        let v = json::parse(&json::document(|o| c.fields(o))).unwrap();
+        let sched = v.get("sched").unwrap();
+        assert_eq!(sched.get("k").and_then(Value::as_f64), Some(8.0));
+        assert_eq!(sched.get("b").and_then(Value::as_f64), Some(2.0));
+        assert_eq!(sched.get("decisions").and_then(Value::as_f64), Some(3.0));
+        assert_eq!(sched.get("settled"), Some(&Value::Bool(true)));
         let p = c.to_prometheus();
         assert!(p.contains("afs_sched_tune_k 8"));
         assert!(p.contains("afs_sched_tune_b 2"));

@@ -44,41 +44,14 @@ impl HostInfo {
             numa_nodes,
         }
     }
-
-    /// The `"host": {...}` JSON object fragment (no trailing comma).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"cpus\": {}, \"kernel\": \"{}\", \"os\": \"{}\", \"arch\": \"{}\", \"pin_capable\": {}, \"numa_nodes\": {}}}",
-            self.cpus,
-            escape(&self.kernel),
-            escape(&self.os),
-            escape(&self.arch),
-            self.pin_capable,
-            self.numa_nodes
-        )
-    }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+afs_core::json::fields!(HostInfo: cpus, kernel, os, arch, pin_capable, numa_nodes);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afs_core::json::{self, Fields, Value};
 
     #[test]
     fn capture_is_plausible() {
@@ -101,17 +74,15 @@ mod tests {
             pin_capable: false,
             numa_nodes: 2,
         };
-        let j = h.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"cpus\": 8"));
-        assert!(j.contains("\\\"quoted\\\""));
-        assert!(j.contains("\"pin_capable\": false"));
-        assert!(j.contains("\"numa_nodes\": 2"));
-    }
-
-    #[test]
-    fn escaping_covers_control_chars() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        let v = json::parse(&json::document(|o| h.fields(o))).unwrap();
+        assert_eq!(v.get("cpus").and_then(Value::as_f64), Some(8.0));
+        assert_eq!(
+            v.get("kernel").and_then(Value::as_str),
+            Some("6.1.0-test \"quoted\"")
+        );
+        assert_eq!(v.get("os").and_then(Value::as_str), Some("linux"));
+        assert_eq!(v.get("arch").and_then(Value::as_str), Some("x86_64"));
+        assert_eq!(v.get("pin_capable").and_then(Value::as_bool), Some(false));
+        assert_eq!(v.get("numa_nodes").and_then(Value::as_f64), Some(2.0));
     }
 }

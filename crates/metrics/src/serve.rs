@@ -11,7 +11,7 @@
 //! (tails, backpressure).
 
 use crate::histogram::HistogramSnapshot;
-use crate::host::escape;
+use afs_core::json::{self, Fields, Obj};
 
 /// One tenant's slice of the serving ledger.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -170,64 +170,6 @@ impl ServeSnapshot {
         }
     }
 
-    /// JSON object fragment (no trailing newline) for embedding in the
-    /// snapshot document.
-    pub(crate) fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str(&format!(
-            "{{\"discipline\": \"{}\", \"admitted\": {}, \"completed\": {}, \
-             \"timed_out\": {}, \"failed\": {}, \"expired\": {}, \
-             \"shed\": {{\"queue_full\": {}, \"tenant_backlog\": {}, \"shutdown\": {}, \
-             \"deadline_hopeless\": {}, \"slo_budget\": {}}}, \
-             \"shed_rate\": {:.6}, \"supervisor_restarts\": {}, \
-             \"dispatches\": {}, \"batched_requests\": {}, \
-             \"tenants\": [",
-            escape(&self.discipline),
-            self.admitted,
-            self.completed,
-            self.timed_out,
-            self.failed,
-            self.expired,
-            self.shed_queue_full,
-            self.shed_tenant_backlog,
-            self.shed_shutdown,
-            self.shed_deadline_hopeless,
-            self.shed_slo_budget,
-            self.shed_rate(),
-            self.supervisor_restarts,
-            self.dispatches,
-            self.batched_requests,
-        ));
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"name\": \"{}\", \"admitted\": {}, \"completed\": {}, \
-                 \"timed_out\": {}, \"failed\": {}, \"expired\": {}, \"shed\": {}, \
-                 \"iters\": {}, \"queue_p50_ns\": {:.1}, \"p50_ns\": {:.1}, \
-                 \"p99_ns\": {:.1}, \"p999_ns\": {:.1}, \"mean_ns\": {:.1}, \
-                 \"max_ns\": {}}}",
-                escape(&t.name),
-                t.admitted,
-                t.completed,
-                t.timed_out,
-                t.failed,
-                t.expired,
-                t.shed,
-                t.iters,
-                t.queue_ns.quantile(0.50),
-                t.p50_ns(),
-                t.p99_ns(),
-                t.p999_ns(),
-                t.sojourn_ns.mean_ns(),
-                t.sojourn_ns.max_ns,
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
     /// Prometheus exposition fragment for the serve families (tenant
     /// labels on every per-tenant sample).
     pub(crate) fn to_prometheus(&self) -> String {
@@ -237,7 +179,7 @@ impl ServeSnapshot {
              # TYPE afs_serve_requests_total counter\n",
         );
         for t in &self.tenants {
-            let name = escape(&t.name);
+            let name = label(&t.name);
             for (outcome, v) in [
                 ("admitted", t.admitted),
                 ("completed", t.completed),
@@ -247,7 +189,7 @@ impl ServeSnapshot {
                 ("shed", t.shed),
             ] {
                 out.push_str(&format!(
-                    "afs_serve_requests_total{{tenant=\"{name}\",outcome=\"{outcome}\"}} {v}\n"
+                    "afs_serve_requests_total{{tenant={name},outcome=\"{outcome}\"}} {v}\n"
                 ));
             }
         }
@@ -311,14 +253,14 @@ impl ServeSnapshot {
              # TYPE afs_serve_latency_ns gauge\n",
         );
         for t in &self.tenants {
-            let name = escape(&t.name);
+            let name = label(&t.name);
             for (q, v) in [
                 ("0.5", t.p50_ns()),
                 ("0.99", t.p99_ns()),
                 ("0.999", t.p999_ns()),
             ] {
                 out.push_str(&format!(
-                    "afs_serve_latency_ns{{tenant=\"{name}\",quantile=\"{q}\"}} {v:.1}\n"
+                    "afs_serve_latency_ns{{tenant={name},quantile=\"{q}\"}} {v:.1}\n"
                 ));
             }
         }
@@ -328,13 +270,13 @@ impl ServeSnapshot {
              # TYPE afs_serve_queue_delay_ns gauge\n",
         );
         for t in &self.tenants {
-            let name = escape(&t.name);
+            let name = label(&t.name);
             for (q, v) in [
                 ("0.5", t.queue_ns.quantile(0.50)),
                 ("0.99", t.queue_ns.quantile(0.99)),
             ] {
                 out.push_str(&format!(
-                    "afs_serve_queue_delay_ns{{tenant=\"{name}\",quantile=\"{q}\"}} {v:.1}\n"
+                    "afs_serve_queue_delay_ns{{tenant={name},quantile=\"{q}\"}} {v:.1}\n"
                 ));
             }
         }
@@ -342,10 +284,65 @@ impl ServeSnapshot {
     }
 }
 
+impl Fields for ServeSnapshot {
+    fn fields(&self, o: &mut Obj<'_>) {
+        o.field("discipline", &self.discipline)
+            .field("admitted", &self.admitted)
+            .field("completed", &self.completed)
+            .field("timed_out", &self.timed_out)
+            .field("failed", &self.failed)
+            .field("expired", &self.expired)
+            .object("shed", |o| {
+                o.field("queue_full", &self.shed_queue_full)
+                    .field("tenant_backlog", &self.shed_tenant_backlog)
+                    .field("shutdown", &self.shed_shutdown)
+                    .field("deadline_hopeless", &self.shed_deadline_hopeless)
+                    .field("slo_budget", &self.shed_slo_budget);
+            })
+            .field("shed_rate", &self.shed_rate())
+            .field("supervisor_restarts", &self.supervisor_restarts)
+            .field("dispatches", &self.dispatches)
+            .field("batched_requests", &self.batched_requests)
+            .field("tenants", &self.tenants);
+    }
+}
+
+impl Fields for TenantServeSnapshot {
+    fn fields(&self, o: &mut Obj<'_>) {
+        o.field("name", &self.name)
+            .field("admitted", &self.admitted)
+            .field("completed", &self.completed)
+            .field("timed_out", &self.timed_out)
+            .field("failed", &self.failed)
+            .field("expired", &self.expired)
+            .field("shed", &self.shed)
+            .field("iters", &self.iters)
+            .field("queue_p50_ns", &self.queue_ns.quantile(0.50))
+            .field("p50_ns", &self.p50_ns())
+            .field("p99_ns", &self.p99_ns())
+            .field("p999_ns", &self.p999_ns())
+            .field("mean_ns", &self.sojourn_ns.mean_ns())
+            .field("max_ns", &self.sojourn_ns.max_ns);
+    }
+}
+
+/// A Prometheus label value, quotes included: the JSON string literal,
+/// which escapes `"`, `\` and newline the way the exposition format does.
+fn label(value: &str) -> String {
+    let mut out = String::new();
+    json::write_string(&mut out, value);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::histogram::AtomicHistogram;
+    use afs_core::json::Value;
+
+    fn num(v: &Value, key: &str) -> Option<f64> {
+        v.get(key).and_then(Value::as_f64)
+    }
 
     fn tenant(name: &str, latencies: &[u64]) -> TenantServeSnapshot {
         let h = AtomicHistogram::new();
@@ -398,12 +395,14 @@ mod tests {
         assert!(p.contains("afs_supervisor_restarts_total 3"));
         assert!(p.contains("afs_serve_shed_total{reason=\"deadline_hopeless\"} 4"));
         assert!(p.contains("afs_serve_shed_total{reason=\"slo_budget\"} 5"));
-        let j = s.to_json();
-        assert!(j.contains("\"failed\": 2"));
-        assert!(j.contains("\"expired\": 1"));
-        assert!(j.contains("\"supervisor_restarts\": 3"));
-        assert!(j.contains("\"deadline_hopeless\": 4"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        let v = json::parse(&json::document(|o| s.fields(o))).unwrap();
+        assert_eq!(num(&v, "failed"), Some(2.0));
+        assert_eq!(num(&v, "expired"), Some(1.0));
+        assert_eq!(num(&v, "supervisor_restarts"), Some(3.0));
+        let shed = v.get("shed").unwrap();
+        assert_eq!(num(shed, "deadline_hopeless"), Some(4.0));
+        assert_eq!(num(shed, "slo_budget"), Some(5.0));
+        assert_eq!(num(&v, "shed_rate"), Some(9.0 / 19.0));
     }
 
     #[test]
@@ -454,11 +453,12 @@ mod tests {
             tenants: vec![tenant("small", &[100, 200])],
             ..ServeSnapshot::default()
         };
-        let j = s.to_json();
-        assert!(j.contains("\"discipline\": \"drr\""));
-        assert!(j.contains("\"name\": \"small\""));
-        assert!(j.contains("\"p99_ns\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        let v = json::parse(&json::document(|o| s.fields(o))).unwrap();
+        assert_eq!(v.get("discipline").and_then(Value::as_str), Some("drr"));
+        let t = &v.get("tenants").and_then(Value::as_array).unwrap()[0];
+        assert_eq!(t.get("name").and_then(Value::as_str), Some("small"));
+        assert_eq!(num(t, "p99_ns"), Some(s.tenants[0].p99_ns()));
+        assert_eq!(num(t, "max_ns"), Some(200.0));
         let p = s.to_prometheus();
         assert!(p.contains("afs_serve_requests_total{tenant=\"small\",outcome=\"completed\"} 2"));
         assert!(p.contains("afs_serve_shed_total{reason=\"queue_full\"} 0"));

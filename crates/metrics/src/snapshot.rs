@@ -17,6 +17,7 @@ use crate::controllers::ControllersSnapshot;
 use crate::counters::CounterSnapshot;
 use crate::histogram::{HistogramSnapshot, BUCKETS};
 use crate::serve::ServeSnapshot;
+use afs_core::json::{self, Fields, Obj};
 
 /// Schema version stamped into every JSON document this workspace emits —
 /// the metrics export, the bench result files, flight-recorder dumps, and
@@ -202,69 +203,30 @@ impl MetricsSnapshot {
 
     /// Serializes to a versioned JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"schema_version\": {METRICS_SCHEMA_VERSION},\n"
-        ));
-        out.push_str(&format!(
-            "  \"stalls_detected\": {},\n",
-            self.stalls_detected
-        ));
-        out.push_str(&format!(
-            "  \"deadline_misses\": {},\n",
-            self.deadline_misses
-        ));
-        out.push_str(&format!(
-            "  \"effective_workers\": {},\n",
-            self.effective_workers
-        ));
-        match self.affinity_hit_ratio() {
-            Some(r) => out.push_str(&format!("  \"affinity_hit_ratio\": {r:.6},\n")),
-            None => out.push_str("  \"affinity_hit_ratio\": null,\n"),
-        }
-        let t = self.totals();
-        out.push_str("  \"totals\": ");
-        out.push_str(&counters_json(&t));
-        out.push_str(",\n");
-        out.push_str("  \"workers\": [\n");
-        for (i, w) in self.workers.iter().enumerate() {
-            let opt_usize = |v: Option<usize>| v.map_or("null".to_string(), |v| v.to_string());
-            out.push_str(&format!(
-                "    {{\"worker\": {i}, \"pinned\": {}, \"pinned_core\": {}, \
-                 \"numa_node\": {}, \"stalls\": {}, \
-                 \"counters\": {}}}{}\n",
-                match w.pinned {
-                    Some(b) => b.to_string(),
-                    None => "null".to_string(),
-                },
-                opt_usize(w.pinned_core),
-                opt_usize(w.numa_node),
-                w.stalls,
-                counters_json(&w.counters),
-                if i + 1 < self.workers.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"serve\": ");
-        match &self.serve {
-            Some(s) => out.push_str(&s.to_json()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\n");
-        out.push_str("  \"controllers\": ");
-        match &self.controllers {
-            Some(c) => out.push_str(&c.to_json()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\n");
-        out.push_str("  \"phase_ns\": ");
-        out.push_str(&hist_json(&self.phase_ns));
-        out.push_str(",\n");
-        out.push_str("  \"loop_ns\": ");
-        out.push_str(&hist_json(&self.loop_ns));
-        out.push_str("\n}\n");
-        out
+        json::document(|o| {
+            o.field("schema_version", &METRICS_SCHEMA_VERSION)
+                .field("stalls_detected", &self.stalls_detected)
+                .field("deadline_misses", &self.deadline_misses)
+                .field("effective_workers", &self.effective_workers)
+                .field("affinity_hit_ratio", &self.affinity_hit_ratio())
+                .field("totals", &self.totals())
+                .array("workers", |a| {
+                    for (i, w) in self.workers.iter().enumerate() {
+                        a.object(|o| {
+                            o.field("worker", &i)
+                                .field("pinned", &w.pinned)
+                                .field("pinned_core", &w.pinned_core)
+                                .field("numa_node", &w.numa_node)
+                                .field("stalls", &w.stalls)
+                                .field("counters", &w.counters);
+                        });
+                    }
+                })
+                .field("serve", &self.serve)
+                .field("controllers", &self.controllers)
+                .field("phase_ns", &self.phase_ns)
+                .field("loop_ns", &self.loop_ns);
+        })
     }
 
     /// Serializes to Prometheus text exposition format. Counter samples are
@@ -445,43 +407,32 @@ impl MetricsSnapshot {
     }
 }
 
-fn counters_json(c: &CounterSnapshot) -> String {
-    format!(
-        "{{\"local_grabs\": {}, \"remote_grabs\": {}, \"central_grabs\": {}, \
-         \"free_grabs\": {}, \"iters\": {}, \"cas_retries\": {}, \"stash_hits\": {}, \
-         \"barrier_arrives\": {}, \"barrier_spin\": {}, \"barrier_yield\": {}, \
-         \"barrier_park\": {}, \"barrier_turns\": {}, \"heartbeats\": {}}}",
-        c.local_grabs,
-        c.remote_grabs,
-        c.central_grabs,
-        c.free_grabs,
-        c.iters,
-        c.cas_retries,
-        c.stash_hits,
-        c.barrier_arrives,
-        c.barrier_spin,
-        c.barrier_yield,
-        c.barrier_park,
-        c.barrier_turns,
-        c.heartbeats
-    )
-}
+json::fields!(CounterSnapshot: local_grabs, remote_grabs, central_grabs, free_grabs, iters,
+    cas_retries, stash_hits, barrier_arrives, barrier_spin, barrier_yield, barrier_park,
+    barrier_turns, heartbeats);
 
-fn hist_json(h: &HistogramSnapshot) -> String {
-    let counts: Vec<String> = h.counts.iter().map(|c| c.to_string()).collect();
-    format!(
-        "{{\"samples\": {}, \"total_ns\": {}, \"max_ns\": {}, \"mean_ns\": {:.3}, \"counts\": [{}]}}",
-        h.samples,
-        h.total_ns,
-        h.max_ns,
-        h.mean_ns(),
-        counts.join(", ")
-    )
+impl Fields for HistogramSnapshot {
+    fn fields(&self, o: &mut Obj<'_>) {
+        o.field("samples", &self.samples)
+            .field("total_ns", &self.total_ns)
+            .field("max_ns", &self.max_ns)
+            .field("mean_ns", &self.mean_ns())
+            .field("counts", &self.counts[..]);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afs_core::json::Value;
+
+    fn num(v: &Value, key: &str) -> Option<f64> {
+        v.get(key).and_then(Value::as_f64)
+    }
+
+    fn worker(v: &Value, i: usize) -> &Value {
+        &v.get("workers").and_then(Value::as_array).unwrap()[i]
+    }
 
     fn sample_snapshot() -> MetricsSnapshot {
         let mut s = MetricsSnapshot::empty(2);
@@ -531,22 +482,31 @@ mod tests {
     #[test]
     fn json_export_is_parseable_shape() {
         let s = sample_snapshot();
-        let j = s.to_json();
-        assert!(j.contains(&format!("\"schema_version\": {METRICS_SCHEMA_VERSION}")));
-        assert!(j.contains("\"serve\": null"));
-        assert!(j.contains("\"controllers\": null"));
-        assert!(j.contains("\"stalls\": 0"));
-        assert!(j.contains("\"pinned_core\": null"));
-        assert!(j.contains("\"numa_node\": null"));
-        assert!(j.contains("\"affinity_hit_ratio\": 0.888889"));
-        assert!(j.contains("\"stalls_detected\": 0"));
-        assert!(j.contains("\"deadline_misses\": 0"));
-        assert!(j.contains("\"effective_workers\": 2"));
-        assert!(j.contains("\"pinned\": null"));
-        assert!(j.contains("\"heartbeats\": 0"));
-        // Balanced braces/brackets as a cheap well-formedness check.
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let v = json::parse(&s.to_json()).unwrap();
+        assert_eq!(
+            num(&v, "schema_version"),
+            Some(METRICS_SCHEMA_VERSION as f64)
+        );
+        assert_eq!(v.get("serve"), Some(&Value::Null));
+        assert_eq!(v.get("controllers"), Some(&Value::Null));
+        assert_eq!(num(&v, "affinity_hit_ratio"), Some(80.0 / 90.0));
+        assert_eq!(num(&v, "stalls_detected"), Some(0.0));
+        assert_eq!(num(&v, "deadline_misses"), Some(0.0));
+        assert_eq!(num(&v, "effective_workers"), Some(2.0));
+        assert_eq!(num(v.get("totals").unwrap(), "local_grabs"), Some(80.0));
+        let w0 = worker(&v, 0);
+        assert_eq!(num(w0, "stalls"), Some(0.0));
+        assert_eq!(w0.get("pinned"), Some(&Value::Null));
+        assert_eq!(w0.get("pinned_core"), Some(&Value::Null));
+        assert_eq!(w0.get("numa_node"), Some(&Value::Null));
+        assert_eq!(num(w0.get("counters").unwrap(), "iters"), Some(400.0));
+        assert_eq!(num(w0.get("counters").unwrap(), "heartbeats"), Some(0.0));
+        let phase = v.get("phase_ns").unwrap();
+        assert_eq!(num(phase, "mean_ns"), Some(1500.0));
+        assert_eq!(
+            phase.get("counts").and_then(Value::as_array).unwrap()[10].as_f64(),
+            Some(2.0)
+        );
     }
 
     #[test]
@@ -593,10 +553,17 @@ mod tests {
             tenants: vec![tenant],
             ..ServeSnapshot::default()
         });
-        let j = s.to_json();
-        assert!(j.contains("\"serve\": {\"discipline\": \"batch\""));
-        assert!(j.contains("\"name\": \"small\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        let v = json::parse(&s.to_json()).unwrap();
+        let serve = v.get("serve").unwrap();
+        assert_eq!(
+            serve.get("discipline").and_then(Value::as_str),
+            Some("batch")
+        );
+        let tenants = serve.get("tenants").and_then(Value::as_array).unwrap();
+        assert_eq!(
+            tenants[0].get("name").and_then(Value::as_str),
+            Some("small")
+        );
         let p = s.to_prometheus();
         assert!(p.contains("afs_serve_requests_total{tenant=\"small\",outcome=\"admitted\"} 10"));
         assert!(p.contains("afs_serve_shed_total{reason=\"queue_full\"} 1"));
@@ -623,9 +590,10 @@ mod tests {
                 settled: true,
             }),
         });
-        let j = s.to_json();
-        assert!(j.contains("\"controllers\": {\"sched\": {\"k\": 8, \"b\": 2"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        let v = json::parse(&s.to_json()).unwrap();
+        let sched = v.get("controllers").and_then(|c| c.get("sched")).unwrap();
+        assert_eq!(num(sched, "k"), Some(8.0));
+        assert_eq!(num(sched, "b"), Some(2.0));
         let p = s.to_prometheus();
         assert!(p.contains("afs_sched_tune_k 8"));
         assert!(p.contains("afs_sched_tune_settled 1"));
@@ -649,10 +617,17 @@ mod tests {
         s.stalls_detected = 3;
         s.deadline_misses = 1;
         s.effective_workers = 1;
-        let j = s.to_json();
-        assert!(j.contains("\"worker\": 0, \"pinned\": true, \"pinned_core\": 3, \"numa_node\": 1"));
-        assert!(j.contains("\"worker\": 1, \"pinned\": false, \"pinned_core\": null"));
-        assert!(j.contains("\"stalls_detected\": 3"));
+        let v = json::parse(&s.to_json()).unwrap();
+        let (w0, w1) = (worker(&v, 0), worker(&v, 1));
+        assert_eq!(num(w0, "worker"), Some(0.0));
+        assert_eq!(w0.get("pinned"), Some(&Value::Bool(true)));
+        assert_eq!(num(w0, "pinned_core"), Some(3.0));
+        assert_eq!(num(w0, "numa_node"), Some(1.0));
+        assert_eq!(num(w1, "worker"), Some(1.0));
+        assert_eq!(w1.get("pinned"), Some(&Value::Bool(false)));
+        assert_eq!(w1.get("pinned_core"), Some(&Value::Null));
+        assert_eq!(num(w1, "stalls"), Some(2.0));
+        assert_eq!(num(&v, "stalls_detected"), Some(3.0));
         let p = s.to_prometheus();
         assert!(p.contains("afs_worker_pinned{worker=\"0\"} 1"));
         assert!(p.contains("afs_worker_pinned{worker=\"1\"} 0"));
@@ -674,8 +649,8 @@ mod tests {
     fn empty_snapshot_exports_cleanly() {
         let s = MetricsSnapshot::empty(1);
         assert_eq!(s.affinity_hit_ratio(), None);
-        let j = s.to_json();
-        assert!(j.contains("\"affinity_hit_ratio\": null"));
+        let v = json::parse(&s.to_json()).unwrap();
+        assert_eq!(v.get("affinity_hit_ratio"), Some(&Value::Null));
         let p = s.to_prometheus();
         assert!(p.contains("afs_affinity_hit_ratio NaN"));
         assert!(p.contains("afs_loop_duration_ns_count 0"));

@@ -4,8 +4,8 @@
 //! the dump, because the write is deferred to the next phase boundary or
 //! pool drop.
 
+use afs_core::json;
 use afs_runtime::prelude::*;
-use afs_trace::json;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -3,10 +3,10 @@
 //! trace (`afs-trace`), the per-loop `LoopMetrics`, and the always-on
 //! `MetricsSnapshot` — agree *exactly* on every grab.
 
+use afs_core::json::Value;
 use afs_core::metrics::LoopMetrics;
 use afs_metrics::MetricsSnapshot;
 use afs_runtime::prelude::*;
-use afs_trace::json::Value;
 use afs_trace::prelude::*;
 use afs_trace::report::TraceReport;
 use std::collections::BTreeSet;
@@ -223,7 +223,7 @@ fn keys(v: &Value) -> BTreeSet<&str> {
 fn snapshot_json_has_exactly_the_schema_keys() {
     let pool = Pool::new(2);
     parallel_for(&pool, 1_000, &RuntimeScheduler::afs_k_equals_p(), |_| {});
-    let doc = afs_trace::json::parse(&pool.metrics().snapshot().to_json())
+    let doc = afs_core::json::parse(&pool.metrics().snapshot().to_json())
         .expect("metrics JSON must parse");
     assert_eq!(
         keys(&doc),
@@ -275,7 +275,7 @@ fn exports_from_a_real_run_are_wellformed() {
         lm.merge(&m);
     }
     let j = merged.to_json();
-    let doc = afs_trace::json::parse(&j).expect("metrics JSON must parse");
+    let doc = afs_core::json::parse(&j).expect("metrics JSON must parse");
     assert_eq!(
         doc.get("schema_version").and_then(|v| v.as_f64()),
         Some(afs_metrics::METRICS_SCHEMA_VERSION as f64)

@@ -2,9 +2,9 @@
 //! execution and checking the recorded trace against the runtime's own
 //! `LoopMetrics` ground truth.
 
+use afs_core::json;
 use afs_core::metrics::LoopMetrics;
 use afs_runtime::prelude::*;
-use afs_trace::json;
 use afs_trace::prelude::*;
 use afs_trace::report::TraceReport;
 use afs_trace::timeline::chunk_span_total;

@@ -16,7 +16,8 @@
 //! | `/healthz`       | watchdog stall state + pool liveness (200 ok / 503 degraded) |
 //! | `/tune`          | current `(k, b)` and its phase trajectory               |
 
-use crate::recorder::FlightRecorder;
+use crate::recorder::{FlightRecorder, TriggerCounts};
+use afs_core::json;
 use afs_metrics::{MetricsSnapshot, METRICS_SCHEMA_VERSION};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -217,24 +218,18 @@ fn healthz(source: &TelemetrySource) -> (u16, String) {
     let degraded = snap.stalls_detected > 0
         || snap.effective_workers < snap.workers.len()
         || shed_spike_active;
-    let status = if degraded { "degraded" } else { "ok" };
-    let body = format!(
-        "{{\"status\": \"{status}\", \"schema_version\": {METRICS_SCHEMA_VERSION}, \
-         \"workers\": {}, \"effective_workers\": {}, \"stalls_detected\": {}, \
-         \"deadline_misses\": {}, \"recorders\": {}, \
-         \"shed_spike_active\": {shed_spike_active}, \
-         \"triggers\": {{\"stall\": {}, \"phase_error\": {}, \"spawn_degraded\": {}, \
-         \"shed_spike\": {}}}, \"dumped\": {dumped}}}\n",
-        snap.workers.len(),
-        snap.effective_workers,
-        snap.stalls_detected,
-        snap.deadline_misses,
-        recorders.len(),
-        triggers[0],
-        triggers[1],
-        triggers[2],
-        triggers[3],
-    );
+    let body = json::document(|o| {
+        o.field("status", if degraded { "degraded" } else { "ok" })
+            .field("schema_version", &METRICS_SCHEMA_VERSION)
+            .field("workers", &snap.workers.len())
+            .field("effective_workers", &snap.effective_workers)
+            .field("stalls_detected", &snap.stalls_detected)
+            .field("deadline_misses", &snap.deadline_misses)
+            .field("recorders", &recorders.len())
+            .field("shed_spike_active", &shed_spike_active)
+            .field("triggers", &TriggerCounts(triggers))
+            .field("dumped", &dumped);
+    });
     (if degraded { 503 } else { 200 }, body)
 }
 
@@ -243,32 +238,22 @@ fn healthz(source: &TelemetrySource) -> (u16, String) {
 /// the adaptive controller converging.
 fn tune(source: &TelemetrySource) -> String {
     let snap = (source.snapshot)();
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"schema_version\": {METRICS_SCHEMA_VERSION},\n"
-    ));
-    out.push_str("  \"controllers\": ");
-    match &snap.controllers {
-        Some(c) => out.push_str(&c.to_json()),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\n  \"trajectory\": [\n");
-    let mut first = true;
-    for r in (source.recorders)() {
-        for p in r.phase_records() {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "    {{\"seq\": {}, \"phase\": {}, \"k\": {}, \"b\": {}}}",
-                p.seq, p.phase, p.k, p.b
-            ));
-        }
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    json::document(|o| {
+        o.field("schema_version", &METRICS_SCHEMA_VERSION)
+            .field("controllers", &snap.controllers)
+            .array("trajectory", |a| {
+                for r in (source.recorders)() {
+                    for p in r.phase_records() {
+                        a.object(|o| {
+                            o.field("seq", &p.seq)
+                                .field("phase", &p.phase)
+                                .field("k", &p.k)
+                                .field("b", &p.b);
+                        });
+                    }
+                }
+            });
+    })
 }
 
 fn respond(
@@ -321,7 +306,22 @@ pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
 mod tests {
     use super::*;
     use crate::recorder::Trigger;
+    use afs_core::json::Value;
     use afs_metrics::MetricsRegistry;
+
+    /// `/path`'s status and its body parsed.
+    fn get_json(srv: &TelemetryServer, path: &str) -> (u16, Value) {
+        let (status, body) = get(srv.local_addr(), path).unwrap();
+        (status, json::parse(&body).expect("route serves JSON"))
+    }
+
+    fn str_of<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
+        v.get(key).and_then(Value::as_str)
+    }
+
+    fn num(v: &Value, key: &str) -> Option<f64> {
+        v.get(key).and_then(Value::as_f64)
+    }
 
     fn server_over(reg: Arc<MetricsRegistry>, rec: Arc<FlightRecorder>) -> TelemetryServer {
         let source = TelemetrySource::new(move || reg.snapshot())
@@ -347,9 +347,12 @@ mod tests {
         let reg = Arc::new(MetricsRegistry::new(1));
         let rec = Arc::new(FlightRecorder::new());
         let srv = server_over(reg, rec);
-        let (status, body) = get(srv.local_addr(), "/snapshot.json").unwrap();
+        let (status, body) = get_json(&srv, "/snapshot.json");
         assert_eq!(status, 200);
-        assert!(body.contains(&format!("\"schema_version\": {METRICS_SCHEMA_VERSION}")));
+        assert_eq!(
+            num(&body, "schema_version"),
+            Some(METRICS_SCHEMA_VERSION as f64)
+        );
     }
 
     #[test]
@@ -357,15 +360,18 @@ mod tests {
         let reg = Arc::new(MetricsRegistry::new(2));
         let rec = Arc::new(FlightRecorder::new());
         let srv = server_over(Arc::clone(&reg), Arc::clone(&rec));
-        let (status, body) = get(srv.local_addr(), "/healthz").unwrap();
+        let (status, body) = get_json(&srv, "/healthz");
         assert_eq!(status, 200);
-        assert!(body.contains("\"status\": \"ok\""));
+        assert_eq!(str_of(&body, "status"), Some("ok"));
+        assert_eq!(num(&body, "workers"), Some(2.0));
+        assert_eq!(num(&body, "stalls_detected"), Some(0.0));
         reg.record_stall(1);
         rec.trigger(Trigger::Stall { worker: 1 });
-        let (status, body) = get(srv.local_addr(), "/healthz").unwrap();
+        let (status, body) = get_json(&srv, "/healthz");
         assert_eq!(status, 503);
-        assert!(body.contains("\"status\": \"degraded\""));
-        assert!(body.contains("\"stall\": 1"));
+        assert_eq!(str_of(&body, "status"), Some("degraded"));
+        assert_eq!(num(&body, "stalls_detected"), Some(1.0));
+        assert_eq!(num(body.get("triggers").unwrap(), "stall"), Some(1.0));
     }
 
     #[test]
@@ -384,10 +390,10 @@ mod tests {
                 code: 2,
             });
         }
-        let (status, body) = get(srv.local_addr(), "/healthz").unwrap();
+        let (status, body) = get_json(&srv, "/healthz");
         assert_eq!(status, 503);
-        assert!(body.contains("\"status\": \"degraded\""));
-        assert!(body.contains("\"shed_spike_active\": true"));
+        assert_eq!(str_of(&body, "status"), Some("degraded"));
+        assert_eq!(body.get("shed_spike_active"), Some(&Value::Bool(true)));
         // Completions push the sheds out of the window: the spike clears
         // and health recovers, even though the latched trigger tally stays.
         for id in 0..4 {
@@ -399,10 +405,10 @@ mod tests {
                 code: 0,
             });
         }
-        let (status, body) = get(srv.local_addr(), "/healthz").unwrap();
+        let (status, body) = get_json(&srv, "/healthz");
         assert_eq!(status, 200);
-        assert!(body.contains("\"shed_spike_active\": false"));
-        assert!(body.contains("\"shed_spike\": 1"));
+        assert_eq!(body.get("shed_spike_active"), Some(&Value::Bool(false)));
+        assert_eq!(num(body.get("triggers").unwrap(), "shed_spike"), Some(1.0));
     }
 
     #[test]
@@ -412,11 +418,18 @@ mod tests {
         let rec = Arc::new(FlightRecorder::new());
         rec.record_phase(0, 1_000, &reg);
         let srv = server_over(Arc::clone(&reg), Arc::clone(&rec));
-        let (status, body) = get(srv.local_addr(), "/tune").unwrap();
+        let (status, body) = get_json(&srv, "/tune");
         assert_eq!(status, 200);
-        assert!(body.contains("\"k\": 4"));
-        assert!(body.contains("\"trajectory\""));
-        assert!(body.contains("{\"seq\": 0, \"phase\": 0, \"k\": 4, \"b\": 2}"));
+        let sched = body
+            .get("controllers")
+            .and_then(|c| c.get("sched"))
+            .unwrap();
+        assert_eq!(num(sched, "k"), Some(4.0));
+        let trajectory = body.get("trajectory").and_then(Value::as_array).unwrap();
+        assert_eq!(
+            trajectory,
+            [json::parse(r#"{"seq": 0, "phase": 0, "k": 4, "b": 2}"#).unwrap()]
+        );
     }
 
     #[test]

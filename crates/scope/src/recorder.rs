@@ -28,6 +28,7 @@
 //! process-wide once-flag, so a bench run spanning many pools still leaves
 //! exactly one dump.
 
+use afs_core::json::{self, Fields, Obj};
 use afs_metrics::{CounterSnapshot, MetricsRegistry, METRICS_SCHEMA_VERSION};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -94,35 +95,31 @@ impl PhaseRecord {
         let denom = self.local_grabs + self.remote_grabs;
         (denom > 0).then(|| self.local_grabs as f64 / denom as f64)
     }
+}
 
-    fn to_json(self) -> String {
-        let hit = match self.affinity_hit_ratio() {
-            Some(r) => format!("{r:.6}"),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"seq\": {}, \"phase\": {}, \"wall_ns\": {}, \
-             \"grabs\": {{\"local\": {}, \"remote\": {}, \"central\": {}, \"free\": {}}}, \
-             \"iters\": {}, \"cas_retries\": {}, \"stash_hits\": {}, \
-             \"barrier\": {{\"spin\": {}, \"yield\": {}, \"park\": {}}}, \
-             \"affinity_hit_ratio\": {hit}, \
-             \"tune\": {{\"k\": {}, \"b\": {}}}}}",
-            self.seq,
-            self.phase,
-            self.wall_ns,
-            self.local_grabs,
-            self.remote_grabs,
-            self.central_grabs,
-            self.free_grabs,
-            self.iters,
-            self.cas_retries,
-            self.stash_hits,
-            self.barrier_spin,
-            self.barrier_yield,
-            self.barrier_park,
-            self.k,
-            self.b,
-        )
+impl Fields for PhaseRecord {
+    fn fields(&self, o: &mut Obj<'_>) {
+        o.field("seq", &self.seq)
+            .field("phase", &self.phase)
+            .field("wall_ns", &self.wall_ns)
+            .object("grabs", |o| {
+                o.field("local", &self.local_grabs)
+                    .field("remote", &self.remote_grabs)
+                    .field("central", &self.central_grabs)
+                    .field("free", &self.free_grabs);
+            })
+            .field("iters", &self.iters)
+            .field("cas_retries", &self.cas_retries)
+            .field("stash_hits", &self.stash_hits)
+            .object("barrier", |o| {
+                o.field("spin", &self.barrier_spin)
+                    .field("yield", &self.barrier_yield)
+                    .field("park", &self.barrier_park);
+            })
+            .field("affinity_hit_ratio", &self.affinity_hit_ratio())
+            .object("tune", |o| {
+                o.field("k", &self.k).field("b", &self.b);
+            });
     }
 }
 
@@ -175,16 +172,13 @@ pub struct ServeRecord {
     pub code: u32,
 }
 
-impl ServeRecord {
-    fn to_json(self) -> String {
-        format!(
-            "{{\"t_ns\": {}, \"kind\": \"{}\", \"tenant\": {}, \"id\": {}, \"code\": {}}}",
-            self.t_ns,
-            self.kind.label(),
-            self.tenant,
-            self.id,
-            self.code
-        )
+impl Fields for ServeRecord {
+    fn fields(&self, o: &mut Obj<'_>) {
+        o.field("t_ns", &self.t_ns)
+            .field("kind", self.kind.label())
+            .field("tenant", &self.tenant)
+            .field("id", &self.id)
+            .field("code", &self.code);
     }
 }
 
@@ -241,21 +235,36 @@ impl Trigger {
             Trigger::ShedSpike { .. } => "shed_spike",
         }
     }
+}
 
-    fn to_json(self) -> String {
-        match self {
-            Trigger::Stall { worker } => {
-                format!("{{\"kind\": \"stall\", \"worker\": {worker}}}")
-            }
+impl Fields for Trigger {
+    fn fields(&self, o: &mut Obj<'_>) {
+        o.field("kind", self.label());
+        match *self {
+            Trigger::Stall { worker } => o.field("worker", &worker),
             Trigger::PhaseError { worker, phase } => {
-                format!("{{\"kind\": \"phase_error\", \"worker\": {worker}, \"phase\": {phase}}}")
+                o.field("worker", &worker).field("phase", &phase)
             }
-            Trigger::SpawnDegraded { live, requested } => format!(
-                "{{\"kind\": \"spawn_degraded\", \"live\": {live}, \"requested\": {requested}}}"
-            ),
+            Trigger::SpawnDegraded { live, requested } => {
+                o.field("live", &live).field("requested", &requested)
+            }
             Trigger::ShedSpike { sheds, window } => {
-                format!("{{\"kind\": \"shed_spike\", \"sheds\": {sheds}, \"window\": {window}}}")
+                o.field("sheds", &sheds).field("window", &window)
             }
+        };
+    }
+}
+
+/// Fire counts per trigger kind, in [`Trigger`] declaration order, as the
+/// object `{"stall": n, "phase_error": n, "spawn_degraded": n,
+/// "shed_spike": n}` the dump and `/healthz` both carry.
+pub(crate) struct TriggerCounts(pub(crate) [u64; 4]);
+
+impl Fields for TriggerCounts {
+    fn fields(&self, o: &mut Obj<'_>) {
+        let labels = ["stall", "phase_error", "spawn_degraded", "shed_spike"];
+        for (label, n) in labels.into_iter().zip(self.0) {
+            o.field(label, &n);
         }
     }
 }
@@ -557,44 +566,20 @@ impl FlightRecorder {
     /// The full dump document: schema version, the first trigger, fire
     /// counts, and both rings oldest-first.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"schema_version\": {METRICS_SCHEMA_VERSION},\n"
-        ));
-        out.push_str("  \"kind\": \"flight_recorder\",\n");
-        out.push_str("  \"trigger\": ");
-        match *self.first.lock().unwrap() {
-            Some(t) => out.push_str(&t.to_json()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\n");
-        let [stall, perr, spawn, shed] = self.trigger_counts();
-        out.push_str(&format!(
-            "  \"triggers\": {{\"stall\": {stall}, \"phase_error\": {perr}, \
-             \"spawn_degraded\": {spawn}, \"shed_spike\": {shed}}},\n"
-        ));
-        let (records, phases_total) = {
+        let (phases, phases_recorded) = {
             let st = self.phases.lock().unwrap();
             (st.ring.in_order(), st.ring.total)
         };
-        out.push_str(&format!("  \"phases_recorded\": {phases_total},\n"));
-        out.push_str("  \"phases\": [\n");
-        for (i, r) in records.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&r.to_json());
-            out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
-        let events = self.serve.lock().unwrap().in_order();
-        out.push_str("  \"serve_events\": [\n");
-        for (i, e) in events.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&e.to_json());
-            out.push_str(if i + 1 < events.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let serve_events = self.serve.lock().unwrap().in_order();
+        json::document(|o| {
+            o.field("schema_version", &METRICS_SCHEMA_VERSION)
+                .field("kind", "flight_recorder")
+                .field("trigger", &*self.first.lock().unwrap())
+                .field("triggers", &TriggerCounts(self.trigger_counts()))
+                .field("phases_recorded", &phases_recorded)
+                .field("phases", &phases)
+                .field("serve_events", &serve_events);
+        })
     }
 }
 
@@ -629,6 +614,7 @@ pub fn clear_dumps(dir: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afs_core::json::Value;
     use afs_core::policy::AccessKind;
 
     fn dir_for(test: &str) -> PathBuf {
@@ -682,9 +668,17 @@ mod tests {
         });
         assert!(rec.triggered());
         assert_eq!(rec.trigger_counts(), [1, 1, 0, 0]);
-        let j = rec.to_json();
-        assert!(j.contains("\"trigger\": {\"kind\": \"stall\", \"worker\": 2}"));
-        assert!(j.contains("\"phase_error\": 1"));
+        let v = json::parse(&rec.to_json()).unwrap();
+        assert_eq!(
+            v.get("trigger"),
+            Some(&json::parse(r#"{"kind": "stall", "worker": 2}"#).unwrap())
+        );
+        let triggers = v.get("triggers").unwrap();
+        assert_eq!(triggers.get("stall").and_then(Value::as_f64), Some(1.0));
+        assert_eq!(
+            triggers.get("phase_error").and_then(Value::as_f64),
+            Some(1.0)
+        );
     }
 
     #[test]
@@ -707,10 +701,16 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().starts_with("flight-"))
             .collect();
         assert_eq!(dumps.len(), 1);
-        let body = std::fs::read_to_string(dumps[0].path()).unwrap();
-        assert!(body.contains("\"kind\": \"flight_recorder\""));
+        let v = json::parse(&std::fs::read_to_string(dumps[0].path()).unwrap()).unwrap();
+        assert_eq!(
+            v.get("kind").and_then(Value::as_str),
+            Some("flight_recorder")
+        );
+        let phases = v.get("phases").and_then(Value::as_array).unwrap();
         assert!(
-            body.contains("\"phase\": 1"),
+            phases
+                .iter()
+                .any(|p| p.get("phase").and_then(Value::as_f64) == Some(1.0)),
             "stalled phase record present"
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -249,7 +249,7 @@ fn serve_ledger_rides_the_metrics_snapshot() {
     assert_eq!(serve.completed, 10);
 
     let json = snap.to_json();
-    let doc = afs_trace::json::parse(&json).expect("snapshot JSON parses");
+    let doc = afs_core::json::parse(&json).expect("snapshot JSON parses");
     let serve_doc = doc.get("serve").expect("serve key");
     assert_eq!(
         serve_doc.get("admitted").and_then(|v| v.as_f64()),

@@ -3,12 +3,12 @@
 //! pool's flight recorder captures, and the request spans on the trace's
 //! serve lane.
 
+use afs_core::json::Value;
 use afs_metrics::METRICS_SCHEMA_VERSION;
 use afs_runtime::Pool;
 use afs_scope::{check_exposition, ServeEventKind};
 use afs_serve::prelude::*;
 use afs_trace::chrome::chrome_trace;
-use afs_trace::json::Value;
 use afs_trace::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -72,7 +72,7 @@ fn live_scrape_is_conformant_and_matches_file_export() {
     // Drift bound: a second scrape on the still-quiesced server agrees
     // with the final ledger exactly.
     let (_, again) = afs_scope::get(addr, "/snapshot.json").expect("scrape /snapshot.json");
-    let doc = afs_trace::json::parse(&again).expect("snapshot JSON parses");
+    let doc = afs_core::json::parse(&again).expect("snapshot JSON parses");
     assert_eq!(
         doc.get("schema_version").and_then(|v| v.as_f64()),
         Some(METRICS_SCHEMA_VERSION as f64)
@@ -118,10 +118,12 @@ fn live_scrape_is_conformant_and_matches_file_export() {
 
     let (code, health) = afs_scope::get(addr, "/healthz").expect("scrape /healthz");
     assert_eq!(code, 200, "healthy pool: {health}");
-    assert!(health.contains("\"status\": \"ok\""));
+    let health = afs_core::json::parse(&health).expect("healthz JSON parses");
+    assert_eq!(health.get("status").and_then(Value::as_str), Some("ok"));
     let (code, tune) = afs_scope::get(addr, "/tune").expect("scrape /tune");
     assert_eq!(code, 200);
-    afs_trace::json::parse(&tune).expect("tune JSON parses");
+    let tune = afs_core::json::parse(&tune).expect("tune JSON parses");
+    assert!(tune.get("trajectory").and_then(Value::as_array).is_some());
     server.shutdown();
 }
 
@@ -222,9 +224,18 @@ fn request_spans_decompose_the_sojourn() {
         .expect("complete on the serve lane");
     assert!(admit_at < complete_at, "span opens before it closes");
 
-    let json = chrome_trace(&sink, "spans");
-    assert!(json.contains("\"name\":\"request\",\"cat\":\"serve\",\"ph\":\"b\""));
-    assert!(json.contains("\"name\":\"request\",\"cat\":\"serve\",\"ph\":\"e\""));
-    assert!(json.contains("\"name\":\"service\",\"cat\":\"serve\",\"ph\":\"b\""));
-    assert!(json.contains("\"name\":\"phase 2\""));
+    let doc = afs_core::json::parse(&chrome_trace(&sink, "spans")).expect("trace parses");
+    let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+    let has = |name: &str, ph: &str| {
+        events.iter().any(|e| {
+            e.get("name").and_then(Value::as_str) == Some(name)
+                && e.get("cat").and_then(Value::as_str) == Some("serve")
+                && e.get("ph").and_then(Value::as_str) == Some(ph)
+                && e.get("id").and_then(Value::as_f64) == Some(id as f64)
+        })
+    };
+    assert!(has("request", "b"));
+    assert!(has("request", "e"));
+    assert!(has("service", "b"));
+    assert!(has("phase 2", "n"));
 }

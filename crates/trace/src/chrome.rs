@@ -9,87 +9,144 @@
 
 use crate::event::EventKind;
 use crate::sink::TraceSink;
-use std::fmt::Write as _;
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use afs_core::json::{self, Arr, Encode, Fields, Obj, Slot};
 
 /// Microseconds (with ns fraction) from a nanosecond timestamp.
 fn us(t_ns: u64) -> f64 {
     t_ns as f64 / 1_000.0
 }
 
-/// One emitted JSON object, paired with its sort keys so the final stream
-/// can be ordered by (lane, time) — viewers do not require global ordering,
-/// but tests (and humans reading the file) appreciate it.
+/// An event's phase (`ph`) with what that phase carries: a complete
+/// span's duration, or the id an async span or a flow arrow matches on.
+#[derive(Clone, Copy)]
+enum Ph {
+    /// `X`: a span on its lane.
+    Complete { dur_ns: u64 },
+    /// `i`: an instant on its lane.
+    Instant,
+    /// `s`: the tail of a flow arrow.
+    FlowStart(u64),
+    /// `f`: the head of a flow arrow, bound to the enclosing slice's end.
+    FlowEnd(u64),
+    /// `b`: an async span opens.
+    Begin(u64),
+    /// `e`: an async span closes.
+    End(u64),
+    /// `n`: an instant on an async span's track.
+    Step(u64),
+}
+
+/// One `args` value.
+#[derive(Clone, Copy)]
+enum Arg {
+    Num(u64),
+    Str(&'static str),
+}
+
+/// A numeric `args` value.
+fn arg(n: impl Into<u64>) -> Arg {
+    Arg::Num(n.into())
+}
+
+impl Encode for Arg {
+    fn encode(&self, slot: Slot<'_>) {
+        match *self {
+            Arg::Num(n) => n.encode(slot),
+            Arg::Str(s) => s.encode(slot),
+        }
+    }
+}
+
+/// One trace event, with its sort keys so the final stream can be ordered
+/// by (lane, time) — viewers do not require global ordering, but tests
+/// (and humans reading the file) appreciate it.
 struct Emitted {
     tid: usize,
     ts_ns: u64,
-    /// Tie-break so begin-flows sort before their finish even at equal ts.
-    seq: usize,
-    json: String,
+    name: String,
+    cat: &'static str,
+    ph: Ph,
+    args: Vec<(&'static str, Arg)>,
+}
+
+/// The shared header `name, cat, ph, [what ph carries], pid, tid, ts`,
+/// then `dur` for a span and `args` when there are any.
+impl Fields for Emitted {
+    fn fields(&self, o: &mut Obj<'_>) {
+        o.field("name", &self.name).field("cat", self.cat);
+        match self.ph {
+            Ph::Complete { .. } => o.field("ph", "X"),
+            Ph::Instant => o.field("ph", "i").field("s", "t"),
+            Ph::FlowStart(id) => o.field("ph", "s").field("id", &id),
+            Ph::FlowEnd(id) => o.field("ph", "f").field("bp", "e").field("id", &id),
+            Ph::Begin(id) => o.field("ph", "b").field("id", &id),
+            Ph::End(id) => o.field("ph", "e").field("id", &id),
+            Ph::Step(id) => o.field("ph", "n").field("id", &id),
+        };
+        o.field("pid", &0u32)
+            .field("tid", &self.tid)
+            .field("ts", &us(self.ts_ns));
+        if let Ph::Complete { dur_ns } = self.ph {
+            o.field("dur", &us(dur_ns));
+        }
+        if !self.args.is_empty() {
+            o.object("args", |o| {
+                for &(key, value) in &self.args {
+                    o.field(key, &value);
+                }
+            });
+        }
+    }
+}
+
+/// A metadata (`M`) event naming the process or one lane.
+fn metadata(a: &mut Arr<'_>, kind: &str, tid: usize, label: &str) {
+    a.object(|o| {
+        o.field("name", kind)
+            .field("ph", "M")
+            .field("pid", &0u32)
+            .field("tid", &tid)
+            .object("args", |o| {
+                o.field("name", label);
+            });
+    });
 }
 
 /// Serializes everything `sink` recorded as a Chrome trace-event JSON
-/// document. `process_name` labels the trace (e.g. the experiment id).
+/// document, one event per line. `process_name` labels the trace (e.g.
+/// the experiment id).
 ///
 /// The output is a complete, self-contained JSON object; write it to a
 /// `.json` file and load it in `chrome://tracing` or
 /// <https://ui.perfetto.dev>.
 pub fn chrome_trace(sink: &TraceSink, process_name: &str) -> String {
     let mut events: Vec<Emitted> = Vec::new();
-    let mut seq = 0usize;
-    let mut push = |tid: usize, ts_ns: u64, seq: &mut usize, json: String| {
+    let mut emit = |tid: usize, ts_ns: u64, name: &str, cat, ph, args: &[(&'static str, Arg)]| {
         events.push(Emitted {
             tid,
             ts_ns,
-            seq: *seq,
-            json,
+            name: name.to_string(),
+            cat,
+            ph,
+            args: args.to_vec(),
         });
-        *seq += 1;
     };
 
     let mut flow_id = 0u64;
     for w in 0..sink.workers() {
         let mut grab_start: Option<u64> = None;
-        let mut wait_start: Option<(u64, u32)> = None;
+        let mut wait_start: Option<u64> = None;
         let mut busy_start: Option<(u64, u32, u64, u64)> = None;
         let mut barrier_start: Option<u64> = None;
         for ev in sink.events(w) {
+            let t = ev.t;
             match ev.kind {
-                EventKind::GrabBegin => grab_start = Some(ev.t),
-                EventKind::LockWaitBegin { queue } => wait_start = Some((ev.t, queue)),
+                EventKind::GrabBegin => grab_start = Some(t),
+                EventKind::LockWaitBegin { .. } => wait_start = Some(t),
                 EventKind::LockWaitEnd { queue } => {
-                    if let Some((s, _)) = wait_start.take() {
-                        let q = queue;
-                        push(
-                            w,
-                            s,
-                            &mut seq,
-                            format!(
-                                "{{\"name\":\"lock wait\",\"cat\":\"sync\",\"ph\":\"X\",\
-                                 \"pid\":0,\"tid\":{w},\"ts\":{:.3},\"dur\":{:.3},\
-                                 \"args\":{{\"queue\":{q}}}}}",
-                                us(s),
-                                us(ev.t - s),
-                            ),
-                        );
+                    if let Some(s) = wait_start.take() {
+                        let span = Ph::Complete { dur_ns: t - s };
+                        emit(w, s, "lock wait", "sync", span, &[("queue", arg(queue))]);
                     }
                 }
                 EventKind::GrabLocal { queue, lo, hi }
@@ -97,42 +154,14 @@ pub fn chrome_trace(sink: &TraceSink, process_name: &str) -> String {
                     let remote = matches!(ev.kind, EventKind::GrabRemote { .. });
                     let name = if remote { "grab remote" } else { "grab local" };
                     if let Some(s) = grab_start.take() {
-                        push(
-                            w,
-                            s,
-                            &mut seq,
-                            format!(
-                                "{{\"name\":\"{name}\",\"cat\":\"grab\",\"ph\":\"X\",\
-                                 \"pid\":0,\"tid\":{w},\"ts\":{:.3},\"dur\":{:.3},\
-                                 \"args\":{{\"queue\":{queue},\"lo\":{lo},\"hi\":{hi}}}}}",
-                                us(s),
-                                us(ev.t - s),
-                            ),
-                        );
+                        let args = [("queue", arg(queue)), ("lo", arg(lo)), ("hi", arg(hi))];
+                        emit(w, s, name, "grab", Ph::Complete { dur_ns: t - s }, &args);
                     }
-                    if remote && queue as usize != w {
+                    let victim = queue as usize;
+                    if remote && victim != w {
                         // Flow arrow: victim lane -> thief lane.
-                        push(
-                            queue as usize,
-                            ev.t,
-                            &mut seq,
-                            format!(
-                                "{{\"name\":\"steal\",\"cat\":\"steal\",\"ph\":\"s\",\
-                                 \"id\":{flow_id},\"pid\":0,\"tid\":{queue},\"ts\":{:.3}}}",
-                                us(ev.t),
-                            ),
-                        );
-                        push(
-                            w,
-                            ev.t,
-                            &mut seq,
-                            format!(
-                                "{{\"name\":\"steal\",\"cat\":\"steal\",\"ph\":\"f\",\
-                                 \"bp\":\"e\",\"id\":{flow_id},\"pid\":0,\"tid\":{w},\
-                                 \"ts\":{:.3}}}",
-                                us(ev.t),
-                            ),
-                        );
+                        emit(victim, t, "steal", "steal", Ph::FlowStart(flow_id), &[]);
+                        emit(w, t, "steal", "steal", Ph::FlowEnd(flow_id), &[]);
                         flow_id += 1;
                     }
                 }
@@ -142,210 +171,68 @@ pub fn chrome_trace(sink: &TraceSink, process_name: &str) -> String {
                         _ => "grab free",
                     };
                     if let Some(s) = grab_start.take() {
-                        push(
-                            w,
-                            s,
-                            &mut seq,
-                            format!(
-                                "{{\"name\":\"{name}\",\"cat\":\"grab\",\"ph\":\"X\",\
-                                 \"pid\":0,\"tid\":{w},\"ts\":{:.3},\"dur\":{:.3},\
-                                 \"args\":{{\"lo\":{lo},\"hi\":{hi}}}}}",
-                                us(s),
-                                us(ev.t - s),
-                            ),
-                        );
+                        let args = [("lo", arg(lo)), ("hi", arg(hi))];
+                        emit(w, s, name, "grab", Ph::Complete { dur_ns: t - s }, &args);
                     }
                 }
                 EventKind::CasRetry { queue } => {
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"cas retry\",\"cat\":\"sync\",\"ph\":\"i\",\
-                             \"s\":\"t\",\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                             \"args\":{{\"queue\":{queue}}}}}",
-                            us(ev.t),
-                        ),
-                    );
+                    let args = [("queue", arg(queue))];
+                    emit(w, t, "cas retry", "sync", Ph::Instant, &args);
                 }
-                EventKind::ChunkStart { queue, lo, hi } => {
-                    busy_start = Some((ev.t, queue, lo, hi));
-                }
+                EventKind::ChunkStart { queue, lo, hi } => busy_start = Some((t, queue, lo, hi)),
                 EventKind::ChunkEnd => {
                     if let Some((s, q, lo, hi)) = busy_start.take() {
-                        push(
-                            w,
-                            s,
-                            &mut seq,
-                            format!(
-                                "{{\"name\":\"chunk [{lo},{hi})\",\"cat\":\"chunk\",\
-                                 \"ph\":\"X\",\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                                 \"dur\":{:.3},\"args\":{{\"queue\":{q},\"lo\":{lo},\
-                                 \"hi\":{hi}}}}}",
-                                us(s),
-                                us(ev.t - s),
-                            ),
-                        );
+                        let name = format!("chunk [{lo},{hi})");
+                        let args = [("queue", arg(q)), ("lo", arg(lo)), ("hi", arg(hi))];
+                        emit(w, s, &name, "chunk", Ph::Complete { dur_ns: t - s }, &args);
                     }
                 }
-                EventKind::BarrierWait => {
-                    // Legacy single-event form: an instant only.
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"barrier\",\"cat\":\"barrier\",\"ph\":\"i\",\
-                             \"s\":\"t\",\"pid\":0,\"tid\":{w},\"ts\":{:.3}}}",
-                            us(ev.t),
-                        ),
-                    );
-                }
+                // Legacy single-event form: an instant only.
+                EventKind::BarrierWait => emit(w, t, "barrier", "barrier", Ph::Instant, &[]),
                 EventKind::BarrierArrive => {
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"barrier\",\"cat\":\"barrier\",\"ph\":\"i\",\
-                             \"s\":\"t\",\"pid\":0,\"tid\":{w},\"ts\":{:.3}}}",
-                            us(ev.t),
-                        ),
-                    );
-                    barrier_start = Some(ev.t);
+                    emit(w, t, "barrier", "barrier", Ph::Instant, &[]);
+                    barrier_start = Some(t);
                 }
                 EventKind::BarrierPark => {
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"barrier park\",\"cat\":\"barrier\",\"ph\":\"i\",\
-                             \"s\":\"t\",\"pid\":0,\"tid\":{w},\"ts\":{:.3}}}",
-                            us(ev.t),
-                        ),
-                    );
+                    emit(w, t, "barrier park", "barrier", Ph::Instant, &[]);
                 }
                 EventKind::StallDetected { worker } => {
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"stall detected\",\"cat\":\"fault\",\"ph\":\"i\",\
-                             \"s\":\"t\",\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                             \"args\":{{\"worker\":{worker}}}}}",
-                            us(ev.t),
-                        ),
-                    );
+                    let args = [("worker", arg(worker))];
+                    emit(w, t, "stall detected", "fault", Ph::Instant, &args);
                 }
                 EventKind::RequestAdmit { tenant, id } => {
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"request admit\",\"cat\":\"serve\",\"ph\":\"i\",\
-                             \"s\":\"t\",\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                             \"args\":{{\"tenant\":{tenant},\"id\":{id}}}}}",
-                            us(ev.t),
-                        ),
-                    );
+                    let args = [("tenant", arg(tenant)), ("id", arg(id))];
+                    emit(w, t, "request admit", "serve", Ph::Instant, &args);
                     // Async span open: the request's whole sojourn. Matched
                     // by (cat, id) with the `e` from `RequestComplete`; the
                     // nested "service" span subtracts queue wait from it.
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"request\",\"cat\":\"serve\",\"ph\":\"b\",\
-                             \"id\":{id},\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                             \"args\":{{\"tenant\":{tenant}}}}}",
-                            us(ev.t),
-                        ),
-                    );
+                    // Its args are the tenant alone: the id is the span's.
+                    emit(w, t, "request", "serve", Ph::Begin(id), &args[..1]);
                 }
                 EventKind::RequestDispatch { tenant, id } => {
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"request dispatch\",\"cat\":\"serve\",\"ph\":\"i\",\
-                             \"s\":\"t\",\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                             \"args\":{{\"tenant\":{tenant},\"id\":{id}}}}}",
-                            us(ev.t),
-                        ),
-                    );
+                    let args = [("tenant", arg(tenant)), ("id", arg(id))];
+                    emit(w, t, "request dispatch", "serve", Ph::Instant, &args);
                     // Nested async span: time on the pool. The gap between
                     // the outer "request" open and this open is queue wait.
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"service\",\"cat\":\"serve\",\"ph\":\"b\",\
-                             \"id\":{id},\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                             \"args\":{{\"tenant\":{tenant}}}}}",
-                            us(ev.t),
-                        ),
-                    );
+                    emit(w, t, "service", "serve", Ph::Begin(id), &args[..1]);
                 }
                 EventKind::RequestPhase { id, phase } => {
                     // Nestable instant on the request's async track: marks
                     // the barrier turn that retired phase `phase`.
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"phase {phase}\",\"cat\":\"serve\",\"ph\":\"n\",\
-                             \"id\":{id},\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                             \"args\":{{\"phase\":{phase}}}}}",
-                            us(ev.t),
-                        ),
-                    );
+                    let name = format!("phase {phase}");
+                    emit(w, t, &name, "serve", Ph::Step(id), &[("phase", arg(phase))]);
                 }
                 EventKind::RequestComplete { tenant, id } => {
                     // Close inner "service" first, then the outer
-                    // "request" — the seq tie-break keeps that order at
+                    // "request" — the stable sort keeps that order at
                     // equal timestamps.
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"service\",\"cat\":\"serve\",\"ph\":\"e\",\
-                             \"id\":{id},\"pid\":0,\"tid\":{w},\"ts\":{:.3}}}",
-                            us(ev.t),
-                        ),
-                    );
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"request\",\"cat\":\"serve\",\"ph\":\"e\",\
-                             \"id\":{id},\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                             \"args\":{{\"tenant\":{tenant}}}}}",
-                            us(ev.t),
-                        ),
-                    );
+                    emit(w, t, "service", "serve", Ph::End(id), &[]);
+                    let args = [("tenant", arg(tenant))];
+                    emit(w, t, "request", "serve", Ph::End(id), &args);
                 }
                 EventKind::RequestShed { tenant, reason } => {
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"request shed\",\"cat\":\"serve\",\"ph\":\"i\",\
-                             \"s\":\"t\",\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                             \"args\":{{\"tenant\":{tenant},\"reason\":{reason}}}}}",
-                            us(ev.t),
-                        ),
-                    );
+                    let args = [("tenant", arg(tenant)), ("reason", arg(reason))];
+                    emit(w, t, "request shed", "serve", Ph::Instant, &args);
                 }
                 EventKind::RequestFailed {
                     tenant,
@@ -355,127 +242,84 @@ pub fn chrome_trace(sink: &TraceSink, process_name: &str) -> String {
                 } => {
                     // A contained panic still closes both async spans —
                     // the request's sojourn ended, just not successfully.
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"service\",\"cat\":\"serve\",\"ph\":\"e\",\
-                             \"id\":{id},\"pid\":0,\"tid\":{w},\"ts\":{:.3}}}",
-                            us(ev.t),
-                        ),
-                    );
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"request\",\"cat\":\"serve\",\"ph\":\"e\",\
-                             \"id\":{id},\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                             \"args\":{{\"tenant\":{tenant},\"outcome\":\"failed\",\
-                             \"worker\":{worker},\"phase\":{phase}}}}}",
-                            us(ev.t),
-                        ),
-                    );
+                    emit(w, t, "service", "serve", Ph::End(id), &[]);
+                    let args = [
+                        ("tenant", arg(tenant)),
+                        ("outcome", Arg::Str("failed")),
+                        ("worker", arg(worker)),
+                        ("phase", arg(phase)),
+                    ];
+                    emit(w, t, "request", "serve", Ph::End(id), &args);
                 }
                 EventKind::RequestExpired { tenant, id } => {
                     // Expired while queued: no "service" span was ever
                     // opened, so only the outer sojourn span closes.
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"request\",\"cat\":\"serve\",\"ph\":\"e\",\
-                             \"id\":{id},\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                             \"args\":{{\"tenant\":{tenant},\"outcome\":\"expired\"}}}}",
-                            us(ev.t),
-                        ),
-                    );
+                    let args = [("tenant", arg(tenant)), ("outcome", Arg::Str("expired"))];
+                    emit(w, t, "request", "serve", Ph::End(id), &args);
                 }
                 EventKind::SchedTune { k, b } => {
-                    push(
-                        w,
-                        ev.t,
-                        &mut seq,
-                        format!(
-                            "{{\"name\":\"sched tune\",\"cat\":\"sched\",\"ph\":\"i\",\
-                             \"s\":\"t\",\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                             \"args\":{{\"k\":{k},\"b\":{b}}}}}",
-                            us(ev.t),
-                        ),
-                    );
+                    let args = [("k", arg(k)), ("b", arg(b))];
+                    emit(w, t, "sched tune", "sched", Ph::Instant, &args);
                 }
                 EventKind::BarrierRelease => {
                     // The first release of a pool's life has no arrive;
                     // draw a span only for matched pairs.
                     if let Some(s) = barrier_start.take() {
-                        push(
-                            w,
-                            s,
-                            &mut seq,
-                            format!(
-                                "{{\"name\":\"barrier wait\",\"cat\":\"barrier\",\
-                                 \"ph\":\"X\",\"pid\":0,\"tid\":{w},\"ts\":{:.3},\
-                                 \"dur\":{:.3}}}",
-                                us(s),
-                                us(ev.t - s),
-                            ),
-                        );
+                        let span = Ph::Complete { dur_ns: t - s };
+                        emit(w, s, "barrier wait", "barrier", span, &[]);
                     }
                 }
             }
         }
     }
 
-    // Per-lane time order (metadata first), stable across equal stamps.
-    events.sort_by_key(|a| (a.tid, a.ts_ns, a.seq));
+    // Per-lane time order (metadata first). The sort is stable, so events
+    // at equal stamps keep their emission order: a flow's begin before its
+    // finish, an inner span's close before the outer one's.
+    events.sort_by_key(|e| (e.tid, e.ts_ns));
 
-    let mut out = String::new();
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let emit = |json: &str, out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(json);
-    };
-    emit(
-        &format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(process_name)
-        ),
-        &mut out,
-        &mut first,
-    );
-    for w in 0..sink.workers() {
-        emit(
-            &format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{w},\
-                 \"args\":{{\"name\":\"worker {w}\"}}}}"
-            ),
-            &mut out,
-            &mut first,
-        );
-    }
-    for ev in &events {
-        emit(&ev.json, &mut out, &mut first);
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    json::document(|o| {
+        o.array("traceEvents", |a| {
+            metadata(a, "process_name", 0, process_name);
+            for w in 0..sink.workers() {
+                metadata(a, "thread_name", w, &format!("worker {w}"));
+            }
+            for e in &events {
+                a.item(e);
+            }
+        })
+        .field("displayTimeUnit", "ms");
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::EventKind as K;
+    use afs_core::json::Value;
 
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+    /// The trace's events, parsed.
+    fn events(sink: &TraceSink) -> Vec<Value> {
+        let doc = json::parse(&chrome_trace(sink, "t")).expect("valid JSON");
+        doc.get("traceEvents")
+            .and_then(Value::as_array)
+            .unwrap()
+            .to_vec()
+    }
+
+    fn str_of<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
+        v.get(key).and_then(Value::as_str)
+    }
+
+    fn num(v: &Value, key: &str) -> Option<f64> {
+        v.get(key).and_then(Value::as_f64)
+    }
+
+    /// The events named `name` with phase `ph`.
+    fn named<'a>(evs: &'a [Value], name: &str, ph: &str) -> Vec<&'a Value> {
+        evs.iter()
+            .filter(|e| str_of(e, "name") == Some(name) && str_of(e, "ph") == Some(ph))
+            .collect()
     }
 
     #[test]
@@ -490,10 +334,23 @@ mod tests {
                 hi: 9,
             },
         );
-        let json = chrome_trace(&sink, "t");
-        assert!(json.contains("\"ph\":\"s\""));
-        assert!(json.contains("\"ph\":\"f\""));
-        assert!(json.contains("grab remote"));
+        let evs = events(&sink);
+        let (start, end) = (named(&evs, "steal", "s"), named(&evs, "steal", "f"));
+        assert_eq!((start.len(), end.len()), (1, 1));
+        assert_eq!(
+            num(start[0], "tid"),
+            Some(0.0),
+            "arrow leaves the victim lane"
+        );
+        assert_eq!(num(end[0], "tid"), Some(1.0), "and lands on the thief's");
+        assert_eq!(num(start[0], "id"), num(end[0], "id"));
+        assert_eq!(str_of(end[0], "bp"), Some("e"));
+        let grab = named(&evs, "grab remote", "X");
+        assert_eq!(grab.len(), 1);
+        assert_eq!(
+            grab[0].get("args"),
+            Some(&json::parse(r#"{"queue": 0, "lo": 5, "hi": 9}"#).unwrap())
+        );
     }
 
     #[test]
@@ -503,19 +360,27 @@ mod tests {
         sink.record(0, K::BarrierRelease);
         sink.record(0, K::BarrierArrive);
         sink.record(0, K::BarrierRelease);
-        let json = chrome_trace(&sink, "t");
-        assert!(json.contains("barrier wait"));
-        assert_eq!(json.matches("\"barrier wait\"").count(), 1);
-        assert!(json.contains("\"name\":\"barrier\""));
+        let evs = events(&sink);
+        let spans = named(&evs, "barrier wait", "X");
+        assert_eq!(spans.len(), 1);
+        assert!(num(spans[0], "dur").is_some_and(|d| d >= 0.0));
+        let instants = named(&evs, "barrier", "i");
+        assert_eq!(instants.len(), 1);
+        assert_eq!(str_of(instants[0], "s"), Some("t"));
     }
 
     #[test]
     fn stall_detected_emits_instant() {
         let sink = TraceSink::new(2);
         sink.record(1, K::StallDetected { worker: 0 });
-        let json = chrome_trace(&sink, "t");
-        assert!(json.contains("stall detected"));
-        assert!(json.contains("\"args\":{\"worker\":0}"));
+        let evs = events(&sink);
+        let stall = named(&evs, "stall detected", "i");
+        assert_eq!(stall.len(), 1);
+        assert_eq!(str_of(stall[0], "cat"), Some("fault"));
+        assert_eq!(
+            stall[0].get("args"),
+            Some(&json::parse(r#"{"worker": 0}"#).unwrap())
+        );
     }
 
     #[test]
@@ -530,12 +395,15 @@ mod tests {
                 reason: 1,
             },
         );
-        let json = chrome_trace(&sink, "t");
-        assert!(json.contains("request admit"));
-        assert!(json.contains("request dispatch"));
-        assert!(json.contains("request shed"));
-        assert!(json.contains("\"args\":{\"tenant\":1,\"id\":42}"));
-        assert!(json.contains("\"args\":{\"tenant\":0,\"reason\":1}"));
+        let evs = events(&sink);
+        let args = |name: &str| named(&evs, name, "i")[0].get("args").cloned();
+        let admit = json::parse(r#"{"tenant": 1, "id": 42}"#).unwrap();
+        assert_eq!(args("request admit"), Some(admit.clone()));
+        assert_eq!(args("request dispatch"), Some(admit));
+        assert_eq!(
+            args("request shed"),
+            Some(json::parse(r#"{"tenant": 0, "reason": 1}"#).unwrap())
+        );
     }
 
     #[test]
@@ -546,40 +414,33 @@ mod tests {
         sink.record(2, K::RequestPhase { id: 42, phase: 0 });
         sink.record(2, K::RequestPhase { id: 42, phase: 1 });
         sink.record(2, K::RequestComplete { tenant: 1, id: 42 });
-        let json = chrome_trace(&sink, "t");
+        let evs = events(&sink);
         // One open and one close for each of the "request" and "service"
         // spans, matched by id.
-        assert_eq!(
-            json.matches("\"name\":\"request\",\"cat\":\"serve\",\"ph\":\"b\"")
-                .count(),
-            1
-        );
-        assert_eq!(
-            json.matches("\"name\":\"request\",\"cat\":\"serve\",\"ph\":\"e\"")
-                .count(),
-            1
-        );
-        assert_eq!(
-            json.matches("\"name\":\"service\",\"cat\":\"serve\",\"ph\":\"b\"")
-                .count(),
-            1
-        );
-        assert_eq!(
-            json.matches("\"name\":\"service\",\"cat\":\"serve\",\"ph\":\"e\"")
-                .count(),
-            1
-        );
-        assert_eq!(json.matches("\"ph\":\"n\"").count(), 2);
-        assert!(json.contains("\"name\":\"phase 1\""));
-        assert!(json.contains("\"id\":42"));
+        for (name, ph) in [
+            ("request", "b"),
+            ("request", "e"),
+            ("service", "b"),
+            ("service", "e"),
+        ] {
+            let found = named(&evs, name, ph);
+            assert_eq!(found.len(), 1, "{name}/{ph}");
+            assert_eq!(num(found[0], "id"), Some(42.0), "{name}/{ph}");
+        }
+        let steps: Vec<&Value> = evs
+            .iter()
+            .filter(|e| str_of(e, "ph") == Some("n"))
+            .collect();
+        assert_eq!(steps.len(), 2);
+        assert_eq!(str_of(steps[1], "name"), Some("phase 1"));
+        assert_eq!(num(steps[1].get("args").unwrap(), "phase"), Some(1.0));
         // The inner close sorts before the outer close.
-        let service_e = json
-            .find("\"name\":\"service\",\"cat\":\"serve\",\"ph\":\"e\"")
-            .unwrap();
-        let request_e = json
-            .find("\"name\":\"request\",\"cat\":\"serve\",\"ph\":\"e\"")
-            .unwrap();
-        assert!(service_e < request_e, "inner span must close first");
+        let at = |name: &str| {
+            evs.iter()
+                .position(|e| str_of(e, "name") == Some(name) && str_of(e, "ph") == Some("e"))
+                .unwrap()
+        };
+        assert!(at("service") < at("request"), "inner span must close first");
     }
 
     #[test]
@@ -594,8 +455,31 @@ mod tests {
                 hi: 4,
             },
         );
-        let json = chrome_trace(&sink, "t");
-        assert!(!json.contains("\"ph\":\"s\""));
-        assert!(json.contains("grab local"));
+        let evs = events(&sink);
+        assert!(evs.iter().all(|e| str_of(e, "ph") != Some("s")));
+        assert_eq!(named(&evs, "grab local", "X").len(), 1);
+    }
+
+    #[test]
+    fn lanes_are_named_and_events_sit_one_per_line() {
+        let sink = TraceSink::new(2);
+        sink.record(1, K::BarrierArrive);
+        let json = chrome_trace(&sink, "repro/\"fig3\"");
+        let evs = events(&sink);
+        let meta = json::parse(json.lines().nth(2).unwrap().trim_end_matches(',')).unwrap();
+        assert_eq!(str_of(&meta, "name"), Some("process_name"));
+        assert_eq!(
+            str_of(meta.get("args").unwrap(), "name"),
+            Some("repro/\"fig3\"")
+        );
+        // process + 2 lanes of metadata, then the one instant.
+        assert_eq!(evs.len(), 4);
+        // `{`, `"traceEvents": [`, one line per event, `],`, the time unit, `}`.
+        assert_eq!(json.lines().count(), evs.len() + 5);
+        assert_eq!(str_of(&evs[2], "ph"), Some("M"));
+        assert_eq!(
+            str_of(evs[2].get("args").unwrap(), "name"),
+            Some("worker 1")
+        );
     }
 }

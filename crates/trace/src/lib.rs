@@ -44,11 +44,14 @@
 
 pub mod chrome;
 pub mod event;
-pub mod json;
 pub mod report;
 pub mod ring;
 pub mod sink;
 pub mod timeline;
+
+/// The workspace JSON module, re-exported for readers that reach it
+/// through this crate.
+pub use afs_core::json;
 
 pub use chrome::chrome_trace;
 pub use event::{Event, EventKind};

@@ -1,15 +1,20 @@
 #!/usr/bin/env bash
 # There is one spin → yield → park ladder and one eventcount in this
-# repository: crates/runtime/src/wait.rs. This check keeps it that way.
+# repository: crates/runtime/src/wait.rs. There is one JSON writer and one
+# string escaper: crates/core/src/json.rs. This check keeps it that way.
 #
 #   scripts/check_waits.sh
 #
-# Fails (exit 1, offending lines printed) if a waiting primitive —
-# `yield_now(`, `thread::park`, `.unpark()`, `Condvar`, `spin_loop(` —
-# occurs in non-test, non-comment code under crates/*/src or src/, outside
-# wait.rs and the allow-list below. "Non-test" is everything above a file's
-# first `#[cfg(test)]` line (unit tests close every file here); tests/,
-# benches/, examples/ and benchmark/ are not looked at.
+# Fails (exit 1, offending lines printed) if, in non-test, non-comment code
+# under crates/*/src or src/,
+#   * a waiting primitive — `yield_now(`, `thread::park`, `.unpark()`,
+#     `Condvar`, `spin_loop(` — occurs outside wait.rs and the allow-list
+#     below, or
+#   * a JSON key literal (`\"name\":`, a document hand-formatted with
+#     format!) occurs outside json.rs.
+# "Non-test" is everything above a file's first `#[cfg(test)]` line (unit
+# tests close every file here); tests/, benches/, examples/ and benchmark/
+# are not looked at.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,9 +42,18 @@ allowed() { # file pattern -> the allowed count, 0 when not listed
 
 status=0
 while IFS= read -r file; do
-    [[ "$file" == crates/runtime/src/wait.rs ]] && continue
     # Non-test code with comment lines dropped, line numbers kept.
     code=$(awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FNR ": " $0 }' "$file")
+    if [[ "$file" != crates/core/src/json.rs ]]; then
+        keys=$(grep -E '\\"[A-Za-z_][A-Za-z0-9_]*\\":' <<<"$code" || true)
+        if [[ -n "$keys" ]]; then
+            echo "check_waits: $file formats JSON by hand:" >&2
+            sed 's/^/    /' <<<"$keys" >&2
+            echo "check_waits: write JSON through afs_core::json (document / Encode)" >&2
+            status=1
+        fi
+    fi
+    [[ "$file" == crates/runtime/src/wait.rs ]] && continue
     for pat in "${patterns[@]}"; do
         hits=$(grep -F -- "$pat" <<<"$code" || true)
         [[ -z "$hits" ]] && continue
@@ -54,6 +68,7 @@ done < <(find crates/*/src src -name '*.rs' | sort)
 
 if ((status == 0)); then
     echo "check_waits: waiting primitives only in crates/runtime/src/wait.rs (+ ${#allow[@]} allow-listed uses)"
+    echo "check_waits: JSON written only through crates/core/src/json.rs"
 else
     echo "check_waits: wait through afs_runtime::wait (EventCount::wait), or add an allow-list entry with its reason" >&2
 fi
