@@ -33,6 +33,27 @@ pub mod l4;
 pub mod sor;
 pub mod transitive;
 
+/// `len` seeded values of the kinds where a reordered or fused
+/// floating-point expression would show: signed zeros, subnormals, and
+/// magnitudes from 1e-300 up to 1e150 (no NaN or infinity; four 1e150s sum,
+/// and four products of two of them subtract, without overflowing).
+#[cfg(test)]
+fn awkward_buffer(len: usize, seed: u64) -> Vec<f64> {
+    let mut rng = afs_core::rng::Xoshiro256::seed_from_u64(seed);
+    (0..len)
+        .map(|_| {
+            let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
+            match rng.next_below(5) {
+                0 => sign * 0.0,
+                1 => sign * f64::from_bits(1 + rng.next_below((1 << 52) - 1)),
+                2 => sign * 1e-300 * rng.next_f64(),
+                3 => sign * 1e150 * rng.next_f64(),
+                _ => sign * rng.next_f64(),
+            }
+        })
+        .collect()
+}
+
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::adjoint::{AdjointConvolution, AdjointModel};

@@ -116,8 +116,9 @@ pub fn update_row_into(src: &[f64], dst_row: &mut [f64], n: usize, row: usize) {
         let up = up.map_or(0.0, |r| r[col]);
         let down = down.map_or(0.0, |r| r[col]);
         let old = mid[col];
-        // One division per element: the operation mix the paper calls out
-        // for the KSR-1's software divide (§5.2).
+        // rustc compiles `/ 4.0` to the exact `* 0.25`: no divide executes
+        // here. The divide per element the paper calls out for the KSR-1's
+        // software divide (§5.2) is `SorModel::cost`'s charge.
         let avg = (up + down + left + right) / 4.0;
         old + OMEGA * (avg - old)
     };
@@ -267,32 +268,12 @@ mod tests {
         }
     }
 
-    /// A seeded `n × n` buffer of the values where a reordered or fused
-    /// floating-point expression would show: signed zeros, subnormals,
-    /// and magnitudes from 1e-300 up to 1e150 (no NaN; four 1e150s sum
-    /// without overflowing).
-    fn awkward_buffer(n: usize, seed: u64) -> Vec<f64> {
-        let mut rng = afs_core::rng::Xoshiro256::seed_from_u64(seed);
-        (0..n * n)
-            .map(|_| {
-                let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
-                match rng.next_below(5) {
-                    0 => sign * 0.0,
-                    1 => sign * f64::from_bits(1 + rng.next_below((1 << 52) - 1)),
-                    2 => sign * 1e-300 * rng.next_f64(),
-                    3 => sign * 1e150 * rng.next_f64(),
-                    _ => sign * rng.next_f64(),
-                }
-            })
-            .collect()
-    }
-
     const EDGE_SIZES: [usize; 6] = [1, 2, 3, 5, 64, 65];
 
     #[test]
     fn update_row_into_is_bit_identical_to_the_reference_stencil() {
         for n in EDGE_SIZES {
-            let awkward = awkward_buffer(n, 0x50b + n as u64);
+            let awkward = crate::awkward_buffer(n * n, 0x50b + n as u64);
             if n >= 64 {
                 // The generator really produces the values it is for.
                 assert!(awkward.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()));

@@ -128,15 +128,21 @@ const MAX_FULL_SCANS: u32 = 2;
 /// grab-ahead is enabled (see [`AfsSource::with_grab_ahead`]).
 pub const MAX_GRAB_AHEAD: usize = 8;
 
-/// A worker-private stash of pre-claimed local sub-chunks, stored in
-/// reverse order so handing one out is a `pop`.
-struct Stash(UnsafeCell<Vec<Grab>>);
+/// A worker's private state in an [`AfsSource`], on its own cache line.
+struct Slot {
+    /// Pre-claimed local sub-chunks, stored in reverse order so handing one
+    /// out is a `pop`.
+    stash: UnsafeCell<Vec<Grab>>,
+    /// Full O(P) steal-path scans this worker performed (most-loaded or
+    /// probe passes); observability for the bounded-rescan policy.
+    scans: AtomicU64,
+}
 
-// SAFETY: stash slot `i` is only ever touched by the thread currently
-// driving worker index `i` — the same exclusivity `Pool` guarantees for
-// trace lanes and per-worker `LoopMetrics` — and a worker's grabs are
-// sequential, so no two threads access one slot concurrently.
-unsafe impl Sync for Stash {}
+// SAFETY: the stash of slot `i` is only ever touched by the thread
+// currently driving worker index `i` — the same exclusivity `Pool`
+// guarantees for trace lanes and per-worker `LoopMetrics` — and a worker's
+// grabs are sequential, so no two threads access one stash concurrently.
+unsafe impl Sync for Slot {}
 
 /// Per-queue partition bases, rewritten only by [`AfsSource::rearm`].
 struct Bases(UnsafeCell<Vec<u64>>);
@@ -181,17 +187,14 @@ pub struct AfsSource {
     /// before cross-node ones on the steal fallback path.
     node_of: Vec<usize>,
     /// Per-worker stash of pre-claimed sub-chunks (drained before any new
-    /// CAS; empty whenever `ahead == 1`).
-    stash: Vec<CachePadded<Stash>>,
+    /// CAS; empty whenever `ahead == 1`) and steal-scan count.
+    slots: Vec<CachePadded<Slot>>,
     trace: Option<Arc<TraceSink>>,
     /// Always-on counters: CAS retries and stash hits, per worker.
     metrics: Option<Arc<MetricsRegistry>>,
     inject: Option<YieldInject>,
     /// Last steal victim: where the linear-probe fallback starts.
     last_victim: CachePadded<AtomicUsize>,
-    /// Full O(P) steal-path scans performed (most-loaded or probe passes);
-    /// observability for the bounded-rescan policy.
-    scans: CachePadded<AtomicU64>,
 }
 
 impl AfsSource {
@@ -221,14 +224,18 @@ impl AfsSource {
             p,
             ahead: AtomicUsize::new(1),
             node_of,
-            stash: (0..p)
-                .map(|_| CachePadded::new(Stash(UnsafeCell::new(Vec::new()))))
+            slots: (0..p)
+                .map(|_| {
+                    CachePadded::new(Slot {
+                        stash: UnsafeCell::new(Vec::new()),
+                        scans: AtomicU64::new(0),
+                    })
+                })
                 .collect(),
             trace: None,
             metrics: None,
             inject: None,
             last_victim: CachePadded::new(AtomicUsize::new(0)),
-            scans: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
@@ -309,7 +316,7 @@ impl AfsSource {
             // Stashes are empty after a drained phase; clear defensively in
             // case the previous phase was abandoned mid-flight (a panic).
             // SAFETY: same exclusive window as the bases write.
-            unsafe { &mut *self.stash[i].0.get() }.clear();
+            unsafe { &mut *self.slots[i].stash.get() }.clear();
         }
         self.k.store(k, Ordering::Release);
         self.ahead
@@ -325,9 +332,13 @@ impl AfsSource {
         self
     }
 
-    /// Number of full O(P) steal-path scans performed so far.
+    /// Number of full O(P) steal-path scans performed so far, summed over
+    /// the workers.
     pub fn steal_scans(&self) -> u64 {
-        self.scans.load(Ordering::Relaxed)
+        self.slots
+            .iter()
+            .map(|s| s.scans.load(Ordering::Relaxed))
+            .sum()
     }
 
     #[inline]
@@ -394,8 +405,8 @@ impl AfsSource {
     #[inline]
     fn try_local(&self, worker: usize) -> Option<Grab> {
         // SAFETY: worker index `worker` is driven by exactly one thread at
-        // a time (see `Stash`), so this is effectively a thread-local.
-        let stash = unsafe { &mut *self.stash[worker].0.get() };
+        // a time (see `Slot`), so this is effectively a thread-local.
+        let stash = unsafe { &mut *self.slots[worker].stash.get() };
         if let Some(g) = stash.pop() {
             if let Some(m) = &self.metrics {
                 m.worker(worker).record_stash_hit();
@@ -507,7 +518,7 @@ impl WorkSource for AfsSource {
         // SAFETY: same exclusivity as `next` — only the thread driving
         // `worker` calls `warm(worker)`, so no other reference to this
         // worker's stash exists.
-        let stash = unsafe { &mut *self.stash[worker].0.get() };
+        let stash = unsafe { &mut *self.slots[worker].stash.get() };
         if ahead > 1 && stash.capacity() < ahead {
             stash.reserve_exact(ahead - stash.capacity());
         }
@@ -526,12 +537,11 @@ impl WorkSource for AfsSource {
             if let Some(g) = self.try_local(worker) {
                 return Some(g);
             }
-            // Observability-only counter: a plain load+store (not an atomic
-            // RMW) keeps the locked prefix off the steal path; racing
-            // increments may be lost, which the single-threaded regression
-            // test for the scan bound never sees.
-            self.scans
-                .store(self.scans.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            // Observability-only counter on the worker's own line: only this
+            // thread writes it, so a plain load+store (no locked RMW) counts
+            // exactly.
+            let scans = &self.slots[worker].scans;
+            scans.store(scans.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
             let victim = if full_scans < MAX_FULL_SCANS {
                 full_scans += 1;
                 self.most_loaded()?

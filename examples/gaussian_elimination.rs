@@ -34,6 +34,10 @@ fn main() {
     }
     println!("n = {n}: solved with AFS; max residual {max_residual:.3e}");
     println!(
+        "flush loop: {} copy",
+        affinity_sched::kernels::gauss::flush_copy()
+    );
+    println!(
         "scheduling: {} phases, {} local grabs, {} steals",
         sys.phases(),
         metrics.sync.local,
