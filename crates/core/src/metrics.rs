@@ -31,6 +31,16 @@ impl SyncOps {
         self.synchronized() + self.free
     }
 
+    /// Affinity hit ratio: the fraction of queue-based removals served
+    /// from the remover's own queue, `local / (local + remote)` — the
+    /// paper's locality claim as one number. `None` when no queue-based
+    /// removal happened: central and free removals carry no locality
+    /// signal either way.
+    pub fn affinity_hit_ratio(&self) -> Option<f64> {
+        let denom = self.local + self.remote;
+        (denom > 0).then(|| self.local as f64 / denom as f64)
+    }
+
     /// Records one removal of the given kind.
     pub fn record(&mut self, access: AccessKind) {
         match access {
@@ -68,7 +78,9 @@ pub struct TraceEntry {
 pub struct LoopMetrics {
     /// Aggregate removal counts.
     pub sync: SyncOps,
-    /// Removal counts per queue (indexed by queue id).
+    /// Removal counts per queue (indexed by queue id). Filled by the
+    /// simulator only: a real-thread runtime result leaves it empty (its
+    /// per-victim steal counts are the trace report's steal matrix).
     pub per_queue: Vec<SyncOps>,
     /// Removal counts per worker.
     pub per_worker: Vec<SyncOps>,
@@ -100,24 +112,17 @@ impl LoopMetrics {
     }
 
     /// Records a successful grab by `worker`: the synchronization operation
-    /// *and* its iterations. Equivalent to [`LoopMetrics::record_sync`]
-    /// followed by [`LoopMetrics::record_executed`] for the full range —
-    /// callers that may execute fewer iterations than grabbed (a panic-safe
-    /// runtime draining around a poisoned iteration) use the split form.
+    /// and its iterations.
     pub fn record(&mut self, worker: usize, grab: &Grab) {
-        self.record_sync(worker, grab);
-        self.record_executed(worker, grab.range.len());
-    }
-
-    /// Records the synchronization side of a grab (queue removal counts and
-    /// the optional trace entry) without crediting any executed iterations.
-    pub fn record_sync(&mut self, worker: usize, grab: &Grab) {
         self.sync.record(grab.access);
         if let Some(q) = self.per_queue.get_mut(grab.queue) {
             q.record(grab.access);
         }
         if let Some(w) = self.per_worker.get_mut(worker) {
             w.record(grab.access);
+        }
+        if let Some(w) = self.iters_per_worker.get_mut(worker) {
+            *w += grab.range.len();
         }
         if self.tracing {
             self.trace.push(TraceEntry {
@@ -126,16 +131,6 @@ impl LoopMetrics {
                 access: grab.access,
                 range: grab.range,
             });
-        }
-    }
-
-    /// Credits `n` executed iterations to `worker`. Paired with
-    /// [`LoopMetrics::record_sync`] when the executed count is only known
-    /// after the chunk ran (it may be short of the grabbed range when an
-    /// iteration panicked).
-    pub fn record_executed(&mut self, worker: usize, n: u64) {
-        if let Some(w) = self.iters_per_worker.get_mut(worker) {
-            *w += n;
         }
     }
 
@@ -230,24 +225,6 @@ mod tests {
         m.record(0, &grab(0, AccessKind::Free, 0, 100));
         assert_eq!(m.sync.synchronized(), 0);
         assert_eq!(m.sync.total(), 1);
-    }
-
-    #[test]
-    fn split_recording_matches_combined() {
-        let mut combined = LoopMetrics::new(2, 2).with_tracing();
-        combined.record(0, &grab(0, AccessKind::Local, 0, 10));
-        let mut split = LoopMetrics::new(2, 2).with_tracing();
-        split.record_sync(0, &grab(0, AccessKind::Local, 0, 10));
-        split.record_executed(0, 10);
-        assert_eq!(split.sync, combined.sync);
-        assert_eq!(split.iters_per_worker, combined.iters_per_worker);
-        assert_eq!(split.trace, combined.trace);
-        // A short-executed chunk counts the grab but only the executed part.
-        let mut partial = LoopMetrics::new(2, 2);
-        partial.record_sync(1, &grab(1, AccessKind::Remote, 0, 10));
-        partial.record_executed(1, 7);
-        assert_eq!(partial.sync.remote, 1);
-        assert_eq!(partial.total_iters(), 7);
     }
 
     #[test]

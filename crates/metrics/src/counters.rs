@@ -5,15 +5,18 @@
 //! Every counter in [`WorkerCounters`] is **single-writer**: the thread
 //! currently driving worker index `w` is the only thread that ever writes
 //! slot `w` — the same exclusivity the runtime's pool guarantees for trace
-//! lanes, per-worker `LoopMetrics`, and grab-ahead stashes. A bump is
+//! lanes and grab-ahead stashes. A bump is
 //! therefore a plain `Relaxed` load + store (no RMW, no `lock` prefix on
 //! x86): there is no concurrent writer to lose an increment to, so the
 //! counts are *exact*, not approximate. Readers ([`WorkerCounters::get`])
 //! may observe a mid-run value that is slightly stale, which is fine —
 //! snapshots are taken at quiescent points (after a loop returns), where
 //! the pool's end-of-phase `SeqCst` ack edge orders every worker store
-//! before the coordinator's read.
+//! before the coordinator's read. The owning worker's own reads are exact
+//! at any time: the runtime's per-region `LoopMetrics` is the difference
+//! of two such reads, taken by each worker of its own slot.
 
+use afs_core::metrics::SyncOps;
 use afs_core::policy::AccessKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -223,7 +226,17 @@ pub struct CounterSnapshot {
 impl CounterSnapshot {
     /// Total grabs of any kind.
     pub fn total_grabs(&self) -> u64 {
-        self.local_grabs + self.remote_grabs + self.central_grabs + self.free_grabs
+        self.sync().total()
+    }
+
+    /// The four grab counters as the paper's removal counts (Tables 3–5).
+    pub fn sync(&self) -> SyncOps {
+        SyncOps {
+            central: self.central_grabs,
+            local: self.local_grabs,
+            remote: self.remote_grabs,
+            free: self.free_grabs,
+        }
     }
 
     /// Adds `other` into `self` field by field.

@@ -1,8 +1,7 @@
-//! Concurrent log₂ latency histograms.
+//! Log₂ latency histograms: a concurrent one, and its plain-value copy.
 //!
-//! Same bucketing as `afs_trace::report::Histogram` (so the two are
-//! directly comparable), but recordable from any thread: buckets are
-//! relaxed atomic adds. Unlike [`crate::counters::WorkerCounters`], a
+//! [`AtomicHistogram`] is recordable from any thread: buckets are relaxed
+//! atomic adds. Unlike [`crate::counters::WorkerCounters`], a
 //! histogram *is* multi-writer (any worker may take a barrier turn and
 //! record the phase duration), so increments use `fetch_add` rather than
 //! the single-writer load+store.
@@ -103,6 +102,15 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Adds one duration sample of `ns` nanoseconds (single-threaded
+    /// recording, e.g. a post-run trace analysis).
+    pub fn record(&mut self, ns: u64) {
+        self.counts[bucket_of(ns)] += 1;
+        self.samples += 1;
+        self.total_ns += ns;
+        self.max_ns = self.max_ns.max(ns);
+    }
+
     /// Mean sample duration in nanoseconds (0 when empty).
     pub fn mean_ns(&self) -> f64 {
         if self.samples == 0 {
@@ -188,13 +196,16 @@ mod tests {
 
     #[test]
     fn buckets_are_powers_of_two() {
+        // The concurrent histogram and a plain snapshot recorded directly
+        // bucket alike.
         let h = AtomicHistogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
+        let mut plain = HistogramSnapshot::default();
+        for ns in [0, 1, 2, 3, 1024] {
+            h.record(ns);
+            plain.record(ns);
+        }
         let s = h.get();
+        assert_eq!(plain, s);
         assert_eq!(s.counts[0], 2); // 0 and 1
         assert_eq!(s.counts[1], 2); // 2 and 3
         assert_eq!(s.counts[10], 1); // 1024
@@ -208,6 +219,9 @@ mod tests {
         let h = AtomicHistogram::new();
         h.record(u64::MAX);
         assert_eq!(h.get().counts[BUCKETS - 1], 1);
+        let mut plain = HistogramSnapshot::default();
+        plain.record(u64::MAX);
+        assert_eq!(plain.counts[BUCKETS - 1], 1);
     }
 
     #[test]

@@ -117,9 +117,7 @@ impl MetricsSnapshot {
     /// happened (central-only policies, empty runs) — central and free
     /// grabs are excluded because they carry no locality signal either way.
     pub fn affinity_hit_ratio(&self) -> Option<f64> {
-        let t = self.totals();
-        let denom = t.local_grabs + t.remote_grabs;
-        (denom > 0).then(|| t.local_grabs as f64 / denom as f64)
+        self.totals().sync().affinity_hit_ratio()
     }
 
     /// `self − base` per worker and histogram: the activity that happened

@@ -8,10 +8,11 @@
 //! iteration imbalance — and re-tunes the *next* phase's k and b.
 //!
 //! The controller's state is a set of integer EWMAs over per-mille rates
-//! plus the last observed counter totals, and [`AdaptController::observe`] is a pure
-//! integer function of those — no floats, no wall-clock, no randomness —
-//! so identical observation sequences always produce identical decision
-//! sequences (asserted by tests).
+//! plus each worker's last observed [`CounterSnapshot`], and
+//! [`AdaptController::observe`] is a pure integer function of those — no
+//! floats, no wall-clock, no randomness — so identical observation
+//! sequences always produce identical decision sequences (asserted by
+//! tests).
 //!
 //! # Decision table
 //!
@@ -40,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::source::MAX_GRAB_AHEAD;
-use afs_metrics::MetricsRegistry;
+use afs_metrics::{CounterSnapshot, MetricsRegistry};
 
 /// Consecutive same-direction votes required before a parameter moves.
 pub const HYSTERESIS: u32 = 2;
@@ -76,53 +77,6 @@ pub fn k_ladder(p: usize) -> Vec<u64> {
     ladder
 }
 
-/// Cumulative counter readings the controller derives phase deltas from.
-/// All scalar fields are running totals since pool creation (never
-/// deltas), summed over all workers; `iters` is the per-worker cumulative
-/// iteration totals (for the imbalance signal).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AdaptObservation<'a> {
-    /// Own-queue grabs, all workers.
-    pub local_grabs: u64,
-    /// Steals from other workers' queues, all workers.
-    pub remote_grabs: u64,
-    /// Contended CAS retries on queue words, all workers.
-    pub cas_retries: u64,
-    /// Grabs served from the grab-ahead stash, all workers.
-    pub stash_hits: u64,
-    /// Barrier waits resolved while spinning, all workers.
-    pub barrier_spin: u64,
-    /// Barrier waits resolved while yielding, all workers.
-    pub barrier_yield: u64,
-    /// Barrier waits that parked, all workers.
-    pub barrier_park: u64,
-    /// Per-worker cumulative iteration totals.
-    pub iters: &'a [u64],
-}
-
-impl<'a> AdaptObservation<'a> {
-    /// Builds the observation from a registry's current counter totals,
-    /// writing the per-worker iteration totals into `iters_buf` (reused
-    /// across phases so the hot path does not allocate).
-    pub fn from_registry(reg: &MetricsRegistry, iters_buf: &'a mut Vec<u64>) -> Self {
-        let mut obs = AdaptObservation::default();
-        iters_buf.clear();
-        for w in 0..reg.workers() {
-            let c = reg.worker(w).get();
-            obs.local_grabs += c.local_grabs;
-            obs.remote_grabs += c.remote_grabs;
-            obs.cas_retries += c.cas_retries;
-            obs.stash_hits += c.stash_hits;
-            obs.barrier_spin += c.barrier_spin;
-            obs.barrier_yield += c.barrier_yield;
-            obs.barrier_park += c.barrier_park;
-            iters_buf.push(c.iters);
-        }
-        obs.iters = iters_buf;
-        obs
-    }
-}
-
 /// What [`AdaptController::observe`] decided for the next phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Tune {
@@ -135,23 +89,11 @@ pub struct Tune {
     pub changed: bool,
 }
 
-/// Scalar totals remembered from the previous observation.
-#[derive(Clone, Copy, Debug, Default)]
-struct LastScalars {
-    local: u64,
-    remote: u64,
-    retries: u64,
-    spin: u64,
-    yields: u64,
-    park: u64,
-}
-
 /// Controller state mutated under one short lock per phase boundary.
 #[derive(Debug, Default)]
 struct Inner {
-    last: LastScalars,
-    /// Per-worker cumulative iteration totals at the last observation.
-    last_iters: Vec<u64>,
+    /// Each worker's cumulative counters at the last observation.
+    last: Vec<CounterSnapshot>,
     /// Whether the EWMAs have been seeded by a first informative phase.
     seeded: bool,
     steal_ewma_pm: u64,
@@ -268,49 +210,39 @@ impl AdaptController {
         self.settle_streak() >= SETTLE_AFTER
     }
 
-    /// Convenience: observes a registry's current totals (see
-    /// [`AdaptObservation::from_registry`]).
+    /// Observes a registry's current per-worker counters.
     pub fn observe_registry(&self, reg: &MetricsRegistry) -> Tune {
-        let mut buf = Vec::with_capacity(reg.workers());
-        let obs = AdaptObservation::from_registry(reg, &mut buf);
-        self.observe(obs)
+        self.observe((0..reg.workers()).map(|w| reg.worker(w).get()))
     }
 
-    /// Feeds one reading of the cumulative counters (a phase boundary) and
-    /// returns the tuning for the next phase. Deterministic: the same
-    /// sequence of observations always produces the same decisions.
-    pub fn observe(&self, obs: AdaptObservation<'_>) -> Tune {
+    /// Feeds one reading of every worker's cumulative counters (a phase
+    /// boundary), in worker order, and returns the tuning for the next
+    /// phase. The phase's deltas are each worker's reading minus its
+    /// previous one. Deterministic: the same sequence of observations
+    /// always produces the same decisions.
+    pub fn observe(&self, workers: impl IntoIterator<Item = CounterSnapshot>) -> Tune {
         let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         self.phases.fetch_add(1, Ordering::Relaxed);
 
-        let d_local = obs.local_grabs.saturating_sub(g.last.local);
-        let d_remote = obs.remote_grabs.saturating_sub(g.last.remote);
-        let d_retries = obs.cas_retries.saturating_sub(g.last.retries);
-        let d_spin = obs.barrier_spin.saturating_sub(g.last.spin);
-        let d_yield = obs.barrier_yield.saturating_sub(g.last.yields);
-        let d_park = obs.barrier_park.saturating_sub(g.last.park);
-        g.last = LastScalars {
-            local: obs.local_grabs,
-            remote: obs.remote_grabs,
-            retries: obs.cas_retries,
-            spin: obs.barrier_spin,
-            yields: obs.barrier_yield,
-            park: obs.barrier_park,
-        };
-
-        // Per-worker iteration deltas for the imbalance signal.
-        g.last_iters.resize(obs.iters.len(), 0);
+        // Summed deltas, plus the per-worker iteration deltas' max for
+        // the imbalance signal.
+        let mut d = CounterSnapshot::default();
         let mut d_max = 0u64;
-        let mut d_total = 0u64;
-        for (now, then) in obs.iters.iter().zip(g.last_iters.iter_mut()) {
-            let d = now.saturating_sub(*then);
-            *then = *now;
-            d_max = d_max.max(d);
-            d_total += d;
+        let mut seen = 0;
+        for (w, now) in workers.into_iter().enumerate() {
+            if w == g.last.len() {
+                g.last.push(CounterSnapshot::default());
+            }
+            let dw = now.minus(&g.last[w]);
+            g.last[w] = now;
+            d_max = d_max.max(dw.iters);
+            d.add(&dw);
+            seen = w + 1;
         }
+        g.last.truncate(seen);
 
-        let d_grabs = d_local + d_remote;
-        let waited = d_spin + d_yield + d_park;
+        let d_grabs = d.local_grabs + d.remote_grabs;
+        let waited = d.barrier_spin + d.barrier_yield + d.barrier_park;
         if d_grabs == 0 && waited == 0 {
             // No information: an empty phase (or a repeat reading) must
             // not decay the EWMAs or break a streak.
@@ -319,16 +251,16 @@ impl AdaptController {
 
         // Per-mille rates for this phase, then integer EWMA with α = 1/4.
         // The first informative phase seeds the EWMAs directly.
-        let steal_pm = (d_remote * 1000)
+        let steal_pm = (d.remote_grabs * 1000)
             .checked_div(d_grabs)
             .unwrap_or(g.steal_ewma_pm);
-        let retry_pm = (d_retries * 1000)
+        let retry_pm = (d.cas_retries * 1000)
             .checked_div(d_grabs)
             .unwrap_or(g.retry_ewma_pm);
-        let park_pm = (d_park * 1000).checked_div(waited).unwrap_or(0);
-        let workers = obs.iters.len().max(1) as u64;
+        let park_pm = (d.barrier_park * 1000).checked_div(waited).unwrap_or(0);
+        let workers = seen.max(1) as u64;
         let imbal_pm = (d_max * workers * 1000)
-            .checked_div(d_total)
+            .checked_div(d.iters)
             .unwrap_or(1000);
         if g.seeded {
             g.steal_ewma_pm = (g.steal_ewma_pm * 3 + steal_pm) / 4;
@@ -423,26 +355,17 @@ impl AdaptController {
 mod tests {
     use super::*;
 
-    /// Drives the controller with synthetic cumulative totals built from
-    /// per-phase deltas.
+    /// Drives the controller with synthetic cumulative per-worker counters
+    /// built from per-phase deltas: the grab, retry and barrier deltas land
+    /// on worker 0, the iteration deltas on their own workers.
     struct Feed {
-        local: u64,
-        remote: u64,
-        retries: u64,
-        park: u64,
-        spin: u64,
-        iters: Vec<u64>,
+        workers: Vec<CounterSnapshot>,
     }
 
     impl Feed {
         fn new(p: usize) -> Feed {
             Feed {
-                local: 0,
-                remote: 0,
-                retries: 0,
-                park: 0,
-                spin: 0,
-                iters: vec![0; p],
+                workers: vec![CounterSnapshot::default(); p],
             }
         }
 
@@ -460,24 +383,16 @@ mod tests {
             spin: u64,
             d_iters: &[u64],
         ) -> Tune {
-            self.local += local;
-            self.remote += remote;
-            self.retries += retries;
-            self.park += park;
-            self.spin += spin;
-            for (slot, d) in self.iters.iter_mut().zip(d_iters) {
-                *slot += d;
+            let w0 = &mut self.workers[0];
+            w0.local_grabs += local;
+            w0.remote_grabs += remote;
+            w0.cas_retries += retries;
+            w0.barrier_park += park;
+            w0.barrier_spin += spin;
+            for (w, d) in self.workers.iter_mut().zip(d_iters) {
+                w.iters += d;
             }
-            c.observe(AdaptObservation {
-                local_grabs: self.local,
-                remote_grabs: self.remote,
-                cas_retries: self.retries,
-                stash_hits: 0,
-                barrier_spin: self.spin,
-                barrier_yield: 0,
-                barrier_park: self.park,
-                iters: &self.iters,
-            })
+            c.observe(self.workers.iter().copied())
         }
     }
 
@@ -634,16 +549,24 @@ mod tests {
 
     #[test]
     fn observation_builds_from_a_registry() {
+        // Reading a registry sums every worker's counters: a registry with
+        // the remote grab and the retry on worker 1 decides, phase for
+        // phase, like a feed of the same totals all booked on worker 0.
         use afs_core::policy::AccessKind;
         let reg = MetricsRegistry::new(2);
-        reg.worker(0).record_grab(AccessKind::Local, 10);
-        reg.worker(1).record_grab(AccessKind::Remote, 4);
-        reg.worker(1).record_cas_retry();
-        let mut buf = Vec::new();
-        let obs = AdaptObservation::from_registry(&reg, &mut buf);
-        assert_eq!(obs.local_grabs, 1);
-        assert_eq!(obs.remote_grabs, 1);
-        assert_eq!(obs.cas_retries, 1);
-        assert_eq!(obs.iters, &[10, 4]);
+        let from_reg = AdaptController::with_initial(2, 1, 1);
+        let fed = AdaptController::with_initial(2, 1, 1);
+        let mut f = Feed::new(2);
+        for _ in 0..4 {
+            reg.worker(0).record_grab(AccessKind::Local, 10);
+            reg.worker(1).record_grab(AccessKind::Remote, 4);
+            reg.worker(1).record_cas_retry();
+            assert_eq!(
+                from_reg.observe_registry(&reg),
+                f.phase(&fed, 1, 1, 1, 0, 0, &[10, 4])
+            );
+        }
+        // A 50 % steal share is uneven: k moved up the ladder.
+        assert_eq!(from_reg.current(), (4, 1));
     }
 }

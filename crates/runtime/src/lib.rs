@@ -13,7 +13,8 @@
 //!   implementation with per-worker queues and lock-free load checks;
 //! * [`parallel::parallel_for`] / [`parallel::parallel_phases`] — the
 //!   execution entry points, returning the same [`afs_core::LoopMetrics`]
-//!   the simulator produces;
+//!   the simulator produces (derived from the workers' counter slots, with
+//!   `per_queue` left empty);
 //! * [`shared::RowMatrix`] — a row-sharded shared array giving kernels
 //!   race-free mutable access to disjoint rows from multiple workers;
 //! * [`wait::EventCount`] — the one spin → yield → park ladder every wait
@@ -54,7 +55,7 @@ pub mod sync;
 pub mod wait;
 mod watchdog;
 
-pub use adapt::{AdaptController, AdaptObservation, Tune};
+pub use adapt::{AdaptController, Tune};
 pub use barrier::SenseBarrier;
 pub use fault::{FaultPlan, PanicPolicy, PhaseError};
 pub use parallel::{

@@ -21,7 +21,7 @@ use crate::source::{AfsSource, FetchAddSource, LockedSource, StaticSource, WorkS
 use crate::source_le::{AfsLeSource, LeHistory};
 use crate::sync::Mutex;
 use afs_core::metrics::LoopMetrics;
-use afs_core::policy::{Grab, QueueTopology, Scheduler};
+use afs_core::policy::{Grab, Scheduler};
 use afs_core::schedulers::affinity::KParam;
 use afs_metrics::{MetricsRegistry, WorkerCounters};
 use afs_trace::{EventKind, TraceSink};
@@ -343,17 +343,6 @@ impl RuntimeScheduler {
             Kind::Static => *slot = Some(PhaseSource::other(StaticSource::new(n, p))),
         }
     }
-
-    fn queues(&self, p: usize) -> usize {
-        match &self.kind {
-            Kind::Locked(s) => match s.topology() {
-                QueueTopology::Central => 1,
-                QueueTopology::PerProcessor => p,
-            },
-            Kind::FetchAdd { .. } => 1,
-            Kind::Afs { .. } | Kind::AfsLe { .. } | Kind::Adaptive(_) | Kind::Static => p,
-        }
-    }
 }
 
 /// Executes `body(i)` for every `i` in `0..n` on the pool's workers,
@@ -549,7 +538,7 @@ fn run_chunk_guarded<F: Fn(usize, u64) + Sync>(
     executed
 }
 
-/// Drains `source` on `worker`, recording grabs into `local`, the worker's
+/// Drains `source` on `worker`, recording grabs into the worker's
 /// always-on `counters` (and `sink`, when tracing). One phase of one
 /// worker. Each grab attempt bumps the worker's
 /// heartbeat (the watchdog's liveness signal) and runs the fault hooks when
@@ -562,7 +551,6 @@ fn drain_phase<F: Fn(usize, u64) + Sync>(
     worker: usize,
     phase: usize,
     source: &dyn WorkSource,
-    local: &mut LoopMetrics,
     counters: &WorkerCounters,
     trace: Option<&Arc<TraceSink>>,
     faults: Option<&FaultPlan>,
@@ -586,10 +574,8 @@ fn drain_phase<F: Fn(usize, u64) + Sync>(
                 let Some(grab) = source.next(worker) else {
                     break;
                 };
-                local.record_sync(worker, &grab);
                 counters.record_access(grab.access);
                 let executed = run_chunk_guarded(worker, phase, &grab, faults, region, body);
-                local.record_executed(worker, executed);
                 counters.record_iters(executed);
             }
         }
@@ -607,20 +593,17 @@ fn drain_phase<F: Fn(usize, u64) + Sync>(
             grabs += 1;
             sink.record(worker, EventKind::GrabBegin);
             let Some(grab) = source.next(worker) else {
-                // The failed final grab is not a Grab* event, so event
-                // counts stay 1:1 with LoopMetrics; mark the arrival at
-                // the end-of-phase barrier (the matching BarrierRelease is
-                // recorded when this worker passes it).
+                // The failed final grab is not a Grab* event; mark the
+                // arrival at the end-of-phase barrier (the matching
+                // BarrierRelease is recorded when this worker passes it).
                 sink.record(worker, EventKind::BarrierArrive);
                 break;
             };
             sink.record(worker, EventKind::of_grab(&grab));
-            local.record_sync(worker, &grab);
             counters.record_access(grab.access);
             let (q, lo, hi) = (grab.queue as u32, grab.range.start, grab.range.end);
             sink.record(worker, EventKind::ChunkStart { queue: q, lo, hi });
             let executed = run_chunk_guarded(worker, phase, &grab, faults, region, body);
-            local.record_executed(worker, executed);
             counters.record_iters(executed);
             sink.record(worker, EventKind::ChunkEnd);
         },
@@ -667,6 +650,14 @@ impl<'a> RegionSource<'a> {
 /// the last arriver re-arming the region's source for the next phase (so
 /// cross-phase scheduler state such as AFS-LE's history sees every update
 /// of the finished phase).
+///
+/// The returned `LoopMetrics` is derived from the workers' counter slots,
+/// the only per-grab record: each worker reads its own slot when its job
+/// starts and after its last phase, and credits the difference. The reads
+/// happen on the worker because only there are they bounded by this
+/// region — callers sharing the pool are serialized by it, so a snapshot
+/// the coordinator took before dispatching could include another
+/// caller's region. `per_queue` stays empty.
 fn fused_phases<F, L>(
     pool: &Pool,
     phases: usize,
@@ -685,8 +676,7 @@ where
     let faults = pool.fault_plan().cloned();
     let region = RegionFailure::new(pool.panic_policy());
     let deadline_ns = pool.phase_deadline().map(|d| d.as_nanos() as u64);
-    let queues = policy.queues(p);
-    let total = Mutex::new(LoopMetrics::new(p, queues));
+    let total = Mutex::new(LoopMetrics::new(p, 0));
     if phases == 0 {
         return Ok(total.into_inner());
     }
@@ -710,8 +700,8 @@ where
         if let Some(f) = &faults {
             f.on_region_start(worker);
         }
-        let mut local = LoopMetrics::new(p, queues);
         let counters = registry.worker(worker);
+        let start = counters.get();
         for phase in 0..phases {
             // SAFETY: the source was armed for `phase` before this worker
             // got here (phase 0 before the pool ran; later phases inside
@@ -727,7 +717,6 @@ where
                     worker,
                     phase,
                     current,
-                    &mut local,
                     counters,
                     trace,
                     faults.as_deref(),
@@ -766,7 +755,12 @@ where
                 }
             }
         }
-        total.lock().merge(&local);
+        let done = counters.get().minus(&start);
+        let sync = done.sync();
+        let mut total = total.lock();
+        total.sync.add(&sync);
+        total.per_worker[worker] = sync;
+        total.iters_per_worker[worker] = done.iters;
     });
     let end_ns = region_start.elapsed().as_nanos() as u64;
     let last_phase_ns = end_ns - prev_ns.load(Ordering::Relaxed);
@@ -1051,7 +1045,7 @@ mod tests {
         let m = if fused {
             parallel_phases(&pool, lens.len(), |ph| lens[ph], policy, |_, _| {})
         } else {
-            let mut total = LoopMetrics::new(1, policy.queues(1));
+            let mut total = LoopMetrics::default();
             for &n in lens {
                 total.merge(&parallel_for(&pool, n, policy, |_| {}));
             }
@@ -1094,7 +1088,6 @@ mod tests {
                 let (fresh, fresh_events) = single_worker_nest(false, &fresh_policy, &lens, traced);
                 assert_eq!(fused.total_iters(), lens.iter().sum::<u64>(), "{name}");
                 assert_eq!(fused.sync, fresh.sync, "{name}");
-                assert_eq!(fused.per_queue, fresh.per_queue, "{name}");
                 assert_eq!(fused.per_worker, fresh.per_worker, "{name}");
                 assert_eq!(fused.iters_per_worker, fresh.iters_per_worker, "{name}");
                 assert_eq!(traced, !fused_events.is_empty(), "{name}");

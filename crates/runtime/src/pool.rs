@@ -788,6 +788,11 @@ fn worker_loop(
         if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(idx))) {
             shared.record_failure(idx, payload);
         }
+        // Release our clone before the ack: the cell's copy, cleared by the
+        // coordinator after the last ack, is then always the last one, so
+        // the job is never freed (nor, when it owns the last `Arc<Pool>`,
+        // the pool dropped and joined) on a worker after `run` returned.
+        drop(job);
 
         // Publish completion in this worker's own padded slot, then wake a
         // parked coordinator — only from the worker whose ack completes

@@ -4,8 +4,9 @@
 //! the dump, because the write is deferred to the next phase boundary or
 //! pool drop.
 
-use afs_core::json;
+use afs_core::json::{self, Value};
 use afs_runtime::prelude::*;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -21,6 +22,14 @@ fn scratch(tag: &str) -> PathBuf {
     ));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
+}
+
+/// The key set of a JSON object, sorted (empty for a non-object).
+fn keys(v: &Value) -> BTreeSet<&str> {
+    match v {
+        Value::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => BTreeSet::new(),
+    }
 }
 
 fn dumps_in(dir: &PathBuf) -> Vec<PathBuf> {
@@ -54,7 +63,10 @@ fn no_trigger_means_no_dump() {
         );
         let recs = pool.recorder().phase_records();
         assert_eq!(recs.len(), 4, "one summary record per phase");
-        assert!(recs.iter().all(|r| r.iters == 512), "per-phase iter delta");
+        assert!(
+            recs.iter().all(|r| r.counters.iters == 512),
+            "per-phase iter delta"
+        );
         assert!(!pool.recorder().triggered());
     }
     assert!(dumps_in(&dir).is_empty(), "no fault, no dump");
@@ -108,6 +120,35 @@ fn injected_stall_produces_exactly_one_parseable_dump() {
         }),
         "dump must contain the stalled phase's summary record"
     );
+    // Every phase record has exactly the documented keys, nested ones too.
+    let nested = [
+        (
+            "grabs",
+            BTreeSet::from(["local", "remote", "central", "free"]),
+        ),
+        ("barrier", BTreeSet::from(["spin", "yield", "park"])),
+        ("tune", BTreeSet::from(["k", "b"])),
+    ];
+    for p in phases {
+        assert_eq!(
+            keys(p),
+            BTreeSet::from([
+                "seq",
+                "phase",
+                "wall_ns",
+                "grabs",
+                "iters",
+                "cas_retries",
+                "stash_hits",
+                "barrier",
+                "affinity_hit_ratio",
+                "tune",
+            ])
+        );
+        for (field, want) in &nested {
+            assert_eq!(&keys(p.get(field).expect("nested object")), want, "{field}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,7 +1,8 @@
-//! Integration tests for the always-on metrics layer: the differential
-//! contract is that three independent accounting paths — the post-hoc
-//! trace (`afs-trace`), the per-loop `LoopMetrics`, and the always-on
-//! `MetricsSnapshot` — agree *exactly* on every grab.
+//! Integration tests for the always-on metrics layer. The per-worker
+//! counter slots are the one account of every grab — a region's
+//! `LoopMetrics` is their delta by definition — and the differential
+//! contract is that the two independent observations of a run, those
+//! counters and the post-hoc trace (`afs-trace`), agree *exactly*.
 
 use afs_core::json::Value;
 use afs_core::metrics::LoopMetrics;
@@ -27,10 +28,10 @@ fn policies() -> Vec<RuntimeScheduler> {
     ]
 }
 
-/// The acceptance criterion: trace report, `LoopMetrics`, and the metrics
-/// snapshot agree exactly — grab counts by kind, iterations, and (for the
-/// lock-free AFS path) CAS retries, which both the trace and the counters
-/// observe at the same program point.
+/// The acceptance criterion: the counters and the trace agree exactly —
+/// grab counts by kind, and (for the lock-free AFS path) CAS retries,
+/// which both observe at the same program point — and the returned
+/// `LoopMetrics` is the counters' delta, worker by worker.
 #[test]
 fn snapshot_agrees_with_trace_and_loop_metrics_exactly() {
     for policy in policies() {
@@ -50,32 +51,26 @@ fn snapshot_agrees_with_trace_and_loop_metrics_exactly() {
         let report = TraceReport::from_sink(&sink);
         let t = delta.totals();
 
-        assert_eq!(t.local_grabs, m.sync.local, "{name}: local vs LoopMetrics");
-        assert_eq!(t.remote_grabs, m.sync.remote, "{name}: remote");
-        assert_eq!(t.central_grabs, m.sync.central, "{name}: central");
-        assert_eq!(t.free_grabs, m.sync.free, "{name}: free");
-        assert_eq!(t.iters, m.total_iters(), "{name}: iterations");
-
-        assert_eq!(t.local_grabs, report.grabs.local, "{name}: local vs trace");
-        assert_eq!(t.remote_grabs, report.grabs.remote, "{name}: remote");
-        assert_eq!(t.central_grabs, report.grabs.central, "{name}: central");
-        assert_eq!(t.free_grabs, report.grabs.free, "{name}: free");
+        assert_eq!(t.sync(), report.grabs, "{name}: grabs by kind vs trace");
         assert_eq!(t.cas_retries, report.cas_retries, "{name}: CAS retries");
+        assert_eq!(m.total_iters(), 4000, "{name}: iterations");
 
-        // Per-worker iteration counts, not just totals.
         for w in 0..p {
+            let c = &delta.workers[w].counters;
+            assert_eq!(c.sync(), m.per_worker[w], "{name}: worker {w} grabs");
             assert_eq!(
-                delta.workers[w].counters.iters, m.iters_per_worker[w],
+                c.iters, m.iters_per_worker[w],
                 "{name}: worker {w} iterations"
             );
         }
+        assert_eq!(t.sync(), m.sync, "{name}: grabs by kind");
     }
 }
 
 /// Seeded-interleaving stress: deterministic yield injection at the
-/// barrier's race windows, 8 threads × 20 seeds, every policy. The
-/// counters must stay exactly-once consistent with `LoopMetrics` under
-/// every provoked interleaving.
+/// barrier's race windows, 8 threads × 20 seeds, every policy. Every
+/// iteration runs once and the counters stay consistent with `LoopMetrics`
+/// under every provoked interleaving.
 #[test]
 fn seeded_stress_counters_exactly_once() {
     let p = 8;
@@ -106,11 +101,9 @@ fn seeded_stress_counters_exactly_once() {
                 covered.iter().all(|c| c.load(Ordering::SeqCst) == 1),
                 "{name} seed {seed}: incomplete coverage"
             );
+            assert_eq!(t.iters, n * phases as u64, "{name} seed {seed}: iters");
             assert_eq!(t.iters, m.total_iters(), "{name} seed {seed}: iters");
-            assert_eq!(t.local_grabs, m.sync.local, "{name} seed {seed}");
-            assert_eq!(t.remote_grabs, m.sync.remote, "{name} seed {seed}");
-            assert_eq!(t.central_grabs, m.sync.central, "{name} seed {seed}");
-            assert_eq!(t.free_grabs, m.sync.free, "{name} seed {seed}");
+            assert_eq!(t.sync(), m.sync, "{name} seed {seed}");
             assert_eq!(
                 t.barrier_spin + t.barrier_yield + t.barrier_park + t.barrier_turns,
                 t.barrier_arrives,
@@ -118,6 +111,32 @@ fn seeded_stress_counters_exactly_once() {
             );
         }
     }
+}
+
+/// A region's `LoopMetrics` counts that region only, even while another
+/// thread runs regions on the same pool: the pool serializes the two
+/// callers, so a counter reading taken anywhere but on the workers inside
+/// the region could include the other caller's grabs.
+#[test]
+fn concurrent_callers_each_get_their_own_region() {
+    let pool = Pool::new(2);
+    let policy = RuntimeScheduler::afs_k_equals_p();
+    std::thread::scope(|s| {
+        for n in [1_000u64, 1_777] {
+            let (pool, policy) = (&pool, &policy);
+            s.spawn(move || {
+                for region in 0..200 {
+                    let m = parallel_for(pool, n, policy, |_| {});
+                    assert_eq!(m.total_iters(), n, "n={n} region {region}");
+                    let mut per_worker = afs_core::metrics::SyncOps::default();
+                    for w in &m.per_worker {
+                        per_worker.add(w);
+                    }
+                    assert_eq!(per_worker, m.sync, "n={n} region {region}");
+                }
+            });
+        }
+    });
 }
 
 /// Barrier accounting: on a fresh pool, one `parallel_phases` region
@@ -267,7 +286,7 @@ fn snapshot_json_has_exactly_the_schema_keys() {
 fn exports_from_a_real_run_are_wellformed() {
     let pool = Pool::new(4);
     let mut merged = MetricsSnapshot::empty(4);
-    let mut lm = LoopMetrics::new(4, 4);
+    let mut lm = LoopMetrics::default();
     for _ in 0..2 {
         let before = pool.metrics().snapshot();
         let m = parallel_for(&pool, 3_000, &RuntimeScheduler::afs_k_equals_p(), |_| {});

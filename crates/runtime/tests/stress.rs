@@ -162,9 +162,6 @@ fn concurrent_metrics_consistency() {
         // Per-worker iteration counts sum to the total.
         let worker_sum: u64 = m.iters_per_worker.iter().sum();
         assert_eq!(worker_sum, n);
-        // Every synchronized grab is attributed to some queue.
-        let queue_sum: u64 = m.per_queue.iter().map(|q| q.synchronized()).sum();
-        assert_eq!(queue_sum, m.sync.synchronized(), "{}", policy.name());
     }
 }
 

@@ -61,62 +61,36 @@ pub struct PhaseRecord {
     pub phase: u64,
     /// Wall time of the phase (ns).
     pub wall_ns: u64,
-    /// Grabs served from the worker's own queue during this phase.
-    pub local_grabs: u64,
-    /// Grabs stolen from another worker's queue (the migration column).
-    pub remote_grabs: u64,
-    /// Grabs from a central queue.
-    pub central_grabs: u64,
-    /// Static-partition claims.
-    pub free_grabs: u64,
-    /// Iterations executed.
-    pub iters: u64,
-    /// Contended CAS retries on queue words.
-    pub cas_retries: u64,
-    /// Grabs served from the grab-ahead stash.
-    pub stash_hits: u64,
-    /// Barrier waits resolved while spinning.
-    pub barrier_spin: u64,
-    /// Barrier waits resolved after yielding.
-    pub barrier_yield: u64,
-    /// Barrier waits that parked the worker.
-    pub barrier_park: u64,
+    /// The phase's counter deltas, summed over all workers.
+    pub counters: CounterSnapshot,
     /// AFS subdivision `k` in force (0 when no adaptive controller ran).
     pub k: u64,
     /// Grab-ahead batch `b` in force (0 when no adaptive controller ran).
     pub b: u64,
 }
 
-impl PhaseRecord {
-    /// This phase's affinity hit ratio delta: `local / (local + remote)`
-    /// over the phase's own grabs. `None` when the phase had no
-    /// queue-based grabs.
-    pub fn affinity_hit_ratio(&self) -> Option<f64> {
-        let denom = self.local_grabs + self.remote_grabs;
-        (denom > 0).then(|| self.local_grabs as f64 / denom as f64)
-    }
-}
-
 impl Fields for PhaseRecord {
     fn fields(&self, o: &mut Obj<'_>) {
+        let c = &self.counters;
+        let grabs = c.sync();
         o.field("seq", &self.seq)
             .field("phase", &self.phase)
             .field("wall_ns", &self.wall_ns)
             .object("grabs", |o| {
-                o.field("local", &self.local_grabs)
-                    .field("remote", &self.remote_grabs)
-                    .field("central", &self.central_grabs)
-                    .field("free", &self.free_grabs);
+                o.field("local", &grabs.local)
+                    .field("remote", &grabs.remote)
+                    .field("central", &grabs.central)
+                    .field("free", &grabs.free);
             })
-            .field("iters", &self.iters)
-            .field("cas_retries", &self.cas_retries)
-            .field("stash_hits", &self.stash_hits)
+            .field("iters", &c.iters)
+            .field("cas_retries", &c.cas_retries)
+            .field("stash_hits", &c.stash_hits)
             .object("barrier", |o| {
-                o.field("spin", &self.barrier_spin)
-                    .field("yield", &self.barrier_yield)
-                    .field("park", &self.barrier_park);
+                o.field("spin", &c.barrier_spin)
+                    .field("yield", &c.barrier_yield)
+                    .field("park", &c.barrier_park);
             })
-            .field("affinity_hit_ratio", &self.affinity_hit_ratio())
+            .field("affinity_hit_ratio", &grabs.affinity_hit_ratio())
             .object("tune", |o| {
                 o.field("k", &self.k).field("b", &self.b);
             });
@@ -436,25 +410,15 @@ impl FlightRecorder {
         let (k, b) = registry.sched_controller().map_or((0, 0), |s| (s.k, s.b));
         {
             let mut st = self.phases.lock().unwrap();
-            let d = totals.minus(&st.last);
-            let seq = st.seq;
-            st.ring.push(PhaseRecord {
-                seq,
+            let record = PhaseRecord {
+                seq: st.seq,
                 phase,
                 wall_ns,
-                local_grabs: d.local_grabs,
-                remote_grabs: d.remote_grabs,
-                central_grabs: d.central_grabs,
-                free_grabs: d.free_grabs,
-                iters: d.iters,
-                cas_retries: d.cas_retries,
-                stash_hits: d.stash_hits,
-                barrier_spin: d.barrier_spin,
-                barrier_yield: d.barrier_yield,
-                barrier_park: d.barrier_park,
+                counters: totals.minus(&st.last),
                 k,
                 b,
-            });
+            };
+            st.ring.push(record);
             st.last = totals;
             st.seq += 1;
         }
@@ -635,12 +599,12 @@ mod tests {
         rec.record_phase(1, 2_000, &reg);
         let records = rec.phase_records();
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0].local_grabs, 1);
-        assert_eq!(records[0].iters, 10);
-        assert_eq!(records[1].local_grabs, 1);
-        assert_eq!(records[1].remote_grabs, 1);
-        assert_eq!(records[1].iters, 10);
-        assert_eq!(records[1].affinity_hit_ratio(), Some(0.5));
+        assert_eq!(records[0].counters.local_grabs, 1);
+        assert_eq!(records[0].counters.iters, 10);
+        assert_eq!(records[1].counters.local_grabs, 1);
+        assert_eq!(records[1].counters.remote_grabs, 1);
+        assert_eq!(records[1].counters.iters, 10);
+        assert_eq!(records[1].counters.sync().affinity_hit_ratio(), Some(0.5));
         assert_eq!(records[1].seq, 1);
     }
 

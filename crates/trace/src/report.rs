@@ -8,62 +8,10 @@
 use crate::event::EventKind;
 use crate::sink::TraceSink;
 use crate::timeline::to_timeline;
-use afs_core::policy::AccessKind;
+use afs_core::metrics::SyncOps;
+use afs_metrics::HistogramSnapshot;
 use afs_sim::timeline::SegmentKind;
 use std::fmt::Write as _;
-
-/// Number of log₂ latency buckets: bucket `i` holds durations in
-/// `[2^i, 2^(i+1))` ns, with bucket 0 also catching sub-nanosecond readings
-/// and the last bucket catching everything ≥ 2^(BUCKETS-1) ns (~34 s).
-pub const BUCKETS: usize = 36;
-
-/// A log₂-bucket histogram of durations in nanoseconds.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    /// `counts[i]` = samples with duration in `[2^i, 2^(i+1))` ns.
-    pub counts: [u64; BUCKETS],
-    /// Total number of samples.
-    pub samples: u64,
-    /// Sum of all sample durations (ns).
-    pub total_ns: u64,
-    /// Largest sample (ns).
-    pub max_ns: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self {
-            counts: [0; BUCKETS],
-            samples: 0,
-            total_ns: 0,
-            max_ns: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Adds one duration sample.
-    pub fn add(&mut self, ns: u64) {
-        let bucket = if ns == 0 {
-            0
-        } else {
-            (63 - ns.leading_zeros() as usize).min(BUCKETS - 1)
-        };
-        self.counts[bucket] += 1;
-        self.samples += 1;
-        self.total_ns += ns;
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Mean sample duration in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.samples as f64
-        }
-    }
-}
 
 /// One worker's wall-clock breakdown, in nanoseconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -88,13 +36,12 @@ pub struct WorkerBreakdown {
 pub struct TraceReport {
     /// Per-worker time breakdown.
     pub workers: Vec<WorkerBreakdown>,
-    /// Grab counts by synchronization class — comparable 1:1 with
-    /// `afs_core::metrics::SyncOps` for the same run.
-    pub grabs: GrabCounts,
+    /// Grab counts by synchronization class: one `Grab*` event per grab.
+    pub grabs: SyncOps,
     /// Chunk execution latency histogram.
-    pub chunk_latency: Histogram,
+    pub chunk_latency: HistogramSnapshot,
     /// Grab latency histogram (`GrabBegin` → `Grab*`).
-    pub grab_latency: Histogram,
+    pub grab_latency: HistogramSnapshot,
     /// `steals[thief][victim]` = chunks worker `thief` took from `victim`'s
     /// queue.
     pub steals: Vec<Vec<u64>>,
@@ -108,36 +55,6 @@ pub struct TraceReport {
     pub dropped: Vec<u64>,
     /// Run span: latest event timestamp (ns since sink origin).
     pub span_ns: u64,
-}
-
-/// Grab counts by access kind.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GrabCounts {
-    /// Central-queue grabs.
-    pub central: u64,
-    /// Local (own-queue) grabs.
-    pub local: u64,
-    /// Remote grabs (steals).
-    pub remote: u64,
-    /// Synchronization-free claims (static partitions).
-    pub free: u64,
-}
-
-impl GrabCounts {
-    /// Total grabs of any kind.
-    pub fn total(&self) -> u64 {
-        self.central + self.local + self.remote + self.free
-    }
-
-    /// Affinity hit ratio: the fraction of queue-based grabs served from
-    /// the worker's own queue, `local / (local + remote)` — the paper's
-    /// locality claim as one number (Tables 3–5 count the same grabs).
-    /// `None` when no queue-based grabs happened: central and free grabs
-    /// carry no locality signal either way.
-    pub fn affinity_hit_ratio(&self) -> Option<f64> {
-        let denom = self.local + self.remote;
-        (denom > 0).then(|| self.local as f64 / denom as f64)
-    }
 }
 
 impl TraceReport {
@@ -175,7 +92,7 @@ impl TraceReport {
                     EventKind::ChunkStart { .. } => busy_from = Some(ev.t),
                     EventKind::ChunkEnd => {
                         if let Some(s) = busy_from.take() {
-                            report.chunk_latency.add(ev.t - s);
+                            report.chunk_latency.record(ev.t - s);
                         }
                     }
                     EventKind::CasRetry { .. } => report.cas_retries += 1,
@@ -183,14 +100,9 @@ impl TraceReport {
                     _ => {
                         if let Some(access) = ev.kind.grab_access() {
                             if let Some(s) = grab_start.take() {
-                                report.grab_latency.add(ev.t - s);
+                                report.grab_latency.record(ev.t - s);
                             }
-                            match access {
-                                AccessKind::Central => report.grabs.central += 1,
-                                AccessKind::Local => report.grabs.local += 1,
-                                AccessKind::Remote => report.grabs.remote += 1,
-                                AccessKind::Free => report.grabs.free += 1,
-                            }
+                            report.grabs.record(access);
                             if let EventKind::GrabRemote { queue, .. } = ev.kind {
                                 report.steals[w][queue as usize] += 1;
                             }
@@ -312,28 +224,6 @@ mod tests {
     use crate::event::EventKind as K;
 
     #[test]
-    fn histogram_buckets_powers_of_two() {
-        let mut h = Histogram::default();
-        h.add(0);
-        h.add(1);
-        h.add(2);
-        h.add(3);
-        h.add(1024);
-        assert_eq!(h.counts[0], 2); // 0 and 1
-        assert_eq!(h.counts[1], 2); // 2 and 3
-        assert_eq!(h.counts[10], 1); // 1024
-        assert_eq!(h.samples, 5);
-        assert_eq!(h.max_ns, 1024);
-    }
-
-    #[test]
-    fn histogram_clamps_huge_samples() {
-        let mut h = Histogram::default();
-        h.add(u64::MAX);
-        assert_eq!(h.counts[BUCKETS - 1], 1);
-    }
-
-    #[test]
     fn report_counts_grabs_and_steals() {
         let sink = TraceSink::new(2);
         sink.record(0, K::GrabBegin);
@@ -391,10 +281,10 @@ mod tests {
 
     #[test]
     fn affinity_hit_ratio_exists_only_for_queue_grabs() {
-        let mut g = GrabCounts {
+        let mut g = SyncOps {
             central: 7,
             free: 3,
-            ..GrabCounts::default()
+            ..SyncOps::default()
         };
         assert_eq!(g.affinity_hit_ratio(), None, "no locality signal");
         g.local = 8;
