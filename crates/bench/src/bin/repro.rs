@@ -36,17 +36,8 @@
 //! repro --bench-kernels --metrics [FILE]
 //!                      # also export the always-on runtime metrics of the
 //!                      # bench run (per-worker counters, placement and
-//!                      # histograms). FILE defaults to metrics.json;
-//!                      # a .prom suffix selects Prometheus text exposition
-//! repro --telemetry ADDR
-//!                      # start a live telemetry endpoint (e.g.
-//!                      # 127.0.0.1:9100) for the duration of the run:
-//!                      # GET /metrics, /snapshot.json, /healthz, /tune.
-//!                      # Every pool any --bench-* run creates reports in;
-//!                      # each scrape takes a fresh snapshot
-//! repro --flight DIR   # arm the black-box flight recorder: every pool
-//!                      # dumps DIR/flight-*.json when a stall, phase
-//!                      # panic, spawn degradation or shed spike trips it
+//!                      # histograms) as one JSON document. FILE defaults
+//!                      # to metrics.json
 //! repro --check-bench FILE [--baseline FILE] [--tolerance X] [--strict]
 //!                      # validate a BENCH_*.json document; with --baseline,
 //!                      # also compare cell by cell and report regressions
@@ -64,15 +55,9 @@ use afs_bench::report::{render, render_csv, render_json, render_plot};
 use afs_core::json;
 use afs_metrics::{MetricsRegistry, MetricsSnapshot};
 
-/// Writes a metrics snapshot to `path`; the extension picks the format
-/// (`.prom` → Prometheus text exposition, anything else → JSON).
+/// Writes a metrics snapshot to `path` as JSON.
 fn export_metrics(snapshot: &MetricsSnapshot, path: &std::path::Path) {
-    let body = if path.extension().and_then(|e| e.to_str()) == Some("prom") {
-        snapshot.to_prometheus()
-    } else {
-        snapshot.to_json()
-    };
-    match std::fs::write(path, body) {
+    match std::fs::write(path, snapshot.to_json()) {
         Ok(()) => eprintln!("metrics: wrote {}", path.display()),
         Err(err) => {
             eprintln!("metrics: cannot write {}: {err}", path.display());
@@ -194,8 +179,6 @@ fn main() {
     let mut trace_dir: Option<std::path::PathBuf> = None;
     let mut metrics_path: Option<std::path::PathBuf> = None;
     let mut check_bench: Option<String> = None;
-    let mut telemetry_addr: Option<String> = None;
-    let mut flight_dir: Option<std::path::PathBuf> = None;
     let mut baseline: Option<String> = None;
     let mut tolerance = 0.30f64;
     let mut strict = false;
@@ -214,22 +197,13 @@ fn main() {
             }
             "--metrics" => {
                 // The FILE operand is optional: claim the next token only
-                // when it looks like an export path, else leave it to be
+                // when it looks like a JSON path, else leave it to be
                 // parsed as a normal argument.
-                let file = args.next_if(|f| f.ends_with(".json") || f.ends_with(".prom"));
+                let file = args.next_if(|f| f.ends_with(".json"));
                 metrics_path = Some(file.unwrap_or_else(|| "metrics.json".into()).into());
             }
             "--check-bench" => {
                 check_bench = Some(operand(&mut args, "--check-bench needs a file argument"));
-            }
-            "--telemetry" => {
-                telemetry_addr = Some(operand(
-                    &mut args,
-                    "--telemetry needs an ADDR argument (e.g. 127.0.0.1:9100)",
-                ));
-            }
-            "--flight" => {
-                flight_dir = Some(operand(&mut args, "--flight needs a directory argument").into());
             }
             "--baseline" => baseline = Some(operand(&mut args, "--baseline needs a file argument")),
             "--tolerance" => {
@@ -266,8 +240,7 @@ fn main() {
                     "usage: repro [--quick] [--plot|--json|--csv] [--list] \
                      [--trace DIR] [--bench-grabs] [--bench-kernels] [--bench-faults] \
                      [--bench-serve] [--bench-adaptive] [--bench-chaos] \
-                     [--metrics [FILE.json|FILE.prom]] \
-                     [--telemetry ADDR] [--flight DIR] \
+                     [--metrics [FILE.json]] \
                      [--check-bench FILE [--baseline FILE] [--tolerance X] [--strict]] \
                      [ids... | all | ablations]"
                 );
@@ -285,35 +258,6 @@ fn main() {
     if let Some(file) = &check_bench {
         run_check(file, baseline.as_deref(), tolerance, strict);
     }
-    if let Some(dir) = &flight_dir {
-        if let Err(err) = std::fs::create_dir_all(dir) {
-            eprintln!("--flight: cannot create {}: {err}", dir.display());
-            std::process::exit(2);
-        }
-        // Every pool built from here on arms its flight recorder at this
-        // directory; the first pool whose trigger trips claims the dump.
-        std::env::set_var("AFS_FLIGHT_DIR", dir);
-    }
-    // The telemetry endpoint outlives every bench below; dropping the
-    // handle at the end of main stops the listener.
-    let _telemetry = telemetry_addr.as_deref().map(|addr| {
-        // Opt the process into the hub so every pool a bench builds
-        // reports into the live scrape (retired pools fold into the
-        // base accumulator, so mid-run scrapes cover the whole run).
-        afs_scope::hub().enable();
-        let source = afs_scope::TelemetrySource::new(|| afs_scope::hub().scrape())
-            .with_recorders(|| afs_scope::hub().recorders());
-        match afs_scope::TelemetryServer::start(addr, source) {
-            Ok(srv) => {
-                eprintln!("telemetry: listening on http://{}/", srv.local_addr());
-                srv
-            }
-            Err(err) => {
-                eprintln!("telemetry: cannot bind {addr}: {err}");
-                std::process::exit(2);
-            }
-        }
-    });
     // Metrics accumulated across every --bench-* run of this invocation.
     let mut bench_metrics: Option<MetricsSnapshot> = None;
     let mut merge_metrics = |snapshot: &MetricsSnapshot| match &mut bench_metrics {

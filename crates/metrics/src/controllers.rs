@@ -43,34 +43,6 @@ impl ControllersSnapshot {
             self.sched = other.sched;
         }
     }
-
-    /// Prometheus exposition lines for whichever controllers are present.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        if let Some(s) = &self.sched {
-            out.push_str(
-                "# HELP afs_sched_tune_k AFS subdivision k chosen by the adaptive controller.\n\
-                 # TYPE afs_sched_tune_k gauge\n",
-            );
-            out.push_str(&format!("afs_sched_tune_k {}\n", s.k));
-            out.push_str(
-                "# HELP afs_sched_tune_b Grab-ahead batch chosen by the adaptive controller.\n\
-                 # TYPE afs_sched_tune_b gauge\n",
-            );
-            out.push_str(&format!("afs_sched_tune_b {}\n", s.b));
-            out.push_str(
-                "# HELP afs_sched_tune_decisions_total Parameter changes made by the adaptive scheduling controller.\n\
-                 # TYPE afs_sched_tune_decisions_total counter\n",
-            );
-            out.push_str(&format!("afs_sched_tune_decisions_total {}\n", s.decisions));
-            out.push_str(
-                "# HELP afs_sched_tune_settled Whether the adaptive scheduling controller has settled.\n\
-                 # TYPE afs_sched_tune_settled gauge\n",
-            );
-            out.push_str(&format!("afs_sched_tune_settled {}\n", u8::from(s.settled)));
-        }
-        out
-    }
 }
 
 json::fields!(ControllersSnapshot: sched);
@@ -89,7 +61,6 @@ mod tests {
             json::parse(&json::document(|o| c.fields(o))),
             Ok(Value::Obj(vec![("sched".into(), Value::Null)]))
         );
-        assert_eq!(c.to_prometheus(), "");
     }
 
     #[test]
@@ -108,11 +79,6 @@ mod tests {
         assert_eq!(sched.get("b").and_then(Value::as_f64), Some(2.0));
         assert_eq!(sched.get("decisions").and_then(Value::as_f64), Some(3.0));
         assert_eq!(sched.get("settled"), Some(&Value::Bool(true)));
-        let p = c.to_prometheus();
-        assert!(p.contains("afs_sched_tune_k 8"));
-        assert!(p.contains("afs_sched_tune_b 2"));
-        assert!(p.contains("afs_sched_tune_decisions_total 3"));
-        assert!(p.contains("afs_sched_tune_settled 1"));
     }
 
     #[test]

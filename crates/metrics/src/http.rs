@@ -3,53 +3,46 @@
 //! A deliberately tiny blocking HTTP/1.0 server over `std::net` — no
 //! external dependencies, consistent with the workspace's offline-build
 //! constraint. One accept thread, one connection at a time: scrapes are
-//! rare (a Prometheus agent polls every few seconds) and each response is
-//! rendered from a *fresh* [`MetricsSnapshot`] at request time, so there is
-//! no cached state to invalidate and nothing the hot paths ever wait on.
+//! rare (a probe polls every few seconds) and each response is rendered
+//! from a *fresh* [`MetricsSnapshot`] at request time, so there is no
+//! cached state to invalidate and nothing the hot paths ever wait on.
 //!
-//! Routes:
+//! Routes, all JSON:
 //!
 //! | path             | body                                                    |
 //! |------------------|---------------------------------------------------------|
-//! | `/metrics`       | Prometheus text exposition (same bytes as the file export) |
-//! | `/snapshot.json` | the JSON export, schema-stamped                         |
+//! | `/snapshot.json` | [`MetricsSnapshot::to_json`], schema-stamped            |
 //! | `/healthz`       | watchdog stall state + pool liveness (200 ok / 503 degraded) |
 //! | `/tune`          | current `(k, b)` and its phase trajectory               |
 
 use crate::recorder::{FlightRecorder, TriggerCounts};
+use crate::{MetricsSnapshot, METRICS_SCHEMA_VERSION};
 use afs_core::json;
-use afs_metrics::{MetricsSnapshot, METRICS_SCHEMA_VERSION};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Where the server gets its data: a snapshot closure (evaluated fresh per
-/// scrape) and a recorder list (for `/healthz` trigger state and the
-/// `/tune` trajectory).
+/// Where the server gets its data: a snapshot closure and a recorder
+/// closure (for `/healthz` trigger state and the `/tune` trajectory). Both
+/// are evaluated fresh per request, so a pool the owner swapped in after
+/// the server started is still the one seen.
 pub struct TelemetrySource {
     snapshot: Box<dyn Fn() -> MetricsSnapshot + Send + Sync>,
-    recorders: Box<dyn Fn() -> Vec<Arc<FlightRecorder>> + Send + Sync>,
+    recorder: Box<dyn Fn() -> Arc<FlightRecorder> + Send + Sync>,
 }
 
 impl TelemetrySource {
-    /// A source over `snapshot`, with no flight recorders attached.
-    pub fn new(snapshot: impl Fn() -> MetricsSnapshot + Send + Sync + 'static) -> TelemetrySource {
+    /// A source over `snapshot` and `recorder`.
+    pub fn new(
+        snapshot: impl Fn() -> MetricsSnapshot + Send + Sync + 'static,
+        recorder: impl Fn() -> Arc<FlightRecorder> + Send + Sync + 'static,
+    ) -> TelemetrySource {
         TelemetrySource {
             snapshot: Box::new(snapshot),
-            recorders: Box::new(Vec::new),
+            recorder: Box::new(recorder),
         }
-    }
-
-    /// Attaches a recorder-list closure (evaluated fresh per request, so
-    /// pools created after the server started are still seen).
-    pub fn with_recorders(
-        mut self,
-        recorders: impl Fn() -> Vec<Arc<FlightRecorder>> + Send + Sync + 'static,
-    ) -> TelemetrySource {
-        self.recorders = Box::new(recorders);
-        self
     }
 }
 
@@ -85,7 +78,7 @@ impl TelemetryServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let stop = Arc::clone(&shutdown);
         let handle = std::thread::Builder::new()
-            .name("afs-scope-http".to_string())
+            .name("afs-telemetry-http".to_string())
             .spawn(move || accept_loop(listener, source, stop))?;
         Ok(TelemetryServer {
             addr: local,
@@ -163,15 +156,6 @@ fn handle_connection(mut stream: TcpStream, source: &TelemetrySource) -> std::io
     // Ignore any query string; routes take no parameters.
     let path = target.split('?').next().unwrap_or(target);
     match path {
-        "/metrics" => {
-            let body = (source.snapshot)().to_prometheus();
-            respond(
-                &mut stream,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            )
-        }
         "/snapshot.json" => {
             let body = (source.snapshot)().to_json();
             respond(&mut stream, 200, "application/json", &body)
@@ -188,7 +172,7 @@ fn handle_connection(mut stream: TcpStream, source: &TelemetrySource) -> std::io
             &mut stream,
             200,
             "text/plain; charset=utf-8",
-            "afs-scope: /metrics /snapshot.json /healthz /tune\n",
+            "afs telemetry: /snapshot.json /healthz /tune\n",
         ),
         _ => respond(&mut stream, 404, "text/plain; charset=utf-8", "not found\n"),
     }
@@ -203,18 +187,8 @@ fn handle_connection(mut stream: TcpStream, source: &TelemetrySource) -> std::io
 /// without reading a dump.
 fn healthz(source: &TelemetrySource) -> (u16, String) {
     let snap = (source.snapshot)();
-    let recorders = (source.recorders)();
-    let mut triggers = [0u64; 4];
-    let mut dumped = false;
-    let mut shed_spike_active = false;
-    for r in &recorders {
-        let c = r.trigger_counts();
-        for i in 0..4 {
-            triggers[i] += c[i];
-        }
-        dumped |= r.dumped();
-        shed_spike_active |= r.shed_spike_active();
-    }
+    let recorder = (source.recorder)();
+    let shed_spike_active = recorder.shed_spike_active();
     let degraded = snap.stalls_detected > 0
         || snap.effective_workers < snap.workers.len()
         || shed_spike_active;
@@ -225,16 +199,18 @@ fn healthz(source: &TelemetrySource) -> (u16, String) {
             .field("effective_workers", &snap.effective_workers)
             .field("stalls_detected", &snap.stalls_detected)
             .field("deadline_misses", &snap.deadline_misses)
-            .field("recorders", &recorders.len())
+            // Always 1 since the endpoint serves exactly one pool; the key
+            // stays until the next schema bump.
+            .field("recorders", &1usize)
             .field("shed_spike_active", &shed_spike_active)
-            .field("triggers", &TriggerCounts(triggers))
-            .field("dumped", &dumped);
+            .field("triggers", &TriggerCounts(recorder.trigger_counts()))
+            .field("dumped", &recorder.dumped());
     });
     (if degraded { 503 } else { 200 }, body)
 }
 
 /// Current controller state plus the per-phase `(k, b)`
-/// trajectory out of the flight recorders' phase rings — the live view of
+/// trajectory out of the flight recorder's phase ring — the live view of
 /// the adaptive controller converging.
 fn tune(source: &TelemetrySource) -> String {
     let snap = (source.snapshot)();
@@ -242,15 +218,13 @@ fn tune(source: &TelemetrySource) -> String {
         o.field("schema_version", &METRICS_SCHEMA_VERSION)
             .field("controllers", &snap.controllers)
             .array("trajectory", |a| {
-                for r in (source.recorders)() {
-                    for p in r.phase_records() {
-                        a.object(|o| {
-                            o.field("seq", &p.seq)
-                                .field("phase", &p.phase)
-                                .field("k", &p.k)
-                                .field("b", &p.b);
-                        });
-                    }
+                for p in (source.recorder)().phase_records() {
+                    a.object(|o| {
+                        o.field("seq", &p.seq)
+                            .field("phase", &p.phase)
+                            .field("k", &p.k)
+                            .field("b", &p.b);
+                    });
                 }
             });
     })
@@ -280,8 +254,7 @@ fn respond(
 }
 
 /// Blocking one-shot `GET` against a telemetry server; returns
-/// `(status, body)`. Test and probe helper — also exercised by the CI
-/// smoke probes via `curl`-free shells.
+/// `(status, body)`. Test and probe helper.
 pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
@@ -306,8 +279,8 @@ pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
 mod tests {
     use super::*;
     use crate::recorder::Trigger;
+    use crate::MetricsRegistry;
     use afs_core::json::Value;
-    use afs_metrics::MetricsRegistry;
 
     /// `/path`'s status and its body parsed.
     fn get_json(srv: &TelemetryServer, path: &str) -> (u16, Value) {
@@ -324,22 +297,8 @@ mod tests {
     }
 
     fn server_over(reg: Arc<MetricsRegistry>, rec: Arc<FlightRecorder>) -> TelemetryServer {
-        let source = TelemetrySource::new(move || reg.snapshot())
-            .with_recorders(move || vec![Arc::clone(&rec)]);
+        let source = TelemetrySource::new(move || reg.snapshot(), move || Arc::clone(&rec));
         TelemetryServer::start("127.0.0.1:0", source).unwrap()
-    }
-
-    #[test]
-    fn metrics_scrape_matches_export() {
-        let reg = Arc::new(MetricsRegistry::new(2));
-        let rec = Arc::new(FlightRecorder::new());
-        let srv = server_over(Arc::clone(&reg), rec);
-        let (status, body) = get(srv.local_addr(), "/metrics").unwrap();
-        assert_eq!(status, 200);
-        // Byte-identical to the file export rendered at (nearly) the same
-        // instant: the registry is quiescent, so both renders agree.
-        assert_eq!(body, reg.snapshot().to_prometheus());
-        assert!(body.contains("afs_iters_total"));
     }
 
     #[test]
@@ -437,10 +396,17 @@ mod tests {
         let reg = Arc::new(MetricsRegistry::new(1));
         let rec = Arc::new(FlightRecorder::new());
         let srv = server_over(reg, rec);
-        let (status, _) = get(srv.local_addr(), "/nope").unwrap();
-        assert_eq!(status, 404);
+        for path in ["/nope", "/metrics"] {
+            let (status, _) = get(srv.local_addr(), path).unwrap();
+            assert_eq!(status, 404, "{path}");
+        }
+        let (status, index) = get(srv.local_addr(), "/").unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(index, "afs telemetry: /snapshot.json /healthz /tune\n");
         let mut stream = TcpStream::connect(srv.local_addr()).unwrap();
-        stream.write_all(b"POST /metrics HTTP/1.0\r\n\r\n").unwrap();
+        stream
+            .write_all(b"POST /snapshot.json HTTP/1.0\r\n\r\n")
+            .unwrap();
         let mut raw = String::new();
         stream.read_to_string(&mut raw).unwrap();
         assert!(raw.starts_with("HTTP/1.0 405"));

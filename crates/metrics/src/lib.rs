@@ -16,14 +16,24 @@
 //!   slot `w` (the same lane discipline `afs-trace` uses), so relaxed
 //!   plain stores are exact, not approximate.
 //! * [`MetricsSnapshot`] — an on-demand aggregate with an **affinity hit
-//!   ratio** (`local / (local + remote)` grabs) and exporters: Prometheus
-//!   text exposition format and JSON.
+//!   ratio** (`local / (local + remote)` grabs) and one export format,
+//!   versioned JSON ([`MetricsSnapshot::to_json`]).
+//! * [`FlightRecorder`] — an always-on black box per pool: bounded rings
+//!   of per-phase summary records and recent serve events, dumped to a
+//!   timestamped JSON file when a [`Trigger`] fires (watchdog stall,
+//!   contained `PhaseError` panic, spawn degradation, shed spike).
+//! * [`TelemetryServer`] — a tiny blocking HTTP/1.0 endpoint serving the
+//!   JSON routes `/snapshot.json`, `/healthz` and `/tune`, each rendered
+//!   fresh per request from the [`TelemetrySource`] its owner passes in.
+//!   Started by `LoopServer::builder(..).telemetry(addr)`.
 
 pub mod controllers;
 pub mod counters;
 pub mod histogram;
 pub mod host;
+pub mod http;
 pub mod pad;
+pub mod recorder;
 pub mod registry;
 pub mod serve;
 pub mod snapshot;
@@ -32,6 +42,8 @@ pub use controllers::{ControllersSnapshot, SchedControllerSnapshot};
 pub use counters::{CounterSnapshot, WaitOutcome, WorkerCounters};
 pub use histogram::{AtomicHistogram, HistogramSnapshot, BUCKETS};
 pub use host::HostInfo;
+pub use http::{get, TelemetryServer, TelemetrySource};
+pub use recorder::{FlightRecorder, PhaseRecord, ServeEventKind, ServeRecord, Trigger};
 pub use registry::MetricsRegistry;
 pub use serve::{ServeSnapshot, TenantServeSnapshot};
 pub use snapshot::{MetricsSnapshot, WorkerSnapshot, METRICS_SCHEMA_VERSION};

@@ -23,14 +23,11 @@
 //! the next boundary is deliberate: a stall is detected *mid*-phase, and
 //! the stalled phase's own summary record only exists once the phase ends —
 //! flushing lazily guarantees the dump contains the record of the phase
-//! that stalled. A recorder whose dump directory came from the
-//! `AFS_FLIGHT_DIR` environment variable additionally claims a
-//! process-wide once-flag, so a bench run spanning many pools still leaves
-//! exactly one dump.
+//! that stalled.
 
+use crate::{CounterSnapshot, MetricsRegistry, METRICS_SCHEMA_VERSION};
 use afs_core::json::{self, Fields, Obj};
-use afs_metrics::{CounterSnapshot, MetricsRegistry, METRICS_SCHEMA_VERSION};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -42,10 +39,6 @@ pub const DEFAULT_SERVE_CAPACITY: usize = 256;
 const DEFAULT_SHED_WINDOW: u32 = 32;
 const DEFAULT_SHED_THRESHOLD: u32 = 16;
 
-/// Process-wide claim for environment-configured dumps: the first recorder
-/// to flush wins, every later one stays silent. Scoped to env-configured
-/// recorders only, so tests using explicit dump directories stay isolated.
-static ENV_DUMP_CLAIMED: AtomicBool = AtomicBool::new(false);
 /// Disambiguates dump filenames created within the same millisecond.
 static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -317,9 +310,6 @@ pub struct FlightRecorder {
     /// count.
     dumped: AtomicBool,
     dump_dir: Mutex<Option<PathBuf>>,
-    /// Whether the dump dir came from `AFS_FLIGHT_DIR` (participates in
-    /// the process-wide single-dump claim).
-    env_scoped: AtomicBool,
     shed_window: AtomicU32,
     shed_threshold: AtomicU32,
     last_dump: Mutex<Option<PathBuf>>,
@@ -353,19 +343,15 @@ impl FlightRecorder {
             first: Mutex::new(None),
             dumped: AtomicBool::new(false),
             dump_dir: Mutex::new(None),
-            env_scoped: AtomicBool::new(false),
             shed_window: AtomicU32::new(DEFAULT_SHED_WINDOW),
             shed_threshold: AtomicU32::new(DEFAULT_SHED_THRESHOLD),
             last_dump: Mutex::new(None),
         }
     }
 
-    /// Configures where dumps land. `env_scoped` marks directories taken
-    /// from `AFS_FLIGHT_DIR`: those recorders share one process-wide dump
-    /// claim, so a multi-pool bench run leaves exactly one file.
-    pub fn set_dump_dir(&self, dir: impl Into<PathBuf>, env_scoped: bool) {
+    /// Configures where dumps land.
+    pub fn set_dump_dir(&self, dir: impl Into<PathBuf>) {
         *self.dump_dir.lock().unwrap() = Some(dir.into());
-        self.env_scoped.store(env_scoped, Ordering::Relaxed);
     }
 
     /// The configured dump directory, if any.
@@ -505,10 +491,6 @@ impl FlightRecorder {
         if self.dumped.swap(true, Ordering::AcqRel) {
             return None;
         }
-        if self.env_scoped.load(Ordering::Relaxed) && ENV_DUMP_CLAIMED.swap(true, Ordering::AcqRel)
-        {
-            return None;
-        }
         let path = dir.join(dump_file_name());
         if let Err(err) = std::fs::create_dir_all(&dir) {
             eprintln!("flight-recorder: cannot create {}: {err}", dir.display());
@@ -558,23 +540,6 @@ fn dump_file_name() -> String {
     format!("flight-{ms}-{}-{n}.json", std::process::id())
 }
 
-/// Removes any dumps a previous run left in `dir` (test helper; dumps are
-/// append-only otherwise).
-pub fn clear_dumps(dir: &Path) -> std::io::Result<()> {
-    if !dir.exists() {
-        return Ok(());
-    }
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("flight-") && name.ends_with(".json") {
-            std::fs::remove_file(entry.path())?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,7 +547,7 @@ mod tests {
     use afs_core::policy::AccessKind;
 
     fn dir_for(test: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("afs-scope-{test}-{}", std::process::id()));
+        let d = std::env::temp_dir().join(format!("afs-flight-{test}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
@@ -650,7 +615,7 @@ mod tests {
         let reg = MetricsRegistry::new(1);
         let dir = dir_for("once");
         let rec = FlightRecorder::new();
-        rec.set_dump_dir(&dir, false);
+        rec.set_dump_dir(&dir);
         rec.record_phase(0, 100, &reg);
         assert!(rec.flush().is_none(), "no dump before a trigger");
         rec.trigger(Trigger::Stall { worker: 0 });

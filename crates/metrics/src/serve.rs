@@ -11,7 +11,7 @@
 //! (tails, backpressure).
 
 use crate::histogram::HistogramSnapshot;
-use afs_core::json::{self, Fields, Obj};
+use afs_core::json::{Fields, Obj};
 
 /// One tenant's slice of the serving ledger.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -169,119 +169,6 @@ impl ServeSnapshot {
             }
         }
     }
-
-    /// Prometheus exposition fragment for the serve families (tenant
-    /// labels on every per-tenant sample).
-    pub(crate) fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str(
-            "# HELP afs_serve_requests_total Requests by tenant and outcome.\n\
-             # TYPE afs_serve_requests_total counter\n",
-        );
-        for t in &self.tenants {
-            let name = label(&t.name);
-            for (outcome, v) in [
-                ("admitted", t.admitted),
-                ("completed", t.completed),
-                ("timed_out", t.timed_out),
-                ("failed", t.failed),
-                ("expired", t.expired),
-                ("shed", t.shed),
-            ] {
-                out.push_str(&format!(
-                    "afs_serve_requests_total{{tenant={name},outcome=\"{outcome}\"}} {v}\n"
-                ));
-            }
-        }
-
-        out.push_str(
-            "# HELP afs_serve_outcome_total Admitted requests by final outcome.\n\
-             # TYPE afs_serve_outcome_total counter\n",
-        );
-        for (outcome, v) in [
-            ("ok", self.completed.saturating_sub(self.timed_out)),
-            ("timed_out", self.timed_out),
-            ("failed", self.failed),
-            ("expired", self.expired),
-        ] {
-            out.push_str(&format!(
-                "afs_serve_outcome_total{{outcome=\"{outcome}\"}} {v}\n"
-            ));
-        }
-
-        out.push_str(
-            "# HELP afs_serve_shed_total Requests refused at admission, by reason.\n\
-             # TYPE afs_serve_shed_total counter\n",
-        );
-        for (reason, v) in [
-            ("queue_full", self.shed_queue_full),
-            ("tenant_backlog", self.shed_tenant_backlog),
-            ("shutdown", self.shed_shutdown),
-            ("deadline_hopeless", self.shed_deadline_hopeless),
-            ("slo_budget", self.shed_slo_budget),
-        ] {
-            out.push_str(&format!(
-                "afs_serve_shed_total{{reason=\"{reason}\"}} {v}\n"
-            ));
-        }
-
-        out.push_str(
-            "# HELP afs_supervisor_restarts_total Pool rebuilds by the supervisor.\n\
-             # TYPE afs_supervisor_restarts_total counter\n",
-        );
-        out.push_str(&format!(
-            "afs_supervisor_restarts_total {}\n",
-            self.supervisor_restarts
-        ));
-
-        out.push_str(
-            "# HELP afs_serve_dispatches_total Pool dispatches issued by the server.\n\
-             # TYPE afs_serve_dispatches_total counter\n",
-        );
-        out.push_str(&format!("afs_serve_dispatches_total {}\n", self.dispatches));
-        out.push_str(
-            "# HELP afs_serve_batched_requests_total Requests fused into shared dispatches.\n\
-             # TYPE afs_serve_batched_requests_total counter\n",
-        );
-        out.push_str(&format!(
-            "afs_serve_batched_requests_total {}\n",
-            self.batched_requests
-        ));
-
-        out.push_str(
-            "# HELP afs_serve_latency_ns Sojourn latency quantiles (admit to complete).\n\
-             # TYPE afs_serve_latency_ns gauge\n",
-        );
-        for t in &self.tenants {
-            let name = label(&t.name);
-            for (q, v) in [
-                ("0.5", t.p50_ns()),
-                ("0.99", t.p99_ns()),
-                ("0.999", t.p999_ns()),
-            ] {
-                out.push_str(&format!(
-                    "afs_serve_latency_ns{{tenant={name},quantile=\"{q}\"}} {v:.1}\n"
-                ));
-            }
-        }
-
-        out.push_str(
-            "# HELP afs_serve_queue_delay_ns Queueing delay quantiles (admit to dispatch).\n\
-             # TYPE afs_serve_queue_delay_ns gauge\n",
-        );
-        for t in &self.tenants {
-            let name = label(&t.name);
-            for (q, v) in [
-                ("0.5", t.queue_ns.quantile(0.50)),
-                ("0.99", t.queue_ns.quantile(0.99)),
-            ] {
-                out.push_str(&format!(
-                    "afs_serve_queue_delay_ns{{tenant={name},quantile=\"{q}\"}} {v:.1}\n"
-                ));
-            }
-        }
-        out
-    }
 }
 
 impl Fields for ServeSnapshot {
@@ -326,19 +213,11 @@ impl Fields for TenantServeSnapshot {
     }
 }
 
-/// A Prometheus label value, quotes included: the JSON string literal,
-/// which escapes `"`, `\` and newline the way the exposition format does.
-fn label(value: &str) -> String {
-    let mut out = String::new();
-    json::write_string(&mut out, value);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::histogram::AtomicHistogram;
-    use afs_core::json::Value;
+    use afs_core::json::{self, Value};
 
     fn num(v: &Value, key: &str) -> Option<f64> {
         v.get(key).and_then(Value::as_f64)
@@ -387,15 +266,10 @@ mod tests {
             shed_slo_budget: 5,
             ..ServeSnapshot::default()
         };
-        let p = s.to_prometheus();
-        assert!(p.contains("afs_serve_outcome_total{outcome=\"ok\"} 5"));
-        assert!(p.contains("afs_serve_outcome_total{outcome=\"timed_out\"} 2"));
-        assert!(p.contains("afs_serve_outcome_total{outcome=\"failed\"} 2"));
-        assert!(p.contains("afs_serve_outcome_total{outcome=\"expired\"} 1"));
-        assert!(p.contains("afs_supervisor_restarts_total 3"));
-        assert!(p.contains("afs_serve_shed_total{reason=\"deadline_hopeless\"} 4"));
-        assert!(p.contains("afs_serve_shed_total{reason=\"slo_budget\"} 5"));
         let v = json::parse(&json::document(|o| s.fields(o))).unwrap();
+        // The "ok" outcome is completed minus timed out.
+        assert_eq!(num(&v, "completed"), Some(7.0));
+        assert_eq!(num(&v, "timed_out"), Some(2.0));
         assert_eq!(num(&v, "failed"), Some(2.0));
         assert_eq!(num(&v, "expired"), Some(1.0));
         assert_eq!(num(&v, "supervisor_restarts"), Some(3.0));
@@ -459,10 +333,9 @@ mod tests {
         assert_eq!(t.get("name").and_then(Value::as_str), Some("small"));
         assert_eq!(num(t, "p99_ns"), Some(s.tenants[0].p99_ns()));
         assert_eq!(num(t, "max_ns"), Some(200.0));
-        let p = s.to_prometheus();
-        assert!(p.contains("afs_serve_requests_total{tenant=\"small\",outcome=\"completed\"} 2"));
-        assert!(p.contains("afs_serve_shed_total{reason=\"queue_full\"} 0"));
-        assert!(p.contains("afs_serve_latency_ns{tenant=\"small\",quantile=\"0.99\"}"));
-        assert!(p.contains("afs_serve_queue_delay_ns{tenant=\"small\",quantile=\"0.5\"}"));
+        assert_eq!(num(t, "completed"), Some(2.0));
+        assert_eq!(num(v.get("shed").unwrap(), "queue_full"), Some(0.0));
+        assert_eq!(num(t, "p50_ns"), Some(s.tenants[0].p50_ns()));
+        assert_eq!(num(t, "queue_p50_ns"), Some(0.0));
     }
 }

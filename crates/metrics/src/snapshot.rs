@@ -7,22 +7,19 @@
 //! claim in one number: 1.0 means every chunk ran where its data lives,
 //! anything lower is migration pressure the steal path paid for.
 //!
-//! Two export formats, both dependency-free:
-//! * [`MetricsSnapshot::to_json`] — a versioned document for files and the
-//!   bench tooling;
-//! * [`MetricsSnapshot::to_prometheus`] — text exposition format, ready to
-//!   drop behind any scrape endpoint.
+//! One export format: [`MetricsSnapshot::to_json`], a versioned document
+//! read by the files, the bench tooling and the telemetry endpoint alike.
 
 use crate::controllers::ControllersSnapshot;
 use crate::counters::CounterSnapshot;
-use crate::histogram::{HistogramSnapshot, BUCKETS};
+use crate::histogram::HistogramSnapshot;
 use crate::serve::ServeSnapshot;
 use afs_core::json::{self, Fields, Obj};
 
 /// Schema version stamped into every JSON document this workspace emits —
 /// the metrics export, the bench result files, flight-recorder dumps, and
 /// the telemetry endpoint's JSON routes. This constant is the **single
-/// source of truth**: bench writers and `afs-scope` re-export it rather
+/// source of truth**: bench writers and the flight recorder use it rather
 /// than keeping their own numbers, so a schema bump happens in exactly one
 /// place.
 ///
@@ -43,8 +40,7 @@ use afs_core::json::{self, Fields, Obj};
 /// futex syscall counters, the `controllers.spin` block, the flight
 /// recorder's `spin_budget`, and the kernels bench's `barrier` axis.
 /// Version 9 removed the hardware perf-event fields (`perf_status`,
-/// `perf_totals`, per-worker `perf`) and the `afs_perf_*` Prometheus
-/// families.
+/// `perf_totals`, per-worker `perf`).
 pub const METRICS_SCHEMA_VERSION: u64 = 9;
 
 /// One worker's slice of a snapshot.
@@ -226,183 +222,6 @@ impl MetricsSnapshot {
                 .field("loop_ns", &self.loop_ns);
         })
     }
-
-    /// Serializes to Prometheus text exposition format. Counter samples are
-    /// labelled by worker (and kind/outcome where applicable); histograms
-    /// use cumulative `le` buckets at powers of two.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(8192);
-
-        out.push_str("# HELP afs_grabs_total Work grabs by worker and access kind.\n");
-        out.push_str("# TYPE afs_grabs_total counter\n");
-        for (w, ws) in self.workers.iter().enumerate() {
-            let c = &ws.counters;
-            for (kind, v) in [
-                ("local", c.local_grabs),
-                ("remote", c.remote_grabs),
-                ("central", c.central_grabs),
-                ("free", c.free_grabs),
-            ] {
-                out.push_str(&format!(
-                    "afs_grabs_total{{worker=\"{w}\",kind=\"{kind}\"}} {v}\n"
-                ));
-            }
-        }
-
-        for (name, help, get) in [
-            (
-                "afs_iters_total",
-                "Loop iterations executed.",
-                (|c: &CounterSnapshot| c.iters) as fn(&CounterSnapshot) -> u64,
-            ),
-            (
-                "afs_cas_retries_total",
-                "Contended CAS retries on queue words.",
-                |c| c.cas_retries,
-            ),
-            (
-                "afs_stash_hits_total",
-                "Grabs served from the grab-ahead stash.",
-                |c| c.stash_hits,
-            ),
-            (
-                "afs_barrier_turns_total",
-                "Barrier arrivals as last worker (ran the turn).",
-                |c| c.barrier_turns,
-            ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for (w, ws) in self.workers.iter().enumerate() {
-                out.push_str(&format!("{name}{{worker=\"{w}\"}} {}\n", get(&ws.counters)));
-            }
-        }
-
-        out.push_str("# HELP afs_barrier_waits_total Barrier waits by resolution outcome.\n");
-        out.push_str("# TYPE afs_barrier_waits_total counter\n");
-        for (w, ws) in self.workers.iter().enumerate() {
-            let c = &ws.counters;
-            for (outcome, v) in [
-                ("spin", c.barrier_spin),
-                ("yield", c.barrier_yield),
-                ("park", c.barrier_park),
-            ] {
-                out.push_str(&format!(
-                    "afs_barrier_waits_total{{worker=\"{w}\",outcome=\"{outcome}\"}} {v}\n"
-                ));
-            }
-        }
-
-        out.push_str("# HELP afs_heartbeats_total Liveness heartbeats recorded by workers.\n");
-        out.push_str("# TYPE afs_heartbeats_total counter\n");
-        for (w, ws) in self.workers.iter().enumerate() {
-            out.push_str(&format!(
-                "afs_heartbeats_total{{worker=\"{w}\"}} {}\n",
-                ws.counters.heartbeats
-            ));
-        }
-
-        out.push_str("# HELP afs_stalls_detected_total Worker stalls flagged by the watchdog.\n");
-        out.push_str("# TYPE afs_stalls_detected_total counter\n");
-        out.push_str(&format!(
-            "afs_stalls_detected_total {}\n",
-            self.stalls_detected
-        ));
-
-        out.push_str("# HELP afs_worker_stalls_total Stalls attributed to each worker.\n");
-        out.push_str("# TYPE afs_worker_stalls_total counter\n");
-        for (w, ws) in self.workers.iter().enumerate() {
-            out.push_str(&format!(
-                "afs_worker_stalls_total{{worker=\"{w}\"}} {}\n",
-                ws.stalls
-            ));
-        }
-
-        out.push_str("# HELP afs_deadline_misses_total Phases that overran their deadline.\n");
-        out.push_str("# TYPE afs_deadline_misses_total counter\n");
-        out.push_str(&format!(
-            "afs_deadline_misses_total {}\n",
-            self.deadline_misses
-        ));
-
-        if self.workers.iter().any(|w| w.pinned.is_some()) {
-            out.push_str("# HELP afs_worker_pinned Whether the worker's core pin succeeded.\n");
-            out.push_str("# TYPE afs_worker_pinned gauge\n");
-            for (w, ws) in self.workers.iter().enumerate() {
-                if let Some(p) = ws.pinned {
-                    out.push_str(&format!(
-                        "afs_worker_pinned{{worker=\"{w}\"}} {}\n",
-                        u8::from(p)
-                    ));
-                }
-            }
-        }
-
-        if self.workers.iter().any(|w| w.numa_node.is_some()) {
-            out.push_str("# HELP afs_worker_node NUMA node of the worker's pinned core.\n");
-            out.push_str("# TYPE afs_worker_node gauge\n");
-            for (w, ws) in self.workers.iter().enumerate() {
-                if let Some(n) = ws.numa_node {
-                    out.push_str(&format!("afs_worker_node{{worker=\"{w}\"}} {n}\n"));
-                }
-            }
-        }
-
-        out.push_str("# HELP afs_effective_workers Workers that actually started.\n");
-        out.push_str("# TYPE afs_effective_workers gauge\n");
-        out.push_str(&format!(
-            "afs_effective_workers {}\n",
-            self.effective_workers
-        ));
-
-        out.push_str(
-            "# HELP afs_affinity_hit_ratio Fraction of queue grabs served locally.\n\
-             # TYPE afs_affinity_hit_ratio gauge\n",
-        );
-        match self.affinity_hit_ratio() {
-            Some(r) => out.push_str(&format!("afs_affinity_hit_ratio {r:.6}\n")),
-            None => out.push_str("afs_affinity_hit_ratio NaN\n"),
-        }
-
-        for (name, help, h) in [
-            (
-                "afs_phase_duration_ns",
-                "Barrier-to-barrier phase durations.",
-                &self.phase_ns,
-            ),
-            (
-                "afs_loop_duration_ns",
-                "Parallel-region makespans.",
-                &self.loop_ns,
-            ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-            let mut cum = 0u64;
-            for (i, &c) in h.counts.iter().enumerate() {
-                cum += c;
-                // Bucket i holds [2^i, 2^(i+1)), so its upper bound is
-                // 2^(i+1); skip empty leading buckets to keep output short.
-                if c > 0 || i + 1 == BUCKETS {
-                    out.push_str(&format!(
-                        "{name}_bucket{{le=\"{}\"}} {cum}\n",
-                        1u128 << (i + 1)
-                    ));
-                }
-            }
-            out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.samples));
-            out.push_str(&format!("{name}_sum {}\n", h.total_ns));
-            out.push_str(&format!("{name}_count {}\n", h.samples));
-        }
-
-        if let Some(serve) = &self.serve {
-            out.push_str(&serve.to_prometheus());
-        }
-
-        if let Some(controllers) = &self.controllers {
-            out.push_str(&controllers.to_prometheus());
-        }
-
-        out
-    }
 }
 
 json::fields!(CounterSnapshot: local_grabs, remote_grabs, central_grabs, free_grabs, iters,
@@ -497,39 +316,20 @@ mod tests {
         assert_eq!(w0.get("pinned"), Some(&Value::Null));
         assert_eq!(w0.get("pinned_core"), Some(&Value::Null));
         assert_eq!(w0.get("numa_node"), Some(&Value::Null));
-        assert_eq!(num(w0.get("counters").unwrap(), "iters"), Some(400.0));
-        assert_eq!(num(w0.get("counters").unwrap(), "heartbeats"), Some(0.0));
+        let c0 = w0.get("counters").unwrap();
+        assert_eq!(num(c0, "local_grabs"), Some(30.0));
+        assert_eq!(num(c0, "iters"), Some(400.0));
+        assert_eq!(num(c0, "heartbeats"), Some(0.0));
+        let c1 = worker(&v, 1).get("counters").unwrap();
+        assert_eq!(num(c1, "local_grabs"), Some(50.0));
+        assert_eq!(num(c1, "barrier_spin"), Some(3.0));
         let phase = v.get("phase_ns").unwrap();
+        assert_eq!(num(phase, "samples"), Some(2.0));
+        assert_eq!(num(phase, "total_ns"), Some(3000.0));
         assert_eq!(num(phase, "mean_ns"), Some(1500.0));
         assert_eq!(
             phase.get("counts").and_then(Value::as_array).unwrap()[10].as_f64(),
             Some(2.0)
-        );
-    }
-
-    #[test]
-    fn prometheus_export_has_expected_families() {
-        let s = sample_snapshot();
-        let p = s.to_prometheus();
-        assert!(p.contains("afs_grabs_total{worker=\"0\",kind=\"local\"} 30"));
-        assert!(p.contains("afs_grabs_total{worker=\"1\",kind=\"local\"} 50"));
-        assert!(p.contains("afs_barrier_waits_total{worker=\"1\",outcome=\"spin\"} 3"));
-        assert!(p.contains("afs_affinity_hit_ratio 0.888889"));
-        assert!(p.contains("afs_phase_duration_ns_bucket{le=\"2048\"} 2"));
-        assert!(p.contains("afs_phase_duration_ns_bucket{le=\"+Inf\"} 2"));
-        assert!(p.contains("afs_phase_duration_ns_sum 3000"));
-        assert!(p.contains("afs_phase_duration_ns_count 2"));
-        assert!(p.contains("afs_stalls_detected_total 0"));
-        assert!(p.contains("afs_worker_stalls_total{worker=\"0\"} 0"));
-        assert!(p.contains("afs_deadline_misses_total 0"));
-        assert!(p.contains("afs_effective_workers 2"));
-        assert!(
-            !p.contains("afs_serve_requests_total"),
-            "serve families omitted for plain runs"
-        );
-        assert!(
-            !p.contains("afs_worker_pinned"),
-            "pin family omitted when pinning never attempted"
         );
     }
 
@@ -557,15 +357,14 @@ mod tests {
             serve.get("discipline").and_then(Value::as_str),
             Some("batch")
         );
+        assert_eq!(num(serve.get("shed").unwrap(), "queue_full"), Some(1.0));
+        assert_eq!(num(serve, "dispatches"), Some(3.0));
         let tenants = serve.get("tenants").and_then(Value::as_array).unwrap();
         assert_eq!(
             tenants[0].get("name").and_then(Value::as_str),
             Some("small")
         );
-        let p = s.to_prometheus();
-        assert!(p.contains("afs_serve_requests_total{tenant=\"small\",outcome=\"admitted\"} 10"));
-        assert!(p.contains("afs_serve_shed_total{reason=\"queue_full\"} 1"));
-        assert!(p.contains("afs_serve_dispatches_total 3"));
+        assert_eq!(num(&tenants[0], "admitted"), Some(10.0));
         // Merging two served snapshots merges the ledgers.
         let mut m = MetricsSnapshot::empty(2);
         m.merge(&s);
@@ -592,16 +391,13 @@ mod tests {
         let sched = v.get("controllers").and_then(|c| c.get("sched")).unwrap();
         assert_eq!(num(sched, "k"), Some(8.0));
         assert_eq!(num(sched, "b"), Some(2.0));
-        let p = s.to_prometheus();
-        assert!(p.contains("afs_sched_tune_k 8"));
-        assert!(p.contains("afs_sched_tune_settled 1"));
+        assert_eq!(sched.get("settled"), Some(&Value::Bool(true)));
         // Merging keeps the newest controller opinion.
         let mut m = MetricsSnapshot::empty(2);
         m.merge(&s);
         assert_eq!(m.controllers.unwrap().sched.unwrap().decisions, 5);
-        // The plain snapshot omits the families entirely.
-        let plain = MetricsSnapshot::empty(1).to_prometheus();
-        assert!(!plain.contains("afs_sched_tune_k"));
+        // The plain snapshot carries no controller block.
+        assert_eq!(MetricsSnapshot::empty(1).controllers, None);
     }
 
     #[test]
@@ -624,17 +420,11 @@ mod tests {
         assert_eq!(num(w1, "worker"), Some(1.0));
         assert_eq!(w1.get("pinned"), Some(&Value::Bool(false)));
         assert_eq!(w1.get("pinned_core"), Some(&Value::Null));
+        assert_eq!(w1.get("numa_node"), Some(&Value::Null));
         assert_eq!(num(w1, "stalls"), Some(2.0));
         assert_eq!(num(&v, "stalls_detected"), Some(3.0));
-        let p = s.to_prometheus();
-        assert!(p.contains("afs_worker_pinned{worker=\"0\"} 1"));
-        assert!(p.contains("afs_worker_pinned{worker=\"1\"} 0"));
-        assert!(p.contains("afs_worker_node{worker=\"0\"} 1"));
-        assert!(!p.contains("afs_worker_node{worker=\"1\"}"));
-        assert!(p.contains("afs_stalls_detected_total 3"));
-        assert!(p.contains("afs_worker_stalls_total{worker=\"1\"} 2"));
-        assert!(p.contains("afs_deadline_misses_total 1"));
-        assert!(p.contains("afs_effective_workers 1"));
+        assert_eq!(num(&v, "deadline_misses"), Some(1.0));
+        assert_eq!(num(&v, "effective_workers"), Some(1.0));
         // Merge keeps the pessimistic view of pinning and effective P.
         let mut m = MetricsSnapshot::empty(2);
         m.merge(&s);
@@ -649,8 +439,6 @@ mod tests {
         assert_eq!(s.affinity_hit_ratio(), None);
         let v = json::parse(&s.to_json()).unwrap();
         assert_eq!(v.get("affinity_hit_ratio"), Some(&Value::Null));
-        let p = s.to_prometheus();
-        assert!(p.contains("afs_affinity_hit_ratio NaN"));
-        assert!(p.contains("afs_loop_duration_ns_count 0"));
+        assert_eq!(num(v.get("loop_ns").unwrap(), "samples"), Some(0.0));
     }
 }

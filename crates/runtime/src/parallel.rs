@@ -614,7 +614,7 @@ fn drain_phase<F: Fn(usize, u64) + Sync>(
 /// the error propagates; the phase that panicked was already recorded, so
 /// the dump (written at the next flush point) carries its lead-up.
 fn flag_phase_error(pool: &Pool, e: PhaseError) -> PhaseError {
-    pool.recorder().trigger(afs_scope::Trigger::PhaseError {
+    pool.recorder().trigger(afs_metrics::Trigger::PhaseError {
         worker: e.worker(),
         phase: e.phase(),
     });

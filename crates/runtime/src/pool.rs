@@ -44,8 +44,7 @@ use crate::fault::{FaultPlan, PanicPolicy, PhaseError};
 use crate::wait::{self, Budget, EventCount, Worker, DEFAULT_SPINS, DEFAULT_YIELDS};
 use crate::watchdog::Watchdog;
 use afs_metrics::pad::CachePadded;
-use afs_metrics::{MetricsRegistry, WaitOutcome};
-use afs_scope::{FlightRecorder, Trigger};
+use afs_metrics::{FlightRecorder, MetricsRegistry, Trigger, WaitOutcome};
 use afs_trace::{EventKind, TraceSink};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -190,7 +189,7 @@ pub struct Pool {
     policy: PanicPolicy,
     deadline: Option<Duration>,
     watchdog: Option<Watchdog>,
-    /// Always-on black box (see `afs_scope`): phase summaries accumulate
+    /// Always-on black box (see [`FlightRecorder`]): phase summaries accumulate
     /// in a bounded ring; a trigger (stall, contained panic, spawn
     /// degradation, shed spike) dumps it to the configured directory.
     recorder: Arc<FlightRecorder>,
@@ -296,9 +295,7 @@ impl PoolBuilder {
 
     /// Directory the pool's flight recorder dumps into when a trigger
     /// fires (stall, contained panic, spawn degradation, shed spike).
-    /// Without this, the `AFS_FLIGHT_DIR` environment variable is
-    /// consulted at build time; with neither, triggers count but nothing
-    /// is written.
+    /// Without it, triggers count but nothing is written.
     pub fn flight_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.flight_dir = Some(dir.into());
         self
@@ -349,8 +346,7 @@ impl PoolBuilder {
         });
         // Worker ↔ node pairing: worker `i` pins to core `i mod cores`,
         // which the host topology maps to a node — recorded in the metrics
-        // registry so snapshots (and the Prometheus export) show where
-        // each worker runs.
+        // registry so snapshots show where each worker runs.
         let mut handles = Vec::with_capacity(p);
         for idx in 0..p {
             let worker_shared = Arc::clone(&shared);
@@ -381,24 +377,13 @@ impl PoolBuilder {
         shared.live.store(live, Ordering::Relaxed);
         shared.metrics.set_effective_workers(live);
         let recorder = Arc::new(FlightRecorder::new());
-        match self.flight_dir {
-            Some(dir) => recorder.set_dump_dir(dir, false),
-            // The env path is how `repro --flight DIR` reaches every pool a
-            // bench run creates; env-configured recorders share one
-            // process-wide dump claim so such a run leaves exactly one file.
-            None => {
-                if let Ok(dir) = std::env::var("AFS_FLIGHT_DIR") {
-                    if !dir.is_empty() {
-                        recorder.set_dump_dir(dir, true);
-                    }
-                }
-            }
+        if let Some(dir) = self.flight_dir {
+            recorder.set_dump_dir(dir);
         }
         if live < p {
             eprintln!("afs-runtime: pool degraded to {live} of {p} requested workers");
             recorder.trigger(Trigger::SpawnDegraded { live, requested: p });
         }
-        afs_scope::hub().install(&shared.metrics, &recorder);
         let mut pool = Pool {
             shared,
             handles,
@@ -815,11 +800,8 @@ impl Drop for Pool {
             let _ = h.join();
         }
         // Everything is quiescent: write any pending flight-recorder dump
-        // (covers triggers with no later phase boundary) and fold the final
-        // counters into the telemetry hub so post-run scrapes still see
-        // this pool's totals.
+        // (covers triggers with no later phase boundary).
         self.recorder.flush();
-        afs_scope::hub().retire(&self.shared.metrics);
     }
 }
 

@@ -17,8 +17,7 @@
 //! watchdog is the only writer there. Pools whose sink has exactly `p`
 //! lanes still count stalls in metrics; they just skip the trace event.
 
-use afs_metrics::MetricsRegistry;
-use afs_scope::{FlightRecorder, Trigger};
+use afs_metrics::{FlightRecorder, MetricsRegistry, Trigger};
 use afs_trace::{EventKind, TraceSink};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};

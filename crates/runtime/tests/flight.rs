@@ -181,13 +181,11 @@ fn phase_panic_dumps_with_phase_error_trigger() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `AFS_FLIGHT_DIR` arms every pool in the process, but the first dump
-/// claims the run: a second pool tripping later stays quiet, so a bench
-/// sweep leaves exactly one flight file to read.
+/// An adaptive-scheduled run stamps the live (k, b) on every phase
+/// record, and a pool with a flight directory but no trigger writes no
+/// dump.
 #[test]
-fn explicit_flight_dir_wins_over_nothing_and_records_tunes() {
-    // Also checks the per-phase (k, b) annotation rides the records when
-    // the run is adaptive-scheduled.
+fn adaptive_records_carry_k_and_no_trigger_writes_no_dump() {
     let dir = scratch("tune");
     {
         let pool = Pool::builder(2).flight_dir(&dir).build();

@@ -27,9 +27,8 @@
 
 use crate::request::OwnedSource;
 use crate::server::{Admitted, ServerShared, IDLE_YIELDS};
-use afs_metrics::WaitOutcome;
+use afs_metrics::{ServeEventKind, WaitOutcome};
 use afs_runtime::{Pool, SenseBarrier};
-use afs_scope::ServeEventKind;
 use afs_trace::event::EventKind;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

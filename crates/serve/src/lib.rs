@@ -21,7 +21,7 @@
 //!   (iteration-weighted fairness), or batching (small loops fused into
 //!   one pool dispatch, chained through a sense barrier);
 //! * [`LoopServer`] — owns the pipeline; snapshots ride inside the
-//!   metrics document (schema v3) and its Prometheus exposition;
+//!   metrics document (schema v3) and its live JSON endpoint;
 //! * failure containment — a panicking request retires as
 //!   [`Outcome::Failed`] without killing its batchmates or the
 //!   dispatcher; deadlines and per-tenant SLO budgets shed hopeless work

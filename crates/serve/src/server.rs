@@ -26,11 +26,11 @@ use crate::queue::MpmcQueue;
 use crate::request::{Admit, LoopRequest, ShedReason};
 use crate::supervise::{PoolFactory, Supervisor, SupervisorConfig};
 use afs_metrics::{
-    AtomicHistogram, MetricsSnapshot, ServeSnapshot, TenantServeSnapshot, WaitOutcome,
+    AtomicHistogram, MetricsSnapshot, ServeEventKind, ServeRecord, ServeSnapshot, TelemetryServer,
+    TelemetrySource, TenantServeSnapshot, WaitOutcome,
 };
 use afs_runtime::wait::{Budget, EventCount};
 use afs_runtime::Pool;
-use afs_scope::{ServeEventKind, ServeRecord, TelemetryServer, TelemetrySource};
 use afs_trace::event::EventKind;
 use afs_trace::sink::TraceSink;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 /// the resident workset the tenant's loops touch.
 #[derive(Clone, Debug)]
 pub struct TenantSpec {
-    /// Tenant label (appears in snapshots and Prometheus labels).
+    /// Tenant label (appears in snapshots).
     pub name: String,
     /// Max in-flight requests (admitted, not yet completed) before
     /// admission sheds with [`ShedReason::TenantBacklog`].
@@ -460,8 +460,8 @@ impl ServerBuilder {
 
     /// Starts a live telemetry HTTP endpoint on `addr` (e.g.
     /// `"127.0.0.1:9100"`, or port `0` for an OS-assigned port readable
-    /// via [`LoopServer::telemetry_addr`]). The endpoint serves
-    /// `/metrics` (Prometheus text), `/snapshot.json` (the combined
+    /// via [`LoopServer::telemetry_addr`]). The endpoint serves JSON:
+    /// `/snapshot.json` (the combined
     /// pool + serve document), `/healthz` (watchdog stall state and pool
     /// liveness), and `/tune` (the adaptive controller's current `(k, b)`
     /// and its trajectory). Each scrape takes a fresh snapshot —
@@ -555,8 +555,10 @@ impl ServerBuilder {
         let telemetry = self.telemetry.and_then(|addr| {
             let snap = Arc::clone(&shared);
             let rec = Arc::clone(&shared);
-            let source = TelemetrySource::new(move || metrics_snapshot_of(&snap, discipline))
-                .with_recorders(move || vec![Arc::clone(rec.pool().recorder())]);
+            let source = TelemetrySource::new(
+                move || metrics_snapshot_of(&snap, discipline),
+                move || Arc::clone(rec.pool().recorder()),
+            );
             match TelemetryServer::start(addr.as_str(), source) {
                 Ok(srv) => Some(srv),
                 Err(e) => {

@@ -17,8 +17,8 @@
 //! pool's threads are joined when the last reference drops.
 
 use crate::server::ServerShared;
+use afs_metrics::Trigger;
 use afs_runtime::Pool;
-use afs_scope::Trigger;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};

@@ -83,10 +83,13 @@ fn panic_in_a_fused_batch_fails_only_the_faulting_request() {
     let snap = server.serve_snapshot();
     assert_eq!(snap.completed, 11);
     assert_eq!(snap.failed, 1);
-    // Outcome accounting reaches the Prometheus exposition.
-    let prom = server.metrics_snapshot().to_prometheus();
-    assert!(prom.contains("afs_serve_outcome_total{outcome=\"failed\"} 1"));
-    assert!(prom.contains("afs_serve_outcome_total{outcome=\"ok\"} 11"));
+    // Outcome accounting reaches the metrics snapshot.
+    let serve = server
+        .metrics_snapshot()
+        .serve
+        .expect("serve block attached");
+    assert_eq!(serve.failed, 1);
+    assert_eq!(serve.completed - serve.timed_out, 11);
 }
 
 /// The contained failure names its blast site: the trace's serve lane

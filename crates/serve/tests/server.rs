@@ -1,6 +1,6 @@
 //! End-to-end server tests: admission backpressure, every discipline
 //! completing real work on a real pool, latency stamping invariants,
-//! snapshot/Prometheus integration, and trace events.
+//! the serve ledger in the metrics snapshot, and trace events.
 
 use afs_runtime::Pool;
 use afs_serve::prelude::*;
@@ -231,8 +231,8 @@ fn request_ids_are_unique_under_concurrency() {
     while !server.dispatch_next().is_empty() {}
 }
 
-/// The serve ledger rides the metrics snapshot (schema v3+) into both
-/// exports, alongside the pool's own families.
+/// The serve ledger rides the metrics snapshot (schema v3+) into its JSON
+/// export, alongside the pool's own counters.
 #[test]
 fn serve_ledger_rides_the_metrics_snapshot() {
     let pool = Arc::new(Pool::new(2));
@@ -260,13 +260,25 @@ fn serve_ledger_rides_the_metrics_snapshot() {
         .and_then(|v| v.as_array())
         .expect("tenants array");
     assert_eq!(tenants.len(), 2);
-
-    let prom = snap.to_prometheus();
-    assert!(prom.contains("afs_serve_requests_total{tenant=\"small\",outcome=\"completed\"} 5"));
-    assert!(prom.contains("afs_serve_latency_ns{tenant=\"bulk\",quantile=\"0.999\"}"));
+    let tenant = |name: &str| {
+        tenants
+            .iter()
+            .find(|t| t.get("name").and_then(|v| v.as_str()) == Some(name))
+            .expect("tenant present")
+    };
+    assert_eq!(
+        tenant("small").get("completed").and_then(|v| v.as_f64()),
+        Some(5.0)
+    );
+    assert!(tenant("bulk")
+        .get("p999_ns")
+        .and_then(|v| v.as_f64())
+        .is_some());
     assert!(
-        prom.contains("afs_grabs_total"),
-        "pool families still there"
+        doc.get("totals")
+            .and_then(|t| t.get("local_grabs"))
+            .is_some(),
+        "pool counters still there"
     );
 }
 
@@ -300,8 +312,13 @@ fn adaptive_requests_complete_and_publish_controller_state() {
         .expect("sched block present");
     assert!(sched.k >= 1);
     assert!(sched.b >= 1);
-    let prom = snap.to_prometheus();
-    assert!(prom.contains("afs_sched_tune_k"));
+    let doc = afs_core::json::parse(&snap.to_json()).expect("snapshot JSON parses");
+    let k = doc
+        .get("controllers")
+        .and_then(|c| c.get("sched"))
+        .and_then(|s| s.get("k"))
+        .and_then(|k| k.as_f64());
+    assert_eq!(k, Some(sched.k as f64));
 }
 
 /// Request lifecycle events land on the serve lane: one admit per

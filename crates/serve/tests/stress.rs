@@ -109,9 +109,9 @@ fn seeded_mpmc_exactly_once_ledger() {
 }
 
 /// The shed path under concurrency: producers push without retry into a
-/// tiny ring while consumers drain slowly. Accepted + refused must equal
-/// offered, and every accepted value must come out exactly once — a
-/// refusal never destroys a slot.
+/// tiny ring while a consumer, once the ring has refused, drains it
+/// concurrently. Accepted + refused must equal offered, and every accepted
+/// value must come out exactly once — a refusal never destroys a slot.
 #[test]
 fn seeded_mpmc_full_ring_sheds_without_losing_slots() {
     const PRODUCERS: usize = 4;
@@ -142,21 +142,34 @@ fn seeded_mpmc_full_ring_sheds_without_losing_slots() {
         {
             let q = Arc::clone(&q);
             let drained = Arc::clone(&drained);
+            let refused = Arc::clone(&refused);
             let done = Arc::clone(&done);
-            handles.push(thread::spawn(move || loop {
-                match q.pop() {
-                    Some(_) => {
-                        drained.fetch_add(1, Ordering::SeqCst);
-                    }
-                    None => {
-                        if done.load(Ordering::SeqCst) == PRODUCERS as u64
-                            && q.pop()
-                                .map(|_| drained.fetch_add(1, Ordering::SeqCst))
-                                .is_none()
-                        {
-                            return;
+            handles.push(thread::spawn(move || {
+                // Hold off until the ring has refused once (or every
+                // producer is done): with nothing popped, the 17th push
+                // into the 16 slots must refuse, so the refusal the test
+                // asserts no longer depends on the producers outrunning
+                // this consumer. The concurrent drain runs afterwards.
+                while refused.load(Ordering::SeqCst) == 0
+                    && done.load(Ordering::SeqCst) < PRODUCERS as u64
+                {
+                    thread::yield_now();
+                }
+                loop {
+                    match q.pop() {
+                        Some(_) => {
+                            drained.fetch_add(1, Ordering::SeqCst);
                         }
-                        thread::yield_now();
+                        None => {
+                            if done.load(Ordering::SeqCst) == PRODUCERS as u64
+                                && q.pop()
+                                    .map(|_| drained.fetch_add(1, Ordering::SeqCst))
+                                    .is_none()
+                            {
+                                return;
+                            }
+                            thread::yield_now();
+                        }
                     }
                 }
             }));
@@ -229,9 +242,11 @@ fn must_return(what: &str, f: impl FnOnce() + Send + 'static) {
 /// One request at a time, with inter-arrival gaps that straddle the
 /// dispatcher's 64-yield grace: a quarter of the admits follow the
 /// previous completion immediately (dispatcher still busy or yielding),
-/// the rest wait U[0, 256) µs (it may be yielding, committing to park,
-/// or parked). Under 20 ring-injection seeds every request completes and
-/// the ledger is exact — and both sides of the race were actually taken.
+/// one in sixteen waits until the dispatcher has committed to a park (a
+/// gap that outlasts the grace however slowly the host yields), and the
+/// rest wait U[0, 256) µs (it may be yielding, committing to park, or
+/// parked). Under 20 ring-injection seeds every request completes and the
+/// ledger is exact — and both sides of the race were actually taken.
 #[test]
 fn seeded_admits_straddling_the_park_commit_all_complete() {
     const REQUESTS: u64 = 200;
@@ -243,20 +258,30 @@ fn seeded_admits_straddling_the_park_commit_all_complete() {
             .build();
         let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut offered_iters = 0u64;
+        let mut parks_at_last_admit = 0;
         for i in 0..REQUESTS {
             // xorshift64: the gaps only need to differ from seed to seed.
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
-            let gap = if rng & 3 == 0 {
-                Duration::ZERO
+            if rng & 15 == 1 {
+                // The idle dispatcher parks once the previous request is
+                // done, so this wait always ends.
+                wait_for("the idle dispatcher to park", || {
+                    server.dispatcher_park_tally().0 > parks_at_last_admit
+                });
             } else {
-                Duration::from_micros((rng >> 8) % 256)
-            };
-            let t = Instant::now();
-            while t.elapsed() < gap {
-                std::hint::spin_loop();
+                let gap = if rng & 3 == 0 {
+                    Duration::ZERO
+                } else {
+                    Duration::from_micros((rng >> 8) % 256)
+                };
+                let t = Instant::now();
+                while t.elapsed() < gap {
+                    std::hint::spin_loop();
+                }
             }
+            parks_at_last_admit = server.dispatcher_park_tally().0;
             let n = 16 + (rng >> 20) % 113;
             offered_iters += n;
             assert!(server.admit(small(n)).is_accepted(), "seed {seed} req {i}");

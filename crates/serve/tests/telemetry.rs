@@ -1,12 +1,10 @@
 //! Live-observability integration: the telemetry endpoint a `LoopServer`
-//! starts, the Prometheus exposition it serves, the serve events the
-//! pool's flight recorder captures, and the request spans on the trace's
-//! serve lane.
+//! starts, the JSON routes it serves, the serve events the pool's flight
+//! recorder captures, and the request spans on the trace's serve lane.
 
-use afs_core::json::Value;
-use afs_metrics::METRICS_SCHEMA_VERSION;
+use afs_core::json::{self, Value};
+use afs_metrics::{ServeEventKind, METRICS_SCHEMA_VERSION};
 use afs_runtime::Pool;
-use afs_scope::{check_exposition, ServeEventKind};
 use afs_serve::prelude::*;
 use afs_trace::chrome::chrome_trace;
 use afs_trace::prelude::*;
@@ -32,17 +30,18 @@ fn req(tenant: usize, n: u64, phases: u32) -> LoopRequest {
     }
 }
 
-/// Satellite 1, live half: a scrape of the builder-started `/metrics`
-/// endpoint passes the exposition conformance check and — on a quiesced
-/// server — is byte-identical to the file-export path
-/// (`metrics_snapshot().to_prometheus()`), the same text `repro
-/// --metrics FILE.prom` writes.
+/// A scrape of the builder-started `/snapshot.json` endpoint on a
+/// quiesced server is the file-export document
+/// (`metrics_snapshot().to_json()`, what `repro --metrics` writes), a
+/// tenant name with a quote and a backslash comes back exactly, and the
+/// `/healthz` and `/tune` routes keep their key sets.
 #[test]
-fn live_scrape_is_conformant_and_matches_file_export() {
+fn live_snapshot_json_matches_file_export() {
+    let quoted = "beta\"quoted\\slash";
     let pool = Arc::new(Pool::new(2));
     let server = LoopServer::builder(Arc::clone(&pool))
         .tenant("alpha")
-        .tenant("beta\"quoted\\slash")
+        .tenant(quoted)
         .telemetry("127.0.0.1:0")
         .build();
     let addr = server
@@ -53,30 +52,26 @@ fn live_scrape_is_conformant_and_matches_file_export() {
     }
     server.drain();
 
-    let (code, live) = afs_scope::get(addr, "/metrics").expect("scrape /metrics");
+    let (code, live) = afs_metrics::get(addr, "/snapshot.json").expect("scrape /snapshot.json");
     assert_eq!(code, 200);
-    let violations = check_exposition(&live);
-    assert!(
-        violations.is_empty(),
-        "live scrape violates the exposition format:\n{}",
-        violations.join("\n")
-    );
-    // The quoted tenant name must arrive escaped, not raw.
-    assert!(live.contains("tenant=\"beta\\\"quoted\\\\slash\""));
-
+    let doc = json::parse(&live).expect("snapshot JSON parses");
     // The file-export path renders the same snapshot the endpoint serves.
-    let export = server.metrics_snapshot().to_prometheus();
-    assert_eq!(live, export, "live scrape vs file export must be identical");
-    assert!(check_exposition(&export).is_empty());
-
-    // Drift bound: a second scrape on the still-quiesced server agrees
-    // with the final ledger exactly.
-    let (_, again) = afs_scope::get(addr, "/snapshot.json").expect("scrape /snapshot.json");
-    let doc = afs_core::json::parse(&again).expect("snapshot JSON parses");
+    let export = json::parse(&server.metrics_snapshot().to_json()).expect("export parses");
+    assert_eq!(doc, export, "live scrape vs file export must be identical");
     assert_eq!(
         doc.get("schema_version").and_then(|v| v.as_f64()),
         Some(METRICS_SCHEMA_VERSION as f64)
     );
+    // The quoted tenant name round-trips exactly through the live route.
+    let tenants: Vec<&str> = doc
+        .get("serve")
+        .and_then(|s| s.get("tenants"))
+        .and_then(Value::as_array)
+        .expect("tenants array")
+        .iter()
+        .filter_map(|t| t.get("name").and_then(Value::as_str))
+        .collect();
+    assert_eq!(tenants, ["alpha", quoted]);
     // The served document has exactly the schema's keys, top level and
     // per worker.
     assert_eq!(
@@ -116,14 +111,37 @@ fn live_scrape_is_conformant_and_matches_file_export() {
     assert_eq!(serve.get("admitted").and_then(|v| v.as_f64()), Some(24.0));
     assert_eq!(serve.get("completed").and_then(|v| v.as_f64()), Some(24.0));
 
-    let (code, health) = afs_scope::get(addr, "/healthz").expect("scrape /healthz");
+    let (code, health) = afs_metrics::get(addr, "/healthz").expect("scrape /healthz");
     assert_eq!(code, 200, "healthy pool: {health}");
-    let health = afs_core::json::parse(&health).expect("healthz JSON parses");
+    let health = json::parse(&health).expect("healthz JSON parses");
     assert_eq!(health.get("status").and_then(Value::as_str), Some("ok"));
-    let (code, tune) = afs_scope::get(addr, "/tune").expect("scrape /tune");
+    assert_eq!(
+        keys(&health),
+        BTreeSet::from([
+            "status",
+            "schema_version",
+            "workers",
+            "effective_workers",
+            "stalls_detected",
+            "deadline_misses",
+            "recorders",
+            "shed_spike_active",
+            "triggers",
+            "dumped",
+        ])
+    );
+    assert_eq!(health.get("recorders").and_then(Value::as_f64), Some(1.0));
+    let (code, tune) = afs_metrics::get(addr, "/tune").expect("scrape /tune");
     assert_eq!(code, 200);
-    let tune = afs_core::json::parse(&tune).expect("tune JSON parses");
+    let tune = json::parse(&tune).expect("tune JSON parses");
+    assert_eq!(
+        keys(&tune),
+        BTreeSet::from(["schema_version", "controllers", "trajectory"])
+    );
     assert!(tune.get("trajectory").and_then(Value::as_array).is_some());
+    // The endpoint serves JSON only: `/metrics` is not a route.
+    let (code, _) = afs_metrics::get(addr, "/metrics").expect("request /metrics");
+    assert_eq!(code, 404);
     server.shutdown();
 }
 
@@ -224,7 +242,7 @@ fn request_spans_decompose_the_sojourn() {
         .expect("complete on the serve lane");
     assert!(admit_at < complete_at, "span opens before it closes");
 
-    let doc = afs_core::json::parse(&chrome_trace(&sink, "spans")).expect("trace parses");
+    let doc = json::parse(&chrome_trace(&sink, "spans")).expect("trace parses");
     let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
     let has = |name: &str, ph: &str| {
         events.iter().any(|e| {

@@ -187,8 +187,6 @@ pub fn chrome_trace(sink: &TraceSink, process_name: &str) -> String {
                         emit(w, s, &name, "chunk", Ph::Complete { dur_ns: t - s }, &args);
                     }
                 }
-                // Legacy single-event form: an instant only.
-                EventKind::BarrierWait => emit(w, t, "barrier", "barrier", Ph::Instant, &[]),
                 EventKind::BarrierArrive => {
                     emit(w, t, "barrier", "barrier", Ph::Instant, &[]);
                     barrier_start = Some(t);

@@ -70,13 +70,6 @@ pub enum EventKind {
         /// Queue whose packed word the CAS targeted.
         queue: u32,
     },
-    /// The loop is exhausted from this worker's point of view; it is heading
-    /// into the end-of-loop barrier. Time after this event is the idle tail.
-    ///
-    /// Legacy event: current drivers record the [`EventKind::BarrierArrive`]
-    /// / [`EventKind::BarrierRelease`] pair instead, which bounds the
-    /// barrier span exactly. Kept decodable so old traces still analyze.
-    BarrierWait,
     /// The worker arrived at the end-of-phase barrier (its final grab
     /// failed). Paired with the next [`EventKind::BarrierRelease`] on the
     /// same lane; the distance between them is the exact rendezvous time.
@@ -260,7 +253,6 @@ mod tests {
     fn non_grab_events_have_no_access() {
         assert_eq!(EventKind::GrabBegin.grab_access(), None);
         assert_eq!(EventKind::ChunkEnd.grab_access(), None);
-        assert_eq!(EventKind::BarrierWait.grab_access(), None);
         assert_eq!(EventKind::BarrierArrive.grab_access(), None);
         assert_eq!(EventKind::BarrierRelease.grab_access(), None);
         assert_eq!(EventKind::BarrierPark.grab_access(), None);

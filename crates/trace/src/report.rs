@@ -24,8 +24,7 @@ pub struct WorkerBreakdown {
     pub wait_ns: f64,
     /// At the end-of-phase rendezvous: `BarrierArrive → BarrierRelease`
     /// spans, plus a trailing unreleased arrive (the run's final barrier)
-    /// up to the last event anywhere. Legacy `BarrierWait` events carry no
-    /// span and land in `idle_ns`, as they always did.
+    /// up to the last event anywhere.
     pub barrier_ns: f64,
     /// Everything else up to the last event anywhere.
     pub idle_ns: f64,
@@ -398,12 +397,12 @@ mod tests {
     }
 
     #[test]
-    fn unmatched_release_and_legacy_wait_are_ignored() {
+    fn unmatched_release_and_park_are_ignored() {
         let sink = TraceSink::new(1);
-        // A pool's first release precedes any arrive; legacy BarrierWait
-        // opens no span. Neither may produce barrier time.
+        // A pool's first release precedes any arrive; a park with no
+        // arrive before it opens no span. Neither may produce barrier time.
         sink.record(0, K::BarrierRelease);
-        sink.record(0, K::BarrierWait);
+        sink.record(0, K::BarrierPark);
         sink.record(0, K::GrabBegin);
         sink.record(0, K::GrabCentral { lo: 0, hi: 1 });
         let r = TraceReport::from_sink(&sink);

@@ -188,12 +188,12 @@ mod tests {
         let sink = TraceSink::new(1);
         sink.set_enabled(false);
         for _ in 0..50 {
-            sink.record(0, EventKind::BarrierWait);
+            sink.record(0, EventKind::BarrierArrive);
         }
         assert_eq!(sink.events(0).len(), 0);
         assert_eq!(sink.dropped(0), 0);
         sink.set_enabled(true);
-        sink.record(0, EventKind::BarrierWait);
+        sink.record(0, EventKind::BarrierArrive);
         assert_eq!(sink.events(0).len(), 1);
     }
 

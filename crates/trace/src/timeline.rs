@@ -24,8 +24,8 @@ pub const NS_PER_UNIT: f64 = 1_000.0;
 /// * `GrabBegin → Grab*` becomes [`SegmentKind::Sync`] (scheduler overhead),
 ///   except any `LockWaitBegin → LockWaitEnd` stretch inside it, which
 ///   becomes [`SegmentKind::Wait`];
-/// * time after `BarrierWait` (and any other gap) is idle — not recorded,
-///   exactly as in the simulator.
+/// * time after `BarrierArrive` (and any other gap) is idle — not
+///   recorded, exactly as in the simulator.
 ///
 /// The builder is defensive about missing partners (a ring that overflowed
 /// may have dropped a `Begin`): unmatched ends are ignored rather than
@@ -70,7 +70,7 @@ pub fn to_timeline(sink: &TraceSink) -> Timeline {
                         tl.push(w, SegmentKind::Busy, s, t);
                     }
                 }
-                EventKind::BarrierWait | EventKind::BarrierArrive => {
+                EventKind::BarrierArrive => {
                     // Close any dangling interval; the lane is idle until
                     // the barrier releases (the simulator draws the barrier
                     // tail as idle, and the timeline follows suit — exact
@@ -177,7 +177,7 @@ mod tests {
                 },
             ),
             (7, K::ChunkEnd),
-            (8, K::BarrierWait),
+            (8, K::BarrierArrive),
         ]);
         let tl = to_timeline(&sink);
         let busy = tl.lane_total(0, SegmentKind::Busy);

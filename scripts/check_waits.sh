@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # There is one spin → yield → park ladder and one eventcount in this
 # repository: crates/runtime/src/wait.rs. There is one JSON writer and one
-# string escaper: crates/core/src/json.rs. This check keeps it that way.
+# string escaper: crates/core/src/json.rs. Library state is passed by
+# handle, not reached through process globals or environment knobs. This
+# check keeps it that way.
 #
 #   scripts/check_waits.sh
 #
@@ -11,22 +13,30 @@
 #     `Condvar`, `spin_loop(` — occurs outside wait.rs and the allow-list
 #     below, or
 #   * a JSON key literal (`\"name\":`, a document hand-formatted with
-#     format!) occurs outside json.rs.
+#     format!) occurs outside json.rs, or
+#   * outside crates/bench (the CLI owns its process), an environment read
+#     (`env::var(`, `env::var_os(`) or a `static` holding a `OnceLock`,
+#     `OnceCell`, `LazyLock`, `Atomic*`, `Mutex` or `RwLock` occurs that
+#     the allow-list below does not name (`static NAME` entries).
 # "Non-test" is everything above a file's first `#[cfg(test)]` line (unit
 # tests close every file here); tests/, benches/, examples/ and benchmark/
 # are not looked at.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# file | pattern | most occurrences allowed | why it is not a second ladder
+# file | pattern | most occurrences allowed | why it is not a second
+# ladder, or why the static is not hidden shared state
 allow=(
     "crates/runtime/src/inject.rs|yield_now(|1|the seeded stress injector; yielding at a marked race window is its whole job"
     "crates/runtime/src/watchdog.rs|Condvar|4|the sampler's interval sleep (wait_timeout), which stop() cuts short; nobody waits for an event there"
     "crates/serve/src/server.rs|yield_now(|1|LoopServer::drain, a client-side shutdown/test poll; waking it would put a flag load on every retire"
     "crates/bench/src/serve.rs|yield_now(|2|load generator: a closed-loop client retrying a shed admit, and pacing its window"
     "crates/bench/src/chaos.rs|yield_now(|1|load generator: a client retrying a shed admit"
+    "crates/runtime/src/affinity.rs|static TOPOLOGY|1|a cache of /sys: the host's NUMA topology, read once and never written after"
+    "crates/metrics/src/recorder.rs|static DUMP_SEQ|1|a file-name disambiguator for two dumps in one millisecond; nothing reads it back"
 )
 patterns=('yield_now(' 'thread::park' '.unpark()' 'Condvar' 'spin_loop(')
+globals='env::var(_os)?\(|static[[:space:]]+(mut[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*[[:space:]]*:[^=]*(OnceLock|OnceCell|LazyLock|Atomic[A-Za-z0-9]*|Mutex|RwLock)'
 
 allowed() { # file pattern -> the allowed count, 0 when not listed
     local entry f p n
@@ -53,6 +63,20 @@ while IFS= read -r file; do
             status=1
         fi
     fi
+    if [[ "$file" != crates/bench/* ]]; then
+        while IFS= read -r hit; do
+            [[ -z "$hit" ]] && continue
+            what="env::var"
+            if [[ "$hit" =~ static[[:space:]]+(mut[[:space:]]+)?([A-Za-z_][A-Za-z0-9_]*) ]]; then
+                what="static ${BASH_REMATCH[2]}"
+            fi
+            if (($(allowed "$file" "$what") == 0)); then
+                echo "check_waits: $file adds a process global or env knob ($what):" >&2
+                echo "    $hit" >&2
+                status=1
+            fi
+        done < <(grep -E "$globals" <<<"$code" || true)
+    fi
     [[ "$file" == crates/runtime/src/wait.rs ]] && continue
     for pat in "${patterns[@]}"; do
         hits=$(grep -F -- "$pat" <<<"$code" || true)
@@ -67,9 +91,10 @@ while IFS= read -r file; do
 done < <(find crates/*/src src -name '*.rs' | sort)
 
 if ((status == 0)); then
-    echo "check_waits: waiting primitives only in crates/runtime/src/wait.rs (+ ${#allow[@]} allow-listed uses)"
+    echo "check_waits: waiting primitives only in crates/runtime/src/wait.rs (+ ${#allow[@]} allow-listed uses and statics)"
     echo "check_waits: JSON written only through crates/core/src/json.rs"
+    echo "check_waits: no process globals or env knobs outside crates/bench (+ the allow-listed statics)"
 else
-    echo "check_waits: wait through afs_runtime::wait (EventCount::wait), or add an allow-list entry with its reason" >&2
+    echo "check_waits: wait through afs_runtime::wait (EventCount::wait), pass state by handle, or add an allow-list entry with its reason" >&2
 fi
 exit $status

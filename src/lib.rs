@@ -18,7 +18,8 @@
 //!   per-worker ring buffers feeding the simulator's `Timeline` (ASCII
 //!   Gantt), a Chrome trace-event exporter, and aggregate reports;
 //! * [`metrics`] — always-on per-worker counters, duration
-//!   histograms, and Prometheus / JSON exporters.
+//!   histograms, one JSON export, the per-pool flight recorder and the
+//!   live JSON telemetry endpoint.
 //!
 //! See the repository README for a tour and `DESIGN.md` for the
 //! paper-to-module map.
