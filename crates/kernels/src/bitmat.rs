@@ -1,6 +1,8 @@
 //! A square bit matrix with 64-bit word rows (the transitive-closure
 //! substrate).
 
+use crate::simd::{copies, Loop};
+
 /// Dense square boolean matrix packed into `u64` words, row-major.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BitMatrix {
@@ -67,16 +69,14 @@ impl BitMatrix {
             return;
         }
         // Split borrows: rows are disjoint word ranges.
-        let (lo, hi) = if s < d {
+        let (src, dst) = if s < d {
             let (a, b) = self.words.split_at_mut(d);
             (&a[s..s + wpr], &mut b[..wpr])
         } else {
             let (a, b) = self.words.split_at_mut(s);
             (&b[..wpr], &mut a[d..d + wpr])
         };
-        for (dst, src) in hi.iter_mut().zip(lo) {
-            *dst |= *src;
-        }
+        row_or(dst, src);
     }
 
     /// Word count per row.
@@ -117,10 +117,27 @@ pub fn row_get(row: &[u64], col: usize) -> bool {
     (row[col / 64] >> (col % 64)) & 1 == 1
 }
 
-/// ORs packed row `src` into `dst` (both `words_per_row` long).
+/// ORs packed row `src` into `dst` (both `words_per_row` long): the
+/// Warshall inner loop of [`BitMatrix::or_row_into`] and the parallel
+/// closure alike.
+///
+/// Runs [`or_loop`]'s copy that [`Loop::BitRowOr`]'s entry in
+/// [`crate::simd::TABLE`] names (AVX-512F), or the portable copy on a CPU
+/// without it.
 #[inline]
 pub fn row_or(dst: &mut [u64], src: &[u64]) {
     debug_assert_eq!(dst.len(), src.len());
+    or_as(Loop::BitRowOr.chosen(), dst, src);
+}
+
+copies! {
+    /// [`or_loop`] compiled for `isa` (see [`crate::simd::copies`]).
+    fn or_as(dst: &mut [u64], src: &[u64]) = or_loop;
+}
+
+/// The row OR, compiled once per [`crate::simd::Isa`].
+#[inline(always)]
+fn or_loop(dst: &mut [u64], src: &[u64]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d |= *s;
     }
@@ -140,6 +157,28 @@ mod tests {
         let mut dst = vec![0u64; src.len()];
         row_or(&mut dst, &src);
         assert!(row_get(&dst, 65));
+    }
+
+    /// Both wide copies of the row OR against the portable one, every
+    /// length in `0..=17`, 64 and 65 (each vector remainder).
+    #[test]
+    fn row_or_wide_copies_agree_with_the_portable_loop() {
+        use crate::simd::Isa;
+        let mut rng = afs_core::rng::Xoshiro256::seed_from_u64(0x0b17);
+        for isa in [Isa::Avx2, Isa::Avx512f] {
+            let test = "row_or_wide_copies_agree_with_the_portable_loop";
+            if !crate::simd::check_or_say(isa, test) {
+                continue;
+            }
+            for len in (0..=17).chain([64, 65]) {
+                let src: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+                let dst: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+                let (mut portable, mut wide) = (dst.clone(), dst);
+                or_as(Isa::Portable, &mut portable, &src);
+                or_as(isa, &mut wide, &src);
+                assert_eq!(wide, portable, "{isa:?} len = {len}");
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! result is bit-identical to the textbook one-pivot-per-pass update (the
 //! test-only reference this module is pinned to). DESIGN.md §3.4.
 
+use crate::simd::{copies, Loop};
 use afs_sim::{BlockAccess, Work, Workload};
 
 /// A dense linear system being eliminated in place.
@@ -177,26 +178,25 @@ pub fn eliminate_step<'a>(
 /// Applies a row's `K` pending pivots to its trailing columns: one load and
 /// one store per element, the `K` multiply-subtracts in pivot order between.
 ///
-/// Runs [`flush_loop`]'s AVX-512F copy when the CPU has that extension
-/// (`is_x86_feature_detected!` caches its answer: one load per call), the
-/// portable copy otherwise.
+/// Runs [`flush_loop`]'s copy that [`Loop::GaussFlush`]'s entry in
+/// [`crate::simd::TABLE`] names (AVX-512F), or the portable copy on a CPU
+/// without it.
 fn flush<'a, const K: usize>(tail: &mut [f64], pivot: impl Fn(usize) -> &'a [f64], mult: &[f64]) {
     // Every slice gets the one length the loop runs over.
     let pivots: [&[f64]; K] = std::array::from_fn(|j| &pivot(j)[..tail.len()]);
     let m: [f64; K] = std::array::from_fn(|j| mult[j]);
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx512f") {
-        // SAFETY: the CPU has AVX-512F.
-        return unsafe { flush_avx512f(tail, &pivots, &m) };
-    }
-    flush_loop(tail, &pivots, &m)
+    flush_as(Loop::GaussFlush.chosen(), tail, &pivots, &m)
 }
 
-/// The flush body, compiled once per caller: for the baseline target inside
-/// [`flush`], and for AVX-512F inside [`flush_avx512f`]. Either copy gives
-/// every element the same `v −= p[c] · m` sequence, each product and
+copies! {
+    /// [`flush_loop`] compiled for `isa` (see [`crate::simd::copies`]).
+    fn flush_as<const K: usize>(tail: &mut [f64], pivots: &[&[f64]; K], m: &[f64; K]) = flush_loop;
+}
+
+/// The flush body, compiled once per [`crate::simd::Isa`]. Every copy
+/// gives every element the same `v −= p[c] · m` sequence, each product and
 /// difference rounded on its own (rustc never fuses them into an FMA), so
-/// the two agree bit for bit.
+/// the copies agree bit for bit.
 #[inline(always)]
 fn flush_loop<const K: usize>(tail: &mut [f64], pivots: &[&[f64]; K], m: &[f64; K]) {
     for (c, x) in tail.iter_mut().enumerate() {
@@ -206,25 +206,6 @@ fn flush_loop<const K: usize>(tail: &mut [f64], pivots: &[&[f64]; K], m: &[f64; 
         }
         *x = v;
     }
-}
-
-/// [`flush_loop`] vectorized at 512 bits.
-///
-/// # Safety
-/// The CPU must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn flush_avx512f<const K: usize>(tail: &mut [f64], pivots: &[&[f64]; K], m: &[f64; K]) {
-    flush_loop(tail, pivots, m)
-}
-
-/// Which copy of the flush loop this CPU runs: `"avx512f"` or `"portable"`.
-pub fn flush_copy() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx512f") {
-        return "avx512f";
-    }
-    "portable"
 }
 
 /// Simulator workload model of Gaussian elimination.
@@ -295,6 +276,7 @@ impl Workload for GaussModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::Isa;
 
     #[test]
     fn elimination_solves_the_system() {
@@ -448,12 +430,10 @@ mod tests {
         phase_in_order(7, true);
     }
 
-    /// Both compiled copies of the flush loop on the same awkward inputs,
-    /// `K` pending pivots, every tail length in `0..=17` and 1025 (each
-    /// vector remainder), bit for bit.
-    #[cfg(target_arch = "x86_64")]
-    fn flush_copies_agree<const K: usize>() {
-        assert!(std::is_x86_feature_detected!("avx512f"));
+    /// The `isa` copy of the flush loop against the portable one on the
+    /// same awkward inputs, `K` pending pivots, every tail length in
+    /// `0..=17` and 1025 (each vector remainder), bit for bit.
+    fn flush_copies_agree<const K: usize>(isa: Isa) {
         for len in (0..=17).chain([1025]) {
             let seed = 0x6a55 + (K * 2000 + len) as u64;
             let values = crate::awkward_buffer((K + 1) * len + K, seed);
@@ -463,31 +443,27 @@ mod tests {
             let pivots: [&[f64]; K] = std::array::from_fn(|j| &pivots[j * len..][..len]);
             let mut portable = tail.to_vec();
             let mut wide = tail.to_vec();
-            flush_loop(&mut portable, &pivots, &m);
-            // SAFETY: the CPU has AVX-512F, asserted above.
-            unsafe { flush_avx512f(&mut wide, &pivots, &m) };
+            flush_as(Isa::Portable, &mut portable, &pivots, &m);
+            flush_as(isa, &mut wide, &pivots, &m);
             let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&wide), bits(&portable), "K = {K}, len = {len}");
+            assert_eq!(
+                bits(&wide),
+                bits(&portable),
+                "{isa:?}, K = {K}, len = {len}"
+            );
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn flush_avx512f_is_bit_identical_to_the_portable_loop() {
-        if !std::is_x86_feature_detected!("avx512f") {
-            // Straight to the stream: the harness would swallow `eprintln!`.
-            use std::io::Write;
-            let _ = writeln!(
-                std::io::stderr(),
-                "flush_avx512f_is_bit_identical_to_the_portable_loop: \
-                 this CPU lacks AVX-512F, the wide copy was NOT checked"
-            );
+        let isa = Isa::Avx512f;
+        if !crate::simd::check_or_say(isa, "flush_avx512f_is_bit_identical_to_the_portable_loop") {
             return;
         }
-        flush_copies_agree::<1>();
-        flush_copies_agree::<2>();
-        flush_copies_agree::<3>();
-        flush_copies_agree::<4>();
+        flush_copies_agree::<1>(isa);
+        flush_copies_agree::<2>(isa);
+        flush_copies_agree::<3>(isa);
+        flush_copies_agree::<4>(isa);
     }
 
     #[test]

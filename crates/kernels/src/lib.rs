@@ -30,6 +30,7 @@ pub mod adjoint;
 pub mod bitmat;
 pub mod gauss;
 pub mod l4;
+pub mod simd;
 pub mod sor;
 pub mod transitive;
 

@@ -12,6 +12,7 @@
 //! identical to the paper's in-place variant; DESIGN.md records the
 //! substitution.
 
+use crate::simd::{copies, Loop};
 use afs_sim::{BlockAccess, Work, Workload};
 
 /// Five-point-stencil relaxation factor.
@@ -96,6 +97,20 @@ pub fn update_row(src: &[f64], dst: &mut [f64], n: usize, row: usize) {
 /// Row-sliced variant: writes the updated row into `dst_row` (length `n`).
 /// Used by parallel executors that hand out disjoint destination rows.
 ///
+/// Runs [`row_loop`]'s copy that [`Loop::SorRow`]'s entry in
+/// [`crate::simd::TABLE`] names (AVX2), or the portable copy on a CPU
+/// without it.
+pub fn update_row_into(src: &[f64], dst_row: &mut [f64], n: usize, row: usize) {
+    row_as(Loop::SorRow.chosen(), src, dst_row, n, row);
+}
+
+copies! {
+    /// [`row_loop`] compiled for `isa` (see [`crate::simd::copies`]).
+    fn row_as(src: &[f64], dst_row: &mut [f64], n: usize, row: usize) = row_loop;
+}
+
+/// The row update, compiled once per [`crate::simd::Isa`].
+///
 /// The three source rows are sliced once and the two edge columns peeled,
 /// so the interior is one straight-line loop with no edge test or bounds
 /// check per point, which the compiler unswitches on the (loop-invariant)
@@ -103,7 +118,8 @@ pub fn update_row(src: &[f64], dst: &mut [f64], n: usize, row: usize) {
 /// column, is a literal `0.0` in its own position of the sum — `x + 0.0`,
 /// not `x`, which differ for `x = -0.0` — exactly what the per-element
 /// reference stencil in the tests computes, so the two agree bit for bit.
-pub fn update_row_into(src: &[f64], dst_row: &mut [f64], n: usize, row: usize) {
+#[inline(always)]
+fn row_loop(src: &[f64], dst_row: &mut [f64], n: usize, row: usize) {
     debug_assert_eq!(src.len(), n * n);
     debug_assert_eq!(dst_row.len(), n);
     let base = row * n;
@@ -221,6 +237,7 @@ impl Workload for SorModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::Isa;
 
     #[test]
     fn sequential_sor_converges_toward_smoothness() {
@@ -288,6 +305,29 @@ mod tests {
                     update_row_into(&src, &mut got, n, row);
                     let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&got), bits(&want), "n={n} row={row}");
+                }
+            }
+        }
+    }
+
+    /// Both wide copies of the row loop against the portable one on awkward
+    /// values, every row, bit for bit — whichever [`Loop::SorRow`] runs.
+    #[test]
+    fn row_wide_copies_are_bit_identical_to_the_portable_loop() {
+        for isa in [Isa::Avx2, Isa::Avx512f] {
+            let test = "row_wide_copies_are_bit_identical_to_the_portable_loop";
+            if !crate::simd::check_or_say(isa, test) {
+                continue;
+            }
+            for n in [1, 2, 3, 5, 9, 17, 64, 65] {
+                let src = crate::awkward_buffer(n * n, 0x50c + n as u64);
+                for row in 0..n {
+                    let mut portable = vec![f64::NAN; n];
+                    let mut wide = vec![f64::NAN; n];
+                    row_as(Isa::Portable, &src, &mut portable, n, row);
+                    row_as(isa, &src, &mut wide, n, row);
+                    let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&wide), bits(&portable), "{isa:?} n={n} row={row}");
                 }
             }
         }

@@ -239,6 +239,51 @@ impl CounterSnapshot {
         }
     }
 
+    /// Number of fields, in the order [`CounterSnapshot::to_words`] lists
+    /// them.
+    pub(crate) const WORDS: usize = 13;
+
+    /// The fields as words, in declaration order (the flight recorder's
+    /// lanes store a snapshot so).
+    pub(crate) fn to_words(self) -> [u64; Self::WORDS] {
+        [
+            self.local_grabs,
+            self.remote_grabs,
+            self.central_grabs,
+            self.free_grabs,
+            self.iters,
+            self.cas_retries,
+            self.stash_hits,
+            self.barrier_arrives,
+            self.barrier_spin,
+            self.barrier_yield,
+            self.barrier_park,
+            self.barrier_turns,
+            self.heartbeats,
+        ]
+    }
+
+    /// Inverse of [`CounterSnapshot::to_words`].
+    pub(crate) fn from_words(w: [u64; Self::WORDS]) -> CounterSnapshot {
+        let [local_grabs, remote_grabs, central_grabs, free_grabs, iters, cas_retries, stash_hits, barrier_arrives, barrier_spin, barrier_yield, barrier_park, barrier_turns, heartbeats] =
+            w;
+        CounterSnapshot {
+            local_grabs,
+            remote_grabs,
+            central_grabs,
+            free_grabs,
+            iters,
+            cas_retries,
+            stash_hits,
+            barrier_arrives,
+            barrier_spin,
+            barrier_yield,
+            barrier_park,
+            barrier_turns,
+            heartbeats,
+        }
+    }
+
     /// Adds `other` into `self` field by field.
     pub fn add(&mut self, other: &CounterSnapshot) {
         self.local_grabs += other.local_grabs;
@@ -280,6 +325,17 @@ impl CounterSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn words_round_trip_every_field() {
+        let w: [u64; CounterSnapshot::WORDS] = std::array::from_fn(|i| i as u64 + 1);
+        let s = CounterSnapshot::from_words(w);
+        assert_eq!(s.to_words(), w);
+        assert_eq!((s.local_grabs, s.heartbeats), (1, 13));
+        let mut sum = s;
+        sum.add(&s);
+        assert_eq!(sum.minus(&s), s);
+    }
 
     #[test]
     fn counters_fit_one_padding_unit() {

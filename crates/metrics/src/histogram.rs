@@ -1,10 +1,13 @@
 //! Log₂ latency histograms: a concurrent one, and its plain-value copy.
 //!
 //! [`AtomicHistogram`] is recordable from any thread: buckets are relaxed
-//! atomic adds. Unlike [`crate::counters::WorkerCounters`], a
-//! histogram *is* multi-writer (any worker may take a barrier turn and
-//! record the phase duration), so increments use `fetch_add` rather than
-//! the single-writer load+store.
+//! atomic adds ([`AtomicHistogram::record`]). A histogram with one writer
+//! — a worker's shard of the registry's phase histogram, written only by
+//! the thread driving that worker — records with plain loads and stores
+//! instead ([`AtomicHistogram::record_owned`]), the single-writer
+//! discipline of [`crate::counters::WorkerCounters`]: no locked
+//! read-modify-write, which would stall the barrier turn until every store
+//! before it had left the core.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -55,6 +58,21 @@ impl AtomicHistogram {
         self.samples.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
+    }
+
+    /// [`AtomicHistogram::record`] for a histogram whose only writer is
+    /// the calling thread: a plain load + store per word, exact because
+    /// no other thread can interleave an update (readers may see a
+    /// sample half-added, as with the worker counters).
+    pub fn record_owned(&self, ns: u64) {
+        let bump =
+            |c: &AtomicU64, v: u64| c.store(c.load(Ordering::Relaxed) + v, Ordering::Relaxed);
+        bump(&self.counts[bucket_of(ns)], 1);
+        bump(&self.samples, 1);
+        bump(&self.total_ns, ns);
+        if ns > self.max_ns.load(Ordering::Relaxed) {
+            self.max_ns.store(ns, Ordering::Relaxed);
+        }
     }
 
     /// Adds one [`std::time::Duration`] sample.
@@ -212,6 +230,16 @@ mod tests {
         assert_eq!(s.samples, 5);
         assert_eq!(s.max_ns, 1024);
         assert!((s.mean_ns() - 1030.0 / 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn owned_recording_matches_the_shared_one() {
+        let (owned, shared) = (AtomicHistogram::new(), AtomicHistogram::new());
+        for ns in [0, 1, 7, 1 << 20, 3, 1 << 40, 5] {
+            owned.record_owned(ns);
+            shared.record(ns);
+        }
+        assert_eq!(owned.get(), shared.get());
     }
 
     #[test]

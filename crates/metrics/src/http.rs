@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn snapshot_json_is_schema_stamped() {
         let reg = Arc::new(MetricsRegistry::new(1));
-        let rec = Arc::new(FlightRecorder::new());
+        let rec = Arc::new(FlightRecorder::new(1));
         let srv = server_over(reg, rec);
         let (status, body) = get_json(&srv, "/snapshot.json");
         assert_eq!(status, 200);
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn healthz_degrades_on_stall() {
         let reg = Arc::new(MetricsRegistry::new(2));
-        let rec = Arc::new(FlightRecorder::new());
+        let rec = Arc::new(FlightRecorder::new(1));
         let srv = server_over(Arc::clone(&reg), Arc::clone(&rec));
         let (status, body) = get_json(&srv, "/healthz");
         assert_eq!(status, 200);
@@ -337,7 +337,7 @@ mod tests {
     fn healthz_degrades_on_an_active_shed_spike() {
         use crate::recorder::{ServeEventKind, ServeRecord};
         let reg = Arc::new(MetricsRegistry::new(2));
-        let rec = Arc::new(FlightRecorder::new());
+        let rec = Arc::new(FlightRecorder::new(1));
         rec.set_shed_spike(3, 4);
         let srv = server_over(Arc::clone(&reg), Arc::clone(&rec));
         for id in 0..3 {
@@ -374,8 +374,8 @@ mod tests {
     fn tune_reports_trajectory() {
         let reg = Arc::new(MetricsRegistry::new(1));
         reg.record_sched_tune(4, 2, 3, false);
-        let rec = Arc::new(FlightRecorder::new());
-        rec.record_phase(0, 1_000, &reg);
+        let rec = Arc::new(FlightRecorder::new(1));
+        crate::recorder::tests::record(&rec, &reg, &mut [Default::default()], 0, 1_000, 0);
         let srv = server_over(Arc::clone(&reg), Arc::clone(&rec));
         let (status, body) = get_json(&srv, "/tune");
         assert_eq!(status, 200);
@@ -394,7 +394,7 @@ mod tests {
     #[test]
     fn unknown_route_is_404_and_post_is_405() {
         let reg = Arc::new(MetricsRegistry::new(1));
-        let rec = Arc::new(FlightRecorder::new());
+        let rec = Arc::new(FlightRecorder::new(1));
         let srv = server_over(reg, rec);
         for path in ["/nope", "/metrics"] {
             let (status, _) = get(srv.local_addr(), path).unwrap();

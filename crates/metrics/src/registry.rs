@@ -1,9 +1,11 @@
 //! The per-pool metrics registry.
 //!
 //! One [`MetricsRegistry`] lives for the lifetime of a thread pool. Hot
-//! paths touch only their own worker's [`CachePadded`] counter block;
-//! everything shared (histograms) is recorded at phase granularity, not per
-//! grab, so the whole layer stays within the "always-on" overhead budget.
+//! paths touch only their own worker's [`CachePadded`] counter block. The
+//! phase-duration histogram is sharded the same way: whoever closes a phase
+//! records it in its own shard, so a phase boundary writes no line another
+//! worker reads. The region-makespan histogram is recorded once per region,
+//! by the caller, not per grab or per phase.
 
 use crate::controllers::{ControllersSnapshot, SchedControllerSnapshot};
 use crate::counters::WorkerCounters;
@@ -24,7 +26,9 @@ const PIN_OK: u8 = 2;
 #[derive(Debug)]
 pub struct MetricsRegistry {
     workers: Vec<CachePadded<WorkerCounters>>,
-    phase_ns: AtomicHistogram,
+    /// Phase durations, one shard per worker (see
+    /// [`MetricsRegistry::phase_hist`]).
+    phase_ns: Vec<CachePadded<AtomicHistogram>>,
     loop_ns: AtomicHistogram,
     /// Stalls flagged by the watchdog (heartbeat frozen while not waiting).
     stalls: AtomicU64,
@@ -57,7 +61,7 @@ impl MetricsRegistry {
     pub fn new(p: usize) -> MetricsRegistry {
         MetricsRegistry {
             workers: (0..p).map(|_| CachePadded::default()).collect(),
-            phase_ns: AtomicHistogram::new(),
+            phase_ns: (0..p).map(|_| CachePadded::default()).collect(),
             loop_ns: AtomicHistogram::new(),
             stalls: AtomicU64::new(0),
             stalls_by_worker: (0..p).map(|_| AtomicU64::new(0)).collect(),
@@ -85,22 +89,13 @@ impl MetricsRegistry {
         &self.workers[w]
     }
 
-    /// Sum of every worker's counters, read in place. Unlike
-    /// [`MetricsRegistry::snapshot`] this allocates nothing, so it is cheap
-    /// enough to call at every phase boundary (the flight recorder diffs
-    /// successive totals to get per-phase deltas).
-    pub fn totals(&self) -> crate::counters::CounterSnapshot {
-        let mut t = crate::counters::CounterSnapshot::default();
-        for w in &self.workers {
-            t.add(&w.get());
-        }
-        t
-    }
-
-    /// The phase-duration histogram (one sample per barrier-to-barrier
-    /// phase).
-    pub fn phase_hist(&self) -> &AtomicHistogram {
-        &self.phase_ns
+    /// Worker `w`'s shard of the phase-duration histogram (one sample per
+    /// barrier-to-barrier phase, recorded by the worker that closed it).
+    /// Only the thread driving worker `w` may record into it, with
+    /// [`AtomicHistogram::record_owned`]; [`MetricsRegistry::snapshot`]
+    /// merges the shards.
+    pub fn phase_hist(&self, w: usize) -> &AtomicHistogram {
+        &self.phase_ns[w]
     }
 
     /// The region-makespan histogram (one sample per parallel loop/nest).
@@ -230,7 +225,13 @@ impl MetricsRegistry {
             .collect();
         MetricsSnapshot {
             workers,
-            phase_ns: self.phase_ns.get(),
+            phase_ns: self
+                .phase_ns
+                .iter()
+                .fold(Default::default(), |mut all, shard| {
+                    all.add(&shard.get());
+                    all
+                }),
             loop_ns: self.loop_ns.get(),
             stalls_detected: self.stalls(),
             deadline_misses: self.deadline_misses(),
@@ -313,13 +314,14 @@ mod tests {
 
     #[test]
     fn histograms_feed_the_snapshot() {
-        let reg = MetricsRegistry::new(1);
-        reg.phase_hist().record(1000);
-        reg.phase_hist().record(3000);
+        let reg = MetricsRegistry::new(2);
+        reg.phase_hist(0).record_owned(1000);
+        reg.phase_hist(1).record_owned(3000);
         reg.loop_hist().record(5000);
         let snap = reg.snapshot();
         assert_eq!(snap.phase_ns.samples, 2);
         assert_eq!(snap.phase_ns.total_ns, 4000);
+        assert_eq!(snap.phase_ns.max_ns, 3000);
         assert_eq!(snap.loop_ns.samples, 1);
         assert_eq!(snap.loop_ns.max_ns, 5000);
     }

@@ -53,13 +53,16 @@ pub struct SenseBarrier {
 /// sharing one with the read-only fields every arriver also reads (`p`, the
 /// budget) costs the P = 2 round trip 150 ns instead of 110, and without
 /// the padding which of the two a barrier gets is decided by where its
-/// stack slot happens to fall (`bench/runs/PR-20.md`).
+/// stack slot happens to fall (`bench/runs/PR-20.md`). The turn closure's
+/// word rides along: the last arriver owns this line when it runs the turn.
 #[derive(Default)]
 struct Hot {
     /// Arrivals in the in-progress generation; reset by the last arriver.
     arrivals: AtomicU64,
     /// The last fully-arrived generation (the monotone "sense").
     sense: AtomicU64,
+    /// See [`SenseBarrier::turn_word`].
+    turn_word: AtomicU64,
 }
 
 impl SenseBarrier {
@@ -97,6 +100,17 @@ impl SenseBarrier {
     pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
         self.trace = Some(sink);
         self
+    }
+
+    /// A word on the line the last arriver already owns when it runs the
+    /// turn closure, for state a turn carries to the next generation's
+    /// turn: keeping it here moves no line the barrier does not move
+    /// anyway. It starts at 0 and the barrier never reads or writes it;
+    /// its user writes it only inside turn closures, or while no one is
+    /// arriving (the fused phase driver keeps its last phase boundary's
+    /// timestamp here).
+    pub fn turn_word(&self) -> &AtomicU64 {
+        &self.hot.turn_word
     }
 
     /// Arrives at generation `gen`; returns once all `p` workers have.

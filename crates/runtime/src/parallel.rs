@@ -23,11 +23,11 @@ use crate::sync::Mutex;
 use afs_core::metrics::LoopMetrics;
 use afs_core::policy::{Grab, Scheduler};
 use afs_core::schedulers::affinity::KParam;
-use afs_metrics::{MetricsRegistry, WorkerCounters};
+use afs_metrics::{CachePadded, MetricsRegistry, WorkerCounters};
 use afs_trace::{EventKind, TraceSink};
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -658,6 +658,16 @@ impl<'a> RegionSource<'a> {
 /// region — callers sharing the pool are serialized by it, so a snapshot
 /// the coordinator took before dispatching could include another
 /// caller's region. `per_queue` stays empty.
+///
+/// Telemetry stays on each worker's own lines. Arriving at the end of a
+/// phase, a worker appends its counter delta to its own flight-recorder
+/// lane. The phase's closer — the barrier's turn-taker, or for the last
+/// phase the worker that finishes last — adds only the phase's duration
+/// (to its own phase-histogram shard) and its turn record (to its own
+/// lane). The previous boundary's timestamp lives on the barrier's hot
+/// line, which the turn-taker already owns. So a boundary writes the
+/// barrier's words and the queue words `AfsSource::rearm` must write, and
+/// no line a worker reads during the phase.
 fn fused_phases<F, L>(
     pool: &Pool,
     phases: usize,
@@ -674,34 +684,50 @@ where
     let registry = Arc::clone(pool.metrics());
     let recorder = Arc::clone(pool.recorder());
     let faults = pool.fault_plan().cloned();
-    let region = RegionFailure::new(pool.panic_policy());
+    // Read by every worker on every grab, written only on a failure: on a
+    // line of its own, as is the source slot the turn rewrites.
+    let region = CachePadded::new(RegionFailure::new(pool.panic_policy()));
     let deadline_ns = pool.phase_deadline().map(|d| d.as_nanos() as u64);
-    let total = Mutex::new(LoopMetrics::new(p, 0));
+    // The merged metrics, and how many workers have finished.
+    let total = Mutex::new((LoopMetrics::new(p, 0), 0));
     if phases == 0 {
-        return Ok(total.into_inner());
+        return Ok(total.into_inner().0);
     }
     let mut first = None;
     region.guard(0, 0, || {
         policy.arm_source(&mut first, len_of(0), p, trace, &registry, 0)
     });
     if first.is_none() {
-        return region.finish(pool, total.into_inner());
+        return region.into_inner().finish(pool, total.into_inner().0);
     }
-    let source = RegionSource(UnsafeCell::new(first));
+    let source = CachePadded::new(RegionSource(UnsafeCell::new(first)));
     let barrier = pool.phase_barrier();
-    // Phase boundaries happen inside barrier turn closures (exclusive, all
-    // workers arrived), so the turn-taker timestamps them: `prev_ns` holds
-    // the region-relative nanosecond of the last boundary, and each phase's
-    // duration is the distance between consecutive boundaries. The final
-    // phase ends at `pool.run` return, recorded by the coordinator.
+    // Phase boundaries are region-relative nanoseconds: the last arrival
+    // at a barrier, and for the final phase the last worker's finish. The
+    // (fresh) barrier's turn word holds the previous one, so a phase lasts
+    // from one boundary to the next.
     let region_start = Instant::now();
-    let prev_ns = AtomicU64::new(0);
+    let stamp = barrier.turn_word();
+    let first_seq = recorder.claim(phases as u64);
+    // Closes `phase` at `now` on `worker`, which holds it exclusively (the
+    // barrier turn, or the last finisher).
+    let close = |worker: usize, phase: usize, now: u64| {
+        let wall_ns = now - stamp.load(Ordering::Relaxed);
+        stamp.store(now, Ordering::Relaxed);
+        registry.phase_hist(worker).record_owned(wall_ns);
+        let seq = first_seq + phase as u64;
+        recorder.record_turn(worker, seq, phase as u64, wall_ns, &registry);
+        if deadline_ns.is_some_and(|d| wall_ns > d) {
+            registry.record_deadline_miss();
+        }
+    };
     let ran = pool.try_run(|worker| {
         if let Some(f) = &faults {
             f.on_region_start(worker);
         }
         let counters = registry.worker(worker);
         let start = counters.get();
+        let mut last = start;
         for phase in 0..phases {
             // SAFETY: the source was armed for `phase` before this worker
             // got here (phase 0 before the pool ran; later phases inside
@@ -724,17 +750,18 @@ where
                     body,
                 );
             }
+            let now = counters.get();
+            recorder.record_arrival(worker, first_seq + phase as u64, &now.minus(&last));
+            last = now;
             if phase + 1 < phases {
+                // Read before arriving: the last arriver's reading is the
+                // boundary, and its turn then stamps it while the
+                // barrier's line is still the one it just wrote.
+                let arrived_ns = region_start.elapsed().as_nanos() as u64;
                 barrier.arrive_then_as(worker, (phase + 1) as u64, || {
-                    let now = region_start.elapsed().as_nanos() as u64;
-                    let prev = prev_ns.swap(now, Ordering::Relaxed);
-                    registry.phase_hist().record(now - prev);
                     // Turn-exclusive (all arrived, none released): the
                     // canonical once-per-phase point for the black box.
-                    recorder.record_phase(phase as u64, now - prev, &registry);
-                    if deadline_ns.is_some_and(|d| now - prev > d) {
-                        registry.record_deadline_miss();
-                    }
+                    close(worker, phase, arrived_ns);
                     // SAFETY: the turn closure runs on exactly one worker,
                     // after every worker arrived and before any is
                     // released — exclusive access to the region source.
@@ -755,25 +782,30 @@ where
                 }
             }
         }
-        let done = counters.get().minus(&start);
+        let done = last.minus(&start);
         let sync = done.sync();
-        let mut total = total.lock();
-        total.sync.add(&sync);
-        total.per_worker[worker] = sync;
-        total.iters_per_worker[worker] = done.iters;
+        let finished_last = {
+            let mut total = total.lock();
+            let (metrics, finished) = &mut *total;
+            metrics.sync.add(&sync);
+            metrics.per_worker[worker] = sync;
+            metrics.iters_per_worker[worker] = done.iters;
+            *finished += 1;
+            *finished == p
+        };
+        // Every other worker has recorded its last arrival and finished.
+        if finished_last {
+            close(worker, phases - 1, region_start.elapsed().as_nanos() as u64);
+        }
     });
-    let end_ns = region_start.elapsed().as_nanos() as u64;
-    let last_phase_ns = end_ns - prev_ns.load(Ordering::Relaxed);
-    registry.phase_hist().record(last_phase_ns);
-    recorder.record_phase((phases - 1) as u64, last_phase_ns, &registry);
-    if deadline_ns.is_some_and(|d| last_phase_ns > d) {
-        registry.record_deadline_miss();
-    }
-    registry.loop_hist().record(end_ns);
+    registry
+        .loop_hist()
+        .record(region_start.elapsed().as_nanos() as u64);
     // Body panics are contained inside drain_phase; an Err here means a
     // panic in the driver itself.
     ran.map_err(|e| flag_phase_error(pool, e))?;
-    region.finish(pool, total.into_inner())
+    let (total, _) = total.into_inner();
+    region.into_inner().finish(pool, total)
 }
 
 /// Executes a coalesced loop nest: `body` receives the multi-index of each

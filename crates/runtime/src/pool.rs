@@ -376,7 +376,7 @@ impl PoolBuilder {
         assert!(live >= 1, "failed to spawn any worker");
         shared.live.store(live, Ordering::Relaxed);
         shared.metrics.set_effective_workers(live);
-        let recorder = Arc::new(FlightRecorder::new());
+        let recorder = Arc::new(FlightRecorder::new(live));
         if let Some(dir) = self.flight_dir {
             recorder.set_dump_dir(dir);
         }

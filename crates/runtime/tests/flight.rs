@@ -73,6 +73,41 @@ fn no_trigger_means_no_dump() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The merged lanes of a 64-phase P = 2 region: one record per phase, in
+/// phase order with monotone `seq`, each carrying the phase's whole `n`
+/// iterations, and grab columns that sum to the region's `LoopMetrics`.
+#[test]
+fn lanes_merge_into_one_record_per_phase_matching_the_region_totals() {
+    let (phases, n) = (64, 64);
+    let pool = Pool::new(2);
+    // An earlier region, so this one's sequence numbers do not start at 0.
+    parallel_for(&pool, 8, &RuntimeScheduler::afs_k_equals_p(), |_| {});
+    let m = parallel_phases(
+        &pool,
+        phases,
+        |_| n,
+        &RuntimeScheduler::afs_k_equals_p(),
+        |_, _| {},
+    );
+    let recs = pool.recorder().phase_records();
+    let recs = &recs[recs.len() - phases..];
+    for (i, r) in recs.iter().enumerate() {
+        assert_eq!(r.phase, i as u64, "phase order: {recs:?}");
+        assert_eq!(r.seq, recs[0].seq + i as u64, "monotone seq");
+        assert_eq!(r.counters.iters, n, "phase {i}: every iteration, once");
+    }
+    assert_eq!(recs[0].seq, 1, "the earlier region's one record came first");
+    let mut grabs = afs_core::metrics::SyncOps::default();
+    for r in recs {
+        grabs.add(&r.counters.sync());
+    }
+    assert_eq!(
+        grabs, m.sync,
+        "grab columns sum to the region's LoopMetrics"
+    );
+    assert_eq!(m.total_iters(), phases as u64 * n);
+}
+
 /// The acceptance path: an injected stall arms the recorder mid-phase and
 /// the dump — written at the next boundary or drop — contains the stalled
 /// phase's summary record, exactly once per pool.

@@ -33,10 +33,14 @@ fn main() {
         max_residual = max_residual.max((s - a0[r * cols + n]).abs());
     }
     println!("n = {n}: solved with AFS; max residual {max_residual:.3e}");
-    println!(
-        "flush loop: {} copy",
-        affinity_sched::kernels::gauss::flush_copy()
-    );
+    for (kernel_loop, isa) in affinity_sched::kernels::simd::TABLE {
+        println!(
+            "{:<14} table: {:<8} runs: {}",
+            kernel_loop.label(),
+            isa.label(),
+            kernel_loop.running().label()
+        );
+    }
     println!(
         "scheduling: {} phases, {} local grabs, {} steals",
         sys.phases(),

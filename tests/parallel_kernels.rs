@@ -109,6 +109,8 @@ fn transitive_closure_matches_sequential_under_every_policy() {
     for (label, graph) in [
         ("random", random_graph(96, 0.07, 5)),
         ("clique", clique_graph(96, 40)),
+        // 10 words a row: the wide row OR's full vectors and its remainder.
+        ("wide random", random_graph(600, 0.004, 9)),
     ] {
         let mut reference = TransitiveClosure::new(graph.clone());
         reference.run_sequential();
