@@ -62,7 +62,7 @@ pub use parallel::{
     parallel_for, parallel_nest, parallel_phases, try_parallel_for, try_parallel_phases,
     RuntimeScheduler,
 };
-pub use pool::{DispatchTicket, Pool, PoolBuilder, TryDispatchError};
+pub use pool::{DispatchSlot, DispatchTicket, Pool, PoolBuilder, TryDispatchError};
 pub use shared::RowMatrix;
 
 /// Commonly used items, for glob import.

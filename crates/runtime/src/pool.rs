@@ -48,17 +48,34 @@ use afs_metrics::{FlightRecorder, MetricsRegistry, Trigger, WaitOutcome};
 use afs_trace::{EventKind, TraceSink};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 type Job = Arc<dyn Fn(usize) + Send + Sync>;
 
+/// States of the dispatch slot word (its low two bits; the rest is a
+/// generation): free since generation `g` was reaped, held by generation
+/// `g` from its claim until its reap, or being reaped.
+const FREE: u64 = 0;
+const HELD: u64 = 1;
+const REAPING: u64 = 2;
+
+/// What a claimer's look at the dispatch slot won.
+enum Slot {
+    /// The slot, to publish this generation.
+    Claimed(u64),
+    /// The reap of this finished generation, which the claimer runs
+    /// ([`Shared::reap`]) before it looks again.
+    Reaping(u64),
+}
+
 /// Why [`Pool::try_dispatch`] refused a job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TryDispatchError {
-    /// A previous job is still in flight: poll its [`DispatchTicket`] or
-    /// wait it out first. The pool broadcasts one job at a time.
+    /// A previous job still holds the dispatch slot: some worker has not
+    /// finished it, or its reap is under way. The pool broadcasts one job
+    /// at a time.
     Busy,
 }
 
@@ -103,6 +120,17 @@ struct Shared {
     start: EventCount,
     /// Where a coordinator sleeps for the generation's last ack.
     done: EventCount,
+    /// The dispatch slot: `generation << 2 | state` ([`FREE`], [`HELD`],
+    /// [`REAPING`]). Moved by `SeqCst` CASes and stores only, so any thread
+    /// can claim it, reap the job that holds it, and free it.
+    slot: AtomicU64,
+    /// Where a claimer sleeps for the slot (`Pool::run`, `Pool::claim`).
+    /// The events are a reap's free store and a generation's last ack
+    /// (after which the claimer reaps it).
+    slot_free: EventCount,
+    /// Failures of jobs a claimer reaped before their ticket's owner did,
+    /// by generation, until the owner's ticket takes its own.
+    orphans: Mutex<Vec<(u64, PhaseError)>>,
     /// The start wait's budget.
     start_budget: Budget,
     /// The ack wait's budget ([`DispatchTicket::wait`]).
@@ -149,9 +177,101 @@ impl Shared {
         }
     }
 
+    /// One look at the dispatch slot, for a claimer: claims it if it is
+    /// free, or takes the reap of the job holding it once every worker has
+    /// acked that job — that job's ticket may not be reaped for a long
+    /// time (an idle server keeps its last one). Either is one `SeqCst`
+    /// CAS, so the look is safe under an eventcount's lock; the reap itself
+    /// notifies, so the claimer runs it after the look. `None` while a job
+    /// runs or another thread reaps it.
+    fn look_slot(&self) -> Option<Slot> {
+        let ord = Ordering::SeqCst;
+        loop {
+            let cur = self.slot.load(ord);
+            let gen = cur >> 2;
+            let (next, won) = match cur & 3 {
+                FREE => (((gen + 1) << 2) | HELD, Slot::Claimed(gen + 1)),
+                // A claimed slot not yet published has no acks of `gen`.
+                HELD if self.all_acked(gen) => ((gen << 2) | REAPING, Slot::Reaping(gen)),
+                _ => return None,
+            };
+            if self.slot.compare_exchange(cur, next, ord, ord).is_ok() {
+                return Some(won);
+            }
+        }
+    }
+
+    /// Claims the dispatch slot, reaping a finished job that holds it, or
+    /// `None` while a job runs. Never waits.
+    fn try_claim(&self) -> Option<u64> {
+        loop {
+            match self.look_slot()? {
+                Slot::Claimed(gen) => return Some(gen),
+                Slot::Reaping(gen) => {
+                    self.reap(gen, true);
+                }
+            }
+        }
+    }
+
+    /// Takes the reap of generation `gen` for its ticket's owner (the slot
+    /// goes held → reaping) and runs it; `None` when a claimer took it.
+    /// Call only once every worker has acked `gen`.
+    fn try_reap(&self, gen: u64) -> Option<Option<PhaseError>> {
+        let ord = Ordering::SeqCst;
+        let held = (gen << 2) | HELD;
+        self.slot
+            .compare_exchange(held, (gen << 2) | REAPING, ord, ord)
+            .ok()?;
+        Some(self.reap(gen, false))
+    }
+
+    /// Generation `gen`'s epilogue, by the thread that moved the slot to
+    /// reaping: takes the job out of the cell and any failure, then frees
+    /// the slot. Returns the failure. A claimer reaping for an absent
+    /// owner sets `orphan`, and the failure waits in `orphans` for the
+    /// owner's ticket instead.
+    fn reap(&self, gen: u64, orphan: bool) -> Option<PhaseError> {
+        // SAFETY: every worker acked `gen`, and each ack store follows the
+        // worker's clone of the job, so taking the cell's contents is
+        // ordered after all uses; moving the slot to reaping made this
+        // thread the only one in the epilogue, and no claimer can publish
+        // into the cell until the free store below.
+        let job = unsafe { (*self.job.0.get()).take() };
+        self.running.store(false, Ordering::SeqCst);
+        // Each worker records its failure strictly before its ack store,
+        // so after the acks this read is race-free; taken before the slot
+        // is freed, so the next job's failure cannot land in it first.
+        let mut failure = self
+            .failure
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .take();
+        if orphan {
+            if let Some(e) = failure.take() {
+                let mut orphans = self.orphans.lock().unwrap_or_else(|p| p.into_inner());
+                orphans.push((gen, e));
+            }
+        }
+        // Before the slot is freed: a `Pool::run` caller waiting for this
+        // reap returns, and its scoped job's environment goes, only after
+        // the job is dropped. When the job owns the last `Arc<Pool>` this
+        // drops the pool (then the reaper is the ticket's owner, whose
+        // `Arc<Shared>` keeps the slot alive).
+        drop(job);
+        self.slot.store(gen << 2, Ordering::SeqCst);
+        self.slot_free.notify();
+        failure
+    }
+
     /// Waits until the coordinator publishes a generation newer than
     /// `seen` into this worker's flag. Returns the new generation, or
     /// `None` on shutdown.
+    ///
+    /// A job published before the shutdown flag went up still runs: its
+    /// ticket may outlive the pool, and waits for this worker's ack. The
+    /// look loads the flag first, so when it sees shutdown it also sees
+    /// every generation stored before it.
     fn wait_start(&self, idx: usize, seen: u64, sink: Option<&TraceSink>) -> Option<u64> {
         let who = Worker {
             counters: self.metrics.worker(idx),
@@ -161,11 +281,13 @@ impl Shared {
             self.start_budget,
             Some(who),
             || {
-                if self.shutdown.load(Ordering::SeqCst) {
-                    return Some(None);
-                }
+                let down = self.shutdown.load(Ordering::SeqCst);
                 let g = self.starts[idx].load(Ordering::SeqCst);
-                (g != seen).then_some(Some(g))
+                if g != seen {
+                    Some(Some(g))
+                } else {
+                    down.then_some(None)
+                }
             },
             |_| {},
         );
@@ -181,8 +303,6 @@ impl Shared {
 pub struct Pool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
-    /// Serializes concurrent `run` callers and carries the generation.
-    generation: Mutex<u64>,
     p: usize,
     trace: Option<Arc<TraceSink>>,
     faults: Option<Arc<FaultPlan>>,
@@ -325,6 +445,11 @@ impl PoolBuilder {
             // A distinct stream, so the two sides' injection decisions
             // don't mirror each other.
             done: EventCount::with_injection(self.inject_seed.map(|s| s ^ 0xD07E_D07E_D07E_D07E)),
+            slot: AtomicU64::new(FREE),
+            slot_free: EventCount::with_injection(
+                self.inject_seed.map(|s| s ^ 0x5107_5107_5107_5107),
+            ),
+            orphans: Mutex::new(Vec::new()),
             start_budget: Budget {
                 spins: wait::spin_leg(spins, p + 1, cores),
                 yields,
@@ -387,7 +512,6 @@ impl PoolBuilder {
         let mut pool = Pool {
             shared,
             handles,
-            generation: Mutex::new(0),
             p: live,
             trace: self.trace,
             faults: self.faults,
@@ -552,11 +676,45 @@ impl Pool {
     }
 
     fn run_arc(&self, job: Job) -> Result<(), PhaseError> {
-        // The generation lock serializes concurrent callers: the previous
-        // job was fully acked (and the job cell cleared) before the lock
-        // was last released, so the cell is exclusively ours now.
-        let generation = self.generation.lock().unwrap_or_else(|p| p.into_inner());
-        self.dispatch_locked(generation, job).wait()
+        // No yield grace: whoever holds the slot may be running a whole
+        // nest, and its last ack or its reap wakes this caller.
+        self.claim(0, |_| {}).publish(job).wait()
+    }
+
+    /// Claims the dispatch slot without waiting, so the caller can build a
+    /// job knowing no other one can start first, and then
+    /// [`DispatchSlot::publish`] it. A job every worker has finished does
+    /// not block the claim, reaped or not: the claimer reaps it, and its
+    /// outcome waits for its own ticket. Fails with
+    /// [`TryDispatchError::Busy`] while another job runs.
+    pub fn try_claim(&self) -> Result<DispatchSlot, TryDispatchError> {
+        self.shared
+            .try_claim()
+            .map(|gen| DispatchSlot::new(&self.shared, gen))
+            .ok_or(TryDispatchError::Busy)
+    }
+
+    /// [`Pool::try_claim`] for a caller that will wait for a busy pool:
+    /// retries for `grace` yield rounds, then sleeps on the slot until the
+    /// job in flight is finished. `on_leg` hears `Yield` before every yield
+    /// and `Park` before sleeping, as in [`crate::wait::EventCount::wait`];
+    /// a free slot is taken on the first look, with no leg heard.
+    pub fn claim(&self, grace: u32, mut on_leg: impl FnMut(WaitOutcome)) -> DispatchSlot {
+        let s = &self.shared;
+        let gen = s.try_claim().unwrap_or_else(|| loop {
+            let look = || s.look_slot();
+            match s
+                .slot_free
+                .wait(Budget::yielding(grace), None, look, &mut on_leg)
+                .0
+            {
+                Slot::Claimed(gen) => break gen,
+                Slot::Reaping(gen) => {
+                    s.reap(gen, true);
+                }
+            }
+        });
+        DispatchSlot::new(s, gen)
     }
 
     /// Starts `job(worker_index)` on every worker **without waiting** for
@@ -572,87 +730,90 @@ impl Pool {
     pub fn try_dispatch(
         &self,
         job: Arc<dyn Fn(usize) + Send + Sync>,
-    ) -> Result<DispatchTicket<'_>, TryDispatchError> {
-        match self.try_lock_generation() {
-            Some(generation) => Ok(self.dispatch_locked(generation, job)),
-            None => Err(TryDispatchError::Busy),
-        }
-    }
-
-    /// [`Pool::try_dispatch`] for a caller that will wait for a busy pool:
-    /// retries for `grace` yield rounds, then blocks on the dispatch slot
-    /// until the job in flight releases it. `on_leg` hears `Yield` before
-    /// every yield and `Park` before blocking, as in
-    /// [`crate::wait::EventCount::wait`].
-    pub fn dispatch(
-        &self,
-        job: Arc<dyn Fn(usize) + Send + Sync>,
-        grace: u32,
-        mut on_leg: impl FnMut(WaitOutcome),
-    ) -> DispatchTicket<'_> {
-        let try_lock = || self.try_lock_generation();
-        let generation = wait::poll(Budget::yielding(grace), None, try_lock, &mut on_leg)
-            .map(|(generation, _)| generation)
-            .unwrap_or_else(|| {
-                on_leg(WaitOutcome::Park);
-                self.generation.lock().unwrap_or_else(|p| p.into_inner())
-            });
-        self.dispatch_locked(generation, job)
-    }
-
-    fn try_lock_generation(&self) -> Option<MutexGuard<'_, u64>> {
-        match self.generation.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::WouldBlock) => None,
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-        }
-    }
-
-    /// Publishes `job` as the next generation, with the generation lock
-    /// already held. Both the blocking path (`run_arc`) and the
-    /// non-blocking path (`try_dispatch`) funnel through here, so the two
-    /// share one publication protocol.
-    fn dispatch_locked<'a>(&'a self, guard: MutexGuard<'a, u64>, job: Job) -> DispatchTicket<'a> {
-        let gen = *guard + 1;
-        self.shared.running.store(true, Ordering::SeqCst);
-        // SAFETY: no worker reads the cell until it observes `gen` in its
-        // start flag (stored below), and all acks of `gen - 1` were
-        // collected before the previous coordinator released the lock.
-        unsafe { *self.shared.job.0.get() = Some(job) };
-        for flag in &self.shared.starts[..self.p] {
-            flag.store(gen, Ordering::SeqCst);
-            self.shared.start.inject_point();
-        }
-        self.shared.start.notify();
-        DispatchTicket {
-            pool: self,
-            guard: Some(guard),
-            gen,
-        }
+    ) -> Result<DispatchTicket, TryDispatchError> {
+        self.try_claim().map(|slot| slot.publish(job))
     }
 }
 
-/// An in-flight broadcast job started by [`Pool::try_dispatch`].
-///
-/// The ticket *is* the pool's dispatch slot: while it lives, no other job
-/// can start (`run` blocks, `try_dispatch` returns `Busy`). Poll
-/// [`DispatchTicket::is_complete`] to overlap caller-side work with the
-/// job, then collect the outcome with [`DispatchTicket::wait`]. Dropping
-/// the ticket also completes the protocol (waiting if needed) but
-/// discards any job panic. Leaking it (`mem::forget`) wedges the pool —
-/// the dispatch slot is never released.
-pub struct DispatchTicket<'a> {
-    pool: &'a Pool,
-    /// `Some` until the epilogue has run; holds the generation lock.
-    guard: Option<MutexGuard<'a, u64>>,
+/// The pool's dispatch slot, claimed and not yet published
+/// ([`Pool::try_claim`], [`Pool::claim`]). No other job can start while it
+/// lives; dropping it unpublished frees the slot again.
+pub struct DispatchSlot {
+    /// `Some` until published or dropped.
+    shared: Option<Arc<Shared>>,
+    /// The generation this claim publishes.
     gen: u64,
 }
 
-impl DispatchTicket<'_> {
+impl DispatchSlot {
+    fn new(shared: &Arc<Shared>, gen: u64) -> DispatchSlot {
+        DispatchSlot {
+            shared: Some(Arc::clone(shared)),
+            gen,
+        }
+    }
+
+    /// Publishes `job` as the claimed generation and returns its ticket.
+    pub fn publish(mut self, job: Arc<dyn Fn(usize) + Send + Sync>) -> DispatchTicket {
+        let shared = self.shared.take().expect("an unpublished slot");
+        let gen = self.gen;
+        shared.running.store(true, Ordering::SeqCst);
+        // SAFETY: the claim made this thread the slot's only holder; no
+        // worker reads the cell until it observes `gen` in its start flag
+        // (stored below), and the ticket of `gen - 1` cleared the cell
+        // after collecting every ack before it released the slot.
+        unsafe { *shared.job.0.get() = Some(job) };
+        let live = shared.live.load(Ordering::Relaxed);
+        for flag in &shared.starts[..live] {
+            flag.store(gen, Ordering::SeqCst);
+            shared.start.inject_point();
+        }
+        shared.start.notify();
+        DispatchTicket {
+            shared,
+            gen,
+            reaped: false,
+        }
+    }
+}
+
+impl Drop for DispatchSlot {
+    fn drop(&mut self) {
+        if let Some(shared) = self.shared.take() {
+            shared.slot.store((self.gen - 1) << 2, Ordering::SeqCst);
+            shared.slot_free.notify();
+        }
+    }
+}
+
+/// An in-flight broadcast job ([`Pool::try_dispatch`],
+/// [`DispatchSlot::publish`]).
+///
+/// While the job runs no other job can start (`run` sleeps,
+/// `try_dispatch` returns `Busy`). Once every worker has finished it,
+/// [`DispatchTicket::wait`], [`DispatchTicket::wait_parked`] or drop reaps
+/// it — clears the job, frees the pool's dispatch slot and returns any
+/// panic — and so does the next claimer if it comes first; the job's
+/// panic then waits for this ticket. It is an owned `Send + 'static`
+/// handle: the thread that published the job need not be the one that
+/// reaps it, and it may outlive the [`Pool`] (whose workers run a job
+/// published before the drop, then exit). Poll
+/// [`DispatchTicket::is_complete`] to overlap work with the job. Dropping
+/// the ticket completes the protocol (waiting if needed) but discards any
+/// job panic. Leaking it (`mem::forget`) leaks the job until the next
+/// claim, and the panic it would have returned.
+pub struct DispatchTicket {
+    shared: Arc<Shared>,
+    gen: u64,
+    /// Set once the epilogue has run and the slot is free again.
+    reaped: bool,
+}
+
+impl DispatchTicket {
     /// Whether every worker has finished the job. Non-blocking; once true
     /// it stays true, and [`DispatchTicket::wait`] will not block.
     pub fn is_complete(&self) -> bool {
-        self.pool.shared.all_acked(self.gen)
+        self.shared.all_acked(self.gen)
     }
 
     /// The generation this ticket published (monotone per pool).
@@ -664,7 +825,7 @@ impl DispatchTicket<'_> {
     /// A panic in the job surfaces as `Err(PhaseError)`, exactly like
     /// [`Pool::try_run`].
     pub fn wait(mut self) -> Result<(), PhaseError> {
-        let budget = self.pool.shared.ack_budget;
+        let budget = self.shared.ack_budget;
         self.finish(budget, |_| {})
     }
 
@@ -683,43 +844,47 @@ impl DispatchTicket<'_> {
     }
 
     /// Completes the rendezvous and runs the epilogue once: clears the
-    /// job cell, advances the generation, releases the lock, and takes
-    /// any recorded failure.
+    /// job cell, takes any recorded failure, and frees the slot — or, when
+    /// a claimer reaped the job first, waits for that reap to finish and
+    /// takes the failure it set aside for this ticket.
     fn finish(
         &mut self,
         budget: Budget,
         on_leg: impl FnMut(WaitOutcome),
     ) -> Result<(), PhaseError> {
-        let Some(mut generation) = self.guard.take() else {
+        if std::mem::replace(&mut self.reaped, true) {
             return Ok(());
-        };
-        let shared = &self.pool.shared;
-        let all_acked = || shared.all_acked(self.gen).then_some(());
+        }
+        let (shared, gen) = (&*self.shared, self.gen);
+        let all_acked = || shared.all_acked(gen).then_some(());
         shared.done.wait(budget, None, all_acked, on_leg);
-        // SAFETY: every worker acked `gen`, and each ack store follows the
-        // worker's clone of the job; dropping the cell contents is ordered
-        // after all uses.
-        unsafe { *shared.job.0.get() = None };
-        shared.running.store(false, Ordering::SeqCst);
-        *generation = self.gen;
-        drop(generation);
-        // Each worker records its failure strictly before its ack store, so
-        // after the acks this read is race-free; take() leaves the slot
-        // clean for the next generation.
-        shared
-            .failure
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take()
-            .map_or(Ok(()), Err)
+        let failure = match shared.try_reap(gen) {
+            Some(failure) => failure,
+            None => {
+                // Past the reap: the slot is free at `gen`, or has moved on.
+                let reaped = || {
+                    let cur = shared.slot.load(Ordering::SeqCst);
+                    (cur >> 2 > gen || cur & 3 == FREE).then_some(())
+                };
+                shared
+                    .slot_free
+                    .wait(shared.ack_budget, None, reaped, |_| {});
+                let mut orphans = shared.orphans.lock().unwrap_or_else(|p| p.into_inner());
+                orphans
+                    .iter()
+                    .position(|&(g, _)| g == gen)
+                    .map(|i| orphans.swap_remove(i).1)
+            }
+        };
+        failure.map_or(Ok(()), Err)
     }
 }
 
-impl Drop for DispatchTicket<'_> {
+impl Drop for DispatchTicket {
     fn drop(&mut self) {
         // A dropped ticket still completes the protocol so the pool stays
         // usable; the job's panic (if any) is discarded here.
-        let budget = self.pool.shared.ack_budget;
+        let budget = self.shared.ack_budget;
         let _ = self.finish(budget, |_| {});
     }
 }
@@ -728,9 +893,10 @@ impl Drop for DispatchTicket<'_> {
 fn make_scoped_job<F: Fn(usize) + Send + Sync>(job: F) -> Job {
     let boxed: Box<dyn Fn(usize) + Send + Sync> = Box::new(job);
     // SAFETY: `Pool::run` does not return until every worker has finished
-    // the job, so the borrowed environment outlives all uses. The transmute
-    // only erases the lifetime; `Send + Sync` are enforced on the original
-    // closure.
+    // the job and its reap — by `run` itself or by a claimer — has dropped
+    // it (`Shared::reap` drops the job before it frees the slot), so the
+    // borrowed environment outlives all uses. The transmute only erases
+    // the lifetime; `Send + Sync` are enforced on the original closure.
     let boxed: Box<dyn Fn(usize) + Send + Sync + 'static> = unsafe { std::mem::transmute(boxed) };
     Arc::from(boxed)
 }
@@ -784,6 +950,8 @@ fn worker_loop(
         // the generation.
         shared.acks[idx].store(seen, Ordering::SeqCst);
         shared.done.notify_if(|| shared.all_acked(seen));
+        // A claimer asleep on the slot reaps a finished job itself.
+        shared.slot_free.notify_if(|| shared.all_acked(seen));
     }
 }
 
@@ -1050,7 +1218,7 @@ mod tests {
         );
         let mut legs = Vec::new();
         std::thread::scope(|s| {
-            // A blocking run holds the dispatch slot until `dispatch`
+            // A blocking run holds the dispatch slot until `claim`
             // below has given up yielding.
             s.spawn(|| {
                 pool.run(|_| {
@@ -1067,20 +1235,20 @@ mod tests {
             let job = Arc::new(move |_| {
                 r.fetch_add(1, Ordering::SeqCst);
             });
-            let ticket = pool.dispatch(job, 3, |leg| {
+            let slot = pool.claim(3, |leg| {
                 legs.push(leg);
                 if leg == WaitOutcome::Park {
                     blocked.store(true, Ordering::SeqCst);
                 }
             });
-            ticket.wait().unwrap();
+            slot.publish(job).wait().unwrap();
         });
         use WaitOutcome::{Park, Yield};
         assert_eq!(legs, [Yield, Yield, Yield, Park]);
         assert_eq!(ran.load(Ordering::SeqCst), 2);
         // A free pool is taken on the first look: no leg is heard.
-        let ticket = pool.dispatch(Arc::new(|_| {}), 3, |leg| legs.push(leg));
-        ticket.wait().unwrap();
+        let slot = pool.claim(3, |leg| legs.push(leg));
+        slot.publish(Arc::new(|_| {})).wait().unwrap();
         assert_eq!(legs.len(), 4);
     }
 

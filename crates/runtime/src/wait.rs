@@ -2,9 +2,10 @@
 //! long a waiter may spin.
 //!
 //! Every blocking wait in the runtime and in `afs-serve` — a worker's
-//! wait for its next job, the coordinator's wait for the last ack, the
-//! in-region [`crate::barrier::SenseBarrier`], the serve dispatcher's wait
-//! for work and for the batch it dispatched — is [`EventCount::wait`]: the
+//! wait for its next job, the coordinator's wait for the last ack, a
+//! claimer's wait for the pool's dispatch slot, the in-region
+//! [`crate::barrier::SenseBarrier`], the serve dispatcher's wait for work
+//! and for the batch it dispatched — is [`EventCount::wait`]: the
 //! waiter looks for its event `spins` times with a
 //! [`std::hint::spin_loop`] between looks, then `yields` times with a
 //! [`std::thread::yield_now`] between looks, then sleeps on a condvar
@@ -24,7 +25,7 @@
 //! condvar releases it, so the notify cannot fall between the two — or
 //! the registration follows the load and therefore the event, and the
 //! waiter's last look sees it and never sleeps. This is the whole
-//! argument; the five call sites differ only in what the event is.
+//! argument; the six call sites differ only in what the event is.
 
 use crate::inject::YieldInject;
 use afs_metrics::{WaitOutcome, WorkerCounters};
@@ -117,7 +118,7 @@ pub struct Worker<'a> {
 /// The spin and yield legs: looks for the event until the budget runs out.
 /// `on_leg(Yield)` runs before every `yield_now`.
 #[inline]
-pub(crate) fn poll<T>(
+fn poll<T>(
     budget: Budget,
     inject: Option<&YieldInject>,
     mut look: impl FnMut() -> Option<T>,
@@ -181,9 +182,11 @@ impl EventCount {
         self.lock.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Waiters asleep or committed to sleeping.
-    #[cfg(test)]
-    pub(crate) fn sleepers(&self) -> u64 {
+    /// Waiters asleep or committed to sleeping (a `SeqCst` load). A
+    /// publisher that reads it after its event may act on a sleeper's
+    /// behalf instead of waking it: the module's argument says the waiter
+    /// would otherwise have seen the event itself.
+    pub fn sleepers(&self) -> u64 {
         self.sleepers.load(Ordering::SeqCst)
     }
 

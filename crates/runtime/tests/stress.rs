@@ -441,3 +441,181 @@ fn phases_cover_exactly_once() {
         }
     }
 }
+
+// The dispatch slot across threads. A `DispatchTicket` is an owned handle
+// and the slot an atomic generation, so the thread that publishes a job
+// need not be the one that reaps it. Each test runs 20 yield-injection
+// seeds (start flags, acks and the slot's eventcount all inject) with
+// zero spin budgets, so every wait reaches its park leg.
+
+/// Bound on anything that should take microseconds: a lost wakeup shows
+/// up as this expiring, not as a hung test binary.
+const SLOT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
+
+fn slot_pool(seed: u64) -> Pool {
+    Pool::builder(2)
+        .spin_budget(0, 2)
+        .yield_injection(seed)
+        .build()
+}
+
+/// Tickets published here and reaped on a reaper thread: each job runs
+/// once per worker, and the reaper's release is what lets the next
+/// dispatch in.
+#[test]
+fn ticket_published_on_one_thread_completes_on_another() {
+    use std::sync::mpsc;
+    use std::sync::Arc;
+    for seed in 0..20u64 {
+        let pool = slot_pool(seed);
+        let ran = Arc::new(AtomicU64::new(0));
+        let (to_reaper, tickets) = mpsc::channel::<afs_runtime::DispatchTicket>();
+        let (reaped, from_reaper) = mpsc::channel();
+        let reaper = std::thread::spawn(move || {
+            for ticket in tickets {
+                reaped.send(ticket.wait()).unwrap();
+            }
+        });
+        for round in 1..=30u64 {
+            let r = Arc::clone(&ran);
+            let ticket = pool
+                .try_dispatch(Arc::new(move |_| {
+                    r.fetch_add(1, Ordering::SeqCst);
+                }))
+                .expect("the previous ticket was reaped");
+            to_reaper.send(ticket).unwrap();
+            from_reaper
+                .recv_timeout(SLOT_TIMEOUT)
+                .unwrap_or_else(|_| panic!("seed {seed}: the reaper never finished round {round}"))
+                .unwrap();
+            assert_eq!(ran.load(Ordering::SeqCst), 2 * round, "seed {seed}");
+        }
+        drop(to_reaper);
+        reaper.join().unwrap();
+    }
+}
+
+/// A blocking `Pool::run` behind an outstanding ticket sleeps on the slot
+/// through the job and proceeds once every worker has acked it, reaping
+/// the finished job itself: a ticket nobody reaps (an idle server's last
+/// one) cannot hold the pool. It never runs before the job's acks, and
+/// the owner's later wait returns at once with the job's outcome.
+#[test]
+fn blocking_run_behind_a_ticket_proceeds_after_its_acks() {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+    use std::time::Duration;
+    for seed in 0..20u64 {
+        let pool = slot_pool(seed);
+        let gate = Arc::new(AtomicBool::new(false));
+        let acked = Arc::new(AtomicU64::new(0));
+        let (g, a) = (Arc::clone(&gate), Arc::clone(&acked));
+        let ticket = pool
+            .try_dispatch(Arc::new(move |_| {
+                while !g.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                a.fetch_add(1, Ordering::SeqCst);
+            }))
+            .unwrap();
+        let ran = AtomicBool::new(false);
+        let mut ticket = Some(ticket);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                pool.run(|_| {
+                    assert_eq!(
+                        acked.load(Ordering::SeqCst),
+                        2,
+                        "seed {seed}: ran before the acks"
+                    );
+                    ran.store(true, Ordering::SeqCst);
+                })
+            });
+            std::thread::sleep(Duration::from_millis(2));
+            assert!(
+                !ran.load(Ordering::SeqCst),
+                "seed {seed}: ran through the job"
+            );
+            gate.store(true, Ordering::SeqCst);
+            let t = std::time::Instant::now();
+            while !ran.load(Ordering::SeqCst) {
+                if t.elapsed() > SLOT_TIMEOUT {
+                    // Reap, so the scope's join of the run can end.
+                    drop(ticket.take());
+                    panic!("seed {seed}: the run waited for a reap nobody makes");
+                }
+                std::thread::yield_now();
+            }
+        });
+        let ticket = ticket.unwrap();
+        assert!(ticket.is_complete(), "seed {seed}");
+        ticket.wait().unwrap();
+    }
+}
+
+/// A job's panic travels with its ticket: whichever thread reaps it gets
+/// the `PhaseError` — in odd seeds after a blocking `try_run` has already
+/// reaped the job for it — and the pool's failure slot is clean for the
+/// next job either way.
+#[test]
+fn job_panic_reaches_the_thread_that_reaps_the_ticket() {
+    use std::sync::Arc;
+    for seed in 0..20u64 {
+        let pool = slot_pool(seed);
+        let ticket = pool
+            .try_dispatch(Arc::new(|w| {
+                if w == 1 {
+                    panic!("reaped elsewhere");
+                }
+            }))
+            .unwrap();
+        if seed % 2 == 1 {
+            pool.try_run(|_| {})
+                .expect("the earlier job's failure is not this one's");
+        }
+        let err = std::thread::spawn(move || ticket.wait_parked(2, |_| {}))
+            .join()
+            .unwrap()
+            .expect_err("worker 1 panicked");
+        assert_eq!(err.worker(), 1, "seed {seed}");
+        assert_eq!(err.message(), Some("reaped elsewhere"), "seed {seed}");
+        pool.try_run(|_| {})
+            .expect("the failure was taken with its ticket");
+    }
+}
+
+/// Dropping the pool while a ticket is outstanding returns: its workers
+/// finish the job published before the drop, ack it, and exit, and the
+/// ticket then reaps without waiting.
+#[test]
+fn dropping_the_pool_with_a_ticket_outstanding_returns() {
+    use std::sync::Arc;
+    for seed in 0..20u64 {
+        let pool = slot_pool(seed);
+        let ran = Arc::new(AtomicU64::new(0));
+        let r = Arc::clone(&ran);
+        let ticket = pool
+            .try_dispatch(Arc::new(move |_| {
+                r.fetch_add(1, Ordering::SeqCst);
+            }))
+            .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(pool);
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(SLOT_TIMEOUT)
+            .unwrap_or_else(|_| panic!("seed {seed}: dropping the pool did not return"));
+        if !ticket.is_complete() {
+            // Reaping would wait forever for acks nobody will store.
+            std::mem::forget(ticket);
+            panic!("seed {seed}: a worker exited without running the published job");
+        }
+        ticket.wait().unwrap();
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            2,
+            "seed {seed}: the job ran once per worker"
+        );
+    }
+}

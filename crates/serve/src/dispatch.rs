@@ -1,20 +1,27 @@
 //! Dispatch disciplines and the fused batch driver.
 //!
 //! The dispatcher owns the middle of the pipeline: it pumps admitted
-//! requests out of the MPMC ring into its private per-tenant FIFOs (no
-//! locks — the ring is the only shared structure), picks what runs next
-//! under a pluggable [`Discipline`], and executes the pick as *one* pool
-//! dispatch. A batch of fused requests becomes a chain of phases welded
-//! together by a [`SenseBarrier`]: workers flow from one request's phase
-//! into the next with a single decentralized rendezvous between them, so
-//! a dispatch of eight 64-iteration loops costs one pool broadcast + 8
-//! barrier turns instead of eight broadcasts — that amortization is the
-//! whole case for the batching discipline.
+//! requests out of the MPMC ring into the per-tenant staging FIFOs (behind
+//! the server's one staging lock, which an admit on an idle server also
+//! takes), picks what runs next under a pluggable [`Discipline`], and
+//! executes the pick as *one* pool dispatch. A batch of fused requests
+//! becomes a chain of phases welded together by a [`SenseBarrier`]:
+//! workers flow from one request's phase into the next with a single
+//! decentralized rendezvous between them, so a dispatch of eight
+//! 64-iteration loops costs one pool broadcast + 8 barrier turns instead
+//! of eight broadcasts — that amortization is the whole case for the
+//! batching discipline.
 //!
-//! Completion stamping rides the barrier's turn slot: the last worker to
-//! arrive at a request's final phase boundary records the service and
-//! sojourn stamps *before* releasing the party, so a completed request's
-//! latency is visible the instant any thread observes its completion.
+//! A request completes at its last iteration, not at a barrier: each
+//! worker adds the iterations it ran of a request's final phase to that
+//! phase's count once, after its drain, and the worker whose add reaches
+//! `n` stamps service and sojourn and retires the request. A worker that
+//! is late to the dispatch (still being woken, or descheduled) is then
+//! not on the request's path: its peers steal its queue (the paper's
+//! Theorem 3.2) and the request is done before it arrives. The final
+//! phase's barrier turn retires only what the count cannot reach — a
+//! request with a panicked grab (that grab's count is never added) and
+//! an `n = 0` request.
 //!
 //! Panic containment: each worker drains each unit inside
 //! `catch_unwind`, so a loop body that panics (fault injection, a future
@@ -28,7 +35,7 @@
 use crate::request::OwnedSource;
 use crate::server::{Admitted, ServerShared, IDLE_YIELDS};
 use afs_metrics::{ServeEventKind, WaitOutcome};
-use afs_runtime::{Pool, SenseBarrier};
+use afs_runtime::{DispatchSlot, DispatchTicket, Pool, SenseBarrier};
 use afs_trace::event::EventKind;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -84,9 +91,9 @@ impl Discipline {
     }
 }
 
-/// The dispatcher's private staging state. Never shared: the dispatcher
-/// thread (or the manual driver, serialized by the server's state lock)
-/// is its only owner.
+/// The server's staging state, behind [`ServerShared`]'s one staging
+/// lock: the dispatcher thread, the manual driver and an admit that
+/// dispatches on an idle server all pump, select and launch through it.
 pub(crate) struct DispatchState {
     /// Global FIFO ([`Discipline::CentralFcfs`] only).
     central: VecDeque<Admitted>,
@@ -96,6 +103,9 @@ pub(crate) struct DispatchState {
     deficits: Vec<u64>,
     /// Round-robin cursor over tenants.
     rr: usize,
+    /// The batch an admit launched on an idle server, until somebody
+    /// reaps its ticket (see [`InFlight`]).
+    pub(crate) in_flight: Option<InFlight>,
 }
 
 impl DispatchState {
@@ -105,6 +115,7 @@ impl DispatchState {
             fifos: (0..tenants).map(|_| VecDeque::new()).collect(),
             deficits: vec![0; tenants],
             rr: 0,
+            in_flight: None,
         }
     }
 
@@ -207,9 +218,11 @@ struct Unit {
     req_idx: usize,
     /// Zero-based phase index within the request (span annotation).
     phase: u32,
-    /// Whether this is the request's final phase (completion stamps fire
-    /// at its barrier turn).
+    /// Whether this is the request's final phase.
     last: bool,
+    /// Iterations of this unit run so far (final phases only): each worker
+    /// adds its own total once, after its drain.
+    ran: AtomicU64,
 }
 
 /// An executing batch: the flattened phase plan, the in-batch barrier,
@@ -227,8 +240,9 @@ pub(crate) struct Batch {
     /// Per-request failure slot: [`NOT_FAILED`] while healthy, else
     /// `(worker << 32) | phase` of the first panic (first CAS wins).
     failed: Vec<AtomicU64>,
-    /// Per-request retirement latch: set exactly once, in the barrier
-    /// turn slot (or the dispatcher's escape hatch), when the request
+    /// Per-request retirement latch: set exactly once — by the worker
+    /// whose count reaches the final phase's `n`, in the final phase's
+    /// barrier turn, or in the reaper's escape hatch — when the request
     /// leaves the ledger as completed or failed.
     retired: Vec<AtomicBool>,
     /// Dispatch stamp (shared by every request in the batch — they were
@@ -268,6 +282,7 @@ impl Batch {
                     req_idx: ri,
                     phase: ph,
                     last: ph + 1 == phases,
+                    ran: AtomicU64::new(0),
                 });
             }
         }
@@ -340,6 +355,15 @@ impl Batch {
                         if iters > 0 {
                             tenant.iters.fetch_add(iters, Ordering::Relaxed);
                         }
+                        // After every counter this worker writes for the
+                        // request: the AcqRel chain on `ran` carries each
+                        // peer's writes to the worker that retires it.
+                        if unit.last
+                            && iters > 0
+                            && unit.ran.fetch_add(iters, Ordering::AcqRel) + iters == a.req.n
+                        {
+                            self.retire(unit.req_idx, unit.phase);
+                        }
                     }
                     Err(_) => {
                         let packed = ((w as u64) << 32) | unit.phase as u64;
@@ -352,37 +376,47 @@ impl Batch {
                     }
                 }
             }
-            let completes = unit.last.then_some(unit.req_idx);
-            let (span_id, span_phase) = (a.id, unit.phase);
             self.barrier.arrive_then_as(w, (g + 1) as u64, || {
                 // The turn slot runs on exactly one worker, after every
                 // worker finished this phase — the moment the phase
-                // retired, which is what the span instant marks.
-                self.shared.trace_record(EventKind::RequestPhase {
-                    id: span_id,
-                    phase: span_phase,
-                });
-                if let Some(ri) = completes {
-                    self.retire(ri);
+                // retired, which is what the span instant marks. A final
+                // phase's instant is recorded by whoever retires it.
+                if unit.last {
+                    if self.retire(unit.req_idx, unit.phase) {
+                        self.shared.turn_retires.fetch_add(1, Ordering::Relaxed);
+                    }
+                } else {
+                    self.shared.trace_record(EventKind::RequestPhase {
+                        id: a.id,
+                        phase: unit.phase,
+                    });
                 }
             });
         }
     }
 
-    /// Retires request `ri` out of the ledger: completed when its failure
-    /// slot is clean, failed otherwise. Runs in the barrier turn slot —
-    /// exactly once, after every worker finished the final phase, before
-    /// any is released. The latch also guards the dispatcher's escape
-    /// hatch ([`Batch::fail_unretired`]) so the two paths cannot double-
-    /// count a request.
-    fn retire(&self, ri: usize) {
+    /// Retires request `ri`, whose final phase is `last_phase`, out of the
+    /// ledger: completed when its failure slot is clean, failed otherwise.
+    /// Called by the worker whose count reaches `n` and by the final
+    /// phase's barrier turn; the latch lets the first of them through and
+    /// also guards the reaper's escape hatch ([`Batch::fail_unretired`]),
+    /// so no path can count a request twice. The final phase's span
+    /// instant is recorded here, so it precedes `RequestComplete` on the
+    /// request's track whichever path retires it. Returns whether this
+    /// call retired the request.
+    fn retire(&self, ri: usize, last_phase: u32) -> bool {
         if self.retired[ri].swap(true, Ordering::AcqRel) {
-            return;
+            return false;
         }
+        self.shared.trace_record(EventKind::RequestPhase {
+            id: self.reqs[ri].id,
+            phase: last_phase,
+        });
         match self.failed[ri].load(Ordering::Acquire) {
             NOT_FAILED => self.complete(ri),
             packed => self.fail(ri, (packed >> 32) as u32, packed as u32),
         }
+        true
     }
 
     /// Completion stamps for request `ri`. A request that finished after
@@ -408,7 +442,6 @@ impl Batch {
             self.shared.timed_out.fetch_add(1, Ordering::Relaxed);
         }
         tenant.completed.fetch_add(1, Ordering::Relaxed);
-        tenant.pending.fetch_sub(1, Ordering::Relaxed);
         tenant
             .backlog_iters
             .fetch_sub(a.req.iters(), Ordering::Relaxed);
@@ -417,7 +450,11 @@ impl Batch {
             tenant: a.req.tenant as u32,
             id: a.id,
         });
-        self.shared.serve_event(
+        // The completion a client sees: a `SeqCst` RMW after every other
+        // write the request made, so an observer of `pending` sees them.
+        tenant.pending.fetch_sub(1, Ordering::SeqCst);
+        self.shared.serve_event_on(
+            &self.pool,
             ServeEventKind::Complete,
             a.req.tenant,
             a.id,
@@ -433,7 +470,6 @@ impl Batch {
         let a = &self.reqs[ri];
         let tenant = &self.shared.tenants[a.req.tenant];
         tenant.failed.fetch_add(1, Ordering::Relaxed);
-        tenant.pending.fetch_sub(1, Ordering::Relaxed);
         tenant
             .backlog_iters
             .fetch_sub(a.req.iters(), Ordering::Relaxed);
@@ -444,7 +480,9 @@ impl Batch {
             worker,
             phase,
         });
-        self.shared.serve_event(
+        tenant.pending.fetch_sub(1, Ordering::SeqCst);
+        self.shared.serve_event_on(
+            &self.pool,
             ServeEventKind::Failed,
             a.req.tenant,
             a.id,
@@ -454,9 +492,9 @@ impl Batch {
 
     /// Escape hatch for a panic that got past per-request containment
     /// (e.g. a pool running [`afs_runtime::PanicPolicy::SkipRemaining`]
-    /// aborting the chain): every request the barrier turns never
-    /// retired is failed here, on the dispatcher, so the ledger still
-    /// balances and the dispatcher still does not die.
+    /// aborting the chain): every request neither its count nor a barrier
+    /// turn retired is failed here, by whoever reaps the batch, so the
+    /// ledger still balances and the dispatcher still does not die.
     pub(crate) fn fail_unretired(&self, worker: u32, phase: u32) {
         for ri in 0..self.reqs.len() {
             if !self.retired[ri].swap(true, Ordering::AcqRel) {
@@ -466,33 +504,53 @@ impl Batch {
     }
 }
 
-/// Executes `reqs` as one pool dispatch, recording dispatch stamps and
-/// queueing delays on the way in. Returns the number of requests executed.
-///
-/// The caller waits the way the dispatcher waits for work — for the pool,
-/// if a blocking `Pool::run` caller holds it, and then for the batch:
-/// [`IDLE_YIELDS`] rounds that each run `while_waiting` (the dispatcher's
-/// ring pump) and yield, then asleep until the pool is released or the
-/// last worker acks. A short dispatch finishes inside the grace and never
-/// sleeps. A long one must not keep its waiter runnable: with no spare
-/// core that thread takes a CPU from the workers, which then spin out
-/// every in-batch barrier against a peer that cannot run. `admit` needs no
-/// help meanwhile — it touches only the ring and atomics — so the ring's
-/// capacity bounds what one batch can buffer.
-pub(crate) fn execute(
+/// A batch an admit launched on an idle server, with its pool ticket,
+/// until somebody reaps it: the next admit that dispatches inline (once
+/// the ticket is complete), the dispatcher before its next launch,
+/// shutdown or drop, or the supervisor when it swaps the pool. Another
+/// claimer of the pool may reap the finished job first; the ticket still
+/// returns its escaped panic here.
+pub(crate) struct InFlight {
+    ticket: DispatchTicket,
+    batch: Arc<Batch>,
+}
+
+impl InFlight {
+    /// Whether every worker has left the batch; reaping it then does not
+    /// wait.
+    pub(crate) fn is_complete(&self) -> bool {
+        self.ticket.is_complete()
+    }
+
+    /// Waits the batch out the way the dispatcher waits for its own
+    /// ([`IDLE_YIELDS`] rounds, then asleep) and frees the pool. A panic
+    /// that escaped per-request containment (the pool's own catch_unwind
+    /// caught it instead) fails whatever was never retired, so the
+    /// ledger balances and the reaper survives.
+    pub(crate) fn reap(self, on_leg: impl FnMut(WaitOutcome)) {
+        if let Err(e) = self.ticket.wait_parked(IDLE_YIELDS, on_leg) {
+            self.batch
+                .fail_unretired(e.worker() as u32, e.phase() as u32);
+        }
+    }
+}
+
+/// Stamps `reqs` dispatched, builds their batch and publishes it in
+/// `slot`, a claim on `pool`'s dispatch slot. Returns without waiting.
+pub(crate) fn launch(
     shared: &Arc<ServerShared>,
+    pool: Arc<Pool>,
+    slot: DispatchSlot,
     reqs: Vec<Admitted>,
-    mut while_waiting: impl FnMut(),
-) -> usize {
+) -> InFlight {
     debug_assert!(!reqs.is_empty());
-    let pool = shared.pool();
     let dispatch_ns = shared.now_ns();
     for a in &reqs {
         shared.tenants[a.req.tenant]
             .queue_ns
             .record(dispatch_ns.saturating_sub(a.admit_ns));
         shared.trace_dispatch(a.req.tenant, a.id);
-        shared.serve_event(ServeEventKind::Dispatch, a.req.tenant, a.id, 0);
+        shared.serve_event_on(&pool, ServeEventKind::Dispatch, a.req.tenant, a.id, 0);
     }
     shared.dispatches.fetch_add(1, Ordering::Relaxed);
     if reqs.len() > 1 {
@@ -500,33 +558,50 @@ pub(crate) fn execute(
             .batched_requests
             .fetch_add(reqs.len() as u64, Ordering::Relaxed);
     }
-    let count = reqs.len();
-    let batch = Arc::new(Batch::build(
-        Arc::clone(shared),
-        Arc::clone(&pool),
-        reqs,
-        dispatch_ns,
-    ));
+    let batch = Arc::new(Batch::build(Arc::clone(shared), pool, reqs, dispatch_ns));
     let job = {
         let b = Arc::clone(&batch);
         Arc::new(move |w| b.run_worker(w))
     };
+    InFlight {
+        ticket: slot.publish(job),
+        batch,
+    }
+}
+
+/// Executes `reqs` as one pool dispatch and waits for it.
+///
+/// The caller waits the way the dispatcher waits for work — for a batch an
+/// admit left in flight, for the pool if a blocking `Pool::run` caller
+/// holds it, and then for its own batch: [`IDLE_YIELDS`] rounds that each
+/// run `while_waiting` on the staging state (the dispatcher's ring pump)
+/// and yield, then asleep until the slot is released or the last worker
+/// acks. A short dispatch finishes inside the grace and never sleeps. A
+/// long one must not keep its waiter runnable: with no spare core that
+/// thread takes a CPU from the workers, which then spin out every
+/// in-batch barrier against a peer that cannot run. `admit` needs no help
+/// meanwhile — with the dispatcher awake it touches only the ring and
+/// atomics — so the ring's capacity bounds what one batch can buffer.
+pub(crate) fn execute(
+    shared: &Arc<ServerShared>,
+    st: &mut DispatchState,
+    reqs: Vec<Admitted>,
+    mut while_waiting: impl FnMut(&mut DispatchState),
+) {
+    let pool = shared.pool();
+    let earlier = st.in_flight.take();
     let mut on_leg = |leg| match leg {
         WaitOutcome::Spin => {}
-        WaitOutcome::Yield => while_waiting(),
+        WaitOutcome::Yield => while_waiting(st),
         WaitOutcome::Park => {
             shared.batch_parks.fetch_add(1, Ordering::Relaxed);
         }
     };
-    let ticket = pool.dispatch(job, IDLE_YIELDS, &mut on_leg);
-    if let Err(e) = ticket.wait_parked(IDLE_YIELDS, &mut on_leg) {
-        // A panic escaped per-request containment (the pool's own
-        // catch_unwind caught it instead). Whatever the barrier turns
-        // never retired is failed here so the ledger balances; the
-        // dispatcher itself survives.
-        batch.fail_unretired(e.worker() as u32, e.phase() as u32);
+    if let Some(earlier) = earlier {
+        earlier.reap(&mut on_leg);
     }
-    count
+    let slot = pool.claim(IDLE_YIELDS, &mut on_leg);
+    launch(shared, pool, slot, reqs).reap(&mut on_leg);
 }
 
 #[cfg(test)]

@@ -11,8 +11,12 @@
 //! next under the configured [`Discipline`], and executes each pick as
 //! one non-blocking pool dispatch. It pumps the ring for a short polling
 //! grace while the pool crunches and then parks until the batch is done;
-//! admission never waits for it — `admit` touches only the ring and
-//! atomics — so the ring's capacity bounds what a long batch can buffer.
+//! admission never waits for it, so the ring's capacity bounds what a long
+//! batch can buffer. An admit that finds the dispatcher asleep on an idle
+//! server dispatches on its own thread instead of waking it, when the
+//! staging lock and the pool's dispatch slot are both free at once
+//! ([`LoopServer::admit`]); otherwise `admit` touches only the ring and
+//! atomics.
 //!
 //! Every request is stamped at admit, dispatch and complete; the three
 //! deltas (queueing delay, service time, sojourn) land in per-tenant
@@ -21,7 +25,7 @@
 //! [`MetricsSnapshot`] (schema v3) via [`LoopServer::metrics_snapshot`]
 //! for one document carrying both the scheduler's view and the server's.
 
-use crate::dispatch::{execute, Discipline, DispatchState};
+use crate::dispatch::{execute, launch, Discipline, DispatchState};
 use crate::queue::MpmcQueue;
 use crate::request::{Admit, LoopRequest, ShedReason};
 use crate::supervise::{PoolFactory, Supervisor, SupervisorConfig};
@@ -33,8 +37,8 @@ use afs_runtime::wait::{Budget, EventCount};
 use afs_runtime::Pool;
 use afs_trace::event::EventKind;
 use afs_trace::sink::TraceSink;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -98,7 +102,8 @@ pub(crate) struct Admitted {
 
 /// One tenant's live accounting: the ledger counters and the three
 /// latency histograms. All fields are multi-writer atomics — admission
-/// threads, the dispatcher, and barrier turn-takers all write here.
+/// threads, the dispatcher, and the workers that retire requests all
+/// write here.
 pub(crate) struct TenantState {
     pub(crate) name: String,
     pub(crate) backlog_cap: u64,
@@ -169,6 +174,32 @@ struct TraceLanes {
     lock: Mutex<()>,
 }
 
+/// The staging lock, held. Releasing it publishes the staged count, so
+/// the count a waiter reads is the backlog as of the last release.
+pub(crate) struct Staging<'a> {
+    guard: MutexGuard<'a, DispatchState>,
+    staged: &'a AtomicUsize,
+}
+
+impl std::ops::Deref for Staging<'_> {
+    type Target = DispatchState;
+    fn deref(&self) -> &DispatchState {
+        &self.guard
+    }
+}
+
+impl std::ops::DerefMut for Staging<'_> {
+    fn deref_mut(&mut self) -> &mut DispatchState {
+        &mut self.guard
+    }
+}
+
+impl Drop for Staging<'_> {
+    fn drop(&mut self) {
+        self.staged.store(self.guard.backlog(), Ordering::SeqCst);
+    }
+}
+
 /// State shared between admission threads, the dispatcher, and executing
 /// batches.
 pub(crate) struct ServerShared {
@@ -183,9 +214,17 @@ pub(crate) struct ServerShared {
     epoch: Instant,
     next_id: AtomicU64,
     pub(crate) shutdown: AtomicBool,
-    /// Where the dispatcher thread sleeps on an empty ring. `admit`, `stop`
-    /// and `Drop` publish their event first (the ring's tail CAS, the
-    /// shutdown flag — both `SeqCst`), then notify.
+    /// The one staging state: the dispatcher thread, manual mode and an
+    /// admit on an idle server all go through this lock
+    /// ([`ServerShared::lock_state`]).
+    state: Mutex<DispatchState>,
+    /// Requests staged behind that lock, published (`SeqCst`) whenever
+    /// it is released, so the dispatcher can wait for them without it.
+    staged: AtomicUsize,
+    /// Where the dispatcher thread sleeps on an empty ring and empty
+    /// staging FIFOs. `admit`, `stop` and `Drop` publish their event first
+    /// (the ring's tail CAS, the staged count, the shutdown flag — all
+    /// `SeqCst`), then notify.
     idle: EventCount,
     /// Times the dispatcher committed to sleeping there (test-visible).
     dispatcher_parks: AtomicU64,
@@ -211,6 +250,11 @@ pub(crate) struct ServerShared {
     /// Pool rebuilds performed by the supervisor.
     pub(crate) supervisor_restarts: AtomicU64,
     pub(crate) dispatches: AtomicU64,
+    /// Dispatches an admit made on its own thread (test-visible).
+    inline_dispatches: AtomicU64,
+    /// Requests retired in a final phase's barrier turn rather than at
+    /// their last iteration (test-visible).
+    pub(crate) turn_retires: AtomicU64,
     pub(crate) batched_requests: AtomicU64,
     /// One self-tuning controller for every [`ServePolicy::Adaptive`]
     /// request the server runs: the (k, b) trajectory spans batches, so
@@ -286,17 +330,67 @@ impl ServerShared {
         });
     }
 
-    /// Feeds one serve lifecycle event to the pool's flight recorder —
-    /// the black box keeps the last N of these, and shed events drive its
-    /// shed-spike trigger.
+    /// Feeds one serve lifecycle event to the current pool's flight
+    /// recorder — the black box keeps the last N of these, and shed events
+    /// drive its shed-spike trigger.
     pub(crate) fn serve_event(&self, kind: ServeEventKind, tenant: usize, id: u64, code: u32) {
-        self.pool().recorder().record_serve_event(ServeRecord {
+        self.serve_event_on(&self.pool(), kind, tenant, id, code);
+    }
+
+    /// [`ServerShared::serve_event`] into `pool`'s recorder: a batch's
+    /// events go to the pool it runs on, without a trip through the swap
+    /// slot's lock and reference count.
+    pub(crate) fn serve_event_on(
+        &self,
+        pool: &Pool,
+        kind: ServeEventKind,
+        tenant: usize,
+        id: u64,
+        code: u32,
+    ) {
+        pool.recorder().record_serve_event(ServeRecord {
             t_ns: self.now_ns(),
             kind,
             tenant: tenant as u32,
             id,
             code,
         });
+    }
+
+    /// Takes the staging lock.
+    pub(crate) fn lock_state(&self) -> Staging<'_> {
+        Staging {
+            guard: self.state.lock().unwrap_or_else(|e| e.into_inner()),
+            staged: &self.staged,
+        }
+    }
+
+    /// Takes the staging lock if nobody holds it.
+    fn try_lock_state(&self) -> Option<Staging<'_>> {
+        let guard = match self.state.try_lock() {
+            Ok(g) => g,
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
+        };
+        Some(Staging {
+            guard,
+            staged: &self.staged,
+        })
+    }
+
+    /// Whether anything waits for a dispatch: in the ring, or staged.
+    fn has_work(&self) -> bool {
+        !self.queue.is_empty() || self.staged.load(Ordering::SeqCst) > 0
+    }
+
+    /// Reaps the batch an admit left in flight, if any, waiting for it.
+    /// The ticket is taken out under the staging lock and waited on
+    /// outside it.
+    pub(crate) fn reap_in_flight(&self) {
+        let in_flight = self.lock_state().in_flight.take();
+        if let Some(f) = in_flight {
+            f.reap(|_| {});
+        }
     }
 
     /// Books one already-admitted request out of the ledger as shed
@@ -531,6 +625,8 @@ impl ServerBuilder {
             epoch: Instant::now(),
             next_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            state: Mutex::new(DispatchState::new(self.tenants.len())),
+            staged: AtomicUsize::new(0),
             idle: EventCount::default(),
             dispatcher_parks: AtomicU64::new(0),
             dispatcher_wakes: AtomicU64::new(0),
@@ -547,6 +643,8 @@ impl ServerBuilder {
             shed_slo_budget: AtomicU64::new(0),
             supervisor_restarts: AtomicU64::new(0),
             dispatches: AtomicU64::new(0),
+            inline_dispatches: AtomicU64::new(0),
+            turn_retires: AtomicU64::new(0),
             batched_requests: AtomicU64::new(0),
             adapt,
             trace,
@@ -577,11 +675,9 @@ impl ServerBuilder {
         let supervisor = self
             .supervise
             .map(|(config, factory)| Supervisor::spawn(Arc::clone(&shared), config, factory));
-        let tenants = shared.tenants.len();
         LoopServer {
             shared,
             discipline,
-            state: Mutex::new(DispatchState::new(tenants)),
             dispatcher,
             supervisor,
             telemetry,
@@ -590,16 +686,18 @@ impl ServerBuilder {
 }
 
 /// `yield_now` rounds a waiting dispatcher spends before it parks — for
-/// work on an empty ring, for a pool somebody else holds, or for the batch
-/// it just dispatched ([`execute`]): long enough (tens of µs) that a
-/// closed-loop client's next request, or a short dispatch's last ack,
-/// usually finds it still runnable; short enough that it stops competing
-/// with the pool workers for a core almost at once.
+/// work on an empty ring, for a pool somebody else holds, or for a batch in
+/// flight ([`execute`]): long enough (tens of µs) that a burst's next
+/// request, or a short dispatch's last ack, usually finds it still
+/// runnable; short enough that it stops competing with the pool workers
+/// for a core almost at once. Once it parks, an admit dispatches on its
+/// own thread instead of waking it ([`LoopServer::admit`]), so a
+/// closed-loop client's requests after a pause never wait for its wake.
 pub(crate) const IDLE_YIELDS: u32 = 64;
 const IDLE: Budget = Budget::yielding(IDLE_YIELDS);
 
 /// The dispatcher thread body: pump, select, execute, until shutdown
-/// *and* drained. With the ring and the FIFOs empty it waits on
+/// *and* drained. With the ring and the staging FIFOs empty it waits on
 /// [`ServerShared::idle`] — [`IDLE_YIELDS`] yields, then asleep until a
 /// producer wakes it, so an idle server makes no wakeups at all. Polling
 /// with short naps is not an alternative: a `sleep(100 µs)` measures
@@ -607,33 +705,37 @@ const IDLE: Budget = Budget::yielding(IDLE_YIELDS);
 /// on average.
 ///
 /// What it waits for is the ring's *claim* cursors moving
-/// ([`MpmcQueue::is_empty`]), not an item it can pop: the tail CAS is the
-/// `SeqCst` event `admit` publishes before it notifies, which is what the
-/// eventcount's lost-wakeup argument needs. A wait that ends on a slot
-/// claimed but not yet published costs trips round this loop until the
-/// producer's next store lands.
+/// ([`MpmcQueue::is_empty`]) or the staged count rising, not an item it can
+/// pop: the tail CAS and the count's store are the `SeqCst` events a
+/// producer publishes before it notifies, which is what the eventcount's
+/// lost-wakeup argument needs. A wait that ends on a slot claimed but not
+/// yet published costs trips round this loop until the producer's next
+/// store lands.
 fn dispatcher_loop(shared: &Arc<ServerShared>, discipline: Discipline) {
-    let mut st = DispatchState::new(shared.tenants.len());
     loop {
-        st.pump(shared, discipline);
-        // A selected request whose deadline ran out in the queue retires
-        // as Expired right here, without costing a pool dispatch.
-        let picked = retire_expired(shared, st.select(discipline));
-        if !picked.is_empty() {
-            execute(shared, picked, || {
-                st.pump(shared, discipline);
-            });
-            continue;
+        {
+            let mut st = shared.lock_state();
+            st.pump(shared, discipline);
+            // A selected request whose deadline ran out in the queue
+            // retires as Expired right here, without costing a pool
+            // dispatch.
+            let picked = retire_expired(shared, st.select(discipline));
+            if !picked.is_empty() {
+                execute(shared, &mut st, picked, |st| {
+                    st.pump(shared, discipline);
+                });
+                continue;
+            }
+            if st.backlog() > 0 {
+                // The whole pick expired in the queue; more is staged.
+                continue;
+            }
         }
-        if st.backlog() > 0 {
-            // The whole pick expired in the queue; more is staged.
-            continue;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) && shared.queue.is_empty() {
+        if shared.shutdown.load(Ordering::SeqCst) && !shared.has_work() {
             return;
         }
         let something_to_do =
-            || (!shared.queue.is_empty() || shared.shutdown.load(Ordering::SeqCst)).then_some(());
+            || (shared.has_work() || shared.shutdown.load(Ordering::SeqCst)).then_some(());
         shared.idle.wait(IDLE, None, something_to_do, |leg| {
             if leg == WaitOutcome::Park {
                 shared.dispatcher_parks.fetch_add(1, Ordering::Relaxed);
@@ -647,8 +749,6 @@ fn dispatcher_loop(shared: &Arc<ServerShared>, discipline: Discipline) {
 pub struct LoopServer {
     shared: Arc<ServerShared>,
     discipline: Discipline,
-    /// Manual-mode staging state (the threaded dispatcher owns its own).
-    state: Mutex<DispatchState>,
     dispatcher: Option<JoinHandle<()>>,
     /// Pool supervisor thread, when [`ServerBuilder::supervise`] asked
     /// for one. Joined at shutdown.
@@ -703,6 +803,11 @@ impl LoopServer {
     /// (`Accepted` with its id) or it is shed right now with the reason.
     /// Callable from any number of client threads concurrently.
     ///
+    /// When the dispatcher sleeps on an idle server, the admitting thread
+    /// dispatches in its stead and returns without waking anyone; it never
+    /// waits for a lock or the pool, and wakes the dispatcher as before
+    /// when either is taken.
+    ///
     /// Panics if `req.tenant` is out of range or `req.phases == 0` —
     /// those are caller bugs, not load conditions.
     pub fn admit(&self, req: LoopRequest) -> Admit {
@@ -753,16 +858,21 @@ impl LoopServer {
         t.backlog_iters.fetch_add(cost, Ordering::Relaxed);
         match s.queue.push(Admitted { req, id, admit_ns }) {
             Ok(()) => {
-                // First, so a parked dispatcher is on its way up while
-                // this thread does the bookkeeping below.
-                self.wake_dispatcher();
+                // Booked before the request can run: an inline dispatch
+                // below completes it on the pool before this returns.
                 t.admitted.fetch_add(1, Ordering::Relaxed);
                 s.admitted.fetch_add(1, Ordering::Relaxed);
                 s.trace_record(EventKind::RequestAdmit {
                     tenant: tenant_idx as u32,
                     id,
                 });
-                s.serve_event(ServeEventKind::Admit, tenant_idx, id, 0);
+                let pool = s.pool();
+                s.serve_event_on(&pool, ServeEventKind::Admit, tenant_idx, id, 0);
+                // The push is the `SeqCst` event: a dispatcher that has not
+                // yet registered to sleep will see it on its last look.
+                if s.idle.sleepers() > 0 && !self.try_dispatch_inline(pool) {
+                    self.wake_dispatcher();
+                }
                 Admit::Accepted { id }
             }
             Err(_) => {
@@ -771,6 +881,44 @@ impl LoopServer {
                 self.shed(tenant_idx, ShedReason::QueueFull)
             }
         }
+    }
+
+    /// The dispatcher is asleep (or committed to sleeping): does its work
+    /// on this thread instead of waking it. Takes the staging lock and the
+    /// pool's dispatch slot only if both are free; reaps the batch an
+    /// earlier admit left in flight only if it is complete; pumps the
+    /// ring, selects and launches one dispatch, and leaves its ticket in
+    /// the staging state. Returns `true` when nothing is left for the
+    /// dispatcher. Otherwise the caller wakes it, and what this call
+    /// staged is in the count its wait looks at.
+    ///
+    /// No request is stranded. Every push is followed by this call or a
+    /// wake, and this call fails exactly when it cannot be sure the pushed
+    /// request is dispatched: the lock is held (its holder may have pumped
+    /// before the push), the earlier batch still runs, the slot is taken
+    /// (a blocking `Pool::run` may take it between the pump and the
+    /// claim), or the pick left requests staged.
+    fn try_dispatch_inline(&self, pool: Arc<Pool>) -> bool {
+        let s = &self.shared;
+        let Some(mut st) = s.try_lock_state() else {
+            return false;
+        };
+        if st.in_flight.as_ref().is_some_and(|f| !f.is_complete()) {
+            return false;
+        }
+        if let Some(done) = st.in_flight.take() {
+            done.reap(|_| {});
+        }
+        st.pump(s, self.discipline);
+        let Ok(slot) = pool.try_claim() else {
+            return false;
+        };
+        let picked = retire_expired(s, st.select(self.discipline));
+        if !picked.is_empty() {
+            s.inline_dispatches.fetch_add(1, Ordering::Relaxed);
+            st.in_flight = Some(launch(s, pool, slot, picked));
+        }
+        st.backlog() == 0
     }
 
     /// Wakes the dispatcher if it is asleep or committing to sleep; one
@@ -792,6 +940,32 @@ impl LoopServer {
             self.shared.dispatcher_parks.load(Ordering::SeqCst),
             self.shared.dispatcher_wakes.load(Ordering::SeqCst),
         )
+    }
+
+    /// Whether the dispatcher is asleep, or committed to sleeping, on an
+    /// idle server: the state in which an admit dispatches inline. For
+    /// tests.
+    #[doc(hidden)]
+    pub fn dispatcher_asleep(&self) -> bool {
+        self.shared.idle.sleepers() > 0
+    }
+
+    /// `(inline, dispatcher)`: pool dispatches made by an admit on its own
+    /// thread, and by the dispatcher thread or a manual driver. A count
+    /// for tests, like [`LoopServer::dispatcher_park_tally`].
+    #[doc(hidden)]
+    pub fn dispatch_path_tally(&self) -> (u64, u64) {
+        let inline = self.shared.inline_dispatches.load(Ordering::SeqCst);
+        let all = self.shared.dispatches.load(Ordering::SeqCst);
+        (inline, all - inline)
+    }
+
+    /// Requests retired in a final phase's barrier turn — a panicked or
+    /// `n = 0` request — rather than by the worker that ran their last
+    /// iteration. A count for tests.
+    #[doc(hidden)]
+    pub fn turn_retire_tally(&self) -> u64 {
+        self.shared.turn_retires.load(Ordering::SeqCst)
     }
 
     /// How many times a dispatch's waiter (the dispatcher thread, or a
@@ -832,7 +1006,7 @@ impl LoopServer {
             self.dispatcher.is_none(),
             "pump() is for manual-mode servers; the dispatcher thread owns staging here"
         );
-        self.lock_state().pump(&self.shared, self.discipline)
+        self.shared.lock_state().pump(&self.shared, self.discipline)
     }
 
     /// Manual mode: selects and synchronously executes the next dispatch
@@ -844,18 +1018,14 @@ impl LoopServer {
             self.dispatcher.is_none(),
             "dispatch_next() is for manual-mode servers"
         );
-        let mut st = self.lock_state();
+        let mut st = self.shared.lock_state();
         let picked = retire_expired(&self.shared, st.select(self.discipline));
         if picked.is_empty() {
             return Vec::new();
         }
         let ids: Vec<(usize, u64)> = picked.iter().map(|a| (a.req.tenant, a.id)).collect();
-        execute(&self.shared, picked, || {});
+        execute(&self.shared, &mut st, picked, |_| {});
         ids
-    }
-
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, DispatchState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Requests admitted but not yet completed, across all tenants.
@@ -905,6 +1075,7 @@ impl LoopServer {
     /// shed as well (it was accepted but never served).
     pub fn shutdown(mut self) -> ServeSnapshot {
         self.stop();
+        self.shared.reap_in_flight();
         // Requests that slipped into the ring after the dispatcher's
         // final sweep: account them as shutdown sheds so the ledger
         // balances (admitted = completed + failed + expired +
@@ -945,5 +1116,6 @@ impl Drop for LoopServer {
         if let Some(h) = self.supervisor.take() {
             let _ = h.join();
         }
+        self.shared.reap_in_flight();
     }
 }

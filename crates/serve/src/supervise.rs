@@ -14,7 +14,9 @@
 //! staged requests ride through a restart untouched — the next dispatch
 //! simply lands on the replacement pool. A batch already in flight keeps
 //! the old pool alive through its own `Arc` and finishes there; the old
-//! pool's threads are joined when the last reference drops.
+//! pool's threads are joined when the last reference drops. A batch an
+//! admit left in flight is reaped right after the swap, so an idle server
+//! does not keep the wounded pool alive.
 
 use crate::server::ServerShared;
 use afs_metrics::Trigger;
@@ -175,6 +177,10 @@ impl Supervisor {
                 let mut slot = self.shared.pool.write().unwrap_or_else(|e| e.into_inner());
                 *slot = replacement;
             }
+            // A batch an admit launched on an idle server keeps the
+            // wounded pool's slot until somebody reaps it, and an idle
+            // server may not for a long time.
+            self.shared.reap_in_flight();
             drop(pool);
             self.shared
                 .supervisor_restarts

@@ -6,8 +6,10 @@
 //! and nothing is lost or duplicated across wrap-around.
 //!
 //! Second half: the admit → parked-dispatcher hand-off. An idle dispatcher
-//! parks; `admit`, `shutdown` and `Drop` must wake it. Every test here
-//! fails (by timeout) on a build where one of them forgets to.
+//! parks; an admit then dispatches on its own thread, or wakes it when it
+//! cannot, and `shutdown` and `Drop` must wake it. Every test here fails
+//! (by timeout) on a build where a request can be left behind a sleeping
+//! dispatcher.
 //!
 //! Third part: the same waiting rule applied to a batch in flight. A
 //! dispatch that outlasts the 64-poll grace parks its waiter; the ring
@@ -241,16 +243,18 @@ fn must_return(what: &str, f: impl FnOnce() + Send + 'static) {
 
 /// One request at a time, with inter-arrival gaps that straddle the
 /// dispatcher's 64-yield grace: a quarter of the admits follow the
-/// previous completion immediately (dispatcher still busy or yielding),
-/// one in sixteen waits until the dispatcher has committed to a park (a
-/// gap that outlasts the grace however slowly the host yields), and the
-/// rest wait U[0, 256) µs (it may be yielding, committing to park, or
-/// parked). Under 20 ring-injection seeds every request completes and the
-/// ledger is exact — and both sides of the race were actually taken.
+/// previous completion immediately (dispatcher still busy or yielding, or
+/// the previous batch's late worker not yet back), one in sixteen waits
+/// until the dispatcher is asleep (a gap that outlasts the grace however
+/// slowly the host yields), and the rest wait U[0, 256) µs (it may be
+/// yielding, committing to park, or parked). Under 20 ring-injection seeds
+/// every request completes and the ledger is exact — and both sides of the
+/// race were actually taken: some requests were dispatched by an admit
+/// that found the dispatcher asleep, some by the dispatcher.
 #[test]
 fn seeded_admits_straddling_the_park_commit_all_complete() {
     const REQUESTS: u64 = 200;
-    let (mut total_wakes, mut total_parks) = (0u64, 0u64);
+    let (mut total_parks, mut total_inline, mut total_by_dispatcher) = (0u64, 0u64, 0u64);
     for seed in 0..20u64 {
         let server = LoopServer::builder(Arc::new(Pool::new(2)))
             .tenant("t")
@@ -258,7 +262,6 @@ fn seeded_admits_straddling_the_park_commit_all_complete() {
             .build();
         let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut offered_iters = 0u64;
-        let mut parks_at_last_admit = 0;
         for i in 0..REQUESTS {
             // xorshift64: the gaps only need to differ from seed to seed.
             rng ^= rng << 13;
@@ -266,10 +269,9 @@ fn seeded_admits_straddling_the_park_commit_all_complete() {
             rng ^= rng << 17;
             if rng & 15 == 1 {
                 // The idle dispatcher parks once the previous request is
-                // done, so this wait always ends.
-                wait_for("the idle dispatcher to park", || {
-                    server.dispatcher_park_tally().0 > parks_at_last_admit
-                });
+                // done, and an inline dispatch leaves it asleep, so this
+                // wait always ends.
+                wait_for("the idle dispatcher to park", || server.dispatcher_asleep());
             } else {
                 let gap = if rng & 3 == 0 {
                     Duration::ZERO
@@ -281,15 +283,15 @@ fn seeded_admits_straddling_the_park_commit_all_complete() {
                     std::hint::spin_loop();
                 }
             }
-            parks_at_last_admit = server.dispatcher_park_tally().0;
             let n = 16 + (rng >> 20) % 113;
             offered_iters += n;
             assert!(server.admit(small(n)).is_accepted(), "seed {seed} req {i}");
             wait_for("an admitted request to complete", || server.pending() == 0);
         }
-        let (parks, wakes) = server.dispatcher_park_tally();
-        total_parks += parks;
-        total_wakes += wakes;
+        total_parks += server.dispatcher_park_tally().0;
+        let (inline, by_dispatcher) = server.dispatch_path_tally();
+        total_inline += inline;
+        total_by_dispatcher += by_dispatcher;
         let ledger = server.shutdown();
         assert_eq!(ledger.admitted, REQUESTS, "seed {seed}");
         assert_eq!(ledger.completed, REQUESTS, "seed {seed}");
@@ -302,18 +304,22 @@ fn seeded_admits_straddling_the_park_commit_all_complete() {
         assert_eq!(ledger.tenants[0].iters, offered_iters, "seed {seed}");
     }
     assert!(total_parks > 0, "no gap outlasted the yield grace");
-    assert!(total_wakes > 0, "no admit ever found the dispatcher parked");
     assert!(
-        total_wakes < 20 * REQUESTS,
+        total_inline > 0,
+        "no admit ever found the dispatcher parked"
+    );
+    assert!(
+        total_by_dispatcher > 0,
         "every admit found the dispatcher parked: no gap fell inside the grace"
     );
 }
 
 /// An idle server is quiet: the dispatcher parks once and nothing wakes
-/// it — counted, not timed. The first admit afterwards finds it parked,
-/// wakes it exactly once, and completes.
+/// it — counted, not timed. The first admit afterwards finds it parked and
+/// dispatches on its own thread: the request completes and the dispatcher
+/// is never woken.
 #[test]
-fn idle_server_parks_once_and_the_next_admit_wakes_it() {
+fn idle_server_parks_once_and_the_next_admit_is_served_inline() {
     let server = LoopServer::builder(Arc::new(Pool::new(2)))
         .tenant("t")
         .build();
@@ -328,7 +334,12 @@ fn idle_server_parks_once_and_the_next_admit_wakes_it() {
     wait_for("the request admitted to a parked server", || {
         server.pending() == 0
     });
-    assert_eq!(server.dispatcher_park_tally().1, 1);
+    assert_eq!(
+        server.dispatcher_park_tally(),
+        (1, 0),
+        "the admit dispatched inline: the dispatcher stays parked, unwoken"
+    );
+    assert_eq!(server.dispatch_path_tally(), (1, 0));
     let ledger = server.shutdown();
     assert_eq!((ledger.admitted, ledger.completed), (1, 1));
 }
@@ -541,4 +552,188 @@ fn dispatcher_sleeps_on_a_pool_held_by_a_blocking_run() {
     assert_eq!(ledger.tenants[0].shed, 0, "offered = accepted");
     assert_eq!(ledger.tenants[0].iters, 64);
     assert_eq!(ledger.failed + ledger.expired + ledger.timed_out, 0);
+}
+
+/// Four clients admit against one server under 20 ring-injection seeds,
+/// each with gaps that straddle the dispatcher's grace: none, U[0, 256)
+/// µs, or until the dispatcher is asleep — which, with several clients
+/// waiting for it, releases them together onto a sleeping dispatcher.
+/// Admits race each other for the staging lock and race the dispatcher's
+/// park commit; in odd seeds a fifth thread keeps taking the pool with
+/// short blocking `Pool::run`s, so an inline dispatch can lose the slot
+/// after its pump. Every request completes within the lost-wakeup bound,
+/// the ledger is exact, and both paths were taken.
+#[test]
+fn seeded_concurrent_admits_and_blocking_runs_strand_nothing() {
+    const CLIENTS: u64 = 4;
+    const PER_CLIENT: u64 = 50;
+    let (mut total_inline, mut total_by_dispatcher) = (0u64, 0u64);
+    for seed in 0..20u64 {
+        let pool = Arc::new(Pool::new(2));
+        let server = LoopServer::builder(Arc::clone(&pool))
+            .tenant("t")
+            .queue_yield_injection(seed)
+            .build();
+        let clients_done = AtomicU64::new(0);
+        let offered_iters = AtomicU64::new(0);
+        thread::scope(|s| {
+            for c in 0..CLIENTS {
+                let (server, clients_done, offered_iters) =
+                    (&server, &clients_done, &offered_iters);
+                s.spawn(move || {
+                    let mut rng = (seed * CLIENTS + c).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                    for i in 0..PER_CLIENT {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        let gap = match rng & 7 {
+                            0 => Duration::ZERO,
+                            1 => {
+                                // Ends: once every client waits here, or
+                                // is done, nothing wakes the dispatcher.
+                                wait_for("the dispatcher to park", || server.dispatcher_asleep());
+                                Duration::ZERO
+                            }
+                            _ => Duration::from_micros((rng >> 8) % 256),
+                        };
+                        let t = Instant::now();
+                        while t.elapsed() < gap {
+                            std::hint::spin_loop();
+                        }
+                        let n = 16 + (rng >> 20) % 113;
+                        offered_iters.fetch_add(n, Ordering::SeqCst);
+                        assert!(
+                            server.admit(small(n)).is_accepted(),
+                            "seed {seed} client {c} req {i}"
+                        );
+                    }
+                    clients_done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            if seed % 2 == 1 {
+                let (pool, clients_done) = (&pool, &clients_done);
+                s.spawn(move || {
+                    while clients_done.load(Ordering::SeqCst) < CLIENTS {
+                        pool.run(|_| {
+                            let t = Instant::now();
+                            while t.elapsed() < Duration::from_micros(20) {
+                                std::hint::spin_loop();
+                            }
+                        });
+                        thread::sleep(Duration::from_micros(50));
+                    }
+                });
+            }
+        });
+        wait_for("every admitted request to complete", || {
+            server.pending() == 0
+        });
+        let (inline, by_dispatcher) = server.dispatch_path_tally();
+        total_inline += inline;
+        total_by_dispatcher += by_dispatcher;
+        let ledger = server.shutdown();
+        let requests = CLIENTS * PER_CLIENT;
+        assert_eq!(ledger.admitted, requests, "seed {seed}");
+        assert_eq!(ledger.completed, requests, "seed {seed}");
+        assert_eq!(
+            ledger.failed + ledger.expired + ledger.timed_out,
+            0,
+            "seed {seed}"
+        );
+        assert_eq!(ledger.tenants[0].shed, 0, "seed {seed}");
+        assert_eq!(
+            ledger.tenants[0].iters,
+            offered_iters.load(Ordering::SeqCst),
+            "seed {seed}"
+        );
+    }
+    assert!(total_inline > 0, "no admit ever dispatched inline");
+    assert!(total_by_dispatcher > 0, "the dispatcher never dispatched");
+}
+
+/// A request is complete the moment its last iteration is: every
+/// co-batched request of a fused dispatch retires at its count, and only
+/// the one whose grab panicked is left to the barrier turn, which fails it.
+/// Worker 1 owns [1024, 2048) of each 4096-iteration static phase on 4
+/// workers, so the one-shot panic at iteration 1500 fires in the batch's
+/// first request. Nothing is retired twice: the ledger, the turn tally and
+/// the trace's one terminal event per request agree.
+#[test]
+fn panicked_request_retires_in_the_turn_and_its_batchmates_at_their_count() {
+    use afs_trace::prelude::*;
+    let p = 4;
+    let sink = Arc::new(TraceSink::new(p + 2));
+    let pool = Arc::new(
+        Pool::builder(p)
+            .trace(Arc::clone(&sink))
+            .faults(FaultPlan::new(7).with_panic_at(1, 0, 1500))
+            .build(),
+    );
+    let server = LoopServer::builder(pool)
+        .tenant("t")
+        .discipline(Discipline::Batch {
+            max_requests: 8,
+            max_iters: 1 << 20,
+        })
+        .trace(Arc::clone(&sink))
+        .manual()
+        .build();
+    let static_req = LoopRequest {
+        policy: ServePolicy::Static,
+        ..small(4096)
+    };
+    for _ in 0..6 {
+        assert!(server.admit(static_req.clone()).is_accepted());
+    }
+    assert_eq!(server.pump(), 6);
+    assert_eq!(server.dispatch_next().len(), 6);
+    let ledger = server.serve_snapshot();
+    assert_eq!((ledger.completed, ledger.failed), (5, 1));
+    assert_eq!(ledger.completed + ledger.failed, ledger.admitted);
+    assert_eq!(
+        server.turn_retire_tally(),
+        1,
+        "only the panicked request waits for the barrier turn"
+    );
+    drop(server);
+    let mut terminal = std::collections::HashMap::<u64, u32>::new();
+    for e in sink.events(p + 1) {
+        if let EventKind::RequestComplete { id, .. } | EventKind::RequestFailed { id, .. } = e.kind
+        {
+            *terminal.entry(id).or_default() += 1;
+        }
+    }
+    assert_eq!(terminal.len(), 6);
+    assert!(
+        terminal.values().all(|&c| c == 1),
+        "retired twice: {terminal:?}"
+    );
+}
+
+/// A two-phase request completes only after its final phase: its second
+/// phase's count, not the first's, retires it. And once `pending() == 0`
+/// is observed, every counter the request touched is already written: the
+/// tenant's iteration count equals what was offered, both phases'.
+#[test]
+fn two_phase_request_completes_after_its_final_phase_with_counters_written() {
+    let server = LoopServer::builder(Arc::new(Pool::new(2)))
+        .tenant("t")
+        .build();
+    let mut offered = 0u64;
+    for round in 0..200u64 {
+        let n = 16 + round % 113;
+        offered += 2 * n;
+        let req = LoopRequest {
+            phases: 2,
+            ..small(n)
+        };
+        assert!(server.admit(req).is_accepted());
+        wait_for("a two-phase request to complete", || server.pending() == 0);
+        let ledger = server.serve_snapshot();
+        assert_eq!(ledger.completed, round + 1);
+        assert_eq!(ledger.tenants[0].iters, offered, "round {round}");
+    }
+    assert_eq!(server.turn_retire_tally(), 0);
+    let ledger = server.shutdown();
+    assert_eq!(ledger.completed, 200);
 }

@@ -216,7 +216,8 @@ pub fn chrome_trace(sink: &TraceSink, process_name: &str) -> String {
                 }
                 EventKind::RequestPhase { id, phase } => {
                     // Nestable instant on the request's async track: marks
-                    // the barrier turn that retired phase `phase`.
+                    // the barrier turn that retired phase `phase`, or, for
+                    // the final phase, the request's retirement.
                     let name = format!("phase {phase}");
                     emit(w, t, &name, "serve", Ph::Step(id), &[("phase", arg(phase))]);
                 }
@@ -439,6 +440,45 @@ mod tests {
                 .unwrap()
         };
         assert!(at("service") < at("request"), "inner span must close first");
+    }
+
+    /// Two fused requests: 8 completes at its last iteration, before the
+    /// barrier turn that retires 7's only phase, so its final phase instant
+    /// and close land inside 7's span. Each track still opens, steps and
+    /// closes in order, matched by id.
+    #[test]
+    fn early_completed_request_keeps_its_track_well_formed() {
+        let sink = TraceSink::new(3);
+        for id in [7, 8] {
+            sink.record(2, K::RequestAdmit { tenant: 0, id });
+        }
+        for id in [7, 8] {
+            sink.record(2, K::RequestDispatch { tenant: 0, id });
+        }
+        sink.record(2, K::RequestPhase { id: 8, phase: 0 });
+        sink.record(2, K::RequestComplete { tenant: 0, id: 8 });
+        sink.record(2, K::RequestPhase { id: 7, phase: 0 });
+        sink.record(2, K::RequestComplete { tenant: 0, id: 7 });
+        let evs = events(&sink);
+        for id in [7.0, 8.0] {
+            let track: Vec<(&str, &str)> = evs
+                .iter()
+                .filter(|e| str_of(e, "cat") == Some("serve") && num(e, "id") == Some(id))
+                .filter_map(|e| Some((str_of(e, "name")?, str_of(e, "ph")?)))
+                .filter(|(_, ph)| *ph != "i")
+                .collect();
+            assert_eq!(
+                track,
+                [
+                    ("request", "b"),
+                    ("service", "b"),
+                    ("phase 0", "n"),
+                    ("service", "e"),
+                    ("request", "e"),
+                ],
+                "request {id}"
+            );
+        }
     }
 
     #[test]

@@ -117,11 +117,14 @@ pub enum EventKind {
         /// hopeless, 4 = SLO budget).
         reason: u32,
     },
-    /// One phase of an admitted request finished executing on the pool
-    /// (the in-batch barrier turned for it). Recorded on the dispatcher's
-    /// lane; together with [`EventKind::RequestAdmit`] /
-    /// [`EventKind::RequestComplete`] it decomposes a request's sojourn
-    /// into queue wait, per-phase execution, and barrier sync.
+    /// One phase of an admitted request finished executing on the pool:
+    /// the in-batch barrier turned for it, or — for the final phase — the
+    /// request retired, which may be before that barrier (whoever retires
+    /// it records this just before [`EventKind::RequestComplete`]).
+    /// Recorded on the serve lane; together with
+    /// [`EventKind::RequestAdmit`] / [`EventKind::RequestComplete`] it
+    /// decomposes a request's sojourn into queue wait, per-phase
+    /// execution, and barrier sync.
     RequestPhase {
         /// Server-assigned request id.
         id: u64,
@@ -129,8 +132,10 @@ pub enum EventKind {
         phase: u32,
     },
     /// An admitted request finished its final phase: completion stamps
-    /// were taken in the barrier turn slot. Closes the async span opened
-    /// by [`EventKind::RequestAdmit`]. Recorded on the dispatcher's lane.
+    /// were taken by the worker that ran its last iteration, before the
+    /// final barrier (or, for an `n = 0` request, in that barrier's turn
+    /// slot). Closes the async span opened by
+    /// [`EventKind::RequestAdmit`]. Recorded on the serve lane.
     RequestComplete {
         /// Tenant the request belongs to.
         tenant: u32,

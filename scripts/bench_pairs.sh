@@ -13,7 +13,9 @@
 # (benchmark/README.md asks for them from any PR that touches a waiting path).
 # With --claim, it then judges one claimed gain by the §8 rule: each pair's
 # A and B values of <metric> on <workload> and who won (ties count for
-# neither), each side's median and quartiles, and the verdict — met only
+# neither), marking a side whose value exceeds twice that side's median (the
+# host's slow regime, a mode switch rather than noise; the mark changes no
+# verdict), each side's median and quartiles, and the verdict — met only
 # when B wins at least nine tenths of the pairs and the medians differ, in
 # the metric's better direction (BENCHMARK.json), by more than the distance
 # between A's quartiles. The exit code is compare's, or 1 when a claim is not
@@ -109,15 +111,20 @@ def value(side, i):
 a = [value("A", i) for i in range(1, pairs + 1)]
 b = [value("B", i) for i in range(1, pairs + 1)]
 print(f"# claim {workload}/{metric} ({'lower' if lower else 'higher'} is better)")
-wins = 0
-for i, (x, y) in enumerate(zip(a, b), 1):
-    won = y < x if lower else y > x
-    wins += won
-    print(f"# pair {i}: A {x:.4f}  B {y:.4f}  B/A {y / x:.3f}  {'B wins' if won else 'tie' if x == y else 'A wins'}")
 def quartiles(v):
     return statistics.quantiles(v, n=4) if len(v) > 1 else [v[0]] * 3
 qa, qb = quartiles(a), quartiles(b)
 ma, mb = statistics.median(a), statistics.median(b)
+# A side whose value exceeds twice its own median ran in the host's slow
+# regime (a different mode, not noise around this one): marked, not dropped.
+def slow(side, v, m):
+    return f"  [{side} slow regime: > 2x its median]" if v > 2 * m else ""
+wins = 0
+for i, (x, y) in enumerate(zip(a, b), 1):
+    won = y < x if lower else y > x
+    wins += won
+    print(f"# pair {i}: A {x:.4f}  B {y:.4f}  B/A {y / x:.3f}  {'B wins' if won else 'tie' if x == y else 'A wins'}"
+          f"{slow('A', x, ma)}{slow('B', y, mb)}")
 gap = ma - mb if lower else mb - ma
 spread = qa[2] - qa[0]
 need = math.ceil(0.9 * pairs)
