@@ -55,7 +55,6 @@ pub mod chunking;
 pub mod json;
 pub mod metrics;
 pub mod nest;
-pub mod omp;
 pub mod partition;
 pub mod policy;
 pub mod range;

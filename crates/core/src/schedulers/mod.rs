@@ -16,7 +16,6 @@ pub mod factoring;
 pub mod gss;
 pub mod mod_factoring;
 pub mod self_sched;
-pub mod static_chunked;
 pub mod static_sched;
 pub mod tapering;
 pub mod trapezoid;
@@ -30,7 +29,6 @@ pub use factoring::Factoring;
 pub use gss::Gss;
 pub use mod_factoring::ModFactoring;
 pub use self_sched::SelfSched;
-pub use static_chunked::StaticChunked;
 pub use static_sched::StaticSched;
 pub use tapering::Tapering;
 pub use trapezoid::Trapezoid;

@@ -29,8 +29,6 @@ fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
         Box::new(Affinity::with_k_equals_p()),
         Box::new(Affinity::with_k(2)),
         Box::new(AffinityLastExec::with_k_equals_p()),
-        Box::new(afs_core::schedulers::StaticChunked::new(3)),
-        afs_core::omp::OmpSchedule::Guided { min_chunk: 4 }.scheduler(),
     ]
 }
 

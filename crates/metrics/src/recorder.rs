@@ -119,7 +119,7 @@ pub enum ServeEventKind {
     /// A request's completion stamp was recorded. `code` is 1 when the
     /// request completed after its deadline (timed out), 0 otherwise.
     Complete,
-    /// A request's body panicked and the batch driver contained it;
+    /// A request's body panicked and its batch contained it;
     /// `code` packs `(worker << 16) | phase`.
     Failed,
     /// A queued request's deadline elapsed before dispatch; it was

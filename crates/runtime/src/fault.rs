@@ -222,8 +222,6 @@ impl FaultPlan {
     }
 
     /// Hook: called once per worker when it enters a parallel region.
-    /// Public so external drivers (the serving frontend's fused batch
-    /// driver) can apply the same plan to their own drain loops.
     pub fn on_region_start(&self, worker: usize) {
         if let Some(d) = self.delays.get(worker) {
             if !d.is_zero() {
@@ -233,7 +231,7 @@ impl FaultPlan {
     }
 
     /// Hook: called before each grab attempt; `grabs` counts attempts by
-    /// this worker within the current region (0-based).
+    /// this worker within the current phase (0-based).
     pub fn on_grab(&self, worker: usize, phase: usize, grabs: u64) {
         if let Some(Some(s)) = self.stalls.get(worker) {
             if s.phase == phase && s.after_grabs == grabs && !s.dur.is_zero() {

@@ -3,7 +3,8 @@
 //! # Panic safety
 //!
 //! Every loop body runs under `catch_unwind`: a panicking iteration marks
-//! the region failed (first panic wins) but never tears down the pool. The
+//! the region failed (first panic wins; a [`PhasePlan`] may instead
+//! contain it, as a serving batch does) but never tears down the pool. The
 //! panicking worker itself survives — it resumes grabbing right after the
 //! poisoned iteration — and what happens to the *remaining* iterations is
 //! the pool's [`crate::fault::PanicPolicy`]: `Drain` (default) executes
@@ -15,15 +16,16 @@
 //! (the non-`try` forms re-raise it via `resume_unwind`).
 
 use crate::adapt::AdaptController;
+use crate::barrier::SenseBarrier;
 use crate::fault::{FaultPlan, PanicPolicy, PhaseError};
-use crate::pool::Pool;
+use crate::pool::{DispatchSlot, DispatchTicket, Pool};
 use crate::source::{AfsSource, FetchAddSource, LockedSource, StaticSource, WorkSource};
 use crate::source_le::{AfsLeSource, LeHistory};
 use crate::sync::Mutex;
 use afs_core::metrics::LoopMetrics;
 use afs_core::policy::{Grab, Scheduler};
 use afs_core::schedulers::affinity::KParam;
-use afs_metrics::{CachePadded, MetricsRegistry, WorkerCounters};
+use afs_metrics::{CachePadded, FlightRecorder, MetricsRegistry};
 use afs_trace::{EventKind, TraceSink};
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -65,13 +67,13 @@ enum Kind {
 
 /// One phase's work source. AFS keeps its concrete type so the next phase
 /// can re-arm it in place; every other policy's is type-erased, and replaced.
-enum PhaseSource<'a> {
+enum PhaseSource {
     Afs(Box<AfsSource>),
-    Other(Box<dyn WorkSource + Send + 'a>),
+    Other(Box<dyn WorkSource + Send>),
 }
 
-impl<'a> PhaseSource<'a> {
-    fn other(src: impl WorkSource + Send + 'a) -> Self {
+impl PhaseSource {
+    fn other(src: impl WorkSource + Send + 'static) -> Self {
         PhaseSource::Other(Box::new(src))
     }
 
@@ -224,20 +226,6 @@ impl RuntimeScheduler {
         }
     }
 
-    /// An OpenMP-style clause: `"static"`, `"static,c"`, `"dynamic"`,
-    /// `"dynamic,c"`, `"guided"`, `"guided,c"`, or `"auto"` (→ AFS).
-    /// Returns `None` for unrecognized clauses.
-    pub fn omp(clause: &str) -> Option<Self> {
-        let parsed = afs_core::omp::OmpSchedule::parse(clause)?;
-        Some(match parsed {
-            afs_core::omp::OmpSchedule::Static => Self::static_partition(),
-            afs_core::omp::OmpSchedule::Auto => Self::afs_k_equals_p(),
-            afs_core::omp::OmpSchedule::Dynamic => Self::self_sched(),
-            afs_core::omp::OmpSchedule::DynamicChunk { chunk } => Self::chunk_self(chunk),
-            other => Self::from_core(other.scheduler()),
-        })
-    }
-
     /// Policy name for reports.
     pub fn name(&self) -> String {
         match &self.kind {
@@ -276,9 +264,9 @@ impl RuntimeScheduler {
     /// a phase boundary, lane 0 at region setup (on the coordinator, before
     /// the dispatch) where worker 0 is provably idle.
     #[allow(clippy::too_many_arguments)] // one serial call per phase; a struct would just rename the list
-    fn arm_source<'a>(
-        &'a self,
-        slot: &mut Option<PhaseSource<'a>>,
+    fn arm_source(
+        &self,
+        slot: &mut Option<PhaseSource>,
         n: u64,
         p: usize,
         trace: Option<&Arc<TraceSink>>,
@@ -289,7 +277,7 @@ impl RuntimeScheduler {
         if let Some(PhaseSource::Other(_)) = slot {
             *slot = None;
         }
-        let afs = |slot: &mut Option<PhaseSource<'a>>, k: u64, ahead: usize| {
+        let afs = |slot: &mut Option<PhaseSource>, k: u64, ahead: usize| {
             if let Some(PhaseSource::Afs(src)) = slot {
                 return src.rearm(n, k, ahead);
             }
@@ -427,7 +415,105 @@ where
     F: Fn(usize, u64) + Sync,
     L: Fn(usize) -> u64 + Sync,
 {
-    fused_phases(pool, phases, &len_of, policy, &body)
+    if phases == 0 {
+        return Ok(LoopMetrics::new(pool.workers(), 0));
+    }
+    let plan = Closures(phases, len_of, policy, body);
+    let region = Region::new(pool, &plan);
+    if !region.failure.halted() {
+        // Body panics are contained inside `Region::run_chunk`; an Err
+        // here means a panic in the driver itself.
+        pool.try_run(|worker| region.work(worker))
+            .map_err(|e| flag_phase_error(pool.recorder(), e))?;
+    }
+    region.finish()
+}
+
+/// What a fused region runs: each phase's length, policy and body, and
+/// hooks for a caller with rules of its own. The driver is generic over
+/// the plan, so hooks left at their defaults compile away.
+/// [`parallel_phases`] runs a plan of one closure pair and one policy; the
+/// serving frontend's fused batch, whose phase *g* is its *g*-th
+/// request-phase, runs through [`publish_phases`].
+pub trait PhasePlan: Sync {
+    /// How many phases the region runs (at least one).
+    fn phases(&self) -> usize;
+    /// Iterations in `phase`.
+    fn len(&self, phase: usize) -> u64;
+    /// The policy that schedules `phase`. Consecutive AFS phases re-arm
+    /// one source in place, whichever policy values they come from.
+    fn policy(&self, phase: usize) -> &RuntimeScheduler;
+    /// `phase`'s body, called with each iteration index. Each worker asks
+    /// once per phase, so what the body needs is read once, not per call.
+    fn body(&self, phase: usize) -> impl Fn(u64) + '_;
+
+    /// Whether `phase` runs empty. Asked where the phase is armed (region
+    /// setup, or the previous phase's barrier turn), so every worker sees
+    /// one answer; a skipped phase still takes its barrier and closes.
+    fn skip(&self, _phase: usize) -> bool {
+        false
+    }
+
+    /// `iters` iterations of `phase` ran on `worker`: called once the
+    /// worker's counters are written, before it arrives at the phase's end.
+    fn drained(&self, _worker: usize, _phase: usize, _iters: u64) {}
+
+    /// `phase` is over. Runs once, exclusively, on the worker closing it:
+    /// the barrier's turn-taker, or for the last phase the last finisher.
+    /// Not called once a driver-internal failure has halted the region.
+    fn close(&self, _worker: usize, _phase: usize) {}
+
+    /// Whether the plan contains a body panic on `worker` in `phase`: then
+    /// only the poisoned iteration is skipped. Otherwise the panic is the
+    /// region's failure, under the pool's [`PanicPolicy`].
+    fn contain(&self, _worker: usize, _phase: usize) -> bool {
+        false
+    }
+}
+
+/// [`parallel_phases`]'s plan: its phase count, `len_of`, policy and body.
+struct Closures<'a, L, F>(usize, L, &'a RuntimeScheduler, F);
+
+impl<L, F> PhasePlan for Closures<'_, L, F>
+where
+    L: Fn(usize) -> u64 + Sync,
+    F: Fn(usize, u64) + Sync,
+{
+    fn phases(&self) -> usize {
+        self.0
+    }
+
+    fn len(&self, phase: usize) -> u64 {
+        (self.1)(phase)
+    }
+
+    fn policy(&self, _phase: usize) -> &RuntimeScheduler {
+        self.2
+    }
+
+    fn body(&self, phase: usize) -> impl Fn(u64) + '_ {
+        move |i| (self.3)(phase, i)
+    }
+}
+
+/// Runs `plan` as one fused region on `pool`, published into `slot` (a
+/// claim on `pool`'s dispatch slot), and returns its ticket without
+/// waiting. Phase 0 is armed on the calling thread; the claim keeps every
+/// worker out until the publish. The region's failure — a driver-internal
+/// one, or a body panic the plan did not contain — is the ticket's error.
+pub fn publish_phases<P: PhasePlan + Send + 'static>(
+    pool: &Pool,
+    slot: DispatchSlot,
+    plan: Arc<P>,
+) -> DispatchTicket {
+    let region = Region::new(pool, plan);
+    slot.publish(Arc::new(move |worker| {
+        region.work(worker);
+        if let Some(e) = region.failure.slot.lock().take() {
+            let e = flag_phase_error(&region.recorder, e);
+            std::panic::resume_unwind(e.into_payload());
+        }
+    }))
 }
 
 /// Shared failure state of one parallel region: the first [`PhaseError`]
@@ -463,10 +549,10 @@ impl RegionFailure {
     }
 
     /// Runs a driver-internal step — arming `phase`'s work source: the
-    /// scheduler's `begin_loop`, the caller's `len_of`, an AFS re-arm —
-    /// so that a panic in it becomes the region's error instead of
-    /// unwinding through the driver or a barrier turn. Always halts: there
-    /// is nothing left to schedule.
+    /// scheduler's `begin_loop`, the plan's `len`, an AFS re-arm — so that
+    /// a panic in it becomes the region's error instead of unwinding
+    /// through the driver or a barrier turn. Always halts: there is
+    /// nothing left to schedule.
     fn guard(&self, worker: usize, phase: usize, step: impl FnOnce()) {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(step)) {
             self.record(worker, phase, payload);
@@ -477,181 +563,26 @@ impl RegionFailure {
     fn halted(&self) -> bool {
         self.halt.load(Ordering::Relaxed)
     }
-
-    /// The region's result: its first error (arming the pool's flight
-    /// recorder on the way out), else the merged metrics.
-    fn finish(self, pool: &Pool, total: LoopMetrics) -> Result<LoopMetrics, PhaseError> {
-        match self.slot.into_inner() {
-            Some(e) => Err(flag_phase_error(pool, e)),
-            None => Ok(total),
-        }
-    }
 }
 
-/// Executes one grabbed chunk under `catch_unwind`, returning how many
-/// iterations actually ran. On a panic the worker itself survives: the
-/// poisoned iteration is recorded into `region` and, under
-/// [`PanicPolicy::Drain`], execution resumes at the *next* iteration of the
-/// same chunk — so every non-panicking iteration still runs exactly once.
-fn run_chunk_guarded<F: Fn(usize, u64) + Sync>(
-    worker: usize,
-    phase: usize,
-    grab: &Grab,
-    faults: Option<&FaultPlan>,
-    region: &RegionFailure,
-    body: &F,
-) -> u64 {
-    let mut lo = grab.range.start;
-    let hi = grab.range.end;
-    let mut executed = 0u64;
-    while lo < hi {
-        let mut done = 0u64;
-        let caught = {
-            let done = &mut done;
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut i = lo;
-                while i < hi {
-                    if let Some(f) = faults {
-                        f.maybe_panic(worker, phase, i);
-                    }
-                    body(phase, i);
-                    *done += 1;
-                    i += 1;
-                }
-            }))
-        };
-        executed += done;
-        match caught {
-            Ok(()) => break,
-            Err(payload) => {
-                region.record(worker, phase, payload);
-                if region.halted() {
-                    // SkipRemaining: the chunk tail is abandoned with the
-                    // rest of the region.
-                    break;
-                }
-                // Drain: skip only the iteration that panicked.
-                lo = lo + done + 1;
-            }
-        }
-    }
-    executed
-}
-
-/// Drains `source` on `worker`, recording grabs into the worker's
-/// always-on `counters` (and `sink`, when tracing). One phase of one
-/// worker. Each grab attempt bumps the worker's
-/// heartbeat (the watchdog's liveness signal) and runs the fault hooks when
-/// a plan is attached; each chunk executes under [`run_chunk_guarded`], so
-/// a body panic is contained here and the worker keeps draining (or stops,
-/// per the region's policy) — it always reaches the barrier.
-#[inline]
-#[allow(clippy::too_many_arguments)] // one call frame per worker-phase; grouping would just rename the list
-fn drain_phase<F: Fn(usize, u64) + Sync>(
-    worker: usize,
-    phase: usize,
-    source: &dyn WorkSource,
-    counters: &WorkerCounters,
-    trace: Option<&Arc<TraceSink>>,
-    faults: Option<&FaultPlan>,
-    region: &RegionFailure,
-    body: &F,
-) {
-    let mut grabs = 0u64;
-    match trace {
-        None => {
-            // Untraced fast path: no per-grab branches beyond the halt
-            // check and the `None` fault plan.
-            loop {
-                if region.halted() {
-                    break;
-                }
-                counters.record_heartbeat();
-                if let Some(f) = faults {
-                    f.on_grab(worker, phase, grabs);
-                }
-                grabs += 1;
-                let Some(grab) = source.next(worker) else {
-                    break;
-                };
-                counters.record_access(grab.access);
-                let executed = run_chunk_guarded(worker, phase, &grab, faults, region, body);
-                counters.record_iters(executed);
-            }
-        }
-        Some(sink) => loop {
-            if region.halted() {
-                // The region is over for this worker; it heads straight to
-                // the barrier, so mark the arrival for span accounting.
-                sink.record(worker, EventKind::BarrierArrive);
-                break;
-            }
-            counters.record_heartbeat();
-            if let Some(f) = faults {
-                f.on_grab(worker, phase, grabs);
-            }
-            grabs += 1;
-            sink.record(worker, EventKind::GrabBegin);
-            let Some(grab) = source.next(worker) else {
-                // The failed final grab is not a Grab* event; mark the
-                // arrival at the end-of-phase barrier (the matching
-                // BarrierRelease is recorded when this worker passes it).
-                sink.record(worker, EventKind::BarrierArrive);
-                break;
-            };
-            sink.record(worker, EventKind::of_grab(&grab));
-            counters.record_access(grab.access);
-            let (q, lo, hi) = (grab.queue as u32, grab.range.start, grab.range.end);
-            sink.record(worker, EventKind::ChunkStart { queue: q, lo, hi });
-            let executed = run_chunk_guarded(worker, phase, &grab, faults, region, body);
-            counters.record_iters(executed);
-            sink.record(worker, EventKind::ChunkEnd);
-        },
-    }
-}
-
-/// Arms the pool's flight recorder with a contained-panic trigger before
-/// the error propagates; the phase that panicked was already recorded, so
+/// Arms the pool's flight recorder with a region-failure trigger before
+/// the error propagates; the phase that failed was already recorded, so
 /// the dump (written at the next flush point) carries its lead-up.
-fn flag_phase_error(pool: &Pool, e: PhaseError) -> PhaseError {
-    pool.recorder().trigger(afs_metrics::Trigger::PhaseError {
+fn flag_phase_error(recorder: &FlightRecorder, e: PhaseError) -> PhaseError {
+    recorder.trigger(afs_metrics::Trigger::PhaseError {
         worker: e.worker(),
         phase: e.phase(),
     });
     e
 }
 
-/// The fused driver's one work source, alive for the whole region. Plain
-/// memory, synchronized by the [`crate::barrier::SenseBarrier`]: after
-/// region setup it is rewritten only inside the barrier's turn closure (all
-/// workers arrived, none released — exclusive by construction) and read
-/// only between a release and the reader's next arrival. Every worker's
-/// last grab of phase k happens-before its arrival, hence before the turn
-/// that re-arms or replaces the source, and that turn happens-before the
-/// release every phase-k+1 grab follows — the window
-/// [`AfsSource::rearm`] requires. `None` once the region halted: later
-/// phases are skipped, but every worker still takes every barrier.
-struct RegionSource<'a>(UnsafeCell<Option<PhaseSource<'a>>>);
-
-// SAFETY: see the access protocol above — the barrier orders every rewrite
-// exclusively against all reads; the sources themselves are `Sync` for the
-// workers sharing them and `Send` for whichever thread's turn replaces them.
-unsafe impl Sync for RegionSource<'_> {}
-
-impl<'a> RegionSource<'a> {
-    /// The slot; dereferencing it is sound only under the protocol above.
-    fn slot(&self) -> *mut Option<PhaseSource<'a>> {
-        self.0.get()
-    }
-}
-
-/// The fused driver: one `Pool::run` for the whole nest; workers chain
+/// The fused driver: one pool dispatch for the whole plan; workers chain
 /// from phase to phase through a decentralized sense-reversing barrier,
-/// the last arriver re-arming the region's source for the next phase (so
-/// cross-phase scheduler state such as AFS-LE's history sees every update
-/// of the finished phase).
+/// the last arriver closing the phase and re-arming the region's source
+/// for the next one (so cross-phase scheduler state such as AFS-LE's
+/// history sees every update of the finished phase).
 ///
-/// The returned `LoopMetrics` is derived from the workers' counter slots,
+/// The region's `LoopMetrics` is derived from the workers' counter slots,
 /// the only per-grab record: each worker reads its own slot when its job
 /// starts and after its last phase, and credits the difference. The reads
 /// happen on the worker because only there are they bounded by this
@@ -668,116 +599,151 @@ impl<'a> RegionSource<'a> {
 /// line, which the turn-taker already owns. So a boundary writes the
 /// barrier's words and the queue words `AfsSource::rearm` must write, and
 /// no line a worker reads during the phase.
-fn fused_phases<F, L>(
-    pool: &Pool,
-    phases: usize,
-    len_of: &L,
-    policy: &RuntimeScheduler,
-    body: &F,
-) -> Result<LoopMetrics, PhaseError>
-where
-    F: Fn(usize, u64) + Sync,
-    L: Fn(usize) -> u64 + Sync,
-{
-    let p = pool.workers();
-    let trace = pool.trace();
-    let registry = Arc::clone(pool.metrics());
-    let recorder = Arc::clone(pool.recorder());
-    let faults = pool.fault_plan().cloned();
+struct Region<Q> {
+    /// The plan, borrowed or shared.
+    plan: Q,
+    p: usize,
+    trace: Option<Arc<TraceSink>>,
+    registry: Arc<MetricsRegistry>,
+    recorder: Arc<FlightRecorder>,
+    faults: Option<Arc<FaultPlan>>,
     // Read by every worker on every grab, written only on a failure: on a
     // line of its own, as is the source slot the turn rewrites.
-    let region = CachePadded::new(RegionFailure::new(pool.panic_policy()));
-    let deadline_ns = pool.phase_deadline().map(|d| d.as_nanos() as u64);
-    // The merged metrics, and how many workers have finished.
-    let total = Mutex::new((LoopMetrics::new(p, 0), 0));
-    if phases == 0 {
-        return Ok(total.into_inner().0);
+    failure: CachePadded<RegionFailure>,
+    /// The one work source, alive for the whole region. Plain memory,
+    /// synchronized by the barrier: after setup it is rewritten only
+    /// inside the barrier's turn closure (all workers arrived, none
+    /// released — exclusive by construction) and read only between a
+    /// release and the reader's next arrival. Every worker's last grab of
+    /// phase k happens-before its arrival, hence before the turn that
+    /// re-arms or replaces the source, and that turn happens-before the
+    /// release every phase-k+1 grab follows — the window
+    /// [`AfsSource::rearm`] requires. `None` once the region halted: later
+    /// phases are skipped, but every worker still takes every barrier.
+    source: CachePadded<UnsafeCell<Option<PhaseSource>>>,
+    barrier: SenseBarrier,
+    deadline_ns: Option<u64>,
+    /// The merged metrics, and how many workers have finished.
+    total: Mutex<(LoopMetrics, usize)>,
+    /// Phase boundaries are nanoseconds since this: the last arrival at a
+    /// barrier, and for the final phase the last worker's finish. The
+    /// (fresh) barrier's turn word holds the previous one, so a phase
+    /// lasts from one boundary to the next.
+    start: Instant,
+    /// Phase `ph`'s flight-recorder record is `first_seq + ph`.
+    first_seq: u64,
+}
+
+// SAFETY: `source` is the only field not `Sync` by itself; see its access
+// protocol — the barrier orders every rewrite exclusively against all
+// reads, and the sources are `Sync` for the workers sharing them and
+// `Send` for whichever thread's turn replaces them.
+unsafe impl<Q: Sync> Sync for Region<Q> {}
+
+impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
+    /// Sets up `plan`'s region on `pool` and arms phase 0 on the calling
+    /// thread, as lane 0: no worker runs before the dispatch. A failure
+    /// there halts the region, which then runs no phase.
+    fn new(pool: &Pool, plan: Q) -> Region<Q> {
+        let (p, phases) = (pool.workers(), plan.phases() as u64);
+        assert!(phases >= 1, "a fused region needs at least one phase");
+        let mut region = Region {
+            plan,
+            p,
+            trace: pool.trace().cloned(),
+            registry: Arc::clone(pool.metrics()),
+            recorder: Arc::clone(pool.recorder()),
+            faults: pool.fault_plan().cloned(),
+            failure: CachePadded::new(RegionFailure::new(pool.panic_policy())),
+            source: CachePadded::new(UnsafeCell::new(None)),
+            barrier: pool.phase_barrier(),
+            deadline_ns: pool.phase_deadline().map(|d| d.as_nanos() as u64),
+            total: Mutex::new((LoopMetrics::new(p, 0), 0)),
+            start: Instant::now(),
+            first_seq: pool.recorder().claim(phases),
+        };
+        let mut first = None;
+        region.arm(&mut first, 0, 0);
+        *region.source.get_mut() = first;
+        region
     }
-    let mut first = None;
-    region.guard(0, 0, || {
-        policy.arm_source(&mut first, len_of(0), p, trace, &registry, 0)
-    });
-    if first.is_none() {
-        return region.into_inner().finish(pool, total.into_inner().0);
+
+    /// Arms `slot` for `phase` on `worker`, which holds it exclusively —
+    /// empty when the plan skips the phase. A halted region drops it.
+    fn arm(&self, slot: &mut Option<PhaseSource>, worker: usize, phase: usize) {
+        if !self.failure.halted() {
+            self.failure.guard(worker, phase, || {
+                let n = if self.plan.skip(phase) {
+                    0
+                } else {
+                    self.plan.len(phase)
+                };
+                let (trace, registry) = (self.trace.as_ref(), &self.registry);
+                let policy = self.plan.policy(phase);
+                policy.arm_source(slot, n, self.p, trace, registry, worker)
+            });
+        }
+        if self.failure.halted() {
+            *slot = None;
+        }
     }
-    let source = CachePadded::new(RegionSource(UnsafeCell::new(first)));
-    let barrier = pool.phase_barrier();
-    // Phase boundaries are region-relative nanoseconds: the last arrival
-    // at a barrier, and for the final phase the last worker's finish. The
-    // (fresh) barrier's turn word holds the previous one, so a phase lasts
-    // from one boundary to the next.
-    let region_start = Instant::now();
-    let stamp = barrier.turn_word();
-    let first_seq = recorder.claim(phases as u64);
-    // Closes `phase` at `now` on `worker`, which holds it exclusively (the
-    // barrier turn, or the last finisher).
-    let close = |worker: usize, phase: usize, now: u64| {
+
+    /// Closes `phase` at `now` on `worker`, which holds it exclusively
+    /// (the barrier turn, or the last finisher).
+    fn close(&self, worker: usize, phase: usize, now: u64) {
+        let stamp = self.barrier.turn_word();
         let wall_ns = now - stamp.load(Ordering::Relaxed);
         stamp.store(now, Ordering::Relaxed);
-        registry.phase_hist(worker).record_owned(wall_ns);
-        let seq = first_seq + phase as u64;
-        recorder.record_turn(worker, seq, phase as u64, wall_ns, &registry);
-        if deadline_ns.is_some_and(|d| wall_ns > d) {
-            registry.record_deadline_miss();
+        self.registry.phase_hist(worker).record_owned(wall_ns);
+        let seq = self.first_seq + phase as u64;
+        let registry = &self.registry;
+        self.recorder
+            .record_turn(worker, seq, phase as u64, wall_ns, registry);
+        if self.deadline_ns.is_some_and(|d| wall_ns > d) {
+            self.registry.record_deadline_miss();
         }
-    };
-    let ran = pool.try_run(|worker| {
-        if let Some(f) = &faults {
+        if !self.failure.halted() {
+            self.plan.close(worker, phase);
+        }
+    }
+
+    /// One worker's whole region.
+    fn work(&self, worker: usize) {
+        let phases = self.plan.phases();
+        if let Some(f) = &self.faults {
             f.on_region_start(worker);
         }
-        let counters = registry.worker(worker);
+        let counters = self.registry.worker(worker);
         let start = counters.get();
         let mut last = start;
         for phase in 0..phases {
             // SAFETY: the source was armed for `phase` before this worker
-            // got here (phase 0 before the pool ran; later phases inside
+            // got here (phase 0 before the dispatch; later phases inside
             // the barrier turn that released this worker) and no one
             // rewrites it until this worker has arrived again.
-            let current = unsafe { (*source.slot()).as_ref() }.map(PhaseSource::get);
-            if let Some(current) = current {
-                // First-touch worker-owned scheduler state (stash heap
-                // blocks, queue words) from this worker's core before the
-                // first grab — see `WorkSource::warm`.
-                current.warm(worker);
-                drain_phase(
-                    worker,
-                    phase,
-                    current,
-                    counters,
-                    trace,
-                    faults.as_deref(),
-                    &region,
-                    body,
-                );
+            if let Some(current) = unsafe { (*self.source.get()).as_ref() } {
+                let iters = self.drain(worker, phase, current.get());
+                self.plan.drained(worker, phase, iters);
             }
             let now = counters.get();
-            recorder.record_arrival(worker, first_seq + phase as u64, &now.minus(&last));
+            let seq = self.first_seq + phase as u64;
+            self.recorder.record_arrival(worker, seq, &now.minus(&last));
             last = now;
             if phase + 1 < phases {
                 // Read before arriving: the last arriver's reading is the
                 // boundary, and its turn then stamps it while the
                 // barrier's line is still the one it just wrote.
-                let arrived_ns = region_start.elapsed().as_nanos() as u64;
-                barrier.arrive_then_as(worker, (phase + 1) as u64, || {
+                let arrived_ns = self.start.elapsed().as_nanos() as u64;
+                self.barrier.arrive_then_as(worker, (phase + 1) as u64, || {
                     // Turn-exclusive (all arrived, none released): the
                     // canonical once-per-phase point for the black box.
-                    close(worker, phase, arrived_ns);
+                    self.close(worker, phase, arrived_ns);
                     // SAFETY: the turn closure runs on exactly one worker,
                     // after every worker arrived and before any is
                     // released — exclusive access to the region source.
-                    let slot = unsafe { &mut *source.slot() };
-                    if !region.halted() {
-                        region.guard(worker, phase + 1, || {
-                            let n = len_of(phase + 1);
-                            policy.arm_source(slot, n, p, trace, &registry, worker)
-                        });
-                    }
-                    // Halted, before this boundary or at it: skip the rest.
-                    if region.halted() {
-                        *slot = None;
-                    }
+                    self.arm(unsafe { &mut *self.source.get() }, worker, phase + 1);
                 });
-                if let Some(sink) = trace {
+                if let Some(sink) = &self.trace {
                     sink.record(worker, EventKind::BarrierRelease);
                 }
             }
@@ -785,27 +751,147 @@ where
         let done = last.minus(&start);
         let sync = done.sync();
         let finished_last = {
-            let mut total = total.lock();
+            let mut total = self.total.lock();
             let (metrics, finished) = &mut *total;
             metrics.sync.add(&sync);
             metrics.per_worker[worker] = sync;
             metrics.iters_per_worker[worker] = done.iters;
             *finished += 1;
-            *finished == p
+            *finished == self.p
         };
         // Every other worker has recorded its last arrival and finished.
         if finished_last {
-            close(worker, phases - 1, region_start.elapsed().as_nanos() as u64);
+            let now = self.start.elapsed().as_nanos() as u64;
+            self.close(worker, phases - 1, now);
+            self.registry.loop_hist().record(now);
         }
-    });
-    registry
-        .loop_hist()
-        .record(region_start.elapsed().as_nanos() as u64);
-    // Body panics are contained inside drain_phase; an Err here means a
-    // panic in the driver itself.
-    ran.map_err(|e| flag_phase_error(pool, e))?;
-    let (total, _) = total.into_inner();
-    region.into_inner().finish(pool, total)
+    }
+
+    /// Drains `source` on `worker` for one phase, recording grabs into the
+    /// worker's always-on counters (and the trace sink, when tracing), and
+    /// returns how many iterations ran. It first-touches worker-owned
+    /// scheduler state from this worker's core (`WorkSource::warm`). Each
+    /// grab attempt bumps the worker's heartbeat (the watchdog's liveness
+    /// signal) and runs the fault hooks, numbering attempts from 0 within
+    /// the phase; each chunk runs under [`Region::run_chunk`], so a body
+    /// panic is contained there and the worker always reaches the barrier.
+    #[inline]
+    fn drain(&self, worker: usize, phase: usize, source: &dyn WorkSource) -> u64 {
+        let counters = self.registry.worker(worker);
+        source.warm(worker);
+        let body = self.plan.body(phase);
+        let (faults, mut grabs, mut iters) = (self.faults.as_deref(), 0u64, 0u64);
+        match &self.trace {
+            None => {
+                // Untraced fast path: no per-grab branches beyond the halt
+                // check and the `None` fault plan.
+                loop {
+                    if self.failure.halted() {
+                        break;
+                    }
+                    counters.record_heartbeat();
+                    if let Some(f) = faults {
+                        f.on_grab(worker, phase, grabs);
+                    }
+                    grabs += 1;
+                    let Some(grab) = source.next(worker) else {
+                        break;
+                    };
+                    counters.record_access(grab.access);
+                    let executed = self.run_chunk(worker, phase, &grab, &body);
+                    counters.record_iters(executed);
+                    iters += executed;
+                }
+            }
+            Some(sink) => loop {
+                if self.failure.halted() {
+                    // The region is over for this worker; it heads straight
+                    // to the barrier, so mark the arrival for span
+                    // accounting.
+                    sink.record(worker, EventKind::BarrierArrive);
+                    break;
+                }
+                counters.record_heartbeat();
+                if let Some(f) = faults {
+                    f.on_grab(worker, phase, grabs);
+                }
+                grabs += 1;
+                sink.record(worker, EventKind::GrabBegin);
+                let Some(grab) = source.next(worker) else {
+                    // The failed final grab is not a Grab* event; mark the
+                    // arrival at the end-of-phase barrier (the matching
+                    // BarrierRelease is recorded when this worker passes it).
+                    sink.record(worker, EventKind::BarrierArrive);
+                    break;
+                };
+                sink.record(worker, EventKind::of_grab(&grab));
+                counters.record_access(grab.access);
+                let (q, lo, hi) = (grab.queue as u32, grab.range.start, grab.range.end);
+                sink.record(worker, EventKind::ChunkStart { queue: q, lo, hi });
+                let executed = self.run_chunk(worker, phase, &grab, &body);
+                counters.record_iters(executed);
+                iters += executed;
+                sink.record(worker, EventKind::ChunkEnd);
+            },
+        }
+        iters
+    }
+
+    /// Executes one grabbed chunk under `catch_unwind`, returning how many
+    /// iterations actually ran. On a panic the worker itself survives: the
+    /// plan contains the poisoned iteration or the region records it and,
+    /// unless that halted the region, execution resumes at the *next*
+    /// iteration of the same chunk — so every non-panicking iteration
+    /// still runs exactly once.
+    fn run_chunk(&self, worker: usize, phase: usize, grab: &Grab, body: &impl Fn(u64)) -> u64 {
+        let faults = self.faults.as_deref();
+        let mut lo = grab.range.start;
+        let hi = grab.range.end;
+        let mut executed = 0u64;
+        while lo < hi {
+            let mut done = 0u64;
+            let caught = {
+                let done = &mut done;
+                catch_unwind(AssertUnwindSafe(|| {
+                    let mut i = lo;
+                    while i < hi {
+                        if let Some(f) = faults {
+                            f.maybe_panic(worker, phase, i);
+                        }
+                        body(i);
+                        *done += 1;
+                        i += 1;
+                    }
+                }))
+            };
+            executed += done;
+            match caught {
+                Ok(()) => break,
+                Err(payload) => {
+                    if !self.plan.contain(worker, phase) {
+                        self.failure.record(worker, phase, payload);
+                    }
+                    if self.failure.halted() {
+                        // SkipRemaining: the chunk tail is abandoned with
+                        // the rest of the region.
+                        break;
+                    }
+                    // Drain: skip only the iteration that panicked.
+                    lo = lo + done + 1;
+                }
+            }
+        }
+        executed
+    }
+
+    /// The region's result: its first error (arming the pool's flight
+    /// recorder on the way out), else the merged metrics.
+    fn finish(self) -> Result<LoopMetrics, PhaseError> {
+        match self.failure.into_inner().slot.into_inner() {
+            Some(e) => Err(flag_phase_error(&self.recorder, e)),
+            None => Ok(self.total.into_inner().0),
+        }
+    }
 }
 
 /// Executes a coalesced loop nest: `body` receives the multi-index of each
@@ -942,30 +1028,6 @@ mod tests {
             "imbalance should force remote grabs: {:?}",
             m.sync
         );
-    }
-
-    #[test]
-    fn omp_clauses_map_to_policies() {
-        let pool = Pool::new(4);
-        for clause in [
-            "static",
-            "static,16",
-            "dynamic",
-            "dynamic,8",
-            "guided",
-            "guided,4",
-            "auto",
-        ] {
-            let policy = RuntimeScheduler::omp(clause)
-                .unwrap_or_else(|| panic!("clause {clause} should parse"));
-            let counts = AtomicU64::new(0);
-            parallel_for(&pool, 777, &policy, |_| {
-                counts.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(counts.load(Ordering::Relaxed), 777, "{clause}");
-        }
-        assert!(RuntimeScheduler::omp("runtime").is_none());
-        assert_eq!(RuntimeScheduler::omp("auto").unwrap().name(), "AFS");
     }
 
     #[test]

@@ -615,9 +615,8 @@ impl Pool {
         &self.recorder
     }
 
-    /// The fault plan attached at construction, if any. Public so external
-    /// drivers (the serving frontend's batch driver) can consult the same
-    /// plan the runtime's loop drivers apply.
+    /// The fault plan attached at construction, if any: the one the fused
+    /// phase driver applies to every region, serving batches included.
     pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
         self.faults.as_ref()
     }
@@ -634,10 +633,9 @@ impl Pool {
 
     /// A [`crate::barrier::SenseBarrier`] for this pool's worker party,
     /// inheriting the pool's spin/yield budgets (and injection seed, when
-    /// stressed). The loop drivers use it to chain phases worker-to-worker
-    /// without a coordinator round-trip per phase; external drivers (the
-    /// serving frontend fusing several requests into one dispatch) can do
-    /// the same.
+    /// stressed). The fused phase driver uses it to chain phases
+    /// worker-to-worker without a coordinator round-trip per phase; a
+    /// caller timing the barrier on its own can do the same.
     pub fn phase_barrier(&self) -> crate::barrier::SenseBarrier {
         let s = &self.shared;
         let barrier = crate::barrier::SenseBarrier::with_injection(

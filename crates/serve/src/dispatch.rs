@@ -1,41 +1,41 @@
-//! Dispatch disciplines and the fused batch driver.
+//! Dispatch disciplines and the fused batch.
 //!
 //! The dispatcher owns the middle of the pipeline: it pumps admitted
 //! requests out of the MPMC ring into the per-tenant staging FIFOs (behind
 //! the server's one staging lock, which an admit on an idle server also
 //! takes), picks what runs next under a pluggable [`Discipline`], and
-//! executes the pick as *one* pool dispatch. A batch of fused requests
-//! becomes a chain of phases welded together by a [`SenseBarrier`]:
-//! workers flow from one request's phase into the next with a single
-//! decentralized rendezvous between them, so a dispatch of eight
-//! 64-iteration loops costs one pool broadcast + 8 barrier turns instead
-//! of eight broadcasts — that amortization is the whole case for the
-//! batching discipline.
+//! executes the pick as *one* pool dispatch: a runtime region whose phase
+//! *g* is the batch's *g*-th request-phase ([`afs_runtime::PhasePlan`]).
+//! Workers flow from one request's phase into the next through the
+//! region's barrier, whose turn re-arms the one work source, so eight
+//! fused 64-iteration loops cost one pool broadcast + 7 barrier turns
+//! instead of eight broadcasts — the whole case for batching. Like any
+//! region, a batch writes phase records, feeds the phase and loop
+//! histograms and traces its grabs on the worker lanes.
 //!
 //! A request completes at its last iteration, not at a barrier: each
 //! worker adds the iterations it ran of a request's final phase to that
 //! phase's count once, after its drain, and the worker whose add reaches
-//! `n` stamps service and sojourn and retires the request. A worker that
-//! is late to the dispatch (still being woken, or descheduled) is then
-//! not on the request's path: its peers steal its queue (the paper's
-//! Theorem 3.2) and the request is done before it arrives. The final
-//! phase's barrier turn retires only what the count cannot reach — a
-//! request with a panicked grab (that grab's count is never added) and
-//! an `n = 0` request.
+//! `n` stamps service and sojourn and retires the request. A worker late
+//! to the dispatch is then not on the request's path: its peers steal its
+//! queue (the paper's Theorem 3.2) and the request is done before it
+//! arrives. The final phase's close retires only what the count cannot
+//! reach — a request with a panicked grab, and an `n = 0` request.
 //!
-//! Panic containment: each worker drains each unit inside
-//! `catch_unwind`, so a loop body that panics (fault injection, a future
-//! closure kernel) poisons only its own request. The first panic wins a
-//! CAS into the request's failure slot; every worker still arrives at
-//! every barrier (the fused chain keeps turning), survivors skip the
-//! failed request's later phases, and the final-phase turn slot retires
-//! the request as failed instead of completed. Co-batched requests
-//! complete exactly-once, and the dispatcher thread never unwinds.
+//! Panic containment: the batch's `contain` hook keeps a body panic to
+//! its own request. The first panic wins a CAS into the request's failure
+//! slot, the batch skips the request's later phases, and the final
+//! phase's close retires it as failed; batchmates complete exactly once,
+//! the pool's `PanicPolicy` does not halt a batch, and the dispatcher
+//! never unwinds. Fault-plan hooks see the region's coordinates (phase
+//! *g*, grab attempts counted per phase); `RequestFailed.phase` stays
+//! request-relative.
 
-use crate::request::OwnedSource;
 use crate::server::{Admitted, ServerShared, IDLE_YIELDS};
 use afs_metrics::{ServeEventKind, WaitOutcome};
-use afs_runtime::{DispatchSlot, DispatchTicket, Pool, SenseBarrier};
+use afs_runtime::{
+    publish_phases, DispatchSlot, DispatchTicket, PhasePlan, Pool, RuntimeScheduler,
+};
 use afs_trace::event::EventKind;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,8 +62,8 @@ pub enum Discipline {
     },
     /// Per-tenant FIFOs drained round-robin into a fused batch: up to
     /// `max_requests` requests (stopping earlier once `max_iters` total
-    /// iterations are aboard) execute as one pool dispatch, chained
-    /// through an in-batch barrier. Amortizes broadcast turnaround over
+    /// iterations are aboard) execute as one pool dispatch, one region
+    /// chained through its barrier. Amortizes broadcast turnaround over
     /// small loops.
     Batch {
         /// Most requests fused into one dispatch.
@@ -211,22 +211,24 @@ impl DispatchState {
     }
 }
 
-/// One phase of one request within a batch's execution plan.
+/// One phase of one request: one phase of the batch's region.
 struct Unit {
-    source: OwnedSource,
     /// Index into [`Batch::reqs`].
-    req_idx: usize,
-    /// Zero-based phase index within the request (span annotation).
+    req: usize,
+    /// Zero-based phase index within the request.
     phase: u32,
     /// Whether this is the request's final phase.
     last: bool,
+    /// The request's policy.
+    policy: RuntimeScheduler,
     /// Iterations of this unit run so far (final phases only): each worker
     /// adds its own total once, after its drain.
     ran: AtomicU64,
 }
 
-/// An executing batch: the flattened phase plan, the in-batch barrier,
-/// and the stamps. Shared with every pool worker through the job `Arc`.
+/// An executing batch: a [`PhasePlan`] whose phase *g* is the *g*-th
+/// request-phase of the batch, with the per-request failure slots and
+/// retirement latches its hooks keep, and the stamps.
 pub(crate) struct Batch {
     shared: Arc<ServerShared>,
     /// The pool this batch was built against, captured once at dispatch.
@@ -236,14 +238,13 @@ pub(crate) struct Batch {
     pool: Arc<Pool>,
     reqs: Vec<Admitted>,
     units: Vec<Unit>,
-    barrier: SenseBarrier,
     /// Per-request failure slot: [`NOT_FAILED`] while healthy, else
     /// `(worker << 32) | phase` of the first panic (first CAS wins).
     failed: Vec<AtomicU64>,
     /// Per-request retirement latch: set exactly once — by the worker
     /// whose count reaches the final phase's `n`, in the final phase's
-    /// barrier turn, or in the reaper's escape hatch — when the request
-    /// leaves the ledger as completed or failed.
+    /// close, or in the reaper's escape hatch — when the request leaves
+    /// the ledger as completed or failed.
     retired: Vec<AtomicBool>,
     /// Dispatch stamp (shared by every request in the batch — they were
     /// handed to the pool together).
@@ -251,159 +252,44 @@ pub(crate) struct Batch {
 }
 
 impl Batch {
-    fn build(
+    fn new(
         shared: Arc<ServerShared>,
         pool: Arc<Pool>,
         reqs: Vec<Admitted>,
         dispatch_ns: u64,
     ) -> Batch {
-        let p = pool.workers();
-        let metrics = pool.metrics();
-        // One controller observation per dispatched batch: every adaptive
-        // unit in this batch runs with the same freshly tuned (k, b), and
-        // the decision is surfaced through the pool's metrics snapshot.
-        let tune = if reqs
-            .iter()
-            .any(|a| a.req.policy == crate::request::ServePolicy::Adaptive)
-        {
-            let ctl = &shared.adapt;
-            let t = ctl.observe_registry(metrics);
-            metrics.record_sched_tune(t.k, t.b as u64, ctl.decisions(), ctl.settled());
-            (t.k, t.b)
-        } else {
-            (p as u64, 1)
-        };
         let mut units = Vec::new();
-        for (ri, a) in reqs.iter().enumerate() {
-            let phases = a.req.phases.max(1);
-            for ph in 0..phases {
-                units.push(Unit {
-                    source: a.req.policy.build(a.req.n, p, metrics, tune),
-                    req_idx: ri,
-                    phase: ph,
-                    last: ph + 1 == phases,
-                    ran: AtomicU64::new(0),
-                });
-            }
+        for (req, a) in reqs.iter().enumerate() {
+            let phases = a.req.phases;
+            units.extend((0..phases).map(|phase| Unit {
+                req,
+                phase,
+                last: phase + 1 == phases,
+                policy: a.req.policy.scheduler(&shared.adapt),
+                ran: AtomicU64::new(0),
+            }));
         }
-        let barrier = pool.phase_barrier();
         let n_reqs = reqs.len();
         Batch {
             shared,
             pool,
             reqs,
             units,
-            barrier,
             failed: (0..n_reqs).map(|_| AtomicU64::new(NOT_FAILED)).collect(),
             retired: (0..n_reqs).map(|_| AtomicBool::new(false)).collect(),
             dispatch_ns,
         }
     }
 
-    /// The per-worker body: drain each unit's source, then rendezvous.
-    /// Units are totally ordered; the barrier generation is the unit
-    /// index, so every worker walks the same chain.
-    ///
-    /// Each unit's drain runs inside `catch_unwind`: a panicking body
-    /// CASes `(worker, phase)` into its request's failure slot and the
-    /// worker proceeds to the barrier anyway, so the chain keeps turning
-    /// for every co-batched request. A failure in phase `k` is published
-    /// before the worker's phase-`k` arrive, so every worker observes it
-    /// by phase `k+1` and skips the failed request's remaining phases.
-    fn run_worker(&self, w: usize) {
-        let counters = self.pool.metrics().worker(w);
-        let faults = self.pool.fault_plan();
-        if let Some(f) = faults {
-            f.on_region_start(w);
-        }
-        // Grab attempts by this worker across the whole batch region —
-        // the coordinate the fault plan's stall/preemption coins key on.
-        let mut grabs = 0u64;
-        for (g, unit) in self.units.iter().enumerate() {
-            let a = &self.reqs[unit.req_idx];
-            let tenant = &self.shared.tenants[a.req.tenant];
-            if self.failed[unit.req_idx].load(Ordering::Acquire) == NOT_FAILED {
-                let phase = unit.phase as usize;
-                let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let workset = &tenant.workset[..];
-                    let mask = workset.len() - 1;
-                    let kernel = a.req.kernel;
-                    let mut iters = 0u64;
-                    loop {
-                        counters.record_heartbeat();
-                        if let Some(f) = faults {
-                            f.on_grab(w, phase, grabs);
-                        }
-                        grabs += 1;
-                        let Some(grab) = unit.source.next(w) else {
-                            break;
-                        };
-                        counters.record_access(grab.access);
-                        for i in grab.range.start..grab.range.end {
-                            if let Some(f) = faults {
-                                f.maybe_panic(w, phase, i);
-                            }
-                            crate::request::run_iter(workset, mask, i, kernel);
-                        }
-                        iters += grab.range.len();
-                    }
-                    iters
-                }));
-                match drained {
-                    Ok(iters) => {
-                        counters.record_iters(iters);
-                        if iters > 0 {
-                            tenant.iters.fetch_add(iters, Ordering::Relaxed);
-                        }
-                        // After every counter this worker writes for the
-                        // request: the AcqRel chain on `ran` carries each
-                        // peer's writes to the worker that retires it.
-                        if unit.last
-                            && iters > 0
-                            && unit.ran.fetch_add(iters, Ordering::AcqRel) + iters == a.req.n
-                        {
-                            self.retire(unit.req_idx, unit.phase);
-                        }
-                    }
-                    Err(_) => {
-                        let packed = ((w as u64) << 32) | unit.phase as u64;
-                        let _ = self.failed[unit.req_idx].compare_exchange(
-                            NOT_FAILED,
-                            packed,
-                            Ordering::AcqRel,
-                            Ordering::Relaxed,
-                        );
-                    }
-                }
-            }
-            self.barrier.arrive_then_as(w, (g + 1) as u64, || {
-                // The turn slot runs on exactly one worker, after every
-                // worker finished this phase — the moment the phase
-                // retired, which is what the span instant marks. A final
-                // phase's instant is recorded by whoever retires it.
-                if unit.last {
-                    if self.retire(unit.req_idx, unit.phase) {
-                        self.shared.turn_retires.fetch_add(1, Ordering::Relaxed);
-                    }
-                } else {
-                    self.shared.trace_record(EventKind::RequestPhase {
-                        id: a.id,
-                        phase: unit.phase,
-                    });
-                }
-            });
-        }
-    }
-
     /// Retires request `ri`, whose final phase is `last_phase`, out of the
     /// ledger: completed when its failure slot is clean, failed otherwise.
     /// Called by the worker whose count reaches `n` and by the final
-    /// phase's barrier turn; the latch lets the first of them through and
-    /// also guards the reaper's escape hatch ([`Batch::fail_unretired`]),
-    /// so no path can count a request twice. The final phase's span
-    /// instant is recorded here, so it precedes `RequestComplete` on the
-    /// request's track whichever path retires it. Returns whether this
-    /// call retired the request.
+    /// phase's close; the latch lets the first of them through and also
+    /// guards the reaper's escape hatch ([`Batch::fail_unretired`]), so no
+    /// path can count a request twice. The final phase's span instant is
+    /// recorded here, so it precedes `RequestComplete` on the request's
+    /// track whichever path retires it. Returns whether this call retired
+    /// the request.
     fn retire(&self, ri: usize, last_phase: u32) -> bool {
         if self.retired[ri].swap(true, Ordering::AcqRel) {
             return false;
@@ -441,66 +327,115 @@ impl Batch {
             tenant.timed_out.fetch_add(1, Ordering::Relaxed);
             self.shared.timed_out.fetch_add(1, Ordering::Relaxed);
         }
-        tenant.completed.fetch_add(1, Ordering::Relaxed);
-        tenant
-            .backlog_iters
-            .fetch_sub(a.req.iters(), Ordering::Relaxed);
-        self.shared.completed.fetch_add(1, Ordering::Relaxed);
-        self.shared.trace_record(EventKind::RequestComplete {
-            tenant: a.req.tenant as u32,
-            id: a.id,
-        });
-        // The completion a client sees: a `SeqCst` RMW after every other
-        // write the request made, so an observer of `pending` sees them.
-        tenant.pending.fetch_sub(1, Ordering::SeqCst);
-        self.shared.serve_event_on(
-            &self.pool,
-            ServeEventKind::Complete,
-            a.req.tenant,
-            a.id,
-            u32::from(late),
-        );
+        let (tenant, id) = (a.req.tenant as u32, a.id);
+        let event = EventKind::RequestComplete { tenant, id };
+        let (shared, kind) = (&self.shared, ServeEventKind::Complete);
+        shared.book_out(&self.pool, a, kind, event, u32::from(late));
     }
 
     /// Failure stamps for request `ri`: the contained-panic exit lane.
     /// No latency histograms — a poisoned request has no service time
-    /// worth aggregating — but the pending/backlog books are balanced
-    /// exactly as completion would, so the ledger stays exact.
+    /// worth aggregating — but the books balance as for a completion.
     fn fail(&self, ri: usize, worker: u32, phase: u32) {
         let a = &self.reqs[ri];
-        let tenant = &self.shared.tenants[a.req.tenant];
-        tenant.failed.fetch_add(1, Ordering::Relaxed);
-        tenant
-            .backlog_iters
-            .fetch_sub(a.req.iters(), Ordering::Relaxed);
-        self.shared.failed.fetch_add(1, Ordering::Relaxed);
-        self.shared.trace_record(EventKind::RequestFailed {
-            tenant: a.req.tenant as u32,
-            id: a.id,
+        let (tenant, id) = (a.req.tenant as u32, a.id);
+        let event = EventKind::RequestFailed {
+            tenant,
+            id,
             worker,
             phase,
-        });
-        tenant.pending.fetch_sub(1, Ordering::SeqCst);
-        self.shared.serve_event_on(
-            &self.pool,
-            ServeEventKind::Failed,
-            a.req.tenant,
-            a.id,
-            (worker << 16) | (phase & 0xFFFF),
-        );
+        };
+        let code = (worker << 16) | (phase & 0xFFFF);
+        let (shared, kind) = (&self.shared, ServeEventKind::Failed);
+        shared.book_out(&self.pool, a, kind, event, code);
     }
 
-    /// Escape hatch for a panic that got past per-request containment
-    /// (e.g. a pool running [`afs_runtime::PanicPolicy::SkipRemaining`]
-    /// aborting the chain): every request neither its count nor a barrier
-    /// turn retired is failed here, by whoever reaps the batch, so the
-    /// ledger still balances and the dispatcher still does not die.
+    /// Escape hatch for a panic in the driver itself rather than in a
+    /// body (arming a unit's source, or one that escaped the driver):
+    /// every request neither its count nor a close retired is failed here,
+    /// by whoever reaps the batch, so the ledger still balances and the
+    /// dispatcher still does not die.
     pub(crate) fn fail_unretired(&self, worker: u32, phase: u32) {
         for ri in 0..self.reqs.len() {
             if !self.retired[ri].swap(true, Ordering::AcqRel) {
                 self.fail(ri, worker, phase);
             }
         }
+    }
+}
+
+impl PhasePlan for Batch {
+    fn phases(&self) -> usize {
+        self.units.len()
+    }
+
+    fn len(&self, g: usize) -> u64 {
+        self.reqs[self.units[g].req].req.n
+    }
+
+    fn policy(&self, g: usize) -> &RuntimeScheduler {
+        &self.units[g].policy
+    }
+
+    fn body(&self, g: usize) -> impl Fn(u64) + '_ {
+        let req = &self.reqs[self.units[g].req].req;
+        let workset = &self.shared.tenants[req.tenant].workset[..];
+        let (mask, kernel) = (workset.len() - 1, req.kernel);
+        move |i| crate::request::run_iter(workset, mask, i, kernel)
+    }
+
+    /// A failed request's later units are skipped.
+    fn skip(&self, g: usize) -> bool {
+        self.failed[self.units[g].req].load(Ordering::Acquire) != NOT_FAILED
+    }
+
+    /// The tenant's iteration count first, then — on a final unit — the
+    /// unit's `ran` count: the `AcqRel` chain on it carries every peer's
+    /// writes for the request to the worker whose add reaches `n`, which
+    /// retires the request at its last iteration.
+    fn drained(&self, _worker: usize, g: usize, iters: u64) {
+        if iters == 0 {
+            return;
+        }
+        let unit = &self.units[g];
+        let req = &self.reqs[unit.req].req;
+        let tenant = &self.shared.tenants[req.tenant];
+        tenant.iters.fetch_add(iters, Ordering::Relaxed);
+        if unit.last && unit.ran.fetch_add(iters, Ordering::AcqRel) + iters == req.n {
+            self.retire(unit.req, unit.phase);
+        }
+    }
+
+    /// A final unit's close retires what its count cannot reach — a
+    /// request with a panicked grab (whose count never reaches `n`), or
+    /// an `n = 0` one; an earlier unit's marks the request's phase span.
+    fn close(&self, _worker: usize, g: usize) {
+        let unit = &self.units[g];
+        if unit.last {
+            if self.retire(unit.req, unit.phase) {
+                self.shared.turn_retires.fetch_add(1, Ordering::Relaxed);
+            }
+        } else {
+            self.shared.trace_record(EventKind::RequestPhase {
+                id: self.reqs[unit.req].id,
+                phase: unit.phase,
+            });
+        }
+    }
+
+    /// A panicking body fails its own request only: the first panic's
+    /// `(worker, phase)` wins the CAS into its failure slot, and the batch
+    /// goes on.
+    fn contain(&self, worker: usize, g: usize) -> bool {
+        let unit = &self.units[g];
+        let packed = ((worker as u64) << 32) | unit.phase as u64;
+        let _ = self.failed[unit.req].compare_exchange(
+            NOT_FAILED,
+            packed,
+            Ordering::AcqRel,
+            Ordering::Relaxed,
+        );
+        true
     }
 }
 
@@ -523,9 +458,8 @@ impl InFlight {
     }
 
     /// Waits the batch out the way the dispatcher waits for its own
-    /// ([`IDLE_YIELDS`] rounds, then asleep) and frees the pool. A panic
-    /// that escaped per-request containment (the pool's own catch_unwind
-    /// caught it instead) fails whatever was never retired, so the
+    /// ([`IDLE_YIELDS`] rounds, then asleep) and frees the pool. A failure
+    /// of the driver itself fails whatever was never retired, so the
     /// ledger balances and the reaper survives.
     pub(crate) fn reap(self, on_leg: impl FnMut(WaitOutcome)) {
         if let Err(e) = self.ticket.wait_parked(IDLE_YIELDS, on_leg) {
@@ -549,7 +483,8 @@ pub(crate) fn launch(
         shared.tenants[a.req.tenant]
             .queue_ns
             .record(dispatch_ns.saturating_sub(a.admit_ns));
-        shared.trace_dispatch(a.req.tenant, a.id);
+        let (tenant, id) = (a.req.tenant as u32, a.id);
+        shared.trace_record(EventKind::RequestDispatch { tenant, id });
         shared.serve_event_on(&pool, ServeEventKind::Dispatch, a.req.tenant, a.id, 0);
     }
     shared.dispatches.fetch_add(1, Ordering::Relaxed);
@@ -558,13 +493,14 @@ pub(crate) fn launch(
             .batched_requests
             .fetch_add(reqs.len() as u64, Ordering::Relaxed);
     }
-    let batch = Arc::new(Batch::build(Arc::clone(shared), pool, reqs, dispatch_ns));
-    let job = {
-        let b = Arc::clone(&batch);
-        Arc::new(move |w| b.run_worker(w))
-    };
+    let batch = Arc::new(Batch::new(
+        Arc::clone(shared),
+        Arc::clone(&pool),
+        reqs,
+        dispatch_ns,
+    ));
     InFlight {
-        ticket: slot.publish(job),
+        ticket: publish_phases(&pool, slot, Arc::clone(&batch)),
         batch,
     }
 }

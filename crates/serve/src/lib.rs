@@ -19,7 +19,7 @@
 //!   admission answers *accepted* or *shed-with-reason*, immediately;
 //! * [`Discipline`] — centralized FCFS, per-tenant deficit round-robin
 //!   (iteration-weighted fairness), or batching (small loops fused into
-//!   one pool dispatch, chained through a sense barrier);
+//!   one pool dispatch: one runtime region, `afs_runtime::PhasePlan`);
 //! * [`LoopServer`] — owns the pipeline; snapshots ride inside the
 //!   metrics document (schema v3) and its live JSON endpoint;
 //! * failure containment — a panicking request retires as

@@ -8,13 +8,11 @@
 //! workers. Keeping the kernel enumerable (rather than a boxed closure)
 //! keeps requests `Send + 'static` without allocation, makes load
 //! generation seedable, and keeps the loop body panic-free by
-//! construction. The batch driver still armors against panics (fault
+//! construction. The fused driver still armors against panics (fault
 //! injection, future closure kernels): a body that does unwind fails
 //! only its own request ([`Outcome::Failed`]), never the dispatcher.
 
-use afs_core::policy::Grab;
-use afs_metrics::MetricsRegistry;
-use afs_runtime::source::{AfsSource, FetchAddSource, StaticSource, WorkSource};
+use afs_runtime::{AdaptController, RuntimeScheduler};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -86,10 +84,11 @@ pub enum ServePolicy {
     Static,
     /// Self-tuning AFS: the server's shared
     /// [`afs_runtime::adapt::AdaptController`] re-tunes the subdivision k
-    /// and grab-ahead b from the pool's counters, once per dispatched
-    /// batch. Requests from all tenants feed one controller, so the
-    /// server converges on parameters for the *mix* it is actually
-    /// serving.
+    /// and grab-ahead b from the pool's counters at each phase boundary
+    /// of a dispatch, as it does in any region: before every phase of an
+    /// adaptive request, not once per batch. Requests from all tenants
+    /// feed one controller, so the server converges on parameters for the
+    /// *mix* it is actually serving.
     Adaptive,
 }
 
@@ -106,62 +105,17 @@ impl ServePolicy {
         }
     }
 
-    /// Builds a fresh work source for an `n`-iteration phase on `p`
-    /// workers. AFS sources feed CAS-retry/stash accounting into the
-    /// pool's registry, like the runtime drivers do. `tune` is the
-    /// `(k, b)` pair in force for [`ServePolicy::Adaptive`] requests
-    /// (decided once per batch by the server's controller); other
-    /// policies ignore it.
-    pub(crate) fn build(
-        self,
-        n: u64,
-        p: usize,
-        metrics: &Arc<MetricsRegistry>,
-        tune: (u64, usize),
-    ) -> OwnedSource {
+    /// The runtime policy that schedules every phase of a request under
+    /// this one. `adapt` is the server's shared controller, which
+    /// [`ServePolicy::Adaptive`] requests feed.
+    pub(crate) fn scheduler(self, adapt: &Arc<AdaptController>) -> RuntimeScheduler {
         match self {
-            ServePolicy::Afs => {
-                OwnedSource::Afs(AfsSource::new(n, p, p as u64).with_metrics(Arc::clone(metrics)))
-            }
-            ServePolicy::AfsGrabAhead { ahead } => OwnedSource::Afs(
-                AfsSource::new(n, p, p as u64)
-                    .with_grab_ahead(ahead)
-                    .with_metrics(Arc::clone(metrics)),
-            ),
-            ServePolicy::SelfSched => OwnedSource::FetchAdd(FetchAddSource::new(n, 1)),
-            ServePolicy::Css { chunk } => {
-                OwnedSource::FetchAdd(FetchAddSource::new(n, chunk.max(1)))
-            }
-            ServePolicy::Static => OwnedSource::Static(StaticSource::new(n, p)),
-            ServePolicy::Adaptive => OwnedSource::Afs(
-                AfsSource::new(n, p, tune.0)
-                    .with_grab_ahead(tune.1)
-                    .with_metrics(Arc::clone(metrics)),
-            ),
-        }
-    }
-}
-
-/// A concrete, owned work source for one phase of one request. The
-/// runtime's sources are generic over `&self`; the server owns its batch
-/// plan, so an enum (not a boxed trait object) keeps dispatch static.
-// The Afs variant is large (per-worker padded queue words), but sources
-// live in a per-batch Vec walked once per phase — boxing would buy
-// nothing and cost a pointer chase on every grab.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum OwnedSource {
-    Afs(AfsSource),
-    FetchAdd(FetchAddSource),
-    Static(StaticSource),
-}
-
-impl OwnedSource {
-    #[inline]
-    pub(crate) fn next(&self, worker: usize) -> Option<Grab> {
-        match self {
-            OwnedSource::Afs(s) => s.next(worker),
-            OwnedSource::FetchAdd(s) => s.next(worker),
-            OwnedSource::Static(s) => s.next(worker),
+            ServePolicy::Afs => RuntimeScheduler::afs_k_equals_p(),
+            ServePolicy::AfsGrabAhead { ahead } => RuntimeScheduler::afs_grab_ahead(ahead),
+            ServePolicy::SelfSched => RuntimeScheduler::self_sched(),
+            ServePolicy::Css { chunk } => RuntimeScheduler::chunk_self(chunk.max(1)),
+            ServePolicy::Static => RuntimeScheduler::static_partition(),
+            ServePolicy::Adaptive => RuntimeScheduler::adaptive_with(Arc::clone(adapt)),
         }
     }
 }
@@ -244,8 +198,8 @@ impl ShedReason {
 pub enum Outcome {
     /// Ran to completion within its deadline (or had none).
     Ok,
-    /// Its loop body panicked on a worker; the batch driver contained the
-    /// blast to this one request, which leaves the ledger as failed.
+    /// Its loop body panicked on a worker; its batch contained the blast
+    /// to this one request, which leaves the ledger as failed.
     Failed {
         /// Worker whose body panicked.
         worker: u32,
@@ -354,23 +308,26 @@ mod tests {
 
     #[test]
     fn policies_build_sources_that_cover_n() {
-        let reg = Arc::new(MetricsRegistry::new(2));
-        for policy in [
-            ServePolicy::Afs,
-            ServePolicy::AfsGrabAhead { ahead: 4 },
-            ServePolicy::SelfSched,
-            ServePolicy::Css { chunk: 8 },
-            ServePolicy::Static,
-            ServePolicy::Adaptive,
+        let pool = afs_runtime::Pool::new(2);
+        let adapt = Arc::new(AdaptController::new(2));
+        for (policy, name) in [
+            (ServePolicy::Afs, "AFS"),
+            (ServePolicy::AfsGrabAhead { ahead: 4 }, "AFS(ga=4)"),
+            (ServePolicy::SelfSched, "SS"),
+            (ServePolicy::Css { chunk: 8 }, "CSS(8)"),
+            (ServePolicy::Css { chunk: 0 }, "SS"),
+            (ServePolicy::Static, "STATIC"),
+            (ServePolicy::Adaptive, "ADAPTIVE"),
         ] {
-            let src = policy.build(100, 2, &reg, (4, 2));
-            let mut total = 0u64;
-            for w in 0..2 {
-                while let Some(g) = src.next(w) {
-                    total += g.range.len();
-                }
-            }
-            assert_eq!(total, 100, "{}", policy.label());
+            let sched = policy.scheduler(&adapt);
+            assert_eq!(sched.name(), name);
+            let m = afs_runtime::parallel_for(&pool, 100, &sched, |_| {});
+            assert_eq!(m.total_iters(), 100, "{name}");
         }
+        assert_eq!(
+            adapt.phases(),
+            1,
+            "the adaptive request fed the shared controller"
+        );
     }
 }

@@ -252,7 +252,7 @@ pub(crate) struct ServerShared {
     pub(crate) dispatches: AtomicU64,
     /// Dispatches an admit made on its own thread (test-visible).
     inline_dispatches: AtomicU64,
-    /// Requests retired in a final phase's barrier turn rather than at
+    /// Requests retired at a final phase's close rather than at
     /// their last iteration (test-visible).
     pub(crate) turn_retires: AtomicU64,
     pub(crate) batched_requests: AtomicU64,
@@ -274,14 +274,6 @@ impl ServerShared {
     /// (a batch's whole execution, a snapshot) hold the clone.
     pub(crate) fn pool(&self) -> Arc<Pool> {
         Arc::clone(&self.pool.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Total in-flight requests across tenants.
-    fn total_pending(&self) -> u64 {
-        self.tenants
-            .iter()
-            .map(|t| t.pending.load(Ordering::SeqCst))
-            .sum()
     }
 
     /// Feeds one completed request's observed service cost into its
@@ -323,23 +315,9 @@ impl ServerShared {
         }
     }
 
-    pub(crate) fn trace_dispatch(&self, tenant: usize, id: u64) {
-        self.trace_record(EventKind::RequestDispatch {
-            tenant: tenant as u32,
-            id,
-        });
-    }
-
-    /// Feeds one serve lifecycle event to the current pool's flight
-    /// recorder — the black box keeps the last N of these, and shed events
-    /// drive its shed-spike trigger.
-    pub(crate) fn serve_event(&self, kind: ServeEventKind, tenant: usize, id: u64, code: u32) {
-        self.serve_event_on(&self.pool(), kind, tenant, id, code);
-    }
-
-    /// [`ServerShared::serve_event`] into `pool`'s recorder: a batch's
-    /// events go to the pool it runs on, without a trip through the swap
-    /// slot's lock and reference count.
+    /// Feeds one serve lifecycle event to `pool`'s flight recorder — the
+    /// black box keeps the last N of these, and shed events drive its
+    /// shed-spike trigger. A batch's events go to the pool it runs on.
     pub(crate) fn serve_event_on(
         &self,
         pool: &Pool,
@@ -393,26 +371,45 @@ impl ServerShared {
         }
     }
 
-    /// Books one already-admitted request out of the ledger as shed
-    /// (stranded at shutdown), emitting the same trace event and
-    /// recorder serve-event the admission-time shed path does so trace,
-    /// ledger, and flight-recorder counts agree.
-    pub(crate) fn strand(&self, a: &Admitted) {
+    /// Books admitted request `a` out of the ledger as `kind` — completed,
+    /// failed, expired, or else shed at shutdown — with `event` on the
+    /// serve lane and `code` in `pool`'s flight recorder. The `pending`
+    /// decrement is the exit a client sees: a `SeqCst` RMW after every
+    /// other write the request made, so an observer of `pending` sees them.
+    pub(crate) fn book_out(
+        &self,
+        pool: &Pool,
+        a: &Admitted,
+        kind: ServeEventKind,
+        event: EventKind,
+        code: u32,
+    ) {
         let t = &self.tenants[a.req.tenant];
-        t.pending.fetch_sub(1, Ordering::SeqCst);
-        t.shed.fetch_add(1, Ordering::Relaxed);
+        let (mine, all) = match kind {
+            ServeEventKind::Complete => (&t.completed, &self.completed),
+            ServeEventKind::Failed => (&t.failed, &self.failed),
+            ServeEventKind::Expired => (&t.expired, &self.expired),
+            _ => (&t.shed, &self.shed_shutdown),
+        };
+        mine.fetch_add(1, Ordering::Relaxed);
+        all.fetch_add(1, Ordering::Relaxed);
         t.backlog_iters.fetch_sub(a.req.iters(), Ordering::Relaxed);
-        self.shed_shutdown.fetch_add(1, Ordering::Relaxed);
-        self.trace_record(EventKind::RequestShed {
+        self.trace_record(event);
+        t.pending.fetch_sub(1, Ordering::SeqCst);
+        self.serve_event_on(pool, kind, a.req.tenant, a.id, code);
+    }
+
+    /// Books one already-admitted request out of the ledger as shed
+    /// (stranded at shutdown), with the trace event and recorder
+    /// serve-event the admission-time shed path emits, so trace, ledger
+    /// and flight-recorder counts agree.
+    pub(crate) fn strand(&self, a: &Admitted) {
+        let reason = ShedReason::ShuttingDown.code();
+        let event = EventKind::RequestShed {
             tenant: a.req.tenant as u32,
-            reason: ShedReason::ShuttingDown.code(),
-        });
-        self.serve_event(
-            ServeEventKind::Shed,
-            a.req.tenant,
-            a.id,
-            ShedReason::ShuttingDown.code(),
-        );
+            reason,
+        };
+        self.book_out(&self.pool(), a, ServeEventKind::Shed, event, reason);
     }
 }
 
@@ -433,16 +430,9 @@ pub(crate) fn retire_expired(shared: &ServerShared, picked: Vec<Admitted>) -> Ve
             if !expired {
                 return Some(a);
             }
-            let t = &shared.tenants[a.req.tenant];
-            t.expired.fetch_add(1, Ordering::Relaxed);
-            t.pending.fetch_sub(1, Ordering::SeqCst);
-            t.backlog_iters.fetch_sub(a.req.iters(), Ordering::Relaxed);
-            shared.expired.fetch_add(1, Ordering::Relaxed);
-            shared.trace_record(EventKind::RequestExpired {
-                tenant: a.req.tenant as u32,
-                id: a.id,
-            });
-            shared.serve_event(ServeEventKind::Expired, a.req.tenant, a.id, 0);
+            let (tenant, id) = (a.req.tenant as u32, a.id);
+            let event = EventKind::RequestExpired { tenant, id };
+            shared.book_out(&shared.pool(), &a, ServeEventKind::Expired, event, 0);
             None
         })
         .collect()
@@ -808,8 +798,10 @@ impl LoopServer {
     /// waits for a lock or the pool, and wakes the dispatcher as before
     /// when either is taken.
     ///
-    /// Panics if `req.tenant` is out of range or `req.phases == 0` —
-    /// those are caller bugs, not load conditions.
+    /// Panics if `req.tenant` is out of range, `req.phases == 0` or
+    /// `req.n > u32::MAX` (a work source's queue cursor is 32 bits wide,
+    /// whatever the pool size) — those are caller bugs, not load
+    /// conditions, and nothing is booked for them.
     pub fn admit(&self, req: LoopRequest) -> Admit {
         let s = &*self.shared;
         assert!(
@@ -818,6 +810,11 @@ impl LoopServer {
             req.tenant
         );
         assert!(req.phases >= 1, "a request needs at least one phase");
+        assert!(
+            req.n <= u64::from(u32::MAX),
+            "a request runs at most u32::MAX iterations a phase, not {}",
+            req.n
+        );
         if s.shutdown.load(Ordering::SeqCst) {
             return self.shed(req.tenant, ShedReason::ShuttingDown);
         }
@@ -960,12 +957,21 @@ impl LoopServer {
         (inline, all - inline)
     }
 
-    /// Requests retired in a final phase's barrier turn — a panicked or
+    /// Requests retired at a final phase's close — a panicked or
     /// `n = 0` request — rather than by the worker that ran their last
     /// iteration. A count for tests.
     #[doc(hidden)]
     pub fn turn_retire_tally(&self) -> u64 {
         self.shared.turn_retires.load(Ordering::SeqCst)
+    }
+
+    /// Tenant `tenant`'s workset, slot by slot: under
+    /// [`crate::ServeKernel::Touch`], how many iterations touched each
+    /// slot. A read-out for tests, like [`LoopServer::turn_retire_tally`].
+    #[doc(hidden)]
+    pub fn workset_values(&self, tenant: usize) -> Vec<u64> {
+        let workset = &self.shared.tenants[tenant].workset;
+        workset.iter().map(|c| c.load(Ordering::SeqCst)).collect()
     }
 
     /// How many times a dispatch's waiter (the dispatcher thread, or a
@@ -993,7 +999,7 @@ impl LoopServer {
             tenant: tenant as u32,
             reason: reason.code(),
         });
-        s.serve_event(ServeEventKind::Shed, tenant, 0, reason.code());
+        s.serve_event_on(&s.pool(), ServeEventKind::Shed, tenant, 0, reason.code());
         Admit::Shed(reason)
     }
 
@@ -1030,7 +1036,11 @@ impl LoopServer {
 
     /// Requests admitted but not yet completed, across all tenants.
     pub fn pending(&self) -> u64 {
-        self.shared.total_pending()
+        let tenants = &self.shared.tenants;
+        tenants
+            .iter()
+            .map(|t| t.pending.load(Ordering::SeqCst))
+            .sum()
     }
 
     /// Blocks until every admitted request has completed. Threaded

@@ -2,9 +2,10 @@
 //! deadline expiry and predictive shedding, pool supervision, and the
 //! admission ring's push-versus-shutdown-drain race.
 //!
-//! CI runs the `panic_` and `supervisor_` families by name in release
-//! mode — they are the tests that would catch a containment or restart
-//! race, and those only mean anything under optimized codegen.
+//! CI runs them in release mode with the rest of the crate's tests — the
+//! `panic_` and `supervisor_` families are the ones that would catch a
+//! containment or restart race, and those only mean anything under
+//! optimized codegen.
 
 use afs_runtime::{FaultPlan, Pool};
 use afs_serve::prelude::*;
@@ -126,6 +127,49 @@ fn panic_containment_traces_worker_and_phase() {
         })
         .collect();
     assert_eq!(failures, vec![(2, 1)], "blast site is (worker 2, phase 1)");
+}
+
+/// A request with more than `u32::MAX` iterations a phase is a caller
+/// bug: `admit` panics before booking anything, whether the server is
+/// driven manually or an idle dispatcher sleeps (where the admit itself
+/// would dispatch it), and the same server goes on serving with an exact
+/// ledger.
+#[test]
+fn oversized_request_panics_at_admit_and_books_nothing() {
+    let huge = req(0, (1 << 33) + 4, 1);
+    for manual in [true, false] {
+        let builder = LoopServer::builder(Arc::new(Pool::new(2))).tenant("t");
+        let server = if manual {
+            builder.manual().build()
+        } else {
+            builder.build()
+        };
+        let refused =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.admit(huge.clone())));
+        assert!(
+            refused.is_err(),
+            "manual={manual}: an oversized admit panics"
+        );
+        assert_eq!(server.pending(), 0, "manual={manual}: nothing booked");
+        assert!(server.admit(req(0, 4096, 1)).is_accepted());
+        if manual {
+            server.pump();
+            while !server.dispatch_next().is_empty() {}
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.pending() > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "manual={manual}: a request stranded"
+            );
+            std::thread::yield_now();
+        }
+        let ledger = server.shutdown();
+        assert_eq!(ledger.admitted, 1, "manual={manual}");
+        assert_eq!(ledger.completed, 1, "manual={manual}");
+        assert_eq!(ledger.failed + ledger.expired, 0, "manual={manual}");
+        assert_eq!(ledger.tenants[0].iters, 4096, "manual={manual}");
+    }
 }
 
 /// Tentpole, part 2: a queued request whose deadline elapses before

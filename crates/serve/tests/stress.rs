@@ -15,6 +15,11 @@
 //! dispatch that outlasts the 64-poll grace parks its waiter; the ring
 //! buffers meanwhile, and shutdown still drains. A pool somebody else
 //! holds is waited for the same way.
+//!
+//! Last: a fused batch is one runtime region. A batch mixing every
+//! serving policy, under the pool's barrier yield injection, runs each
+//! iteration exactly once across the turn's source re-arms, replacements
+//! and rebuilds, and writes one phase record per request-phase.
 
 use afs_runtime::{FaultPlan, Pool};
 use afs_serve::prelude::*;
@@ -736,4 +741,88 @@ fn two_phase_request_completes_after_its_final_phase_with_counters_written() {
     assert_eq!(server.turn_retire_tally(), 0);
     let ledger = server.shutdown();
     assert_eq!(ledger.completed, 200);
+}
+
+/// One manual dispatch fuses requests of every serving policy, with
+/// `n` ∈ {0, 1, 97, 4096} and 1–3 phases, into one region, at P = 2 and
+/// P = 4 under 20 seeds of the barrier's yield injection — the turn is
+/// where the one source is re-armed (AFS after AFS), replaced (a central
+/// or static policy) and rebuilt (AFS after those). Every workset slot is
+/// touched exactly as often as the requests offered it, the ledger is
+/// exact, and the region's phase records — one per request-phase — sum
+/// to the pool's counter delta for the batch.
+#[test]
+fn seeded_mixed_policy_batch_is_one_region() {
+    use afs_serve::ServePolicy::*;
+    let policies = [
+        Afs,
+        AfsGrabAhead { ahead: 4 },
+        SelfSched,
+        Css { chunk: 16 },
+        Static,
+        Adaptive,
+    ];
+    let mut reqs = Vec::new();
+    for n in [0u64, 1, 97, 4096] {
+        for policy in policies {
+            reqs.push(LoopRequest {
+                n,
+                phases: 1 + (reqs.len() % 3) as u32,
+                policy,
+                ..small(0)
+            });
+        }
+    }
+    let units: u64 = reqs.iter().map(|r| r.phases as u64).sum();
+    let mut offered = vec![0u64; 4096];
+    for r in &reqs {
+        for slot in &mut offered[..r.n as usize] {
+            *slot += r.phases as u64;
+        }
+    }
+    for p in [2usize, 4] {
+        for seed in 0..20u64 {
+            let pool = Arc::new(Pool::builder(p).yield_injection(seed).build());
+            let server = LoopServer::builder(Arc::clone(&pool))
+                .tenant_spec(TenantSpec::new("t").workset_slots(4096))
+                .discipline(Discipline::Batch {
+                    max_requests: reqs.len(),
+                    max_iters: 1 << 20,
+                })
+                .manual()
+                .build();
+            for r in &reqs {
+                assert!(server.admit(r.clone()).is_accepted());
+            }
+            let totals = || {
+                let mut sum = afs_metrics::CounterSnapshot::default();
+                for w in 0..p {
+                    sum.add(&pool.metrics().worker(w).get());
+                }
+                sum
+            };
+            let before = totals();
+            server.pump();
+            assert_eq!(server.dispatch_next().len(), reqs.len(), "one dispatch");
+            let delta = totals().minus(&before);
+            let at = format!("p={p} seed={seed}");
+            assert_eq!(server.workset_values(0), offered, "{at}");
+            let ledger = server.serve_snapshot();
+            assert_eq!(ledger.dispatches, 1, "{at}");
+            assert_eq!(ledger.admitted, reqs.len() as u64, "{at}");
+            assert_eq!(ledger.completed, ledger.admitted, "{at}");
+            assert_eq!(ledger.failed + ledger.expired, 0, "{at}");
+            assert_eq!(server.pending(), 0, "{at}");
+            assert_eq!(ledger.tenants[0].iters, offered.iter().sum::<u64>(), "{at}");
+            let records = pool.recorder().phase_records();
+            assert_eq!(records.len() as u64, units, "{at}: one record per unit");
+            let mut recorded = afs_metrics::CounterSnapshot::default();
+            for (g, r) in records.iter().enumerate() {
+                assert_eq!(r.phase, g as u64, "{at}");
+                recorded.add(&r.counters);
+            }
+            assert_eq!(recorded.sync(), delta.sync(), "{at}: grab columns");
+            assert_eq!(recorded.iters, delta.iters, "{at}");
+        }
+    }
 }

@@ -143,7 +143,7 @@ pub enum EventKind {
         id: u64,
     },
     /// An admitted request failed: its loop body panicked on a worker and
-    /// the batch driver contained the blast to this one request. The
+    /// its batch contained the blast to this one request. The
     /// request leaves the ledger as `failed`, never `completed`. Recorded
     /// on the dispatcher's lane.
     RequestFailed {
