@@ -222,7 +222,7 @@ impl FaultPlan {
     }
 
     /// Hook: called once per worker when it enters a parallel region.
-    pub fn on_region_start(&self, worker: usize) {
+    pub(crate) fn on_region_start(&self, worker: usize) {
         if let Some(d) = self.delays.get(worker) {
             if !d.is_zero() {
                 std::thread::sleep(*d);
@@ -232,7 +232,7 @@ impl FaultPlan {
 
     /// Hook: called before each grab attempt; `grabs` counts attempts by
     /// this worker within the current phase (0-based).
-    pub fn on_grab(&self, worker: usize, phase: usize, grabs: u64) {
+    pub(crate) fn on_grab(&self, worker: usize, phase: usize, grabs: u64) {
         if let Some(Some(s)) = self.stalls.get(worker) {
             if s.phase == phase && s.after_grabs == grabs && !s.dur.is_zero() {
                 std::thread::sleep(s.dur);
@@ -253,7 +253,7 @@ impl FaultPlan {
 
     /// Hook: called before each iteration; panics when worker `w`'s trigger
     /// matches `(phase, i)` and has not fired yet.
-    pub fn maybe_panic(&self, worker: usize, phase: usize, i: u64) {
+    pub(crate) fn maybe_panic(&self, worker: usize, phase: usize, i: u64) {
         if let Some(Some(p)) = self.panics.get(worker) {
             if p.phase == phase && p.iter == i && !self.fired[worker].swap(true, Ordering::Relaxed)
             {
