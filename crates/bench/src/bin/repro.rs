@@ -309,7 +309,10 @@ fn main() {
         let result = afs_bench::serve::run(quick);
         write_bench("serve", &result.render(), &result.to_json());
         if !result.ok() {
-            eprintln!("bench-serve: batching lost to per-request FCFS on a checked run");
+            eprintln!(
+                "bench-serve: on a checked run, batching lost to per-request FCFS \
+                 or DRR did not shield the small tenant"
+            );
             std::process::exit(1);
         }
     }

@@ -590,10 +590,24 @@ fn validate_chaos_envelope(doc: &Value, errs: &mut Vec<String>) {
     }
 }
 
-/// The serve bench's headline gate lives in the envelope, not a row: the
-/// batching discipline must hold its saturation-throughput win over
-/// per-request FCFS on checked (full) runs, and full runs are never
-/// allowed to opt out of the check.
+/// The `small` tenant's p99 sojourn in `discipline`'s saturate row.
+fn small_p99(doc: &Value, discipline: &str) -> Option<f64> {
+    doc.get("samples")?
+        .as_array()?
+        .iter()
+        .filter(|s| str_of(s, "discipline") == Some(discipline))
+        .filter(|s| str_of(s, "mode") == Some("saturate"))
+        .filter_map(|s| s.get("tenants").and_then(Value::as_array))
+        .flatten()
+        .find(|t| str_of(t, "name") == Some("small"))
+        .and_then(|t| num_of(t, "p99_ns"))
+}
+
+/// The serve bench's headline gates live in the envelope, not a row, and
+/// full runs are never allowed to opt out of them. On checked (full) runs
+/// the batching discipline must hold its saturation-throughput win over
+/// per-request FCFS, and DRR must hold what it is for: under saturation
+/// the `small` tenant's p99 is below FCFS's (recomputed from the rows).
 fn validate_serve_envelope(doc: &Value, errs: &mut Vec<String>) {
     if num_of(doc, "total_completed").is_none_or(|t| t < 1.0) {
         errs.push("serve bench requires total_completed >= 1".into());
@@ -615,6 +629,22 @@ fn validate_serve_envelope(doc: &Value, errs: &mut Vec<String>) {
              (batch_over_fcfs = {:.3} < 1)",
             speedup.unwrap_or(0.0)
         ));
+    }
+    if checked == Some(true) {
+        match (small_p99(doc, "drr"), small_p99(doc, "fcfs")) {
+            (Some(drr), Some(fcfs)) if drr < fcfs => {}
+            (Some(drr), Some(fcfs)) => errs.push(format!(
+                "checked serve run: DRR did not shield the small tenant \
+                 (saturate small p99 {:.3} ms under drr >= {:.3} ms under fcfs)",
+                drr / 1e6,
+                fcfs / 1e6
+            )),
+            _ => errs.push(
+                "checked serve run needs the small tenant's p99 in the \
+                 drr and fcfs saturate rows"
+                    .into(),
+            ),
+        }
     }
 }
 
@@ -1080,6 +1110,36 @@ mod tests {
         // Quick smoke runs report without gating.
         let quick = serve_doc(|r| {
             r.batch_over_fcfs = 0.9;
+            r.checked = false;
+            r.quick = true;
+        });
+        assert_eq!(validate(&quick), Ok(BenchKind::Serve));
+    }
+
+    /// The small tenant's p99 in `discipline`'s saturate row.
+    fn small_saturate_p99<'a>(r: &'a mut serve::ServeBenchResult, discipline: &str) -> &'a mut f64 {
+        let mut rows = r.samples.iter_mut();
+        let row = rows.find(|s| s.discipline == discipline && s.mode == "saturate");
+        let small = row.unwrap().tenants.iter_mut().find(|t| t.name == "small");
+        &mut small.unwrap().p99_ns
+    }
+
+    #[test]
+    fn serve_gate_needs_drr_to_shield_the_small_tenant() {
+        // DRR's small-tenant p99 under saturation no lower than FCFS's:
+        // a checked run fails, as a full `--bench-serve` run must.
+        let tie = |r: &mut serve::ServeBenchResult| {
+            *small_saturate_p99(r, "drr") = *small_saturate_p99(r, "fcfs");
+        };
+        let errs = validate(&serve_doc(tie)).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("DRR did not")), "{errs:?}");
+        // A checked run without the cells cannot pass either.
+        let gone = serve_doc(|r| r.samples.retain(|s| s.discipline != "drr"));
+        let errs = validate(&gone).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("small tenant")), "{errs:?}");
+        // Quick runs report without gating.
+        let quick = serve_doc(|r| {
+            tie(r);
             r.checked = false;
             r.quick = true;
         });

@@ -209,9 +209,9 @@ pub fn run(quick: bool) -> FaultBenchResult {
         (8_192u64, 3u32)
     };
     let rows: Vec<(RuntimeScheduler, Option<u64>, bool)> = vec![
-        (RuntimeScheduler::afs_with_k(1), Some(1), true),
-        (RuntimeScheduler::afs_with_k(2), Some(2), true),
-        (RuntimeScheduler::afs_with_k(4), Some(4), true),
+        (RuntimeScheduler::afs_tuned(1, 1), Some(1), true),
+        (RuntimeScheduler::afs_tuned(2, 1), Some(2), true),
+        (RuntimeScheduler::afs_tuned(4, 1), Some(4), true),
         (RuntimeScheduler::afs_k_equals_p(), Some(P as u64), true),
         // No redistribution, no bound: the contrast row.
         (RuntimeScheduler::static_partition(), None, false),

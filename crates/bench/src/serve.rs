@@ -20,7 +20,8 @@
 //!   beat per-request centralized FCFS on this small-loop-dominated mix
 //!   (`batch_over_fcfs ≥ 1`, recorded as a checked row — validation
 //!   fails otherwise, exactly like the Theorem 3.2 gate in the faults
-//!   bench).
+//!   bench). The same full run gates DRR on what it is for: the `small`
+//!   tenant's saturate p99 must be below FCFS's, read off the rows.
 //!
 //! The request mix is seeded and identical across cells: 3/4 small
 //! affinity probes (16–128 iterations, one phase), 1/4 bulk compute
@@ -157,17 +158,28 @@ pub struct ServeBenchResult {
     /// Saturation throughput of the batching discipline over centralized
     /// FCFS — the headline amortization claim.
     pub batch_over_fcfs: f64,
-    /// Whether `batch_over_fcfs ≥ 1` is enforced (full runs: yes; quick
-    /// smoke sizes are too noisy to gate).
+    /// Whether `batch_over_fcfs ≥ 1` and DRR's small-tenant p99 gate are
+    /// enforced (full runs: yes; quick smoke sizes are too noisy to gate).
     pub checked: bool,
     /// All measured cells.
     pub samples: Vec<ServeSample>,
 }
 
 impl ServeBenchResult {
-    /// True when the checked speedup gate holds (or the run is unchecked).
+    /// True when the checked gates hold (or the run is unchecked): the
+    /// batching speedup, and DRR's small tenant ahead of FCFS's.
     pub fn ok(&self) -> bool {
-        !self.checked || self.batch_over_fcfs >= 1.0
+        let shielded = self.small_p99("drr").zip(self.small_p99("fcfs"));
+        let shielded = shielded.is_some_and(|(drr, fcfs)| drr < fcfs);
+        !self.checked || (self.batch_over_fcfs >= 1.0 && shielded)
+    }
+
+    /// The `small` tenant's p99 sojourn in `discipline`'s saturate row.
+    fn small_p99(&self, discipline: &str) -> Option<f64> {
+        let mut rows = self.samples.iter();
+        let row = rows.find(|s| s.discipline == discipline && s.mode == "saturate")?;
+        let small = row.tenants.iter().find(|t| t.name == "small")?;
+        Some(small.p99_ns)
     }
 
     /// Plain-text table.
@@ -216,6 +228,13 @@ impl ServeBenchResult {
             self.batch_over_fcfs,
             if self.checked { " (checked)" } else { "" }
         );
+        let ms = |d| self.small_p99(d).map_or(f64::NAN, |ns| ns / 1e6);
+        let _ = writeln!(
+            out,
+            "saturate small-tenant p99: drr {:.3} ms vs fcfs {:.3} ms",
+            ms("drr"),
+            ms("fcfs")
+        );
         out
     }
 
@@ -232,7 +251,8 @@ impl ServeBenchResult {
                     "metric",
                     "per-discipline serving capacity and tails under open-loop and saturating \
                      load; checked runs must show the batching discipline at or above \
-                     centralized FCFS saturation throughput (batch_over_fcfs >= 1)",
+                     centralized FCFS saturation throughput (batch_over_fcfs >= 1) and \
+                     DRR's small-tenant saturate p99 below FCFS's",
                 )
                 .field("samples", &self.samples);
         })
@@ -460,7 +480,8 @@ pub(crate) mod tests {
                     completed: 6_800,
                     shed: 700,
                     p50_ns: 15_000.0,
-                    p99_ns: 250_000.0,
+                    // DRR shields the small tenant (the serve gate).
+                    p99_ns: if disc == "drr" { 50_000.0 } else { 250_000.0 },
                     p999_ns: 800_000.0,
                 },
                 TenantRow {
@@ -542,6 +563,9 @@ pub(crate) mod tests {
         assert!(!slow.ok(), "checked run below 1.0 must fail");
         slow.checked = false;
         assert!(slow.ok(), "quick runs report without gating");
+        let mut unfair = synthetic();
+        unfair.samples.retain(|s| s.discipline != "drr");
+        assert!(!unfair.ok(), "checked run without DRR's small-tenant cell");
     }
 
     #[test]

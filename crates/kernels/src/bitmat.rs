@@ -121,7 +121,7 @@ pub fn row_get(row: &[u64], col: usize) -> bool {
 /// Warshall inner loop of [`BitMatrix::or_row_into`] and the parallel
 /// closure alike.
 ///
-/// Runs [`or_loop`]'s copy that [`Loop::BitRowOr`]'s entry in
+/// Runs `or_loop`'s copy that [`Loop::BitRowOr`]'s entry in
 /// [`crate::simd::TABLE`] names (AVX-512F), or the portable copy on a CPU
 /// without it.
 #[inline]

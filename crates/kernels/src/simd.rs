@@ -2,7 +2,7 @@
 //!
 //! The workspace builds for baseline x86-64, where a loop vectorizes two
 //! `f64` lanes wide (SSE2). A loop that gains from wider vectors is written
-//! once, as an `#[inline(always)]` body, and [`copies!`] compiles it three
+//! once, as an `#[inline(always)]` body, and `copies!` compiles it three
 //! times: for the baseline target, inside a `#[target_feature(enable =
 //! "avx2")]` function, and inside a `#[target_feature(enable = "avx512f")]`
 //! one. [`TABLE`] says which copy each loop runs, chosen by measurement, and

@@ -97,7 +97,7 @@ pub fn update_row(src: &[f64], dst: &mut [f64], n: usize, row: usize) {
 /// Row-sliced variant: writes the updated row into `dst_row` (length `n`).
 /// Used by parallel executors that hand out disjoint destination rows.
 ///
-/// Runs [`row_loop`]'s copy that [`Loop::SorRow`]'s entry in
+/// Runs `row_loop`'s copy that [`Loop::SorRow`]'s entry in
 /// [`crate::simd::TABLE`] names (AVX2), or the portable copy on a CPU
 /// without it.
 pub fn update_row_into(src: &[f64], dst_row: &mut [f64], n: usize, row: usize) {

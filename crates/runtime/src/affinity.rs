@@ -68,9 +68,9 @@ pub struct NumaNode {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NumaTopology {
     nodes: Vec<NumaNode>,
-    /// `node_of[cpu]` = index into `nodes` (not the kernel id) for each
+    /// `cpu_node[cpu]` = index into `nodes` (not the kernel id) for each
     /// logical CPU; CPUs sysfs did not list land on node index 0.
-    node_of: Vec<usize>,
+    cpu_node: Vec<usize>,
 }
 
 impl NumaTopology {
@@ -87,7 +87,7 @@ impl NumaTopology {
                 id: 0,
                 cpus: (0..cpus.max(1)).collect(),
             }],
-            node_of: vec![0; cpus.max(1)],
+            cpu_node: vec![0; cpus.max(1)],
         }
     }
 
@@ -113,13 +113,13 @@ impl NumaTopology {
         }
         nodes.sort_by_key(|n| n.id);
         let max_cpu = nodes.iter().flat_map(|n| n.cpus.iter()).max().copied()?;
-        let mut node_of = vec![0; max_cpu + 1];
+        let mut cpu_node = vec![0; max_cpu + 1];
         for (idx, node) in nodes.iter().enumerate() {
             for &c in &node.cpus {
-                node_of[c] = idx;
+                cpu_node[c] = idx;
             }
         }
-        Some(NumaTopology { nodes, node_of })
+        Some(NumaTopology { nodes, cpu_node })
     }
 
     /// Number of NUMA nodes (≥ 1).
@@ -136,7 +136,7 @@ impl NumaTopology {
     /// discovered range fold onto node index `cpu % node_count` rather than
     /// failing — placement is advisory everywhere.
     pub fn node_of_cpu(&self, cpu: usize) -> usize {
-        let idx = match self.node_of.get(cpu) {
+        let idx = match self.cpu_node.get(cpu) {
             Some(&i) => i,
             None => cpu % self.nodes.len(),
         };

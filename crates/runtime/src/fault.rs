@@ -13,9 +13,9 @@
 //! [`crate::PoolBuilder::faults`] and costs nothing when absent — the hot
 //! paths check one `Option` that is `None` in production.
 //!
-//! Panic containment itself ([`PhaseError`], [`PanicPolicy`]) is always on:
-//! a panicking loop body marks the phase failed, survivors drain or skip
-//! the remaining iterations, every barrier still releases, and the error —
+//! Panic containment itself ([`PhaseError`]) is always on: a panicking
+//! loop body forfeits only its own iteration, survivors run every other
+//! iteration exactly once, every barrier still releases, and the error —
 //! carrying the worker id and panic payload — is returned from
 //! [`crate::try_parallel_phases`] instead of aborting the process.
 
@@ -23,21 +23,6 @@ use std::any::Any;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-
-/// What the surviving workers do with remaining work after a panic.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PanicPolicy {
-    /// Survivors keep grabbing and executing the remaining iterations, so
-    /// every non-panicking iteration still runs exactly once. The region
-    /// returns `Err`, but its side effects are complete minus the poisoned
-    /// iteration. This is the default.
-    #[default]
-    Drain,
-    /// Survivors stop grabbing new chunks as soon as a panic is observed;
-    /// in-flight chunks finish, later phases of the nest are skipped. The
-    /// region fails fast at the cost of leaving iterations unexecuted.
-    SkipRemaining,
-}
 
 /// A failed parallel phase: which worker panicked, in which phase, and the
 /// panic payload it threw.

@@ -50,14 +50,13 @@ pub mod parallel;
 pub mod pool;
 pub mod shared;
 pub mod source;
-pub mod source_le;
 pub mod sync;
 pub mod wait;
 mod watchdog;
 
 pub use adapt::{AdaptController, Tune};
 pub use barrier::SenseBarrier;
-pub use fault::{FaultPlan, PanicPolicy, PhaseError};
+pub use fault::{FaultPlan, PhaseError};
 pub use parallel::{
     parallel_for, parallel_nest, parallel_phases, publish_phases, try_parallel_for,
     try_parallel_phases, PhasePlan, RuntimeScheduler,
@@ -67,7 +66,7 @@ pub use shared::RowMatrix;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::fault::{FaultPlan, PanicPolicy, PhaseError};
+    pub use crate::fault::{FaultPlan, PhaseError};
     pub use crate::parallel::{
         parallel_for, parallel_nest, parallel_phases, try_parallel_for, try_parallel_phases,
         RuntimeScheduler,

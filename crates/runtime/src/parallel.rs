@@ -4,23 +4,21 @@
 //!
 //! Every loop body runs under `catch_unwind`: a panicking iteration marks
 //! the region failed (first panic wins; a [`PhasePlan`] may instead
-//! contain it, as a serving batch does) but never tears down the pool. The
-//! panicking worker itself survives — it resumes grabbing right after the
-//! poisoned iteration — and what happens to the *remaining* iterations is
-//! the pool's [`crate::fault::PanicPolicy`]: `Drain` (default) executes
-//! every non-panicking iteration exactly once; `SkipRemaining` stops
-//! grabbing new chunks and skips later phases. Either way every worker
-//! still arrives at every barrier generation, so the rendezvous can never
+//! contain it, as a serving batch does) but never tears down the pool or
+//! halts the region. The panicking worker itself survives — it resumes at
+//! the iteration after the poisoned one — so every non-panicking iteration
+//! still runs exactly once. Only a driver-internal failure (arming a
+//! phase's work source) halts a region. Either way every worker still
+//! arrives at every barrier generation, so the rendezvous can never
 //! deadlock, and the [`crate::fault::PhaseError`] — worker id, phase,
 //! payload — comes back from [`try_parallel_for`] / [`try_parallel_phases`]
 //! (the non-`try` forms re-raise it via `resume_unwind`).
 
 use crate::adapt::AdaptController;
 use crate::barrier::SenseBarrier;
-use crate::fault::{FaultPlan, PanicPolicy, PhaseError};
+use crate::fault::{FaultPlan, PhaseError};
 use crate::pool::{DispatchSlot, DispatchTicket, Pool};
 use crate::source::{AfsSource, FetchAddSource, LockedSource, StaticSource, WorkSource};
-use crate::source_le::{AfsLeSource, LeHistory};
 use crate::sync::Mutex;
 use afs_core::metrics::LoopMetrics;
 use afs_core::policy::{Grab, Scheduler};
@@ -52,11 +50,6 @@ enum Kind {
     /// Distributed AFS; `ahead` local chunks are claimed per CAS (1 =
     /// plain AFS, see `AfsSource::with_grab_ahead`).
     Afs { k: KParam, ahead: usize },
-    /// Distributed AFS, "last executed" assignment (§4.3).
-    AfsLe {
-        k: KParam,
-        history: std::sync::Arc<LeHistory>,
-    },
     /// Distributed AFS whose subdivision k and grab-ahead b are re-tuned
     /// at every phase boundary by an [`AdaptController`] reading the
     /// pool's counter deltas.
@@ -96,17 +89,6 @@ impl RuntimeScheduler {
         }
     }
 
-    /// AFS with a fixed local-grab divisor `k`.
-    pub fn afs_with_k(k: u64) -> Self {
-        assert!(k >= 1);
-        Self {
-            kind: Kind::Afs {
-                k: KParam::Fixed(k),
-                ahead: 1,
-            },
-        }
-    }
-
     /// AFS (`k = P`) with grab-ahead: each local CAS claims up to `batch`
     /// consecutive chunks, amortizing the atomic on fine-grained bodies.
     /// Chunk boundaries, `LoopMetrics`, and the sync-count tables are
@@ -135,18 +117,17 @@ impl RuntimeScheduler {
         }
     }
 
-    /// Distributed AFS with "last executed" assignment across loop
-    /// executions (the paper's §4.3 extension): migrations performed in one
-    /// phase carry over to the next, so persistent imbalance stops causing
-    /// repeated work movement. The policy value owns the cross-phase
-    /// history; reuse the same value across the phases of one region.
+    /// AFS with "last executed" assignment across loop executions (the
+    /// paper's §4.3 extension): migrations performed in one phase carry
+    /// over to the next, so persistent imbalance stops causing repeated
+    /// work movement. This is `afs-core`'s [`AffinityLastExec`] under its
+    /// queue lock; the policy value owns the core scheduler and through it
+    /// the history, so reuse the same value across the phases of one
+    /// region or consecutive loops.
+    ///
+    /// [`AffinityLastExec`]: afs_core::schedulers::AffinityLastExec
     pub fn afs_last_exec() -> Self {
-        Self {
-            kind: Kind::AfsLe {
-                k: KParam::EqualsP,
-                history: std::sync::Arc::new(LeHistory::new()),
-            },
-        }
+        Self::from_core(afs_core::schedulers::AffinityLastExec::with_k_equals_p())
     }
 
     /// Self-tuning AFS for a pool of `p` workers: a fresh
@@ -248,7 +229,6 @@ impl RuntimeScheduler {
                 k: KParam::Fixed(k),
                 ahead,
             } => format!("AFS(k={k},ga={ahead})"),
-            Kind::AfsLe { .. } => "AFS-LE".into(),
             Kind::Adaptive(_) => "ADAPTIVE".into(),
             Kind::Static => "STATIC".into(),
         }
@@ -304,13 +284,6 @@ impl RuntimeScheduler {
                 *slot = Some(PhaseSource::other(FetchAddSource::new(n, *chunk)))
             }
             Kind::Afs { k, ahead } => afs(slot, k.resolve(p), *ahead),
-            Kind::AfsLe { k, history } => {
-                let src = AfsLeSource::new(n, p, k.resolve(p), Arc::clone(history));
-                *slot = Some(PhaseSource::other(match trace {
-                    Some(sink) => src.with_trace(Arc::clone(sink)),
-                    None => src,
-                }));
-            }
             Kind::Adaptive(ctl) => {
                 // Phase boundary: read the finished phase's counter deltas,
                 // decide the next phase's (k, b), and surface the controller
@@ -354,9 +327,9 @@ where
 }
 
 /// Like [`parallel_for`], but a panicking iteration is returned as
-/// `Err(PhaseError)` (worker id + payload) instead of propagating. The
-/// pool's [`PanicPolicy`] decides what survivors do with the remaining
-/// iterations; the pool remains fully usable either way.
+/// `Err(PhaseError)` (worker id + payload) instead of propagating. Every
+/// other iteration still runs exactly once, and the pool remains fully
+/// usable.
 pub fn try_parallel_for<F>(
     pool: &Pool,
     n: u64,
@@ -463,9 +436,9 @@ pub trait PhasePlan: Sync {
     /// Not called once a driver-internal failure has halted the region.
     fn close(&self, _worker: usize, _phase: usize) {}
 
-    /// Whether the plan contains a body panic on `worker` in `phase`: then
-    /// only the poisoned iteration is skipped. Otherwise the panic is the
-    /// region's failure, under the pool's [`PanicPolicy`].
+    /// Whether the plan contains a body panic on `worker` in `phase`.
+    /// Otherwise the panic is the region's failure. Either way only the
+    /// poisoned iteration is skipped.
     fn contain(&self, _worker: usize, _phase: usize) -> bool {
         false
     }
@@ -517,34 +490,20 @@ pub fn publish_phases<P: PhasePlan + Send + 'static>(
 }
 
 /// Shared failure state of one parallel region: the first [`PhaseError`]
-/// and whether survivors should stop grabbing (`SkipRemaining`, or a
-/// driver-internal failure that makes later phases unrunnable).
+/// and whether the region halted (a driver-internal failure that makes
+/// later phases unrunnable: they run empty).
+#[derive(Default)]
 struct RegionFailure {
     halt: AtomicBool,
-    skip_on_panic: bool,
     slot: Mutex<Option<PhaseError>>,
 }
 
 impl RegionFailure {
-    fn new(policy: PanicPolicy) -> RegionFailure {
-        RegionFailure {
-            halt: AtomicBool::new(false),
-            skip_on_panic: policy == PanicPolicy::SkipRemaining,
-            slot: Mutex::new(None),
-        }
-    }
-
-    /// Records a body panic (first wins); halts the region only under
-    /// [`PanicPolicy::SkipRemaining`].
+    /// Records a panic (first wins). A body panic does not halt the region.
     fn record(&self, worker: usize, phase: usize, payload: Box<dyn std::any::Any + Send>) {
-        {
-            let mut slot = self.slot.lock();
-            if slot.is_none() {
-                *slot = Some(PhaseError::new(worker, phase, payload));
-            }
-        }
-        if self.skip_on_panic {
-            self.halt.store(true, Ordering::SeqCst);
+        let mut slot = self.slot.lock();
+        if slot.is_none() {
+            *slot = Some(PhaseError::new(worker, phase, payload));
         }
     }
 
@@ -607,8 +566,8 @@ struct Region<Q> {
     registry: Arc<MetricsRegistry>,
     recorder: Arc<FlightRecorder>,
     faults: Option<Arc<FaultPlan>>,
-    // Read by every worker on every grab, written only on a failure: on a
-    // line of its own, as is the source slot the turn rewrites.
+    // Written only on a failure: on a line of its own, as is the source
+    // slot the turn rewrites.
     failure: CachePadded<RegionFailure>,
     /// The one work source, alive for the whole region. Plain memory,
     /// synchronized by the barrier: after setup it is rewritten only
@@ -654,7 +613,7 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
             registry: Arc::clone(pool.metrics()),
             recorder: Arc::clone(pool.recorder()),
             faults: pool.fault_plan().cloned(),
-            failure: CachePadded::new(RegionFailure::new(pool.panic_policy())),
+            failure: CachePadded::new(RegionFailure::default()),
             source: CachePadded::new(UnsafeCell::new(None)),
             barrier: pool.phase_barrier(),
             deadline_ns: pool.phase_deadline().map(|d| d.as_nanos() as u64),
@@ -783,12 +742,10 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
         let (faults, mut grabs, mut iters) = (self.faults.as_deref(), 0u64, 0u64);
         match &self.trace {
             None => {
-                // Untraced fast path: no per-grab branches beyond the halt
-                // check and the `None` fault plan.
+                // Untraced fast path: no per-grab branch beyond the `None`
+                // fault plan. A halted region has no source, so a drain
+                // never sees a halt.
                 loop {
-                    if self.failure.halted() {
-                        break;
-                    }
                     counters.record_heartbeat();
                     if let Some(f) = faults {
                         f.on_grab(worker, phase, grabs);
@@ -804,13 +761,6 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
                 }
             }
             Some(sink) => loop {
-                if self.failure.halted() {
-                    // The region is over for this worker; it heads straight
-                    // to the barrier, so mark the arrival for span
-                    // accounting.
-                    sink.record(worker, EventKind::BarrierArrive);
-                    break;
-                }
                 counters.record_heartbeat();
                 if let Some(f) = faults {
                     f.on_grab(worker, phase, grabs);
@@ -839,10 +789,9 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
 
     /// Executes one grabbed chunk under `catch_unwind`, returning how many
     /// iterations actually ran. On a panic the worker itself survives: the
-    /// plan contains the poisoned iteration or the region records it and,
-    /// unless that halted the region, execution resumes at the *next*
-    /// iteration of the same chunk — so every non-panicking iteration
-    /// still runs exactly once.
+    /// plan contains the poisoned iteration or the region records it, and
+    /// execution resumes at the *next* iteration of the same chunk — so
+    /// every non-panicking iteration still runs exactly once.
     fn run_chunk(&self, worker: usize, phase: usize, grab: &Grab, body: &impl Fn(u64)) -> u64 {
         let faults = self.faults.as_deref();
         let mut lo = grab.range.start;
@@ -871,12 +820,7 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
                     if !self.plan.contain(worker, phase) {
                         self.failure.record(worker, phase, payload);
                     }
-                    if self.failure.halted() {
-                        // SkipRemaining: the chunk tail is abandoned with
-                        // the rest of the region.
-                        break;
-                    }
-                    // Drain: skip only the iteration that panicked.
+                    // Skip only the iteration that panicked.
                     lo = lo + done + 1;
                 }
             }
@@ -937,7 +881,7 @@ mod tests {
             RuntimeScheduler::trapezoid(),
             RuntimeScheduler::mod_factoring(),
             RuntimeScheduler::afs_k_equals_p(),
-            RuntimeScheduler::afs_with_k(2),
+            RuntimeScheduler::afs_tuned(2, 1),
             RuntimeScheduler::afs_last_exec(),
             RuntimeScheduler::adaptive(4),
             RuntimeScheduler::from_core(afs_core::schedulers::ChunkSelf::new(8)),

@@ -40,7 +40,7 @@
 //! runs out of work. Without a sink, tracing costs nothing.
 
 use crate::affinity;
-use crate::fault::{FaultPlan, PanicPolicy, PhaseError};
+use crate::fault::{FaultPlan, PhaseError};
 use crate::wait::{self, Budget, EventCount, Worker, DEFAULT_SPINS, DEFAULT_YIELDS};
 use crate::watchdog::Watchdog;
 use afs_metrics::pad::CachePadded;
@@ -306,7 +306,6 @@ pub struct Pool {
     p: usize,
     trace: Option<Arc<TraceSink>>,
     faults: Option<Arc<FaultPlan>>,
-    policy: PanicPolicy,
     deadline: Option<Duration>,
     watchdog: Option<Watchdog>,
     /// Always-on black box (see [`FlightRecorder`]): phase summaries accumulate
@@ -330,7 +329,6 @@ pub struct PoolBuilder {
     trace: Option<Arc<TraceSink>>,
     inject_seed: Option<u64>,
     faults: Option<Arc<FaultPlan>>,
-    policy: PanicPolicy,
     watchdog: Option<Duration>,
     deadline: Option<Duration>,
     fail_spawn_after: Option<usize>,
@@ -376,13 +374,6 @@ impl PoolBuilder {
     /// absent (the hot paths check one `Option` that is `None`).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(Arc::new(plan));
-        self
-    }
-
-    /// What surviving workers do with remaining iterations after a loop
-    /// body panics (default: [`PanicPolicy::Drain`]).
-    pub fn panic_policy(mut self, policy: PanicPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -515,7 +506,6 @@ impl PoolBuilder {
             p: live,
             trace: self.trace,
             faults: self.faults,
-            policy: self.policy,
             deadline: self.deadline,
             watchdog: None,
             recorder,
@@ -562,7 +552,6 @@ impl Pool {
             trace: None,
             inject_seed: None,
             faults: None,
-            policy: PanicPolicy::default(),
             watchdog: None,
             deadline: None,
             fail_spawn_after: None,
@@ -619,11 +608,6 @@ impl Pool {
     /// phase driver applies to every region, serving batches included.
     pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
         self.faults.as_ref()
-    }
-
-    /// What survivors do with remaining iterations after a body panic.
-    pub(crate) fn panic_policy(&self) -> PanicPolicy {
-        self.policy
     }
 
     /// The per-phase deadline, if one was configured.

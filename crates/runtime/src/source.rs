@@ -183,9 +183,6 @@ pub struct AfsSource {
     /// Local chunks claimed per CAS (1 = plain AFS). Atomic for the same
     /// reason as `k`.
     ahead: AtomicUsize,
-    /// NUMA node index of each worker slot: same-node victims are probed
-    /// before cross-node ones on the steal fallback path.
-    node_of: Vec<usize>,
     /// Per-worker stash of pre-claimed sub-chunks (drained before any new
     /// CAS; empty whenever `ahead == 1`) and steal-scan count.
     slots: Vec<CachePadded<Slot>>,
@@ -208,12 +205,6 @@ impl AfsSource {
             parts.iter().all(|r| r.len() <= u32::MAX as u64),
             "per-queue partition exceeds the packed 32-bit cursor range"
         );
-        // Worker slot w pins to core w (modulo core count) on pinned
-        // pools, so the slot's node is the node of that core. Single-node
-        // hosts get an all-equal map, which degrades the probe order to
-        // the plain wrap-around scan below.
-        let topo = crate::affinity::topology();
-        let node_of = (0..p).map(|w| topo.node_of_cpu(w)).collect();
         Self {
             words: parts
                 .iter()
@@ -223,7 +214,6 @@ impl AfsSource {
             k: AtomicU64::new(k),
             p,
             ahead: AtomicUsize::new(1),
-            node_of,
             slots: (0..p)
                 .map(|_| {
                     CachePadded::new(Slot {
@@ -267,15 +257,6 @@ impl AfsSource {
     /// partitions it. `batch` is clamped to `1..=`[`MAX_GRAB_AHEAD`].
     pub fn with_grab_ahead(mut self, batch: usize) -> Self {
         *self.ahead.get_mut() = batch.clamp(1, MAX_GRAB_AHEAD);
-        self
-    }
-
-    /// Overrides the worker→node map (tests only: lets a single-node host
-    /// exercise the two-pass cross-node probe order deterministically).
-    #[doc(hidden)]
-    pub fn with_node_map(mut self, node_of: Vec<usize>) -> Self {
-        assert_eq!(node_of.len(), self.p);
-        self.node_of = node_of;
         self
     }
 
@@ -362,18 +343,12 @@ impl AfsSource {
     }
 
     /// Cheap fallback victim choice: the first non-empty queue after
-    /// `start`, wrapping — but seeded by the NUMA topology: queues on
-    /// `worker`'s own node are probed first, cross-node queues only when
-    /// every same-node victim is empty. On a single-node host every queue
-    /// is same-node, so the first pass *is* the original scan and the
-    /// order is unchanged. Used once `MAX_FULL_SCANS` most-loaded scans
+    /// `start`, wrapping. Used once `MAX_FULL_SCANS` most-loaded scans
     /// have been wasted on steal races.
-    fn probe_from(&self, worker: usize, start: usize) -> Option<usize> {
-        let home = self.node_of.get(worker).copied().unwrap_or(0);
-        let seq = || (0..self.p).map(|off| (start + 1 + off) % self.p);
-        seq()
-            .find(|&i| self.node_of[i] == home && self.queue_len(i) > 0)
-            .or_else(|| seq().find(|&i| self.node_of[i] != home && self.queue_len(i) > 0))
+    fn probe_from(&self, start: usize) -> Option<usize> {
+        (0..self.p)
+            .map(|off| (start + 1 + off) % self.p)
+            .find(|&i| self.queue_len(i) > 0)
     }
 
     #[inline]
@@ -546,7 +521,7 @@ impl WorkSource for AfsSource {
                 full_scans += 1;
                 self.most_loaded()?
             } else {
-                self.probe_from(worker, self.last_victim.load(Ordering::Relaxed))?
+                self.probe_from(self.last_victim.load(Ordering::Relaxed))?
             };
             self.last_victim.store(victim, Ordering::Relaxed);
             if let Some(g) = self.try_steal(worker, victim) {
@@ -758,90 +733,6 @@ mod tests {
             });
             assert!(seen.iter().all(|c| c.load(Ordering::SeqCst) == 1));
         }
-    }
-
-    #[test]
-    fn probe_prefers_same_node_victims() {
-        // Two synthetic nodes: workers {0,1} on node 0, {2,3} on node 1.
-        let src = AfsSource::new(400, 4, 4).with_node_map(vec![0, 0, 1, 1]);
-        // Drain queue 1 only (its owner pulling local chunks).
-        while src.try_local(1).is_some() {}
-        // Probing from start=0 scans 1,2,3,0: the plain order would pick 2
-        // (first non-empty), the node-aware order picks 0 — the only
-        // remaining same-node victim.
-        assert_eq!(src.probe_from(0, 0), Some(0));
-        // A worker on node 1 probing the same start picks 2 (same-node).
-        assert_eq!(src.probe_from(2, 0), Some(2));
-        // Once the whole home node is empty, the cross-node pass kicks in.
-        while src.try_local(0).is_some() {}
-        assert_eq!(src.probe_from(0, 0), Some(2));
-    }
-
-    #[test]
-    fn single_node_map_leaves_probe_order_unchanged() {
-        // On a single-node map the first probe pass is exactly the old
-        // wrap-around scan: same victim for every (worker, start).
-        let flat = AfsSource::new(400, 4, 4).with_node_map(vec![0; 4]);
-        let reference = |start: usize, skip: &[usize]| {
-            (0..4usize)
-                .map(|off| (start + 1 + off) % 4)
-                .find(|i| !skip.contains(i))
-        };
-        for start in 0..4 {
-            for w in 0..4 {
-                assert_eq!(flat.probe_from(w, start), reference(start, &[]));
-            }
-        }
-        while flat.try_local(2).is_some() {}
-        for start in 0..4 {
-            for w in 0..4 {
-                assert_eq!(flat.probe_from(w, start), reference(start, &[2]));
-            }
-        }
-    }
-
-    #[test]
-    fn node_map_does_not_change_handed_out_chunks() {
-        // The node map only re-orders the steal *fallback* probe; on a
-        // deterministic drive the grabs (and hence iteration/sync counts)
-        // are identical with and without it.
-        let plain = AfsSource::new(512, 4, 4);
-        let mapped = AfsSource::new(512, 4, 4).with_node_map(vec![0, 1, 0, 1]);
-        let order: Vec<usize> = (0..600).map(|i| (i * 5 + i / 3) % 4).collect();
-        for &w in &order {
-            let (x, y) = (plain.next(w), mapped.next(w));
-            match (x, y) {
-                (Some(x), Some(y)) => {
-                    assert_eq!((x.range, x.queue, x.access), (y.range, y.queue, y.access));
-                }
-                (None, None) => break,
-                (x, y) => panic!("divergence: {x:?} vs {y:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn node_mapped_source_concurrent_coverage() {
-        use std::sync::atomic::AtomicU8;
-        let n = 10_000u64;
-        let p = 8;
-        let src = AfsSource::new(n, p, p as u64).with_node_map(vec![0, 0, 0, 0, 1, 1, 1, 1]);
-        let seen: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(0)).collect();
-        std::thread::scope(|s| {
-            for w in 0..p {
-                let src = &src;
-                let seen = &seen;
-                s.spawn(move || {
-                    while let Some(g) = src.next(w) {
-                        for i in g.range.iter() {
-                            let prev = seen[i as usize].fetch_add(1, Ordering::SeqCst);
-                            assert_eq!(prev, 0, "iteration {i} handed out twice");
-                        }
-                    }
-                });
-            }
-        });
-        assert!(seen.iter().all(|c| c.load(Ordering::SeqCst) == 1));
     }
 
     #[test]

@@ -23,9 +23,9 @@ fn ones(counts: &[AtomicU32]) -> u64 {
         .count() as u64
 }
 
-/// Drain policy: a panicking iteration costs exactly itself. Every other
-/// iteration executes exactly once, the error names the worker and phase,
-/// and the same pool runs the next loop cleanly.
+/// A panicking iteration costs exactly itself. Every other iteration
+/// executes exactly once, the error names the worker and phase, and the
+/// same pool runs the next loop cleanly.
 #[test]
 fn drain_executes_every_other_iteration_exactly_once() {
     let (n, p) = (4096u64, 4usize);
@@ -66,36 +66,7 @@ fn drain_executes_every_other_iteration_exactly_once() {
     assert!(again.iter().all(|c| c.load(Ordering::SeqCst) == 1));
 }
 
-/// SkipRemaining: nothing runs twice, the poisoned iteration never runs,
-/// and the metrics agree exactly with however far the survivors got.
-#[test]
-fn skip_remaining_never_double_runs_and_metrics_agree() {
-    let (n, p) = (4096u64, 4usize);
-    let poison = 1500u64;
-    let pool = Pool::builder(p)
-        .faults(FaultPlan::new(7).with_panic_at(1, 0, poison))
-        .panic_policy(PanicPolicy::SkipRemaining)
-        .build();
-    let counts = count_array(n);
-    let before = pool.metrics().snapshot();
-    let err = try_parallel_for(&pool, n, &RuntimeScheduler::static_partition(), |i| {
-        counts[i as usize].fetch_add(1, Ordering::SeqCst);
-    })
-    .unwrap_err();
-    assert_eq!(err.worker(), 1);
-    assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) <= 1));
-    assert_eq!(counts[poison as usize].load(Ordering::SeqCst), 0);
-    let executed = ones(&counts);
-    // Worker 1 abandons at least its own chunk tail.
-    assert!(executed < n);
-    let delta = pool.metrics().snapshot().delta_since(&before);
-    assert_eq!(delta.totals().iters, executed);
-    // The pool recovers for the next region.
-    let m = parallel_for(&pool, n, &RuntimeScheduler::static_partition(), |_| {});
-    assert_eq!(m.total_iters(), n);
-}
-
-/// A panic in the middle phase of a nest: Drain finishes the nest (minus
+/// A panic in the middle phase of a nest: the nest still finishes (minus
 /// one iteration) and the error carries the phase index.
 #[test]
 fn drain_nest_loses_only_the_poisoned_iteration() {
@@ -124,39 +95,6 @@ fn drain_nest_loses_only_the_poisoned_iteration() {
     }
     let delta = pool.metrics().snapshot().delta_since(&before);
     assert_eq!(delta.totals().iters, n * phases as u64 - 1);
-}
-
-/// SkipRemaining in a nest: phases after the failed one never start.
-#[test]
-fn skip_remaining_skips_later_phases() {
-    let (n, p, phases) = (2048u64, 4usize, 3usize);
-    let poison = 700u64;
-    let pool = Pool::builder(p)
-        .faults(FaultPlan::new(3).with_panic_at(1, 1, poison))
-        .panic_policy(PanicPolicy::SkipRemaining)
-        .build();
-    let counts = count_array(n * phases as u64);
-    let err = try_parallel_phases(
-        &pool,
-        phases,
-        |_| n,
-        &RuntimeScheduler::static_partition(),
-        |ph, i| {
-            counts[ph * n as usize + i as usize].fetch_add(1, Ordering::SeqCst);
-        },
-    )
-    .unwrap_err();
-    assert_eq!(err.phase(), 1);
-    // Phase 0 completed before the failure, phase 2 never ran.
-    let phase_total = |ph: usize| {
-        counts[ph * n as usize..(ph + 1) * n as usize]
-            .iter()
-            .map(|c| c.load(Ordering::SeqCst) as u64)
-            .sum::<u64>()
-    };
-    assert_eq!(phase_total(0), n);
-    assert!(phase_total(1) < n);
-    assert_eq!(phase_total(2), 0);
 }
 
 /// Timing faults (delayed start, stall, preemption) disturb the schedule
@@ -313,11 +251,11 @@ impl afs_core::policy::Scheduler for RefusesLoop {
 /// The driver-internal failure path: the *next phase's source* cannot be
 /// produced — the scheduler's `begin_loop` panics, `len_of` panics, or an
 /// AFS re-arm is asked for a partition beyond the packed 32-bit cursor
-/// range. Whatever the panic policy, that is fatal for the
-/// region and for nothing else: the error names the phase that could not
-/// start, every earlier phase ran exactly once, no later phase ran at all,
-/// every worker was released from every barrier (the call returns), and
-/// the same pool runs the next loop cleanly. Phase 0 fails on the calling
+/// range. Unlike a body panic, which never halts a region, that is fatal
+/// for the region and for nothing else: the error names the phase that
+/// could not start, every earlier phase ran exactly once, no later phase
+/// ran at all, every worker was released from every barrier (the call
+/// returns), and the same pool runs the next loop cleanly. Phase 0 fails on the calling
 /// thread before any worker is involved; later phases fail inside a
 /// barrier turn with the rest of the party parked on it.
 #[test]
@@ -359,42 +297,40 @@ fn unbuildable_phase_is_fatal_to_the_region_only() {
             |k, ph| if ph == k { 4u64 << 32 } else { 512 },
         ),
     ];
-    for panic_policy in [PanicPolicy::Drain, PanicPolicy::SkipRemaining] {
-        let pool = Pool::builder(p).panic_policy(panic_policy).build();
-        for (what, fragment, policy_for, len_for) in &cases {
-            for k in [0usize, 1, 3, phases - 1] {
-                let ctx = format!("{what} at phase {k}, {panic_policy:?}");
-                let counts = count_array(n * phases as u64);
-                let err = try_parallel_phases(
-                    &pool,
-                    phases,
-                    |ph| len_for(k, ph),
-                    &policy_for(k),
-                    |ph, i| {
-                        counts[ph * n as usize + i as usize].fetch_add(1, Ordering::SeqCst);
-                    },
-                )
-                .expect_err(&ctx);
-                assert_eq!(err.phase(), k, "{ctx}");
-                assert!(
-                    err.message().is_some_and(|m| m.contains(fragment)),
-                    "{ctx}: {:?}",
-                    err.message()
-                );
-                let (ran, skipped) = counts.split_at(k * n as usize);
-                assert_eq!(ones(ran), k as u64 * n, "{ctx}: phases before the failure");
-                assert!(
-                    skipped.iter().all(|c| c.load(Ordering::SeqCst) == 0),
-                    "{ctx}: a phase at or after the failure ran"
-                );
-                // The pool is whole: the next loop covers everything.
-                let again = count_array(n);
-                let m = parallel_for(&pool, n, &RuntimeScheduler::afs_k_equals_p(), |i| {
-                    again[i as usize].fetch_add(1, Ordering::SeqCst);
-                });
-                assert_eq!(m.total_iters(), n, "{ctx}");
-                assert_eq!(ones(&again), n, "{ctx}");
-            }
+    let pool = Pool::new(p);
+    for (what, fragment, policy_for, len_for) in &cases {
+        for k in [0usize, 1, 3, phases - 1] {
+            let ctx = format!("{what} at phase {k}");
+            let counts = count_array(n * phases as u64);
+            let err = try_parallel_phases(
+                &pool,
+                phases,
+                |ph| len_for(k, ph),
+                &policy_for(k),
+                |ph, i| {
+                    counts[ph * n as usize + i as usize].fetch_add(1, Ordering::SeqCst);
+                },
+            )
+            .expect_err(&ctx);
+            assert_eq!(err.phase(), k, "{ctx}");
+            assert!(
+                err.message().is_some_and(|m| m.contains(fragment)),
+                "{ctx}: {:?}",
+                err.message()
+            );
+            let (ran, skipped) = counts.split_at(k * n as usize);
+            assert_eq!(ones(ran), k as u64 * n, "{ctx}: phases before the failure");
+            assert!(
+                skipped.iter().all(|c| c.load(Ordering::SeqCst) == 0),
+                "{ctx}: a phase at or after the failure ran"
+            );
+            // The pool is whole: the next loop covers everything.
+            let again = count_array(n);
+            let m = parallel_for(&pool, n, &RuntimeScheduler::afs_k_equals_p(), |i| {
+                again[i as usize].fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(m.total_iters(), n, "{ctx}");
+            assert_eq!(ones(&again), n, "{ctx}");
         }
     }
 }

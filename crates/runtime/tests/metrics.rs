@@ -22,7 +22,7 @@ fn policies() -> Vec<RuntimeScheduler> {
         RuntimeScheduler::factoring(),
         RuntimeScheduler::trapezoid(),
         RuntimeScheduler::afs_k_equals_p(),
-        RuntimeScheduler::afs_with_k(2),
+        RuntimeScheduler::afs_tuned(2, 1),
         RuntimeScheduler::afs_grab_ahead(8),
         RuntimeScheduler::afs_last_exec(),
     ]

@@ -305,8 +305,9 @@ fn all_policies_cover_exactly_and_match_core_grab_counts() {
             Some(Box::new(Trapezoid::new())),
         ),
         (RuntimeScheduler::afs_k_equals_p(), None),
-        (RuntimeScheduler::afs_with_k(2), None),
+        (RuntimeScheduler::afs_tuned(2, 1), None),
         (RuntimeScheduler::afs_grab_ahead(8), None),
+        (RuntimeScheduler::afs_last_exec(), None),
     ];
     let n = 3_000u64;
     let phases = 4usize;

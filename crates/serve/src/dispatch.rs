@@ -25,9 +25,8 @@
 //! Panic containment: the batch's `contain` hook keeps a body panic to
 //! its own request. The first panic wins a CAS into the request's failure
 //! slot, the batch skips the request's later phases, and the final
-//! phase's close retires it as failed; batchmates complete exactly once,
-//! the pool's `PanicPolicy` does not halt a batch, and the dispatcher
-//! never unwinds. Fault-plan hooks see the region's coordinates (phase
+//! phase's close retires it as failed; batchmates complete exactly once
+//! (a body panic never halts a region), and the dispatcher never unwinds. Fault-plan hooks see the region's coordinates (phase
 //! *g*, grab attempts counted per phase); `RequestFailed.phase` stays
 //! request-relative.
 

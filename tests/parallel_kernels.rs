@@ -18,11 +18,10 @@ fn policies() -> Vec<RuntimeScheduler> {
         RuntimeScheduler::trapezoid(),
         RuntimeScheduler::mod_factoring(),
         RuntimeScheduler::afs_k_equals_p(),
-        RuntimeScheduler::afs_with_k(2),
+        RuntimeScheduler::afs_tuned(2, 1),
         RuntimeScheduler::afs_last_exec(),
         RuntimeScheduler::from_core(afs_core::schedulers::ChunkSelf::new(5)),
         RuntimeScheduler::from_core(afs_core::schedulers::AdaptiveGss::new()),
-        RuntimeScheduler::from_core(afs_core::schedulers::AffinityLastExec::with_k_equals_p()),
     ]
 }
 
