@@ -520,4 +520,94 @@ mod tests {
             Some("worker 1")
         );
     }
+
+    /// A fixed three-lane trace — lane 0 runs a local chunk and waits at
+    /// the barrier, lane 1 steals from queue 0 and parks before the
+    /// release, lane 2 serves one request through its lifecycle — and the
+    /// exact document it exports.
+    #[test]
+    fn fixed_trace_exports_byte_identical_json() {
+        let sink = TraceSink::stamped(&[
+            &[
+                (0, K::GrabBegin),
+                (
+                    250,
+                    K::GrabLocal {
+                        queue: 0,
+                        lo: 0,
+                        hi: 5,
+                    },
+                ),
+                (
+                    300,
+                    K::ChunkStart {
+                        queue: 0,
+                        lo: 0,
+                        hi: 5,
+                    },
+                ),
+                (2_000, K::ChunkEnd),
+                (2_100, K::BarrierArrive),
+                (3_400, K::BarrierRelease),
+            ],
+            &[
+                (1_000, K::GrabBegin),
+                (
+                    1_500,
+                    K::GrabRemote {
+                        queue: 0,
+                        lo: 5,
+                        hi: 9,
+                    },
+                ),
+                (
+                    1_600,
+                    K::ChunkStart {
+                        queue: 0,
+                        lo: 5,
+                        hi: 9,
+                    },
+                ),
+                (2_600, K::ChunkEnd),
+                (3_000, K::BarrierArrive),
+                (3_100, K::BarrierPark),
+                (3_500, K::BarrierRelease),
+            ],
+            &[
+                (100, K::RequestAdmit { tenant: 1, id: 42 }),
+                (200, K::RequestDispatch { tenant: 1, id: 42 }),
+                (3_450, K::RequestPhase { id: 42, phase: 0 }),
+                (3_600, K::RequestComplete { tenant: 1, id: 42 }),
+            ],
+        ]);
+        let expected = r#"{
+  "traceEvents": [
+    {"name": "process_name", "ph": "M", "pid": 0, "tid": 0, "args": {"name": "pin"}},
+    {"name": "thread_name", "ph": "M", "pid": 0, "tid": 0, "args": {"name": "worker 0"}},
+    {"name": "thread_name", "ph": "M", "pid": 0, "tid": 1, "args": {"name": "worker 1"}},
+    {"name": "thread_name", "ph": "M", "pid": 0, "tid": 2, "args": {"name": "worker 2"}},
+    {"name": "grab local", "cat": "grab", "ph": "X", "pid": 0, "tid": 0, "ts": 0, "dur": 0.25, "args": {"queue": 0, "lo": 0, "hi": 5}},
+    {"name": "chunk [0,5)", "cat": "chunk", "ph": "X", "pid": 0, "tid": 0, "ts": 0.3, "dur": 1.7, "args": {"queue": 0, "lo": 0, "hi": 5}},
+    {"name": "steal", "cat": "steal", "ph": "s", "id": 0, "pid": 0, "tid": 0, "ts": 1.5},
+    {"name": "barrier", "cat": "barrier", "ph": "i", "s": "t", "pid": 0, "tid": 0, "ts": 2.1},
+    {"name": "barrier wait", "cat": "barrier", "ph": "X", "pid": 0, "tid": 0, "ts": 2.1, "dur": 1.3},
+    {"name": "grab remote", "cat": "grab", "ph": "X", "pid": 0, "tid": 1, "ts": 1, "dur": 0.5, "args": {"queue": 0, "lo": 5, "hi": 9}},
+    {"name": "steal", "cat": "steal", "ph": "f", "bp": "e", "id": 0, "pid": 0, "tid": 1, "ts": 1.5},
+    {"name": "chunk [5,9)", "cat": "chunk", "ph": "X", "pid": 0, "tid": 1, "ts": 1.6, "dur": 1, "args": {"queue": 0, "lo": 5, "hi": 9}},
+    {"name": "barrier", "cat": "barrier", "ph": "i", "s": "t", "pid": 0, "tid": 1, "ts": 3},
+    {"name": "barrier wait", "cat": "barrier", "ph": "X", "pid": 0, "tid": 1, "ts": 3, "dur": 0.5},
+    {"name": "barrier park", "cat": "barrier", "ph": "i", "s": "t", "pid": 0, "tid": 1, "ts": 3.1},
+    {"name": "request admit", "cat": "serve", "ph": "i", "s": "t", "pid": 0, "tid": 2, "ts": 0.1, "args": {"tenant": 1, "id": 42}},
+    {"name": "request", "cat": "serve", "ph": "b", "id": 42, "pid": 0, "tid": 2, "ts": 0.1, "args": {"tenant": 1}},
+    {"name": "request dispatch", "cat": "serve", "ph": "i", "s": "t", "pid": 0, "tid": 2, "ts": 0.2, "args": {"tenant": 1, "id": 42}},
+    {"name": "service", "cat": "serve", "ph": "b", "id": 42, "pid": 0, "tid": 2, "ts": 0.2, "args": {"tenant": 1}},
+    {"name": "phase 0", "cat": "serve", "ph": "n", "id": 42, "pid": 0, "tid": 2, "ts": 3.45, "args": {"phase": 0}},
+    {"name": "service", "cat": "serve", "ph": "e", "id": 42, "pid": 0, "tid": 2, "ts": 3.6},
+    {"name": "request", "cat": "serve", "ph": "e", "id": 42, "pid": 0, "tid": 2, "ts": 3.6, "args": {"tenant": 1}}
+  ],
+  "displayTimeUnit": "ms"
+}
+"#;
+        assert_eq!(chrome_trace(&sink, "pin"), expected);
+    }
 }

@@ -149,6 +149,22 @@ impl TraceSink {
         }
     }
 
+    /// A sink holding hand-stamped events: lane `w` holds `lanes[w]` in
+    /// order, each `(t, kind)` stamped `t` ns rather than read off the
+    /// clock. Lets an exporter's output be pinned byte for byte.
+    #[cfg(test)]
+    pub(crate) fn stamped(lanes: &[&[(u64, EventKind)]]) -> Self {
+        let sink = Self::new(lanes.len());
+        for (lane, events) in sink.lanes.iter().zip(lanes) {
+            for &(t, kind) in *events {
+                // SAFETY: the sink is not yet shared, so nothing else
+                // reaches the lane.
+                unsafe { (*lane.ring.get()).push(Event { t, kind }) };
+            }
+        }
+        sink
+    }
+
     /// Latest event timestamp across all lanes (ns), or 0 if empty.
     pub fn last_event_ns(&self) -> u64 {
         (0..self.workers())
