@@ -343,7 +343,7 @@ pub fn run(quick: bool) -> KernelBenchResult {
 /// into `dir` (`kernels_sor_<pinned|unpinned>.json`). Returns the paths
 /// written.
 pub fn capture_traces(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
-    use afs_trace::{chrome_trace, TraceSink};
+    use afs_metrics::trace::{chrome_trace, TraceSink};
     use std::sync::Arc;
     let sizes = Sizes::of(true);
     let mut written = Vec::new();

@@ -20,8 +20,8 @@ use afs_kernels::gauss::GaussSystem;
 use afs_kernels::l4::L4Model;
 use afs_kernels::sor::SorGrid;
 use afs_kernels::transitive::{clique_graph, random_graph, TransitiveClosure};
+use afs_metrics::trace::{chrome_trace, TraceReport, TraceSink};
 use afs_runtime::{parallel_for, Pool, RuntimeScheduler};
-use afs_trace::{chrome_trace, report::TraceReport, TraceSink};
 
 use crate::experiments::Experiment;
 

@@ -61,6 +61,7 @@ pub mod range;
 pub mod rng;
 pub mod schedulers;
 pub mod theory;
+pub mod timeline;
 
 pub use metrics::{LoopMetrics, SyncOps};
 pub use policy::{AccessKind, Grab, LoopState, QueueTopology, Scheduler, Target};

@@ -1,11 +1,13 @@
 //! Per-processor execution timelines and an ASCII Gantt renderer.
 //!
-//! With [`crate::SimConfig::with_timeline`], the engine records what each
-//! processor was doing when: executing iterations, holding a queue lock, or
-//! waiting for one. Gaps are idle time (barrier waits, start delays). The
-//! renderer turns this into a terminal Gantt chart — the quickest way to
-//! *see* why a schedule is slow (serialized queue bars, one long row after
-//! the barrier, ...).
+//! A [`Timeline`] records what each processor was doing when: executing
+//! iterations, holding a queue lock, or waiting for one. Gaps are idle time
+//! (barrier waits, start delays). The simulator fills one when asked
+//! (`afs_sim::SimConfig::with_timeline`), and a real run's trace assembles
+//! into the same structure (`afs_metrics::trace::to_timeline`), so the two
+//! render and compare alike. The renderer turns either into a terminal
+//! Gantt chart — the quickest way to *see* why a schedule is slow
+//! (serialized queue bars, one long row after the barrier, ...).
 
 /// What a processor is doing during a segment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

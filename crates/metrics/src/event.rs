@@ -213,7 +213,7 @@ impl EventKind {
 /// origin) and what happened.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
-    /// Nanoseconds since [`crate::sink::TraceSink`] creation.
+    /// Nanoseconds since [`TraceSink`](crate::trace::TraceSink) creation.
     pub t: u64,
     /// What happened.
     pub kind: EventKind,

@@ -20,7 +20,7 @@
 //! worker's counters. [`FlightRecorder::phase_records`], the dump and
 //! every other reader merge the lanes back into one [`PhaseRecord`] per
 //! phase; a per-slot seqlock keeps a read racing a running region from
-//! merging a torn slot. Serve events go to a mutex-guarded ring, written
+//! merging a torn slot. Serve events go to a mutex-guarded `Ring`, written
 //! on the admission/dispatch threads. Nothing allocates in the steady
 //! state.
 //!
@@ -41,6 +41,7 @@
 //! flushing lazily guarantees the dump contains the record of the phase
 //! that stalled.
 
+use crate::ring::Ring;
 use crate::{CounterSnapshot, MetricsRegistry, METRICS_SCHEMA_VERSION};
 use afs_core::json::{self, Fields, Obj};
 use std::path::PathBuf;
@@ -253,47 +254,14 @@ impl Fields for TriggerCounts {
     }
 }
 
-/// A bounded overwrite-oldest ring of `Copy` records, preallocated once.
-#[derive(Debug)]
-struct Ring<T: Copy> {
-    slots: Vec<T>,
-    cap: usize,
-    /// Next slot to write once the ring is full.
-    next: usize,
-}
-
-impl<T: Copy> Ring<T> {
-    fn new(cap: usize) -> Ring<T> {
-        Ring {
-            slots: Vec::with_capacity(cap.max(1)),
-            cap: cap.max(1),
-            next: 0,
-        }
-    }
-
-    fn push(&mut self, v: T) {
-        if self.slots.len() < self.cap {
-            self.slots.push(v);
-        } else {
-            self.slots[self.next] = v;
-            self.next = (self.next + 1) % self.cap;
-        }
-    }
-
-    /// Surviving records, oldest first.
-    fn in_order(&self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        out.extend_from_slice(&self.slots[self.next..]);
-        out.extend_from_slice(&self.slots[..self.next]);
-        out
-    }
-
-    /// The `n` most recent records, oldest of them first.
-    fn last_n(&self, n: usize) -> Vec<T> {
-        let all = self.in_order();
-        let skip = all.len().saturating_sub(n);
-        all[skip..].to_vec()
-    }
+/// Sheds among the newest `window` events of `ring`. Walks the ring in
+/// place: it runs under the serve mutex, on every shed.
+fn recent_sheds(ring: &Ring<ServeRecord>, window: u32) -> u32 {
+    ring.iter()
+        .rev()
+        .take(window as usize)
+        .filter(|r| r.kind == ServeEventKind::Shed)
+        .count() as u32
 }
 
 /// A lane slot's `seq` before its first write.
@@ -446,7 +414,7 @@ impl FlightRecorder {
         FlightRecorder {
             lanes: Lanes::new(workers, phase_cap),
             next_seq: AtomicU64::new(0),
-            serve: Mutex::new(Ring::new(serve_cap)),
+            serve: Mutex::new(Ring::with_capacity(serve_cap.max(1))),
             trigger_counts: [const { AtomicU64::new(0) }; 4],
             triggered: AtomicBool::new(false),
             first: Mutex::new(None),
@@ -485,13 +453,7 @@ impl FlightRecorder {
     pub fn shed_spike_active(&self) -> bool {
         let window = self.shed_window.load(Ordering::Relaxed);
         let threshold = self.shed_threshold.load(Ordering::Relaxed);
-        let ring = self.serve.lock().unwrap();
-        let sheds = ring
-            .last_n(window as usize)
-            .iter()
-            .filter(|r| r.kind == ServeEventKind::Shed)
-            .count() as u32;
-        sheds >= threshold
+        recent_sheds(&self.serve.lock().unwrap(), window) >= threshold
     }
 
     /// Reserves sequence numbers for a parallel region of `phases` phases
@@ -552,11 +514,7 @@ impl FlightRecorder {
             ring.push(record);
             if record.kind == ServeEventKind::Shed {
                 let window = self.shed_window.load(Ordering::Relaxed);
-                let sheds = ring
-                    .last_n(window as usize)
-                    .iter()
-                    .filter(|r| r.kind == ServeEventKind::Shed)
-                    .count() as u32;
+                let sheds = recent_sheds(&ring, window);
                 (sheds >= self.shed_threshold.load(Ordering::Relaxed)).then_some((sheds, window))
             } else {
                 None
@@ -646,7 +604,7 @@ impl FlightRecorder {
 
     /// Surviving serve events, oldest first.
     pub fn serve_records(&self) -> Vec<ServeRecord> {
-        self.serve.lock().unwrap().in_order()
+        self.serve.lock().unwrap().iter().copied().collect()
     }
 
     /// Writes the pending dump if the recorder is armed, a dump directory
@@ -686,7 +644,7 @@ impl FlightRecorder {
         // Records ever written, surviving or not: sequence numbers are
         // handed out from 0 and every claimed phase is closed, in order.
         let phases_recorded = phases.last().map_or(0, |r| r.seq + 1);
-        let serve_events = self.serve.lock().unwrap().in_order();
+        let serve_events = self.serve_records();
         json::document(|o| {
             o.field("schema_version", &METRICS_SCHEMA_VERSION)
                 .field("kind", "flight_recorder")
@@ -947,6 +905,58 @@ pub(crate) mod tests {
         }
         assert!(!rec.shed_spike_active(), "window is all completes now");
         assert!(rec.triggered(), "the spike that happened stays on record");
+    }
+
+    /// A window that straddles the serve ring's wrap point counts exactly
+    /// its newest `window` events: a shed still held by the ring but older
+    /// than the window does not count.
+    #[test]
+    fn shed_window_straddling_the_wrap_counts_only_the_newest() {
+        let rec = FlightRecorder::with_capacity(1, 4, 6);
+        rec.set_shed_spike(3, 4);
+        let push = |i: u64, kind| {
+            rec.record_serve_event(ServeRecord {
+                t_ns: i,
+                kind,
+                tenant: 0,
+                id: i,
+                code: 0,
+            })
+        };
+        let (c, shed) = (ServeEventKind::Complete, ServeEventKind::Shed);
+        for (i, kind) in [c, c, c, shed, c, c, shed, shed].into_iter().enumerate() {
+            push(i as u64, kind);
+        }
+        // The ring holds events 2..=7 with 6 and 7 in its first two slots;
+        // the window is 4..=7, two sheds, while the ring holds three.
+        assert!(!rec.shed_spike_active());
+        assert!(!rec.triggered());
+        push(8, shed);
+        assert!(rec.shed_spike_active());
+        assert_eq!(
+            *rec.first.lock().unwrap(),
+            Some(Trigger::ShedSpike {
+                sheds: 3,
+                window: 4
+            })
+        );
+    }
+
+    #[test]
+    fn zero_serve_capacity_clamps_to_one() {
+        let rec = FlightRecorder::with_capacity(1, 4, 0);
+        for i in 0..3 {
+            rec.record_serve_event(ServeRecord {
+                t_ns: i,
+                kind: ServeEventKind::Admit,
+                tenant: 0,
+                id: i,
+                code: 0,
+            });
+        }
+        let events = rec.serve_records();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].id, 2);
     }
 
     #[test]

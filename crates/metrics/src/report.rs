@@ -8,9 +8,9 @@
 use crate::event::EventKind;
 use crate::sink::TraceSink;
 use crate::timeline::to_timeline;
+use crate::HistogramSnapshot;
 use afs_core::metrics::SyncOps;
-use afs_metrics::HistogramSnapshot;
-use afs_sim::timeline::SegmentKind;
+use afs_core::timeline::SegmentKind;
 use std::fmt::Write as _;
 
 /// One worker's wall-clock breakdown, in nanoseconds.

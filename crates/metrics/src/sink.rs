@@ -1,17 +1,21 @@
 //! The shared recording sink: one ring buffer per worker, no locks.
 
 use crate::event::{Event, EventKind};
-use crate::ring::{EventRing, DEFAULT_CAPACITY};
+use crate::ring::Ring;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
+
+/// Default per-worker capacity (events). At 32 bytes per event this is
+/// 2 MiB per worker — roomy enough for hundreds of thousands of chunks.
+pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// One worker's lane. The ring lives in an `UnsafeCell` so the owning
 /// worker can record through a shared `&TraceSink` without any lock; the
 /// single-writer discipline is what makes this sound (see
 /// [`TraceSink::record`]).
 struct Lane {
-    ring: UnsafeCell<EventRing>,
+    ring: UnsafeCell<Ring<Event>>,
     /// Debug-build guard catching violations of the single-writer contract.
     #[cfg(debug_assertions)]
     busy: AtomicBool,
@@ -55,12 +59,13 @@ impl TraceSink {
         Self::with_capacity(workers, DEFAULT_CAPACITY)
     }
 
-    /// A sink for `workers` lanes holding at most `capacity` events each.
+    /// A sink for `workers` lanes holding at most `capacity` events each
+    /// (`capacity >= 1`).
     pub fn with_capacity(workers: usize, capacity: usize) -> Self {
         assert!(workers >= 1, "need at least one lane");
         let lanes = (0..workers)
             .map(|_| Lane {
-                ring: UnsafeCell::new(EventRing::with_capacity(capacity)),
+                ring: UnsafeCell::new(Ring::with_capacity(capacity)),
                 #[cfg(debug_assertions)]
                 busy: AtomicBool::new(false),
             })
@@ -126,7 +131,7 @@ impl TraceSink {
     pub fn events(&self, worker: usize) -> Vec<Event> {
         // SAFETY: per the writer discipline, callers invoke this only after
         // the run's barrier, when no thread is writing.
-        unsafe { (*self.lanes[worker].ring.get()).to_vec() }
+        unsafe { (*self.lanes[worker].ring.get()).iter().copied().collect() }
     }
 
     /// Events overwritten on `worker`'s lane because its ring was full.
@@ -246,6 +251,12 @@ mod tests {
                 EventKind::GrabLocal { queue, .. } if queue == w as u32
             )));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity")]
+    fn zero_capacity_lanes_rejected() {
+        TraceSink::with_capacity(2, 0);
     }
 
     #[test]

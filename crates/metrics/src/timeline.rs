@@ -1,14 +1,15 @@
-//! Assembling recorded events into the simulator's [`Timeline`] structure.
+//! Assembling recorded events into the [`Timeline`] structure the
+//! simulator also produces.
 //!
-//! The payoff: `afs_sim::timeline::Timeline` already has an ASCII Gantt
-//! renderer and per-lane accounting, and the whole analysis surface built on
-//! simulated runs. Producing the same structure from a *real* execution
-//! makes the two directly comparable — render a simulated SOR sweep and the
-//! real one side by side and the shapes should agree.
+//! The payoff: [`Timeline`] already has an ASCII Gantt renderer and
+//! per-lane accounting, and the whole analysis surface built on simulated
+//! runs. Producing the same structure from a *real* execution makes the two
+//! directly comparable — render a simulated SOR sweep and the real one side
+//! by side and the shapes should agree.
 
 use crate::event::EventKind;
 use crate::sink::TraceSink;
-pub use afs_sim::timeline::{Segment, SegmentKind, Timeline};
+use afs_core::timeline::{SegmentKind, Timeline};
 
 /// Nanoseconds per timeline time unit. Real timelines are in microseconds:
 /// fine enough to resolve individual grabs, coarse enough that an `f64`
@@ -125,17 +126,9 @@ mod tests {
     use super::*;
     use crate::event::EventKind as K;
 
-    /// A sink pre-loaded with a hand-written event tape on lane 0.
+    /// A two-lane sink holding a hand-stamped event tape on lane 0.
     fn scripted(tape: &[(u64, K)]) -> TraceSink {
-        let sink = TraceSink::new(2);
-        // Timestamps here are synthetic; push through the ring directly by
-        // re-recording and overwriting `t` is not possible via the public
-        // API, so drive record() and then check shape-level invariants
-        // rather than exact times where real clocks are involved.
-        for &(_, kind) in tape {
-            sink.record(0, kind);
-        }
-        sink
+        TraceSink::stamped(&[tape, &[]])
     }
 
     #[test]
@@ -206,15 +199,8 @@ mod tests {
         ]);
         let tl = to_timeline(&sink);
         let kinds: Vec<SegmentKind> = tl.lanes[0].iter().map(|s| s.kind).collect();
-        // Some segments may collapse to zero width under a fast clock, but
-        // whatever survives must be ordered Sync/Wait before Busy and never
-        // fabricate a Wait without its begin.
-        assert!(kinds
-            .iter()
-            .all(|k| matches!(k, SegmentKind::Sync | SegmentKind::Wait | SegmentKind::Busy)));
-        if let Some(pos) = kinds.iter().position(|k| *k == SegmentKind::Busy) {
-            assert_eq!(pos, kinds.len() - 1, "busy must come last: {kinds:?}");
-        }
+        use SegmentKind::{Busy, Sync, Wait};
+        assert_eq!(kinds, [Sync, Wait, Sync, Busy]);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 
 use crate::wait::{Budget, EventCount, Worker};
 use afs_metrics::pad::CachePadded;
+use afs_metrics::trace::TraceSink;
 use afs_metrics::MetricsRegistry;
-use afs_trace::TraceSink;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -45,7 +45,7 @@ pub struct SenseBarrier {
     /// when the caller identifies which worker is arriving.
     metrics: Option<Arc<MetricsRegistry>>,
     /// Trace lanes: identified arrivers that park record a
-    /// [`afs_trace::EventKind::BarrierPark`].
+    /// [`afs_metrics::trace::EventKind::BarrierPark`].
     trace: Option<Arc<TraceSink>>,
 }
 
@@ -96,7 +96,7 @@ impl SenseBarrier {
 
     /// Attaches a trace sink; arrivals identified to an attached registry
     /// that escalate to a park then record a
-    /// [`afs_trace::EventKind::BarrierPark`] on the worker's lane.
+    /// [`afs_metrics::trace::EventKind::BarrierPark`] on the worker's lane.
     pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
         self.trace = Some(sink);
         self

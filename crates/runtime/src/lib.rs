@@ -22,9 +22,11 @@
 //!
 //! Execution can be traced: build the pool with [`pool::Pool::with_trace`]
 //! and every grab, chunk, contended lock acquisition and barrier entry is
-//! recorded into an `afs_trace::TraceSink` (per-worker ring buffers, no
-//! cross-thread synchronization on the hot path). Pools without a sink pay
-//! nothing — the drivers specialize on the sink's presence per loop.
+//! recorded into an [`afs_metrics::trace::TraceSink`] (per-worker ring
+//! buffers, no cross-thread synchronization on the hot path), which
+//! assembles into the same `afs_core::timeline::Timeline` the simulator
+//! draws. Pools without a sink pay nothing — the drivers specialize on the
+//! sink's presence per loop.
 //!
 //! ```
 //! use afs_runtime::prelude::*;

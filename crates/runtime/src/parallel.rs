@@ -23,8 +23,8 @@ use crate::sync::Mutex;
 use afs_core::metrics::LoopMetrics;
 use afs_core::policy::{Grab, Scheduler};
 use afs_core::schedulers::affinity::KParam;
+use afs_metrics::trace::{EventKind, TraceSink};
 use afs_metrics::{CachePadded, FlightRecorder, MetricsRegistry};
-use afs_trace::{EventKind, TraceSink};
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};

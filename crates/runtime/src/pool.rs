@@ -32,20 +32,20 @@
 //! chunk→processor mapping physical cache affinity (see
 //! [`crate::affinity`]).
 //!
-//! A pool can carry an [`afs_trace::TraceSink`] ([`PoolBuilder::trace`]):
-//! the loop drivers in [`crate::parallel`] then record scheduling events
-//! into the sink's per-worker lanes, and the pool itself records a
-//! `BarrierRelease` on each lane when a worker leaves the rendezvous — the
-//! closing half of the `BarrierArrive` the driver records when the worker
-//! runs out of work. Without a sink, tracing costs nothing.
+//! A pool can carry an [`afs_metrics::trace::TraceSink`]
+//! ([`PoolBuilder::trace`]): the loop drivers in [`crate::parallel`] then
+//! record scheduling events into the sink's per-worker lanes, and the pool
+//! itself records a `BarrierRelease` on each lane when a worker leaves the
+//! rendezvous — the closing half of the `BarrierArrive` the driver records
+//! when the worker runs out of work. Without a sink, tracing costs nothing.
 
 use crate::affinity;
 use crate::fault::{FaultPlan, PhaseError};
 use crate::wait::{self, Budget, EventCount, Worker, DEFAULT_SPINS, DEFAULT_YIELDS};
 use crate::watchdog::Watchdog;
 use afs_metrics::pad::CachePadded;
+use afs_metrics::trace::{EventKind, TraceSink};
 use afs_metrics::{FlightRecorder, MetricsRegistry, Trigger, WaitOutcome};
-use afs_trace::{EventKind, TraceSink};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

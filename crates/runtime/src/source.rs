@@ -25,8 +25,8 @@ use afs_core::chunking::{
 use afs_core::policy::{AccessKind, Grab, LoopState};
 use afs_core::range::IterRange;
 use afs_metrics::pad::CachePadded;
+use afs_metrics::trace::{EventKind, TraceSink};
 use afs_metrics::MetricsRegistry;
-use afs_trace::{EventKind, TraceSink};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -134,7 +134,8 @@ struct Slot {
     /// out is a `pop`.
     stash: UnsafeCell<Vec<Grab>>,
     /// Full O(P) steal-path scans this worker performed (most-loaded or
-    /// probe passes); observability for the bounded-rescan policy.
+    /// probe passes); the bounded-rescan regression test reads it.
+    #[cfg(test)]
     scans: AtomicU64,
 }
 
@@ -218,6 +219,7 @@ impl AfsSource {
                 .map(|_| {
                     CachePadded::new(Slot {
                         stash: UnsafeCell::new(Vec::new()),
+                        #[cfg(test)]
                         scans: AtomicU64::new(0),
                     })
                 })
@@ -266,7 +268,8 @@ impl AfsSource {
     }
 
     /// The current grab-ahead batch.
-    pub fn grab_ahead(&self) -> usize {
+    #[cfg(test)]
+    fn grab_ahead(&self) -> usize {
         self.ahead.load(Ordering::Relaxed)
     }
 
@@ -315,7 +318,8 @@ impl AfsSource {
 
     /// Number of full O(P) steal-path scans performed so far, summed over
     /// the workers.
-    pub fn steal_scans(&self) -> u64 {
+    #[cfg(test)]
+    fn steal_scans(&self) -> u64 {
         self.slots
             .iter()
             .map(|s| s.scans.load(Ordering::Relaxed))
@@ -512,11 +516,14 @@ impl WorkSource for AfsSource {
             if let Some(g) = self.try_local(worker) {
                 return Some(g);
             }
-            // Observability-only counter on the worker's own line: only this
-            // thread writes it, so a plain load+store (no locked RMW) counts
+            // Test-only counter on the worker's own line: only this thread
+            // writes it, so a plain load+store (no locked RMW) counts
             // exactly.
-            let scans = &self.slots[worker].scans;
-            scans.store(scans.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            #[cfg(test)]
+            {
+                let scans = &self.slots[worker].scans;
+                scans.store(scans.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            }
             let victim = if full_scans < MAX_FULL_SCANS {
                 full_scans += 1;
                 self.most_loaded()?

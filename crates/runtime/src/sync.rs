@@ -10,7 +10,7 @@
 //! the guard in that case, keeping call sites free of `unwrap` noise — and
 //! gives the tracing hook one place to time contended acquisitions.
 
-use afs_trace::{EventKind, TraceSink};
+use afs_metrics::trace::{EventKind, TraceSink};
 
 /// A mutex with panic-free locking (poison is recovered, not propagated).
 #[derive(Debug, Default)]

@@ -28,8 +28,8 @@
 //! argument; the six call sites differ only in what the event is.
 
 use crate::inject::YieldInject;
+use afs_metrics::trace::{EventKind, TraceSink};
 use afs_metrics::{WaitOutcome, WorkerCounters};
-use afs_trace::{EventKind, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 

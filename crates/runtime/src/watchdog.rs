@@ -17,8 +17,8 @@
 //! watchdog is the only writer there. Pools whose sink has exactly `p`
 //! lanes still count stalls in metrics; they just skip the trace event.
 
+use afs_metrics::trace::{EventKind, TraceSink};
 use afs_metrics::{FlightRecorder, MetricsRegistry, Trigger};
-use afs_trace::{EventKind, TraceSink};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;

@@ -134,7 +134,7 @@ fn timing_faults_preserve_exactly_once() {
 /// stalled worker's id.
 #[test]
 fn watchdog_detects_injected_stall() {
-    use afs_trace::{EventKind, TraceSink};
+    use afs_metrics::trace::{EventKind, TraceSink};
     use std::sync::Arc;
 
     let p = 2usize;

@@ -6,10 +6,10 @@
 
 use afs_core::json::Value;
 use afs_core::metrics::LoopMetrics;
+use afs_metrics::trace::prelude::*;
+use afs_metrics::trace::TraceReport;
 use afs_metrics::MetricsSnapshot;
 use afs_runtime::prelude::*;
-use afs_trace::prelude::*;
-use afs_trace::report::TraceReport;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;

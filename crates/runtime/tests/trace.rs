@@ -4,11 +4,11 @@
 
 use afs_core::json;
 use afs_core::metrics::LoopMetrics;
+use afs_metrics::trace::chunk_span_total;
+use afs_metrics::trace::prelude::*;
+use afs_metrics::trace::SegmentKind;
+use afs_metrics::trace::TraceReport;
 use afs_runtime::prelude::*;
-use afs_trace::prelude::*;
-use afs_trace::report::TraceReport;
-use afs_trace::timeline::chunk_span_total;
-use afs_trace::timeline::SegmentKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

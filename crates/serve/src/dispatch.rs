@@ -31,11 +31,11 @@
 //! request-relative.
 
 use crate::server::{Admitted, ServerShared, IDLE_YIELDS};
+use afs_metrics::trace::EventKind;
 use afs_metrics::{ServeEventKind, WaitOutcome};
 use afs_runtime::{
     publish_phases, DispatchSlot, DispatchTicket, PhasePlan, Pool, RuntimeScheduler,
 };
-use afs_trace::event::EventKind;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

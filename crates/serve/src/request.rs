@@ -151,7 +151,7 @@ impl LoopRequest {
 }
 
 /// Why admission refused a request. Discriminants are stable and mirror
-/// the trace reason codes (`afs_trace::EventKind::RequestShed`).
+/// the trace reason codes (`afs_metrics::trace::EventKind::RequestShed`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u32)]
 pub enum ShedReason {

@@ -29,14 +29,14 @@ use crate::dispatch::{execute, launch, Discipline, DispatchState};
 use crate::queue::MpmcQueue;
 use crate::request::{Admit, LoopRequest, ShedReason};
 use crate::supervise::{PoolFactory, Supervisor, SupervisorConfig};
+use afs_metrics::trace::EventKind;
+use afs_metrics::trace::TraceSink;
 use afs_metrics::{
     AtomicHistogram, MetricsSnapshot, ServeEventKind, ServeRecord, ServeSnapshot, TelemetryServer,
     TelemetrySource, TenantServeSnapshot, WaitOutcome,
 };
 use afs_runtime::wait::{Budget, EventCount};
 use afs_runtime::Pool;
-use afs_trace::event::EventKind;
-use afs_trace::sink::TraceSink;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::{self, JoinHandle};

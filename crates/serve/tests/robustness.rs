@@ -97,7 +97,7 @@ fn panic_in_a_fused_batch_fails_only_the_faulting_request() {
 /// carries a `RequestFailed` event with the panicking worker and phase.
 #[test]
 fn panic_containment_traces_worker_and_phase() {
-    use afs_trace::prelude::*;
+    use afs_metrics::trace::prelude::*;
     let p = 4;
     let sink = Arc::new(TraceSink::new(p + 2));
     let pool = Arc::new(

@@ -2,9 +2,9 @@
 //! completing real work on a real pool, latency stamping invariants,
 //! the serve ledger in the metrics snapshot, and trace events.
 
+use afs_metrics::trace::prelude::*;
 use afs_runtime::Pool;
 use afs_serve::prelude::*;
-use afs_trace::prelude::*;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 

@@ -665,7 +665,7 @@ fn seeded_concurrent_admits_and_blocking_runs_strand_nothing() {
 /// the trace's one terminal event per request agree.
 #[test]
 fn panicked_request_retires_in_the_turn_and_its_batchmates_at_their_count() {
-    use afs_trace::prelude::*;
+    use afs_metrics::trace::prelude::*;
     let p = 4;
     let sink = Arc::new(TraceSink::new(p + 2));
     let pool = Arc::new(

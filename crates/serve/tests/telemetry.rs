@@ -3,11 +3,11 @@
 //! recorder captures, and the request spans on the trace's serve lane.
 
 use afs_core::json::{self, Value};
+use afs_metrics::trace::chrome_trace;
+use afs_metrics::trace::prelude::*;
 use afs_metrics::{ServeEventKind, METRICS_SCHEMA_VERSION};
 use afs_runtime::Pool;
 use afs_serve::prelude::*;
-use afs_trace::chrome::chrome_trace;
-use afs_trace::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 

@@ -47,7 +47,9 @@ pub mod machine;
 pub mod oracle;
 pub mod resource;
 pub mod result;
-pub mod timeline;
+/// Per-processor timelines and the Gantt renderer, shared with the real
+/// runtime's trace (re-exported from `afs-core`).
+pub use afs_core::timeline;
 pub mod trace;
 pub mod workload;
 

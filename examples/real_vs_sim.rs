@@ -13,7 +13,7 @@
 
 use affinity_sched::apps::par_sor;
 use affinity_sched::prelude::*;
-use affinity_sched::trace::report::TraceReport;
+use affinity_sched::trace::TraceReport;
 use std::sync::Arc;
 
 const N: u64 = 192;

@@ -2,7 +2,8 @@
 # There is one spin → yield → park ladder and one eventcount in this
 # repository: crates/runtime/src/wait.rs. There is one JSON writer and one
 # string escaper: crates/core/src/json.rs. Library state is passed by
-# handle, not reached through process globals or environment knobs. This
+# handle, not reached through process globals or environment knobs. The
+# real-thread runtime and the server build without the simulator. This
 # check keeps it that way.
 #
 #   scripts/check_waits.sh
@@ -17,7 +18,10 @@
 #   * outside crates/bench (the CLI owns its process), an environment read
 #     (`env::var(`, `env::var_os(`) or a `static` holding a `OnceLock`,
 #     `OnceCell`, `LazyLock`, `Atomic*`, `Mutex` or `RwLock` occurs that
-#     the allow-list below does not name (`static NAME` entries).
+#     the allow-list below does not name (`static NAME` entries);
+# and, apart from the source walk, if `afs-sim` is listed under
+# `[dependencies]` of crates/{metrics,runtime,serve}/Cargo.toml, or a
+# crates/trace directory exists (tracing lives in afs-metrics).
 # "Non-test" is everything above a file's first `#[cfg(test)]` line (unit
 # tests close every file here); tests/, benches/, examples/ and benchmark/
 # are not looked at.
@@ -51,6 +55,20 @@ allowed() { # file pattern -> the allowed count, 0 when not listed
 }
 
 status=0
+for crate in metrics runtime serve; do
+    manifest="crates/$crate/Cargo.toml"
+    sim=$(awk '/^\[/ { deps = ($0 == "[dependencies]") } deps && /^afs-sim[[:space:]]*[.=]/ { print FNR ": " $0 }' "$manifest")
+    if [[ -n "$sim" ]]; then
+        echo "check_waits: $manifest depends on the simulator:" >&2
+        sed 's/^/    /' <<<"$sim" >&2
+        echo "check_waits: the runtime's build is the runtime; shared types live in afs-core (as the Timeline does)" >&2
+        status=1
+    fi
+done
+if [[ -d crates/trace ]]; then
+    echo "check_waits: crates/trace exists; tracing is afs-metrics' trace module, one crate for all per-worker recording" >&2
+    status=1
+fi
 while IFS= read -r file; do
     # Non-test code with comment lines dropped, line numbers kept.
     code=$(awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FNR ": " $0 }' "$file")
@@ -94,6 +112,7 @@ if ((status == 0)); then
     echo "check_waits: waiting primitives only in crates/runtime/src/wait.rs (+ ${#allow[@]} allow-listed uses and statics)"
     echo "check_waits: JSON written only through crates/core/src/json.rs"
     echo "check_waits: no process globals or env knobs outside crates/bench (+ the allow-listed statics)"
+    echo "check_waits: afs-metrics, afs-runtime and afs-serve build without afs-sim; no crates/trace"
 else
     echo "check_waits: wait through afs_runtime::wait (EventCount::wait), pass state by handle, or add an allow-list entry with its reason" >&2
 fi

@@ -14,12 +14,13 @@
 //! * [`kernels`] — the paper's five application kernels plus
 //!   synthetic imbalance workloads, as real computations and as simulator
 //!   workload models;
-//! * [`trace`] — low-overhead execution tracing for real runs:
-//!   per-worker ring buffers feeding the simulator's `Timeline` (ASCII
-//!   Gantt), a Chrome trace-event exporter, and aggregate reports;
 //! * [`metrics`] — always-on per-worker counters, duration
 //!   histograms, one JSON export, the per-pool flight recorder and the
-//!   live JSON telemetry endpoint.
+//!   live JSON telemetry endpoint;
+//! * [`trace`] — `afs-metrics`' opt-in execution tracing for real runs:
+//!   per-worker ring buffers assembled into the same `Timeline` (ASCII
+//!   Gantt) the simulator draws, a Chrome trace-event exporter, and
+//!   aggregate reports.
 //!
 //! See the repository README for a tour and `DESIGN.md` for the
 //! paper-to-module map.
@@ -29,9 +30,9 @@ pub mod apps;
 pub use afs_core as core;
 pub use afs_kernels as kernels;
 pub use afs_metrics as metrics;
+pub use afs_metrics::trace;
 pub use afs_runtime as runtime;
 pub use afs_sim as sim;
-pub use afs_trace as trace;
 
 /// One-stop prelude: scheduling policies, runtime entry points, simulator
 /// machine models, and kernels.
@@ -39,7 +40,7 @@ pub mod prelude {
     pub use afs_core::prelude::*;
     pub use afs_kernels::prelude::*;
     pub use afs_metrics::prelude::*;
+    pub use afs_metrics::trace::prelude::*;
     pub use afs_runtime::prelude::*;
     pub use afs_sim::prelude::*;
-    pub use afs_trace::prelude::*;
 }
