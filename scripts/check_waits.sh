@@ -114,6 +114,6 @@ if ((status == 0)); then
     echo "check_waits: no process globals or env knobs outside crates/bench (+ the allow-listed statics)"
     echo "check_waits: afs-metrics, afs-runtime and afs-serve build without afs-sim; no crates/trace"
 else
-    echo "check_waits: wait through afs_runtime::wait (EventCount::wait), pass state by handle, or add an allow-list entry with its reason" >&2
+    echo "check_waits: wait through afs_runtime::wait (EventCount::wait), write JSON through afs_core::json, pass state by handle, keep afs-sim out of the runtime's build, or add an allow-list entry with its reason" >&2
 fi
 exit $status
