@@ -138,7 +138,7 @@ pub fn chrome_trace(sink: &TraceSink, process_name: &str) -> String {
         let mut wait_start: Option<u64> = None;
         let mut busy_start: Option<(u64, u32, u64, u64)> = None;
         let mut barrier_start: Option<u64> = None;
-        for ev in sink.events(w) {
+        for &ev in sink.lane(w) {
             let t = ev.t;
             match ev.kind {
                 EventKind::GrabBegin => grab_start = Some(t),

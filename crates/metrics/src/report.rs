@@ -79,7 +79,7 @@ impl TraceReport {
             let mut busy_from: Option<u64> = None;
             let mut barrier_from: Option<u64> = None;
             let mut barrier = 0.0f64;
-            for ev in sink.events(w) {
+            for &ev in sink.lane(w) {
                 match ev.kind {
                     EventKind::GrabBegin => grab_start = Some(ev.t),
                     EventKind::BarrierArrive => barrier_from = Some(ev.t),
@@ -325,6 +325,58 @@ mod tests {
         assert!(!TraceReport::from_sink(&quiet)
             .render()
             .contains("cas retries"));
+    }
+
+    #[test]
+    fn wrapped_lanes_report_their_newest_events() {
+        // Lane 0 keeps 4 of its 7 events, its newest in the middle of the
+        // ring's storage, not at its end; lane 1 does not wrap. The span
+        // ends at lane 0's newest event, and only surviving grabs count.
+        let (local, remote) = (
+            K::GrabLocal {
+                queue: 0,
+                lo: 0,
+                hi: 4,
+            },
+            K::GrabRemote {
+                queue: 1,
+                lo: 60,
+                hi: 64,
+            },
+        );
+        let chunk = K::ChunkStart {
+            queue: 1,
+            lo: 60,
+            hi: 64,
+        };
+        let sink = TraceSink::stamped_in(
+            4,
+            &[
+                &[
+                    (10, K::GrabBegin),
+                    (20, local),
+                    (30, chunk),
+                    (40, K::ChunkEnd),
+                    (50, K::GrabBegin),
+                    (60, remote),
+                    (70, chunk),
+                ],
+                &[
+                    (5, K::GrabBegin),
+                    (15, local),
+                    (25, K::ChunkEnd),
+                    (65, K::BarrierArrive),
+                ],
+            ],
+        );
+        assert_eq!(sink.total_events(), 8);
+        assert_eq!(sink.last_event_ns(), 70);
+        let r = TraceReport::from_sink(&sink);
+        assert_eq!(r.dropped, vec![3, 0]);
+        assert_eq!(r.span_ns, 70);
+        assert_eq!((r.grabs.local, r.grabs.remote), (1, 1));
+        assert_eq!(r.steals, vec![vec![0, 1], vec![0, 0]]);
+        assert_eq!(r.grab_latency.samples, 2);
     }
 
     #[test]

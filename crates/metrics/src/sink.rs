@@ -125,24 +125,35 @@ impl TraceSink {
         lane.busy.store(false, Ordering::Release);
     }
 
-    /// Snapshot of `worker`'s surviving events in recording order.
+    /// `worker`'s surviving events in recording order, borrowed from its
+    /// ring (`.rev()` walks them newest first).
     ///
     /// Call only when no worker is concurrently recording (post-run).
-    pub fn events(&self, worker: usize) -> Vec<Event> {
+    pub fn lane(&self, worker: usize) -> impl DoubleEndedIterator<Item = &Event> {
         // SAFETY: per the writer discipline, callers invoke this only after
         // the run's barrier, when no thread is writing.
-        unsafe { (*self.lanes[worker].ring.get()).iter().copied().collect() }
+        unsafe { (*self.lanes[worker].ring.get()).iter() }
+    }
+
+    /// Snapshot of `worker`'s surviving events in recording order: a copy
+    /// of [`TraceSink::lane`].
+    pub fn events(&self, worker: usize) -> Vec<Event> {
+        self.lane(worker).copied().collect()
     }
 
     /// Events overwritten on `worker`'s lane because its ring was full.
     pub fn dropped(&self, worker: usize) -> u64 {
-        // SAFETY: see `events`.
+        // SAFETY: see `lane`.
         unsafe { (*self.lanes[worker].ring.get()).dropped() }
     }
 
     /// Total surviving events across all lanes.
     pub fn total_events(&self) -> usize {
-        (0..self.workers()).map(|w| self.events(w).len()).sum()
+        self.lanes
+            .iter()
+            // SAFETY: see `lane`.
+            .map(|lane| unsafe { (*lane.ring.get()).len() })
+            .sum()
     }
 
     /// Discards all recorded events (capacity retained), e.g. to reuse one
@@ -159,7 +170,14 @@ impl TraceSink {
     /// clock. Lets an exporter's output be pinned byte for byte.
     #[cfg(test)]
     pub(crate) fn stamped(lanes: &[&[(u64, EventKind)]]) -> Self {
-        let sink = Self::new(lanes.len());
+        Self::stamped_in(DEFAULT_CAPACITY, lanes)
+    }
+
+    /// [`TraceSink::stamped`] with `capacity` events a lane, so a test can
+    /// wrap a lane.
+    #[cfg(test)]
+    pub(crate) fn stamped_in(capacity: usize, lanes: &[&[(u64, EventKind)]]) -> Self {
+        let sink = Self::with_capacity(lanes.len(), capacity);
         for (lane, events) in sink.lanes.iter().zip(lanes) {
             for &(t, kind) in *events {
                 // SAFETY: the sink is not yet shared, so nothing else
@@ -170,10 +188,11 @@ impl TraceSink {
         sink
     }
 
-    /// Latest event timestamp across all lanes (ns), or 0 if empty.
+    /// Latest event timestamp across all lanes (ns), or 0 if empty: each
+    /// lane's newest event.
     pub fn last_event_ns(&self) -> u64 {
         (0..self.workers())
-            .filter_map(|w| self.events(w).last().map(|e| e.t))
+            .filter_map(|w| self.lane(w).next_back().map(|e| e.t))
             .max()
             .unwrap_or(0)
     }

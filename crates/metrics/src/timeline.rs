@@ -37,7 +37,7 @@ pub fn to_timeline(sink: &TraceSink) -> Timeline {
         let mut sync_start: Option<f64> = None;
         let mut wait_start: Option<f64> = None;
         let mut busy_start: Option<f64> = None;
-        for ev in sink.events(w) {
+        for &ev in sink.lane(w) {
             let t = ev.t as f64 / NS_PER_UNIT;
             match ev.kind {
                 EventKind::GrabBegin => sync_start = Some(t),
@@ -107,7 +107,7 @@ pub fn to_timeline(sink: &TraceSink) -> Timeline {
 pub fn chunk_span_total(sink: &TraceSink, worker: usize) -> f64 {
     let mut total = 0.0;
     let mut start: Option<u64> = None;
-    for ev in sink.events(worker) {
+    for &ev in sink.lane(worker) {
         match ev.kind {
             EventKind::ChunkStart { .. } => start = Some(ev.t),
             EventKind::ChunkEnd => {

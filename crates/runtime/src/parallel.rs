@@ -18,7 +18,9 @@ use crate::adapt::AdaptController;
 use crate::barrier::SenseBarrier;
 use crate::fault::{FaultPlan, PhaseError};
 use crate::pool::{DispatchSlot, DispatchTicket, Pool};
-use crate::source::{AfsSource, FetchAddSource, LockedSource, StaticSource, WorkSource};
+use crate::source::{
+    AfsSource, FetchAddSource, LockedSource, PhaseSource, StaticSource, WorkSource,
+};
 use crate::sync::Mutex;
 use afs_core::metrics::LoopMetrics;
 use afs_core::policy::{Grab, Scheduler};
@@ -27,7 +29,7 @@ use afs_metrics::trace::{EventKind, TraceSink};
 use afs_metrics::{CachePadded, FlightRecorder, MetricsRegistry};
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -56,26 +58,6 @@ enum Kind {
     Adaptive(Arc<AdaptController>),
     /// Lock-free static partition.
     Static,
-}
-
-/// One phase's work source. AFS keeps its concrete type so the next phase
-/// can re-arm it in place; every other policy's is type-erased, and replaced.
-enum PhaseSource {
-    Afs(Box<AfsSource>),
-    Other(Box<dyn WorkSource + Send>),
-}
-
-impl PhaseSource {
-    fn other(src: impl WorkSource + Send + 'static) -> Self {
-        PhaseSource::Other(Box::new(src))
-    }
-
-    fn get(&self) -> &dyn WorkSource {
-        match self {
-            PhaseSource::Afs(src) => &**src,
-            PhaseSource::Other(src) => &**src,
-        }
-    }
 }
 
 impl RuntimeScheduler {
@@ -234,15 +216,16 @@ impl RuntimeScheduler {
         }
     }
 
-    /// Arms `slot` with the work source for a phase of `n` iterations. An
-    /// AFS source left there by the previous phase is re-armed in place —
-    /// same queue words, bases and stashes, no allocation — so the caller
-    /// must hold the exclusive phase-boundary window [`AfsSource::rearm`]
-    /// requires; any other leftover is dropped *before* its successor is
-    /// built, so a region retains one source however many phases it runs.
-    /// `lane` is the calling thread's trace lane: the turn-taking worker at
-    /// a phase boundary, lane 0 at region setup (on the coordinator, before
-    /// the dispatch) where worker 0 is provably idle.
+    /// Arms `slot` with the work source for a loop of `n` iterations. A
+    /// source of this policy's kind left there — by the previous phase, or
+    /// by an earlier region as the pool's spare — is re-armed in place, with
+    /// no allocation, so the caller must hold the slot exclusively (the
+    /// window the sources' `rearm` requires); any other leftover is dropped
+    /// *before* its successor is built, so a region retains one source
+    /// however many phases it runs. `lane` is the calling thread's trace
+    /// lane: the turn-taking worker at a phase boundary, lane 0 at region
+    /// setup (on the coordinator, before the dispatch) where worker 0 is
+    /// provably idle.
     #[allow(clippy::too_many_arguments)] // one serial call per phase; a struct would just rename the list
     fn arm_source(
         &self,
@@ -253,37 +236,10 @@ impl RuntimeScheduler {
         metrics: &Arc<MetricsRegistry>,
         lane: usize,
     ) {
-        // Only an AFS source outlives its phase.
-        if let Some(PhaseSource::Other(_)) = slot {
-            *slot = None;
-        }
-        let afs = |slot: &mut Option<PhaseSource>, k: u64, ahead: usize| {
-            if let Some(PhaseSource::Afs(src)) = slot {
-                return src.rearm(n, k, ahead);
-            }
-            // The only source with grab-path-private events (CAS retries,
-            // stash hits); grab counts themselves are recorded uniformly
-            // by `drain_phase`.
-            let src = AfsSource::new(n, p, k)
-                .with_grab_ahead(ahead)
-                .with_metrics(Arc::clone(metrics));
-            *slot = Some(PhaseSource::Afs(Box::new(match trace {
-                Some(sink) => src.with_trace(Arc::clone(sink)),
-                None => src,
-            })));
-        };
-        match &self.kind {
-            Kind::Locked(s) => {
-                let src = LockedSource::new(s.begin_loop(n, p));
-                *slot = Some(PhaseSource::other(match trace {
-                    Some(sink) => src.with_trace(Arc::clone(sink)),
-                    None => src,
-                }));
-            }
-            Kind::FetchAdd { chunk } => {
-                *slot = Some(PhaseSource::other(FetchAddSource::new(n, *chunk)))
-            }
-            Kind::Afs { k, ahead } => afs(slot, k.resolve(p), *ahead),
+        // An AFS policy's (k, b) for this loop: the adaptive controller
+        // decides them here.
+        let afs = match &self.kind {
+            Kind::Afs { k, ahead } => Some((k.resolve(p), *ahead)),
             Kind::Adaptive(ctl) => {
                 // Phase boundary: read the finished phase's counter deltas,
                 // decide the next phase's (k, b), and surface the controller
@@ -299,10 +255,46 @@ impl RuntimeScheduler {
                         },
                     );
                 }
-                afs(slot, tune.k, tune.b)
+                Some((tune.k, tune.b))
             }
-            Kind::Static => *slot = Some(PhaseSource::other(StaticSource::new(n, p))),
+            _ => None,
+        };
+        match (slot.as_mut(), &self.kind, afs) {
+            (Some(PhaseSource::Afs(src)), _, Some((k, ahead))) => return src.rearm(n, k, ahead),
+            (Some(PhaseSource::FetchAdd(src)), Kind::FetchAdd { chunk }, _) => {
+                return src.rearm(n, *chunk)
+            }
+            (Some(PhaseSource::Static(src)), Kind::Static, _) => return src.rearm(n),
+            _ => {}
         }
+        *slot = None;
+        *slot = Some(match &self.kind {
+            // The scheduler's own state machine: built for every loop.
+            Kind::Locked(s) => {
+                let src = LockedSource::new(s.begin_loop(n, p));
+                PhaseSource::Locked(Box::new(match trace {
+                    Some(sink) => src.with_trace(Arc::clone(sink)),
+                    None => src,
+                }))
+            }
+            Kind::FetchAdd { chunk } => {
+                PhaseSource::FetchAdd(Box::new(FetchAddSource::new(n, *chunk)))
+            }
+            Kind::Static => PhaseSource::Static(Box::new(StaticSource::new(n, p))),
+            Kind::Afs { .. } | Kind::Adaptive(_) => {
+                let (k, ahead) = afs.expect("an AFS policy's (k, b)");
+                // The only source with grab-path-private events (CAS
+                // retries, stash hits); grab counts themselves are recorded
+                // uniformly by `drain`.
+                let src = AfsSource::new(n, p, k)
+                    .with_grab_ahead(ahead)
+                    .with_metrics(Arc::clone(metrics));
+                PhaseSource::Afs(Box::new(match trace {
+                    Some(sink) => src.with_trace(Arc::clone(sink)),
+                    None => src,
+                }))
+            }
+        });
     }
 }
 
@@ -354,8 +346,9 @@ where
 /// source that lives as long as the region: between phases the workers
 /// pass a [`crate::barrier::SenseBarrier`], and the last to arrive re-arms
 /// that source for the next phase before releasing the others — in place
-/// and allocation-free under AFS; other policies drop it and build anew —
-/// so the coordinator thread is out of the per-phase loop entirely.
+/// and allocation-free under AFS, STATIC and SS; other policies drop it and
+/// build anew — so the coordinator thread is out of the per-phase loop
+/// entirely. The source then waits in the pool for the next region.
 pub fn parallel_phases<F, L>(
     pool: &Pool,
     phases: usize,
@@ -392,7 +385,8 @@ where
         return Ok(LoopMetrics::new(pool.workers(), 0));
     }
     let plan = Closures(phases, len_of, policy, body);
-    let region = Region::new(pool, &plan);
+    let merged = LoopMetrics::new(pool.workers(), 0);
+    let region = Region::new(pool, &plan, Some(merged));
     if !region.failure.halted() {
         // Body panics are contained inside `Region::run_chunk`; an Err
         // here means a panic in the driver itself.
@@ -413,8 +407,9 @@ pub trait PhasePlan: Sync {
     fn phases(&self) -> usize;
     /// Iterations in `phase`.
     fn len(&self, phase: usize) -> u64;
-    /// The policy that schedules `phase`. Consecutive AFS phases re-arm
-    /// one source in place, whichever policy values they come from.
+    /// The policy that schedules `phase`. Consecutive phases whose
+    /// policies share a source kind (AFS, STATIC, SS) re-arm one source in
+    /// place, whichever policy values they come from.
     fn policy(&self, phase: usize) -> &RuntimeScheduler;
     /// `phase`'s body, called with each iteration index. Each worker asks
     /// once per phase, so what the body needs is read once, not per call.
@@ -479,7 +474,7 @@ pub fn publish_phases<P: PhasePlan + Send + 'static>(
     slot: DispatchSlot,
     plan: Arc<P>,
 ) -> DispatchTicket {
-    let region = Region::new(pool, plan);
+    let region = Region::new(pool, plan, None);
     slot.publish(Arc::new(move |worker| {
         region.work(worker);
         if let Some(e) = region.failure.slot.lock().take() {
@@ -541,13 +536,14 @@ fn flag_phase_error(recorder: &FlightRecorder, e: PhaseError) -> PhaseError {
 /// for the next one (so cross-phase scheduler state such as AFS-LE's
 /// history sees every update of the finished phase).
 ///
-/// The region's `LoopMetrics` is derived from the workers' counter slots,
-/// the only per-grab record: each worker reads its own slot when its job
-/// starts and after its last phase, and credits the difference. The reads
-/// happen on the worker because only there are they bounded by this
-/// region — callers sharing the pool are serialized by it, so a snapshot
-/// the coordinator took before dispatching could include another
-/// caller's region. `per_queue` stays empty.
+/// The `LoopMetrics` [`try_parallel_phases`] returns is derived from the
+/// workers' counter slots, the only per-grab record: each worker reads its
+/// own slot when its job starts and after its last phase, and credits the
+/// difference. The reads happen on the worker because only there are they
+/// bounded by this region — callers sharing the pool are serialized by it,
+/// so a snapshot the coordinator took before dispatching could include
+/// another caller's region. `per_queue` stays empty. A published region
+/// returns no metrics, so it merges none.
 ///
 /// Telemetry stays on each worker's own lines. Arriving at the end of a
 /// phase, a worker appends its counter delta to its own flight-recorder
@@ -569,7 +565,9 @@ struct Region<Q> {
     // Written only on a failure: on a line of its own, as is the source
     // slot the turn rewrites.
     failure: CachePadded<RegionFailure>,
-    /// The one work source, alive for the whole region. Plain memory,
+    /// The one work source, alive for the whole region: taken from the
+    /// pool's spare when one is there, and returned to it when the region
+    /// is dropped, after every worker has left (DESIGN §9). Plain memory,
     /// synchronized by the barrier: after setup it is rewritten only
     /// inside the barrier's turn closure (all workers arrived, none
     /// released — exclusive by construction) and read only between a
@@ -580,10 +578,14 @@ struct Region<Q> {
     /// [`AfsSource::rearm`] requires. `None` once the region halted: later
     /// phases are skipped, but every worker still takes every barrier.
     source: CachePadded<UnsafeCell<Option<PhaseSource>>>,
+    /// Where the source goes when the region is dropped: the pool's spare.
+    spare: Arc<Mutex<Option<PhaseSource>>>,
     barrier: SenseBarrier,
     deadline_ns: Option<u64>,
-    /// The merged metrics, and how many workers have finished.
-    total: Mutex<(LoopMetrics, usize)>,
+    /// The metrics [`try_parallel_phases`] returns, merged as workers finish.
+    merged: Option<Mutex<LoopMetrics>>,
+    /// How many workers have finished.
+    finished: AtomicUsize,
     /// Phase boundaries are nanoseconds since this: the last arrival at a
     /// barrier, and for the final phase the last worker's finish. The
     /// (fresh) barrier's turn word holds the previous one, so a phase
@@ -601,9 +603,12 @@ unsafe impl<Q: Sync> Sync for Region<Q> {}
 
 impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
     /// Sets up `plan`'s region on `pool` and arms phase 0 on the calling
-    /// thread, as lane 0: no worker runs before the dispatch. A failure
-    /// there halts the region, which then runs no phase.
-    fn new(pool: &Pool, plan: Q) -> Region<Q> {
+    /// thread, as lane 0: no worker runs before the dispatch. Phase 0's
+    /// slot starts with the pool's spare source, so arming it re-arms that
+    /// source when it is of the policy's kind. A failure there halts the
+    /// region, which then runs no phase. `merged`, when given, collects the
+    /// workers' metrics.
+    fn new(pool: &Pool, plan: Q, merged: Option<LoopMetrics>) -> Region<Q> {
         let (p, phases) = (pool.workers(), plan.phases() as u64);
         assert!(phases >= 1, "a fused region needs at least one phase");
         let mut region = Region {
@@ -615,13 +620,16 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
             faults: pool.fault_plan().cloned(),
             failure: CachePadded::new(RegionFailure::default()),
             source: CachePadded::new(UnsafeCell::new(None)),
+            spare: Arc::clone(pool.spare_source()),
             barrier: pool.phase_barrier(),
             deadline_ns: pool.phase_deadline().map(|d| d.as_nanos() as u64),
-            total: Mutex::new((LoopMetrics::new(p, 0), 0)),
+            merged: merged.map(Mutex::new),
+            finished: AtomicUsize::new(0),
             start: Instant::now(),
             first_seq: pool.recorder().claim(phases),
         };
-        let mut first = None;
+        // Moved out under the lock: no other region can hold it now.
+        let mut first = region.spare.lock().take();
         region.arm(&mut first, 0, 0);
         *region.source.get_mut() = first;
         region
@@ -707,19 +715,17 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
                 }
             }
         }
-        let done = last.minus(&start);
-        let sync = done.sync();
-        let finished_last = {
-            let mut total = self.total.lock();
-            let (metrics, finished) = &mut *total;
+        if let Some(merged) = &self.merged {
+            let done = last.minus(&start);
+            let sync = done.sync();
+            let mut metrics = merged.lock();
             metrics.sync.add(&sync);
             metrics.per_worker[worker] = sync;
             metrics.iters_per_worker[worker] = done.iters;
-            *finished += 1;
-            *finished == self.p
-        };
-        // Every other worker has recorded its last arrival and finished.
-        if finished_last {
+        }
+        // Every other worker has recorded its last arrival and finished:
+        // the AcqRel count carries their writes to the last finisher.
+        if self.finished.fetch_add(1, Ordering::AcqRel) + 1 == self.p {
             let now = self.start.elapsed().as_nanos() as u64;
             self.close(worker, phases - 1, now);
             self.registry.loop_hist().record(now);
@@ -830,10 +836,27 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
 
     /// The region's result: its first error (arming the pool's flight
     /// recorder on the way out), else the merged metrics.
-    fn finish(self) -> Result<LoopMetrics, PhaseError> {
-        match self.failure.into_inner().slot.into_inner() {
+    fn finish(mut self) -> Result<LoopMetrics, PhaseError> {
+        match self.failure.slot.lock().take() {
             Some(e) => Err(flag_phase_error(&self.recorder, e)),
-            None => Ok(self.total.into_inner().0),
+            None => Ok(self.merged.take().expect("a merging region").into_inner()),
+        }
+    }
+}
+
+impl<Q> Drop for Region<Q> {
+    /// Hands the source to the pool's spare. Every worker has left the
+    /// region by now: a borrowed region is dropped after `Pool::try_run`
+    /// returned, a published one with its job, which the pool's reap drops
+    /// only after every worker acked it. A [`LockedSource`] carries its
+    /// scheduler's loop state, so it is not kept.
+    fn drop(&mut self) {
+        match self.source.get_mut().take() {
+            None | Some(PhaseSource::Locked(_)) => {}
+            Some(src) => {
+                let old = self.spare.lock().replace(src);
+                drop(old);
+            }
         }
     }
 }
@@ -1066,7 +1089,7 @@ mod tests {
 
     /// One P = 1 nest, `fused` into a single [`parallel_phases`] region or
     /// run as one [`parallel_for`] — a coordinator rendezvous around a
-    /// freshly built source — per phase: the merged metrics and the trace's
+    /// source armed for it — per phase: the merged metrics and the trace's
     /// per-kind event counts (parks excluded — whether a wait escalates to
     /// one is timing, not scheduling).
     fn single_worker_nest(
@@ -1103,8 +1126,9 @@ mod tests {
     #[test]
     fn rearmed_region_source_matches_a_source_built_fresh_each_phase() {
         // A region keeps one source for all its phases (re-armed in place
-        // for AFS, replaced for the rest); a loop of one-phase regions
-        // builds a fresh one every phase. On one worker both are
+        // for AFS, STATIC and SS, replaced for the rest); a loop of
+        // one-phase regions arms the pool's spare once a region, around a
+        // coordinator rendezvous each. On one worker both are
         // deterministic, so they must agree grab for grab — over growing,
         // shrinking, empty and one-iteration phases — and event for event
         // when traced.
@@ -1130,6 +1154,111 @@ mod tests {
                 assert_eq!(fused.iters_per_worker, fresh.iters_per_worker, "{name}");
                 assert_eq!(traced, !fused_events.is_empty(), "{name}");
                 assert_eq!(fused_events, fresh_events, "{name}");
+            }
+        }
+    }
+
+    /// `src` driven on one thread, worker after worker in a skewed order
+    /// that makes AFS steal, until every worker has come back dry or
+    /// after `cut` grabs: what it handed out, `None`s included.
+    fn drive(src: &dyn WorkSource, p: usize, cut: Option<usize>) -> Vec<Option<Grab>> {
+        let mut dry = vec![false; p];
+        let mut grabs = Vec::new();
+        for w in (0..).map(|i| (i * 7 + i / 5) % p) {
+            if dry.iter().all(|&d| d) || cut.is_some_and(|c| grabs.len() == c) {
+                break;
+            }
+            let g = src.next(w);
+            dry[w] = g.is_none();
+            grabs.push(g);
+        }
+        grabs
+    }
+
+    /// Sets up a one-phase region of `policy` over `n` iterations the way
+    /// every region starts — its source the pool's spare, re-armed, or
+    /// built — drives that source on this thread (no worker runs it), and
+    /// drops the region, which hands the source back as the spare.
+    fn region_grabs(
+        pool: &Pool,
+        policy: &RuntimeScheduler,
+        n: u64,
+        cut: Option<usize>,
+    ) -> Vec<Option<Grab>> {
+        let plan = Closures(1, |_| n, policy, |_, _| {});
+        let region = Region::new(pool, &plan, None);
+        // SAFETY: no worker runs this region; this thread is its only user.
+        let source = unsafe { (*region.source.get()).as_ref() };
+        drive(source.expect("an armed source").get(), pool.workers(), cut)
+    }
+
+    #[test]
+    fn a_reused_source_hands_out_what_a_fresh_one_would() {
+        // Consecutive regions on one pool take the previous region's source
+        // and re-arm it. Each must hand out exactly what a source built for
+        // it would, grab for grab — across loop lengths, subdivisions and
+        // grab-ahead batches; after a region whose body panicked; after one
+        // cut short with chunks still in a grab-ahead stash; and after a
+        // region of another policy took the spare's place.
+        let pool = Pool::new(3);
+        let p = pool.workers();
+        let afs = |n: u64, k: u64, b: usize| {
+            let fresh = AfsSource::new(n, p, k).with_grab_ahead(b);
+            let reused = region_grabs(&pool, &RuntimeScheduler::afs_tuned(k, b), n, None);
+            assert_eq!(reused, drive(&fresh, p, None), "AFS n={n} k={k} b={b}");
+        };
+        let lens = [0u64, 1, p as u64 - 1, 97, 4096];
+        for (i, &n) in lens.iter().cycle().take(3 * lens.len()).enumerate() {
+            for k in [1u64, p as u64, 2 * p as u64] {
+                for b in [1usize, 4] {
+                    afs(n, k, b);
+                }
+            }
+            match i % 3 {
+                0 => {
+                    let panicky = RuntimeScheduler::afs_tuned(p as u64, 4);
+                    let err = try_parallel_for(&pool, 4096, &panicky, |i| {
+                        if i == 2000 {
+                            panic!("poisoned iteration");
+                        }
+                    });
+                    assert_eq!(err.unwrap_err().message(), Some("poisoned iteration"));
+                }
+                1 => {
+                    let cut = RuntimeScheduler::afs_tuned(p as u64, 4);
+                    let grabs = region_grabs(&pool, &cut, 4096, Some(1));
+                    assert_eq!(grabs.len(), 1, "one grab-ahead claim, three chunks left");
+                }
+                _ => {
+                    for other in [
+                        RuntimeScheduler::static_partition(),
+                        RuntimeScheduler::gss(),
+                    ] {
+                        region_grabs(&pool, &other, 97, None);
+                    }
+                }
+            }
+        }
+        // STATIC and SS re-arm the same way, each after regions cut short.
+        let static_partition = RuntimeScheduler::static_partition();
+        for (i, &n) in lens.iter().cycle().take(2 * lens.len()).enumerate() {
+            let reused = region_grabs(&pool, &static_partition, n, None);
+            assert_eq!(
+                reused,
+                drive(&StaticSource::new(n, p), p, None),
+                "STATIC n={n}"
+            );
+            if i % 2 == 0 {
+                region_grabs(&pool, &static_partition, 4096, Some(1));
+            }
+        }
+        for (i, &n) in lens.iter().cycle().take(2 * lens.len()).enumerate() {
+            let chunk = 1 + i as u64 % 3;
+            let reused = region_grabs(&pool, &RuntimeScheduler::chunk_self(chunk), n, None);
+            let fresh = FetchAddSource::new(n, chunk);
+            assert_eq!(reused, drive(&fresh, p, None), "CSS({chunk}) n={n}");
+            if i % 2 == 0 {
+                region_grabs(&pool, &RuntimeScheduler::self_sched(), 4096, Some(5));
             }
         }
     }

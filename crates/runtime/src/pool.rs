@@ -41,6 +41,7 @@
 
 use crate::affinity;
 use crate::fault::{FaultPlan, PhaseError};
+use crate::source::PhaseSource;
 use crate::wait::{self, Budget, EventCount, Worker, DEFAULT_SPINS, DEFAULT_YIELDS};
 use crate::watchdog::Watchdog;
 use afs_metrics::pad::CachePadded;
@@ -312,6 +313,10 @@ pub struct Pool {
     /// in a bounded ring; a trigger (stall, contained panic, spawn
     /// degradation, shed spike) dumps it to the configured directory.
     recorder: Arc<FlightRecorder>,
+    /// The last finished region's work source, for the next region to
+    /// re-arm instead of building one ([`crate::parallel`]). The pool's
+    /// sink, registry and P are fixed, so any spare fits any region.
+    spare: Arc<crate::sync::Mutex<Option<PhaseSource>>>,
 }
 
 /// Configures and builds a [`Pool`].
@@ -509,6 +514,7 @@ impl PoolBuilder {
             deadline: self.deadline,
             watchdog: None,
             recorder,
+            spare: Arc::default(),
         };
         if self.pin {
             // One sync round so every worker has started (and pinned)
@@ -608,6 +614,11 @@ impl Pool {
     /// phase driver applies to every region, serving batches included.
     pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
         self.faults.as_ref()
+    }
+
+    /// The spare work source a region takes and returns.
+    pub(crate) fn spare_source(&self) -> &Arc<crate::sync::Mutex<Option<PhaseSource>>> {
+        &self.spare
     }
 
     /// The per-phase deadline, if one was configured.

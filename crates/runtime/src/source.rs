@@ -15,6 +15,11 @@
 //! * [`LockedSource`] — GSS, factoring, trapezoid and friends hand out
 //!   chunks whose size depends on the remaining work, so they keep the
 //!   faithful implementation: the core state machine under one mutex.
+//!
+//! The first three are pure functions of their loop's shape, so each has a
+//! `rearm` that resets it in place for the next loop: one source serves
+//! every phase of a region and, as the pool's spare, every later region of
+//! its kind.
 
 use crate::inject::YieldInject;
 use crate::sync::{lock_traced, Mutex};
@@ -100,6 +105,16 @@ impl FetchAddSource {
             chunk,
         }
     }
+
+    /// Re-arms the source for a fresh loop of `n` iterations handed out
+    /// `chunk` at a time; afterwards it hands out exactly what
+    /// `FetchAddSource::new(n, chunk)` would.
+    pub fn rearm(&mut self, n: u64, chunk: u64) {
+        assert!(chunk >= 1);
+        *self.cursor.get_mut() = 0;
+        self.n = n;
+        self.chunk = chunk;
+    }
 }
 
 impl WorkSource for FetchAddSource {
@@ -152,7 +167,9 @@ struct Bases(UnsafeCell<Vec<u64>>);
 // driver calls from the phase barrier's turn closure — after every worker's
 // final grab of the old phase (each happens-before that worker's arrival,
 // and the turn runs after the last arrival) and before any worker's first
-// grab of the new one (each follows the release the turn precedes). All
+// grab of the new one (each follows the release the turn precedes) — or,
+// on the pool's spare, while setting up a region no worker has yet been
+// handed, after the region that returned it was left by every worker. All
 // other accesses are reads from inside a phase.
 unsafe impl Sync for Bases {}
 
@@ -276,14 +293,15 @@ impl AfsSource {
     /// Re-arms the source for a fresh loop of `n` iterations with
     /// subdivision `k` and grab-ahead `batch`, reusing every allocation
     /// (queue words, bases, stashes): one source serves every phase of a
-    /// fused region, and the adaptive policy re-tunes between phases
-    /// without rebuilding it. Afterwards the source hands out exactly what
+    /// fused region and every later region that takes it as the pool's
+    /// spare, and the adaptive policy re-tunes between phases without
+    /// rebuilding it. Afterwards the source hands out exactly what
     /// `AfsSource::new(n, p, k).with_grab_ahead(batch)` would.
     ///
-    /// Must be called from the drivers' exclusive phase-boundary window —
-    /// after all workers' final grabs of the previous phase and before any
-    /// first grab of the next (the same window in which other policies'
-    /// sources are replaced).
+    /// Must be called from the drivers' exclusive window — after every
+    /// worker's final grab of the previous loop and before any first grab
+    /// of the next (the same window in which other policies' sources are
+    /// re-armed or replaced; DESIGN §9, "The source's lifetime").
     pub fn rearm(&self, n: u64, k: u64, batch: usize) {
         assert!(k >= 1);
         // SAFETY: see `Bases` — `rearm` runs exclusively at a phase
@@ -297,8 +315,8 @@ impl AfsSource {
             );
             *base = r.start;
             self.words[i].store(pack_queue(0, r.len() as u32), Ordering::Release);
-            // Stashes are empty after a drained phase; clear defensively in
-            // case the previous phase was abandoned mid-flight (a panic).
+            // Stashes are empty after a drained loop; a loop abandoned
+            // mid-flight can leave pre-claimed chunks behind.
             // SAFETY: same exclusive window as the bases write.
             unsafe { &mut *self.slots[i].stash.get() }.clear();
         }
@@ -553,6 +571,38 @@ impl StaticSource {
             n,
             p,
             taken: (0..p).map(|_| CachePadded::default()).collect(),
+        }
+    }
+
+    /// Re-arms the source for a fresh loop of `n` iterations over the same
+    /// `p` workers; afterwards it hands out exactly what
+    /// `StaticSource::new(n, p)` would.
+    pub fn rearm(&mut self, n: u64) {
+        self.n = n;
+        for taken in &mut self.taken {
+            *taken.get_mut() = 0;
+        }
+    }
+}
+
+/// A loop's work source as the fused driver holds it: by kind, so the next
+/// loop of the same kind can re-arm it in place. Every kind but
+/// [`LockedSource`] outlives its loop — its phase, and then its region, as
+/// the pool's spare.
+pub(crate) enum PhaseSource {
+    Afs(Box<AfsSource>),
+    FetchAdd(Box<FetchAddSource>),
+    Static(Box<StaticSource>),
+    Locked(Box<LockedSource>),
+}
+
+impl PhaseSource {
+    pub(crate) fn get(&self) -> &dyn WorkSource {
+        match self {
+            PhaseSource::Afs(src) => &**src,
+            PhaseSource::FetchAdd(src) => &**src,
+            PhaseSource::Static(src) => &**src,
+            PhaseSource::Locked(src) => &**src,
         }
     }
 }

@@ -22,6 +22,12 @@
 //! arrives. The final phase's close retires only what the count cannot
 //! reach — a request with a panicked grab, and an `n = 0` request.
 //!
+//! The batch is built once and then re-armed. After its reap the staging
+//! state holds the only `Arc<Batch>` (the job's clone goes with the job),
+//! so the next launch clears and refills its vectors in place, and `select`
+//! picks into one kept buffer: a steady stream of requests allocates no
+//! batch.
+//!
 //! Panic containment: the batch's `contain` hook keeps a body panic to
 //! its own request. The first panic wins a CAS into the request's failure
 //! slot, the batch skips the request's later phases, and the final
@@ -30,7 +36,7 @@
 //! *g*, grab attempts counted per phase); `RequestFailed.phase` stays
 //! request-relative.
 
-use crate::server::{Admitted, ServerShared, IDLE_YIELDS};
+use crate::server::{retire_expired, Admitted, ServerShared, IDLE_YIELDS};
 use afs_metrics::trace::EventKind;
 use afs_metrics::{ServeEventKind, WaitOutcome};
 use afs_runtime::{
@@ -105,6 +111,11 @@ pub(crate) struct DispatchState {
     /// The batch an admit launched on an idle server, until somebody
     /// reaps its ticket (see [`InFlight`]).
     pub(crate) in_flight: Option<InFlight>,
+    /// The next dispatch's requests: picked by [`DispatchState::pick`],
+    /// moved into the batch at launch.
+    pub(crate) picked: Vec<Admitted>,
+    /// The last reaped batch, for the next launch to refill.
+    pub(crate) spare: Option<Arc<Batch>>,
 }
 
 impl DispatchState {
@@ -115,6 +126,8 @@ impl DispatchState {
             deficits: vec![0; tenants],
             rr: 0,
             in_flight: None,
+            picked: Vec::new(),
+            spare: None,
         }
     }
 
@@ -138,22 +151,56 @@ impl DispatchState {
         moved
     }
 
-    /// Picks the next dispatch under `discipline`. Empty means nothing is
-    /// staged.
-    pub(crate) fn select(&mut self, discipline: Discipline) -> Vec<Admitted> {
+    /// Picks the next dispatch under `discipline` into `picked`, the next
+    /// dispatch's requests. Returns whether any request is left there once
+    /// those whose deadline ran out in the queue retired as expired, without
+    /// costing a pool dispatch.
+    pub(crate) fn pick(&mut self, shared: &ServerShared, discipline: Discipline) -> bool {
+        let mut picked = std::mem::take(&mut self.picked);
+        debug_assert!(picked.is_empty(), "a launch moves the last pick out");
+        self.select(discipline, &mut picked);
+        retire_expired(shared, &mut picked);
+        self.picked = picked;
+        !self.picked.is_empty()
+    }
+
+    /// Appends the next dispatch under `discipline` to `out`. Nothing
+    /// appended means nothing is staged.
+    pub(crate) fn select(&mut self, discipline: Discipline, out: &mut Vec<Admitted>) {
         match discipline {
-            Discipline::CentralFcfs => self.central.pop_front().into_iter().collect(),
-            Discipline::TenantDrr { quantum } => self.select_drr(quantum.max(1)),
+            Discipline::CentralFcfs => out.extend(self.central.pop_front()),
+            Discipline::TenantDrr { quantum } => self.select_drr(quantum.max(1), out),
             Discipline::Batch {
                 max_requests,
                 max_iters,
-            } => self.select_batch(max_requests.max(1), max_iters.max(1)),
+            } => self.select_batch(max_requests.max(1), max_iters.max(1), out),
         }
     }
 
-    fn select_drr(&mut self, quantum: u64) -> Vec<Admitted> {
+    /// Launches `picked` as one dispatch in `slot`, a claim on `pool`'s
+    /// dispatch slot, refilling the spare batch, and leaves it in flight.
+    pub(crate) fn launch(
+        &mut self,
+        shared: &Arc<ServerShared>,
+        pool: Arc<Pool>,
+        slot: DispatchSlot,
+    ) {
+        let spare = self.spare.take();
+        let launched = launch(shared, pool, slot, &mut self.picked, spare);
+        self.in_flight = Some(launched);
+    }
+
+    /// Reaps the batch in flight, if any, waiting for it the way
+    /// [`InFlight::reap`] does, and keeps it as the spare.
+    pub(crate) fn reap(&mut self, on_leg: impl FnMut(WaitOutcome)) {
+        if let Some(done) = self.in_flight.take() {
+            self.spare = Some(done.reap(on_leg));
+        }
+    }
+
+    fn select_drr(&mut self, quantum: u64, out: &mut Vec<Admitted>) {
         if self.fifos.iter().all(VecDeque::is_empty) {
-            return Vec::new();
+            return;
         }
         let t_count = self.fifos.len();
         loop {
@@ -171,7 +218,7 @@ impl DispatchState {
                     // Stay on this tenant: it keeps dispatching while its
                     // credit lasts, then the scan naturally moves on.
                     self.rr = t;
-                    return self.fifos[t].pop_front().into_iter().collect();
+                    return out.extend(self.fifos[t].pop_front());
                 }
             }
             // Nobody could afford their head-of-line request: every needy
@@ -185,9 +232,8 @@ impl DispatchState {
         }
     }
 
-    fn select_batch(&mut self, max_requests: usize, max_iters: u64) -> Vec<Admitted> {
+    fn select_batch(&mut self, max_requests: usize, max_iters: u64, batch: &mut Vec<Admitted>) {
         let t_count = self.fifos.len();
-        let mut batch = Vec::new();
         let mut iters = 0u64;
         let mut empty_streak = 0;
         while batch.len() < max_requests && empty_streak < t_count {
@@ -206,7 +252,6 @@ impl DispatchState {
                 None => empty_streak += 1,
             }
         }
-        batch
     }
 }
 
@@ -251,33 +296,45 @@ pub(crate) struct Batch {
 }
 
 impl Batch {
-    fn new(
-        shared: Arc<ServerShared>,
-        pool: Arc<Pool>,
-        reqs: Vec<Admitted>,
-        dispatch_ns: u64,
-    ) -> Batch {
-        let mut units = Vec::new();
-        for (req, a) in reqs.iter().enumerate() {
-            let phases = a.req.phases;
-            units.extend((0..phases).map(|phase| Unit {
-                req,
-                phase,
-                last: phase + 1 == phases,
-                policy: a.req.policy.scheduler(&shared.adapt),
-                ran: AtomicU64::new(0),
-            }));
-        }
-        let n_reqs = reqs.len();
+    /// An empty batch, for [`Batch::load`] to fill.
+    fn new(shared: Arc<ServerShared>, pool: Arc<Pool>) -> Batch {
         Batch {
             shared,
             pool,
-            reqs,
-            units,
-            failed: (0..n_reqs).map(|_| AtomicU64::new(NOT_FAILED)).collect(),
-            retired: (0..n_reqs).map(|_| AtomicBool::new(false)).collect(),
-            dispatch_ns,
+            reqs: Vec::new(),
+            units: Vec::new(),
+            failed: Vec::new(),
+            retired: Vec::new(),
+            dispatch_ns: 0,
         }
+    }
+
+    /// Fills the batch with `reqs`, dispatched at `dispatch_ns` on `pool`,
+    /// leaving `reqs` empty. Whatever an earlier load put here is cleared,
+    /// and every vector keeps its capacity.
+    fn load(&mut self, pool: Arc<Pool>, reqs: &mut Vec<Admitted>, dispatch_ns: u64) {
+        self.pool = pool;
+        self.reqs.clear();
+        self.reqs.append(reqs);
+        self.units.clear();
+        for (req, a) in self.reqs.iter().enumerate() {
+            let phases = a.req.phases;
+            self.units.extend((0..phases).map(|phase| Unit {
+                req,
+                phase,
+                last: phase + 1 == phases,
+                policy: a.req.policy.scheduler(&self.shared.adapt),
+                ran: AtomicU64::new(0),
+            }));
+        }
+        let n_reqs = self.reqs.len();
+        self.failed.clear();
+        self.failed
+            .extend((0..n_reqs).map(|_| AtomicU64::new(NOT_FAILED)));
+        self.retired.clear();
+        self.retired
+            .extend((0..n_reqs).map(|_| AtomicBool::new(false)));
+        self.dispatch_ns = dispatch_ns;
     }
 
     /// Retires request `ri`, whose final phase is `last_phase`, out of the
@@ -459,26 +516,31 @@ impl InFlight {
     /// Waits the batch out the way the dispatcher waits for its own
     /// ([`IDLE_YIELDS`] rounds, then asleep) and frees the pool. A failure
     /// of the driver itself fails whatever was never retired, so the
-    /// ledger balances and the reaper survives.
-    pub(crate) fn reap(self, on_leg: impl FnMut(WaitOutcome)) {
+    /// ledger balances and the reaper survives. Returns the batch, whose
+    /// job — and with it the job's clone of the batch — the reap dropped.
+    pub(crate) fn reap(self, on_leg: impl FnMut(WaitOutcome)) -> Arc<Batch> {
         if let Err(e) = self.ticket.wait_parked(IDLE_YIELDS, on_leg) {
             self.batch
                 .fail_unretired(e.worker() as u32, e.phase() as u32);
         }
+        self.batch
     }
 }
 
-/// Stamps `reqs` dispatched, builds their batch and publishes it in
-/// `slot`, a claim on `pool`'s dispatch slot. Returns without waiting.
-pub(crate) fn launch(
+/// Stamps `reqs` dispatched, loads them into a batch and publishes it in
+/// `slot`, a claim on `pool`'s dispatch slot. Returns without waiting,
+/// with `reqs` empty. The batch is `spare` when nothing else holds it,
+/// else a new one.
+fn launch(
     shared: &Arc<ServerShared>,
     pool: Arc<Pool>,
     slot: DispatchSlot,
-    reqs: Vec<Admitted>,
+    reqs: &mut Vec<Admitted>,
+    spare: Option<Arc<Batch>>,
 ) -> InFlight {
     debug_assert!(!reqs.is_empty());
     let dispatch_ns = shared.now_ns();
-    for a in &reqs {
+    for a in reqs.iter() {
         shared.tenants[a.req.tenant]
             .queue_ns
             .record(dispatch_ns.saturating_sub(a.admit_ns));
@@ -492,19 +554,19 @@ pub(crate) fn launch(
             .batched_requests
             .fetch_add(reqs.len() as u64, Ordering::Relaxed);
     }
-    let batch = Arc::new(Batch::new(
-        Arc::clone(shared),
-        Arc::clone(&pool),
-        reqs,
-        dispatch_ns,
-    ));
+    let mut batch = spare
+        .filter(|spare| Arc::strong_count(spare) == 1)
+        .unwrap_or_else(|| Arc::new(Batch::new(Arc::clone(shared), Arc::clone(&pool))));
+    let unshared = Arc::get_mut(&mut batch).expect("a batch nothing else holds");
+    unshared.load(Arc::clone(&pool), reqs, dispatch_ns);
     InFlight {
         ticket: publish_phases(&pool, slot, Arc::clone(&batch)),
         batch,
     }
 }
 
-/// Executes `reqs` as one pool dispatch and waits for it.
+/// Executes the picked requests ([`DispatchState::pick`]) as one pool
+/// dispatch and waits for it.
 ///
 /// The caller waits the way the dispatcher waits for work — for a batch an
 /// admit left in flight, for the pool if a blocking `Pool::run` caller
@@ -520,11 +582,14 @@ pub(crate) fn launch(
 pub(crate) fn execute(
     shared: &Arc<ServerShared>,
     st: &mut DispatchState,
-    reqs: Vec<Admitted>,
     mut while_waiting: impl FnMut(&mut DispatchState),
 ) {
     let pool = shared.pool();
+    // Out of the staging state, which the waits below lend to
+    // `while_waiting`.
     let earlier = st.in_flight.take();
+    let mut reqs = std::mem::take(&mut st.picked);
+    let mut spare = st.spare.take();
     let mut on_leg = |leg| match leg {
         WaitOutcome::Spin => {}
         WaitOutcome::Yield => while_waiting(st),
@@ -533,10 +598,12 @@ pub(crate) fn execute(
         }
     };
     if let Some(earlier) = earlier {
-        earlier.reap(&mut on_leg);
+        spare = Some(earlier.reap(&mut on_leg));
     }
     let slot = pool.claim(IDLE_YIELDS, &mut on_leg);
-    launch(shared, pool, slot, reqs).reap(&mut on_leg);
+    let done = launch(shared, pool, slot, &mut reqs, spare).reap(&mut on_leg);
+    st.picked = reqs;
+    st.spare = Some(done);
 }
 
 #[cfg(test)]
@@ -559,6 +626,13 @@ mod tests {
         }
     }
 
+    /// The next pick under `discipline`, into a fresh buffer.
+    fn select(st: &mut DispatchState, discipline: Discipline) -> Vec<Admitted> {
+        let mut out = Vec::new();
+        st.select(discipline, &mut out);
+        out
+    }
+
     fn staged(discipline: Discipline, reqs: Vec<Admitted>) -> DispatchState {
         let tenants = reqs.iter().map(|a| a.req.tenant).max().unwrap_or(0) + 1;
         let mut st = DispatchState::new(tenants);
@@ -577,7 +651,7 @@ mod tests {
         let d = Discipline::CentralFcfs;
         let mut st = staged(d, vec![req(1, 10), req(0, 20), req(1, 30)]);
         let picks: Vec<u64> =
-            std::iter::from_fn(|| st.select(d).into_iter().next().map(|a| a.req.n)).collect();
+            std::iter::from_fn(|| select(&mut st, d).into_iter().next().map(|a| a.req.n)).collect();
         assert_eq!(picks, vec![10, 20, 30]);
         assert_eq!(st.backlog(), 0);
     }
@@ -594,7 +668,7 @@ mod tests {
         let mut st = staged(d, reqs);
         let mut order = Vec::new();
         loop {
-            let b = st.select(d);
+            let b = select(&mut st, d);
             let Some(a) = b.into_iter().next() else { break };
             order.push(a.req.tenant);
         }
@@ -614,13 +688,13 @@ mod tests {
     fn drr_resets_credit_when_a_tenant_goes_idle() {
         let d = Discipline::TenantDrr { quantum: 1000 };
         let mut st = staged(d, vec![req(0, 10), req(1, 10)]);
-        while !st.select(d).is_empty() {}
+        while !select(&mut st, d).is_empty() {}
         // Tenant 0 banked a large deficit; once idle it must not carry it
         // into the next burst (no stale-credit monopoly).
         st.fifos[0].push_back(req(0, 10));
         st.fifos[1].push_back(req(1, 10));
-        let first = st.select(d).remove(0);
-        let second = st.select(d).remove(0);
+        let first = select(&mut st, d).remove(0);
+        let second = select(&mut st, d).remove(0);
         let mut got = [first.req.tenant, second.req.tenant];
         got.sort_unstable();
         assert_eq!(got, [0, 1], "both tenants dispatch within one round");
@@ -636,14 +710,14 @@ mod tests {
             d,
             vec![req(0, 1), req(0, 2), req(1, 3), req(1, 4), req(0, 5)],
         );
-        let b1 = st.select(d);
+        let b1 = select(&mut st, d);
         assert_eq!(b1.len(), 4);
         // Round-robin: alternating tenants while both have backlog.
         let tenants: Vec<usize> = b1.iter().map(|a| a.req.tenant).collect();
         assert_eq!(tenants, vec![0, 1, 0, 1]);
-        let b2 = st.select(d);
+        let b2 = select(&mut st, d);
         assert_eq!(b2.len(), 1);
-        assert!(st.select(d).is_empty());
+        assert!(select(&mut st, d).is_empty());
     }
 
     #[test]
@@ -653,10 +727,14 @@ mod tests {
             max_iters: 100,
         };
         let mut st = staged(d, vec![req(0, 90), req(0, 90), req(0, 500)]);
-        assert_eq!(st.select(d).len(), 1, "second 90 would blow the budget");
-        assert_eq!(st.select(d).len(), 1);
+        assert_eq!(
+            select(&mut st, d).len(),
+            1,
+            "second 90 would blow the budget"
+        );
+        assert_eq!(select(&mut st, d).len(), 1);
         // A single oversized request still boards (soft cap).
-        assert_eq!(st.select(d).len(), 1);
-        assert!(st.select(d).is_empty());
+        assert_eq!(select(&mut st, d).len(), 1);
+        assert!(select(&mut st, d).is_empty());
     }
 }

@@ -25,7 +25,7 @@
 //! [`MetricsSnapshot`] (schema v3) via [`LoopServer::metrics_snapshot`]
 //! for one document carrying both the scheduler's view and the server's.
 
-use crate::dispatch::{execute, launch, Discipline, DispatchState};
+use crate::dispatch::{execute, Discipline, DispatchState};
 use crate::queue::MpmcQueue;
 use crate::request::{Admit, LoopRequest, ShedReason};
 use crate::supervise::{PoolFactory, Supervisor, SupervisorConfig};
@@ -361,11 +361,16 @@ impl ServerShared {
         !self.queue.is_empty() || self.staged.load(Ordering::SeqCst) > 0
     }
 
-    /// Reaps the batch an admit left in flight, if any, waiting for it.
-    /// The ticket is taken out under the staging lock and waited on
+    /// Reaps the batch an admit left in flight, if any, waiting for it,
+    /// and drops the spare batch, so neither keeps a retired pool alive.
+    /// Both are taken out under the staging lock; the ticket is waited on
     /// outside it.
     pub(crate) fn reap_in_flight(&self) {
-        let in_flight = self.lock_state().in_flight.take();
+        let (in_flight, spare) = {
+            let mut st = self.lock_state();
+            (st.in_flight.take(), st.spare.take())
+        };
+        drop(spare);
         if let Some(f) = in_flight {
             f.reap(|_| {});
         }
@@ -416,26 +421,22 @@ impl ServerShared {
 /// Retires out of `picked` every request whose deadline elapsed while it
 /// was queued: pending/backlog books are balanced, the `expired`
 /// counters move, and [`EventKind::RequestExpired`] plus the recorder
-/// serve-event fire — all without touching the pool. Returns the
-/// still-live requests in order.
-pub(crate) fn retire_expired(shared: &ServerShared, picked: Vec<Admitted>) -> Vec<Admitted> {
+/// serve-event fire — all without touching the pool. The still-live
+/// requests stay, in order.
+pub(crate) fn retire_expired(shared: &ServerShared, picked: &mut Vec<Admitted>) {
     let now = shared.now_ns();
-    picked
-        .into_iter()
-        .filter_map(|a| {
-            let expired = a
-                .req
-                .deadline
-                .is_some_and(|d| now.saturating_sub(a.admit_ns) > d.as_nanos() as u64);
-            if !expired {
-                return Some(a);
-            }
+    picked.retain(|a| {
+        let expired = a
+            .req
+            .deadline
+            .is_some_and(|d| now.saturating_sub(a.admit_ns) > d.as_nanos() as u64);
+        if expired {
             let (tenant, id) = (a.req.tenant as u32, a.id);
             let event = EventKind::RequestExpired { tenant, id };
-            shared.book_out(&shared.pool(), &a, ServeEventKind::Expired, event, 0);
-            None
-        })
-        .collect()
+            shared.book_out(&shared.pool(), a, ServeEventKind::Expired, event, 0);
+        }
+        !expired
+    });
 }
 
 /// The serving ledger read straight off `ServerShared` — shared by
@@ -706,12 +707,8 @@ fn dispatcher_loop(shared: &Arc<ServerShared>, discipline: Discipline) {
         {
             let mut st = shared.lock_state();
             st.pump(shared, discipline);
-            // A selected request whose deadline ran out in the queue
-            // retires as Expired right here, without costing a pool
-            // dispatch.
-            let picked = retire_expired(shared, st.select(discipline));
-            if !picked.is_empty() {
-                execute(shared, &mut st, picked, |st| {
+            if st.pick(shared, discipline) {
+                execute(shared, &mut st, |st| {
                     st.pump(shared, discipline);
                 });
                 continue;
@@ -903,17 +900,14 @@ impl LoopServer {
         if st.in_flight.as_ref().is_some_and(|f| !f.is_complete()) {
             return false;
         }
-        if let Some(done) = st.in_flight.take() {
-            done.reap(|_| {});
-        }
+        st.reap(|_| {});
         st.pump(s, self.discipline);
         let Ok(slot) = pool.try_claim() else {
             return false;
         };
-        let picked = retire_expired(s, st.select(self.discipline));
-        if !picked.is_empty() {
+        if st.pick(s, self.discipline) {
             s.inline_dispatches.fetch_add(1, Ordering::Relaxed);
-            st.in_flight = Some(launch(s, pool, slot, picked));
+            st.launch(s, pool, slot);
         }
         st.backlog() == 0
     }
@@ -1025,12 +1019,11 @@ impl LoopServer {
             "dispatch_next() is for manual-mode servers"
         );
         let mut st = self.shared.lock_state();
-        let picked = retire_expired(&self.shared, st.select(self.discipline));
-        if picked.is_empty() {
+        if !st.pick(&self.shared, self.discipline) {
             return Vec::new();
         }
-        let ids: Vec<(usize, u64)> = picked.iter().map(|a| (a.req.tenant, a.id)).collect();
-        execute(&self.shared, &mut st, picked, |_| {});
+        let ids: Vec<(usize, u64)> = st.picked.iter().map(|a| (a.req.tenant, a.id)).collect();
+        execute(&self.shared, &mut st, |_| {});
         ids
     }
 
