@@ -561,7 +561,7 @@ fn run_sized(quick: bool, sizes: &Sizes) -> AdaptiveBenchResult {
     AdaptiveBenchResult {
         quick,
         checked: !quick,
-        host: HostInfo::capture(pin_ok, afs_runtime::affinity::topology().node_count()),
+        host: HostInfo::capture(pin_ok),
         samples,
         adaptive,
         gates,
@@ -631,7 +631,6 @@ pub(crate) mod tests {
                 os: "linux".into(),
                 arch: "x86_64".into(),
                 pin_capable: false,
-                numa_nodes: 1,
             },
             samples,
             adaptive,

@@ -540,7 +540,7 @@ pub fn run(quick: bool) -> ChaosBenchResult {
     ChaosBenchResult {
         quick,
         p: P,
-        host: HostInfo::capture(pin_ok, afs_runtime::affinity::topology().node_count()),
+        host: HostInfo::capture(pin_ok),
         checked: !quick,
         total_requests: samples.iter().map(|s| s.offered).sum(),
         samples,
@@ -588,7 +588,6 @@ pub(crate) mod tests {
             p: P,
             host: HostInfo {
                 cpus: 8,
-                numa_nodes: 1,
                 kernel: "6.1.0-test".into(),
                 os: "linux".into(),
                 arch: "x86_64".into(),

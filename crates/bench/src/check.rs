@@ -819,7 +819,12 @@ pub fn compare(
         return Ok(out);
     }
     if let (Some(cur_host), Some(base_host)) = (current.get("host"), baseline.get("host")) {
-        if cur_host != base_host {
+        // Only the keys the envelope check reads: a key an older file
+        // still carries (schema 9's `numa_nodes`) is recorded data, not a
+        // host change.
+        let read =
+            |h: &Value| ["cpus", "kernel", "os", "arch", "pin_capable"].map(|k| h.get(k).cloned());
+        if read(cur_host) != read(base_host) {
             out.warnings.push(
                 "hosts differ between current and baseline; \
                  treat regressions as hints, not verdicts"

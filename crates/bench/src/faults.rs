@@ -263,7 +263,7 @@ pub fn run(quick: bool) -> FaultBenchResult {
         quick,
         p: P,
         n,
-        host: HostInfo::capture(pin_ok, afs_runtime::affinity::topology().node_count()),
+        host: HostInfo::capture(pin_ok),
         panic_containment: panic_containment_smoke(),
         samples,
     }
@@ -296,7 +296,6 @@ pub(crate) mod tests {
             n: 8_192,
             host: HostInfo {
                 cpus: 8,
-                numa_nodes: 1,
                 kernel: "6.1.0-test".into(),
                 os: "linux".into(),
                 arch: "x86_64".into(),

@@ -437,7 +437,7 @@ pub fn run_with_metrics(quick: bool, metrics: Option<&MetricsRegistry>) -> GrabB
     GrabBenchResult {
         quick,
         n: n_report,
-        host: HostInfo::capture(pin_capable, afs_runtime::affinity::topology().node_count()),
+        host: HostInfo::capture(pin_capable),
         samples,
     }
 }
@@ -452,7 +452,6 @@ pub(crate) mod tests {
             n: 100,
             host: HostInfo {
                 cpus: 8,
-                numa_nodes: 1,
                 kernel: "6.1.0-test".into(),
                 os: "linux".into(),
                 arch: "x86_64".into(),

@@ -333,7 +333,7 @@ pub fn run(quick: bool) -> KernelBenchResult {
         quick,
         p: P,
         sor_steps: sizes.sor_steps as u64,
-        host: HostInfo::capture(pin_ok, afs_runtime::affinity::topology().node_count()),
+        host: HostInfo::capture(pin_ok),
         samples,
         metrics,
     }
@@ -391,7 +391,6 @@ pub(crate) mod tests {
             sor_steps: 200,
             host: HostInfo {
                 cpus: 8,
-                numa_nodes: 1,
                 kernel: "6.1.0-test".into(),
                 os: "linux".into(),
                 arch: "x86_64".into(),

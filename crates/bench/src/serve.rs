@@ -442,7 +442,7 @@ pub fn run(quick: bool) -> ServeBenchResult {
     ServeBenchResult {
         quick,
         p: P,
-        host: HostInfo::capture(pin_ok, afs_runtime::affinity::topology().node_count()),
+        host: HostInfo::capture(pin_ok),
         calibrated_rps,
         total_completed: samples.iter().map(|s| s.completed).sum(),
         batch_over_fcfs,
@@ -506,7 +506,6 @@ pub(crate) mod tests {
             p: P,
             host: HostInfo {
                 cpus: 8,
-                numa_nodes: 1,
                 kernel: "6.1.0-test".into(),
                 os: "linux".into(),
                 arch: "x86_64".into(),

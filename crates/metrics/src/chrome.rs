@@ -250,16 +250,6 @@ pub fn chrome_trace(sink: &TraceSink, process_name: &str) -> String {
                     ];
                     emit(w, t, "request", "serve", Ph::End(id), &args);
                 }
-                EventKind::RequestExpired { tenant, id } => {
-                    // Expired while queued: no "service" span was ever
-                    // opened, so only the outer sojourn span closes.
-                    let args = [("tenant", arg(tenant)), ("outcome", Arg::Str("expired"))];
-                    emit(w, t, "request", "serve", Ph::End(id), &args);
-                }
-                EventKind::SchedTune { k, b } => {
-                    let args = [("k", arg(k)), ("b", arg(b))];
-                    emit(w, t, "sched tune", "sched", Ph::Instant, &args);
-                }
                 EventKind::BarrierRelease => {
                     // The first release of a pool's life has no arrive;
                     // draw a span only for matched pairs.

@@ -156,25 +156,6 @@ pub enum EventKind {
         /// Zero-based phase index the panic happened in.
         phase: u32,
     },
-    /// An admitted request's deadline elapsed while it was still queued;
-    /// the dispatcher retired it as expired without touching the pool.
-    /// Recorded on the dispatcher's lane.
-    RequestExpired {
-        /// Tenant the request belongs to.
-        tenant: u32,
-        /// Server-assigned request id.
-        id: u64,
-    },
-    /// The adaptive scheduling controller re-tuned the AFS parameters at a
-    /// phase boundary: the next phase runs with subdivision `k` and
-    /// grab-ahead `b`. Recorded on the lane of the worker (or coordinator)
-    /// that ran the decision, preserving the single-writer rule.
-    SchedTune {
-        /// The new subdivision parameter.
-        k: u32,
-        /// The new grab-ahead batch.
-        b: u32,
-    },
 }
 
 impl EventKind {
@@ -296,10 +277,5 @@ mod tests {
             .grab_access(),
             None
         );
-        assert_eq!(
-            EventKind::RequestExpired { tenant: 0, id: 7 }.grab_access(),
-            None
-        );
-        assert_eq!(EventKind::SchedTune { k: 8, b: 2 }.grab_access(), None);
     }
 }

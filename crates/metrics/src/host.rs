@@ -19,16 +19,12 @@ pub struct HostInfo {
     pub arch: String,
     /// Whether worker threads could be pinned to cores.
     pub pin_capable: bool,
-    /// NUMA nodes with CPUs (`/sys/devices/system/node/`); 1 when the
-    /// host exposes no topology (UMA, non-Linux, restricted sysfs).
-    pub numa_nodes: usize,
 }
 
 impl HostInfo {
-    /// Captures the current host. `pin_capable` and `numa_nodes` are
-    /// supplied by the caller (the runtime knows both; probing here would
-    /// invert the dependency and parse the node topology a second time).
-    pub fn capture(pin_capable: bool, numa_nodes: usize) -> HostInfo {
+    /// Captures the current host. `pin_capable` is supplied by the caller
+    /// (the runtime knows it; probing here would invert the dependency).
+    pub fn capture(pin_capable: bool) -> HostInfo {
         let cpus = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -41,12 +37,11 @@ impl HostInfo {
             os: std::env::consts::OS.to_string(),
             arch: std::env::consts::ARCH.to_string(),
             pin_capable,
-            numa_nodes,
         }
     }
 }
 
-afs_core::json::fields!(HostInfo: cpus, kernel, os, arch, pin_capable, numa_nodes);
+afs_core::json::fields!(HostInfo: cpus, kernel, os, arch, pin_capable);
 
 #[cfg(test)]
 mod tests {
@@ -55,13 +50,12 @@ mod tests {
 
     #[test]
     fn capture_is_plausible() {
-        let h = HostInfo::capture(true, 2);
+        let h = HostInfo::capture(true);
         assert!(h.cpus >= 1);
         assert!(!h.kernel.is_empty());
         assert!(!h.os.is_empty());
         assert!(!h.arch.is_empty());
         assert!(h.pin_capable);
-        assert_eq!(h.numa_nodes, 2);
     }
 
     #[test]
@@ -72,9 +66,13 @@ mod tests {
             os: "linux".into(),
             arch: "x86_64".into(),
             pin_capable: false,
-            numa_nodes: 2,
         };
         let v = json::parse(&json::document(|o| h.fields(o))).unwrap();
+        let Value::Obj(members) = &v else {
+            panic!("HostInfo encodes as an object")
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["cpus", "kernel", "os", "arch", "pin_capable"]);
         assert_eq!(v.get("cpus").and_then(Value::as_f64), Some(8.0));
         assert_eq!(
             v.get("kernel").and_then(Value::as_str),
@@ -83,6 +81,5 @@ mod tests {
         assert_eq!(v.get("os").and_then(Value::as_str), Some("linux"));
         assert_eq!(v.get("arch").and_then(Value::as_str), Some("x86_64"));
         assert_eq!(v.get("pin_capable").and_then(Value::as_bool), Some(false));
-        assert_eq!(v.get("numa_nodes").and_then(Value::as_f64), Some(2.0));
     }
 }

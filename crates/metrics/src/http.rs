@@ -16,7 +16,7 @@
 //! | `/tune`          | current `(k, b)` and its phase trajectory               |
 
 use crate::recorder::{FlightRecorder, TriggerCounts};
-use crate::{MetricsSnapshot, METRICS_SCHEMA_VERSION};
+use crate::MetricsSnapshot;
 use afs_core::json;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -194,17 +194,10 @@ fn healthz(source: &TelemetrySource) -> (u16, String) {
         || shed_spike_active;
     let body = json::document(|o| {
         o.field("status", if degraded { "degraded" } else { "ok" })
-            .field("schema_version", &METRICS_SCHEMA_VERSION)
             .field("workers", &snap.workers.len())
-            .field("effective_workers", &snap.effective_workers)
             .field("stalls_detected", &snap.stalls_detected)
-            .field("deadline_misses", &snap.deadline_misses)
-            // Always 1 since the endpoint serves exactly one pool; the key
-            // stays until the next schema bump.
-            .field("recorders", &1usize)
             .field("shed_spike_active", &shed_spike_active)
-            .field("triggers", &TriggerCounts(recorder.trigger_counts()))
-            .field("dumped", &recorder.dumped());
+            .field("triggers", &TriggerCounts(recorder.trigger_counts()));
     });
     (if degraded { 503 } else { 200 }, body)
 }
@@ -215,8 +208,7 @@ fn healthz(source: &TelemetrySource) -> (u16, String) {
 fn tune(source: &TelemetrySource) -> String {
     let snap = (source.snapshot)();
     json::document(|o| {
-        o.field("schema_version", &METRICS_SCHEMA_VERSION)
-            .field("controllers", &snap.controllers)
+        o.field("controllers", &snap.controllers)
             .array("trajectory", |a| {
                 for p in (source.recorder)().phase_records() {
                     a.object(|o| {
@@ -279,7 +271,7 @@ pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
 mod tests {
     use super::*;
     use crate::recorder::Trigger;
-    use crate::MetricsRegistry;
+    use crate::{MetricsRegistry, METRICS_SCHEMA_VERSION};
     use afs_core::json::Value;
 
     /// `/path`'s status and its body parsed.

@@ -549,11 +549,6 @@ impl FlightRecorder {
         self.triggered.load(Ordering::Acquire)
     }
 
-    /// Whether a dump has been written.
-    pub fn dumped(&self) -> bool {
-        self.dumped.load(Ordering::Acquire) && self.last_dump.lock().unwrap().is_some()
-    }
-
     /// Path of the dump written by this recorder, if any.
     pub fn dump_path(&self) -> Option<PathBuf> {
         self.last_dump.lock().unwrap().clone()
@@ -641,16 +636,11 @@ impl FlightRecorder {
     /// counts, and both rings oldest-first.
     pub fn to_json(&self) -> String {
         let phases = self.phase_records();
-        // Records ever written, surviving or not: sequence numbers are
-        // handed out from 0 and every claimed phase is closed, in order.
-        let phases_recorded = phases.last().map_or(0, |r| r.seq + 1);
         let serve_events = self.serve_records();
         json::document(|o| {
             o.field("schema_version", &METRICS_SCHEMA_VERSION)
-                .field("kind", "flight_recorder")
                 .field("trigger", &*self.first.lock().unwrap())
                 .field("triggers", &TriggerCounts(self.trigger_counts()))
-                .field("phases_recorded", &phases_recorded)
                 .field("phases", &phases)
                 .field("serve_events", &serve_events);
         })
@@ -735,10 +725,14 @@ pub(crate) mod tests {
         assert_eq!(records[0].phase, 6);
         assert_eq!(records[3].phase, 9);
         let dump = json::parse(&rec.to_json()).unwrap();
-        assert_eq!(
-            dump.get("phases_recorded").and_then(Value::as_f64),
-            Some(10.0)
-        );
+        let seqs: Vec<f64> = dump
+            .get("phases")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .filter_map(|p| p.get("seq").and_then(Value::as_f64))
+            .collect();
+        assert_eq!(seqs, [6.0, 7.0, 8.0, 9.0]);
     }
 
     /// A lane that sat out the later phases keeps its old turns; the merge
@@ -829,7 +823,7 @@ pub(crate) mod tests {
         rec.trigger(Trigger::Stall { worker: 0 });
         // The next phase boundary flushes, carrying the triggering phase.
         record(&rec, &reg, &mut last, 1, 200, 0);
-        assert!(rec.dumped());
+        assert!(rec.dump_path().is_some());
         rec.trigger(Trigger::Stall { worker: 0 });
         assert!(rec.flush().is_none(), "second trigger must not re-dump");
         let dumps: Vec<_> = std::fs::read_dir(&dir)
@@ -840,8 +834,8 @@ pub(crate) mod tests {
         assert_eq!(dumps.len(), 1);
         let v = json::parse(&std::fs::read_to_string(dumps[0].path()).unwrap()).unwrap();
         assert_eq!(
-            v.get("kind").and_then(Value::as_str),
-            Some("flight_recorder")
+            v.get("schema_version").and_then(Value::as_f64),
+            Some(METRICS_SCHEMA_VERSION as f64)
         );
         let phases = v.get("phases").and_then(Value::as_array).unwrap();
         assert!(

@@ -41,8 +41,6 @@ pub struct MetricsRegistry {
     pins: Vec<AtomicU8>,
     /// Per-worker pinned core id (`u64::MAX` = not pinned / unknown).
     cores: Vec<AtomicU64>,
-    /// Per-worker NUMA node id (`u64::MAX` = not placed / unknown).
-    nodes: Vec<AtomicU64>,
     /// Workers that actually started. Equals `workers.len()` unless the
     /// pool degraded at spawn time (thread creation failed).
     effective_workers: AtomicUsize,
@@ -68,7 +66,6 @@ impl MetricsRegistry {
             deadline_misses: AtomicU64::new(0),
             pins: (0..p).map(|_| AtomicU8::new(PIN_UNKNOWN)).collect(),
             cores: (0..p).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            nodes: (0..p).map(|_| AtomicU64::new(u64::MAX)).collect(),
             effective_workers: AtomicUsize::new(p),
             sched_present: AtomicBool::new(false),
             sched_k: AtomicU64::new(0),
@@ -146,12 +143,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records where worker `w` landed: its pinned core and the NUMA node
-    /// that core belongs to (called once per worker after a successful
-    /// pin; never called when pinning failed or was not requested).
-    pub fn set_worker_placement(&self, w: usize, core: usize, node: usize) {
+    /// Records where worker `w` landed: its pinned core (called once per
+    /// worker after a successful pin; never called when pinning failed or
+    /// was not requested).
+    pub fn set_worker_placement(&self, w: usize, core: usize) {
         self.cores[w].store(core as u64, Ordering::Relaxed);
-        self.nodes[w].store(node as u64, Ordering::Relaxed);
     }
 
     /// The core worker `w` is pinned to, if placement was recorded.
@@ -159,15 +155,6 @@ impl MetricsRegistry {
         match self.cores[w].load(Ordering::Relaxed) {
             u64::MAX => None,
             c => Some(c as usize),
-        }
-    }
-
-    /// The NUMA node worker `w`'s core belongs to, if placement was
-    /// recorded.
-    pub fn worker_node(&self, w: usize) -> Option<usize> {
-        match self.nodes[w].load(Ordering::Relaxed) {
-            u64::MAX => None,
-            n => Some(n as usize),
         }
     }
 
@@ -219,7 +206,6 @@ impl MetricsRegistry {
                 counters: counters.get(),
                 pinned: self.pin_status(w),
                 pinned_core: self.worker_core(w),
-                numa_node: self.worker_node(w),
                 stalls: self.worker_stalls(w),
             })
             .collect();
@@ -284,14 +270,11 @@ mod tests {
     fn placement_is_unknown_until_recorded() {
         let reg = MetricsRegistry::new(2);
         assert_eq!(reg.worker_core(0), None);
-        assert_eq!(reg.worker_node(0), None);
-        reg.set_worker_placement(1, 5, 1);
+        reg.set_worker_placement(1, 5);
         assert_eq!(reg.worker_core(1), Some(5));
-        assert_eq!(reg.worker_node(1), Some(1));
         let snap = reg.snapshot();
         assert_eq!(snap.workers[0].pinned_core, None);
         assert_eq!(snap.workers[1].pinned_core, Some(5));
-        assert_eq!(snap.workers[1].numa_node, Some(1));
     }
 
     #[test]

@@ -114,6 +114,19 @@ pub struct ServeSnapshot {
     pub supervisor_restarts: u64,
     /// Pool dispatches issued (a batch of fused requests counts once).
     pub dispatches: u64,
+    /// The subset of `dispatches` an admit made on its own thread, having
+    /// found the dispatcher asleep on an idle server.
+    pub inline_dispatches: u64,
+    /// Times the dispatcher went to sleep on an empty ring.
+    pub dispatcher_parks: u64,
+    /// Times an admit (or shutdown) found it asleep and woke it.
+    pub dispatcher_wakes: u64,
+    /// Times a dispatch's waiter outlasted its yield grace and slept — on
+    /// the batch, or on a pool somebody else held.
+    pub batch_parks: u64,
+    /// Requests retired at a final phase's close (a panicked or `n = 0`
+    /// request) rather than by the worker that ran their last iteration.
+    pub turn_retires: u64,
     /// Requests that shared a dispatch with at least one other request.
     pub batched_requests: u64,
     /// Per-tenant ledgers.
@@ -161,6 +174,11 @@ impl ServeSnapshot {
         self.shed_slo_budget += other.shed_slo_budget;
         self.supervisor_restarts += other.supervisor_restarts;
         self.dispatches += other.dispatches;
+        self.inline_dispatches += other.inline_dispatches;
+        self.dispatcher_parks += other.dispatcher_parks;
+        self.dispatcher_wakes += other.dispatcher_wakes;
+        self.batch_parks += other.batch_parks;
+        self.turn_retires += other.turn_retires;
         self.batched_requests += other.batched_requests;
         for theirs in &other.tenants {
             match self.tenants.iter_mut().find(|t| t.name == theirs.name) {
@@ -189,6 +207,11 @@ impl Fields for ServeSnapshot {
             .field("shed_rate", &self.shed_rate())
             .field("supervisor_restarts", &self.supervisor_restarts)
             .field("dispatches", &self.dispatches)
+            .field("inline_dispatches", &self.inline_dispatches)
+            .field("dispatcher_parks", &self.dispatcher_parks)
+            .field("dispatcher_wakes", &self.dispatcher_wakes)
+            .field("batch_parks", &self.batch_parks)
+            .field("turn_retires", &self.turn_retires)
             .field("batched_requests", &self.batched_requests)
             .field("tenants", &self.tenants);
     }
@@ -208,7 +231,6 @@ impl Fields for TenantServeSnapshot {
             .field("p50_ns", &self.p50_ns())
             .field("p99_ns", &self.p99_ns())
             .field("p999_ns", &self.p999_ns())
-            .field("mean_ns", &self.sojourn_ns.mean_ns())
             .field("max_ns", &self.sojourn_ns.max_ns);
     }
 }

@@ -40,8 +40,14 @@ use afs_core::json::{self, Fields, Obj};
 /// futex syscall counters, the `controllers.spin` block, the flight
 /// recorder's `spin_budget`, and the kernels bench's `barrier` axis.
 /// Version 9 removed the hardware perf-event fields (`perf_status`,
-/// `perf_totals`, per-worker `perf`).
-pub const METRICS_SCHEMA_VERSION: u64 = 9;
+/// `perf_totals`, per-worker `perf`). Version 10 removed the signals no
+/// test, gate or document read: per-worker `numa_node`, the tenants'
+/// `mean_ns`, `/healthz`'s `schema_version`, `effective_workers`,
+/// `deadline_misses`, `recorders` and `dumped`, `/tune`'s
+/// `schema_version`, and the flight dump's `kind` and `phases_recorded`;
+/// it added the serve block's `inline_dispatches`, `dispatcher_parks`,
+/// `dispatcher_wakes`, `batch_parks` and `turn_retires`.
+pub const METRICS_SCHEMA_VERSION: u64 = 10;
 
 /// One worker's slice of a snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -53,8 +59,6 @@ pub struct WorkerSnapshot {
     pub pinned: Option<bool>,
     /// The core this worker is pinned to (`None` when unpinned).
     pub pinned_core: Option<usize>,
-    /// The NUMA node the pinned core belongs to (`None` when unpinned).
-    pub numa_node: Option<usize>,
     /// Stall observations the watchdog attributed to this worker.
     pub stalls: u64,
 }
@@ -133,7 +137,6 @@ impl MetricsSnapshot {
                     },
                     pinned: w.pinned,
                     pinned_core: w.pinned_core,
-                    numa_node: w.numa_node,
                     stalls: w.stalls.saturating_sub(b.map(|b| b.stalls).unwrap_or(0)),
                 }
             })
@@ -173,7 +176,6 @@ impl MetricsSnapshot {
             // Placement: keep ours unless we have none (merging pools on
             // different cores has no single right answer; first one wins).
             mine.pinned_core = mine.pinned_core.or(theirs.pinned_core);
-            mine.numa_node = mine.numa_node.or(theirs.numa_node);
             mine.stalls += theirs.stalls;
         }
         self.phase_ns.add(&other.phase_ns);
@@ -210,7 +212,6 @@ impl MetricsSnapshot {
                             o.field("worker", &i)
                                 .field("pinned", &w.pinned)
                                 .field("pinned_core", &w.pinned_core)
-                                .field("numa_node", &w.numa_node)
                                 .field("stalls", &w.stalls)
                                 .field("counters", &w.counters);
                         });
@@ -315,7 +316,6 @@ mod tests {
         assert_eq!(num(w0, "stalls"), Some(0.0));
         assert_eq!(w0.get("pinned"), Some(&Value::Null));
         assert_eq!(w0.get("pinned_core"), Some(&Value::Null));
-        assert_eq!(w0.get("numa_node"), Some(&Value::Null));
         let c0 = w0.get("counters").unwrap();
         assert_eq!(num(c0, "local_grabs"), Some(30.0));
         assert_eq!(num(c0, "iters"), Some(400.0));
@@ -405,7 +405,6 @@ mod tests {
         let mut s = sample_snapshot();
         s.workers[0].pinned = Some(true);
         s.workers[0].pinned_core = Some(3);
-        s.workers[0].numa_node = Some(1);
         s.workers[1].pinned = Some(false);
         s.workers[1].stalls = 2;
         s.stalls_detected = 3;
@@ -416,11 +415,9 @@ mod tests {
         assert_eq!(num(w0, "worker"), Some(0.0));
         assert_eq!(w0.get("pinned"), Some(&Value::Bool(true)));
         assert_eq!(num(w0, "pinned_core"), Some(3.0));
-        assert_eq!(num(w0, "numa_node"), Some(1.0));
         assert_eq!(num(w1, "worker"), Some(1.0));
         assert_eq!(w1.get("pinned"), Some(&Value::Bool(false)));
         assert_eq!(w1.get("pinned_core"), Some(&Value::Null));
-        assert_eq!(w1.get("numa_node"), Some(&Value::Null));
         assert_eq!(num(w1, "stalls"), Some(2.0));
         assert_eq!(num(&v, "stalls_detected"), Some(3.0));
         assert_eq!(num(&v, "deadline_misses"), Some(1.0));

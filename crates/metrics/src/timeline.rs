@@ -83,18 +83,15 @@ pub fn to_timeline(sink: &TraceSink) -> Timeline {
                 // arrive and release is idle on the timeline, and a park
                 // inside it changes how the worker waits, not whether.
                 EventKind::BarrierRelease | EventKind::BarrierPark => {}
-                // Watchdog observations mark faults, not lane activity;
-                // request lifecycle marks belong to the serving layer, and
-                // a scheduling re-tune is a phase-boundary annotation.
+                // Watchdog observations mark faults, not lane activity, and
+                // request lifecycle marks belong to the serving layer.
                 EventKind::StallDetected { .. }
                 | EventKind::RequestAdmit { .. }
                 | EventKind::RequestDispatch { .. }
                 | EventKind::RequestShed { .. }
                 | EventKind::RequestPhase { .. }
                 | EventKind::RequestComplete { .. }
-                | EventKind::RequestFailed { .. }
-                | EventKind::RequestExpired { .. }
-                | EventKind::SchedTune { .. } => {}
+                | EventKind::RequestFailed { .. } => {}
             }
         }
     }

@@ -84,9 +84,6 @@ pub struct Tune {
     pub k: u64,
     /// Grab-ahead batch for the next phase.
     pub b: usize,
-    /// Whether this observation changed k or b (a *decision*). The
-    /// runtime records the `SchedTune` trace event only when this is set.
-    pub changed: bool,
 }
 
 /// Controller state mutated under one short lock per phase boundary.
@@ -182,11 +179,6 @@ impl AdaptController {
     /// frozen-controller differential tests.
     pub fn freeze(&self) {
         self.frozen.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the controller is frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.load(Ordering::Relaxed)
     }
 
     /// Phase boundaries observed so far.
@@ -337,17 +329,13 @@ impl AdaptController {
             self.settle.fetch_add(1, Ordering::Relaxed);
         }
         let (k, b) = self.current();
-        Tune { k, b, changed }
+        Tune { k, b }
     }
 
     fn unchanged(&self) -> Tune {
         self.settle.fetch_add(1, Ordering::Relaxed);
         let (k, b) = self.current();
-        Tune {
-            k,
-            b,
-            changed: false,
-        }
+        Tune { k, b }
     }
 }
 
@@ -502,11 +490,10 @@ mod tests {
         let mut f = Feed::new(8);
         for _ in 0..10 {
             let t = f.phase(&c, 10, 90, 50, 8, 0, &[800, 0, 0, 0, 0, 0, 0, 0]);
-            assert!(!t.changed);
+            assert_eq!((t.k, t.b), before);
         }
         assert_eq!(c.current(), before);
         assert_eq!(c.decisions(), 0);
-        assert!(c.is_frozen());
     }
 
     #[test]
@@ -540,7 +527,7 @@ mod tests {
                     3,
                     &[10 + r, 10, 10, 10, 10, 10, 10, 10],
                 );
-                trail.push((t.k, t.b, t.changed));
+                trail.push((t.k, t.b));
             }
             (trail, c.decisions(), c.phases())
         };

@@ -222,11 +222,7 @@ impl RuntimeScheduler {
     /// no allocation, so the caller must hold the slot exclusively (the
     /// window the sources' `rearm` requires); any other leftover is dropped
     /// *before* its successor is built, so a region retains one source
-    /// however many phases it runs. `lane` is the calling thread's trace
-    /// lane: the turn-taking worker at a phase boundary, lane 0 at region
-    /// setup (on the coordinator, before the dispatch) where worker 0 is
-    /// provably idle.
-    #[allow(clippy::too_many_arguments)] // one serial call per phase; a struct would just rename the list
+    /// however many phases it runs.
     fn arm_source(
         &self,
         slot: &mut Option<PhaseSource>,
@@ -234,7 +230,6 @@ impl RuntimeScheduler {
         p: usize,
         trace: Option<&Arc<TraceSink>>,
         metrics: &Arc<MetricsRegistry>,
-        lane: usize,
     ) {
         // An AFS policy's (k, b) for this loop: the adaptive controller
         // decides them here.
@@ -246,15 +241,6 @@ impl RuntimeScheduler {
                 // state to the metrics layer.
                 let tune = ctl.observe_registry(metrics);
                 metrics.record_sched_tune(tune.k, tune.b as u64, ctl.decisions(), ctl.settled());
-                if let (true, Some(sink)) = (tune.changed, trace) {
-                    sink.record(
-                        lane,
-                        EventKind::SchedTune {
-                            k: tune.k as u32,
-                            b: tune.b as u32,
-                        },
-                    );
-                }
                 Some((tune.k, tune.b))
             }
             _ => None,
@@ -647,7 +633,7 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
                 };
                 let (trace, registry) = (self.trace.as_ref(), &self.registry);
                 let policy = self.plan.policy(phase);
-                policy.arm_source(slot, n, self.p, trace, registry, worker)
+                policy.arm_source(slot, n, self.p, trace, registry)
             });
         }
         if self.failure.halted() {

@@ -465,17 +465,13 @@ impl PoolBuilder {
             live: AtomicUsize::new(p),
             running: Arc::new(AtomicBool::new(false)),
         });
-        // Worker ↔ node pairing: worker `i` pins to core `i mod cores`,
-        // which the host topology maps to a node — recorded in the metrics
+        // Worker `i` pins to core `i mod cores`, recorded in the metrics
         // registry so snapshots show where each worker runs.
         let mut handles = Vec::with_capacity(p);
         for idx in 0..p {
             let worker_shared = Arc::clone(&shared);
             let sink = self.trace.clone();
-            let pin_to = self.pin.then(|| {
-                let cpu = idx % cores;
-                (cpu, affinity::topology().node_of_cpu(cpu))
-            });
+            let pin_to = self.pin.then_some(idx % cores);
             let spawned = if self.fail_spawn_after.is_some_and(|n| idx >= n) {
                 Err(std::io::Error::other("simulated spawn failure"))
             } else {
@@ -894,17 +890,12 @@ fn make_scoped_job<F: Fn(usize) + Send + Sync>(job: F) -> Job {
     Arc::from(boxed)
 }
 
-fn worker_loop(
-    idx: usize,
-    shared: &Shared,
-    pin_to: Option<(usize, usize)>,
-    sink: Option<Arc<TraceSink>>,
-) {
-    if let Some((cpu, node)) = pin_to {
+fn worker_loop(idx: usize, shared: &Shared, pin_to: Option<usize>, sink: Option<Arc<TraceSink>>) {
+    if let Some(cpu) = pin_to {
         let ok = affinity::pin_current_to(cpu);
         if ok {
             shared.pinned.fetch_add(1, Ordering::SeqCst);
-            shared.metrics.set_worker_placement(idx, cpu, node);
+            shared.metrics.set_worker_placement(idx, cpu);
         }
         shared.metrics.set_pin_status(idx, ok);
     }

@@ -9,8 +9,8 @@
 //! waiter looks for its event `spins` times with a
 //! [`std::hint::spin_loop`] between looks, then `yields` times with a
 //! [`std::thread::yield_now`] between looks, then sleeps on a condvar
-//! until a publisher wakes it. `scripts/check_waits.sh` keeps it the only
-//! one.
+//! until a publisher wakes it. The facade's `tests/source_rules.rs` keeps
+//! it the only one.
 //!
 //! # Why a wakeup cannot be lost
 //!

@@ -268,14 +268,7 @@ fn snapshot_json_has_exactly_the_schema_keys() {
     for w in workers {
         assert_eq!(
             keys(w),
-            BTreeSet::from([
-                "worker",
-                "pinned",
-                "pinned_core",
-                "numa_node",
-                "stalls",
-                "counters"
-            ])
+            BTreeSet::from(["worker", "pinned", "pinned_core", "stalls", "counters"])
         );
     }
 }

@@ -384,9 +384,10 @@ impl Batch {
             self.shared.timed_out.fetch_add(1, Ordering::Relaxed);
         }
         let (tenant, id) = (a.req.tenant as u32, a.id);
-        let event = EventKind::RequestComplete { tenant, id };
-        let (shared, kind) = (&self.shared, ServeEventKind::Complete);
-        shared.book_out(&self.pool, a, kind, event, u32::from(late));
+        self.shared
+            .trace_record(EventKind::RequestComplete { tenant, id });
+        let kind = ServeEventKind::Complete;
+        self.shared.book_out(&self.pool, a, kind, u32::from(late));
     }
 
     /// Failure stamps for request `ri`: the contained-panic exit lane.
@@ -395,15 +396,15 @@ impl Batch {
     fn fail(&self, ri: usize, worker: u32, phase: u32) {
         let a = &self.reqs[ri];
         let (tenant, id) = (a.req.tenant as u32, a.id);
-        let event = EventKind::RequestFailed {
+        self.shared.trace_record(EventKind::RequestFailed {
             tenant,
             id,
             worker,
             phase,
-        };
+        });
         let code = (worker << 16) | (phase & 0xFFFF);
-        let (shared, kind) = (&self.shared, ServeEventKind::Failed);
-        shared.book_out(&self.pool, a, kind, event, code);
+        let kind = ServeEventKind::Failed;
+        self.shared.book_out(&self.pool, a, kind, code);
     }
 
     /// Escape hatch for a panic in the driver itself rather than in a

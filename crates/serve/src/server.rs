@@ -226,13 +226,12 @@ pub(crate) struct ServerShared {
     /// (the ring's tail CAS, the staged count, the shutdown flag — all
     /// `SeqCst`), then notify.
     idle: EventCount,
-    /// Times the dispatcher committed to sleeping there (test-visible).
+    /// Times the dispatcher committed to sleeping there.
     dispatcher_parks: AtomicU64,
     /// Times a producer found it asleep and woke it.
     dispatcher_wakes: AtomicU64,
     /// Times a dispatch's waiter outlasted its [`IDLE_YIELDS`] grace and
-    /// went to sleep — on the batch, or on a pool somebody else held
-    /// (test-visible).
+    /// went to sleep — on the batch, or on a pool somebody else held.
     pub(crate) batch_parks: AtomicU64,
     pub(crate) admitted: AtomicU64,
     pub(crate) completed: AtomicU64,
@@ -250,10 +249,10 @@ pub(crate) struct ServerShared {
     /// Pool rebuilds performed by the supervisor.
     pub(crate) supervisor_restarts: AtomicU64,
     pub(crate) dispatches: AtomicU64,
-    /// Dispatches an admit made on its own thread (test-visible).
+    /// Dispatches an admit made on its own thread.
     inline_dispatches: AtomicU64,
     /// Requests retired at a final phase's close rather than at
-    /// their last iteration (test-visible).
+    /// their last iteration.
     pub(crate) turn_retires: AtomicU64,
     pub(crate) batched_requests: AtomicU64,
     /// One self-tuning controller for every [`ServePolicy::Adaptive`]
@@ -377,18 +376,12 @@ impl ServerShared {
     }
 
     /// Books admitted request `a` out of the ledger as `kind` — completed,
-    /// failed, expired, or else shed at shutdown — with `event` on the
-    /// serve lane and `code` in `pool`'s flight recorder. The `pending`
-    /// decrement is the exit a client sees: a `SeqCst` RMW after every
-    /// other write the request made, so an observer of `pending` sees them.
-    pub(crate) fn book_out(
-        &self,
-        pool: &Pool,
-        a: &Admitted,
-        kind: ServeEventKind,
-        event: EventKind,
-        code: u32,
-    ) {
+    /// failed, expired, or else shed at shutdown — with `code` in `pool`'s
+    /// flight recorder; a caller with a trace event records it first. The
+    /// `pending` decrement is the exit a client sees: a `SeqCst` RMW after
+    /// every other write the request made, so an observer of `pending`
+    /// sees them.
+    pub(crate) fn book_out(&self, pool: &Pool, a: &Admitted, kind: ServeEventKind, code: u32) {
         let t = &self.tenants[a.req.tenant];
         let (mine, all) = match kind {
             ServeEventKind::Complete => (&t.completed, &self.completed),
@@ -399,7 +392,6 @@ impl ServerShared {
         mine.fetch_add(1, Ordering::Relaxed);
         all.fetch_add(1, Ordering::Relaxed);
         t.backlog_iters.fetch_sub(a.req.iters(), Ordering::Relaxed);
-        self.trace_record(event);
         t.pending.fetch_sub(1, Ordering::SeqCst);
         self.serve_event_on(pool, kind, a.req.tenant, a.id, code);
     }
@@ -410,19 +402,18 @@ impl ServerShared {
     /// and flight-recorder counts agree.
     pub(crate) fn strand(&self, a: &Admitted) {
         let reason = ShedReason::ShuttingDown.code();
-        let event = EventKind::RequestShed {
+        self.trace_record(EventKind::RequestShed {
             tenant: a.req.tenant as u32,
             reason,
-        };
-        self.book_out(&self.pool(), a, ServeEventKind::Shed, event, reason);
+        });
+        self.book_out(&self.pool(), a, ServeEventKind::Shed, reason);
     }
 }
 
 /// Retires out of `picked` every request whose deadline elapsed while it
 /// was queued: pending/backlog books are balanced, the `expired`
-/// counters move, and [`EventKind::RequestExpired`] plus the recorder
-/// serve-event fire — all without touching the pool. The still-live
-/// requests stay, in order.
+/// counters move, and the recorder serve-event fires — all without
+/// touching the pool. The still-live requests stay, in order.
 pub(crate) fn retire_expired(shared: &ServerShared, picked: &mut Vec<Admitted>) {
     let now = shared.now_ns();
     picked.retain(|a| {
@@ -431,9 +422,7 @@ pub(crate) fn retire_expired(shared: &ServerShared, picked: &mut Vec<Admitted>) 
             .deadline
             .is_some_and(|d| now.saturating_sub(a.admit_ns) > d.as_nanos() as u64);
         if expired {
-            let (tenant, id) = (a.req.tenant as u32, a.id);
-            let event = EventKind::RequestExpired { tenant, id };
-            shared.book_out(&shared.pool(), a, ServeEventKind::Expired, event, 0);
+            shared.book_out(&shared.pool(), a, ServeEventKind::Expired, 0);
         }
         !expired
     });
@@ -458,6 +447,11 @@ pub(crate) fn serve_snapshot_of(s: &ServerShared, discipline: Discipline) -> Ser
         shed_slo_budget: load(&s.shed_slo_budget),
         supervisor_restarts: load(&s.supervisor_restarts),
         dispatches: load(&s.dispatches),
+        inline_dispatches: load(&s.inline_dispatches),
+        dispatcher_parks: load(&s.dispatcher_parks),
+        dispatcher_wakes: load(&s.dispatcher_wakes),
+        batch_parks: load(&s.batch_parks),
+        turn_retires: load(&s.turn_retires),
         batched_requests: load(&s.batched_requests),
         tenants: s
             .tenants
@@ -781,11 +775,6 @@ impl LoopServer {
         self.shared.pool()
     }
 
-    /// Pool rebuilds performed by the supervisor so far.
-    pub fn supervisor_restarts(&self) -> u64 {
-        self.shared.supervisor_restarts.load(Ordering::SeqCst)
-    }
-
     /// Submits a request. Non-blocking: either the request is queued
     /// (`Accepted` with its id) or it is shed right now with the reason.
     /// Callable from any number of client threads concurrently.
@@ -922,60 +911,22 @@ impl LoopServer {
         }
     }
 
-    /// `(parks, wakes)`: how often the dispatcher went to sleep on an
-    /// empty ring, and how often a producer woke it. Lets tests
-    /// assert "an idle server is quiet" on counts instead of wall time.
-    #[doc(hidden)]
-    pub fn dispatcher_park_tally(&self) -> (u64, u64) {
-        (
-            self.shared.dispatcher_parks.load(Ordering::SeqCst),
-            self.shared.dispatcher_wakes.load(Ordering::SeqCst),
-        )
-    }
-
     /// Whether the dispatcher is asleep, or committed to sleeping, on an
     /// idle server: the state in which an admit dispatches inline. For
-    /// tests.
+    /// tests: the snapshot's park and wake counts cannot tell this state
+    /// from one the dispatcher has already left.
     #[doc(hidden)]
     pub fn dispatcher_asleep(&self) -> bool {
         self.shared.idle.sleepers() > 0
     }
 
-    /// `(inline, dispatcher)`: pool dispatches made by an admit on its own
-    /// thread, and by the dispatcher thread or a manual driver. A count
-    /// for tests, like [`LoopServer::dispatcher_park_tally`].
-    #[doc(hidden)]
-    pub fn dispatch_path_tally(&self) -> (u64, u64) {
-        let inline = self.shared.inline_dispatches.load(Ordering::SeqCst);
-        let all = self.shared.dispatches.load(Ordering::SeqCst);
-        (inline, all - inline)
-    }
-
-    /// Requests retired at a final phase's close — a panicked or
-    /// `n = 0` request — rather than by the worker that ran their last
-    /// iteration. A count for tests.
-    #[doc(hidden)]
-    pub fn turn_retire_tally(&self) -> u64 {
-        self.shared.turn_retires.load(Ordering::SeqCst)
-    }
-
     /// Tenant `tenant`'s workset, slot by slot: under
     /// [`crate::ServeKernel::Touch`], how many iterations touched each
-    /// slot. A read-out for tests, like [`LoopServer::turn_retire_tally`].
+    /// slot. A read-out for tests, which check every slot exactly.
     #[doc(hidden)]
     pub fn workset_values(&self, tenant: usize) -> Vec<u64> {
         let workset = &self.shared.tenants[tenant].workset;
         workset.iter().map(|c| c.load(Ordering::SeqCst)).collect()
-    }
-
-    /// How many times a dispatch's waiter (the dispatcher thread, or a
-    /// manual [`LoopServer::dispatch_next`] caller) outlasted the 64-yield
-    /// (`IDLE_YIELDS`) grace and slept — until the batch was done, or
-    /// until somebody else's job released the pool. Like
-    /// [`LoopServer::dispatcher_park_tally`], a count for tests.
-    #[doc(hidden)]
-    pub fn batch_park_tally(&self) -> u64 {
-        self.shared.batch_parks.load(Ordering::SeqCst)
     }
 
     fn shed(&self, tenant: usize, reason: ShedReason) -> Admit {

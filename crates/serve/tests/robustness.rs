@@ -297,7 +297,7 @@ fn supervisor_replaces_a_spawn_degraded_pool() {
         )
         .build();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.supervisor_restarts() == 0 {
+    while server.serve_snapshot().supervisor_restarts == 0 {
         assert!(Instant::now() < deadline, "supervisor never restarted");
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -341,7 +341,7 @@ fn supervisor_restarts_after_repeated_contained_failures() {
     assert!(server.admit(static_req(4096, 1)).is_accepted());
     server.drain();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.supervisor_restarts() == 0 {
+    while server.serve_snapshot().supervisor_restarts == 0 {
         assert!(Instant::now() < deadline, "supervisor never restarted");
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -389,7 +389,7 @@ fn supervisor_counts_failures_that_precede_its_first_poll() {
     assert!(server.admit(static_req(4096, 2)).is_accepted());
     server.drain();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.supervisor_restarts() == 0 {
+    while server.serve_snapshot().supervisor_restarts == 0 {
         assert!(Instant::now() < deadline, "supervisor never restarted");
         std::thread::sleep(Duration::from_millis(1));
     }

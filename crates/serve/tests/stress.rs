@@ -231,7 +231,7 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 /// Waits until the (idle) dispatcher has committed to a park.
 fn wait_parked(server: &LoopServer) {
     wait_for("the idle dispatcher to park", || {
-        server.dispatcher_park_tally().0 >= 1
+        server.serve_snapshot().dispatcher_parks >= 1
     });
 }
 
@@ -259,7 +259,7 @@ fn must_return(what: &str, f: impl FnOnce() + Send + 'static) {
 #[test]
 fn seeded_admits_straddling_the_park_commit_all_complete() {
     const REQUESTS: u64 = 200;
-    let (mut total_parks, mut total_inline, mut total_by_dispatcher) = (0u64, 0u64, 0u64);
+    let (mut total_parks, mut total_inline, mut total_dispatches) = (0u64, 0u64, 0u64);
     for seed in 0..20u64 {
         let server = LoopServer::builder(Arc::new(Pool::new(2)))
             .tenant("t")
@@ -293,11 +293,10 @@ fn seeded_admits_straddling_the_park_commit_all_complete() {
             assert!(server.admit(small(n)).is_accepted(), "seed {seed} req {i}");
             wait_for("an admitted request to complete", || server.pending() == 0);
         }
-        total_parks += server.dispatcher_park_tally().0;
-        let (inline, by_dispatcher) = server.dispatch_path_tally();
-        total_inline += inline;
-        total_by_dispatcher += by_dispatcher;
         let ledger = server.shutdown();
+        total_parks += ledger.dispatcher_parks;
+        total_inline += ledger.inline_dispatches;
+        total_dispatches += ledger.dispatches;
         assert_eq!(ledger.admitted, REQUESTS, "seed {seed}");
         assert_eq!(ledger.completed, REQUESTS, "seed {seed}");
         assert_eq!(
@@ -314,7 +313,7 @@ fn seeded_admits_straddling_the_park_commit_all_complete() {
         "no admit ever found the dispatcher parked"
     );
     assert!(
-        total_by_dispatcher > 0,
+        total_dispatches > total_inline,
         "every admit found the dispatcher parked: no gap fell inside the grace"
     );
 }
@@ -330,8 +329,9 @@ fn idle_server_parks_once_and_the_next_admit_is_served_inline() {
         .build();
     wait_parked(&server);
     thread::sleep(Duration::from_millis(100));
+    let ledger = server.serve_snapshot();
     assert_eq!(
-        server.dispatcher_park_tally(),
+        (ledger.dispatcher_parks, ledger.dispatcher_wakes),
         (1, 0),
         "an idle dispatcher must stay parked, unwoken"
     );
@@ -339,12 +339,13 @@ fn idle_server_parks_once_and_the_next_admit_is_served_inline() {
     wait_for("the request admitted to a parked server", || {
         server.pending() == 0
     });
+    let ledger = server.serve_snapshot();
     assert_eq!(
-        server.dispatcher_park_tally(),
+        (ledger.dispatcher_parks, ledger.dispatcher_wakes),
         (1, 0),
         "the admit dispatched inline: the dispatcher stays parked, unwoken"
     );
-    assert_eq!(server.dispatch_path_tally(), (1, 0));
+    assert_eq!((ledger.inline_dispatches, ledger.dispatches), (1, 1));
     let ledger = server.shutdown();
     assert_eq!((ledger.admitted, ledger.completed), (1, 1));
 }
@@ -388,7 +389,7 @@ fn request_after_a_pool_swap_under_a_parked_dispatcher_completes() {
         )
         .build();
     wait_for("the supervisor to replace the degraded pool", || {
-        server.supervisor_restarts() == 1
+        server.serve_snapshot().supervisor_restarts == 1
     });
     wait_parked(&server);
     let replacement = server.pool();
@@ -420,8 +421,9 @@ fn manual_server_admit_never_touches_the_wake_path() {
     }
     assert_eq!(server.pump(), 32);
     while !server.dispatch_next().is_empty() {}
-    assert_eq!(server.serve_snapshot().completed, 32);
-    assert_eq!(server.dispatcher_park_tally(), (0, 0));
+    let ledger = server.serve_snapshot();
+    assert_eq!(ledger.completed, 32);
+    assert_eq!((ledger.dispatcher_parks, ledger.dispatcher_wakes), (0, 0));
 }
 
 /// A pool whose worker 1 sleeps 20 ms on entering every dispatch, so each
@@ -439,10 +441,11 @@ fn slow_start_pool() -> Arc<Pool> {
 fn admit_until_a_batch_parks(server: &LoopServer) -> u64 {
     for admitted in 1..=50 {
         assert!(server.admit(small(64)).is_accepted());
+        let parked = || server.serve_snapshot().batch_parks >= 1;
         wait_for("a batch to park its waiter, or finish", || {
-            server.batch_park_tally() >= 1 || server.pending() == 0
+            parked() || server.pending() == 0
         });
-        if server.batch_park_tally() >= 1 {
+        if parked() {
             return admitted;
         }
     }
@@ -506,7 +509,7 @@ fn manual_dispatch_parks_on_a_long_batch() {
         .manual()
         .build();
     let mut served = 0;
-    while server.batch_park_tally() == 0 {
+    while server.serve_snapshot().batch_parks == 0 {
         assert!(served < 50, "50 dispatches of 20 ms each never parked");
         assert!(server.admit(small(64)).is_accepted());
         assert_eq!(server.pump(), 1);
@@ -540,7 +543,7 @@ fn dispatcher_sleeps_on_a_pool_held_by_a_blocking_run() {
         });
         assert!(server.admit(small(64)).is_accepted());
         wait_for("the dispatcher to block on the held pool", || {
-            server.batch_park_tally() >= 1
+            server.serve_snapshot().batch_parks >= 1
         });
         assert_eq!(
             server.pending(),
@@ -572,7 +575,7 @@ fn dispatcher_sleeps_on_a_pool_held_by_a_blocking_run() {
 fn seeded_concurrent_admits_and_blocking_runs_strand_nothing() {
     const CLIENTS: u64 = 4;
     const PER_CLIENT: u64 = 50;
-    let (mut total_inline, mut total_by_dispatcher) = (0u64, 0u64);
+    let (mut total_inline, mut total_dispatches) = (0u64, 0u64);
     for seed in 0..20u64 {
         let pool = Arc::new(Pool::new(2));
         let server = LoopServer::builder(Arc::clone(&pool))
@@ -633,10 +636,9 @@ fn seeded_concurrent_admits_and_blocking_runs_strand_nothing() {
         wait_for("every admitted request to complete", || {
             server.pending() == 0
         });
-        let (inline, by_dispatcher) = server.dispatch_path_tally();
-        total_inline += inline;
-        total_by_dispatcher += by_dispatcher;
         let ledger = server.shutdown();
+        total_inline += ledger.inline_dispatches;
+        total_dispatches += ledger.dispatches;
         let requests = CLIENTS * PER_CLIENT;
         assert_eq!(ledger.admitted, requests, "seed {seed}");
         assert_eq!(ledger.completed, requests, "seed {seed}");
@@ -653,7 +655,10 @@ fn seeded_concurrent_admits_and_blocking_runs_strand_nothing() {
         );
     }
     assert!(total_inline > 0, "no admit ever dispatched inline");
-    assert!(total_by_dispatcher > 0, "the dispatcher never dispatched");
+    assert!(
+        total_dispatches > total_inline,
+        "the dispatcher never dispatched"
+    );
 }
 
 /// A request is complete the moment its last iteration is: every
@@ -696,8 +701,7 @@ fn panicked_request_retires_in_the_turn_and_its_batchmates_at_their_count() {
     assert_eq!((ledger.completed, ledger.failed), (5, 1));
     assert_eq!(ledger.completed + ledger.failed, ledger.admitted);
     assert_eq!(
-        server.turn_retire_tally(),
-        1,
+        ledger.turn_retires, 1,
         "only the panicked request waits for the barrier turn"
     );
     drop(server);
@@ -738,8 +742,8 @@ fn two_phase_request_completes_after_its_final_phase_with_counters_written() {
         assert_eq!(ledger.completed, round + 1);
         assert_eq!(ledger.tenants[0].iters, offered, "round {round}");
     }
-    assert_eq!(server.turn_retire_tally(), 0);
     let ledger = server.shutdown();
+    assert_eq!(ledger.turn_retires, 0);
     assert_eq!(ledger.completed, 200);
 }
 
