@@ -83,6 +83,24 @@ fn committed_files_compare_clean_against_themselves() {
         assert!(cmp.ok());
         assert!(cmp.compared > 0, "{name}: no cells compared");
         assert!(cmp.improvements.is_empty());
+        assert!(cmp.warnings.is_empty(), "{name}: {:?}", cmp.warnings);
+        // A new run's host block lacks the `numa_nodes` the committed files
+        // still carry: recorded data nobody reads, not a different host.
+        let mut fresh = doc.clone();
+        let Value::Obj(members) = &mut fresh else {
+            panic!("{name} must be an object")
+        };
+        for (k, v) in members.iter_mut() {
+            if let (true, Value::Obj(host)) = (k == "host", v) {
+                host.retain(|(k, _)| k != "numa_nodes");
+            }
+        }
+        assert_ne!(
+            fresh, doc,
+            "{name}: the committed host block has numa_nodes"
+        );
+        let cmp = compare(&fresh, &doc, 0.0).expect("comparable");
+        assert!(cmp.warnings.is_empty(), "{name}: {:?}", cmp.warnings);
     }
 }
 

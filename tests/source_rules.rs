@@ -17,7 +17,7 @@
 //! `benches/` are never code; the rules scan `crates/*/src` and `src/`,
 //! and the caller search also reads `examples/` and `benchmark/src`.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fs;
 use std::path::Path;
 
@@ -367,10 +367,10 @@ fn public_fn(line: &str) -> Option<&str> {
     ident(rest.strip_prefix("fn ")?)
 }
 
-/// How often each identifier occurs in `sources`, not counting where a
-/// `fn` item declares it.
-fn uses(sources: &[Source]) -> HashMap<&str, usize> {
-    let mut count = HashMap::new();
+/// Every identifier that occurs in `sources` other than where a `fn` item
+/// declares it.
+fn uses(sources: &[Source]) -> HashSet<&str> {
+    let mut used = HashSet::new();
     for (_, line) in sources.iter().flat_map(|s| &s.lines) {
         let mut after_fn = false;
         let mut rest = line.as_str();
@@ -381,12 +381,12 @@ fn uses(sources: &[Source]) -> HashMap<&str, usize> {
             rest = &rest[word.len()..];
             let declared = after_fn && gap.chars().all(char::is_whitespace);
             if !declared {
-                *count.entry(word).or_insert(0) += 1;
+                used.insert(word);
             }
             after_fn = word == "fn";
         }
     }
-    count
+    used
 }
 
 /// A `pub fn` of `afs-runtime` or `afs-serve` needs a caller outside the
@@ -406,7 +406,7 @@ fn no_public_fn_only_tests_call() {
     }) {
         for (n, l) in &src.lines {
             let Some(name) = public_fn(l) else { continue };
-            if uses.contains_key(name) {
+            if uses.contains(name) {
                 continue;
             }
             match TEST_ONLY_API
