@@ -224,11 +224,6 @@ pub struct CounterSnapshot {
 }
 
 impl CounterSnapshot {
-    /// Total grabs of any kind.
-    pub fn total_grabs(&self) -> u64 {
-        self.sync().total()
-    }
-
     /// The four grab counters as the paper's removal counts (Tables 3–5).
     pub fn sync(&self) -> SyncOps {
         SyncOps {
@@ -357,7 +352,7 @@ mod tests {
         assert_eq!(s.remote_grabs, 1);
         assert_eq!(s.central_grabs, 1);
         assert_eq!(s.free_grabs, 1);
-        assert_eq!(s.total_grabs(), 5);
+        assert_eq!(s.sync().total(), 5);
         assert_eq!(s.iters, 120);
     }
 

@@ -75,11 +75,6 @@ impl AtomicHistogram {
         }
     }
 
-    /// Adds one [`std::time::Duration`] sample.
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     /// Plain-value copy of the current state.
     pub fn get(&self) -> HistogramSnapshot {
         let mut counts = [0u64; BUCKETS];

@@ -397,7 +397,6 @@ pub struct FlightRecorder {
     dump_dir: Mutex<Option<PathBuf>>,
     shed_window: AtomicU32,
     shed_threshold: AtomicU32,
-    last_dump: Mutex<Option<PathBuf>>,
 }
 
 impl FlightRecorder {
@@ -422,7 +421,6 @@ impl FlightRecorder {
             dump_dir: Mutex::new(None),
             shed_window: AtomicU32::new(DEFAULT_SHED_WINDOW),
             shed_threshold: AtomicU32::new(DEFAULT_SHED_THRESHOLD),
-            last_dump: Mutex::new(None),
         }
     }
 
@@ -437,8 +435,10 @@ impl FlightRecorder {
     }
 
     /// Re-tunes the shed-spike trigger: fire when at least `threshold`
-    /// sheds land inside the last `window` serve events.
-    pub fn set_shed_spike(&self, threshold: u32, window: u32) {
+    /// sheds land inside the last `window` serve events. Tests only:
+    /// deployments run the defaults.
+    #[cfg(test)]
+    pub(crate) fn set_shed_spike(&self, threshold: u32, window: u32) {
         self.shed_threshold
             .store(threshold.max(1), Ordering::Relaxed);
         self.shed_window.store(window.max(1), Ordering::Relaxed);
@@ -549,11 +549,6 @@ impl FlightRecorder {
         self.triggered.load(Ordering::Acquire)
     }
 
-    /// Path of the dump written by this recorder, if any.
-    pub fn dump_path(&self) -> Option<PathBuf> {
-        self.last_dump.lock().unwrap().clone()
-    }
-
     /// Surviving phase records, oldest first: the lanes merged back into
     /// one record per phase — the closer's turn record, carrying the sum of
     /// every worker's counter delta for that phase. A phase some lane has
@@ -622,7 +617,6 @@ impl FlightRecorder {
         match std::fs::write(&path, self.to_json()) {
             Ok(()) => {
                 eprintln!("flight-recorder: wrote {}", path.display());
-                *self.last_dump.lock().unwrap() = Some(path.clone());
                 Some(path)
             }
             Err(err) => {
@@ -821,16 +815,19 @@ pub(crate) mod tests {
         record(&rec, &reg, &mut last, 0, 100, 0);
         assert!(rec.flush().is_none(), "no dump before a trigger");
         rec.trigger(Trigger::Stall { worker: 0 });
+        let dumps = || -> Vec<_> {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .filter(|e| e.file_name().to_string_lossy().starts_with("flight-"))
+                .collect()
+        };
         // The next phase boundary flushes, carrying the triggering phase.
         record(&rec, &reg, &mut last, 1, 200, 0);
-        assert!(rec.dump_path().is_some());
+        assert_eq!(dumps().len(), 1, "the boundary after the trigger dumps");
         rec.trigger(Trigger::Stall { worker: 0 });
         assert!(rec.flush().is_none(), "second trigger must not re-dump");
-        let dumps: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().starts_with("flight-"))
-            .collect();
+        let dumps = dumps();
         assert_eq!(dumps.len(), 1);
         let v = json::parse(&std::fs::read_to_string(dumps[0].path()).unwrap()).unwrap();
         assert_eq!(

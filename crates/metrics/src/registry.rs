@@ -243,7 +243,7 @@ mod tests {
         reg.worker(2).record_grab(AccessKind::Remote, 5);
         let snap = reg.snapshot();
         assert_eq!(snap.workers[0].counters.local_grabs, 1);
-        assert_eq!(snap.workers[1].counters.total_grabs(), 0);
+        assert_eq!(snap.workers[1].counters.sync().total(), 0);
         assert_eq!(snap.workers[2].counters.remote_grabs, 1);
         assert_eq!(snap.totals().iters, 15);
     }

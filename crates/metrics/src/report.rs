@@ -369,7 +369,8 @@ mod tests {
                 ],
             ],
         );
-        assert_eq!(sink.total_events(), 8);
+        let surviving: usize = (0..sink.workers()).map(|w| sink.events(w).len()).sum();
+        assert_eq!(surviving, 8);
         assert_eq!(sink.last_event_ns(), 70);
         let r = TraceReport::from_sink(&sink);
         assert_eq!(r.dropped, vec![3, 0]);

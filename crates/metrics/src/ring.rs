@@ -42,11 +42,6 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Number of surviving elements.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Number of elements overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped

@@ -147,15 +147,6 @@ impl TraceSink {
         unsafe { (*self.lanes[worker].ring.get()).dropped() }
     }
 
-    /// Total surviving events across all lanes.
-    pub fn total_events(&self) -> usize {
-        self.lanes
-            .iter()
-            // SAFETY: see `lane`.
-            .map(|lane| unsafe { (*lane.ring.get()).len() })
-            .sum()
-    }
-
     /// Discards all recorded events (capacity retained), e.g. to reuse one
     /// sink across experiments. Requires exclusive access.
     pub fn clear(&mut self) {

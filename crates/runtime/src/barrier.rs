@@ -105,12 +105,23 @@ impl SenseBarrier {
     /// A word on the line the last arriver already owns when it runs the
     /// turn closure, for state a turn carries to the next generation's
     /// turn: keeping it here moves no line the barrier does not move
-    /// anyway. It starts at 0 and the barrier never reads or writes it;
-    /// its user writes it only inside turn closures, or while no one is
-    /// arriving (the fused phase driver keeps its last phase boundary's
-    /// timestamp here).
+    /// anyway. It starts at 0 and the barrier never reads it, writing it
+    /// only when a re-armed region restarts the barrier; its user writes
+    /// it only inside turn closures, or while no one is arriving (the
+    /// fused phase driver keeps its last phase boundary's timestamp here).
     pub fn turn_word(&self) -> &AtomicU64 {
         &self.hot.turn_word
+    }
+
+    /// Starts the generation sequence over at 1 and stores `turn_word`,
+    /// for a party that reuses the barrier from scratch (a standing
+    /// region's re-arm). Only while no one arrives: whatever hands the
+    /// barrier to the party next (a pool publish) orders these stores
+    /// before every arrival.
+    pub(crate) fn restart(&self, turn_word: u64) {
+        self.hot.arrivals.store(0, Ordering::Relaxed);
+        self.hot.sense.store(0, Ordering::Relaxed);
+        self.hot.turn_word.store(turn_word, Ordering::Relaxed);
     }
 
     /// Arrives at generation `gen`; returns once all `p` workers have.

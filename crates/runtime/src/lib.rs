@@ -60,8 +60,8 @@ pub use adapt::{AdaptController, Tune};
 pub use barrier::SenseBarrier;
 pub use fault::{FaultPlan, PhaseError};
 pub use parallel::{
-    parallel_for, parallel_nest, parallel_phases, publish_phases, try_parallel_for,
-    try_parallel_phases, PhasePlan, RuntimeScheduler,
+    parallel_for, parallel_nest, parallel_phases, try_parallel_for, try_parallel_phases, PhasePlan,
+    RuntimeScheduler, StandingRegion,
 };
 pub use pool::{DispatchSlot, DispatchTicket, Pool, PoolBuilder, TryDispatchError};
 pub use shared::RowMatrix;

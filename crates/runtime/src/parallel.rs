@@ -29,7 +29,7 @@ use afs_metrics::trace::{EventKind, TraceSink};
 use afs_metrics::{CachePadded, FlightRecorder, MetricsRegistry};
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -387,7 +387,7 @@ where
 /// the plan, so hooks left at their defaults compile away.
 /// [`parallel_phases`] runs a plan of one closure pair and one policy; the
 /// serving frontend's fused batch, whose phase *g* is its *g*-th
-/// request-phase, runs through [`publish_phases`].
+/// request-phase, runs as a [`StandingRegion`].
 pub trait PhasePlan: Sync {
     /// How many phases the region runs (at least one).
     fn phases(&self) -> usize;
@@ -450,25 +450,95 @@ where
     }
 }
 
-/// Runs `plan` as one fused region on `pool`, published into `slot` (a
-/// claim on `pool`'s dispatch slot), and returns its ticket without
-/// waiting. Phase 0 is armed on the calling thread; the claim keeps every
-/// worker out until the publish. The region's failure — a driver-internal
-/// one, or a body panic the plan did not contain — is the ticket's error.
-pub fn publish_phases<P: PhasePlan + Send + 'static>(
-    pool: &Pool,
-    slot: DispatchSlot,
-    plan: Arc<P>,
-) -> DispatchTicket {
-    let region = Region::new(pool, plan, None);
-    slot.publish(Arc::new(move |worker| {
-        region.work(worker);
-        if let Some(e) = region.failure.slot.lock().take() {
-            let e = flag_phase_error(&region.recorder, e);
-            std::panic::resume_unwind(e.into_payload());
-        }
-    }))
+/// A fused region built once and published many times, as the serving
+/// frontend's batch is. Each [`StandingRegion::publish`] lets its owner
+/// rewrite the plan, re-arms the region in place — barrier, failure state,
+/// finish count, epoch, flight-recorder claim, and phase 0's source, which
+/// the region keeps from publish to publish — and hands the pool a clone
+/// of its one job, so a publish builds, boxes and drops nothing. Dropping
+/// it returns its source to the pool's spare.
+pub struct StandingRegion<P: PhasePlan + Send + 'static> {
+    region: Arc<Region<PlanCell<P>>>,
+    /// What every publish hands the pool: each worker runs the region, and
+    /// a recorded failure is re-raised so the ticket returns it.
+    job: Arc<dyn Fn(usize) + Send + Sync>,
 }
+
+impl<P: PhasePlan + Send + 'static> StandingRegion<P> {
+    /// Builds `plan`'s region on `pool`, with the pool's spare source.
+    /// Nothing is armed before the first publish, so the plan may still
+    /// be empty.
+    pub fn new(pool: &Pool, plan: P) -> StandingRegion<P> {
+        let plan = PlanCell(UnsafeCell::new(plan));
+        let region = Arc::new(Region::build(pool, plan, None));
+        let shared = Arc::clone(&region);
+        let job = Arc::new(move |worker| {
+            shared.work(worker);
+            if let Some(e) = shared.failure.take() {
+                let e = flag_phase_error(&shared.recorder, e);
+                std::panic::resume_unwind(e.into_payload());
+            }
+        });
+        StandingRegion { region, job }
+    }
+
+    /// The plan.
+    pub fn plan(&self) -> &P {
+        &self.region.plan
+    }
+
+    /// Rewrites the plan with `refill`, re-arms the region for it and
+    /// publishes it into `slot`, a claim on the pool it was built for,
+    /// returning the ticket without waiting. Phase 0 is armed on the
+    /// calling thread; the claim keeps every worker out until the publish.
+    /// The region's failure — a driver-internal one, or a body panic the
+    /// plan did not contain — is the ticket's error. Panics while an
+    /// earlier publish is out (until its ticket's reap the pool holds a
+    /// clone of the job), and when the plan has no phase.
+    pub fn publish(&mut self, slot: DispatchSlot, refill: impl FnOnce(&mut P)) -> DispatchTicket {
+        assert!(
+            Arc::strong_count(&self.job) == 1,
+            "a standing region is rewritten while the pool still holds its job"
+        );
+        // Every other clone of the job is gone: the pool's reap dropped
+        // the one it was handed, and each worker dropped its own before
+        // it acked, each a release decrement after that holder's last
+        // access to the region. This makes all of them happen-before the
+        // rewrite.
+        fence(Ordering::Acquire);
+        // SAFETY: no other thread holds the job, through which alone the
+        // workers reach the region (above), and `&mut self` keeps this
+        // handle's own `plan()` borrows out; no worker reads the region
+        // again before it loads the generation the publish below stores,
+        // which orders every write here before its reads.
+        unsafe {
+            refill(&mut *self.region.plan.0.get());
+            self.region.rearm();
+        }
+        slot.publish(Arc::clone(&self.job))
+    }
+}
+
+/// A standing region's plan: the workers read it through `Deref`, and
+/// [`StandingRegion::publish`] rewrites it while no worker can.
+struct PlanCell<P>(UnsafeCell<P>);
+
+impl<P> std::ops::Deref for PlanCell<P> {
+    type Target = P;
+
+    fn deref(&self) -> &P {
+        // SAFETY: the only `&mut P` is the one `StandingRegion::publish`
+        // lends its refill, while no other thread holds the region and
+        // while its handle is mutably borrowed, so it never overlaps a
+        // shared borrow.
+        unsafe { &*self.0.get() }
+    }
+}
+
+// SAFETY: shared access is `&P` only (`Deref`), which `P: Sync` allows
+// across threads; the one `&mut P` is exclusive (above), and handing it to
+// another thread than the one that last shared it needs `P: Send`.
+unsafe impl<P: Send + Sync> Sync for PlanCell<P> {}
 
 /// Shared failure state of one parallel region: the first [`PhaseError`]
 /// and whether the region halted (a driver-internal failure that makes
@@ -476,6 +546,9 @@ pub fn publish_phases<P: PhasePlan + Send + 'static>(
 #[derive(Default)]
 struct RegionFailure {
     halt: AtomicBool,
+    /// Whether a failure was recorded this run, so that reading none — a
+    /// worker's epilogue, every publish — is one load, not the lock.
+    recorded: AtomicBool,
     slot: Mutex<Option<PhaseError>>,
 }
 
@@ -485,6 +558,27 @@ impl RegionFailure {
         let mut slot = self.slot.lock();
         if slot.is_none() {
             *slot = Some(PhaseError::new(worker, phase, payload));
+            self.recorded.store(true, Ordering::Release);
+        }
+    }
+
+    /// Takes the recorded failure, if no one has yet. A worker always
+    /// sees its own record; a failure recorded after a worker looked is
+    /// taken by its recorder.
+    fn take(&self) -> Option<PhaseError> {
+        if !self.recorded.load(Ordering::Acquire) {
+            return None;
+        }
+        self.slot.lock().take()
+    }
+
+    /// Forgets this run's failure, for the next: writes only when there
+    /// was one (a halt always records first).
+    fn reset(&self) {
+        if self.recorded.load(Ordering::Relaxed) {
+            self.slot.lock().take();
+            self.halt.store(false, Ordering::Relaxed);
+            self.recorded.store(false, Ordering::Relaxed);
         }
     }
 
@@ -528,7 +622,7 @@ fn flag_phase_error(recorder: &FlightRecorder, e: PhaseError) -> PhaseError {
 /// difference. The reads happen on the worker because only there are they
 /// bounded by this region — callers sharing the pool are serialized by it,
 /// so a snapshot the coordinator took before dispatching could include
-/// another caller's region. `per_queue` stays empty. A published region
+/// another caller's region. `per_queue` stays empty. A standing region
 /// returns no metrics, so it merges none.
 ///
 /// Telemetry stays on each worker's own lines. Arriving at the end of a
@@ -552,12 +646,13 @@ struct Region<Q> {
     // slot the turn rewrites.
     failure: CachePadded<RegionFailure>,
     /// The one work source, alive for the whole region: taken from the
-    /// pool's spare when one is there, and returned to it when the region
-    /// is dropped, after every worker has left (DESIGN §9). Plain memory,
-    /// synchronized by the barrier: after setup it is rewritten only
-    /// inside the barrier's turn closure (all workers arrived, none
-    /// released — exclusive by construction) and read only between a
-    /// release and the reader's next arrival. Every worker's last grab of
+    /// pool's spare when one is there, kept from one re-arm to the next,
+    /// and returned to the spare when the region is dropped, after every
+    /// worker has left (DESIGN §9). Plain memory, synchronized by the
+    /// barrier: after a re-arm it is rewritten only inside the barrier's
+    /// turn closure (all workers arrived, none released — exclusive by
+    /// construction) and read only between a release and the reader's
+    /// next arrival. Every worker's last grab of
     /// phase k happens-before its arrival, hence before the turn that
     /// re-arms or replaces the source, and that turn happens-before the
     /// release every phase-k+1 grab follows — the window
@@ -574,11 +669,16 @@ struct Region<Q> {
     finished: AtomicUsize,
     /// Phase boundaries are nanoseconds since this: the last arrival at a
     /// barrier, and for the final phase the last worker's finish. The
-    /// (fresh) barrier's turn word holds the previous one, so a phase
-    /// lasts from one boundary to the next.
+    /// barrier's turn word holds the previous one, so a phase lasts from
+    /// one boundary to the next.
     start: Instant,
-    /// Phase `ph`'s flight-recorder record is `first_seq + ph`.
-    first_seq: u64,
+    /// When the current run began, in nanoseconds since `start`: the
+    /// re-arm's reading, phase 0's opening boundary and what the loop
+    /// histogram measures from.
+    epoch_ns: AtomicU64,
+    /// Phase `ph`'s flight-recorder record is `first_seq + ph`, claimed
+    /// afresh by every re-arm.
+    first_seq: AtomicU64,
 }
 
 // SAFETY: `source` is the only field not `Sync` by itself; see its access
@@ -588,37 +688,66 @@ struct Region<Q> {
 unsafe impl<Q: Sync> Sync for Region<Q> {}
 
 impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
-    /// Sets up `plan`'s region on `pool` and arms phase 0 on the calling
-    /// thread, as lane 0: no worker runs before the dispatch. Phase 0's
-    /// slot starts with the pool's spare source, so arming it re-arms that
-    /// source when it is of the policy's kind. A failure there halts the
-    /// region, which then runs no phase. `merged`, when given, collects the
-    /// workers' metrics.
+    /// Sets up `plan`'s region on `pool` and re-arms it: ready to run.
+    /// `merged`, when given, collects the workers' metrics.
     fn new(pool: &Pool, plan: Q, merged: Option<LoopMetrics>) -> Region<Q> {
-        let (p, phases) = (pool.workers(), plan.phases() as u64);
-        assert!(phases >= 1, "a fused region needs at least one phase");
-        let mut region = Region {
+        let region = Region::build(pool, plan, merged);
+        // SAFETY: the region was built just now and is not shared yet.
+        unsafe { region.rearm() };
+        region
+    }
+
+    /// Sets up `plan`'s region on `pool`, unarmed, with the pool's spare
+    /// source in its slot.
+    fn build(pool: &Pool, plan: Q, merged: Option<LoopMetrics>) -> Region<Q> {
+        // Moved out under the lock: no other region can hold it now.
+        let first = pool.spare_source().lock().take();
+        Region {
             plan,
-            p,
+            p: pool.workers(),
             trace: pool.trace().cloned(),
             registry: Arc::clone(pool.metrics()),
             recorder: Arc::clone(pool.recorder()),
             faults: pool.fault_plan().cloned(),
             failure: CachePadded::new(RegionFailure::default()),
-            source: CachePadded::new(UnsafeCell::new(None)),
+            source: CachePadded::new(UnsafeCell::new(first)),
             spare: Arc::clone(pool.spare_source()),
             barrier: pool.phase_barrier(),
             deadline_ns: pool.phase_deadline().map(|d| d.as_nanos() as u64),
             merged: merged.map(Mutex::new),
             finished: AtomicUsize::new(0),
             start: Instant::now(),
-            first_seq: pool.recorder().claim(phases),
-        };
-        // Moved out under the lock: no other region can hold it now.
-        let mut first = region.spare.lock().take();
-        region.arm(&mut first, 0, 0);
-        *region.source.get_mut() = first;
-        region
+            epoch_ns: AtomicU64::new(0),
+            first_seq: AtomicU64::new(0),
+        }
+    }
+
+    /// Readies the region for a run of its plan: the barrier's generations
+    /// start over at this epoch, no failure is recorded and no worker has
+    /// finished, the plan's phases are claimed in the flight recorder, and
+    /// phase 0 is armed on the calling thread, as lane 0, in the source
+    /// the region keeps — re-armed in place when it is of the policy's
+    /// kind. A failure there halts the region, which then runs no phase.
+    /// Every region runs through here: `new`, and every standing publish.
+    ///
+    /// # Safety
+    ///
+    /// The caller holds the region exclusively — no worker is in it — and
+    /// whatever hands the region to the workers next (the pool's publish)
+    /// orders these writes before their reads.
+    unsafe fn rearm(&self) {
+        let phases = self.plan.phases() as u64;
+        assert!(phases >= 1, "a fused region needs at least one phase");
+        let epoch = self.start.elapsed().as_nanos() as u64;
+        self.failure.reset();
+        self.finished.store(0, Ordering::Relaxed);
+        self.barrier.restart(epoch);
+        self.epoch_ns.store(epoch, Ordering::Relaxed);
+        let first_seq = self.recorder.claim(phases);
+        self.first_seq.store(first_seq, Ordering::Relaxed);
+        // SAFETY: the caller holds the region, hence its source slot,
+        // exclusively.
+        self.arm(unsafe { &mut *self.source.get() }, 0, 0);
     }
 
     /// Arms `slot` for `phase` on `worker`, which holds it exclusively —
@@ -648,7 +777,7 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
         let wall_ns = now - stamp.load(Ordering::Relaxed);
         stamp.store(now, Ordering::Relaxed);
         self.registry.phase_hist(worker).record_owned(wall_ns);
-        let seq = self.first_seq + phase as u64;
+        let seq = self.first_seq.load(Ordering::Relaxed) + phase as u64;
         let registry = &self.registry;
         self.recorder
             .record_turn(worker, seq, phase as u64, wall_ns, registry);
@@ -669,6 +798,7 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
         let counters = self.registry.worker(worker);
         let start = counters.get();
         let mut last = start;
+        let first_seq = self.first_seq.load(Ordering::Relaxed);
         for phase in 0..phases {
             // SAFETY: the source was armed for `phase` before this worker
             // got here (phase 0 before the dispatch; later phases inside
@@ -679,7 +809,7 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
                 self.plan.drained(worker, phase, iters);
             }
             let now = counters.get();
-            let seq = self.first_seq + phase as u64;
+            let seq = first_seq + phase as u64;
             self.recorder.record_arrival(worker, seq, &now.minus(&last));
             last = now;
             if phase + 1 < phases {
@@ -714,7 +844,8 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
         if self.finished.fetch_add(1, Ordering::AcqRel) + 1 == self.p {
             let now = self.start.elapsed().as_nanos() as u64;
             self.close(worker, phases - 1, now);
-            self.registry.loop_hist().record(now);
+            let epoch = self.epoch_ns.load(Ordering::Relaxed);
+            self.registry.loop_hist().record(now - epoch);
         }
     }
 
@@ -823,7 +954,7 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
     /// The region's result: its first error (arming the pool's flight
     /// recorder on the way out), else the merged metrics.
     fn finish(mut self) -> Result<LoopMetrics, PhaseError> {
-        match self.failure.slot.lock().take() {
+        match self.failure.take() {
             Some(e) => Err(flag_phase_error(&self.recorder, e)),
             None => Ok(self.merged.take().expect("a merging region").into_inner()),
         }
@@ -833,9 +964,10 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
 impl<Q> Drop for Region<Q> {
     /// Hands the source to the pool's spare. Every worker has left the
     /// region by now: a borrowed region is dropped after `Pool::try_run`
-    /// returned, a published one with its job, which the pool's reap drops
-    /// only after every worker acked it. A [`LockedSource`] carries its
-    /// scheduler's loop state, so it is not kept.
+    /// returned, a standing one with the last clone of its job, which the
+    /// pool's reap drops only after every worker acked it. A
+    /// [`LockedSource`] carries its scheduler's loop state, so it is not
+    /// kept.
     fn drop(&mut self) {
         match self.source.get_mut().take() {
             None | Some(PhaseSource::Locked(_)) => {}
@@ -1320,5 +1452,132 @@ mod tests {
         let mf = parallel_phases(&pool, 3, |_| 300, &fixed, |_, _| {});
         assert_eq!(ma.iters_per_worker, mf.iters_per_worker);
         assert_eq!(ma.sync, mf.sync);
+    }
+
+    /// Longest phase and most phases [`Rewritten`] runs.
+    const MAX_N: usize = 200;
+    const MAX_PHASES: usize = 3;
+
+    /// A plan its test rewrites between publishes of one standing region.
+    struct Rewritten {
+        phases: usize,
+        n: u64,
+        policy: RuntimeScheduler,
+        /// A phase whose length cannot be read: a driver failure, which
+        /// halts the region there.
+        broken_len: Option<usize>,
+        /// An iteration of phase 0 whose body panics, uncontained.
+        poisoned: Option<u64>,
+        /// How often each (phase, iteration) ran, at `phase * (MAX_N + 1) + i`.
+        runs: Vec<AtomicU8>,
+    }
+
+    impl PhasePlan for Rewritten {
+        fn phases(&self) -> usize {
+            self.phases
+        }
+
+        fn len(&self, phase: usize) -> u64 {
+            if self.broken_len == Some(phase) {
+                panic!("unreadable length");
+            }
+            self.n
+        }
+
+        fn policy(&self, _phase: usize) -> &RuntimeScheduler {
+            &self.policy
+        }
+
+        fn body(&self, phase: usize) -> impl Fn(u64) + '_ {
+            move |i| {
+                if phase == 0 && self.poisoned == Some(i) {
+                    panic!("poisoned iteration");
+                }
+                self.runs[phase * (MAX_N + 1) + i as usize].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn a_standing_region_republished_runs_every_iteration_once() {
+        // One region, re-armed and re-published 1 200 times with its plan
+        // rewritten in between: n in 0..=200, one to three phases, the
+        // policy cycling AFS / STATIC / SS / GSS (a change of kind, or the
+        // locked GSS, builds the source anew), and now and then a driver
+        // failure that halts it or a body panic it does not contain. Each
+        // publish runs every iteration of its plan exactly once, whatever
+        // the last one left behind, and claims its own run of
+        // flight-recorder seqs, every phase of it closed.
+        let pool = Pool::new(3);
+        let policies = [
+            RuntimeScheduler::afs_k_equals_p,
+            RuntimeScheduler::static_partition,
+            RuntimeScheduler::self_sched,
+            RuntimeScheduler::gss,
+        ];
+        let plan = Rewritten {
+            phases: 1,
+            n: 0,
+            policy: RuntimeScheduler::afs_k_equals_p(),
+            broken_len: None,
+            poisoned: None,
+            runs: (0..MAX_PHASES * (MAX_N + 1))
+                .map(|_| AtomicU8::new(0))
+                .collect(),
+        };
+        let mut region = StandingRegion::new(&pool, plan);
+        let (mut rng, mut claimed) = (0x9E37_79B9_7F4A_7C15u64, 0u64);
+        for it in 0..1200usize {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let n = (rng >> 33) % (MAX_N as u64 + 1);
+            let phases = 1 + it % MAX_PHASES;
+            let broken_len = (it % 97 == 13).then_some(it % phases);
+            let poisoned = (it % 89 == 7 && n > 0).then_some(n / 2);
+            let slot = pool.claim(0, |_| {});
+            let ticket = region.publish(slot, |plan| {
+                plan.phases = phases;
+                plan.n = n;
+                plan.policy = policies[it % policies.len()]();
+                plan.broken_len = broken_len;
+                plan.poisoned = poisoned;
+                plan.runs.iter_mut().for_each(|r| *r.get_mut() = 0);
+            });
+            let result = ticket.wait();
+            let plan = region.plan();
+            let at = format!("publish {it}: {} n={n} phases={phases}", plan.policy.name());
+            // Phases before a broken one ran in full; from it on, none ran.
+            let ran = broken_len.unwrap_or(phases);
+            for (slot, runs) in plan.runs.iter().enumerate() {
+                let (ph, i) = (slot / (MAX_N + 1), (slot % (MAX_N + 1)) as u64);
+                let once = ph < ran && i < n && !(ph == 0 && poisoned == Some(i));
+                let runs = runs.load(Ordering::Relaxed);
+                assert_eq!(runs, u8::from(once), "{at}: phase {ph} iteration {i}");
+            }
+            // The ticket's error carries the payload (the pool, which
+            // re-raises it, numbers no phase).
+            let failure = match (broken_len, poisoned) {
+                (Some(_), _) => Some("unreadable length"),
+                (None, Some(_)) => Some("poisoned iteration"),
+                (None, None) => None,
+            };
+            let message = result.as_ref().err().map(PhaseError::message);
+            assert_eq!(message, failure.map(Some), "{at}");
+            let first = claimed;
+            claimed += phases as u64;
+            let records = pool.recorder().phase_records();
+            assert!(
+                records.windows(2).all(|w| w[0].seq < w[1].seq),
+                "{at}: seqs distinct and increasing"
+            );
+            let mine: Vec<(u64, u64)> = records
+                .iter()
+                .filter(|r| r.seq >= first)
+                .map(|r| (r.seq, r.phase))
+                .collect();
+            let closed: Vec<(u64, u64)> = (0..phases as u64).map(|ph| (first + ph, ph)).collect();
+            assert_eq!(mine, closed, "{at}: this publish's phase records");
+        }
     }
 }

@@ -134,7 +134,10 @@ fn disabled_sink_records_no_events() {
     drop(pool);
     assert_eq!(total.load(Ordering::Relaxed), 5000);
     assert_eq!(m.total_iters(), 5000);
-    assert_eq!(sink.total_events(), 0, "disabled sink must stay empty");
+    assert!(
+        (0..3).all(|w| sink.events(w).is_empty()),
+        "disabled sink must stay empty"
+    );
     assert!((0..3).all(|w| sink.dropped(w) == 0));
 }
 

@@ -22,11 +22,12 @@
 //! arrives. The final phase's close retires only what the count cannot
 //! reach — a request with a panicked grab, and an `n = 0` request.
 //!
-//! The batch is built once and then re-armed. After its reap the staging
-//! state holds the only `Arc<Batch>` (the job's clone goes with the job),
-//! so the next launch clears and refills its vectors in place, and `select`
-//! picks into one kept buffer: a steady stream of requests allocates no
-//! batch.
+//! The batch is the plan of one [`StandingRegion`] per server and pool,
+//! built once and then re-armed. After its reap the staging state holds
+//! the region again, so the next launch clears and refills the batch's
+//! vectors in place and publishes a clone of the region's one job, and
+//! `select` picks into one kept buffer: a steady stream of requests
+//! allocates no batch, region or job.
 //!
 //! Panic containment: the batch's `contain` hook keeps a body panic to
 //! its own request. The first panic wins a CAS into the request's failure
@@ -40,7 +41,7 @@ use crate::server::{retire_expired, Admitted, ServerShared, IDLE_YIELDS};
 use afs_metrics::trace::EventKind;
 use afs_metrics::{ServeEventKind, WaitOutcome};
 use afs_runtime::{
-    publish_phases, DispatchSlot, DispatchTicket, PhasePlan, Pool, RuntimeScheduler,
+    DispatchSlot, DispatchTicket, PhasePlan, Pool, RuntimeScheduler, StandingRegion,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -114,8 +115,9 @@ pub(crate) struct DispatchState {
     /// The next dispatch's requests: picked by [`DispatchState::pick`],
     /// moved into the batch at launch.
     pub(crate) picked: Vec<Admitted>,
-    /// The last reaped batch, for the next launch to refill.
-    pub(crate) spare: Option<Arc<Batch>>,
+    /// The standing region, its plan the last reaped batch, for the next
+    /// launch to refill and publish.
+    pub(crate) spare: Option<StandingRegion<Batch>>,
 }
 
 impl DispatchState {
@@ -178,7 +180,7 @@ impl DispatchState {
     }
 
     /// Launches `picked` as one dispatch in `slot`, a claim on `pool`'s
-    /// dispatch slot, refilling the spare batch, and leaves it in flight.
+    /// dispatch slot, through the standing region, and leaves it in flight.
     pub(crate) fn launch(
         &mut self,
         shared: &Arc<ServerShared>,
@@ -191,7 +193,7 @@ impl DispatchState {
     }
 
     /// Reaps the batch in flight, if any, waiting for it the way
-    /// [`InFlight::reap`] does, and keeps it as the spare.
+    /// [`InFlight::reap`] does, and keeps its region as the spare.
     pub(crate) fn reap(&mut self, on_leg: impl FnMut(WaitOutcome)) {
         if let Some(done) = self.in_flight.take() {
             self.spare = Some(done.reap(on_leg));
@@ -275,10 +277,10 @@ struct Unit {
 /// retirement latches its hooks keep, and the stamps.
 pub(crate) struct Batch {
     shared: Arc<ServerShared>,
-    /// The pool this batch was built against, captured once at dispatch.
-    /// The server's pool slot may be swapped by the supervisor mid-batch;
-    /// this batch keeps running (and stamping) against the pool it was
-    /// actually handed to.
+    /// The pool this batch's region was built for. The server's pool slot
+    /// may be swapped by the supervisor mid-batch; this batch keeps running
+    /// (and stamping) against the pool it was actually handed to, and the
+    /// next launch builds a region for the new one.
     pool: Arc<Pool>,
     reqs: Vec<Admitted>,
     units: Vec<Unit>,
@@ -309,11 +311,10 @@ impl Batch {
         }
     }
 
-    /// Fills the batch with `reqs`, dispatched at `dispatch_ns` on `pool`,
-    /// leaving `reqs` empty. Whatever an earlier load put here is cleared,
-    /// and every vector keeps its capacity.
-    fn load(&mut self, pool: Arc<Pool>, reqs: &mut Vec<Admitted>, dispatch_ns: u64) {
-        self.pool = pool;
+    /// Fills the batch with `reqs`, dispatched at `dispatch_ns`, leaving
+    /// `reqs` empty. Whatever an earlier load put here is cleared, and
+    /// every vector keeps its capacity.
+    fn load(&mut self, reqs: &mut Vec<Admitted>, dispatch_ns: u64) {
         self.reqs.clear();
         self.reqs.append(reqs);
         self.units.clear();
@@ -387,7 +388,8 @@ impl Batch {
         self.shared
             .trace_record(EventKind::RequestComplete { tenant, id });
         let kind = ServeEventKind::Complete;
-        self.shared.book_out(&self.pool, a, kind, u32::from(late));
+        self.shared
+            .book_out(&self.pool, a, kind, u32::from(late), now);
     }
 
     /// Failure stamps for request `ri`: the contained-panic exit lane.
@@ -403,8 +405,8 @@ impl Batch {
             phase,
         });
         let code = (worker << 16) | (phase & 0xFFFF);
-        let kind = ServeEventKind::Failed;
-        self.shared.book_out(&self.pool, a, kind, code);
+        let (kind, now) = (ServeEventKind::Failed, self.shared.now_ns());
+        self.shared.book_out(&self.pool, a, kind, code, now);
     }
 
     /// Escape hatch for a panic in the driver itself rather than in a
@@ -504,7 +506,7 @@ impl PhasePlan for Batch {
 /// returns its escaped panic here.
 pub(crate) struct InFlight {
     ticket: DispatchTicket,
-    batch: Arc<Batch>,
+    region: StandingRegion<Batch>,
 }
 
 impl InFlight {
@@ -517,37 +519,37 @@ impl InFlight {
     /// Waits the batch out the way the dispatcher waits for its own
     /// ([`IDLE_YIELDS`] rounds, then asleep) and frees the pool. A failure
     /// of the driver itself fails whatever was never retired, so the
-    /// ledger balances and the reaper survives. Returns the batch, whose
-    /// job — and with it the job's clone of the batch — the reap dropped.
-    pub(crate) fn reap(self, on_leg: impl FnMut(WaitOutcome)) -> Arc<Batch> {
+    /// ledger balances and the reaper survives. Returns the region, whose
+    /// job the reap has taken back from the pool.
+    pub(crate) fn reap(self, on_leg: impl FnMut(WaitOutcome)) -> StandingRegion<Batch> {
         if let Err(e) = self.ticket.wait_parked(IDLE_YIELDS, on_leg) {
-            self.batch
-                .fail_unretired(e.worker() as u32, e.phase() as u32);
+            let batch = self.region.plan();
+            batch.fail_unretired(e.worker() as u32, e.phase() as u32);
         }
-        self.batch
+        self.region
     }
 }
 
-/// Stamps `reqs` dispatched, loads them into a batch and publishes it in
-/// `slot`, a claim on `pool`'s dispatch slot. Returns without waiting,
-/// with `reqs` empty. The batch is `spare` when nothing else holds it,
-/// else a new one.
+/// Stamps `reqs` dispatched, loads them into the standing region's batch
+/// and publishes it in `slot`, a claim on `pool`'s dispatch slot. Returns
+/// without waiting, with `reqs` empty. The region is `spare` when it was
+/// built for `pool`; otherwise — the first launch, or the first after a
+/// supervisor swapped the pool — a new one, and the old one's source goes
+/// back to the old pool as it drops.
 fn launch(
     shared: &Arc<ServerShared>,
     pool: Arc<Pool>,
     slot: DispatchSlot,
     reqs: &mut Vec<Admitted>,
-    spare: Option<Arc<Batch>>,
+    spare: Option<StandingRegion<Batch>>,
 ) -> InFlight {
     debug_assert!(!reqs.is_empty());
     let dispatch_ns = shared.now_ns();
     for a in reqs.iter() {
-        shared.tenants[a.req.tenant]
-            .queue_ns
-            .record(dispatch_ns.saturating_sub(a.admit_ns));
         let (tenant, id) = (a.req.tenant as u32, a.id);
         shared.trace_record(EventKind::RequestDispatch { tenant, id });
-        shared.serve_event_on(&pool, ServeEventKind::Dispatch, a.req.tenant, a.id, 0);
+        let kind = ServeEventKind::Dispatch;
+        shared.serve_event_on(&pool, kind, a.req.tenant, a.id, 0, dispatch_ns);
     }
     shared.dispatches.fetch_add(1, Ordering::Relaxed);
     if reqs.len() > 1 {
@@ -555,15 +557,21 @@ fn launch(
             .batched_requests
             .fetch_add(reqs.len() as u64, Ordering::Relaxed);
     }
-    let mut batch = spare
-        .filter(|spare| Arc::strong_count(spare) == 1)
-        .unwrap_or_else(|| Arc::new(Batch::new(Arc::clone(shared), Arc::clone(&pool))));
-    let unshared = Arc::get_mut(&mut batch).expect("a batch nothing else holds");
-    unshared.load(Arc::clone(&pool), reqs, dispatch_ns);
-    InFlight {
-        ticket: publish_phases(&pool, slot, Arc::clone(&batch)),
-        batch,
+    let mut region = spare
+        .filter(|region| Arc::ptr_eq(&region.plan().pool, &pool))
+        .unwrap_or_else(|| {
+            let batch = Batch::new(Arc::clone(shared), Arc::clone(&pool));
+            StandingRegion::new(&pool, batch)
+        });
+    let ticket = region.publish(slot, |batch| batch.load(reqs, dispatch_ns));
+    // Each request's queue wait was fixed at `dispatch_ns`: its sample is
+    // written off the request's path, visible once this launch returns
+    // (DESIGN §12).
+    for a in &region.plan().reqs {
+        let queue_ns = &shared.tenants[a.req.tenant].queue_ns;
+        queue_ns.record(dispatch_ns.saturating_sub(a.admit_ns));
     }
+    InFlight { ticket, region }
 }
 
 /// Executes the picked requests ([`DispatchState::pick`]) as one pool

@@ -314,9 +314,10 @@ impl ServerShared {
         }
     }
 
-    /// Feeds one serve lifecycle event to `pool`'s flight recorder — the
-    /// black box keeps the last N of these, and shed events drive its
-    /// shed-spike trigger. A batch's events go to the pool it runs on.
+    /// Feeds one serve lifecycle event, stamped `t_ns` — the reading its
+    /// caller already holds — to `pool`'s flight recorder: the black box
+    /// keeps the last N of these, and shed events drive its shed-spike
+    /// trigger. A batch's events go to the pool it runs on.
     pub(crate) fn serve_event_on(
         &self,
         pool: &Pool,
@@ -324,9 +325,10 @@ impl ServerShared {
         tenant: usize,
         id: u64,
         code: u32,
+        t_ns: u64,
     ) {
         pool.recorder().record_serve_event(ServeRecord {
-            t_ns: self.now_ns(),
+            t_ns,
             kind,
             tenant: tenant as u32,
             id,
@@ -361,9 +363,9 @@ impl ServerShared {
     }
 
     /// Reaps the batch an admit left in flight, if any, waiting for it,
-    /// and drops the spare batch, so neither keeps a retired pool alive.
-    /// Both are taken out under the staging lock; the ticket is waited on
-    /// outside it.
+    /// and drops its region and the spare one, so none keeps a retired
+    /// pool alive. Both are taken out under the staging lock; the ticket
+    /// is waited on outside it.
     pub(crate) fn reap_in_flight(&self) {
         let (in_flight, spare) = {
             let mut st = self.lock_state();
@@ -375,13 +377,23 @@ impl ServerShared {
         }
     }
 
-    /// Books admitted request `a` out of the ledger as `kind` — completed,
-    /// failed, expired, or else shed at shutdown — with `code` in `pool`'s
-    /// flight recorder; a caller with a trace event records it first. The
-    /// `pending` decrement is the exit a client sees: a `SeqCst` RMW after
-    /// every other write the request made, so an observer of `pending`
-    /// sees them.
-    pub(crate) fn book_out(&self, pool: &Pool, a: &Admitted, kind: ServeEventKind, code: u32) {
+    /// Books admitted request `a` out of the ledger at `now` as `kind` —
+    /// completed, failed, expired, or else shed at shutdown — with `code`
+    /// in `pool`'s flight recorder; a caller with a trace event records it
+    /// first. The `pending` decrement is the exit a client sees: a `SeqCst`
+    /// RMW after every ledger, histogram and trace write the request's
+    /// exit made, so an observer of `pending` sees them. Two writes are not
+    /// behind it: the flight-recorder event just after it, and the
+    /// request's queue-wait sample, which its dispatcher records after the
+    /// publish (DESIGN §12).
+    pub(crate) fn book_out(
+        &self,
+        pool: &Pool,
+        a: &Admitted,
+        kind: ServeEventKind,
+        code: u32,
+        now: u64,
+    ) {
         let t = &self.tenants[a.req.tenant];
         let (mine, all) = match kind {
             ServeEventKind::Complete => (&t.completed, &self.completed),
@@ -393,7 +405,7 @@ impl ServerShared {
         all.fetch_add(1, Ordering::Relaxed);
         t.backlog_iters.fetch_sub(a.req.iters(), Ordering::Relaxed);
         t.pending.fetch_sub(1, Ordering::SeqCst);
-        self.serve_event_on(pool, kind, a.req.tenant, a.id, code);
+        self.serve_event_on(pool, kind, a.req.tenant, a.id, code, now);
     }
 
     /// Books one already-admitted request out of the ledger as shed
@@ -406,23 +418,25 @@ impl ServerShared {
             tenant: a.req.tenant as u32,
             reason,
         });
-        self.book_out(&self.pool(), a, ServeEventKind::Shed, reason);
+        self.book_out(&self.pool(), a, ServeEventKind::Shed, reason, self.now_ns());
     }
 }
 
 /// Retires out of `picked` every request whose deadline elapsed while it
 /// was queued: pending/backlog books are balanced, the `expired`
 /// counters move, and the recorder serve-event fires — all without
-/// touching the pool. The still-live requests stay, in order.
+/// touching the pool. The still-live requests stay, in order. The clock
+/// is read only when a picked request has a deadline.
 pub(crate) fn retire_expired(shared: &ServerShared, picked: &mut Vec<Admitted>) {
-    let now = shared.now_ns();
+    let mut now = None;
     picked.retain(|a| {
-        let expired = a
-            .req
-            .deadline
-            .is_some_and(|d| now.saturating_sub(a.admit_ns) > d.as_nanos() as u64);
+        let Some(deadline) = a.req.deadline else {
+            return true;
+        };
+        let now = *now.get_or_insert_with(|| shared.now_ns());
+        let expired = now.saturating_sub(a.admit_ns) > deadline.as_nanos() as u64;
         if expired {
-            shared.book_out(&shared.pool(), a, ServeEventKind::Expired, 0);
+            shared.book_out(&shared.pool(), a, ServeEventKind::Expired, 0, now);
         }
         !expired
     });
@@ -850,7 +864,8 @@ impl LoopServer {
                     id,
                 });
                 let pool = s.pool();
-                s.serve_event_on(&pool, ServeEventKind::Admit, tenant_idx, id, 0);
+                let kind = ServeEventKind::Admit;
+                s.serve_event_on(&pool, kind, tenant_idx, id, 0, admit_ns);
                 // The push is the `SeqCst` event: a dispatcher that has not
                 // yet registered to sleep will see it on its last look.
                 if s.idle.sleepers() > 0 && !self.try_dispatch_inline(pool) {
@@ -944,7 +959,8 @@ impl LoopServer {
             tenant: tenant as u32,
             reason: reason.code(),
         });
-        s.serve_event_on(&s.pool(), ServeEventKind::Shed, tenant, 0, reason.code());
+        let (kind, code) = (ServeEventKind::Shed, reason.code());
+        s.serve_event_on(&s.pool(), kind, tenant, 0, code, s.now_ns());
         Admit::Shed(reason)
     }
 

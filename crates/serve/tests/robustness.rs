@@ -399,6 +399,131 @@ fn supervisor_counts_failures_that_precede_its_first_poll() {
     assert_eq!(ledger.supervisor_restarts, 1);
 }
 
+/// The server's one standing region carries nothing from a panicked
+/// request into the next. Worker 1 owns [2048, 4096) of a 4096-iteration
+/// static phase on 2 workers, so the one-shot panic at 3000 poisons the
+/// first two-phase request's phase 0, and its phase 1 is skipped. The
+/// clean request after it, on the same region, runs both its phases in
+/// full and completes at its count, not in a barrier turn.
+#[test]
+fn a_panicked_request_leaves_nothing_in_the_region_for_the_next() {
+    let pool = Arc::new(
+        Pool::builder(2)
+            .faults(FaultPlan::new(7).with_panic_at(1, 0, 3000))
+            .build(),
+    );
+    let server = LoopServer::builder(pool)
+        .tenant_spec(TenantSpec::new("t").workset_slots(4096))
+        .manual()
+        .build();
+    assert!(server.admit(static_req(4096, 2)).is_accepted());
+    assert_eq!(server.pump(), 1);
+    assert_eq!(server.dispatch_next().len(), 1);
+    let ledger = server.serve_snapshot();
+    assert_eq!((ledger.completed, ledger.failed), (0, 1));
+    assert_eq!(
+        ledger.turn_retires, 1,
+        "the poisoned request retires in the turn"
+    );
+    assert!(server.admit(static_req(4096, 2)).is_accepted());
+    assert_eq!(server.pump(), 1);
+    assert_eq!(server.dispatch_next().len(), 1);
+    let ledger = server.serve_snapshot();
+    assert_eq!((ledger.completed, ledger.failed), (1, 1));
+    assert_eq!(
+        ledger.turn_retires, 1,
+        "the clean request retires at its count"
+    );
+    assert_eq!(ledger.tenants[0].iters, 4095 + 2 * 4096);
+    let mut touched = vec![3u64; 4096];
+    touched[3000] = 2;
+    assert_eq!(
+        server.workset_values(0),
+        touched,
+        "every iteration ran once"
+    );
+    assert_eq!(server.pending(), 0);
+}
+
+/// A supervisor pool swap under load: the next launch builds a standing
+/// region for the replacement, so what runs there lands in its counters
+/// and its flight recorder, and the ledger stays exact across the swap.
+/// A client thread keeps admitting while one poisoned request (worker 1
+/// owns [2048, 4096) of a 4096-iteration static phase on 2 workers) makes
+/// the supervisor retire the faulted pool.
+#[test]
+fn pool_swap_under_load_builds_a_region_for_the_new_pool() {
+    let faulted = Arc::new(
+        Pool::builder(2)
+            .faults(FaultPlan::new(7).with_panic_at(1, 0, 3000))
+            .build(),
+    );
+    let server = LoopServer::builder(Arc::clone(&faulted))
+        .tenant_spec(TenantSpec::new("t").backlog_cap(1 << 16))
+        .supervise(
+            SupervisorConfig::default()
+                .interval(Duration::from_millis(1))
+                .initial_backoff(Duration::from_millis(1))
+                .failure_threshold(1)
+                .max_restarts(1),
+            |_restart| Arc::new(Pool::new(2)),
+        )
+        .build();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let load = s.spawn(|| {
+            let mut accepted = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                if server.pending() > 32 {
+                    std::thread::yield_now();
+                } else if server.admit(req(0, 256, 1)).is_accepted() {
+                    accepted += 1;
+                }
+            }
+            accepted
+        });
+        assert!(server.admit(static_req(4096, 1)).is_accepted());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.serve_snapshot().supervisor_restarts == 0 {
+            assert!(Instant::now() < deadline, "supervisor never restarted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Load keeps running on the replacement for a while.
+        let after_swap = server.serve_snapshot().completed + 200;
+        while server.serve_snapshot().completed < after_swap {
+            assert!(Instant::now() < deadline, "no progress after the swap");
+            std::thread::yield_now();
+        }
+        stop.store(true, Ordering::Relaxed);
+        assert!(load.join().unwrap() > 0);
+    });
+    server.drain();
+    let replacement = server.pool();
+    assert!(!Arc::ptr_eq(&replacement, &faulted));
+    let before = replacement.metrics().snapshot().totals().iters;
+    let seqs = |pool: &Pool| pool.recorder().phase_records().last().map(|r| r.seq);
+    let (faulted_seq, replacement_seq) = (seqs(&faulted), seqs(&replacement));
+    for _ in 0..16 {
+        assert!(server.admit(req(0, 512, 1)).is_accepted());
+        server.drain();
+    }
+    let ran = replacement.metrics().snapshot().totals().iters - before;
+    assert_eq!(ran, 16 * 512, "requests after the swap run on its region");
+    assert_eq!(
+        seqs(&faulted),
+        faulted_seq,
+        "nothing more on the retired pool"
+    );
+    assert!(seqs(&replacement) > replacement_seq);
+    let ledger = server.shutdown();
+    assert_eq!(ledger.supervisor_restarts, 1);
+    assert_eq!(ledger.failed, 1);
+    assert_eq!(ledger.expired + ledger.shed_shutdown, 0);
+    assert_eq!(ledger.completed + ledger.failed, ledger.admitted);
+    let tenant = &ledger.tenants[0];
+    assert_eq!(tenant.completed + tenant.failed, tenant.admitted);
+}
+
 /// A healthy pool under supervision is left alone: no restarts, ever.
 #[test]
 fn supervisor_leaves_a_healthy_pool_alone() {

@@ -221,14 +221,13 @@ fn shed_burst_trips_the_spike_trigger() {
         .tenant_spec(TenantSpec::new("t").backlog_cap(1))
         .manual()
         .build();
-    pool.recorder().set_shed_spike(8, 16);
     assert!(server.admit(req(0, 32, 1)).is_accepted());
-    for _ in 0..12 {
+    for _ in 0..24 {
         assert!(!server.admit(req(0, 32, 1)).is_accepted());
     }
     assert!(
         pool.recorder().triggered(),
-        "12 sheds in a 16-event window must trip the threshold of 8"
+        "24 sheds in the default 32-event window must trip its threshold of 16"
     );
     assert!(pool.recorder().trigger_counts()[3] >= 1);
 }

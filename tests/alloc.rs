@@ -21,8 +21,9 @@
 //!   drops the old source first, so what a region *retains* does not grow
 //!   with its phase count;
 //! * a region's source outlives it as the pool's spare, and a served
-//!   request's batch as the server's, so a steady-state `parallel_for` and
-//!   a steady-state served request make a fixed handful of allocations
+//!   request's whole region stands in the server, so a steady-state
+//!   `parallel_for` and a steady-state served request make a fixed handful
+//!   of allocations
 //!   (their call sites are named at [`PARALLEL_FOR_ALLOCS`] and
 //!   [`REQUEST_ALLOCS`]) and retain the same bytes however many ran.
 
@@ -74,14 +75,12 @@ const PARALLEL_FOR_ALLOCS: usize = 4;
 
 /// Allocations one steady-state served request makes: FCFS, P = 2,
 /// `ServePolicy::Afs`, `Touch`, n = 64, through a manual server's `admit`,
-/// `pump` and `dispatch_next`. The batch is the server's spare, refilled,
-/// and its region's source the pool's spare, re-armed. What remains:
-/// * 1 — `publish_phases`'s job: the `Arc` of the closure that owns the
-///   region (one 128-aligned block; the pool's job slot holds an
-///   `Arc<dyn Fn>`);
+/// `pump` and `dispatch_next`. The server's standing region is re-armed
+/// with its batch refilled and its source kept, and published as a clone
+/// of its one job. What remains:
 /// * 1 — `dispatch_next`'s returned `Vec<(usize, u64)>` of the ids that ran
 ///   (manual mode's API; the dispatcher and an inline admit make none).
-const REQUEST_ALLOCS: usize = 2;
+const REQUEST_ALLOCS: usize = 1;
 
 /// What a stretch of work cost the heap: allocations made, and the most
 /// bytes it ever held above the level it started at.

@@ -389,8 +389,8 @@ fn uses(sources: &[Source]) -> HashSet<&str> {
     used
 }
 
-/// A `pub fn` of `afs-runtime` or `afs-serve` needs a caller outside the
-/// tests: in the code of any crate, the facade, the examples or the
+/// A `pub fn` of `afs-metrics`, `afs-runtime` or `afs-serve` needs a caller
+/// outside the tests: in the code of any crate, the facade, the examples or the
 /// `benchmark` package. Any occurrence of its name counts as a call, so a
 /// shared name can hide a dead function, but a live one is never flagged.
 #[test]
@@ -401,9 +401,15 @@ fn no_public_fn_only_tests_call() {
     let uses = uses(&callers);
     let mut violations = Vec::new();
     let mut flagged = vec![false; TEST_ONLY_API.len()];
-    for src in callers.iter().filter(|s| {
-        s.path.starts_with("crates/runtime/src/") || s.path.starts_with("crates/serve/src/")
-    }) {
+    let checked = [
+        "crates/metrics/src/",
+        "crates/runtime/src/",
+        "crates/serve/src/",
+    ];
+    for src in callers
+        .iter()
+        .filter(|s| checked.iter().any(|dir| s.path.starts_with(dir)))
+    {
         for (n, l) in &src.lines {
             let Some(name) = public_fn(l) else { continue };
             if uses.contains(name) {
