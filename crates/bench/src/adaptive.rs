@@ -231,11 +231,6 @@ pub struct AdaptiveBenchResult {
 }
 
 impl AdaptiveBenchResult {
-    /// True unless a checked gate failed.
-    pub fn ok(&self) -> bool {
-        !self.checked || self.gates.iter().all(|g| g.ok)
-    }
-
     /// Paper-style tables.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -576,6 +571,7 @@ pub fn run(quick: bool) -> AdaptiveBenchResult {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::tests::passes;
     use afs_metrics::HostInfo;
 
     pub(crate) fn synthetic(
@@ -643,27 +639,27 @@ pub(crate) mod tests {
         // Adaptive at par with the best cell, worst span 3.5x adaptive's:
         // everything ok.
         let good = synthetic(1_020_000, 2_000_000, true);
-        assert!(good.ok());
+        assert!(passes(&good.to_json()));
         assert!(good.gates.iter().all(|g| g.within_10pct));
 
         // Adaptive 2x slower than the best static cell: within_10pct
         // fails on every workload.
         let slow = synthetic(2_000_000, 2_000_000, true);
-        assert!(!slow.ok());
+        assert!(!passes(&slow.to_json()));
         assert!(slow.gates.iter().all(|g| !g.within_10pct));
 
         // Adaptive's modeled span nearly as bad as the worst static
         // cell's: the irregular span gate fails, the regular kernels
         // (which carry no span) do not.
         let unbalanced = synthetic(1_020_000, 6_000_000, true);
-        assert!(!unbalanced.ok());
+        assert!(!passes(&unbalanced.to_json()));
         for g in &unbalanced.gates {
             assert_eq!(g.ok, g.workload != "irregular", "{}", g.workload);
         }
 
         // Quick runs report the same numbers without gating.
         let quick = synthetic(2_000_000, 6_000_000, false);
-        assert!(quick.ok());
+        assert!(passes(&quick.to_json()));
     }
 
     #[test]
@@ -714,7 +710,7 @@ pub(crate) mod tests {
             warmups: 0,
         };
         let r = run_sized(true, &sizes);
-        assert!(r.ok(), "quick runs never gate");
+        assert!(passes(&r.to_json()), "quick runs never gate");
         assert_eq!(
             r.samples.len(),
             WORKLOADS.len() * K_GRID.len() * B_GRID.len()

@@ -45,6 +45,9 @@
 //!                      # always exit 1; regressions exit 1 only with
 //!                      # --strict (CI runners are noisy)
 //! ```
+//!
+//! Every `--bench-*` run holds the document it wrote to the same
+//! validation as `--check-bench` and exits 1 when it fails.
 
 use std::io::Write;
 
@@ -66,8 +69,10 @@ fn export_metrics(snapshot: &MetricsSnapshot, path: &std::path::Path) {
     }
 }
 
-/// Prints a bench run's table and writes its document to
-/// `BENCH_<name>.json` in the current directory, or exits with code 2.
+/// Prints a bench run's table, writes its document to `BENCH_<name>.json`
+/// in the current directory (or exits with code 2), then holds the document
+/// to [`check::validate`], the gate `--check-bench` applies: exits with
+/// code 1 and every error when it fails.
 fn write_bench(name: &str, table: &str, json: &str) {
     print!("{table}");
     let path = format!("BENCH_{name}.json");
@@ -77,6 +82,17 @@ fn write_bench(name: &str, table: &str, json: &str) {
             eprintln!("cannot write {path}: {err}");
             std::process::exit(2);
         }
+    }
+    let errs = match json::parse(json) {
+        Ok(doc) => check::validate(&doc).err(),
+        Err(err) => Some(vec![format!("not valid JSON: {err}")]),
+    };
+    if let Some(errs) = errs {
+        eprintln!("bench-{name}: {path} failed its gate:");
+        for e in &errs {
+            eprintln!("  - {e}");
+        }
+        std::process::exit(1);
     }
 }
 
@@ -300,43 +316,18 @@ fn main() {
     if bench_faults {
         let result = afs_bench::faults::run(quick);
         write_bench("faults", &result.render(), &result.to_json());
-        if !result.ok() {
-            eprintln!("bench-faults: a checked row violated its bound or a panic leaked");
-            std::process::exit(1);
-        }
     }
     if bench_serve {
         let result = afs_bench::serve::run(quick);
         write_bench("serve", &result.render(), &result.to_json());
-        if !result.ok() {
-            eprintln!(
-                "bench-serve: on a checked run, batching lost to per-request FCFS \
-                 or DRR did not shield the small tenant"
-            );
-            std::process::exit(1);
-        }
     }
     if bench_chaos {
         let result = afs_bench::chaos::run(quick);
         write_bench("chaos", &result.render(), &result.to_json());
-        if !result.ok() {
-            eprintln!(
-                "bench-chaos: a robustness invariant failed under fault \
-                 injection (see the verdict column above)"
-            );
-            std::process::exit(1);
-        }
     }
     if bench_adaptive {
         let result = afs_bench::adaptive::run(quick);
         write_bench("adaptive", &result.render(), &result.to_json());
-        if !result.ok() {
-            eprintln!(
-                "bench-adaptive: the self-tuning policy fell outside its checked \
-                 envelope (see the gate lines above)"
-            );
-            std::process::exit(1);
-        }
     }
     if let Some(path) = &metrics_path {
         match &bench_metrics {

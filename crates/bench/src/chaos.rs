@@ -239,29 +239,11 @@ pub struct ChaosBenchResult {
 }
 
 impl ChaosBenchResult {
-    /// True when every cell's probes completed.
-    pub fn dispatcher_alive(&self) -> bool {
-        self.samples.iter().all(|s| s.probe_ok)
-    }
-
-    /// True when every cell's ledger balanced exactly.
-    pub fn ledger_exact(&self) -> bool {
-        self.samples.iter().all(|s| s.ledger_exact)
-    }
-
-    /// True when no cell showed cross-request damage.
-    pub fn isolation(&self) -> bool {
-        self.samples.iter().all(|s| s.isolated)
-    }
-
-    /// The gate. Ledger exactness, isolation and dispatcher survival are
-    /// hard invariants — they must hold even on quick runs. The tail
-    /// bound is statistical, so only checked (full) runs enforce it.
-    pub fn ok(&self) -> bool {
-        self.ledger_exact()
-            && self.isolation()
-            && self.dispatcher_alive()
-            && (!self.checked || self.samples.iter().all(|s| s.tail_bounded))
+    /// Whether `holds` is true of every cell: the aggregate verdicts
+    /// (ledger exact, isolation, dispatcher alive) the table and the
+    /// document report, and `check::validate` gates.
+    fn every(&self, holds: impl Fn(&ChaosSample) -> bool) -> bool {
+        self.samples.iter().all(holds)
     }
 
     /// Plain-text table.
@@ -317,9 +299,9 @@ impl ChaosBenchResult {
             out,
             "total requests: {}  ledger exact: {}  isolation: {}  dispatcher alive: {}{}",
             self.total_requests,
-            self.ledger_exact(),
-            self.isolation(),
-            self.dispatcher_alive(),
+            self.every(|s| s.ledger_exact),
+            self.every(|s| s.isolated),
+            self.every(|s| s.probe_ok),
             if self.checked {
                 "  (tails checked)"
             } else {
@@ -336,9 +318,9 @@ impl ChaosBenchResult {
                 .field("p", &self.p)
                 .field("checked", &self.checked)
                 .field("total_requests", &self.total_requests)
-                .field("ledger_exact", &self.ledger_exact())
-                .field("isolation", &self.isolation())
-                .field("dispatcher_alive", &self.dispatcher_alive())
+                .field("ledger_exact", &self.every(|s| s.ledger_exact))
+                .field("isolation", &self.every(|s| s.isolated))
+                .field("dispatcher_alive", &self.every(|s| s.probe_ok))
                 .field(
                     "metric",
                     "per-cell robustness invariants under seeded fault injection: exact \
@@ -550,6 +532,7 @@ pub fn run(quick: bool) -> ChaosBenchResult {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::tests::passes;
 
     pub(crate) fn synthetic() -> ChaosBenchResult {
         let cell = |scenario: &str, disc: &str, failures: u64| ChaosSample {
@@ -634,32 +617,49 @@ pub(crate) mod tests {
     #[test]
     fn ok_requires_the_hard_invariants_at_every_size() {
         let good = synthetic();
-        assert!(good.ok());
+        assert!(passes(&good.to_json()));
 
         let mut unbalanced = synthetic();
         unbalanced.samples[4].ledger_exact = false;
-        assert!(!unbalanced.ok(), "a broken ledger fails even quick runs");
+        assert!(
+            !passes(&unbalanced.to_json()),
+            "a broken ledger fails even quick runs"
+        );
         unbalanced.quick = true;
         unbalanced.checked = false;
-        assert!(!unbalanced.ok());
+        assert!(!passes(&unbalanced.to_json()));
 
         let mut bleeding = synthetic();
         bleeding.samples[12].isolated = false;
-        assert!(!bleeding.ok(), "cross-request damage fails the gate");
+        assert!(
+            !passes(&bleeding.to_json()),
+            "cross-request damage fails the gate"
+        );
 
         let mut dead = synthetic();
         dead.samples[0].probe_ok = false;
-        assert!(!dead.ok(), "a dead dispatcher fails the gate");
-        assert!(!dead.dispatcher_alive());
+        assert!(!passes(&dead.to_json()), "a dead dispatcher fails the gate");
+        let doc = json::parse(&dead.to_json()).unwrap();
+        assert_eq!(
+            doc.get("dispatcher_alive").and_then(|b| b.as_bool()),
+            Some(false)
+        );
     }
 
     #[test]
     fn tail_bound_gates_checked_runs_only() {
         let mut fat = synthetic();
         fat.samples[2].tail_bounded = false;
-        assert!(!fat.ok(), "checked run with a blown tail must fail");
+        assert!(
+            !passes(&fat.to_json()),
+            "checked run with a blown tail must fail"
+        );
         fat.checked = false;
-        assert!(fat.ok(), "quick runs report tails without gating");
+        fat.quick = true;
+        assert!(
+            passes(&fat.to_json()),
+            "quick runs report tails without gating"
+        );
     }
 
     #[test]

@@ -591,7 +591,7 @@ fn validate_chaos_envelope(doc: &Value, errs: &mut Vec<String>) {
 }
 
 /// The `small` tenant's p99 sojourn in `discipline`'s saturate row.
-fn small_p99(doc: &Value, discipline: &str) -> Option<f64> {
+pub(crate) fn small_p99(doc: &Value, discipline: &str) -> Option<f64> {
     doc.get("samples")?
         .as_array()?
         .iter()
@@ -1229,6 +1229,33 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("workload")), "{errs:?}");
         assert!(errs.iter().any(|e| e.contains(".k")), "{errs:?}");
         assert!(errs.iter().any(|e| e.contains("settled")), "{errs:?}");
+    }
+
+    /// Documents whose every workload verdict holds can still fail: a full
+    /// run that switched its envelope check off, and a checked run whose
+    /// controller never moved on the irregular loop. `repro --bench-*`
+    /// exits by this gate, so a run like these exits 1 as `--check-bench`
+    /// rejects its file.
+    #[test]
+    fn passing_verdicts_do_not_excuse_an_unchecked_or_idle_run() {
+        use adaptive::tests::synthetic;
+        let mut unchecked = synthetic(1_020_000, 2_000_000, false);
+        unchecked.quick = false;
+        assert!(unchecked.gates.iter().all(|g| g.ok));
+        let errs = validate(&adaptive_doc(unchecked)).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("must gate")), "{errs:?}");
+
+        let mut idle = synthetic(1_020_000, 2_000_000, true);
+        let irregular = idle.adaptive.iter_mut().find(|a| a.workload == "irregular");
+        irregular.unwrap().decisions = 0;
+        assert!(idle.gates.iter().all(|g| g.ok));
+        let errs = validate(&adaptive_doc(idle)).unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("no decision"), "{errs:?}");
+
+        let unchecked_serve = serve_doc(|r| r.checked = false);
+        let errs = validate(&unchecked_serve).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("must gate")), "{errs:?}");
     }
 
     #[test]

@@ -91,12 +91,6 @@ pub struct FaultBenchResult {
 }
 
 impl FaultBenchResult {
-    /// True when every checked row respects its Theorem 3.2 bound and the
-    /// panic-containment smoke passed.
-    pub fn ok(&self) -> bool {
-        self.panic_containment && self.samples.iter().all(|s| !s.checked || s.within)
-    }
-
     /// Plain-text table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -272,6 +266,7 @@ pub fn run(quick: bool) -> FaultBenchResult {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::tests::passes;
 
     pub(crate) fn synthetic() -> FaultBenchResult {
         let row = |policy: &str, k: Option<u64>, residual: u64, checked: bool| FaultSample {
@@ -350,17 +345,20 @@ pub(crate) mod tests {
     #[test]
     fn ok_requires_checked_rows_within_and_containment() {
         let good = synthetic();
-        assert!(good.ok());
+        assert!(passes(&good.to_json()));
         let mut bad = synthetic();
         bad.samples[0].within = false;
-        assert!(!bad.ok(), "a checked row outside the bound must fail");
+        assert!(
+            !passes(&bad.to_json()),
+            "a checked row outside the bound must fail"
+        );
         let mut unchecked = synthetic();
         unchecked.samples[3].within = false; // STATIC: reported, not gated
         unchecked.samples[3].checked = false;
-        assert!(unchecked.ok());
+        assert!(passes(&unchecked.to_json()));
         let mut leak = synthetic();
         leak.panic_containment = false;
-        assert!(!leak.ok());
+        assert!(!passes(&leak.to_json()));
     }
 
     #[test]
@@ -392,6 +390,6 @@ pub(crate) mod tests {
                 );
             }
         }
-        assert!(r.ok());
+        assert!(passes(&r.to_json()));
     }
 }

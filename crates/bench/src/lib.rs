@@ -14,10 +14,19 @@ pub mod experiments;
 pub mod faults;
 pub mod grabs;
 pub mod kernels;
-pub mod microbench;
 pub mod report;
 pub mod serve;
 pub mod tracing;
 
 pub use experiments::{Experiment, ExperimentResult};
 pub use report::render;
+
+#[cfg(test)]
+mod tests {
+    /// Whether the bench document `json` passes [`crate::check::validate`],
+    /// the one gate `repro --bench-*` and `--check-bench` apply.
+    pub(crate) fn passes(json: &str) -> bool {
+        let doc = afs_core::json::parse(json).unwrap();
+        crate::check::validate(&doc).is_ok()
+    }
+}

@@ -29,7 +29,7 @@
 //! is calibrated per run with a short closed-loop FCFS burst, so the
 //! open-loop rates track the host instead of a hardcoded request/s.
 
-use crate::check::{write_envelope, BenchKind};
+use crate::check::{self, write_envelope, BenchKind};
 use afs_core::json;
 use afs_metrics::{HistogramSnapshot, HostInfo};
 use afs_runtime::Pool;
@@ -166,22 +166,6 @@ pub struct ServeBenchResult {
 }
 
 impl ServeBenchResult {
-    /// True when the checked gates hold (or the run is unchecked): the
-    /// batching speedup, and DRR's small tenant ahead of FCFS's.
-    pub fn ok(&self) -> bool {
-        let shielded = self.small_p99("drr").zip(self.small_p99("fcfs"));
-        let shielded = shielded.is_some_and(|(drr, fcfs)| drr < fcfs);
-        !self.checked || (self.batch_over_fcfs >= 1.0 && shielded)
-    }
-
-    /// The `small` tenant's p99 sojourn in `discipline`'s saturate row.
-    fn small_p99(&self, discipline: &str) -> Option<f64> {
-        let mut rows = self.samples.iter();
-        let row = rows.find(|s| s.discipline == discipline && s.mode == "saturate")?;
-        let small = row.tenants.iter().find(|t| t.name == "small")?;
-        Some(small.p99_ns)
-    }
-
     /// Plain-text table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -228,7 +212,9 @@ impl ServeBenchResult {
             self.batch_over_fcfs,
             if self.checked { " (checked)" } else { "" }
         );
-        let ms = |d| self.small_p99(d).map_or(f64::NAN, |ns| ns / 1e6);
+        // The cells DRR's gate compares, read as the gate reads them.
+        let doc = json::parse(&self.to_json()).expect("the bench writes valid JSON");
+        let ms = |d| check::small_p99(&doc, d).map_or(f64::NAN, |ns| ns / 1e6);
         let _ = writeln!(
             out,
             "saturate small-tenant p99: drr {:.3} ms vs fcfs {:.3} ms",
@@ -454,6 +440,7 @@ pub fn run(quick: bool) -> ServeBenchResult {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::tests::passes;
 
     pub(crate) fn synthetic() -> ServeBenchResult {
         let cell = |disc: &str, mode: &str, factor: f64, thru: f64| ServeSample {
@@ -556,15 +543,19 @@ pub(crate) mod tests {
     #[test]
     fn ok_gates_the_speedup_only_when_checked() {
         let good = synthetic();
-        assert!(good.ok());
+        assert!(passes(&good.to_json()));
         let mut slow = synthetic();
         slow.batch_over_fcfs = 0.8;
-        assert!(!slow.ok(), "checked run below 1.0 must fail");
+        assert!(!passes(&slow.to_json()), "checked run below 1.0 must fail");
         slow.checked = false;
-        assert!(slow.ok(), "quick runs report without gating");
+        slow.quick = true;
+        assert!(passes(&slow.to_json()), "quick runs report without gating");
         let mut unfair = synthetic();
         unfair.samples.retain(|s| s.discipline != "drr");
-        assert!(!unfair.ok(), "checked run without DRR's small-tenant cell");
+        assert!(
+            !passes(&unfair.to_json()),
+            "checked run without DRR's small-tenant cell"
+        );
     }
 
     #[test]

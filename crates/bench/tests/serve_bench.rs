@@ -12,7 +12,6 @@ fn quick_serve_bench_runs_and_validates() {
 
     assert!(result.quick);
     assert!(!result.checked, "quick runs must not gate the speedup");
-    assert!(result.ok(), "unchecked runs always report ok");
     assert_eq!(result.samples.len(), 9, "3 disciplines x 3 load points");
     assert!(result.calibrated_rps > 0.0);
     assert!(result.total_completed > 0);
@@ -62,7 +61,8 @@ fn quick_serve_bench_runs_and_validates() {
         }
     }
 
-    // The emitted document round-trips through the --check-bench gate.
+    // The emitted document passes the gate `--bench-serve` exits by and
+    // `--check-bench` applies: an unchecked run always does.
     let doc = parse(&result.to_json()).expect("bench emits valid JSON");
     assert_eq!(check::validate(&doc), Ok(BenchKind::Serve));
 

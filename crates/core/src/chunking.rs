@@ -86,7 +86,8 @@ impl TrapezoidParams {
                 delta: 0.0,
             };
         }
-        let first = div_ceil(n, 2 * p as u64).max(1);
+        // Thm 3.3's balanced chunk for a triangular loop (cost exponent 1).
+        let first = crate::theory::thm33_balanced_chunk(n, p, 1);
         let last = 1u64;
         let count = div_ceil(2 * n, first + last).max(1);
         let delta = if count > 1 {

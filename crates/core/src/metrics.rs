@@ -139,14 +139,6 @@ impl LoopMetrics {
         self.iters_per_worker.iter().sum()
     }
 
-    /// Maximum minus minimum iterations per worker (a crude imbalance
-    /// measure in iteration counts).
-    pub fn iter_imbalance(&self) -> u64 {
-        let max = self.iters_per_worker.iter().copied().max().unwrap_or(0);
-        let min = self.iters_per_worker.iter().copied().min().unwrap_or(0);
-        max - min
-    }
-
     /// Average synchronized removals per queue (the per-work-queue numbers of
     /// Tables 3–5), split (local, remote) for distributed-queue schedulers.
     pub fn per_queue_avg(&self) -> (f64, f64) {
@@ -232,7 +224,8 @@ mod tests {
         let mut m = LoopMetrics::new(3, 1);
         m.record(0, &grab(0, AccessKind::Central, 0, 10));
         m.record(1, &grab(0, AccessKind::Central, 10, 13));
-        assert_eq!(m.iter_imbalance(), 10); // worker 2 executed nothing
+        // Worker 2 executed nothing: 10 − 0 iterations apart.
+        assert_eq!(m.iters_per_worker, vec![10, 3, 0]);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! // DO I = 0,9 / DO J = 0,19 / DO K = 0,4 → one loop of 1000 iterations.
 //! let nest = LoopNest::new(&[10, 20, 5]);
 //! assert_eq!(nest.len(), 1000);
-//! let idx = nest.unflatten(537);
+//! let mut idx = [0; 3];
+//! nest.unflatten_into(537, &mut idx);
+//! assert_eq!(idx, [5, 7, 2]);
 //! assert_eq!(nest.flatten(&idx), 537);
 //! ```
 
@@ -83,23 +85,8 @@ impl LoopNest {
         flat
     }
 
-    /// Maps a flat iteration index back to its multi-index.
-    pub fn unflatten(&self, mut flat: u64) -> Vec<u64> {
-        assert!(
-            flat < self.len,
-            "flat index {flat} out of bounds ({})",
-            self.len
-        );
-        let mut index = Vec::with_capacity(self.extents.len());
-        for &stride in &self.strides {
-            index.push(flat / stride);
-            flat %= stride;
-        }
-        index
-    }
-
-    /// Writes the multi-index into a caller buffer (no allocation — the
-    /// form a parallel-loop body should use).
+    /// Maps a flat iteration index back to its multi-index, written into a
+    /// caller buffer (no allocation — the form a parallel-loop body uses).
     pub fn unflatten_into(&self, mut flat: u64, out: &mut [u64]) {
         assert!(flat < self.len);
         assert_eq!(out.len(), self.extents.len());
@@ -108,26 +95,25 @@ impl LoopNest {
             flat %= stride;
         }
     }
-
-    /// Coalesces with an inner nest (e.g. a nest of nests), concatenating
-    /// dimensions: `self` becomes the outer dimensions.
-    pub fn coalesce(&self, inner: &LoopNest) -> LoopNest {
-        let mut extents = self.extents.clone();
-        extents.extend_from_slice(&inner.extents);
-        LoopNest::new(&extents)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The multi-index of `flat`, as a `Vec`.
+    fn unflatten(nest: &LoopNest, flat: u64) -> Vec<u64> {
+        let mut index = vec![0; nest.dims()];
+        nest.unflatten_into(flat, &mut index);
+        index
+    }
+
     #[test]
     fn roundtrip_all_indices() {
         let nest = LoopNest::new(&[3, 4, 5]);
         assert_eq!(nest.len(), 60);
         for flat in 0..60 {
-            let idx = nest.unflatten(flat);
+            let idx = unflatten(&nest, flat);
             assert_eq!(nest.flatten(&idx), flat);
         }
     }
@@ -136,18 +122,18 @@ mod tests {
     fn row_major_order() {
         // Last dimension varies fastest.
         let nest = LoopNest::new(&[2, 3]);
-        assert_eq!(nest.unflatten(0), vec![0, 0]);
-        assert_eq!(nest.unflatten(1), vec![0, 1]);
-        assert_eq!(nest.unflatten(2), vec![0, 2]);
-        assert_eq!(nest.unflatten(3), vec![1, 0]);
-        assert_eq!(nest.unflatten(5), vec![1, 2]);
+        assert_eq!(unflatten(&nest, 0), vec![0, 0]);
+        assert_eq!(unflatten(&nest, 1), vec![0, 1]);
+        assert_eq!(unflatten(&nest, 2), vec![0, 2]);
+        assert_eq!(unflatten(&nest, 3), vec![1, 0]);
+        assert_eq!(unflatten(&nest, 5), vec![1, 2]);
     }
 
     #[test]
     fn single_dimension_is_identity() {
         let nest = LoopNest::new(&[17]);
         assert_eq!(nest.flatten(&[9]), 9);
-        assert_eq!(nest.unflatten(9), vec![9]);
+        assert_eq!(unflatten(&nest, 9), vec![9]);
     }
 
     #[test]
@@ -155,7 +141,7 @@ mod tests {
         // Figure 2's loops 2x3x4: 10 x 10 x 10.
         let nest = LoopNest::new(&[10, 10, 10]);
         assert_eq!(nest.len(), 1000);
-        let idx = nest.unflatten(999);
+        let idx = unflatten(&nest, 999);
         assert_eq!(idx, vec![9, 9, 9]);
     }
 
@@ -168,12 +154,13 @@ mod tests {
 
     #[test]
     fn coalesce_concatenates() {
+        // A nest of nests: the outer dimensions, then the inner ones.
         let outer = LoopNest::new(&[20]);
         let inner = LoopNest::new(&[4]);
-        let both = outer.coalesce(&inner);
+        let both = LoopNest::new(&[outer.extents(), inner.extents()].concat());
         assert_eq!(both.extents(), &[20, 4]);
         assert_eq!(both.len(), 80);
-        assert_eq!(both.unflatten(9), vec![2, 1]);
+        assert_eq!(unflatten(&both, 9), vec![2, 1]);
     }
 
     #[test]
@@ -182,7 +169,7 @@ mod tests {
         let mut buf = [0u64; 3];
         for flat in [0u64, 1, 41, 83] {
             nest.unflatten_into(flat, &mut buf);
-            assert_eq!(buf.to_vec(), nest.unflatten(flat));
+            assert_eq!(buf, [flat / 14, flat / 2 % 7, flat % 2]);
         }
     }
 
@@ -210,7 +197,7 @@ mod tests {
         let mut w = 0;
         while let Some(g) = state.next(w) {
             for flat in g.range.iter() {
-                let idx = nest.unflatten(flat);
+                let idx = unflatten(&nest, flat);
                 seen[(idx[0] * 9 + idx[1]) as usize] += 1;
             }
             w = (w + 1) % 4;

@@ -36,12 +36,6 @@ impl AdaptiveGss {
             min_chunk: 2,
         }
     }
-
-    /// Custom divisor `k` and minimum chunk `m`.
-    pub fn with_params(divisor: u64, min_chunk: u64) -> Self {
-        assert!(divisor >= 1 && min_chunk >= 1);
-        Self { divisor, min_chunk }
-    }
 }
 
 impl Scheduler for AdaptiveGss {
@@ -88,12 +82,26 @@ mod tests {
 
     #[test]
     fn min_chunk_bounds_endgame_grabs() {
-        let seq = sizes(1000, 4, AdaptiveGss::with_params(1, 8));
+        let seq = sizes(
+            1000,
+            4,
+            AdaptiveGss {
+                divisor: 1,
+                min_chunk: 8,
+            },
+        );
         // Every grab except possibly the last takes at least 8.
         for &c in &seq[..seq.len() - 1] {
             assert!(c >= 8, "{seq:?}");
         }
-        let plain = sizes(1000, 4, AdaptiveGss::with_params(1, 1));
+        let plain = sizes(
+            1000,
+            4,
+            AdaptiveGss {
+                divisor: 1,
+                min_chunk: 1,
+            },
+        );
         assert!(
             seq.len() < plain.len(),
             "min chunk should reduce grab count"

@@ -60,11 +60,6 @@ impl Affinity {
             k: KParam::Fixed(k),
         }
     }
-
-    /// The configured `k` parameter.
-    pub fn k_param(&self) -> KParam {
-        self.k
-    }
 }
 
 /// A per-processor work queue holding an ordered list of iteration ranges.

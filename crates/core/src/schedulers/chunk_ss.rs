@@ -19,11 +19,6 @@ impl ChunkSelf {
         assert!(k >= 1, "chunk size must be at least 1");
         Self { k }
     }
-
-    /// The configured chunk size.
-    pub fn chunk_size(&self) -> u64 {
-        self.k
-    }
 }
 
 impl Scheduler for ChunkSelf {

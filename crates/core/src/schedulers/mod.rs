@@ -49,15 +49,6 @@ pub fn paper_suite() -> Vec<Box<dyn Scheduler>> {
     ]
 }
 
-/// The dynamic-only subset used in the Butterfly experiments (§4.4).
-pub fn butterfly_suite() -> Vec<Box<dyn Scheduler>> {
-    vec![
-        Box::new(Gss::new()),
-        Box::new(Trapezoid::new()),
-        Box::new(Affinity::with_k_equals_p()),
-    ]
-}
-
 #[cfg(test)]
 mod suite_tests {
     use super::*;

@@ -15,29 +15,20 @@ use super::central::CentralState;
 use crate::chunking::tapering_chunk;
 use crate::policy::{LoopState, QueueTopology, Scheduler};
 
-/// Tapering with profile estimates `(mean, stddev)` and confidence `alpha`.
+/// The confidence factor `α` of the chunk rule.
+const ALPHA: f64 = 1.3;
+
+/// Tapering with profile estimates `(mean, stddev)` and confidence `α = 1.3`.
 #[derive(Clone, Copy, Debug)]
 pub struct Tapering {
     mean: f64,
     stddev: f64,
-    alpha: f64,
 }
 
 impl Tapering {
     /// Creates the scheduler from iteration-time estimates.
     pub fn new(mean: f64, stddev: f64) -> Self {
-        Self {
-            mean,
-            stddev,
-            alpha: 1.3,
-        }
-    }
-
-    /// Overrides the confidence factor (default 1.3).
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        assert!(alpha >= 0.0);
-        self.alpha = alpha;
-        self
+        Self { mean, stddev }
     }
 
     /// Builds estimates by sampling a cost function over the loop.
@@ -60,9 +51,9 @@ impl Scheduler for Tapering {
     }
 
     fn begin_loop(&self, n: u64, p: usize) -> Box<dyn LoopState> {
-        let (mean, stddev, alpha) = (self.mean, self.stddev, self.alpha);
+        let (mean, stddev) = (self.mean, self.stddev);
         Box::new(CentralState::new(n, move |remaining: u64| {
-            tapering_chunk(remaining, p, mean, stddev, alpha)
+            tapering_chunk(remaining, p, mean, stddev, ALPHA)
         }))
     }
 }

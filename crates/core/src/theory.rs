@@ -1,8 +1,9 @@
 //! The paper's analytic results (Section 3) as executable formulas.
 //!
-//! These functions are used by the test suite to check the implemented
-//! schedulers against the bounds the paper proves, and by the benchmark
-//! harness to annotate results.
+//! The test suite checks the implemented schedulers against these bounds;
+//! TSS's first chunk is [`thm33_balanced_chunk`], the fault bench gates on
+//! [`thm32_imbalance_bound`], and the benchmark's simulator probe on
+//! [`thm31_afs_queue_bound`].
 
 use crate::chunking::{div_ceil, drain_count};
 
@@ -32,12 +33,6 @@ pub fn thm31_afs_queue_bound(n: u64, p: usize, k: u64) -> f64 {
 /// `⌈N/P⌉` iterations taking `1/k` at a time.
 pub fn afs_local_accesses_exact(n: u64, p: usize, k: u64) -> u64 {
     drain_count(div_ceil(n, p as u64), k)
-}
-
-/// Worst-case GSS synchronization operations on the central queue:
-/// `O(P · log(N/P))` (paper §3). Returns the expression value.
-pub fn gss_sync_bound(n: u64, p: usize) -> f64 {
-    lemma31_bound(n, p as u64)
 }
 
 /// Exact GSS central-queue accesses: draining `n` taking `⌈R/P⌉` at a time.
@@ -74,11 +69,11 @@ pub fn decreasing_poly_cost(n: u64, i: u64, k: u32) -> f64 {
     ((n - i) as f64).powi(k as i32)
 }
 
-/// Total work of the first `c` iterations starting at `r` of a decreasing
-/// polynomial loop with `remaining` iterations (exact finite sum).
+/// Total work of the first `c` iterations of a decreasing polynomial loop
+/// with `remaining` iterations (exact finite sum).
 pub fn poly_prefix_work(remaining: u64, c: u64, k: u32) -> f64 {
     (0..c.min(remaining))
-        .map(|x| ((remaining - x) as f64).powi(k as i32))
+        .map(|x| decreasing_poly_cost(remaining, x, k))
         .sum()
 }
 
@@ -90,6 +85,12 @@ pub fn poly_total_work(remaining: u64, k: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Worst-case GSS synchronization operations on the central queue:
+    /// `O(P · log(N/P))` (paper §3). Returns the expression value.
+    fn gss_sync_bound(n: u64, p: usize) -> f64 {
+        lemma31_bound(n, p as u64)
+    }
 
     #[test]
     fn thm32_k_equals_p_gives_one_iteration() {

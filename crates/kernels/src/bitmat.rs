@@ -104,11 +104,6 @@ impl BitMatrix {
     pub fn count_ones(&self) -> u64 {
         self.words.iter().map(|w| w.count_ones() as u64).sum()
     }
-
-    /// Number of set bits in one row.
-    pub fn row_count_ones(&self, row: usize) -> u32 {
-        self.row(row).iter().map(|w| w.count_ones()).sum()
-    }
 }
 
 /// Tests bit `col` in a packed row slice.
@@ -244,8 +239,9 @@ mod tests {
         m.set(0, 64, true);
         m.set(2, 10, true);
         assert_eq!(m.count_ones(), 3);
-        assert_eq!(m.row_count_ones(0), 2);
-        assert_eq!(m.row_count_ones(1), 0);
+        let row_ones = |r| m.row(r).iter().map(|w| w.count_ones()).sum::<u32>();
+        assert_eq!(row_ones(0), 2);
+        assert_eq!(row_ones(1), 0);
     }
 
     #[test]

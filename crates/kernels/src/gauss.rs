@@ -91,11 +91,6 @@ impl GaussSystem {
         }
     }
 
-    /// Maps parallel-iteration `j` of `phase` to its matrix row.
-    pub fn iter_row(&self, phase: usize, j: u64) -> usize {
-        phase + 1 + j as usize
-    }
-
     /// Back-substitutes and returns the solution vector (after elimination).
     pub fn solve_back(&self) -> Vec<f64> {
         let (n, cols) = (self.n, self.cols());
@@ -319,7 +314,8 @@ mod tests {
         let sys = GaussSystem::new(10, 1);
         for phase in 0..sys.phases() {
             let rows: Vec<usize> = (0..sys.phase_len(phase))
-                .map(|j| sys.iter_row(phase, j))
+                // Iteration `j` of `phase` eliminates row `phase + 1 + j`.
+                .map(|j| phase + 1 + j as usize)
                 .collect();
             let set: std::collections::HashSet<_> = rows.iter().collect();
             assert_eq!(set.len(), rows.len());

@@ -475,8 +475,10 @@ impl<P: PhasePlan + Send + 'static> StandingRegion<P> {
         let job = Arc::new(move |worker| {
             shared.work(worker);
             if let Some(e) = shared.failure.take() {
+                // The error itself is the payload: the pool keeps it, with
+                // the worker and phase that failed, as the ticket's error.
                 let e = flag_phase_error(&shared.recorder, e);
-                std::panic::resume_unwind(e.into_payload());
+                std::panic::resume_unwind(Box::new(e));
             }
         });
         StandingRegion { region, job }
@@ -1468,6 +1470,8 @@ mod tests {
         broken_len: Option<usize>,
         /// An iteration of phase 0 whose body panics, uncontained.
         poisoned: Option<u64>,
+        /// The worker that ran the poisoned iteration.
+        poisoned_on: AtomicUsize,
         /// How often each (phase, iteration) ran, at `phase * (MAX_N + 1) + i`.
         runs: Vec<AtomicU8>,
     }
@@ -1496,6 +1500,11 @@ mod tests {
                 self.runs[phase * (MAX_N + 1) + i as usize].fetch_add(1, Ordering::Relaxed);
             }
         }
+
+        fn contain(&self, worker: usize, _phase: usize) -> bool {
+            self.poisoned_on.store(worker, Ordering::Relaxed);
+            false
+        }
     }
 
     #[test]
@@ -1521,6 +1530,7 @@ mod tests {
             policy: RuntimeScheduler::afs_k_equals_p(),
             broken_len: None,
             poisoned: None,
+            poisoned_on: AtomicUsize::new(usize::MAX),
             runs: (0..MAX_PHASES * (MAX_N + 1))
                 .map(|_| AtomicU8::new(0))
                 .collect(),
@@ -1542,6 +1552,7 @@ mod tests {
                 plan.policy = policies[it % policies.len()]();
                 plan.broken_len = broken_len;
                 plan.poisoned = poisoned;
+                *plan.poisoned_on.get_mut() = usize::MAX;
                 plan.runs.iter_mut().for_each(|r| *r.get_mut() = 0);
             });
             let result = ticket.wait();
@@ -1555,15 +1566,26 @@ mod tests {
                 let runs = runs.load(Ordering::Relaxed);
                 assert_eq!(runs, u8::from(once), "{at}: phase {ph} iteration {i}");
             }
-            // The ticket's error carries the payload (the pool, which
-            // re-raises it, numbers no phase).
+            // The ticket's error is the region's: its payload, the phase
+            // that failed and the worker it failed on (phase 0 is armed as
+            // worker 0; a later phase by whichever worker took the turn).
             let failure = match (broken_len, poisoned) {
-                (Some(_), _) => Some("unreadable length"),
-                (None, Some(_)) => Some("poisoned iteration"),
+                (Some(ph), _) => Some(("unreadable length", ph, (ph == 0).then_some(0))),
+                (None, Some(_)) => {
+                    let on = plan.poisoned_on.load(Ordering::Relaxed);
+                    Some(("poisoned iteration", 0, Some(on)))
+                }
                 (None, None) => None,
             };
             let message = result.as_ref().err().map(PhaseError::message);
-            assert_eq!(message, failure.map(Some), "{at}");
+            assert_eq!(message, failure.map(|f| Some(f.0)), "{at}");
+            if let (Err(e), Some((_, phase, worker))) = (&result, failure) {
+                assert_eq!(e.phase(), phase, "{at}");
+                assert!(e.worker() < 3, "{at}: worker {}", e.worker());
+                if let Some(worker) = worker {
+                    assert_eq!(e.worker(), worker, "{at}");
+                }
+            }
             let first = claimed;
             claimed += phases as u64;
             let records = pool.recorder().phase_records();

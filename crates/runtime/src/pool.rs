@@ -170,11 +170,15 @@ impl Shared {
     }
 
     /// Records the first panic that escaped a job closure (first wins when
-    /// several workers race).
+    /// several workers race). A region's job re-raises its [`PhaseError`],
+    /// which is kept as it is: it names the worker and phase that failed.
     fn record_failure(&self, worker: usize, payload: Box<dyn std::any::Any + Send>) {
         let mut slot = self.failure.lock().unwrap_or_else(|p| p.into_inner());
         if slot.is_none() {
-            *slot = Some(PhaseError::new(worker, 0, payload));
+            *slot = Some(match payload.downcast::<PhaseError>() {
+                Ok(e) => *e,
+                Err(payload) => PhaseError::new(worker, 0, payload),
+            });
         }
     }
 

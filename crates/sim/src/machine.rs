@@ -206,16 +206,6 @@ impl MachineSpec {
             all_queues_remote: false,
         }
     }
-
-    /// All four paper machines.
-    pub fn paper_machines() -> Vec<MachineSpec> {
-        vec![
-            Self::iris(),
-            Self::butterfly(),
-            Self::symmetry(),
-            Self::ksr1(),
-        ]
-    }
 }
 
 #[cfg(test)]

@@ -43,20 +43,20 @@ impl FcfsResource {
     pub fn free_at(&self) -> f64 {
         self.free_at
     }
-
-    /// Utilization over an interval of length `span`.
-    pub fn utilization(&self, span: f64) -> f64 {
-        if span <= 0.0 {
-            0.0
-        } else {
-            self.busy_time / span
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `r`'s utilization over an interval of length `span`.
+    fn utilization(r: &FcfsResource, span: f64) -> f64 {
+        if span <= 0.0 {
+            0.0
+        } else {
+            r.busy_time / span
+        }
+    }
 
     #[test]
     fn uncontended_grants_immediately() {
@@ -91,7 +91,7 @@ mod tests {
     fn utilization_is_busy_over_span() {
         let mut r = FcfsResource::new();
         r.acquire(0.0, 25.0);
-        assert!((r.utilization(100.0) - 0.25).abs() < 1e-12);
-        assert_eq!(r.utilization(0.0), 0.0);
+        assert!((utilization(&r, 100.0) - 0.25).abs() < 1e-12);
+        assert_eq!(utilization(&r, 0.0), 0.0);
     }
 }

@@ -70,22 +70,4 @@ impl SimResult {
             self.cache_misses as f64 / total as f64
         }
     }
-
-    /// Speedup relative to a given single-processor completion time.
-    pub fn speedup_vs(&self, t1: f64) -> f64 {
-        if self.completion_time <= 0.0 {
-            0.0
-        } else {
-            t1 / self.completion_time
-        }
-    }
-
-    /// Mean processor utilization: busy time over (P × completion).
-    pub fn utilization(&self) -> f64 {
-        if self.completion_time <= 0.0 || self.busy_time.is_empty() {
-            return 0.0;
-        }
-        let busy: f64 = self.busy_time.iter().sum();
-        busy / (self.completion_time * self.busy_time.len() as f64)
-    }
 }
