@@ -454,8 +454,9 @@ where
 /// frontend's batch is. Each [`StandingRegion::publish`] lets its owner
 /// rewrite the plan, re-arms the region in place — barrier, failure state,
 /// finish count, epoch, flight-recorder claim, and phase 0's source, which
-/// the region keeps from publish to publish — and hands the pool a clone
-/// of its one job, so a publish builds, boxes and drops nothing. Dropping
+/// the region keeps from publish to publish — and hands the ticket a clone
+/// of its one job, which the workers borrow, so a publish builds, boxes
+/// and drops nothing. Dropping
 /// it returns its source to the pool's spare.
 pub struct StandingRegion<P: PhasePlan + Send + 'static> {
     region: Arc<Region<PlanCell<P>>>,
@@ -495,18 +496,18 @@ impl<P: PhasePlan + Send + 'static> StandingRegion<P> {
     /// calling thread; the claim keeps every worker out until the publish.
     /// The region's failure — a driver-internal one, or a body panic the
     /// plan did not contain — is the ticket's error. Panics while an
-    /// earlier publish is out (until its ticket's reap the pool holds a
-    /// clone of the job), and when the plan has no phase.
+    /// earlier publish is out (until its ticket finishes it holds a clone
+    /// of the job), and when the plan has no phase.
     pub fn publish(&mut self, slot: DispatchSlot, refill: impl FnOnce(&mut P)) -> DispatchTicket {
         assert!(
             Arc::strong_count(&self.job) == 1,
             "a standing region is rewritten while the pool still holds its job"
         );
-        // Every other clone of the job is gone: the pool's reap dropped
-        // the one it was handed, and each worker dropped its own before
-        // it acked, each a release decrement after that holder's last
-        // access to the region. This makes all of them happen-before the
-        // rewrite.
+        // Every other clone of the job is gone: a ticket drops the one it
+        // was handed, a release decrement, only after it saw the last
+        // worker's RMW on the pool's word, which follows that worker's
+        // last access to the region. This makes all of them happen-before
+        // the rewrite.
         fence(Ordering::Acquire);
         // SAFETY: no other thread holds the job, through which alone the
         // workers reach the region (above), and `&mut self` keeps this
@@ -966,8 +967,8 @@ impl<Q: std::ops::Deref<Target: PhasePlan>> Region<Q> {
 impl<Q> Drop for Region<Q> {
     /// Hands the source to the pool's spare. Every worker has left the
     /// region by now: a borrowed region is dropped after `Pool::try_run`
-    /// returned, a standing one with the last clone of its job, which the
-    /// pool's reap drops only after every worker acked it. A
+    /// returned, a standing one with the last clone of its job, which a
+    /// ticket drops only after every worker left it. A
     /// [`LockedSource`] carries its scheduler's loop state, so it is not
     /// kept.
     fn drop(&mut self) {

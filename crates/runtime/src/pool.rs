@@ -5,27 +5,46 @@
 //! once and reused for every parallel loop and phase, so per-loop overhead
 //! is a broadcast + barrier, not thread creation.
 //!
-//! # The phase rendezvous
+//! # The dispatch word
 //!
 //! The paper's kernels are nests of short parallel phases inside a
 //! sequential loop (SOR runs 100+ steps × 2 phases), so once individual
-//! grabs are lock-free the dominant runtime cost is the per-phase
-//! rendezvous itself. The pool has one protocol: a sense-reversing
-//! barrier. The "sense" is a monotone 64-bit generation, published into one
-//! `CachePadded` flag per worker (local spinning: each worker's flag line
-//! is invalidated exactly once per phase, there is no broadcast storm on a
-//! shared word), with per-worker padded ack slots on the completion side.
+//! grabs are lock-free the dominant runtime cost is the rendezvous around
+//! each job. The pool's rendezvous is one atomic word: a monotone
+//! generation and the number of workers still in that generation's job.
+//! A claim CASes the word from free to claimed; a publish stores the job's
+//! pointer and then, in one store, the next generation with the count of
+//! live workers; each worker's last act on a job is one read-modify-write
+//! (RMW) that takes itself off the count, and the RMW that reaches zero
+//! frees the pool. Nobody reaps: the owner of a job — [`Pool::run`]'s
+//! caller, or a [`DispatchTicket`]'s — only waits to see the word free at
+//! or past its generation, then takes any failure its job recorded. The
+//! ordering contract (DESIGN §9):
+//!
+//! * the job pointer is stored before the generation, so a worker that
+//!   loads the generation reads the pointer it belongs to;
+//! * a worker records its failure before its RMW;
+//! * an owner reads failures only after it sees the word free.
+//!
+//! Jobs are lent, not cloned: the word's cell holds a pointer. [`Pool::run`]
+//! lends the caller's closure as `std::thread::scope` lends its
+//! environment, and a ticket owns the `Arc` given to
+//! [`DispatchSlot::publish`] and drops it on its owner's thread once the
+//! word is free — never on a worker, which may not join the pool its job
+//! happens to own the last handle to.
+//!
 //! Both sides wait on [`crate::wait`]'s spin → yield → park ladder — so an
 //! oversubscribed pool (more workers than cores, e.g. a CI container)
 //! degrades to blocking instead of burning timeslices, and on a dedicated
 //! machine a phase turnaround is pure user-space stores and loads: zero
-//! kernel round-trips. The pool has three waits and derives each one's
+//! kernel round-trips. Workers sleep on one eventcount (`start`), owners
+//! and claimers on another (`free`), and the pool derives each wait's
 //! budget at build time from the one rule, [`crate::wait::spin_leg`]: a
-//! worker's *start wait* and the coordinator's *ack wait* each need the
-//! `P` workers *and* the coordinator running (`P + 1` threads), the
-//! *in-region barrier* ([`Pool::phase_barrier`]) only the `P` peers. The
-//! events are the `SeqCst` stores into the per-worker start flags and ack
-//! slots, which is all the ladder's lost-wakeup argument asks of them.
+//! worker's *start wait* and an owner's *free wait* each need the `P`
+//! workers *and* the owner running (`P + 1` threads), the *in-region
+//! barrier* ([`Pool::phase_barrier`]) only the `P` peers. The events are
+//! `SeqCst` stores and RMWs on the word, which is all the ladder's
+//! lost-wakeup argument asks of them.
 //!
 //! A pool can pin worker `i` to core `i mod cores`
 //! ([`PoolBuilder::pin_cores`]), making AFS's deterministic
@@ -55,28 +74,28 @@ use std::time::Duration;
 
 type Job = Arc<dyn Fn(usize) + Send + Sync>;
 
-/// States of the dispatch slot word (its low two bits; the rest is a
-/// generation): free since generation `g` was reaped, held by generation
-/// `g` from its claim until its reap, or being reaped.
-const FREE: u64 = 0;
-const HELD: u64 = 1;
-const REAPING: u64 = 2;
+/// What the job cell holds: a lent job, live while its generation holds
+/// the word.
+type JobPtr = *const (dyn Fn(usize) + Send + Sync);
 
-/// What a claimer's look at the dispatch slot won.
-enum Slot {
-    /// The slot, to publish this generation.
-    Claimed(u64),
-    /// The reap of this finished generation, which the claimer runs
-    /// ([`Shared::reap`]) before it looks again.
-    Reaping(u64),
+/// The dispatch word's low bits: how many workers are still in the job.
+/// Free is 0, and [`CLAIMED`] marks a claim not yet published; the rest of
+/// the word is the generation.
+const COUNT_BITS: u32 = 16;
+const COUNT: u64 = (1 << COUNT_BITS) - 1;
+const CLAIMED: u64 = COUNT;
+
+/// Whether a published job holds the word `w`: some worker is still in it.
+fn in_job(w: u64) -> bool {
+    !matches!(w & COUNT, 0 | CLAIMED)
 }
 
 /// Why [`Pool::try_dispatch`] refused a job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TryDispatchError {
-    /// A previous job still holds the dispatch slot: some worker has not
-    /// finished it, or its reap is under way. The pool broadcasts one job
-    /// at a time.
+    /// A previous job still holds the pool: some worker has not finished
+    /// it, or another claim has not published yet. The pool broadcasts one
+    /// job at a time.
     Busy,
 }
 
@@ -90,52 +109,87 @@ impl std::fmt::Display for TryDispatchError {
 
 impl std::error::Error for TryDispatchError {}
 
-/// The published job slot. Plain memory, synchronized by the generation
-/// flags: the coordinator writes it strictly before storing the new
-/// generation into the per-worker flags, workers read it strictly after
-/// loading that generation, and the coordinator clears it only after every
-/// worker's ack store has been observed. Those flag/ack accesses are
-/// `SeqCst`, so each access to the cell is ordered by a synchronizes-with
-/// edge and the cell itself needs no atomicity.
-struct JobCell(UnsafeCell<Option<Job>>);
+/// The published job's pointer. Plain memory, synchronized by the word:
+/// only a claim's holder writes it, strictly before the `SeqCst` store
+/// that publishes the generation, and workers read it strictly after
+/// loading that generation; the next claim cannot begin until every
+/// worker's RMW has left the generation, so no write overlaps a read.
+struct JobCell(UnsafeCell<JobPtr>);
 
-// SAFETY: see the field protocol above — all accesses are ordered through
-// the `starts`/`acks` atomics, so no two threads ever touch the cell
-// concurrently.
+// SAFETY: see the protocol above — every access is ordered through the
+// word, so no two threads ever touch the cell concurrently, and what it
+// points to is `Send + Sync`.
+unsafe impl Send for JobCell {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for JobCell {}
+
+/// The cell's content before the first publish, which no worker reads.
+const NO_JOB: &(dyn Fn(usize) + Send + Sync) = &|_| {};
+
+/// A closure [`Pool::try_run`] lends the workers: its address and the
+/// function that calls it, with its type — and so its lifetime — erased.
+#[derive(Clone, Copy)]
+struct Lent {
+    env: *const (),
+    run: unsafe fn(*const (), usize),
+}
+
+// SAFETY: made only from a `&F` with `F: Send + Sync` (`Lent::new`), so
+// calling it from any thread is what `F` allows.
+unsafe impl Send for Lent {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for Lent {}
+
+impl Lent {
+    fn new<F: Fn(usize) + Send + Sync>(job: &F) -> Lent {
+        /// # Safety
+        /// `env` is a `&F` that is still live.
+        unsafe fn run<F: Fn(usize)>(env: *const (), worker: usize) {
+            // SAFETY: the caller's contract.
+            unsafe { (*env.cast::<F>())(worker) }
+        }
+        Lent {
+            env: (job as *const F).cast(),
+            run: run::<F>,
+        }
+    }
+
+    /// Calls the lent closure.
+    ///
+    /// # Safety
+    /// The closure this was made from is still live.
+    unsafe fn call(self, worker: usize) {
+        // SAFETY: `run` is the one `Lent::new` paired with `env`, which the
+        // caller's contract keeps live.
+        unsafe { (self.run)(self.env, worker) }
+    }
+}
 
 struct Shared {
     /// The job of the current generation.
     job: JobCell,
-    /// Per-worker sense flags: the generation published to that worker.
-    /// Padded so each worker spins on a line only the coordinator writes,
-    /// exactly once per phase.
-    starts: Vec<CachePadded<AtomicU64>>,
-    /// Per-worker completion slots: the last generation each worker
-    /// finished. Padded so the end-of-phase barrier is P independent
-    /// stores, not P RMWs on one shared counter line.
-    acks: Vec<CachePadded<AtomicU64>>,
+    /// The dispatch word: `generation << COUNT_BITS | count`. Moved by
+    /// `SeqCst` CASes, stores and RMWs only. Padded: every worker polls it.
+    word: CachePadded<AtomicU64>,
     /// Set (once) when the pool is dropping; checked at every wait point.
     shutdown: AtomicBool,
     /// Where workers sleep for the next generation (or shutdown).
     start: EventCount,
-    /// Where a coordinator sleeps for the generation's last ack.
-    done: EventCount,
-    /// The dispatch slot: `generation << 2 | state` ([`FREE`], [`HELD`],
-    /// [`REAPING`]). Moved by `SeqCst` CASes and stores only, so any thread
-    /// can claim it, reap the job that holds it, and free it.
-    slot: AtomicU64,
-    /// Where a claimer sleeps for the slot (`Pool::run`, `Pool::claim`).
-    /// The events are a reap's free store and a generation's last ack
-    /// (after which the claimer reaps it).
-    slot_free: EventCount,
-    /// Failures of jobs a claimer reaped before their ticket's owner did,
-    /// by generation, until the owner's ticket takes its own.
-    orphans: Mutex<Vec<(u64, PhaseError)>>,
+    /// Where owners and claimers sleep for the word to go free. The
+    /// events are the RMW that frees it and an unpublished claim's drop.
+    free: EventCount,
+    /// Panics that escaped a job closure — the first of each generation —
+    /// until the generation's owner takes its own, which may be after
+    /// later jobs ran and failed. Loop-body panics never reach this list —
+    /// the drivers in [`crate::parallel`] contain them per chunk; this is
+    /// the backstop for panics in raw [`Pool::run`] closures.
+    failures: Mutex<Vec<(u64, PhaseError)>>,
+    /// `failures.len()`, so an owner whose job failed nowhere takes no lock.
+    failed: AtomicUsize,
     /// The start wait's budget.
     start_budget: Budget,
-    /// The ack wait's budget ([`DispatchTicket::wait`]).
-    ack_budget: Budget,
+    /// The owner's free wait's budget ([`DispatchTicket::wait`]).
+    free_budget: Budget,
     /// The budget [`Pool::phase_barrier`] hands its barrier.
     barrier_budget: Budget,
     /// The yield-injection seed (seeded stress tests only), so derived
@@ -146,135 +200,68 @@ struct Shared {
     /// Always-on runtime metrics (cheap relaxed counters; see
     /// `afs_metrics` for the single-writer argument).
     metrics: Arc<MetricsRegistry>,
-    /// First panic that escaped a job closure, taken by the coordinator
-    /// once every ack is in. Loop-body panics never reach this slot — the
-    /// drivers in [`crate::parallel`] contain them per chunk; this is the
-    /// backstop for panics in raw [`Pool::run`] closures.
-    failure: Mutex<Option<PhaseError>>,
-    /// Workers actually spawned. Equals `starts.len()` unless thread
-    /// creation failed partway and the pool degraded; indices `live..p`
-    /// never started and are excluded from the rendezvous.
+    /// Workers actually spawned. Equals the requested `p` unless thread
+    /// creation failed partway and the pool degraded: a publish counts
+    /// only these.
     live: AtomicUsize,
-    /// Whether a job is currently in flight (arms the stall watchdog; an
-    /// idle pool's frozen heartbeats are not stalls).
-    running: Arc<AtomicBool>,
 }
 
 impl Shared {
-    /// Whether every live worker has finished generation `generation`.
-    fn all_acked(&self, generation: u64) -> bool {
-        let live = self.live.load(Ordering::Relaxed);
-        self.acks[..live]
-            .iter()
-            .all(|a| a.load(Ordering::SeqCst) >= generation)
-    }
-
-    /// Records the first panic that escaped a job closure (first wins when
+    /// Records generation `gen`'s failure on `worker` (first wins when
     /// several workers race). A region's job re-raises its [`PhaseError`],
     /// which is kept as it is: it names the worker and phase that failed.
-    fn record_failure(&self, worker: usize, payload: Box<dyn std::any::Any + Send>) {
-        let mut slot = self.failure.lock().unwrap_or_else(|p| p.into_inner());
-        if slot.is_none() {
-            *slot = Some(match payload.downcast::<PhaseError>() {
+    fn record_failure(&self, gen: u64, worker: usize, payload: Box<dyn std::any::Any + Send>) {
+        let mut failures = self.failures.lock().unwrap_or_else(|p| p.into_inner());
+        if failures.iter().all(|(g, _)| *g != gen) {
+            let e = match payload.downcast::<PhaseError>() {
                 Ok(e) => *e,
                 Err(payload) => PhaseError::new(worker, 0, payload),
-            });
-        }
-    }
-
-    /// One look at the dispatch slot, for a claimer: claims it if it is
-    /// free, or takes the reap of the job holding it once every worker has
-    /// acked that job — that job's ticket may not be reaped for a long
-    /// time (an idle server keeps its last one). Either is one `SeqCst`
-    /// CAS, so the look is safe under an eventcount's lock; the reap itself
-    /// notifies, so the claimer runs it after the look. `None` while a job
-    /// runs or another thread reaps it.
-    fn look_slot(&self) -> Option<Slot> {
-        let ord = Ordering::SeqCst;
-        loop {
-            let cur = self.slot.load(ord);
-            let gen = cur >> 2;
-            let (next, won) = match cur & 3 {
-                FREE => (((gen + 1) << 2) | HELD, Slot::Claimed(gen + 1)),
-                // A claimed slot not yet published has no acks of `gen`.
-                HELD if self.all_acked(gen) => ((gen << 2) | REAPING, Slot::Reaping(gen)),
-                _ => return None,
             };
-            if self.slot.compare_exchange(cur, next, ord, ord).is_ok() {
-                return Some(won);
-            }
+            failures.push((gen, e));
+            self.failed.store(failures.len(), Ordering::SeqCst);
         }
     }
 
-    /// Claims the dispatch slot, reaping a finished job that holds it, or
-    /// `None` while a job runs. Never waits.
+    /// Takes generation `gen`'s failure, for its owner. Call only once the
+    /// word is free at or past `gen`: each worker records before its RMW.
+    fn take_failure(&self, gen: u64) -> Option<PhaseError> {
+        if self.failed.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
+        let mut failures = self.failures.lock().unwrap_or_else(|p| p.into_inner());
+        let i = failures.iter().position(|(g, _)| *g == gen)?;
+        let (_, e) = failures.swap_remove(i);
+        self.failed.store(failures.len(), Ordering::SeqCst);
+        Some(e)
+    }
+
+    /// Claims the word if it is free: one `SeqCst` CAS, so safe as an
+    /// eventcount's look. Returns the generation the claim publishes, or
+    /// `None` while a job runs or another claim holds it. Never waits.
     fn try_claim(&self) -> Option<u64> {
-        loop {
-            match self.look_slot()? {
-                Slot::Claimed(gen) => return Some(gen),
-                Slot::Reaping(gen) => {
-                    self.reap(gen, true);
-                }
-            }
-        }
-    }
-
-    /// Takes the reap of generation `gen` for its ticket's owner (the slot
-    /// goes held → reaping) and runs it; `None` when a claimer took it.
-    /// Call only once every worker has acked `gen`.
-    fn try_reap(&self, gen: u64) -> Option<Option<PhaseError>> {
         let ord = Ordering::SeqCst;
-        let held = (gen << 2) | HELD;
-        self.slot
-            .compare_exchange(held, (gen << 2) | REAPING, ord, ord)
-            .ok()?;
-        Some(self.reap(gen, false))
-    }
-
-    /// Generation `gen`'s epilogue, by the thread that moved the slot to
-    /// reaping: takes the job out of the cell and any failure, then frees
-    /// the slot. Returns the failure. A claimer reaping for an absent
-    /// owner sets `orphan`, and the failure waits in `orphans` for the
-    /// owner's ticket instead.
-    fn reap(&self, gen: u64, orphan: bool) -> Option<PhaseError> {
-        // SAFETY: every worker acked `gen`, and each ack store follows the
-        // worker's clone of the job, so taking the cell's contents is
-        // ordered after all uses; moving the slot to reaping made this
-        // thread the only one in the epilogue, and no claimer can publish
-        // into the cell until the free store below.
-        let job = unsafe { (*self.job.0.get()).take() };
-        self.running.store(false, Ordering::SeqCst);
-        // Each worker records its failure strictly before its ack store,
-        // so after the acks this read is race-free; taken before the slot
-        // is freed, so the next job's failure cannot land in it first.
-        let mut failure = self
-            .failure
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take();
-        if orphan {
-            if let Some(e) = failure.take() {
-                let mut orphans = self.orphans.lock().unwrap_or_else(|p| p.into_inner());
-                orphans.push((gen, e));
-            }
+        let cur = self.word.load(ord);
+        if cur & COUNT != 0 {
+            return None;
         }
-        // Before the slot is freed: a `Pool::run` caller waiting for this
-        // reap returns, and its scoped job's environment goes, only after
-        // the job is dropped. When the job owns the last `Arc<Pool>` this
-        // drops the pool (then the reaper is the ticket's owner, whose
-        // `Arc<Shared>` keeps the slot alive).
-        drop(job);
-        self.slot.store(gen << 2, Ordering::SeqCst);
-        self.slot_free.notify();
-        failure
+        self.word
+            .compare_exchange(cur, cur | CLAIMED, ord, ord)
+            .ok()?;
+        Some((cur >> COUNT_BITS) + 1)
     }
 
-    /// Waits until the coordinator publishes a generation newer than
-    /// `seen` into this worker's flag. Returns the new generation, or
-    /// `None` on shutdown.
+    /// Whether every worker has left generation `gen`'s job. Published
+    /// generations only grow, so once true it stays true.
+    fn left(&self, gen: u64) -> bool {
+        let w = self.word.load(Ordering::SeqCst);
+        w >> COUNT_BITS > gen || !in_job(w)
+    }
+
+    /// Waits until the owner publishes a generation newer than `seen`.
+    /// Returns the new generation, or `None` on shutdown.
     ///
     /// A job published before the shutdown flag went up still runs: its
-    /// ticket may outlive the pool, and waits for this worker's ack. The
+    /// ticket may outlive the pool, and waits for this worker's RMW. The
     /// look loads the flag first, so when it sees shutdown it also sees
     /// every generation stored before it.
     fn wait_start(&self, idx: usize, seen: u64, sink: Option<&TraceSink>) -> Option<u64> {
@@ -287,7 +274,7 @@ impl Shared {
             Some(who),
             || {
                 let down = self.shutdown.load(Ordering::SeqCst);
-                let g = self.starts[idx].load(Ordering::SeqCst);
+                let g = self.word.load(Ordering::SeqCst) >> COUNT_BITS;
                 if g != seen {
                     Some(Some(g))
                 } else {
@@ -301,6 +288,15 @@ impl Shared {
             who.counters.record_barrier_wait(how);
         }
         gen
+    }
+
+    /// A worker's last act on a job: takes itself off the count, and the
+    /// worker that empties it frees the pool and wakes the owners and
+    /// claimers asleep on it.
+    fn leave(&self) {
+        if self.word.fetch_sub(1, Ordering::SeqCst) & COUNT == 1 {
+            self.free.notify();
+        }
     }
 }
 
@@ -427,6 +423,7 @@ impl PoolBuilder {
     pub fn build(self) -> Pool {
         let p = self.p;
         assert!(p >= 1, "need at least one worker");
+        assert!((p as u64) < CLAIMED, "at most {} workers", CLAIMED - 1);
         if let Some(sink) = &self.trace {
             assert!(
                 sink.workers() >= p,
@@ -437,24 +434,20 @@ impl PoolBuilder {
         let cores = affinity::core_count();
         let (spins, yields) = (self.spins, self.yields);
         let shared = Arc::new(Shared {
-            job: JobCell(UnsafeCell::new(None)),
-            starts: (0..p).map(|_| CachePadded::default()).collect(),
-            acks: (0..p).map(|_| CachePadded::default()).collect(),
+            job: JobCell(UnsafeCell::new(NO_JOB)),
+            word: CachePadded::default(),
             shutdown: AtomicBool::new(false),
             start: EventCount::with_injection(self.inject_seed),
             // A distinct stream, so the two sides' injection decisions
             // don't mirror each other.
-            done: EventCount::with_injection(self.inject_seed.map(|s| s ^ 0xD07E_D07E_D07E_D07E)),
-            slot: AtomicU64::new(FREE),
-            slot_free: EventCount::with_injection(
-                self.inject_seed.map(|s| s ^ 0x5107_5107_5107_5107),
-            ),
-            orphans: Mutex::new(Vec::new()),
+            free: EventCount::with_injection(self.inject_seed.map(|s| s ^ 0x5107_5107_5107_5107)),
+            failures: Mutex::new(Vec::new()),
+            failed: AtomicUsize::new(0),
             start_budget: Budget {
                 spins: wait::spin_leg(spins, p + 1, cores),
                 yields,
             },
-            ack_budget: Budget {
+            free_budget: Budget {
                 spins: wait::spin_leg(spins, p + 1, cores),
                 yields: wait::coordinator_yields(yields, p, cores),
             },
@@ -465,9 +458,7 @@ impl PoolBuilder {
             inject_seed: self.inject_seed,
             pinned: AtomicUsize::new(0),
             metrics: Arc::new(MetricsRegistry::new(p)),
-            failure: Mutex::new(None),
             live: AtomicUsize::new(p),
-            running: Arc::new(AtomicBool::new(false)),
         });
         // Worker `i` pins to core `i mod cores`, recorded in the metrics
         // registry so snapshots show where each worker runs.
@@ -534,10 +525,11 @@ impl PoolBuilder {
             }
         }
         if let Some(interval) = self.watchdog {
+            let shared = Arc::clone(&pool.shared);
             pool.watchdog = Some(Watchdog::spawn(
                 interval,
                 Arc::clone(&pool.shared.metrics),
-                Arc::clone(&pool.shared.running),
+                move || in_job(shared.word.load(Ordering::SeqCst)),
                 pool.trace.clone(),
                 live,
                 Arc::clone(&pool.recorder),
@@ -663,23 +655,26 @@ impl Pool {
     /// `Err(PhaseError)` — carrying the worker id and panic payload —
     /// instead of propagating. The pool remains fully usable afterward.
     pub fn try_run(&self, job: impl Fn(usize) + Send + Sync) -> Result<(), PhaseError> {
-        // SAFETY-free trick avoided: we genuinely require 'static here via
-        // Arc; short-lived closures are wrapped through a scoped shim below.
-        self.run_arc(make_scoped_job(job))
+        self.run_lent(Lent::new(&job))
     }
 
-    fn run_arc(&self, job: Job) -> Result<(), PhaseError> {
-        // No yield grace: whoever holds the slot may be running a whole
-        // nest, and its last ack or its reap wakes this caller.
-        self.claim(0, |_| {}).publish(job).wait()
+    /// Publishes `lent` and waits for every worker to leave it. Not
+    /// generic, so the shim is `'static`: it holds only `lent`.
+    fn run_lent(&self, lent: Lent) -> Result<(), PhaseError> {
+        // SAFETY: the closure `lent` was made from outlives this call, and
+        // the ticket's wait — or its drop, should anything unwind — returns
+        // only once every worker has left the job.
+        let shim = move |worker| unsafe { lent.call(worker) };
+        // No yield grace: whoever holds the pool may be running a whole
+        // nest, and its last worker out wakes this caller.
+        self.claim(0, |_| {}).lend(&shim, None).wait()
     }
 
-    /// Claims the dispatch slot without waiting, so the caller can build a
-    /// job knowing no other one can start first, and then
-    /// [`DispatchSlot::publish`] it. A job every worker has finished does
-    /// not block the claim, reaped or not: the claimer reaps it, and its
-    /// outcome waits for its own ticket. Fails with
-    /// [`TryDispatchError::Busy`] while another job runs.
+    /// Claims the pool without waiting, so the caller can build a job
+    /// knowing no other one can start first, and then
+    /// [`DispatchSlot::publish`] it. A job every worker has left does not
+    /// block the claim, whether or not its ticket has been waited for.
+    /// Fails with [`TryDispatchError::Busy`] while another job runs.
     pub fn try_claim(&self) -> Result<DispatchSlot, TryDispatchError> {
         self.shared
             .try_claim()
@@ -688,24 +683,15 @@ impl Pool {
     }
 
     /// [`Pool::try_claim`] for a caller that will wait for a busy pool:
-    /// retries for `grace` yield rounds, then sleeps on the slot until the
-    /// job in flight is finished. `on_leg` hears `Yield` before every yield
-    /// and `Park` before sleeping, as in [`crate::wait::EventCount::wait`];
-    /// a free slot is taken on the first look, with no leg heard.
-    pub fn claim(&self, grace: u32, mut on_leg: impl FnMut(WaitOutcome)) -> DispatchSlot {
+    /// retries for `grace` yield rounds, then sleeps until the job in
+    /// flight is finished. `on_leg` hears `Yield` before every yield and
+    /// `Park` before sleeping, as in [`crate::wait::EventCount::wait`]; a
+    /// free pool is taken on the first look, with no leg heard.
+    pub fn claim(&self, grace: u32, on_leg: impl FnMut(WaitOutcome)) -> DispatchSlot {
         let s = &self.shared;
-        let gen = s.try_claim().unwrap_or_else(|| loop {
-            let look = || s.look_slot();
-            match s
-                .slot_free
-                .wait(Budget::yielding(grace), None, look, &mut on_leg)
-                .0
-            {
-                Slot::Claimed(gen) => break gen,
-                Slot::Reaping(gen) => {
-                    s.reap(gen, true);
-                }
-            }
+        let gen = s.try_claim().unwrap_or_else(|| {
+            let look = || s.try_claim();
+            s.free.wait(Budget::yielding(grace), None, look, on_leg).0
         });
         DispatchSlot::new(s, gen)
     }
@@ -728,9 +714,9 @@ impl Pool {
     }
 }
 
-/// The pool's dispatch slot, claimed and not yet published
-/// ([`Pool::try_claim`], [`Pool::claim`]). No other job can start while it
-/// lives; dropping it unpublished frees the slot again.
+/// The pool, claimed and not yet published ([`Pool::try_claim`],
+/// [`Pool::claim`]). No other job can start while it lives; dropping it
+/// unpublished frees the pool again.
 pub struct DispatchSlot {
     /// `Some` until published or dropped.
     shared: Option<Arc<Shared>>,
@@ -746,26 +732,32 @@ impl DispatchSlot {
         }
     }
 
-    /// Publishes `job` as the claimed generation and returns its ticket.
-    pub fn publish(mut self, job: Arc<dyn Fn(usize) + Send + Sync>) -> DispatchTicket {
+    /// Publishes `job` as the claimed generation and returns its ticket,
+    /// which owns `job` until every worker has left it.
+    pub fn publish(self, job: Arc<dyn Fn(usize) + Send + Sync>) -> DispatchTicket {
+        let ptr = Arc::as_ptr(&job);
+        self.lend(ptr, Some(job))
+    }
+
+    /// Lends the workers `job`, which must stay live until the returned
+    /// ticket sees every worker leave it: `owned` when the ticket owns it.
+    fn lend(mut self, job: JobPtr, owned: Option<Job>) -> DispatchTicket {
         let shared = self.shared.take().expect("an unpublished slot");
         let gen = self.gen;
-        shared.running.store(true, Ordering::SeqCst);
-        // SAFETY: the claim made this thread the slot's only holder; no
-        // worker reads the cell until it observes `gen` in its start flag
-        // (stored below), and the ticket of `gen - 1` cleared the cell
-        // after collecting every ack before it released the slot.
-        unsafe { *shared.job.0.get() = Some(job) };
-        let live = shared.live.load(Ordering::Relaxed);
-        for flag in &shared.starts[..live] {
-            flag.store(gen, Ordering::SeqCst);
-            shared.start.inject_point();
-        }
+        // SAFETY: the claim made this thread the word's only holder, and
+        // no worker reads the cell until it loads `gen`, stored below.
+        unsafe { *shared.job.0.get() = job };
+        shared.start.inject_point();
+        let live = shared.live.load(Ordering::Relaxed) as u64;
+        shared
+            .word
+            .store((gen << COUNT_BITS) | live, Ordering::SeqCst);
         shared.start.notify();
         DispatchTicket {
             shared,
             gen,
-            reaped: false,
+            job: owned,
+            finished: false,
         }
     }
 }
@@ -773,8 +765,10 @@ impl DispatchSlot {
 impl Drop for DispatchSlot {
     fn drop(&mut self) {
         if let Some(shared) = self.shared.take() {
-            shared.slot.store((self.gen - 1) << 2, Ordering::SeqCst);
-            shared.slot_free.notify();
+            shared
+                .word
+                .store((self.gen - 1) << COUNT_BITS, Ordering::SeqCst);
+            shared.free.notify();
         }
     }
 }
@@ -783,51 +777,48 @@ impl Drop for DispatchSlot {
 /// [`DispatchSlot::publish`]).
 ///
 /// While the job runs no other job can start (`run` sleeps,
-/// `try_dispatch` returns `Busy`). Once every worker has finished it,
-/// [`DispatchTicket::wait`], [`DispatchTicket::wait_parked`] or drop reaps
-/// it — clears the job, frees the pool's dispatch slot and returns any
-/// panic — and so does the next claimer if it comes first; the job's
-/// panic then waits for this ticket. It is an owned `Send + 'static`
-/// handle: the thread that published the job need not be the one that
-/// reaps it, and it may outlive the [`Pool`] (whose workers run a job
-/// published before the drop, then exit). Poll
-/// [`DispatchTicket::is_complete`] to overlap work with the job. Dropping
-/// the ticket completes the protocol (waiting if needed) but discards any
-/// job panic. Leaking it (`mem::forget`) leaks the job until the next
-/// claim, and the panic it would have returned.
+/// `try_dispatch` returns `Busy`); the last worker to leave it frees the
+/// pool, whether or not anyone waits on this ticket. The ticket owns the
+/// job, and [`DispatchTicket::wait`], [`DispatchTicket::wait_parked`] or
+/// drop wait for the job to be left, drop it on their own thread and
+/// return its first escaped panic — even after later jobs have run and
+/// failed. It is an owned `Send + 'static` handle: the thread that
+/// published the job need not be the one that waits, and it may outlive
+/// the [`Pool`] (whose workers run a job published before the drop, then
+/// exit). Poll [`DispatchTicket::is_complete`] to overlap work with the
+/// job. Dropping the ticket waits if needed but discards any job panic.
+/// Leaking it (`mem::forget`) leaks the job and the panic it would have
+/// returned.
 pub struct DispatchTicket {
     shared: Arc<Shared>,
     gen: u64,
-    /// Set once the epilogue has run and the slot is free again.
-    reaped: bool,
+    /// The job [`DispatchSlot::publish`] was given (`None` for one
+    /// [`Pool::try_run`] lends, or once finished).
+    job: Option<Job>,
+    /// Set once the owner has seen the job left and taken its failure.
+    finished: bool,
 }
 
 impl DispatchTicket {
     /// Whether every worker has finished the job. Non-blocking; once true
     /// it stays true, and [`DispatchTicket::wait`] will not block.
     pub fn is_complete(&self) -> bool {
-        self.shared.all_acked(self.gen)
+        self.shared.left(self.gen)
     }
 
-    /// The generation this ticket published (monotone per pool).
-    pub fn generation(&self) -> u64 {
-        self.gen
-    }
-
-    /// Waits for every worker to finish and releases the dispatch slot.
-    /// A panic in the job surfaces as `Err(PhaseError)`, exactly like
-    /// [`Pool::try_run`].
+    /// Waits for every worker to finish the job. A panic in the job
+    /// surfaces as `Err(PhaseError)`, exactly like [`Pool::try_run`].
     pub fn wait(mut self) -> Result<(), PhaseError> {
-        let budget = self.shared.ack_budget;
+        let budget = self.shared.free_budget;
         self.finish(budget, |_| {})
     }
 
     /// [`DispatchTicket::wait`] for an owner that would rather sleep than
     /// spin, and has work of its own meanwhile: no spin leg, `grace` yield
     /// rounds with `on_leg(Yield)` before each, then `on_leg(Park)` and
-    /// sleep until the last ack. A caller that keeps polling a long job
-    /// stays runnable throughout, and on a host with no spare core that
-    /// takes a core from the workers it is waiting for.
+    /// sleep until the last worker leaves. A caller that keeps polling a
+    /// long job stays runnable throughout, and on a host with no spare
+    /// core that takes a core from the workers it is waiting for.
     pub fn wait_parked(
         mut self,
         grace: u32,
@@ -836,62 +827,37 @@ impl DispatchTicket {
         self.finish(Budget::yielding(grace), on_leg)
     }
 
-    /// Completes the rendezvous and runs the epilogue once: clears the
-    /// job cell, takes any recorded failure, and frees the slot — or, when
-    /// a claimer reaped the job first, waits for that reap to finish and
-    /// takes the failure it set aside for this ticket.
+    /// Waits, once, until every worker has left the job, then drops the
+    /// job and takes the failure its workers recorded.
     fn finish(
         &mut self,
         budget: Budget,
         on_leg: impl FnMut(WaitOutcome),
     ) -> Result<(), PhaseError> {
-        if std::mem::replace(&mut self.reaped, true) {
+        if std::mem::replace(&mut self.finished, true) {
             return Ok(());
         }
         let (shared, gen) = (&*self.shared, self.gen);
-        let all_acked = || shared.all_acked(gen).then_some(());
-        shared.done.wait(budget, None, all_acked, on_leg);
-        let failure = match shared.try_reap(gen) {
-            Some(failure) => failure,
-            None => {
-                // Past the reap: the slot is free at `gen`, or has moved on.
-                let reaped = || {
-                    let cur = shared.slot.load(Ordering::SeqCst);
-                    (cur >> 2 > gen || cur & 3 == FREE).then_some(())
-                };
-                shared
-                    .slot_free
-                    .wait(shared.ack_budget, None, reaped, |_| {});
-                let mut orphans = shared.orphans.lock().unwrap_or_else(|p| p.into_inner());
-                orphans
-                    .iter()
-                    .position(|&(g, _)| g == gen)
-                    .map(|i| orphans.swap_remove(i).1)
-            }
-        };
+        let left = || shared.left(gen).then_some(());
+        shared.free.wait(budget, None, left, on_leg);
+        shared.free.inject_point();
+        let failure = shared.take_failure(gen);
+        // No worker holds the job any more. When it owns the last
+        // `Arc<Pool>` this drops the pool here, on the owner's thread,
+        // and this ticket's `Arc<Shared>` keeps the word alive.
+        self.job = None;
         failure.map_or(Ok(()), Err)
     }
 }
 
 impl Drop for DispatchTicket {
     fn drop(&mut self) {
-        // A dropped ticket still completes the protocol so the pool stays
-        // usable; the job's panic (if any) is discarded here.
-        let budget = self.shared.ack_budget;
+        // A dropped ticket still waits the job out, so the job's
+        // environment outlives its workers; its panic (if any) is
+        // discarded here.
+        let budget = self.shared.free_budget;
         let _ = self.finish(budget, |_| {});
     }
-}
-
-/// Wraps a short-lived `Fn(usize)` into a `'static` job.
-fn make_scoped_job<F: Fn(usize) + Send + Sync>(job: F) -> Job {
-    let boxed: Box<dyn Fn(usize) + Send + Sync> = Box::new(job);
-    // SAFETY: `Pool::run` does not return until every worker has finished
-    // the job and its reap — by `run` itself or by a claimer — has dropped
-    // it (`Shared::reap` drops the job before it frees the slot), so the
-    // borrowed environment outlives all uses. The transmute only erases
-    // the lifetime; `Send + Sync` are enforced on the original closure.
-    let boxed: Box<dyn Fn(usize) + Send + Sync + 'static> = unsafe { std::mem::transmute(boxed) };
-    Arc::from(boxed)
 }
 
 fn worker_loop(idx: usize, shared: &Shared, pin_to: Option<usize>, sink: Option<Arc<TraceSink>>) {
@@ -904,42 +870,27 @@ fn worker_loop(idx: usize, shared: &Shared, pin_to: Option<usize>, sink: Option<
         shared.metrics.set_pin_status(idx, ok);
     }
     let mut seen = 0u64;
-    loop {
-        let Some(gen) = shared.wait_start(idx, seen, sink.as_deref()) else {
-            return; // shutdown
-        };
+    while let Some(gen) = shared.wait_start(idx, seen, sink.as_deref()) {
         seen = gen;
-        // SAFETY: the coordinator wrote the cell before storing `gen` into
-        // our flag (both flag accesses SeqCst ⇒ synchronizes-with), and
-        // will not touch it again until our ack below.
-        let job = unsafe { (*shared.job.0.get()).as_ref().map(Arc::clone) };
-        let Some(job) = job else { continue };
+        // SAFETY: the owner wrote the cell before storing `gen` (both word
+        // accesses SeqCst ⇒ synchronizes-with), and the job it points to
+        // stays live, and the cell unwritten, until this worker leaves.
+        let job = unsafe { &**shared.job.0.get() };
         if let Some(sink) = &sink {
             // Closes the BarrierArrive the loop driver recorded when this
             // worker ran out of work last phase (the first release of a
             // pool's life has no arrive; consumers ignore it).
             sink.record(idx, EventKind::BarrierRelease);
         }
-        // Contain panics: the ack below must happen no matter what the job
-        // did, or `run` would wait forever. The payload travels back to the
-        // coordinator through the failure slot (recorded strictly before
-        // the ack store, so the coordinator's post-ack read is race-free).
+        // Contain panics: the RMW below must happen no matter what the job
+        // did, or its owner would wait forever. The payload travels back
+        // through `failures`, recorded strictly before the RMW.
         if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(idx))) {
-            shared.record_failure(idx, payload);
+            shared.record_failure(gen, idx, payload);
         }
-        // Release our clone before the ack: the cell's copy, cleared by the
-        // coordinator after the last ack, is then always the last one, so
-        // the job is never freed (nor, when it owns the last `Arc<Pool>`,
-        // the pool dropped and joined) on a worker after `run` returned.
-        drop(job);
-
-        // Publish completion in this worker's own padded slot, then wake a
-        // parked coordinator — only from the worker whose ack completes
-        // the generation.
-        shared.acks[idx].store(seen, Ordering::SeqCst);
-        shared.done.notify_if(|| shared.all_acked(seen));
-        // A claimer asleep on the slot reaps a finished job itself.
-        shared.slot_free.notify_if(|| shared.all_acked(seen));
+        shared.free.inject_point();
+        // Past this the job may be gone: its owner may have returned.
+        shared.leave();
     }
 }
 
@@ -1197,6 +1148,42 @@ mod tests {
     }
 
     #[test]
+    fn the_pool_stays_busy_until_its_last_worker_leaves() {
+        let (left, gate) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let (l, g) = (Arc::clone(&left), Arc::clone(&gate));
+        // Held past the pool's drop, so that a pool freed too early fails
+        // the assertion below rather than freeing a job a worker is in.
+        let job: Job = Arc::new(move |w| {
+            if w == 0 {
+                l.store(true, Ordering::SeqCst);
+                return;
+            }
+            while !g.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        });
+        let pool = Pool::new(2);
+        let ticket = pool.try_dispatch(Arc::clone(&job)).unwrap();
+        while !left.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // Worker 0 is out, or about to be; worker 1 is still in the job.
+        let busy = (0..1_000).all(|_| {
+            std::thread::yield_now();
+            !ticket.is_complete() && pool.try_claim().is_err()
+        });
+        // Opened before asserting, so a failure does not leave worker 1
+        // gated and the pool's drop waiting on it.
+        gate.store(true, Ordering::SeqCst);
+        ticket.wait().unwrap();
+        assert!(busy, "the pool went free with a worker in the job");
+        assert!(pool.try_claim().is_ok());
+    }
+
+    #[test]
     fn dispatch_yields_its_grace_then_blocks_on_a_held_pool() {
         let pool = Pool::new(2);
         let (entered, blocked, ran) = (
@@ -1259,7 +1246,7 @@ mod tests {
             s.spawn(|| {
                 // Open the gate only once the waiter below has
                 // registered for its park.
-                while pool.shared.done.sleepers() == 0 {
+                while pool.shared.free.sleepers() == 0 {
                     std::thread::yield_now();
                 }
                 gate.store(true, Ordering::SeqCst);

@@ -510,14 +510,18 @@ impl WorkSource for AfsSource {
         let _ = self.words[worker].load(Ordering::Relaxed);
         // Allocate the grab-ahead stash from the owning thread: its heap
         // block is then first-touched on this worker's node, not the
-        // coordinator's.
+        // coordinator's. Plain AFS (`ahead == 1`) pushes its grab through
+        // the stash too, so it is reserved for every `ahead`: a worker's
+        // first push then never allocates mid-phase. Not `reserve_exact`:
+        // an empty stash gets the capacity its first push would have
+        // given it, so a later raise of `ahead` regrows it no more often.
         let ahead = self.ahead.load(Ordering::Relaxed);
         // SAFETY: same exclusivity as `next` — only the thread driving
         // `worker` calls `warm(worker)`, so no other reference to this
         // worker's stash exists.
         let stash = unsafe { &mut *self.slots[worker].stash.get() };
-        if ahead > 1 && stash.capacity() < ahead {
-            stash.reserve_exact(ahead - stash.capacity());
+        if stash.capacity() < ahead {
+            stash.reserve(ahead - stash.capacity());
         }
     }
 

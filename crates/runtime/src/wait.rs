@@ -2,8 +2,8 @@
 //! long a waiter may spin.
 //!
 //! Every blocking wait in the runtime and in `afs-serve` — a worker's
-//! wait for its next job, the coordinator's wait for the last ack, a
-//! claimer's wait for the pool's dispatch slot, the in-region
+//! wait for its next job, an owner's wait for its job's last worker, a
+//! claimer's wait for a free pool, the in-region
 //! [`crate::barrier::SenseBarrier`], the serve dispatcher's wait for work
 //! and for the batch it dispatched — is [`EventCount::wait`]: the
 //! waiter looks for its event `spins` times with a
@@ -51,8 +51,8 @@ pub const DEFAULT_YIELDS: u32 = 256;
 /// is already on its way.
 pub const OVERSUBSCRIBED_SPINS: u32 = 64;
 
-/// Yield rounds for a coordinator collecting acks from more workers than
-/// there are cores ([`coordinator_yields`]).
+/// Yield rounds for a job's owner waiting on more workers than there are
+/// cores ([`coordinator_yields`]).
 pub const OVERSUBSCRIBED_COORD_YIELDS: u32 = 2;
 
 /// How long a waiter looks before it sleeps.
@@ -74,8 +74,8 @@ impl Budget {
 
 /// The one rule for the pure-spin leg. `runners` counts every thread that
 /// must be running for the awaited event to happen, *plus the waiter*:
-/// `p + 1` for a worker waiting for the coordinator's next job and for the
-/// coordinator waiting for its workers' acks, `p` for a barrier among the
+/// `p + 1` for a worker waiting for its owner's next job and for the owner
+/// waiting for its workers to leave the job, `p` for a barrier among the
 /// workers. When they all fit on `cores` the configured budget applies;
 /// otherwise each iteration the waiter spins is one a thread it depends on
 /// sits runnable behind it, and the leg is cut to
@@ -88,10 +88,10 @@ pub fn spin_leg(spins: u32, runners: usize, cores: usize) -> u32 {
     }
 }
 
-/// Yield rounds for the coordinator's ack wait. While acks trickle in from
-/// `p > cores` workers, every futile coordinator wakeup takes a timeslice
-/// from the workers still computing; parking after
-/// [`OVERSUBSCRIBED_COORD_YIELDS`] costs one notify by the last acker and
+/// Yield rounds for a job owner's wait. While `p > cores` workers trickle
+/// out of the job, every futile owner wakeup takes a timeslice from the
+/// workers still computing; parking after
+/// [`OVERSUBSCRIBED_COORD_YIELDS`] costs one notify by the last worker and
 /// returns the core. Workers keep the full yield budget: their next event
 /// arrives quickly, and parking all of them would turn every publish into
 /// a wake-all storm.
@@ -191,23 +191,12 @@ impl EventCount {
     }
 
     /// Publisher side: wakes every sleeper. Call *after* publishing the
-    /// event. Returns whether anyone was asleep.
+    /// event. Returns whether anyone was asleep; when nobody is, this is
+    /// one load.
     #[inline]
     pub fn notify(&self) -> bool {
-        self.notify_if(|| true)
-    }
-
-    /// [`EventCount::notify`] for an event several publishers complete
-    /// between them (every worker's ack): each calls this after its own
-    /// `SeqCst` store, and only one for which `complete` holds notifies.
-    /// The module's argument carries over to the publisher whose store is
-    /// last in the total order: its loads follow every store, so if it
-    /// sees a sleeper it also sees the event complete. `complete` is asked
-    /// only when someone is asleep, so the common case stays one load.
-    #[inline]
-    pub fn notify_if(&self, complete: impl FnOnce() -> bool) -> bool {
         self.inject_point();
-        let wake = self.sleepers.load(Ordering::SeqCst) > 0 && complete();
+        let wake = self.sleepers.load(Ordering::SeqCst) > 0;
         if wake {
             let _guard = self.lock();
             self.cv.notify_all();
@@ -276,11 +265,11 @@ mod tests {
         const FULL: u32 = DEFAULT_SPINS;
         // (what waits, runners, cores, spin leg)
         let table = [
-            ("2 workers + coordinator: start and ack wait", 2 + 1, 2, 64),
+            ("2 workers + owner: start and free wait", 2 + 1, 2, 64),
             ("the same pool with cores to spare", 2 + 1, 4, FULL),
             ("2 barrier peers", 2, 2, FULL),
             ("4 barrier peers", 4, 2, 64),
-            ("1 worker + coordinator", 1 + 1, 1, 64),
+            ("1 worker + owner", 1 + 1, 1, 64),
         ];
         for (what, runners, cores, want) in table {
             assert_eq!(spin_leg(FULL, runners, cores), want, "{what}");
@@ -288,7 +277,7 @@ mod tests {
         // A cut, never a raise: a smaller configured budget stands.
         assert_eq!(spin_leg(8, 3, 2), 8);
         assert_eq!(OVERSUBSCRIBED_SPINS, 64);
-        // The coordinator's yield leg shrinks only once the workers alone
+        // The owner's yield leg shrinks only once the workers alone
         // outnumber the cores.
         assert_eq!(coordinator_yields(DEFAULT_YIELDS, 2, 2), DEFAULT_YIELDS);
         assert_eq!(coordinator_yields(DEFAULT_YIELDS, 3, 2), 2);

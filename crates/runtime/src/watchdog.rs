@@ -19,7 +19,6 @@
 
 use afs_metrics::trace::{EventKind, TraceSink};
 use afs_metrics::{FlightRecorder, MetricsRegistry, Trigger};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -32,11 +31,11 @@ pub(crate) struct Watchdog {
 
 impl Watchdog {
     /// Spawns the watchdog thread sampling `p` workers of `metrics` every
-    /// `interval` while `running` is set.
+    /// `interval` while `running` says a job is in flight.
     pub(crate) fn spawn(
         interval: Duration,
         metrics: Arc<MetricsRegistry>,
-        running: Arc<AtomicBool>,
+        running: impl Fn() -> bool + Send + 'static,
         sink: Option<Arc<TraceSink>>,
         p: usize,
         recorder: Arc<FlightRecorder>,
@@ -74,7 +73,7 @@ impl Watchdog {
 fn watch(
     interval: Duration,
     metrics: &MetricsRegistry,
-    running: &AtomicBool,
+    running: &dyn Fn() -> bool,
     sink: Option<&TraceSink>,
     p: usize,
     recorder: &FlightRecorder,
@@ -94,7 +93,7 @@ fn watch(
         if *stopped {
             return;
         }
-        if !running.load(Ordering::SeqCst) {
+        if !running() {
             armed = false;
             continue;
         }

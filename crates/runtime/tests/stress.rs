@@ -443,11 +443,12 @@ fn phases_cover_exactly_once() {
     }
 }
 
-// The dispatch slot across threads. A `DispatchTicket` is an owned handle
-// and the slot an atomic generation, so the thread that publishes a job
-// need not be the one that reaps it. Each test runs 20 yield-injection
-// seeds (start flags, acks and the slot's eventcount all inject) with
-// zero spin budgets, so every wait reaches its park leg.
+// The dispatch word across threads. A `DispatchTicket` is an owned handle
+// and the pool's rendezvous one atomic word, so the thread that publishes a
+// job need not be the one that waits for it. Each test runs 20
+// yield-injection seeds (the publish, a worker's failure-to-RMW window, the
+// owner's free-to-failure window and both eventcounts all inject) with zero
+// spin budgets, so every wait reaches its park leg.
 
 /// Bound on anything that should take microseconds: a lost wakeup shows
 /// up as this expiring, not as a hung test binary.
@@ -460,9 +461,8 @@ fn slot_pool(seed: u64) -> Pool {
         .build()
 }
 
-/// Tickets published here and reaped on a reaper thread: each job runs
-/// once per worker, and the reaper's release is what lets the next
-/// dispatch in.
+/// Tickets published here and waited for on a reaper thread: each job
+/// runs once per worker, and each round's dispatch finds the pool free.
 #[test]
 fn ticket_published_on_one_thread_completes_on_another() {
     use std::sync::mpsc;
@@ -483,7 +483,7 @@ fn ticket_published_on_one_thread_completes_on_another() {
                 .try_dispatch(Arc::new(move |_| {
                     r.fetch_add(1, Ordering::SeqCst);
                 }))
-                .expect("the previous ticket was reaped");
+                .expect("the previous job was left");
             to_reaper.send(ticket).unwrap();
             from_reaper
                 .recv_timeout(SLOT_TIMEOUT)
@@ -496,11 +496,11 @@ fn ticket_published_on_one_thread_completes_on_another() {
     }
 }
 
-/// A blocking `Pool::run` behind an outstanding ticket sleeps on the slot
-/// through the job and proceeds once every worker has acked it, reaping
-/// the finished job itself: a ticket nobody reaps (an idle server's last
-/// one) cannot hold the pool. It never runs before the job's acks, and
-/// the owner's later wait returns at once with the job's outcome.
+/// A blocking `Pool::run` behind an outstanding ticket sleeps through the
+/// job and proceeds once every worker has left it: a ticket nobody waits
+/// for (an idle server's last one) cannot hold the pool. It never runs
+/// before the job's last worker leaves, and the owner's later wait returns
+/// at once with the job's outcome.
 #[test]
 fn blocking_run_behind_a_ticket_proceeds_after_its_acks() {
     use std::sync::atomic::AtomicBool;
@@ -541,9 +541,9 @@ fn blocking_run_behind_a_ticket_proceeds_after_its_acks() {
             let t = std::time::Instant::now();
             while !ran.load(Ordering::SeqCst) {
                 if t.elapsed() > SLOT_TIMEOUT {
-                    // Reap, so the scope's join of the run can end.
+                    // Wait, so the scope's join of the run can end.
                     drop(ticket.take());
-                    panic!("seed {seed}: the run waited for a reap nobody makes");
+                    panic!("seed {seed}: the run waited for the ticket's owner");
                 }
                 std::thread::yield_now();
             }
@@ -554,10 +554,10 @@ fn blocking_run_behind_a_ticket_proceeds_after_its_acks() {
     }
 }
 
-/// A job's panic travels with its ticket: whichever thread reaps it gets
-/// the `PhaseError` — in odd seeds after a blocking `try_run` has already
-/// reaped the job for it — and the pool's failure slot is clean for the
-/// next job either way.
+/// A job's panic travels with its ticket: whichever thread waits for it
+/// gets the `PhaseError` — in odd seeds after a blocking `try_run` has run
+/// on the freed pool and failed too, with its own panic — and the next
+/// job's outcome is its own either way.
 #[test]
 fn job_panic_reaches_the_thread_that_reaps_the_ticket() {
     use std::sync::Arc;
@@ -571,8 +571,15 @@ fn job_panic_reaches_the_thread_that_reaps_the_ticket() {
             }))
             .unwrap();
         if seed % 2 == 1 {
-            pool.try_run(|_| {})
-                .expect("the earlier job's failure is not this one's");
+            let later = pool
+                .try_run(|w| {
+                    if w == 0 {
+                        panic!("failed later");
+                    }
+                })
+                .expect_err("worker 0 panicked");
+            assert_eq!(later.worker(), 0, "seed {seed}");
+            assert_eq!(later.message(), Some("failed later"), "seed {seed}");
         }
         let err = std::thread::spawn(move || ticket.wait_parked(2, |_| {}))
             .join()
@@ -586,8 +593,8 @@ fn job_panic_reaches_the_thread_that_reaps_the_ticket() {
 }
 
 /// Dropping the pool while a ticket is outstanding returns: its workers
-/// finish the job published before the drop, ack it, and exit, and the
-/// ticket then reaps without waiting.
+/// finish the job published before the drop, leave it, and exit, and the
+/// ticket's wait then returns at once.
 #[test]
 fn dropping_the_pool_with_a_ticket_outstanding_returns() {
     use std::sync::Arc;
@@ -608,7 +615,7 @@ fn dropping_the_pool_with_a_ticket_outstanding_returns() {
         rx.recv_timeout(SLOT_TIMEOUT)
             .unwrap_or_else(|_| panic!("seed {seed}: dropping the pool did not return"));
         if !ticket.is_complete() {
-            // Reaping would wait forever for acks nobody will store.
+            // Waiting would never end: no worker is left to leave the job.
             std::mem::forget(ticket);
             panic!("seed {seed}: a worker exited without running the published job");
         }

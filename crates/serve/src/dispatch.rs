@@ -501,9 +501,9 @@ impl PhasePlan for Batch {
 /// A batch an admit launched on an idle server, with its pool ticket,
 /// until somebody reaps it: the next admit that dispatches inline (once
 /// the ticket is complete), the dispatcher before its next launch,
-/// shutdown or drop, or the supervisor when it swaps the pool. Another
-/// claimer of the pool may reap the finished job first; the ticket still
-/// returns its escaped panic here.
+/// shutdown or drop, or the supervisor when it swaps the pool. The pool
+/// is free again as soon as its last worker leaves the batch, reaped or
+/// not; the ticket still returns its escaped panic here.
 pub(crate) struct InFlight {
     ticket: DispatchTicket,
     region: StandingRegion<Batch>,
@@ -520,7 +520,7 @@ impl InFlight {
     /// ([`IDLE_YIELDS`] rounds, then asleep) and frees the pool. A failure
     /// of the driver itself fails whatever was never retired, so the
     /// ledger balances and the reaper survives. Returns the region, whose
-    /// job the reap has taken back from the pool.
+    /// job's one clone, the ticket's, the wait has dropped.
     pub(crate) fn reap(self, on_leg: impl FnMut(WaitOutcome)) -> StandingRegion<Batch> {
         if let Err(e) = self.ticket.wait_parked(IDLE_YIELDS, on_leg) {
             let batch = self.region.plan();
@@ -581,8 +581,8 @@ fn launch(
 /// admit left in flight, for the pool if a blocking `Pool::run` caller
 /// holds it, and then for its own batch: [`IDLE_YIELDS`] rounds that each
 /// run `while_waiting` on the staging state (the dispatcher's ring pump)
-/// and yield, then asleep until the slot is released or the last worker
-/// acks. A short dispatch finishes inside the grace and never sleeps. A
+/// and yield, then asleep until the pool is free or the batch's last
+/// worker leaves. A short dispatch finishes inside the grace and never sleeps. A
 /// long one must not keep its waiter runnable: with no spare core that
 /// thread takes a CPU from the workers, which then spin out every
 /// in-batch barrier against a peer that cannot run. `admit` needs no help

@@ -14,7 +14,7 @@
 //! admission never waits for it, so the ring's capacity bounds what a long
 //! batch can buffer. An admit that finds the dispatcher asleep on an idle
 //! server dispatches on its own thread instead of waking it, when the
-//! staging lock and the pool's dispatch slot are both free at once
+//! staging lock and the pool are both free at once
 //! ([`LoopServer::admit`]); otherwise `admit` touches only the ring and
 //! atomics.
 //!
@@ -687,7 +687,7 @@ impl ServerBuilder {
 /// `yield_now` rounds a waiting dispatcher spends before it parks — for
 /// work on an empty ring, for a pool somebody else holds, or for a batch in
 /// flight ([`execute`]): long enough (tens of µs) that a burst's next
-/// request, or a short dispatch's last ack, usually finds it still
+/// request, or a short dispatch's last worker, usually finds it still
 /// runnable; short enough that it stops competing with the pool workers
 /// for a core almost at once. Once it parks, an admit dispatches on its
 /// own thread instead of waking it ([`LoopServer::admit`]), so a
@@ -883,7 +883,7 @@ impl LoopServer {
 
     /// The dispatcher is asleep (or committed to sleeping): does its work
     /// on this thread instead of waking it. Takes the staging lock and the
-    /// pool's dispatch slot only if both are free; reaps the batch an
+    /// pool only if both are free; reaps the batch an
     /// earlier admit left in flight only if it is complete; pumps the
     /// ring, selects and launches one dispatch, and leaves its ticket in
     /// the staging state. Returns `true` when nothing is left for the
@@ -893,7 +893,7 @@ impl LoopServer {
     /// No request is stranded. Every push is followed by this call or a
     /// wake, and this call fails exactly when it cannot be sure the pushed
     /// request is dispatched: the lock is held (its holder may have pumped
-    /// before the push), the earlier batch still runs, the slot is taken
+    /// before the push), the earlier batch still runs, the pool is taken
     /// (a blocking `Pool::run` may take it between the pump and the
     /// claim), or the pick left requests staged.
     fn try_dispatch_inline(&self, pool: Arc<Pool>) -> bool {

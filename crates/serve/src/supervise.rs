@@ -178,7 +178,7 @@ impl Supervisor {
                 *slot = replacement;
             }
             // A batch an admit launched on an idle server keeps the
-            // wounded pool's slot until somebody reaps it, and an idle
+            // wounded pool alive until somebody reaps it, and an idle
             // server may not for a long time.
             self.shared.reap_in_flight();
             drop(pool);

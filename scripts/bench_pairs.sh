@@ -11,7 +11,10 @@
 # copied to <change-checkout>/benchmark/out/pairs/{A,B}<i>.json (A = parent,
 # B = change). Finishes with the change's `benchmark compare A1 B1 A2 B2 …`
 # and, per pair, the serve-saturate diagnostics its gated number is blind to
-# (benchmark/README.md asks for them from any PR that touches a waiting path).
+# (benchmark/README.md asks for them from any PR that touches a waiting path)
+# and each side's nest-tc peak_rss_mb, which glibc's mmap threshold puts at
+# about 7.7 or about 11.1 MB whatever the code (bench/runs/PR-44.md §2), so
+# a flip between the sides shows beside the compare that judges it.
 # With --claim, it then judges one claimed gain by the §8 rule: each pair's
 # A and B values of <metric> on <workload> and who won (ties count for
 # neither), marking a side whose value exceeds twice that side's median (the
@@ -85,18 +88,26 @@ for i in $(seq 1 "$pairs"); do
     files+=("$pairs_dir/A$i.json" "$pairs_dir/B$i.json")
 done
 
-metric() { # <result.json> <name> -> value, or "-" when the run lacks it
-    grep -o "\"$2\": {\"value\": [^,}]*" "$1" | head -n 1 | sed 's/.*: //' | grep . || echo -
-}
-echo "# serve-saturate diagnostics per pair: fast_share window_rps slow_rps"
-for i in $(seq 1 "$pairs"); do
-    for side in A B; do
-        f="$pairs_dir/$side$i.json"
-        echo "# pair $i $side  $(metric "$f" serve.saturate.fast_share)" \
-            "$(metric "$f" serve.saturate.window_rps)" \
-            "$(metric "$f" serve.saturate.slow_rps)"
-    done
-done
+echo "# per pair: serve-saturate fast_share window_rps slow_rps; nest-tc peak_rss_mb"
+python3 - "$pairs_dir" "$pairs" <<'PY'
+import json, sys
+
+pairs_dir, pairs = sys.argv[1], int(sys.argv[2])
+wanted = [("serve-saturate", "serve.saturate.fast_share"),
+          ("serve-saturate", "serve.saturate.window_rps"),
+          ("serve-saturate", "serve.saturate.slow_rps"),
+          ("nest-tc", "peak_rss_mb")]
+for i in range(1, pairs + 1):
+    for side in "AB":
+        runs = json.load(open(f"{pairs_dir}/{side}{i}.json")).get("runs", [])
+        def value(workload, metric):
+            for run in runs:
+                if run.get("workload") == workload and metric in run.get("metrics", {}):
+                    return str(run["metrics"][metric]["value"])
+            return "-"
+        saturate = " ".join(value(w, m) for w, m in wanted[:3])
+        print(f"# pair {i} {side}  {saturate}; {value(*wanted[3])}")
+PY
 
 status=0
 bench "$change" compare "${files[@]}" || status=$?

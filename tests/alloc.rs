@@ -66,18 +66,18 @@ static GLOBAL: Counting = Counting;
 const N: u64 = 256;
 
 /// Allocations one steady-state `parallel_for` makes under AFS, STATIC
-/// and SS, P = 2. The source is the pool's spare, re-armed. What remains:
+/// and SS, P = 2. The source is the pool's spare, re-armed, and
+/// `Pool::try_run` lends the workers its closure, boxing nothing. What
+/// remains:
 /// * 2 — `try_parallel_phases`'s `LoopMetrics::new(p, 0)`: its
-///   `per_worker` and `iters_per_worker` vectors, the value returned;
-/// * 2 — `Pool::try_run`'s `make_scoped_job`: the boxed closure, and the
-///   `Arc` it is moved into (`Arc::from(Box<dyn Fn>)` copies it).
-const PARALLEL_FOR_ALLOCS: usize = 4;
+///   `per_worker` and `iters_per_worker` vectors, the value returned.
+const PARALLEL_FOR_ALLOCS: usize = 2;
 
 /// Allocations one steady-state served request makes: FCFS, P = 2,
 /// `ServePolicy::Afs`, `Touch`, n = 64, through a manual server's `admit`,
 /// `pump` and `dispatch_next`. The server's standing region is re-armed
-/// with its batch refilled and its source kept, and published as a clone
-/// of its one job. What remains:
+/// with its batch refilled and its source kept, and its ticket holds a
+/// clone of its one job. What remains:
 /// * 1 — `dispatch_next`'s returned `Vec<(usize, u64)>` of the ids that ran
 ///   (manual mode's API; the dispatcher and an inline admit make none).
 const REQUEST_ALLOCS: usize = 1;

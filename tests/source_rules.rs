@@ -12,10 +12,14 @@
 //! Each rule has an allow-list, one reason per entry, and an entry the
 //! tree no longer needs fails the rule too, so the lists stay an audit.
 //!
-//! "Code" is a file's lines above its first `#[cfg(test)]` line (unit
-//! tests close every file here) with comment lines dropped. `tests/` is
-//! never code; the rules scan `crates/*/src` and `src/`, and the caller
+//! "Code" is a file's lines above its test module — the `#[cfg(test)]`
+//! followed by a `mod` line (unit tests close every file here) — with
+//! every other `#[cfg(test)]` item and all comment lines dropped. `tests/`
+//! is never code; the rules scan `crates/*/src` and `src/`, and the caller
 //! search also reads `examples/` and `benchmark/src`.
+//!
+//! The same cut counts each crate's non-test lines
+//! (`non_test_lines_per_crate`), the measure ROADMAP's line targets use.
 
 use std::collections::HashSet;
 use std::fs;
@@ -32,8 +36,54 @@ fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// The code of every `.rs` file under the root-relative `dir`, by path.
-fn sources(dir: &str) -> Vec<Source> {
+/// Whether `line` opens a module at column 0: `mod`, `pub mod` or
+/// `pub(crate) mod`.
+fn opens_module(line: &str) -> bool {
+    let rest = ["pub ", "pub(crate) "]
+        .iter()
+        .find_map(|p| line.strip_prefix(p))
+        .unwrap_or(line);
+    rest.starts_with("mod ")
+}
+
+/// The index of the last line of the item that starts at `lines[start]`:
+/// the first line at which its braces balance and that ends it with `;`,
+/// `,` or `}`.
+fn item_end(lines: &[&str], start: usize) -> usize {
+    let mut depth = 0i64;
+    for (i, line) in lines.iter().enumerate().skip(start) {
+        let code = line.split("//").next().unwrap_or_default().trim_end();
+        depth += code.matches('{').count() as i64 - code.matches('}').count() as i64;
+        if depth <= 0 && code.ends_with([';', ',', '}']) {
+            return i;
+        }
+    }
+    lines.len() - 1
+}
+
+/// A file's lines above its test module, `(line number, text)`, without
+/// any other `#[cfg(test)]` item: each is skipped on its own, so one
+/// placed above live code hides nothing below it.
+fn non_test(text: &str) -> Vec<(usize, &str)> {
+    let lines: Vec<&str> = text.lines().collect();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < lines.len() {
+        if lines[i].trim_start().starts_with("#[cfg(test)]") {
+            if lines.get(i + 1).is_some_and(|next| opens_module(next)) {
+                break;
+            }
+            i = item_end(&lines, i + 1) + 1;
+        } else {
+            out.push((i + 1, lines[i]));
+            i += 1;
+        }
+    }
+    out
+}
+
+/// Every `.rs` file under the root-relative `dir`, sorted.
+fn rust_files(dir: &str) -> Vec<std::path::PathBuf> {
     fn walk(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
         for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
             let path = entry.unwrap().path();
@@ -48,15 +98,18 @@ fn sources(dir: &str) -> Vec<Source> {
     walk(&root().join(dir), &mut files);
     files.sort();
     files
+}
+
+/// The code of every `.rs` file under the root-relative `dir`, by path.
+fn sources(dir: &str) -> Vec<Source> {
+    rust_files(dir)
         .into_iter()
         .map(|file| {
             let text = fs::read_to_string(&file).unwrap();
-            let lines = text
-                .lines()
-                .enumerate()
-                .take_while(|(_, l)| !l.starts_with("#[cfg(test)]"))
+            let lines = non_test(&text)
+                .into_iter()
                 .filter(|(_, l)| !l.trim_start().starts_with("//"))
-                .map(|(i, l)| (i + 1, l.to_string()))
+                .map(|(n, l)| (n, l.to_string()))
                 .collect();
             let path = file.strip_prefix(root()).unwrap();
             let path = path.to_string_lossy().replace('\\', "/");
@@ -465,5 +518,61 @@ fn no_public_fn_only_tests_call() {
         "delete the function, move it into the test module that uses it, fold what the test \
          reads into a snapshot an operator reads (ServeSnapshot, CounterSnapshot, the flight \
          dump), or allow-list it with its reason",
+    );
+}
+
+/// Each crate's non-test lines — every line of its `src/` that `non_test`
+/// keeps, comments and blank lines included — and the figure it must not
+/// exceed. A change that grows a crate raises its figure in the same diff,
+/// so review sees the growth; one that shrinks it may lower the figure.
+const LINES: &[(&str, usize)] = &[
+    ("bench", 5_680),
+    ("core", 2_893),
+    ("kernels", 1_283),
+    ("metrics", 3_501),
+    ("runtime", 4_037),
+    ("serve", 2_442),
+    ("sim", 1_830),
+    ("facade", 230),
+];
+
+/// Prints each crate's non-test lines (the facade's `src/` as `facade`)
+/// and holds each under its figure in [`LINES`].
+#[test]
+fn non_test_lines_per_crate() {
+    let mut dirs: Vec<(String, String)> = fs::read_dir(root().join("crates"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .map(|c| (c.clone(), format!("crates/{c}/src")))
+        .collect();
+    dirs.sort();
+    dirs.push(("facade".into(), "src".into()));
+    let mut violations = Vec::new();
+    let mut total = 0;
+    for (name, dir) in &dirs {
+        let lines: usize = rust_files(dir)
+            .iter()
+            .map(|f| non_test(&fs::read_to_string(f).unwrap()).len())
+            .sum();
+        total += lines;
+        println!("{name:>8} {lines:>6}");
+        match LINES.iter().find(|(n, _)| n == name) {
+            Some(&(_, most)) if lines > most => {
+                violations.push(format!("{name}: {lines} non-test lines, figure {most}"))
+            }
+            Some(_) => {}
+            None => violations.push(format!("{name}: no figure")),
+        }
+    }
+    println!("{:>8} {total:>6}", "total");
+    for (name, _) in LINES {
+        if !dirs.iter().any(|(n, _)| n == name) {
+            violations.push(format!("{name}: figure for a crate that is gone"));
+        }
+    }
+    verdict(
+        "a crate above its non-test line figure",
+        violations,
+        "cut the growth, or raise the crate's figure in LINES in the same change",
     );
 }
