@@ -24,7 +24,9 @@
 //! * the job pointer is stored before the generation, so a worker that
 //!   loads the generation reads the pointer it belongs to;
 //! * a worker records its failure before its RMW;
-//! * an owner reads failures only after it sees the word free.
+//! * an owner reads failures, and marks its ticket finished, only after
+//!   it sees the word free, so an unwind out of its wait still waits the
+//!   job out before dropping it.
 //!
 //! Jobs are lent, not cloned: the word's cell holds a pointer. [`Pool::run`]
 //! lends the caller's closure as `std::thread::scope` lends its
@@ -828,18 +830,21 @@ impl DispatchTicket {
     }
 
     /// Waits, once, until every worker has left the job, then drops the
-    /// job and takes the failure its workers recorded.
+    /// job and takes the failure its workers recorded. `finished` is set
+    /// only past the wait: should `on_leg` panic, the drop the unwind
+    /// runs waits the job out again before the job can go.
     fn finish(
         &mut self,
         budget: Budget,
         on_leg: impl FnMut(WaitOutcome),
     ) -> Result<(), PhaseError> {
-        if std::mem::replace(&mut self.finished, true) {
+        if self.finished {
             return Ok(());
         }
         let (shared, gen) = (&*self.shared, self.gen);
         let left = || shared.left(gen).then_some(());
         shared.free.wait(budget, None, left, on_leg);
+        self.finished = true;
         shared.free.inject_point();
         let failure = shared.take_failure(gen);
         // No worker holds the job any more. When it owns the last
@@ -1262,6 +1267,66 @@ mod tests {
             std::thread::yield_now();
         }
         ticket.wait_parked(0, |_| {}).unwrap();
+        pool.run(|_| {});
+    }
+
+    #[test]
+    fn a_panic_in_wait_parkeds_leg_still_waits_the_job_out() {
+        struct Marks(Arc<AtomicBool>);
+        impl Drop for Marks {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let pool = Pool::new(2);
+        let (gate, dropped) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let left = Arc::new(AtomicU64::new(0));
+        let (g, l, marks) = (
+            Arc::clone(&gate),
+            Arc::clone(&left),
+            Marks(Arc::clone(&dropped)),
+        );
+        let ticket = pool
+            .try_dispatch(Arc::new(move |_| {
+                let _ = &marks;
+                while !g.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                l.fetch_add(1, Ordering::SeqCst);
+            }))
+            .unwrap();
+        let heard = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Open the gate once the unwind's drop sleeps on the job
+                // (the leg panics before its own wait registers), or
+                // after a bound, should the drop not wait at all.
+                while !heard.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                let t = std::time::Instant::now();
+                while pool.shared.free.sleepers() == 0 && t.elapsed() < Duration::from_secs(1) {
+                    std::thread::yield_now();
+                }
+                gate.store(true, Ordering::SeqCst);
+            });
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ticket.wait_parked(0, |_| {
+                    heard.store(true, Ordering::SeqCst);
+                    panic!("the owner's leg");
+                })
+            }));
+            assert!(unwound.is_err());
+            assert_eq!(
+                left.load(Ordering::SeqCst),
+                2,
+                "the unwind dropped the job with workers in it"
+            );
+            assert!(dropped.load(Ordering::SeqCst));
+        });
         pool.run(|_| {});
     }
 

@@ -555,9 +555,10 @@ fn blocking_run_behind_a_ticket_proceeds_after_its_acks() {
 }
 
 /// A job's panic travels with its ticket: whichever thread waits for it
-/// gets the `PhaseError` — in odd seeds after a blocking `try_run` has run
-/// on the freed pool and failed too, with its own panic — and the next
-/// job's outcome is its own either way.
+/// gets the `PhaseError` — in odd seeds after blocking `try_run`s have run
+/// on the freed pool, a clean one that must not pick up the outstanding
+/// failure and one that fails with its own panic — and the next job's
+/// outcome is its own either way.
 #[test]
 fn job_panic_reaches_the_thread_that_reaps_the_ticket() {
     use std::sync::Arc;
@@ -571,6 +572,8 @@ fn job_panic_reaches_the_thread_that_reaps_the_ticket() {
             }))
             .unwrap();
         if seed % 2 == 1 {
+            pool.try_run(|_| {})
+                .expect("the earlier job's failure is not this one's");
             let later = pool
                 .try_run(|w| {
                     if w == 0 {

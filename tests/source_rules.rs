@@ -521,23 +521,10 @@ fn no_public_fn_only_tests_call() {
     );
 }
 
-/// Each crate's non-test lines — every line of its `src/` that `non_test`
-/// keeps, comments and blank lines included — and the figure it must not
-/// exceed. A change that grows a crate raises its figure in the same diff,
-/// so review sees the growth; one that shrinks it may lower the figure.
-const LINES: &[(&str, usize)] = &[
-    ("bench", 5_680),
-    ("core", 2_893),
-    ("kernels", 1_283),
-    ("metrics", 3_501),
-    ("runtime", 4_037),
-    ("serve", 2_442),
-    ("sim", 1_830),
-    ("facade", 230),
-];
-
-/// Prints each crate's non-test lines (the facade's `src/` as `facade`)
-/// and holds each under its figure in [`LINES`].
+/// Prints each crate's non-test lines — every line of its `src/` that
+/// `non_test` keeps, comments and blank lines included; the facade's
+/// `src/` as `facade` — for a change's before/after line report
+/// (`--nocapture`). It holds no figure.
 #[test]
 fn non_test_lines_per_crate() {
     let mut dirs: Vec<(String, String)> = fs::read_dir(root().join("crates"))
@@ -547,7 +534,6 @@ fn non_test_lines_per_crate() {
         .collect();
     dirs.sort();
     dirs.push(("facade".into(), "src".into()));
-    let mut violations = Vec::new();
     let mut total = 0;
     for (name, dir) in &dirs {
         let lines: usize = rust_files(dir)
@@ -556,23 +542,10 @@ fn non_test_lines_per_crate() {
             .sum();
         total += lines;
         println!("{name:>8} {lines:>6}");
-        match LINES.iter().find(|(n, _)| n == name) {
-            Some(&(_, most)) if lines > most => {
-                violations.push(format!("{name}: {lines} non-test lines, figure {most}"))
-            }
-            Some(_) => {}
-            None => violations.push(format!("{name}: no figure")),
-        }
     }
     println!("{:>8} {total:>6}", "total");
-    for (name, _) in LINES {
-        if !dirs.iter().any(|(n, _)| n == name) {
-            violations.push(format!("{name}: figure for a crate that is gone"));
-        }
-    }
-    verdict(
-        "a crate above its non-test line figure",
-        violations,
-        "cut the growth, or raise the crate's figure in LINES in the same change",
+    assert!(
+        total > 0,
+        "no non-test lines found under crates/*/src and src/"
     );
 }
