@@ -8,8 +8,9 @@
 //! * SS — the core state machine under the same mutex vs
 //!   [`FetchAddSource`] with chunk 1;
 //! * CSS(16) — same pair at fixed chunk 16;
-//! * GSS — mutex only (its chunk size depends on the remaining count, so it
-//!   has no fetch-add form); included as a reference row.
+//! * GSS — the core state machine under the mutex vs [`FetchAddSource`]
+//!   reading a chunk table drained from that machine (built with the
+//!   source, before the clock starts).
 //!
 //! Two protocols, both draining a pre-built list of fresh sources
 //! back-to-back with the clock kept out of the per-call loop (a ~20 ns
@@ -38,6 +39,9 @@ use afs_metrics::{HostInfo, MetricsRegistry};
 use afs_runtime::source::{AfsSource, FetchAddSource, LockedSource, WorkSource};
 use std::fmt::Write as _;
 use std::time::Instant;
+
+/// Policies measured under both implementations: the speedup rows.
+const PAIRED: [&str; 4] = ["AFS", "SS", "CSS(16)", "GSS"];
 
 /// Worker counts measured. The interesting point is the largest (most
 /// contended); the smaller ones show how the gap opens.
@@ -155,7 +159,7 @@ impl GrabBenchResult {
         }
         let p_max = *WORKERS.last().unwrap();
         let mut ratios: Vec<String> = Vec::new();
-        for policy in ["AFS", "SS", "CSS(16)"] {
+        for policy in PAIRED {
             if let Some(r) = self.speedup(policy, p_max) {
                 ratios.push(format!("{policy} {r:.2}x"));
             }
@@ -183,7 +187,7 @@ impl GrabBenchResult {
                 )
                 .field("samples", &self.samples)
                 .array("speedup_mutex_over_lockfree_interleaved", |a| {
-                    for policy in ["AFS", "SS", "CSS(16)"] {
+                    for policy in PAIRED {
                         for p in WORKERS {
                             if let Some(r) = self.speedup(policy, p) {
                                 a.object(|o| {
@@ -403,6 +407,17 @@ pub fn run_with_metrics(quick: bool, metrics: Option<&MetricsRegistry>) -> GrabB
             "GSS",
             "mutex",
             Box::new(|n, p| Box::new(LockedSource::new(Gss::new().begin_loop(n, p)))),
+            afs_n,
+            afs_drains,
+        ),
+        (
+            "GSS",
+            "lockfree",
+            Box::new(|n, p| {
+                let mut src = FetchAddSource::new(0, 1);
+                src.rearm_drained(Gss::new().begin_loop(n, p));
+                Box::new(src)
+            }),
             afs_n,
             afs_drains,
         ),

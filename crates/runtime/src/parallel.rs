@@ -35,10 +35,10 @@ use std::time::Instant;
 
 /// A scheduling policy usable by the runtime.
 ///
-/// Most policies wrap the corresponding `afs-core` scheduler; AFS and STATIC
-/// get dedicated concurrent implementations (per-worker queues and a
-/// lock-free partition respectively) because avoiding a shared lock is their
-/// defining property.
+/// AFS, STATIC and the central-queue policies get dedicated concurrent
+/// implementations (per-worker queues, a lock-free partition, one fetch-add
+/// per grab) because avoiding a shared lock is their defining property; the
+/// rest run their `afs-core` scheduler under one lock.
 pub struct RuntimeScheduler {
     kind: Kind,
 }
@@ -49,6 +49,8 @@ enum Kind {
     /// A strictly-monotone central counter (SS and fixed-size chunking):
     /// one `fetch_add` per grab, no lock.
     FetchAdd { chunk: u64 },
+    /// A central queue, drained into the fetch-add source's chunk table.
+    Drained(Box<dyn Scheduler>),
     /// Distributed AFS; `ahead` local chunks are claimed per CAS (1 =
     /// plain AFS, see `AfsSource::with_grab_ahead`).
     Afs { k: KParam, ahead: usize },
@@ -164,17 +166,23 @@ impl RuntimeScheduler {
 
     /// Guided self-scheduling.
     pub fn gss() -> Self {
-        Self::from_core(afs_core::schedulers::Gss::new())
+        Self {
+            kind: Kind::Drained(Box::new(afs_core::schedulers::Gss::new())),
+        }
     }
 
     /// Factoring.
     pub fn factoring() -> Self {
-        Self::from_core(afs_core::schedulers::Factoring::new())
+        Self {
+            kind: Kind::Drained(Box::new(afs_core::schedulers::Factoring::new())),
+        }
     }
 
     /// Trapezoid self-scheduling.
     pub fn trapezoid() -> Self {
-        Self::from_core(afs_core::schedulers::Trapezoid::new())
+        Self {
+            kind: Kind::Drained(Box::new(afs_core::schedulers::Trapezoid::new())),
+        }
     }
 
     /// Modified factoring (affinity-aware chunk preference).
@@ -182,7 +190,8 @@ impl RuntimeScheduler {
         Self::from_core(afs_core::schedulers::ModFactoring::new())
     }
 
-    /// Any `afs-core` scheduler, driven under a single queue lock.
+    /// Any `afs-core` scheduler, driven under a single queue lock even when
+    /// it reports `Central`: its grabs may read the worker, as MOD-FACTORING's do.
     pub fn from_core(sched: impl Scheduler + 'static) -> Self {
         Self {
             kind: Kind::Locked(Box::new(sched)),
@@ -192,7 +201,7 @@ impl RuntimeScheduler {
     /// Policy name for reports.
     pub fn name(&self) -> String {
         match &self.kind {
-            Kind::Locked(s) => s.name(),
+            Kind::Locked(s) | Kind::Drained(s) => s.name(),
             Kind::FetchAdd { chunk: 1 } => "SS".into(),
             Kind::FetchAdd { chunk } => format!("CSS({chunk})"),
             Kind::Afs {
@@ -250,6 +259,9 @@ impl RuntimeScheduler {
             (Some(PhaseSource::FetchAdd(src)), Kind::FetchAdd { chunk }, _) => {
                 return src.rearm(n, *chunk)
             }
+            (Some(PhaseSource::FetchAdd(src)), Kind::Drained(s), _) => {
+                return src.rearm_drained(s.begin_loop(n, p))
+            }
             (Some(PhaseSource::Static(src)), Kind::Static, _) => return src.rearm(n),
             _ => {}
         }
@@ -265,6 +277,11 @@ impl RuntimeScheduler {
             }
             Kind::FetchAdd { chunk } => {
                 PhaseSource::FetchAdd(Box::new(FetchAddSource::new(n, *chunk)))
+            }
+            Kind::Drained(s) => {
+                let mut src = FetchAddSource::new(0, 1);
+                src.rearm_drained(s.begin_loop(n, p));
+                PhaseSource::FetchAdd(Box::new(src))
             }
             Kind::Static => PhaseSource::Static(Box::new(StaticSource::new(n, p))),
             Kind::Afs { .. } | Kind::Adaptive(_) => {
@@ -332,9 +349,10 @@ where
 /// source that lives as long as the region: between phases the workers
 /// pass a [`crate::barrier::SenseBarrier`], and the last to arrive re-arms
 /// that source for the next phase before releasing the others — in place
-/// and allocation-free under AFS, STATIC and SS; other policies drop it and
-/// build anew — so the coordinator thread is out of the per-phase loop
-/// entirely. The source then waits in the pool for the next region.
+/// under AFS, STATIC and the central policies (allocation-free but for the
+/// core machine GSS, factoring and trapezoid drain; locked ones build anew)
+/// — so the coordinator thread is out of the per-phase loop entirely. The
+/// source then waits in the pool for the next region.
 pub fn parallel_phases<F, L>(
     pool: &Pool,
     phases: usize,
@@ -394,8 +412,9 @@ pub trait PhasePlan: Sync {
     /// Iterations in `phase`.
     fn len(&self, phase: usize) -> u64;
     /// The policy that schedules `phase`. Consecutive phases whose
-    /// policies share a source kind (AFS, STATIC, SS) re-arm one source in
-    /// place, whichever policy values they come from.
+    /// policies share a source kind (AFS; STATIC; any fetch-add central
+    /// queue) re-arm one source in place, whichever policy values they
+    /// come from.
     fn policy(&self, phase: usize) -> &RuntimeScheduler;
     /// `phase`'s body, called with each iteration index. Each worker asks
     /// once per phase, so what the body needs is read once, not per call.
@@ -1247,7 +1266,7 @@ mod tests {
     #[test]
     fn rearmed_region_source_matches_a_source_built_fresh_each_phase() {
         // A region keeps one source for all its phases (re-armed in place
-        // for AFS, STATIC and SS, replaced for the rest); a loop of
+        // but for the locked policies, replaced for those); a loop of
         // one-phase regions arms the pool's spare once a region, around a
         // coordinator rendezvous each. On one worker both are
         // deterministic, so they must agree grab for grab — over growing,
@@ -1373,14 +1392,29 @@ mod tests {
                 region_grabs(&pool, &static_partition, 4096, Some(1));
             }
         }
-        for (i, &n) in lens.iter().cycle().take(2 * lens.len()).enumerate() {
-            let chunk = 1 + i as u64 % 3;
-            let reused = region_grabs(&pool, &RuntimeScheduler::chunk_self(chunk), n, None);
-            let fresh = FetchAddSource::new(n, chunk);
-            assert_eq!(reused, drive(&fresh, p, None), "CSS({chunk}) n={n}");
-            if i % 2 == 0 {
-                region_grabs(&pool, &RuntimeScheduler::self_sched(), 4096, Some(5));
-            }
+        // The central queues share one source: computed (SS, CSS) and
+        // drained (GSS, FACTORING, TRAPEZOID) kinds alternate on the spare,
+        // each after a region cut short — of its own kind or of the other —
+        // and each hands out what its core machine does.
+        use afs_core::schedulers::{ChunkSelf, Factoring, Gss, Trapezoid};
+        let central: [(RuntimeScheduler, Box<dyn Scheduler>); 6] = [
+            (RuntimeScheduler::self_sched(), Box::new(ChunkSelf::new(1))),
+            (RuntimeScheduler::gss(), Box::new(Gss::new())),
+            (RuntimeScheduler::chunk_self(2), Box::new(ChunkSelf::new(2))),
+            (RuntimeScheduler::factoring(), Box::new(Factoring::new())),
+            (RuntimeScheduler::chunk_self(3), Box::new(ChunkSelf::new(3))),
+            (RuntimeScheduler::trapezoid(), Box::new(Trapezoid::new())),
+        ];
+        let rounds = lens.len() * central.len();
+        for (i, &n) in lens.iter().cycle().take(rounds).enumerate() {
+            let (policy, core) = &central[i % central.len()];
+            let reused = region_grabs(&pool, policy, n, None);
+            let fresh = LockedSource::new(core.begin_loop(n, p));
+            assert_eq!(reused, drive(&fresh, p, None), "{} n={n}", policy.name());
+            // The next region re-arms after a cut one of the kind it
+            // follows or of its own: both kinds, both ways.
+            let (cut, _) = &central[(i + [1, 0, 0, 1][i % 4]) % central.len()];
+            region_grabs(&pool, cut, 4096, Some(5));
         }
     }
 
@@ -1512,8 +1546,9 @@ mod tests {
     fn a_standing_region_republished_runs_every_iteration_once() {
         // One region, re-armed and re-published 1 200 times with its plan
         // rewritten in between: n in 0..=200, one to three phases, the
-        // policy cycling AFS / STATIC / SS / GSS (a change of kind, or the
-        // locked GSS, builds the source anew), and now and then a driver
+        // policy cycling AFS / STATIC / SS / GSS / MOD-FACTORING (a change
+        // of kind, or the locked MOD-FACTORING, builds the source anew; SS
+        // and GSS share one), and now and then a driver
         // failure that halts it or a body panic it does not contain. Each
         // publish runs every iteration of its plan exactly once, whatever
         // the last one left behind, and claims its own run of
@@ -1524,6 +1559,7 @@ mod tests {
             RuntimeScheduler::static_partition,
             RuntimeScheduler::self_sched,
             RuntimeScheduler::gss,
+            RuntimeScheduler::mod_factoring,
         ];
         let plan = Rewritten {
             phases: 1,

@@ -10,13 +10,13 @@
 //! * [`AfsSource`] — true distributed AFS with one *lock-free* queue per
 //!   worker: a single packed `head:32 | tail:32` atomic word per queue,
 //!   local grabs CAS the head forward, steals CAS the tail backward.
-//! * [`FetchAddSource`] — SS and fixed-size chunking are strictly-monotone
-//!   counters, so one `fetch_add` per grab implements them exactly.
-//! * [`LockedSource`] — GSS, factoring, trapezoid and friends hand out
-//!   chunks whose size depends on the remaining work, so they keep the
+//! * [`FetchAddSource`] — every central-queue policy (SS, chunking, GSS,
+//!   factoring, trapezoid) hands out a chunk sequence fixed by its loop's
+//!   shape, so one `fetch_add` per grab implements it exactly.
+//! * [`LockedSource`] — schedulers whose grabs read the worker keep the
 //!   faithful implementation: the core state machine under one mutex.
 //!
-//! The first three are pure functions of their loop's shape, so each has a
+//! Every other source is a pure function of its loop's shape, so each has a
 //! `rearm` that resets it in place for the next loop: one source serves
 //! every phase of a region and, as the pool's spare, every later region of
 //! its kind.
@@ -80,19 +80,19 @@ impl WorkSource for LockedSource {
     }
 }
 
-/// A lock-free central queue for strictly-monotone chunk policies.
-///
-/// SS (chunk = 1) and fixed-size chunking (chunk = c) always hand out the
-/// next `chunk` iterations regardless of how much work remains, so the
-/// whole scheduler state is one cursor and a grab is one `fetch_add` — the
-/// paper's own characterization of these policies on fetch-and-add
-/// hardware. Policies whose chunk size depends on the remaining count
-/// (GSS, factoring, trapezoid) cannot be expressed this way and stay on
-/// [`LockedSource`].
+/// A lock-free central queue: grab `j` is one `fetch_add` on a chunk cursor
+/// and hands out `bound(j)..bound(j + 1)`. Its chunk sizes depend on the
+/// work left, never on who asks, so the loop's shape fixes them — the
+/// paper's reading of these policies on fetch-and-add hardware. SS and
+/// chunking compute `min(j·c, n)`; GSS, factoring and trapezoid read a
+/// table drained from a fresh core machine.
 pub struct FetchAddSource {
     cursor: CachePadded<AtomicU64>,
     n: u64,
+    /// `u64::MAX` for a drained table, so every bound past it is `n`.
     chunk: u64,
+    /// A drained loop's bounds, 0 to `n`: kept, and grown only by a longer one.
+    bounds: Vec<u64>,
 }
 
 impl FetchAddSource {
@@ -103,6 +103,7 @@ impl FetchAddSource {
             cursor: CachePadded::new(AtomicU64::new(0)),
             n,
             chunk,
+            bounds: Vec::new(),
         }
     }
 
@@ -114,21 +115,36 @@ impl FetchAddSource {
         *self.cursor.get_mut() = 0;
         self.n = n;
         self.chunk = chunk;
+        self.bounds.clear();
+    }
+
+    /// Re-arms the source to hand out exactly the chunks `state` would: a
+    /// central queue's `take` never reads the worker, so worker 0 drains it.
+    pub fn rearm_drained(&mut self, mut state: Box<dyn LoopState>) {
+        self.rearm(0, u64::MAX);
+        self.bounds.push(0);
+        while let Some(g) = state.next(0) {
+            assert_eq!(g.range.start, self.n, "a central queue's chunks abut");
+            self.n = g.range.end;
+            self.bounds.push(self.n);
+        }
     }
 }
 
 impl WorkSource for FetchAddSource {
     fn next(&self, _worker: usize) -> Option<Grab> {
-        // Exactly-once is the uniqueness of fetch_add return values; each
-        // worker overshoots at most once after exhaustion, so the cursor
-        // stays far from wrapping. AcqRel keeps grab acquisition ordered
-        // with the previous holder's writes, like the mutex it replaces.
-        let start = self.cursor.fetch_add(self.chunk, Ordering::AcqRel);
-        if start >= self.n {
-            return None;
-        }
-        Some(Grab {
-            range: IterRange::new(start, (start + self.chunk).min(self.n)),
+        // Exactly-once is the uniqueness of fetch_add return values over
+        // non-decreasing bounds; a worker overshoots at most once after
+        // exhaustion, so the index never wraps. AcqRel orders a grab after
+        // the previous holder's writes, like the mutex it replaces.
+        let j = self.cursor.fetch_add(1, Ordering::AcqRel);
+        let bound = |j: u64| match self.bounds.get(j as usize) {
+            Some(&b) => b,
+            None => j.saturating_mul(self.chunk).min(self.n),
+        };
+        let (start, end) = (bound(j), bound(j + 1));
+        (start < end).then(|| Grab {
+            range: IterRange::new(start, end),
             queue: 0,
             access: AccessKind::Central,
         })
@@ -846,22 +862,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fetch_add_source_matches_core_self_sched() {
-        let src = FetchAddSource::new(100, 1);
-        let sched = SelfSched::new();
-        let mut core = sched.begin_loop(100, 4);
-        loop {
-            match (src.next(0), core.next(0)) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.range, b.range);
-                    assert_eq!(a.access, AccessKind::Central);
-                    assert_eq!(a.queue, 0);
-                }
-                (None, None) => break,
-                (a, b) => panic!("divergence: {a:?} vs {b:?}"),
+    /// Drives `src` and the core machine `core` on one thread, grab `i`
+    /// asked for by worker `i % p`, until the queue runs dry: they must
+    /// agree grab for grab.
+    fn assert_central_twins(
+        src: &dyn WorkSource,
+        mut core: Box<dyn LoopState>,
+        p: usize,
+        at: &str,
+    ) {
+        for i in 0.. {
+            let (x, y) = (src.next(i % p), core.next(i % p));
+            assert_eq!(x, y, "{at}: grab {i}");
+            if x.is_none() {
+                break;
             }
         }
+    }
+
+    #[test]
+    fn fetch_add_source_matches_the_core_central_queues() {
+        // Every loop of n <= 64 iterations over P <= 4 workers, under each
+        // central queue: drained (GSS, FACTORING, TRAPEZOID) and computed
+        // (SS, CSS(c)) kinds alternate on one re-armed source, and a fresh
+        // source is checked beside it.
+        let drained: [&dyn Scheduler; 3] = [&Gss::new(), &Factoring::new(), &Trapezoid::new()];
+        let mut reused = FetchAddSource::new(0, 1);
+        for n in 0..=64u64 {
+            for p in 1..=4usize {
+                for (i, chunk) in [1u64, 2, 3, 7].into_iter().enumerate() {
+                    let at = format!("n={n} p={p} CSS({chunk})");
+                    let core = || ChunkSelf::new(chunk).begin_loop(n, p);
+                    reused.rearm(n, chunk);
+                    assert_central_twins(&reused, core(), p, &at);
+                    assert_central_twins(&FetchAddSource::new(n, chunk), core(), p, &at);
+                    let Some(sched) = drained.get(i) else {
+                        continue;
+                    };
+                    let at = format!("n={n} p={p} {}", sched.name());
+                    reused.rearm_drained(sched.begin_loop(n, p));
+                    assert_central_twins(&reused, sched.begin_loop(n, p), p, &at);
+                    let mut fresh = FetchAddSource::new(n, 1);
+                    fresh.rearm_drained(sched.begin_loop(n, p));
+                    assert_central_twins(&fresh, sched.begin_loop(n, p), p, &at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fetch_add_source_with_a_huge_chunk_hands_out_its_loop_once() {
+        // Bounds saturate instead of wrapping: an iteration cursor advanced
+        // by 2^63 a grab wrapped to 0 at the third grab and handed the loop
+        // out again.
+        let src = FetchAddSource::new(10, 1 << 63);
+        assert_eq!(src.next(0).map(|g| g.range), Some(IterRange::new(0, 10)));
+        assert!((1..8).all(|w| src.next(w).is_none()));
     }
 
     #[test]
@@ -896,6 +952,37 @@ mod tests {
         assert_eq!(g.range, afs_core::chunking::static_partition(100, 4, 2));
         assert!(src.next(2).is_none());
         assert_eq!(g.access, AccessKind::Free);
+    }
+
+    #[test]
+    fn static_source_matches_core_static_in_every_worker_order() {
+        // Every loop of n <= 64 iterations over P <= 4 workers, and every
+        // order in which the workers take their one grab each (and then come
+        // back once, dry): a fresh and a re-armed source both hand out
+        // exactly what the core machine does.
+        for p in 1..=4usize {
+            let orders: Vec<Vec<usize>> = (0..p.pow(p as u32))
+                .map(|code| {
+                    (0..p)
+                        .map(|d| code / p.pow(d as u32) % p)
+                        .collect::<Vec<_>>()
+                })
+                .filter(|o| (0..p).all(|w| o.contains(&w)))
+                .collect();
+            let mut reused = StaticSource::new(0, p);
+            for n in 0..=64u64 {
+                for order in &orders {
+                    reused.rearm(n);
+                    for src in [&StaticSource::new(n, p), &reused] {
+                        let mut core = StaticSched::new().begin_loop(n, p);
+                        for &w in order.iter().chain(order) {
+                            let at = format!("n={n} p={p} order={order:?} worker {w}");
+                            assert_eq!(src.next(w), core.next(w), "{at}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,20 +12,24 @@
 //! * under AFS, STATIC and SS the region's source is re-armed in place, so
 //!   a nest's heap allocations and retained bytes do not depend on its
 //!   phase count at all — zero per phase;
+//! * GSS, FACTORING and TRAPEZOID re-arm the same source as SS, its chunk
+//!   table drained from a fresh core machine: exactly one allocation per
+//!   phase, that machine's box, freed before the phase runs, so what they
+//!   retain does not depend on the phase count either;
 //! * the adaptive policy re-arms the same way and its controller reads the
 //!   counter slots without a per-phase buffer, so its allocation count
 //!   does not grow with the phase count either — up to P × log₂ of the
 //!   grab-ahead cap: a worker's stash reallocates when the controller
 //!   raises b past its capacity within a region, at most once a doubling;
-//! * every other policy may allocate per phase (it builds a source), but
-//!   drops the old source first, so what a region *retains* does not grow
-//!   with its phase count;
+//! * MOD-FACTORING, AFS-LE and `from_core` policies, locked, may allocate
+//!   per phase (each builds a source), but drop the old source first, so
+//!   what a region *retains* does not grow with its phase count;
 //! * a region's source outlives it as the pool's spare, and a served
 //!   request's whole region stands in the server, so a steady-state
 //!   `parallel_for` and a steady-state served request make a fixed handful
 //!   of allocations
-//!   (their call sites are named at [`PARALLEL_FOR_ALLOCS`] and
-//!   [`REQUEST_ALLOCS`]) and retain the same bytes however many ran.
+//!   (their call sites are named at [`PARALLEL_FOR_ALLOCS`], [`DRAINED_ALLOCS`]
+//!   and [`REQUEST_ALLOCS`]) and retain the same bytes however many ran.
 
 use afs_runtime::prelude::*;
 use afs_runtime::source::MAX_GRAB_AHEAD;
@@ -72,6 +76,11 @@ const N: u64 = 256;
 /// * 2 — `try_parallel_phases`'s `LoopMetrics::new(p, 0)`: its
 ///   `per_worker` and `iters_per_worker` vectors, the value returned.
 const PARALLEL_FOR_ALLOCS: usize = 2;
+
+/// Allocations a phase of GSS, FACTORING or TRAPEZOID makes beyond SS's:
+/// * 1 — the core machine `Scheduler::begin_loop` boxes, drained into the
+///   source's retained chunk table and dropped before the phase runs.
+const DRAINED_ALLOCS: usize = 1;
 
 /// Allocations one steady-state served request makes: FCFS, P = 2,
 /// `ServePolicy::Afs`, `Touch`, n = 64, through a manual server's `admit`,
@@ -139,29 +148,34 @@ fn requests(server: &LoopServer, count: usize) -> Usage {
 fn phase_boundaries_retain_nothing_and_afs_allocates_nothing() {
     let pool = Arc::new(Pool::new(2));
     let p = pool.workers();
-    // (policy, whether its regions must be allocation-free per phase,
-    // how many more allocations 4096 phases may make than 64, how many
-    // more bytes they may retain). The byte slack bounds state whose size
-    // depends on timing: the adaptive controller may raise b past a
-    // stash's capacity, and AFS-LE's queues and history hold at most one
-    // range per iteration, in vectors at most twice their length.
+    // (policy, how many allocations each phase makes when that is exact,
+    // how many more allocations 4096 phases may make than 64 otherwise, how
+    // many more bytes they may retain). An exact count also pins the
+    // retained bytes: they may not depend on the phase count. The byte
+    // slack bounds state whose size depends on timing: the adaptive
+    // controller may raise b past a stash's capacity, and AFS-LE's queues
+    // and history hold at most one range per iteration, in vectors at most
+    // twice their length.
     let stash = p * MAX_GRAB_AHEAD * std::mem::size_of::<afs_core::policy::Grab>();
     let history = 4 * N as usize * std::mem::size_of::<afs_core::range::IterRange>();
     let policies = [
-        (RuntimeScheduler::afs_k_equals_p(), true, Some(0), 0),
-        (RuntimeScheduler::afs_tuned(1, 4), true, Some(0), 0),
-        (RuntimeScheduler::static_partition(), true, Some(0), 0),
-        (RuntimeScheduler::self_sched(), true, Some(0), 0),
+        (RuntimeScheduler::afs_k_equals_p(), Some(0), None, 0),
+        (RuntimeScheduler::afs_tuned(1, 4), Some(0), None, 0),
+        (RuntimeScheduler::static_partition(), Some(0), None, 0),
+        (RuntimeScheduler::self_sched(), Some(0), None, 0),
+        (RuntimeScheduler::gss(), Some(DRAINED_ALLOCS), None, 0),
+        (RuntimeScheduler::factoring(), Some(DRAINED_ALLOCS), None, 0),
+        (RuntimeScheduler::trapezoid(), Some(DRAINED_ALLOCS), None, 0),
         (
             RuntimeScheduler::adaptive(2),
-            false,
+            None,
             Some(p * MAX_GRAB_AHEAD.ilog2() as usize),
             stash,
         ),
-        (RuntimeScheduler::afs_last_exec(), false, None, history),
-        (RuntimeScheduler::gss(), false, None, 0),
+        (RuntimeScheduler::afs_last_exec(), None, None, history),
+        (RuntimeScheduler::mod_factoring(), None, None, 0),
     ];
-    for (policy, rearmed, alloc_slack, growth) in &policies {
+    for (policy, per_phase, alloc_slack, growth) in &policies {
         // Lazy one-time state (thread-locals, stash blocks) is not the
         // phase path's, and the first region of a kind builds the spare.
         nest(&pool, policy, 64);
@@ -176,10 +190,14 @@ fn phase_boundaries_retain_nothing_and_afs_allocates_nothing() {
                 short.allocs
             );
         }
-        if *rearmed {
+        if let Some(per_phase) = per_phase {
+            let more = Usage {
+                allocs: short.allocs + per_phase * (4096 - 64),
+                retained: short.retained,
+            };
             assert_eq!(
-                short, long,
-                "{name}: a re-armed region's heap use must not depend on its phase count"
+                long, more,
+                "{name}: a re-armed region's allocations per phase, and its bytes retained"
             );
         }
         // 64x the phases, the same memory: a driver that kept every
@@ -195,16 +213,19 @@ fn phase_boundaries_retain_nothing_and_afs_allocates_nothing() {
     }
 
     // A steady-state region: the spare source is re-armed, not rebuilt.
-    for policy in [
-        RuntimeScheduler::afs_k_equals_p(),
-        RuntimeScheduler::static_partition(),
-        RuntimeScheduler::self_sched(),
+    for (policy, drained) in [
+        (RuntimeScheduler::afs_k_equals_p(), 0),
+        (RuntimeScheduler::static_partition(), 0),
+        (RuntimeScheduler::self_sched(), 0),
+        (RuntimeScheduler::gss(), DRAINED_ALLOCS),
+        (RuntimeScheduler::factoring(), DRAINED_ALLOCS),
+        (RuntimeScheduler::trapezoid(), DRAINED_ALLOCS),
     ] {
         loops(&pool, &policy, 50);
         let usage = loops(&pool, &policy, 100);
         assert_eq!(
             usage.allocs,
-            100 * PARALLEL_FOR_ALLOCS,
+            100 * (PARALLEL_FOR_ALLOCS + drained),
             "{}: allocations over 100 parallel_for calls",
             policy.name()
         );
